@@ -46,7 +46,8 @@ type Config struct {
 	Primary string
 	// HTTPClient performs the snapshot and stream requests. It must
 	// not set a client-wide timeout (the stream is long-lived); nil
-	// selects a default.
+	// selects a client with its own connection pool. Run closes the
+	// client's idle connections when it returns.
 	HTTPClient *http.Client
 	// HeartbeatTimeout is how long without a frame before the follower
 	// reports "disconnected" (default 3s).
@@ -57,9 +58,16 @@ type Config struct {
 	CommitEvery int
 }
 
+// newHTTPClient builds a client on its own transport — a private
+// connection pool, so replication teardown can close every connection
+// it dialed and nobody else's.
+func newHTTPClient() *http.Client {
+	return &http.Client{Transport: &http.Transport{Proxy: http.ProxyFromEnvironment}}
+}
+
 func (c Config) withDefaults() Config {
 	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{}
+		c.HTTPClient = newHTTPClient()
 	}
 	if c.HeartbeatTimeout <= 0 {
 		c.HeartbeatTimeout = 3 * time.Second
@@ -162,16 +170,18 @@ func (f *Follower) markStopped(status string) {
 // falls back to its not-a-follower behavior, e.g. a 412).
 func (f *Follower) WaitVersion(ctx context.Context, v uint64) error {
 	for {
+		// Capture the channel before testing the version: an apply that
+		// lands after the test then closes the channel we hold. Testing
+		// first would park us on the fresh channel of a signal we missed.
+		f.mu.Lock()
+		stopped, ch := f.stopped, f.waitCh
+		f.mu.Unlock()
 		if f.local.WriteVersion() >= v {
 			return nil
 		}
-		f.mu.Lock()
-		if f.stopped {
-			f.mu.Unlock()
+		if stopped {
 			return ErrStopped
 		}
-		ch := f.waitCh
-		f.mu.Unlock()
 		select {
 		case <-ch:
 		case <-ctx.Done():
@@ -210,6 +220,7 @@ func (f *Follower) Stats() *client.ReplicationStats {
 // along the way back off and retry — a primary restart must not kill
 // its followers.
 func (f *Follower) Run(ctx context.Context) error {
+	defer f.cfg.HTTPClient.CloseIdleConnections()
 	backoff := 50 * time.Millisecond
 	for {
 		if err := ctx.Err(); err != nil {

@@ -28,7 +28,9 @@ type Options struct {
 	// Primary is the primary server's base URL (required).
 	Primary string
 	// HTTPClient performs discovery, snapshot and stream requests; it
-	// must not set a client-wide timeout. Nil selects a default.
+	// must not set a client-wide timeout. Nil selects a client with its
+	// own connection pool. Its idle connections are closed when the
+	// discovery loop and each follower end.
 	HTTPClient *http.Client
 	// DiscoverInterval is how often the primary's database list is
 	// re-polled for databases created after the follower attached
@@ -47,7 +49,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.HTTPClient == nil {
-		o.HTTPClient = &http.Client{}
+		o.HTTPClient = newHTTPClient()
 	}
 	if o.DiscoverInterval <= 0 {
 		o.DiscoverInterval = 2 * time.Second
@@ -143,6 +145,7 @@ func (m *Manager) Stop() {
 // auto-promotion timer.
 func (m *Manager) discoverLoop() {
 	defer m.loop.Done()
+	defer m.opts.HTTPClient.CloseIdleConnections()
 	t := time.NewTicker(m.opts.DiscoverInterval)
 	defer t.Stop()
 	for {

@@ -81,54 +81,61 @@ func (s *Server) Promote() (client.PromoteResponse, error) {
 	return s.repl.Promote()
 }
 
+// pollFollower re-tests ready every 25ms for as long as this server is
+// a running follower: the discovery loop is about to make it true. It
+// reports whether ready held; ctx ending is an error (→ 504).
+func (s *Server) pollFollower(ctx context.Context, ready func() bool) (bool, error) {
+	if ready() {
+		return true, nil
+	}
+	tick := time.NewTicker(25 * time.Millisecond)
+	defer tick.Stop()
+	for s.isFollower() {
+		select {
+		case <-ctx.Done():
+			return false, ctx.Err()
+		case <-s.stop:
+			return false, nil
+		case <-tick.C:
+		}
+		if ready() {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
 // waitTenant parks a follower read addressed to a database that has
 // not been discovered from the primary yet: a min_version read
 // asserts the database exists, so the 404 would be a lie about a
 // discovery race. Bounded by ctx (→ 504).
 func (s *Server) waitTenant(ctx context.Context, name string) (*tenant, error) {
-	tick := time.NewTicker(25 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		t, err := s.tenant(name)
-		if err == nil {
-			return t, nil
-		}
-		if !s.isFollower() {
-			return nil, err
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-s.stop:
-			return nil, err
-		case <-tick.C:
-		}
+	if _, err := s.pollFollower(ctx, func() bool { _, err := s.tenant(name); return err == nil }); err != nil {
+		return nil, err
 	}
+	return s.tenant(name)
 }
 
 // waitMin parks a read whose min_version is ahead of the database
 // until the replicated watermark catches up (bounded by the request
-// deadline → 504). On a non-follower — or a follower that stopped
-// replicating while still behind — an unsatisfiable min falls through
-// to snapshotAtLeast's 412.
+// deadline → 504). A database the discovery loop has registered (or
+// recovery reopened) but not attached a follower to yet is the same
+// discovery race waitTenant covers, and is waited out the same way.
+// On a non-follower — or a follower that stopped replicating while
+// still behind — an unsatisfiable min falls through to
+// snapshotAtLeast's 412.
 func (s *Server) waitMin(ctx context.Context, t *tenant, min uint64) error {
-	if min <= t.version() {
-		return nil
+	if min <= t.version() || s.repl == nil {
+		return nil // a min still ahead gets snapshotAtLeast's 412
 	}
-	if s.repl == nil {
-		return nil // snapshotAtLeast rejects with 412
+	attached, err := s.pollFollower(ctx, func() bool { return s.repl.Follower(t.name) != nil })
+	if !attached {
+		return err
 	}
-	f := s.repl.Follower(t.name)
-	if f == nil {
-		return nil
+	if err := s.repl.Follower(t.name).WaitVersion(ctx, min); !errors.Is(err, replication.ErrStopped) {
+		return err // nil, or the context deadline → 504
 	}
-	if err := f.WaitVersion(ctx, min); err != nil {
-		if errors.Is(err, replication.ErrStopped) {
-			return nil // fall through: 412 if the local version still lags
-		}
-		return err // context deadline → 504
-	}
-	return nil
+	return nil // fall through: 412 if the local version still lags
 }
 
 func (s *Server) handleReplDBs(w http.ResponseWriter, r *http.Request) error {
@@ -150,7 +157,7 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) erro
 	if err != nil {
 		return err
 	}
-	if _, durable := t.db.WALStats(); !durable {
+	if !t.db.Durable() {
 		return &httpError{
 			code: http.StatusConflict,
 			err:  fmt.Errorf("database %q is not durable; replication requires a write-ahead log", t.name),
@@ -186,7 +193,7 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 		s.writeHandlerError(w, err)
 		return
 	}
-	if _, durable := t.db.WALStats(); !durable {
+	if !t.db.Durable() {
 		writeError(w, http.StatusConflict, fmt.Errorf("database %q is not durable; replication requires a write-ahead log", t.name))
 		return
 	}
@@ -213,10 +220,13 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 		}
 		return true
 	}
-	heartbeat := func() bool {
-		ws, _ := t.db.WALStats()
-		return emit(client.ReplFrame{Heartbeat: true, Seq: ws.Seq, Epoch: ws.Epoch, CheckpointSeq: ws.CheckpointSeq})
+	// position stamps a heartbeat or error frame with the log's head,
+	// epoch and checkpoint horizon.
+	position := func(f client.ReplFrame) client.ReplFrame {
+		f.Seq, f.CheckpointSeq, f.Epoch = t.db.WALPosition()
+		return f
 	}
+	heartbeat := func() bool { return emit(position(client.ReplFrame{Heartbeat: true})) }
 	if !heartbeat() { // first write commits the 200 and proves liveness
 		return
 	}
@@ -229,8 +239,7 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 		recs, err := t.db.ReplReadFrom(from, 256)
 		if err != nil {
 			if errors.Is(err, wal.ErrCompacted) {
-				ws, _ := t.db.WALStats()
-				emit(client.ReplFrame{Error: "compacted", Seq: ws.Seq, Epoch: ws.Epoch, CheckpointSeq: ws.CheckpointSeq})
+				emit(position(client.ReplFrame{Error: "compacted"}))
 			} else {
 				emit(client.ReplFrame{Error: err.Error()})
 			}

@@ -134,6 +134,14 @@ type Server struct {
 	repl     *replication.Manager // follower role; nil on a primary
 	stop     chan struct{}        // closed on Shutdown; ends stream windows
 	stopOnce sync.Once
+
+	// fresh holds accepted connections that have not carried a request
+	// yet (http.StateNew — typically a client transport's speculative
+	// dial). net/http counts them as active for a fixed 5 s during
+	// Shutdown; Shutdown closes them at once instead.
+	freshMu sync.Mutex
+	fresh   map[net.Conn]struct{}
+	closing bool
 }
 
 // tenant is one named database plus its serving state.
@@ -171,12 +179,28 @@ func New(opts Options) *Server {
 		opts:    opts.withDefaults(),
 		tenants: make(map[string]*tenant),
 		stop:    make(chan struct{}),
+		fresh:   make(map[net.Conn]struct{}),
 	}
 	s.sem = make(chan struct{}, s.opts.MaxInflight)
 	s.mux = http.NewServeMux()
 	s.routes()
-	s.http = &http.Server{Handler: s.mux}
+	s.http = &http.Server{Handler: s.mux, ConnState: s.trackConn}
 	return s
+}
+
+// trackConn keeps s.fresh equal to the set of connections in
+// http.StateNew, and refuses new ones once Shutdown has begun.
+func (s *Server) trackConn(c net.Conn, state http.ConnState) {
+	s.freshMu.Lock()
+	defer s.freshMu.Unlock()
+	switch {
+	case state != http.StateNew:
+		delete(s.fresh, c)
+	case s.closing:
+		c.Close()
+	default:
+		s.fresh[c] = struct{}{}
+	}
 }
 
 // Handler returns the server's root handler, for embedding in an
@@ -206,6 +230,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.repl != nil {
 		s.repl.Stop()
 	}
+	s.freshMu.Lock()
+	s.closing = true
+	for c := range s.fresh {
+		c.Close() // never carried a request: nothing in flight to drain
+	}
+	s.freshMu.Unlock()
 	err := s.http.Shutdown(ctx)
 	s.mu.RLock()
 	tenants := make([]*tenant, 0, len(s.tenants))

@@ -161,28 +161,36 @@ func readFrame(data []byte) (payload []byte, size int, torn bool, err error) {
 // JSON, a non-monotone sequence — is a loud error, never a silent
 // prefix.
 func DecodeSegment(data []byte) (recs []Record, validLen int, torn bool, err error) {
+	recs, ends, torn, err := decodeSegment(data)
+	return recs, int(segEnd(ends)), torn, err
+}
+
+// decodeSegment is DecodeSegment's frame walk; ends[i] is the byte
+// offset just past recs[i], which is what the Log's offset index keeps.
+func decodeSegment(data []byte) (recs []Record, ends []int64, torn bool, err error) {
 	off := 0
 	for off < len(data) {
 		payload, size, isTorn, err := readFrame(data[off:])
 		if err != nil {
-			return nil, 0, false, fmt.Errorf("%w (offset %d)", err, off)
+			return nil, nil, false, fmt.Errorf("%w (offset %d)", err, off)
 		}
 		if isTorn {
-			return recs, off, true, nil
+			return recs, ends, true, nil
 		}
 		var rec Record
 		dec := json.NewDecoder(bytes.NewReader(payload))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&rec); err != nil {
-			return nil, 0, false, fmt.Errorf("wal: record at offset %d: %w", off, err)
+			return nil, nil, false, fmt.Errorf("wal: record at offset %d: %w", off, err)
 		}
 		if len(recs) > 0 && rec.Seq != recs[len(recs)-1].Seq+1 {
-			return nil, 0, false, fmt.Errorf("wal: record at offset %d: sequence %d after %d", off, rec.Seq, recs[len(recs)-1].Seq)
+			return nil, nil, false, fmt.Errorf("wal: record at offset %d: sequence %d after %d", off, rec.Seq, recs[len(recs)-1].Seq)
 		}
-		recs = append(recs, rec)
 		off += size
+		recs = append(recs, rec)
+		ends = append(ends, int64(off))
 	}
-	return recs, off, false, nil
+	return recs, ends, false, nil
 }
 
 // EncodeRecord frames a record for appending to a segment — the exact

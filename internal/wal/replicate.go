@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 )
 
 // ErrCompacted reports that the requested tail position has been
@@ -58,13 +57,11 @@ func (l *Log) AppendExact(rec Record) error {
 	if err != nil {
 		return err
 	}
-	if _, err := l.f.Write(frame); err != nil {
-		l.fail(err)
-		return l.err
+	if err := l.writeLocked(frame); err != nil {
+		return err
 	}
 	l.seq.Store(rec.Seq)
 	l.epoch.Store(rec.Epoch)
-	l.bytesSinceCkpt += int64(len(frame))
 	l.notifyAppendLocked()
 	return nil
 }
@@ -124,12 +121,13 @@ func (l *Log) LatestCheckpoint() (*Checkpoint, error) {
 }
 
 // ReadFrom returns up to max records starting at exactly fromSeq, in
-// sequence order, reading the segment files while the log stays live:
-// a torn final frame (a concurrent append racing the read) simply
-// bounds the result, never errors. It returns ErrCompacted when
-// fromSeq is already subsumed by a checkpoint — the reader must
-// restart from a checkpoint image — and an empty slice when fromSeq is
-// beyond the head (nothing to read yet).
+// sequence order, while the log stays live: the offset index resolves
+// the range under the lock, then one positioned read of exactly those
+// bytes runs outside it, so the cost is that of the records returned,
+// not of the segment. It returns ErrCompacted when fromSeq is already
+// subsumed by a checkpoint — the reader must restart from a checkpoint
+// image — and an empty slice when fromSeq is beyond the head (nothing
+// to read yet).
 func (l *Log) ReadFrom(fromSeq uint64, max int) ([]Record, error) {
 	if fromSeq == 0 {
 		return nil, fmt.Errorf("wal: sequences start at 1")
@@ -137,89 +135,53 @@ func (l *Log) ReadFrom(fromSeq uint64, max int) ([]Record, error) {
 	if max <= 0 {
 		max = 1 << 10
 	}
-	for attempt := 0; ; attempt++ {
-		l.mu.Lock()
-		err := l.err
-		ckpt := l.ckptSeq
-		head := l.seq.Load()
-		l.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		if fromSeq <= ckpt {
-			return nil, ErrCompacted
-		}
-		if fromSeq > head {
-			return nil, nil
-		}
-		recs, raced, err := l.readRange(fromSeq, head, max)
-		if err != nil {
-			return nil, err
-		}
-		if !raced {
-			return recs, nil
-		}
-		if attempt >= 3 {
-			// The checkpointer keeps outrunning us; the position is
-			// effectively compacted.
-			return nil, ErrCompacted
-		}
+	f, start, end, err := l.locate(fromSeq, max)
+	if err != nil || f == nil {
+		return nil, err
 	}
+	return l.readIndexed(f, start, end, fromSeq)
 }
 
-// readRange scans the segment files for records fromSeq..head. It
-// reports raced=true when a concurrent checkpoint removed files out
-// from under the scan (the caller re-resolves against the log state).
-func (l *Log) readRange(fromSeq, head uint64, max int) (recs []Record, raced bool, err error) {
-	entries, err := os.ReadDir(l.dir)
-	if err != nil {
-		return nil, false, err
+// readIndexed reads and decodes the located byte range [start, end) of
+// f, whose first record is fromSeq. It runs without the lock, so a
+// checkpoint may rotate f away first: indexed bytes are never
+// rewritten, they can only vanish that way, and that checkpoint
+// covers fromSeq — re-resolving answers ErrCompacted.
+func (l *Log) readIndexed(f *os.File, start, end int64, fromSeq uint64) ([]Record, error) {
+	buf := make([]byte, end-start)
+	if _, err := f.ReadAt(buf, start); err != nil {
+		if _, _, _, lerr := l.locate(fromSeq, 1); lerr != nil {
+			return nil, lerr
+		}
+		return nil, fmt.Errorf("wal: reading records from seq %d: %w", fromSeq, err)
 	}
-	var segStarts []uint64
-	for _, e := range entries {
-		if s, ok := parseSeqName(e.Name(), "wal-", ".log"); ok {
-			segStarts = append(segStarts, s)
-		}
+	recs, _, torn, err := decodeSegment(buf)
+	if err == nil && (torn || len(recs) == 0 || recs[0].Seq != fromSeq) {
+		err = fmt.Errorf("wal: offset index out of step with the segment at seq %d", fromSeq)
 	}
-	sort.Slice(segStarts, func(i, j int) bool { return segStarts[i] < segStarts[j] })
-	prev := uint64(0)
-	for i, start := range segStarts {
-		if i+1 < len(segStarts) && segStarts[i+1] <= fromSeq {
-			continue // segment ends before fromSeq
-		}
-		data, err := os.ReadFile(filepath.Join(l.dir, segName(start)))
-		if os.IsNotExist(err) {
-			return nil, true, nil // checkpoint removed it mid-scan
-		}
-		if err != nil {
-			return nil, false, err
-		}
-		segRecs, _, _, err := DecodeSegment(data)
-		if err != nil {
-			return nil, false, err
-		}
-		for _, r := range segRecs {
-			if r.Seq < fromSeq || r.Seq > head {
-				continue
-			}
-			if len(recs) == 0 {
-				if r.Seq != fromSeq {
-					return nil, true, nil // leading gap: compaction raced the scan
-				}
-			} else if r.Seq != prev+1 {
-				return nil, false, fmt.Errorf("wal: gap in live read: seq %d after %d", r.Seq, prev)
-			}
-			recs = append(recs, r)
-			prev = r.Seq
-			if len(recs) == max {
-				return recs, false, nil
-			}
-		}
+	return recs, err
+}
+
+// locate resolves the records from fromSeq on — as many as exist, at
+// most max — to their byte range in the active segment. A nil file
+// with a nil error means fromSeq is beyond the head.
+func (l *Log) locate(fromSeq uint64, max int) (f *os.File, start, end int64, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	head := l.seq.Load()
+	switch {
+	case l.err != nil:
+		return nil, 0, 0, l.err
+	case fromSeq <= l.ckptSeq:
+		return nil, 0, 0, ErrCompacted
+	case fromSeq > head:
+		return nil, 0, 0, nil
 	}
-	if len(recs) == 0 {
-		return nil, true, nil // fromSeq ≤ head but absent: the scan raced
+	i, n := int(fromSeq-l.segStart), min(max, int(head-fromSeq)+1)
+	if fromSeq < l.segStart || i+n > len(l.ends) {
+		return nil, 0, 0, fmt.Errorf("wal: offset index does not cover seq %d", fromSeq)
 	}
-	return recs, false, nil
+	return l.f, segEnd(l.ends[:i]), l.ends[i+n-1], nil
 }
 
 // WaitAppend blocks until the log's head sequence exceeds after, the
@@ -261,17 +223,21 @@ type Stats struct {
 	Policy        SyncPolicy
 }
 
-// Stats reports the log's current position, checkpoint coverage, epoch
-// and on-disk footprint.
-func (l *Log) Stats() Stats {
+// Position reports the head sequence, the newest durable checkpoint's
+// sequence and the epoch from the log's fields alone — what a stream
+// frame needs, without the directory walk Stats pays for the footprint.
+func (l *Log) Position() (seq, ckptSeq, epoch uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	st := Stats{
-		Seq:           l.seq.Load(),
-		CheckpointSeq: l.ckptSeq,
-		Epoch:         l.epoch.Load(),
-		Policy:        l.opts.Policy,
-	}
+	return l.seq.Load(), l.ckptSeq, l.epoch.Load()
+}
+
+// Stats reports the log's current position, checkpoint coverage, epoch
+// and on-disk footprint. The footprint is read from the directory
+// after the lock is released, so it never stalls an Append.
+func (l *Log) Stats() Stats {
+	st := Stats{Policy: l.opts.Policy}
+	st.Seq, st.CheckpointSeq, st.Epoch = l.Position()
 	entries, err := os.ReadDir(l.dir)
 	if err != nil {
 		return st

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -77,6 +78,31 @@ func TestReadFromCompacted(t *testing.T) {
 	recs, err := l.ReadFrom(11, 0)
 	if err != nil || len(recs) != 4 || recs[0].Seq != 11 {
 		t.Fatalf("ReadFrom(11) = %d records (err %v), want 4 from seq 11", len(recs), err)
+	}
+}
+
+// TestReadFromRacingCheckpoint pins what a checkpoint landing between
+// a reader's index lookup and its positioned read looks like: the
+// segment it resolved is gone, the checkpoint that took it covers the
+// position, and the reader is told ErrCompacted — not handed an I/O
+// error, and never a hole.
+func TestReadFromRacingCheckpoint(t *testing.T) {
+	l, _, _ := mustOpen(t, t.TempDir(), Options{Policy: SyncNever})
+	defer l.Close()
+	for i := uint64(1); i <= 10; i++ {
+		if _, err := l.Append(rec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, start, end, err := l.locate(3, 4)
+	if err != nil || f == nil {
+		t.Fatalf("locate(3, 4) = %v, %v", f, err)
+	}
+	if err := l.WriteCheckpoint(&Checkpoint{Seq: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if recs, err := l.readIndexed(f, start, end, 3); !errors.Is(err, ErrCompacted) {
+		t.Fatalf("read of a segment rotated away = %d records, err %v; want ErrCompacted", len(recs), err)
 	}
 }
 
@@ -223,35 +249,62 @@ func TestWaitAppend(t *testing.T) {
 }
 
 // TestConcurrentReadWhileWrite is the live-tail safety property: a
-// reader following the log while a writer appends and checkpoints
-// rotate segments must never see a torn frame, a wrong payload, or a
-// sequence gap — the only legal jump is forward to a checkpoint
-// horizon (ErrCompacted → resume past the new checkpoint). Run with
-// -race this also proves the reader needs no writer lock.
+// reader following the log while a writer appends and a concurrent
+// checkpointer rotates segments at whatever instant it wins the gate —
+// so rotations land mid-read — must never see a torn frame, a wrong
+// payload, a sequence gap or an error: the only legal jump is forward
+// to a checkpoint horizon (ErrCompacted → resume past the new
+// checkpoint). Run with -race this also proves the reader needs no
+// writer lock.
 func TestConcurrentReadWhileWrite(t *testing.T) {
 	const (
 		total   = 1500
-		ckEvery = 400
+		ckEvery = 50 // records between rotations, so readers see records too
 		readers = 3
 	)
 	l, _, _ := mustOpen(t, t.TempDir(), Options{Policy: SyncNever})
 	defer l.Close()
 
+	// gate stands in for the facade's snapshot gate: appends share it,
+	// a checkpoint takes it exclusively (WriteCheckpoint needs the head
+	// to hold still); readers never touch it.
+	var gate sync.RWMutex
 	var wg sync.WaitGroup
-	errCh := make(chan error, readers+1)
-	wg.Add(1)
+	errCh := make(chan error, readers+2)
+	writerDone := make(chan struct{})
+	wg.Add(2)
 	go func() {
 		defer wg.Done()
+		defer close(writerDone)
 		for i := uint64(1); i <= total; i++ {
-			if _, err := l.Append(rec(i)); err != nil {
+			gate.RLock()
+			_, err := l.Append(rec(i))
+			gate.RUnlock()
+			if err != nil {
 				errCh <- err
 				return
 			}
-			if i%ckEvery == 0 {
-				if err := l.WriteCheckpoint(&Checkpoint{Seq: i}); err != nil {
-					errCh <- err
-					return
-				}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for last := uint64(0); ; {
+			select {
+			case <-writerDone:
+				return
+			default:
+			}
+			if l.Seq() < last+ckEvery {
+				runtime.Gosched()
+				continue
+			}
+			gate.Lock()
+			last = l.Seq()
+			err := l.WriteCheckpoint(&Checkpoint{Seq: last})
+			gate.Unlock()
+			if err != nil {
+				errCh <- err
+				return
 			}
 		}
 	}()

@@ -90,7 +90,9 @@ func (o Options) withDefaults() Options {
 // directory holds at most one checkpoint file plus the log segments
 // written since; Append adds records to the active segment,
 // WriteCheckpoint atomically replaces everything with a fresh
-// checkpoint and an empty segment.
+// checkpoint and an empty segment. Every record above the checkpoint
+// therefore sits in the active segment, record seq at index
+// seq-segStart of the in-memory offset index ReadFrom reads through.
 //
 // Append is safe for concurrent use; callers serialize per-relation
 // ordering themselves (the facade appends under its relation lock).
@@ -104,8 +106,9 @@ type Log struct {
 	mu             sync.Mutex
 	cond           *sync.Cond    // broadcast when syncedSeq or err advances
 	appendCh       chan struct{} // closed and replaced on every append (tail notification)
-	f              *os.File      // active segment
+	f              *os.File      // active segment (appended under mu, ReadAt by ReadFrom without it)
 	segStart       uint64        // first sequence the active segment may hold
+	ends           []int64       // offset index: ends[i] is the byte offset just past record segStart+i
 	ckptSeq        uint64        // sequence of the newest durable checkpoint
 	ckptEpoch      uint64        // epoch recorded in that checkpoint (0 = none)
 	syncedSeq      uint64        // highest sequence known durable
@@ -179,6 +182,7 @@ func Open(dir string, opts Options) (*Log, *Checkpoint, []Record, error) {
 	}
 
 	var tail []Record
+	var ends []int64 // record end offsets of the final (active) segment
 	prev := uint64(0)
 	for i, start := range segStarts {
 		name := filepath.Join(dir, segName(start))
@@ -186,10 +190,13 @@ func Open(dir string, opts Options) (*Log, *Checkpoint, []Record, error) {
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		recs, validLen, torn, err := DecodeSegment(data)
+		var recs []Record
+		var torn bool
+		recs, ends, torn, err = decodeSegment(data)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("%s: %w", segName(start), err)
 		}
+		validLen := int(segEnd(ends))
 		if torn && i != len(segStarts)-1 {
 			return nil, nil, nil, fmt.Errorf("wal: %s: torn record in a non-final segment", segName(start))
 		}
@@ -252,8 +259,8 @@ func Open(dir string, opts Options) (*Log, *Checkpoint, []Record, error) {
 		l.ckptEpoch = ckpt.Epoch
 	}
 	if len(segStarts) > 0 {
-		l.segStart = segStarts[len(segStarts)-1]
-		f, err := os.OpenFile(filepath.Join(dir, segName(l.segStart)), os.O_WRONLY|os.O_APPEND, 0o644)
+		l.segStart, l.ends = segStarts[len(segStarts)-1], ends
+		f, err := os.OpenFile(filepath.Join(dir, segName(l.segStart)), os.O_RDWR|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -265,7 +272,7 @@ func Open(dir string, opts Options) (*Log, *Checkpoint, []Record, error) {
 		}
 		l.bytesSinceCkpt = fi.Size()
 	} else {
-		f, err := os.OpenFile(filepath.Join(dir, segName(l.segStart)), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		f, err := os.OpenFile(filepath.Join(dir, segName(l.segStart)), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -335,14 +342,33 @@ func (l *Log) Append(rec Record) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if _, err := l.f.Write(frame); err != nil {
-		l.fail(err)
-		return 0, l.err
+	if err := l.writeLocked(frame); err != nil {
+		return 0, err
 	}
 	l.seq.Store(seq)
-	l.bytesSinceCkpt += int64(len(frame))
 	l.notifyAppendLocked()
 	return seq, nil
+}
+
+// writeLocked appends one record frame to the active segment and
+// indexes its end offset. Caller holds l.mu.
+func (l *Log) writeLocked(frame []byte) error {
+	if _, err := l.f.Write(frame); err != nil {
+		l.fail(err)
+		return l.err
+	}
+	l.bytesSinceCkpt += int64(len(frame))
+	l.ends = append(l.ends, segEnd(l.ends)+int64(len(frame)))
+	return nil
+}
+
+// segEnd returns the offset just past the last indexed record: the
+// valid length of the segment the index describes.
+func segEnd(ends []int64) int64 {
+	if n := len(ends); n > 0 {
+		return ends[n-1]
+	}
+	return 0
 }
 
 // notifyAppendLocked wakes every WaitAppend waiter by closing the
@@ -483,13 +509,13 @@ func (l *Log) installCheckpointLocked(c *Checkpoint) error {
 	// every record it could hold is > c.Seq by construction.
 	newStart := c.Seq + 1
 	if l.segStart != newStart {
-		nf, err := os.OpenFile(filepath.Join(l.dir, segName(newStart)), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		nf, err := os.OpenFile(filepath.Join(l.dir, segName(newStart)), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 		if err != nil {
 			l.fail(err)
 			return l.err
 		}
 		old := l.f
-		l.f, l.segStart = nf, newStart
+		l.f, l.segStart, l.ends = nf, newStart, l.ends[:0]
 		old.Close()
 	}
 	entries, err := os.ReadDir(l.dir)

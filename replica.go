@@ -44,6 +44,17 @@ func (db *DB) WALStats() (wal.Stats, bool) {
 	return db.log.Stats(), true
 }
 
+// WALPosition reports the log's head sequence, newest checkpoint
+// sequence and epoch from memory alone — what a replication stream
+// frame carries, without WALStats' directory walk. All zero on a
+// non-durable database (see Durable).
+func (db *DB) WALPosition() (seq, ckptSeq, epoch uint64) {
+	if db.log == nil {
+		return 0, 0, 0
+	}
+	return db.log.Position()
+}
+
 // CaptureCheckpoint builds a checkpoint image of the whole database at
 // its current write-version without touching the log — the bootstrap
 // image a replication primary serves to a new follower. It holds the
