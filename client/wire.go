@@ -217,7 +217,6 @@ type ExplainRequest struct {
 // ExplainResponse mirrors prefcqa.PlanReport over the wire.
 type ExplainResponse struct {
 	Query   string   `json:"query"`
-	Indexed bool     `json:"indexed"`
 	Holds   bool     `json:"holds"`
 	Plans   []string `json:"plans,omitempty"`
 	Version uint64   `json:"version"`

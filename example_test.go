@@ -151,7 +151,7 @@ func ExampleDB_ExplainPlan() {
 	fmt.Println(rep)
 	// Output:
 	// query: EXISTS d, s . Mgr('Mary', d, s) AND s > 30
-	// mode: indexed; holds on full instance: true
+	// holds on full instance: true
 	// plan 1: EXISTS d, s [exec vectorized-greedy; cost yannakakis 2 vs greedy 2]
 	//   1. Mgr('Mary', d, s)  index(Name='Mary')  est 2 act 1  [batches 1 ids 1 out 1]  binds d, s
 	//   residual: s > 30

@@ -1,13 +1,13 @@
 package prefcqa
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 
 	"prefcqa/internal/bitset"
 	"prefcqa/internal/core"
-	"prefcqa/internal/cqa"
 	"prefcqa/internal/query"
 )
 
@@ -113,19 +113,16 @@ func (db *DB) ExplainTuple(f Family, rel string, id TupleID) (TupleReport, error
 // PlanReport explains how the query planner evaluates a closed
 // query: the physical plan of every existential quantifier the
 // planner compiled — access path per atom (secondary-index probe vs
-// scan), join order, and estimated vs actual candidate rows — from
-// one evaluation against the full current instance of every relation
-// (all tuples visible, tombstones excluded). Per-repair evaluations
-// during Query compile the same plan shape with repair subsets
-// filtered on top of the index candidates, so a regression visible
-// here (an unexpected scan, an estimate far off the actual rows) is
-// the same regression Query pays once per repair.
+// scan), join order, executor, and estimated vs actual candidate rows
+// — from one evaluation against the full current instance of every
+// relation (all tuples visible, tombstones excluded). Per-repair
+// evaluations during Query compile the same plan shape with repair
+// subsets filtered on top of the index candidates, so a regression
+// visible here (an unexpected scan, an estimate far off the actual
+// rows) is the same regression Query pays once per repair.
 type PlanReport struct {
 	// Query is the parsed query, printed back.
 	Query string
-	// Indexed reports whether index access paths were available
-	// (false under WithIndexes(false)).
-	Indexed bool
 	// Holds is the query's value on the full (possibly inconsistent)
 	// instance — not the preferred-repair answer; use Query for that.
 	Holds bool
@@ -140,11 +137,7 @@ type PlanReport struct {
 func (r PlanReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "query: %s\n", r.Query)
-	mode := "indexed"
-	if !r.Indexed {
-		mode = "scan-only"
-	}
-	fmt.Fprintf(&b, "mode: %s; holds on full instance: %v\n", mode, r.Holds)
+	fmt.Fprintf(&b, "holds on full instance: %v\n", r.Holds)
 	if len(r.Plans) == 0 {
 		b.WriteString("no planned quantifiers (ground query or domain-iteration fallback)")
 		return b.String()
@@ -165,17 +158,29 @@ func (r PlanReport) String() string {
 // preferred-repair answer. Snapshot.ExplainPlan is the same report
 // against pinned versions.
 func (db *DB) ExplainPlan(src string) (PlanReport, error) {
-	in, err := db.input()
+	s, err := db.Snapshot()
 	if err != nil {
 		return PlanReport{}, err
 	}
-	return explainPlan(in, src)
+	return s.ExplainPlan(src)
 }
 
-// explainPlan runs one traced evaluation of the closed query over the
-// assembled input — shared by the DB and Snapshot entry points.
-func explainPlan(in cqa.Input, src string) (PlanReport, error) {
+// ExplainPlan compiles and runs the closed query once against the
+// pinned full instances and reports the physical plans the planner
+// chose.
+func (s *Snapshot) ExplainPlan(src string) (PlanReport, error) {
+	return s.ExplainPlanContext(context.Background(), src)
+}
+
+// ExplainPlanContext is ExplainPlan with cancellation: once ctx is
+// cancelled the traced evaluation aborts with ctx.Err(), checked
+// periodically as candidate rows are iterated.
+func (s *Snapshot) ExplainPlanContext(ctx context.Context, src string) (PlanReport, error) {
 	q, err := query.Parse(src)
+	if err != nil {
+		return PlanReport{}, err
+	}
+	in, err := s.input(ctx)
 	if err != nil {
 		return PlanReport{}, err
 	}
@@ -189,15 +194,11 @@ func explainPlan(in cqa.Input, src string) (PlanReport, error) {
 	if !query.IsClosed(q) {
 		return PlanReport{}, fmt.Errorf("prefcqa: ExplainPlan needs a closed query, free variables %v", query.FreeVars(q))
 	}
-	var m query.Model = query.DBModel{DB: in.DB}
-	if in.ScanOnly {
-		m = query.ScanOnly(m)
-	}
-	holds, trace, err := query.EvalTraceCtx(in.Ctx, q, m)
+	holds, trace, err := query.EvalTraceCtx(in.Ctx, q, query.DBModel{DB: in.DB})
 	if err != nil {
 		return PlanReport{}, err
 	}
-	rep := PlanReport{Query: q.String(), Indexed: !in.ScanOnly, Holds: holds}
+	rep := PlanReport{Query: q.String(), Holds: holds}
 	for _, e := range trace.Execs {
 		rep.Plans = append(rep.Plans, e.Describe())
 	}

@@ -228,38 +228,25 @@ func JSON(o Options) Report {
 		}
 	}
 
-	// Selective-query workloads: the planner's index access paths vs
-	// forced scans on a large instance. "point" and "join" are
-	// high-selectivity (a ten-tuple posting out of selN tuples),
-	// "lowsel" matches half the instance — the case where an index
-	// can only win a constant factor.
+	// Selective-query workloads: the planner's index access paths on
+	// a large instance. "point" and "join" are high-selectivity (a
+	// ten-tuple posting out of selN tuples), "lowsel" matches half the
+	// instance. The row names keep their "/indexed" suffix so the
+	// trajectory in BENCH_4…10.json stays comparable.
 	selN := pick(10_000, 100_000)
 	for _, kind := range []string{"point", "join", "lowsel"} {
 		kind := kind
 		if !o.want("selective_" + kind) {
 			continue
 		}
-		idxMetric := measure("selective_"+kind+"_query/indexed",
-			map[string]float64{"tuples": float64(selN)}, SelectiveWorkload(selN, true, kind))
-		scanMetric := measure("selective_"+kind+"_query/scan",
-			map[string]float64{"tuples": float64(selN)}, SelectiveWorkload(selN, false, kind))
-		rep.add(idxMetric)
-		rep.add(scanMetric)
-		if idxMetric.NsPerOp > 0 {
-			rep.add(Metric{
-				Name:       "selective_" + kind + "_query/speedup",
-				Iterations: 1,
-				Extra:      map[string]float64{"x": scanMetric.NsPerOp / idxMetric.NsPerOp},
-			})
-		}
+		rep.add(measure("selective_"+kind+"_query/indexed",
+			map[string]float64{"tuples": float64(selN)}, SelectiveWorkload(selN, kind)))
 	}
 
 	// Acyclic-join workload: a three-atom chain with an empty join,
 	// answered by the Yannakakis executor (bottom-up semijoin
 	// reduction) vs the vectorized greedy executor forced via
-	// query.EvalGreedy. No scan baseline: without index access paths
-	// the chain is quadratic and does not terminate in benchmark time
-	// at this scale.
+	// query.EvalGreedy.
 	if o.want("acyclic_chain_query") {
 		acyN := pick(10_000, 100_000)
 		yanMetric := measure("acyclic_chain_query/yannakakis",
@@ -425,11 +412,9 @@ func JSON(o Options) Report {
 //	join    EXISTS l, v, x . R(7, l, v) AND S(v, x) AND x < 0
 //	lowsel  EXISTS k, v . R(k, 1, v) AND v < 0          (n/2-row posting)
 //
-// indexed=false evaluates the same plans with index access paths
-// disabled (query.ScanOnly), the baseline of the BENCH_*.json
-// selective speedup rows. Exported so the top-level go-bench suite
-// measures exactly the prefbench workload.
-func SelectiveWorkload(n int, indexed bool, kind string) func(b *testing.B) {
+// Exported so the top-level go-bench suite measures exactly the
+// prefbench workload.
+func SelectiveWorkload(n int, kind string) func(b *testing.B) {
 	return func(b *testing.B) {
 		db := relation.NewDatabase()
 		r := relation.NewInstance(relation.MustSchema("R",
@@ -448,10 +433,7 @@ func SelectiveWorkload(n int, indexed bool, kind string) func(b *testing.B) {
 		if err := db.AddInstance(s); err != nil {
 			b.Fatal(err)
 		}
-		var m query.Model = query.DBModel{DB: db}
-		if !indexed {
-			m = query.ScanOnly(m)
-		}
+		m := query.DBModel{DB: db}
 		var src string
 		switch kind {
 		case "point":

@@ -96,10 +96,9 @@ var closedDiffCorpus = []string{
 
 // TestClosedQuantPrunedMatchesFull pins the component-pruned
 // vectorized verification bit-for-bit against the full
-// whole-database repair enumeration and against the scan-only
-// interpreter, across all five families, and asserts via the stats
-// counters that both the pruned and the full path fired on the
-// corpus.
+// whole-database repair enumeration, across all five families, and
+// asserts via the stats counters that both the pruned and the full
+// path fired on the corpus.
 func TestClosedQuantPrunedMatchesFull(t *testing.T) {
 	in := quantDiffInput(t)
 	stats := &EvalStats{}
@@ -118,15 +117,6 @@ func TestClosedQuantPrunedMatchesFull(t *testing.T) {
 			}
 			if pruned != full {
 				t.Fatalf("%s: pruned=%v full=%v", tag, pruned, full)
-			}
-			// Scan-only keeps the pruned walk but interprets each
-			// combination tuple-at-a-time; answers must not move.
-			scan, err := Evaluate(f, in.WithScanOnly(true), q)
-			if err != nil {
-				t.Fatalf("%s: scan-only Evaluate: %v", tag, err)
-			}
-			if scan != pruned {
-				t.Fatalf("%s: scan-only=%v pruned=%v", tag, scan, pruned)
 			}
 		}
 	}
@@ -162,12 +152,12 @@ func randomQuantQuery(rng *rand.Rand) query.Expr {
 	return query.MustParse(shapes[rng.Intn(len(shapes))]())
 }
 
-// TestClosedQuantRandomMutations cross-validates pruned, full and
-// scan-only evaluation on randomly grown instances: each round
-// applies a mutation batch (inserts plus a tombstoning delete) to a
-// persistent instance, rebuilds the conflict context, randomizes the
-// priority, and requires all three answers to agree for every family
-// on a fresh random quantified query.
+// TestClosedQuantRandomMutations cross-validates pruned and full
+// evaluation on randomly grown instances: each round applies a
+// mutation batch (inserts plus a tombstoning delete) to a persistent
+// instance, rebuilds the conflict context, randomizes the priority,
+// and requires both answers to agree for every family on a fresh
+// random quantified query.
 func TestClosedQuantRandomMutations(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	s := relation.MustSchema("R", relation.IntAttr("A"), relation.IntAttr("B"), relation.IntAttr("C"))
@@ -202,13 +192,9 @@ func TestClosedQuantRandomMutations(t *testing.T) {
 			if err != nil {
 				t.Fatalf("round %d %v: pruned: %v on %s", round, f, err, q)
 			}
-			scan, err := Evaluate(f, in.WithScanOnly(true), q)
-			if err != nil {
-				t.Fatalf("round %d %v: scan: %v on %s", round, f, err, q)
-			}
-			if full != pruned || full != scan {
-				t.Fatalf("round %d %v: full=%v pruned=%v scan=%v for %s\n%s",
-					round, f, full, pruned, scan, q, rel.Pri.Graph().ASCII())
+			if full != pruned {
+				t.Fatalf("round %d %v: full=%v pruned=%v for %s\n%s",
+					round, f, full, pruned, q, rel.Pri.Graph().ASCII())
 			}
 		}
 	}
@@ -281,8 +267,8 @@ func TestClosedQuantForkedVersions(t *testing.T) {
 
 // TestClosedQuantConcurrent is the -race exercise for the pruned
 // path: reader goroutines share one input, one memoizing engine and
-// one stats sink, repeatedly evaluating the corpus (pruned, full and
-// scan-only) against precomputed expected answers while the engine's
+// one stats sink, repeatedly evaluating the corpus (pruned and full)
+// against precomputed expected answers while the engine's
 // choice-set cache and the stats atomics are hammered concurrently.
 func TestClosedQuantConcurrent(t *testing.T) {
 	in := quantDiffInput(t)
@@ -337,8 +323,8 @@ func TestClosedQuantConcurrent(t *testing.T) {
 // FuzzClosedEquivalence parses arbitrary query text and, for every
 // accepted closed formula over the fixture's schemas, requires the
 // dispatching evaluator (ground-pruned, quantified-pruned or full,
-// whichever fires), the pinned full enumeration and the scan-only
-// interpreter to agree for every family. Run with
+// whichever fires) and the pinned full enumeration to agree for every
+// family. Run with
 // `go test -fuzz=FuzzClosedEquivalence ./internal/cqa` to explore.
 func FuzzClosedEquivalence(f *testing.F) {
 	for _, s := range closedDiffCorpus {
@@ -359,12 +345,11 @@ func FuzzClosedEquivalence(f *testing.F) {
 		for _, fam := range core.Families {
 			pruned, errP := Evaluate(fam, in, q)
 			full, errF := EvaluateFull(fam, in, q)
-			scan, errS := Evaluate(fam, in.WithScanOnly(true), q)
-			if (errP == nil) != (errF == nil) || (errS == nil) != (errF == nil) {
-				t.Fatalf("%v: error mismatch pruned=%v full=%v scan=%v for %s", fam, errP, errF, errS, q)
+			if (errP == nil) != (errF == nil) {
+				t.Fatalf("%v: error mismatch pruned=%v full=%v for %s", fam, errP, errF, q)
 			}
-			if errF == nil && (pruned != full || scan != full) {
-				t.Fatalf("%v: pruned=%v full=%v scan=%v for %s", fam, pruned, full, scan, q)
+			if errF == nil && pruned != full {
+				t.Fatalf("%v: pruned=%v full=%v for %s", fam, pruned, full, q)
 			}
 		}
 	})

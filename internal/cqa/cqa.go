@@ -57,11 +57,6 @@ type Input struct {
 	// the sequential reference engine; set it (or use WithEngine) to
 	// shard components across workers and memoize choice sets.
 	Engine *core.Engine
-	// ScanOnly disables index access paths in query evaluation: the
-	// planner still orders joins but every atom scans the visible
-	// tuples. Results are identical; this is the ablation/back-out
-	// switch behind the facade's WithIndexes(false).
-	ScanOnly bool
 	// Ctx, when non-nil, cancels evaluation: the engine checks it per
 	// conflict-graph component and the repair walks check it per
 	// enumerated combination, so a server deadline aborts a long
@@ -76,13 +71,6 @@ type Input struct {
 // engine.
 func (in Input) WithEngine(e *core.Engine) Input {
 	in.Engine = e
-	return in
-}
-
-// WithScanOnly returns a copy of the input with index access paths
-// disabled (or re-enabled).
-func (in Input) WithScanOnly(on bool) Input {
-	in.ScanOnly = on
 	return in
 }
 
@@ -170,15 +158,10 @@ func (in Input) schemas() map[string]*relation.Schema {
 }
 
 // model builds the evaluation view for one preferred repair
-// combination (one tuple subset per relation). The view serves index
-// lookups from the relations' secondary indexes unless the input is
-// ScanOnly.
+// combination (one tuple subset per relation; nil = the whole
+// database).
 func (in Input) model(subsets map[string]*bitset.Set) query.Model {
-	var m query.Model = query.DBModel{DB: in.DB, Subsets: subsets}
-	if in.ScanOnly {
-		m = query.ScanOnly(m)
-	}
-	return m
+	return query.DBModel{DB: in.DB, Subsets: subsets}
 }
 
 // forEachPreferredRepair enumerates the preferred repairs of the
@@ -489,14 +472,13 @@ func evaluateGroundPruned(f core.Family, in Input, q query.Expr) (Answer, error)
 // place), leaving untouched components invisible — observationally
 // identical to fixing them to an arbitrary preferred choice. The
 // query itself is compiled once (query.PrepareClosed) and re-run per
-// combination by swapping visibility subsets; ScanOnly inputs keep
-// the pruned walk but evaluate tuple-at-a-time per combination.
+// combination by swapping visibility subsets.
 //
 // handled=false means the support analysis declined (the verdict may
 // depend on tuples outside the atoms' reach) and the caller must fall
 // back to the full enumeration.
 func evaluateQuantPruned(f core.Family, in Input, q query.Expr) (ans Answer, handled bool, err error) {
-	sup, ok := query.AnalyzeSupport(q, query.DBModel{DB: in.DB})
+	sup, ok := query.AnalyzeSupport(q, in.model(nil))
 	if !ok {
 		return 0, false, nil
 	}
@@ -556,22 +538,10 @@ func evaluateQuantPruned(f core.Family, in Input, q query.Expr) (ans Answer, han
 		}
 		subsets[name] = set
 	}
-	// Compile once, swap visibility per combination. ScanOnly keeps
-	// the ablation honest: the pruned walk still applies (it is a
-	// repair-enumeration optimization, not an access path), but each
-	// combination evaluates through the tuple-at-a-time interpreter.
-	model := in.model(subsets)
-	var prep *query.Prepared
-	if !in.ScanOnly {
-		if cm, columnar := model.(query.ColumnarModel); columnar {
-			prep, _ = query.PrepareClosed(cm, q)
-		}
-	}
-	evalOnce := func() (bool, error) {
-		if prep != nil {
-			return prep.Eval(ctx)
-		}
-		return query.EvalCtx(in.Ctx, q, model)
+	// Compile once, swap visibility per combination.
+	prep, ok := query.PrepareClosed(in.model(subsets), q)
+	if !ok {
+		return 0, true, fmt.Errorf("cqa: internal: query with a support analysis did not prepare: %s", q)
 	}
 	seenTrue, seenFalse := false, false
 	var evalErr error
@@ -582,7 +552,7 @@ func evaluateQuantPruned(f core.Family, in Input, q query.Expr) (ans Answer, han
 				evalErr = err
 				return false
 			}
-			holds, err := evalOnce()
+			holds, err := prep.Eval(ctx)
 			if err != nil {
 				evalErr = err
 				return false

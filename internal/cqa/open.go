@@ -32,9 +32,8 @@ func (b Binding) String() string {
 // MaxOpenVariables bounds the active-domain exponent of the
 // SUBSTITUTION fallback for open-query answering, which enumerates up
 // to |domain|^k closed instantiations. The direct-enumeration path
-// (the default for positive conjunctive spines over indexed inputs)
-// never enumerates the domain product and is not subject to the
-// bound.
+// (the default for positive conjunctive spines) never enumerates the
+// domain product and is not subject to the bound.
 const MaxOpenVariables = 4
 
 // OpenLimitError reports an open query the substitution fallback
@@ -64,10 +63,10 @@ func (e *OpenLimitError) Error() string {
 // and the positive spine is monotone — so the spine's matches over
 // the full database are a superset of the answers, and only the
 // surviving candidates pay a certain-answer check. When the query has
-// no such spine (free variables under negation or disjunction only)
-// or the input is scan-only, the substitution fallback instantiates
-// the query over the kind-pruned active domain per variable, bounded
-// by MaxOpenVariables. Both paths return identical slices, pinned by
+// no such spine (free variables under negation or disjunction only),
+// the substitution fallback instantiates the query over the
+// kind-pruned active domain per variable, bounded by
+// MaxOpenVariables. Both paths return identical slices, pinned by
 // differential tests; FreeAnswersSubst forces the fallback.
 func FreeAnswers(f core.Family, in Input, q query.Expr) ([]Binding, error) {
 	if err := query.Validate(q, in.schemas()); err != nil {

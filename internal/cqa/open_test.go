@@ -77,7 +77,7 @@ var openDiffCorpus = []string{
 
 // TestFreeAnswersDirectMatchesSubstitution pins the direct
 // open-enumeration path bit-for-bit against the substitution baseline
-// across all five repair families, on indexed and scan-only inputs.
+// across all five repair families.
 func TestFreeAnswersDirectMatchesSubstitution(t *testing.T) {
 	in := openDiffInput(t)
 	stats := &EvalStats{}
@@ -100,19 +100,6 @@ func TestFreeAnswersDirectMatchesSubstitution(t *testing.T) {
 			for i := range direct {
 				if direct[i].String() != subst[i].String() {
 					t.Fatalf("%s: answer %d: direct %v vs subst %v", tag, i, direct[i], subst[i])
-				}
-			}
-			// Scan-only inputs always fall back; answers must not move.
-			scan, err := FreeAnswers(f, in.WithScanOnly(true), q)
-			if err != nil {
-				t.Fatalf("%s: scan-only FreeAnswers: %v", tag, err)
-			}
-			if len(scan) != len(direct) {
-				t.Fatalf("%s: scan-only %v vs direct %v", tag, scan, direct)
-			}
-			for i := range scan {
-				if scan[i].String() != direct[i].String() {
-					t.Fatalf("%s: answer %d: scan-only %v vs direct %v", tag, i, scan[i], direct[i])
 				}
 			}
 		}

@@ -235,9 +235,13 @@ func TestGroundQFCertainAgainstNaive(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Naive: evaluate on every repair.
+		db := relation.NewDatabase()
+		if err := db.AddInstance(inst); err != nil {
+			t.Fatal(err)
+		}
 		naive := true
 		Enumerate(h, func(r *bitset.Set) bool {
-			v, err2 := query.Eval(q, query.SubsetModel{Inst: inst, IDs: r})
+			v, err2 := query.Eval(q, query.DBModel{DB: db, Subsets: map[string]*bitset.Set{"R": r}})
 			if err2 != nil {
 				t.Fatal(err2)
 			}

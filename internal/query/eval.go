@@ -8,215 +8,23 @@ import (
 	"prefcqa/internal/relation"
 )
 
-// Model is a finite first-order structure a formula is evaluated
-// against: a set of visible tuples per relation. Repairs are
-// evaluated as views — an instance plus a tuple-ID subset — without
-// materializing the repair.
-type Model interface {
-	// Schema returns the schema of a relation, if present.
-	Schema(rel string) (*relation.Schema, bool)
-	// Relations lists the relation names in the model.
-	Relations() []string
-	// Tuples iterates the visible tuples of rel; stop early by
-	// returning false.
-	Tuples(rel string, yield func(relation.Tuple) bool)
-	// Contains reports whether the visible part of rel has the tuple.
-	Contains(rel string, t relation.Tuple) bool
-}
-
-// IndexedModel is a Model whose relations can answer equality
-// lookups from secondary indexes. The planner (plan.go) uses it for
-// access-path selection; models that cannot serve a particular
-// lookup return ok=false from TuplesEq and the executor falls back
-// to a scan. Estimates are upper bounds, used only to order work.
-type IndexedModel interface {
-	Model
-	// TuplesEq iterates the visible tuples of rel whose attribute
-	// attr equals v, in instance ID order; stop early by returning
-	// false from yield. ok=false means no index is available for the
-	// lookup and nothing was iterated.
-	TuplesEq(rel string, attr int, v relation.Value, yield func(relation.Tuple) bool) (ok bool)
-	// EstimateEq returns an upper bound on the number of visible
-	// tuples of rel with attribute attr equal to v.
-	EstimateEq(rel string, attr int, v relation.Value) int
-	// Card returns an upper bound on the number of visible tuples of
-	// rel.
-	Card(rel string) int
-}
-
-// scanModel hides a model's index capability, forcing every atom onto
-// the scan path. The evaluation result is identical; only access
-// paths change.
-type scanModel struct{ m Model }
-
-func (s scanModel) Schema(rel string) (*relation.Schema, bool) { return s.m.Schema(rel) }
-func (s scanModel) Relations() []string                        { return s.m.Relations() }
-func (s scanModel) Tuples(rel string, yield func(relation.Tuple) bool) {
-	s.m.Tuples(rel, yield)
-}
-func (s scanModel) Contains(rel string, t relation.Tuple) bool { return s.m.Contains(rel, t) }
-
-// ScanOnly wraps a model so the planner sees no indexes: every atom
-// is answered by iterating the visible tuples. It is the ablation
-// hook for the indexed-vs-scan benchmarks and the facade's
-// WithIndexes(false) mode.
-func ScanOnly(m Model) Model {
-	if _, already := m.(scanModel); already {
-		return m
-	}
-	return scanModel{m: m}
-}
-
-// InstanceModel exposes a whole instance as a single-relation model.
-type InstanceModel struct{ Inst *relation.Instance }
-
-// Schema implements Model.
-func (m InstanceModel) Schema(rel string) (*relation.Schema, bool) {
-	if rel == m.Inst.Schema().Name() {
-		return m.Inst.Schema(), true
-	}
-	return nil, false
-}
-
-// Relations implements Model.
-func (m InstanceModel) Relations() []string { return []string{m.Inst.Schema().Name()} }
-
-// Tuples implements Model.
-func (m InstanceModel) Tuples(rel string, yield func(relation.Tuple) bool) {
-	if rel != m.Inst.Schema().Name() {
-		return
-	}
-	m.Inst.Range(func(_ relation.TupleID, t relation.Tuple) bool { return yield(t) })
-}
-
-// Contains implements Model in O(1) via the instance's key index.
-func (m InstanceModel) Contains(rel string, t relation.Tuple) bool {
-	return rel == m.Inst.Schema().Name() && m.Inst.Contains(t)
-}
-
-// TuplesEq implements IndexedModel on the instance's secondary index.
-func (m InstanceModel) TuplesEq(rel string, attr int, v relation.Value, yield func(relation.Tuple) bool) bool {
-	if rel != m.Inst.Schema().Name() {
-		return true // no such relation: zero visible tuples
-	}
-	m.Inst.IndexScan(attr, v, func(_ relation.TupleID, t relation.Tuple) bool { return yield(t) })
-	return true
-}
-
-// EstimateEq implements IndexedModel.
-func (m InstanceModel) EstimateEq(rel string, attr int, v relation.Value) int {
-	if rel != m.Inst.Schema().Name() {
-		return 0
-	}
-	return m.Inst.IndexEstimate(attr, v)
-}
-
-// Card implements IndexedModel.
-func (m InstanceModel) Card(rel string) int {
-	if rel != m.Inst.Schema().Name() {
-		return 0
-	}
-	return m.Inst.Len()
-}
-
-// Backing implements ColumnarModel: the whole instance is visible.
-func (m InstanceModel) Backing(rel string) (*relation.Instance, *bitset.Set, bool) {
-	if rel != m.Inst.Schema().Name() {
-		return nil, nil, false
-	}
-	return m.Inst, nil, true
-}
-
-// SubsetModel exposes a subset of an instance (e.g. a repair) as a
-// single-relation model.
-type SubsetModel struct {
-	Inst *relation.Instance
-	IDs  *bitset.Set
-}
-
-// Schema implements Model.
-func (m SubsetModel) Schema(rel string) (*relation.Schema, bool) {
-	if rel == m.Inst.Schema().Name() {
-		return m.Inst.Schema(), true
-	}
-	return nil, false
-}
-
-// Relations implements Model.
-func (m SubsetModel) Relations() []string { return []string{m.Inst.Schema().Name()} }
-
-// Tuples implements Model.
-func (m SubsetModel) Tuples(rel string, yield func(relation.Tuple) bool) {
-	if rel != m.Inst.Schema().Name() {
-		return
-	}
-	m.IDs.Range(func(id int) bool {
-		if id < m.Inst.NumIDs() {
-			return yield(m.Inst.Tuple(id))
-		}
-		return true
-	})
-}
-
-// Contains implements Model in O(1): a key-index lookup plus a bit
-// test on the subset.
-func (m SubsetModel) Contains(rel string, t relation.Tuple) bool {
-	if rel != m.Inst.Schema().Name() {
-		return false
-	}
-	id, ok := m.Inst.Lookup(t)
-	return ok && m.IDs.Has(id)
-}
-
-// TuplesEq implements IndexedModel: the instance-level index narrows
-// to the matching IDs and the subset filters membership per
-// candidate.
-func (m SubsetModel) TuplesEq(rel string, attr int, v relation.Value, yield func(relation.Tuple) bool) bool {
-	if rel != m.Inst.Schema().Name() {
-		return true
-	}
-	m.Inst.IndexScan(attr, v, func(id relation.TupleID, t relation.Tuple) bool {
-		if !m.IDs.Has(id) {
-			return true
-		}
-		return yield(t)
-	})
-	return true
-}
-
-// EstimateEq implements IndexedModel. The instance-level posting
-// length bounds the subset count from above.
-func (m SubsetModel) EstimateEq(rel string, attr int, v relation.Value) int {
-	if rel != m.Inst.Schema().Name() {
-		return 0
-	}
-	return m.Inst.IndexEstimate(attr, v)
-}
-
-// Card implements IndexedModel.
-func (m SubsetModel) Card(rel string) int {
-	if rel != m.Inst.Schema().Name() {
-		return 0
-	}
-	return m.IDs.Len()
-}
-
-// Backing implements ColumnarModel: the subset is the visible view.
-func (m SubsetModel) Backing(rel string) (*relation.Instance, *bitset.Set, bool) {
-	if rel != m.Inst.Schema().Name() {
-		return nil, nil, false
-	}
-	return m.Inst, m.IDs, true
-}
-
-// DBModel exposes a multi-relation database with one visible subset
-// per relation. A nil subset means the whole relation is visible.
+// DBModel is the finite first-order structure a formula is evaluated
+// against: a database plus one visible tuple-ID subset per relation.
+// A nil (or absent) subset means every live tuple of the relation is
+// visible. Repairs are evaluated as such views — the one instance
+// plus a subset — without materializing the repair (Definition 3:
+// every repair is a tuple subset of the instance).
 type DBModel struct {
 	DB      *relation.Database
 	Subsets map[string]*bitset.Set
 }
 
-// Schema implements Model.
+// Model is the structure formulas are evaluated against. There is one
+// kind of model; the name predates DBModel and is kept for callers
+// that spell the parameter type.
+type Model = DBModel
+
+// Schema returns the schema of a relation, if present.
 func (m DBModel) Schema(rel string) (*relation.Schema, bool) {
 	inst, ok := m.DB.Relation(rel)
 	if !ok {
@@ -225,10 +33,11 @@ func (m DBModel) Schema(rel string) (*relation.Schema, bool) {
 	return inst.Schema(), true
 }
 
-// Relations implements Model.
+// Relations lists the relation names in the model.
 func (m DBModel) Relations() []string { return m.DB.Names() }
 
-// Tuples implements Model.
+// Tuples iterates the visible tuples of rel; stop early by returning
+// false.
 func (m DBModel) Tuples(rel string, yield func(relation.Tuple) bool) {
 	inst, ok := m.DB.Relation(rel)
 	if !ok {
@@ -247,8 +56,8 @@ func (m DBModel) Tuples(rel string, yield func(relation.Tuple) bool) {
 	})
 }
 
-// Contains implements Model in O(1): a key-index lookup plus a bit
-// test on the visible subset.
+// Contains reports whether the visible part of rel has the tuple, in
+// O(1): a key-index lookup plus a bit test on the visible subset.
 func (m DBModel) Contains(rel string, t relation.Tuple) bool {
 	inst, ok := m.DB.Relation(rel)
 	if !ok {
@@ -262,33 +71,7 @@ func (m DBModel) Contains(rel string, t relation.Tuple) bool {
 	return sub == nil || sub.Has(id)
 }
 
-// TuplesEq implements IndexedModel; a per-relation subset (a repair
-// view) filters the index candidates per ID.
-func (m DBModel) TuplesEq(rel string, attr int, v relation.Value, yield func(relation.Tuple) bool) bool {
-	inst, ok := m.DB.Relation(rel)
-	if !ok {
-		return true
-	}
-	sub := m.Subsets[rel]
-	inst.IndexScan(attr, v, func(id relation.TupleID, t relation.Tuple) bool {
-		if sub != nil && !sub.Has(id) {
-			return true
-		}
-		return yield(t)
-	})
-	return true
-}
-
-// EstimateEq implements IndexedModel.
-func (m DBModel) EstimateEq(rel string, attr int, v relation.Value) int {
-	inst, ok := m.DB.Relation(rel)
-	if !ok {
-		return 0
-	}
-	return inst.IndexEstimate(attr, v)
-}
-
-// Card implements IndexedModel.
+// Card returns the number of visible tuples of rel.
 func (m DBModel) Card(rel string) int {
 	inst, ok := m.DB.Relation(rel)
 	if !ok {
@@ -300,10 +83,11 @@ func (m DBModel) Card(rel string) int {
 	return inst.Len()
 }
 
-// Backing implements ColumnarModel; a nil subset means every live
-// tuple of the relation is visible.
-func (m DBModel) Backing(rel string) (*relation.Instance, *bitset.Set, bool) {
-	inst, ok := m.DB.Relation(rel)
+// Backing returns the instance holding rel's storage (columns and
+// postings) and the visible ID subset (nil = every live tuple).
+// ok=false means the relation is absent.
+func (m DBModel) Backing(rel string) (inst *relation.Instance, visible *bitset.Set, ok bool) {
+	inst, ok = m.DB.Relation(rel)
 	if !ok {
 		return nil, nil, false
 	}
@@ -318,17 +102,17 @@ func (m DBModel) Backing(rel string) (*relation.Instance, *bitset.Set, bool) {
 //
 // Existential quantifiers whose body is a conjunction with relational
 // atoms covering all quantified variables are compiled into a
-// physical plan (see plan.go): per-atom access-path selection (index
-// probe on bound attributes when the model is an IndexedModel, scan
-// otherwise), selectivity-ordered join ordering, and residual
-// conjuncts evaluated under the completed binding. This is sound for
-// active-domain semantics: a satisfying assignment must match the
-// atoms, and matched tuples only carry active-domain values.
-// Everything else falls back to domain iteration, with the active
-// domain collected lazily — a query that never needs domain
-// iteration (e.g. a ground query, or one fully answered by plans)
-// never scans the model. EvalNaive skips the planner entirely;
-// EvalScan plans but forbids index access paths.
+// physical plan (see plan.go) — per-atom access-path selection (index
+// probe on attributes whose value is known, full ID range otherwise),
+// selectivity-ordered join ordering, residual conjuncts evaluated
+// under the completed binding — and run by one of the three
+// vectorized executors (vector.go, yannakakis.go, wcoj.go). This is
+// sound for active-domain semantics: a satisfying assignment must
+// match the atoms, and matched tuples only carry active-domain
+// values. Every other quantifier falls back to domain iteration, with
+// the active domain collected lazily — a query that never needs
+// domain iteration (e.g. a ground query, or one fully answered by
+// plans) never scans the model. EvalNaive skips the planner entirely.
 func Eval(e Expr, m Model) (bool, error) {
 	return EvalCtx(nil, e, m)
 }
@@ -338,16 +122,7 @@ func Eval(e Expr, m Model) (bool, error) {
 // a deadline aborts a long evaluation with ctx.Err() mid-join
 // instead of running to completion. A nil ctx disables the checks.
 func EvalCtx(ctx context.Context, e Expr, m Model) (bool, error) {
-	if fv := FreeVars(e); len(fv) != 0 {
-		return false, fmt.Errorf("query: formula is not closed, free variables %v", fv)
-	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return false, err
-		}
-	}
-	ev := &evaluator{m: m, root: e, join: true, ctx: ctx}
-	return ev.eval(e, map[string]relation.Value{})
+	return (&evaluator{m: m, root: e, join: true, ctx: ctx}).run()
 }
 
 // EvalTrace is Eval, additionally returning the physical plans that
@@ -360,50 +135,38 @@ func EvalTrace(e Expr, m Model) (bool, *Trace, error) {
 // EvalTraceCtx is EvalTrace with the cancellation behavior of
 // EvalCtx.
 func EvalTraceCtx(ctx context.Context, e Expr, m Model) (bool, *Trace, error) {
-	if fv := FreeVars(e); len(fv) != 0 {
-		return false, nil, fmt.Errorf("query: formula is not closed, free variables %v", fv)
-	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return false, nil, err
-		}
-	}
 	tr := &Trace{}
-	ev := &evaluator{m: m, root: e, join: true, trace: tr, ctx: ctx}
-	res, err := ev.eval(e, map[string]relation.Value{})
+	res, err := (&evaluator{m: m, root: e, join: true, trace: tr, ctx: ctx}).run()
 	return res, tr, err
 }
 
 // EvalNaive is Eval with the planner disabled: quantifiers always
-// iterate the active domain. Exposed for differential testing and
-// the evaluator ablation benchmarks.
+// iterate the active domain. It is the reference the planned
+// executors are tested against.
 func EvalNaive(e Expr, m Model) (bool, error) {
-	if fv := FreeVars(e); len(fv) != 0 {
-		return false, fmt.Errorf("query: formula is not closed, free variables %v", fv)
-	}
-	ev := &evaluator{m: m, root: e}
-	return ev.eval(e, map[string]relation.Value{})
+	return (&evaluator{m: m, root: e}).run()
 }
 
-// EvalScan is Eval with index access paths disabled: the planner
-// still orders the join, but every atom is answered by scanning the
-// visible tuples. Exposed for the indexed-vs-scan ablation
-// benchmarks; results are identical to Eval.
-func EvalScan(e Expr, m Model) (bool, error) {
-	return Eval(e, ScanOnly(m))
-}
-
-// EvalGreedy is Eval with the Yannakakis executor disabled: acyclic
-// multi-atom queries run the greedy vectorized nested-loop order even
-// when semijoin reduction would be cheaper. Exposed for differential
-// testing and the Yannakakis-vs-greedy ablation benchmarks; results
+// EvalGreedy is Eval with the Yannakakis and generic-join executors
+// disabled: multi-atom queries run the greedy vectorized nested-loop
+// order even when a reduction would be cheaper. Exposed for
+// differential testing and the executor ablation benchmarks; results
 // are identical to Eval.
 func EvalGreedy(e Expr, m Model) (bool, error) {
-	if fv := FreeVars(e); len(fv) != 0 {
+	return (&evaluator{m: m, root: e, join: true, greedyOnly: true}).run()
+}
+
+// run evaluates the evaluator's root formula, which must be closed.
+func (ev *evaluator) run() (bool, error) {
+	if fv := FreeVars(ev.root); len(fv) != 0 {
 		return false, fmt.Errorf("query: formula is not closed, free variables %v", fv)
 	}
-	ev := &evaluator{m: m, root: e, join: true, greedyOnly: true}
-	return ev.eval(e, map[string]relation.Value{})
+	if ev.ctx != nil {
+		if err := ev.ctx.Err(); err != nil {
+			return false, err
+		}
+	}
+	return ev.eval(ev.root, map[string]relation.Value{})
 }
 
 // activeDomain collects the distinct values of all visible tuples
@@ -443,8 +206,8 @@ type evaluator struct {
 	domainOK bool
 	join     bool   // enable the plan-based fast path
 	trace    *Trace // when non-nil, collect executed plans
-	// greedyOnly disables the Yannakakis executor (vectorized greedy
-	// and tuple-at-a-time paths still run), for ablation.
+	// greedyOnly disables the Yannakakis and generic-join executors,
+	// for ablation.
 	greedyOnly bool
 	// ctx, when non-nil, cancels the evaluation: tick() samples it
 	// every few hundred iterated candidates (plan rows and domain
@@ -520,21 +283,17 @@ func (ev *evaluator) evalQuant(q Quant, env map[string]relation.Value, i int) (b
 		if ok {
 			var exec *PlanExec
 			if ev.trace != nil {
-				exec = &PlanExec{Plan: p, ActRows: make([]int, len(p.Steps)), Executor: ExecTuple}
+				exec = &PlanExec{Plan: p, ActRows: make([]int, len(p.Steps))}
 				ev.trace.Execs = append(ev.trace.Execs, exec)
 			}
-			if !p.Unsat {
-				// Models exposing their columnar backing take the
-				// vectorized path: batch execution over tuple-ID
-				// candidates, with a Yannakakis semijoin reduction for
-				// acyclic multi-atom queries when it wins on cost.
-				if cm, columnar := ev.m.(ColumnarModel); columnar {
-					if vp := ev.compileVec(cm, p, env); vp != nil {
-						return ev.runVec(vp, exec, env)
-					}
-				}
+			if p.Unsat {
+				return false, nil
 			}
-			return ev.runPlan(p, exec, env)
+			vp, err := ev.compileVec(p, env)
+			if err != nil {
+				return false, err
+			}
+			return ev.runVec(vp, exec, env)
 		}
 	}
 	if i == len(q.Vars) {
@@ -575,7 +334,7 @@ func (ev *evaluator) resolve(t Term, env map[string]relation.Value) (relation.Va
 	case Var:
 		v, ok := env[x.Name]
 		if !ok {
-			return relation.Value{}, fmt.Errorf("query: unbound variable %s", x.Name)
+			return relation.Value{}, errUnbound(x.Name)
 		}
 		return v, nil
 	default:
@@ -586,10 +345,10 @@ func (ev *evaluator) resolve(t Term, env map[string]relation.Value) (relation.Va
 func (ev *evaluator) evalAtom(a Atom, env map[string]relation.Value) (bool, error) {
 	schema, ok := ev.m.Schema(a.Rel)
 	if !ok {
-		return false, fmt.Errorf("query: unknown relation %q", a.Rel)
+		return false, errUnknownRelation(a.Rel)
 	}
 	if len(a.Args) != schema.Arity() {
-		return false, fmt.Errorf("query: %s expects %d arguments, got %d", a.Rel, schema.Arity(), len(a.Args))
+		return false, errArity(a.Rel, schema.Arity(), len(a.Args))
 	}
 	tup := make(relation.Tuple, len(a.Args))
 	for i, t := range a.Args {

@@ -30,7 +30,7 @@ func evalOn(t *testing.T, m Model, src string) bool {
 }
 
 func TestEvalGroundAtoms(t *testing.T) {
-	m := InstanceModel{Inst: mgrInstance(t)}
+	m := relModel(mgrInstance(t), nil)
 	if !evalOn(t, m, "Mgr('Mary', 'R&D', 40, 3)") {
 		t.Error("present tuple should evaluate true")
 	}
@@ -43,7 +43,7 @@ func TestEvalGroundAtoms(t *testing.T) {
 }
 
 func TestEvalConnectives(t *testing.T) {
-	m := InstanceModel{Inst: mgrInstance(t)}
+	m := relModel(mgrInstance(t), nil)
 	if !evalOn(t, m, "TRUE") || evalOn(t, m, "FALSE") {
 		t.Error("boolean constants broken")
 	}
@@ -62,7 +62,7 @@ func TestEvalExample1Q1(t *testing.T) {
 	// Q1: is there an assignment where John earns more than Mary?
 	// In the full (inconsistent) instance the answer is true —
 	// the paper calls this misleading.
-	m := InstanceModel{Inst: mgrInstance(t)}
+	m := relModel(mgrInstance(t), nil)
 	q1 := `EXISTS x1, y1, z1, x2, y2, z2 .
 	        Mgr('Mary', x1, y1, z1) AND Mgr('John', x2, y2, z2) AND y1 < y2`
 	if !evalOn(t, m, q1) {
@@ -85,7 +85,7 @@ func TestEvalOnRepairViews(t *testing.T) {
 		{[]int{2, 3}, true},
 	}
 	for _, c := range cases {
-		m := SubsetModel{Inst: inst, IDs: bitset.FromSlice(c.ids)}
+		m := relModel(inst, bitset.FromSlice(c.ids))
 		if got := evalOn(t, m, q1); got != c.want {
 			t.Errorf("Q1 on repair %v = %v, want %v", c.ids, got, c.want)
 		}
@@ -108,7 +108,7 @@ func TestEvalExample3Q2(t *testing.T) {
 		{[]int{2, 3}, false},
 	}
 	for _, c := range cases {
-		m := SubsetModel{Inst: inst, IDs: bitset.FromSlice(c.ids)}
+		m := relModel(inst, bitset.FromSlice(c.ids))
 		if got := evalOn(t, m, q2); got != c.want {
 			t.Errorf("Q2 on repair %v = %v, want %v", c.ids, got, c.want)
 		}
@@ -116,7 +116,7 @@ func TestEvalExample3Q2(t *testing.T) {
 }
 
 func TestEvalForall(t *testing.T) {
-	m := InstanceModel{Inst: mgrInstance(t)}
+	m := relModel(mgrInstance(t), nil)
 	// Every manager tuple has salary at least 10.
 	if !evalOn(t, m, "FORALL n, d, s, r . NOT Mgr(n, d, s, r) OR s >= 10") {
 		t.Error("all salaries are >= 10")
@@ -127,7 +127,7 @@ func TestEvalForall(t *testing.T) {
 }
 
 func TestEvalQuantifierOverActiveDomain(t *testing.T) {
-	m := InstanceModel{Inst: mgrInstance(t)}
+	m := relModel(mgrInstance(t), nil)
 	// The active domain includes names and integers; equality works on
 	// both, order silently fails on names (no error).
 	if !evalOn(t, m, "EXISTS x . x = 'Mary'") {
@@ -142,7 +142,7 @@ func TestEvalQuantifierOverActiveDomain(t *testing.T) {
 }
 
 func TestEvalComparisonSemantics(t *testing.T) {
-	m := InstanceModel{Inst: mgrInstance(t)}
+	m := relModel(mgrInstance(t), nil)
 	cases := []struct {
 		src  string
 		want bool
@@ -171,7 +171,7 @@ func TestEvalComparisonSemantics(t *testing.T) {
 }
 
 func TestEvalErrors(t *testing.T) {
-	m := InstanceModel{Inst: mgrInstance(t)}
+	m := relModel(mgrInstance(t), nil)
 	if _, err := Eval(MustParse("R(x)"), m); err == nil {
 		t.Error("free variable should error")
 	}
@@ -184,7 +184,7 @@ func TestEvalErrors(t *testing.T) {
 }
 
 func TestEvalWrongKindAtomIsFalse(t *testing.T) {
-	m := InstanceModel{Inst: mgrInstance(t)}
+	m := relModel(mgrInstance(t), nil)
 	// An integer in a name column can never match.
 	if evalOn(t, m, "EXISTS s . Mgr(40, 'R&D', s, 3)") {
 		t.Error("kind mismatch in atom should be false")
@@ -193,7 +193,7 @@ func TestEvalWrongKindAtomIsFalse(t *testing.T) {
 
 func TestEvalEmptyModel(t *testing.T) {
 	s := relation.MustSchema("R", relation.IntAttr("A"))
-	m := InstanceModel{Inst: relation.NewInstance(s)}
+	m := relModel(relation.NewInstance(s), nil)
 	if evalOn(t, m, "EXISTS x . R(x)") {
 		t.Error("empty model has no witnesses")
 	}
@@ -262,7 +262,7 @@ func TestNNF(t *testing.T) {
 }
 
 func TestNNFPreservesSemantics(t *testing.T) {
-	m := InstanceModel{Inst: mgrInstance(t)}
+	m := relModel(mgrInstance(t), nil)
 	queries := []string{
 		"NOT (Mgr('Mary','R&D',40,3) AND Mgr('Bob','IT',1,1))",
 		"NOT (EXISTS n, d, s, r . Mgr(n, d, s, r) AND s > 35)",
@@ -286,7 +286,7 @@ func TestNNFPreservesSemantics(t *testing.T) {
 }
 
 func TestNegate(t *testing.T) {
-	m := InstanceModel{Inst: mgrInstance(t)}
+	m := relModel(mgrInstance(t), nil)
 	for _, src := range []string{
 		"Mgr('Mary','R&D',40,3)",
 		"EXISTS n, d, s, r . Mgr(n,d,s,r) AND s > 35",
@@ -363,7 +363,7 @@ func TestToDNF(t *testing.T) {
 func TestToDNFSemanticAgreement(t *testing.T) {
 	// Evaluate DNF literal-by-literal and compare with direct Eval on
 	// ground formulas.
-	m := InstanceModel{Inst: mgrInstance(t)}
+	m := relModel(mgrInstance(t), nil)
 	queries := []string{
 		"(Mgr('Mary','R&D',40,3) OR Mgr('Nobody','X',1,1)) AND NOT Mgr('John','R&D',10,2)",
 		"NOT (Mgr('Mary','R&D',40,3) AND Mgr('John','R&D',10,2))",

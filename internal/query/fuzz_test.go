@@ -78,50 +78,53 @@ func fuzzPlanModel() Model {
 	return DBModel{DB: db}
 }
 
+// fuzzPlanSeeds is the seed corpus of FuzzPlanEquivalence.
+var fuzzPlanSeeds = []string{
+	"EXISTS x . R(0, x)",                               // constant index probe
+	"EXISTS x, y . R(0, x) AND S(x, y)",                // runtime-bound join probe
+	"EXISTS x, y . S(x, 'n0') AND R(x, y) AND x < y",   // probe + residual comparison
+	"EXISTS x . R(x, x)",                               // repeated variable
+	"EXISTS x . R(x, x) AND NOT S(x, 'n1')",            // negated atom residual
+	"FORALL a, b . NOT R(a, b) OR a <= 2",              // guarded universal via NNF
+	"EXISTS x . R('name', x)",                          // kind mismatch: est 0
+	"FORALL x . (NOT R(x, x)) OR (EXISTS x . R(x, 0))", // shadowing
+	"EXISTS x, y . R(x, y) AND (S(y, 'n0') OR x = y)",  // disjunctive residual
+	"EXISTS x . x = 1 AND R(1, x)",                     // comparison + atom coverage
+	"EXISTS x, y . R(x, y) AND R(y, x) AND R(0, 0)",    // ground atom in the spine
+	// Acyclic shapes: the Yannakakis executor must agree too.
+	"EXISTS a, b, c . R(a, b) AND T(b, c)",                          // two-atom chain
+	"EXISTS a, b, c, d . R(a, b) AND T(b, c) AND S(c, d)",           // three-atom chain
+	"EXISTS h, a, b . R(h, a) AND T(h, b) AND R(h, h)",              // star on hub h
+	"EXISTS a, b, c, d . R(a, b) AND T(b, c) AND T(b, d) AND d > 0", // tree + residual
+	"EXISTS a, b . R(a, b) AND T(b, a)",                             // cyclic pair: generic join
+	"EXISTS a, b . R(a, b) AND T(a, b) AND a < b",                   // shared pair
+	// Cyclic shapes: the generic-join (WCOJ) executor must agree too.
+	"EXISTS a, b, c . R(a, b) AND T(b, c) AND R(c, a)",                                           // triangle
+	"EXISTS a, b, c . R(a, b) AND T(b, c) AND R(c, a) AND a > b",                                 // triangle + residual
+	"EXISTS a, b, c . R(a, b) AND S(b, c) AND T(c, a)",                                           // kind-mismatched triangle
+	"EXISTS a, b, c, d . R(a, b) AND R(a, c) AND R(a, d) AND T(b, c) AND T(b, d) AND R(c, d)",    // 4-clique
+	"EXISTS a, b, c, d, e . R(a, b) AND T(b, c) AND R(c, a) AND T(a, d) AND R(d, e) AND T(e, a)", // bowtie
+	// Quantified closed skeletons: boolean combinations of
+	// quantifiers and ground leaves — the shapes the CQA layer
+	// compiles once via PrepareClosed and re-runs per repair.
+	"(EXISTS x . R(0, x)) AND NOT (EXISTS y . S(y, 'n1'))",
+	"(FORALL a, b . NOT R(a, b) OR a <= 1) OR (EXISTS x . T(x, 0))",
+	"R(0, 0) AND (EXISTS v . T(1, v) AND v > 0)",
+	"NOT ((EXISTS x . R(x, x)) AND (FORALL y . NOT T(y, 2) OR y = 1))",
+	"EXISTS x . R(x, 0) AND NOT (EXISTS y . S(y, 'n0') AND y = x)", // nested quantifier residual
+}
+
 // FuzzPlanEquivalence parses arbitrary query text and, for every
 // accepted closed formula, requires the cost-based planner — with
-// index access paths and in scan-only mode — to agree bit-for-bit
-// with naive active-domain iteration. The seed corpus exercises
+// its cost-chosen executor and with greedy forced — to agree
+// bit-for-bit with naive active-domain iteration. The seed corpus
+// (fuzzPlanSeeds, shared with the executor test) exercises
 // index-backed atoms: constant probes, runtime-bound join probes,
 // shadowed variables, negated atoms in residuals, and kind
 // mismatches. Run `go test -fuzz=FuzzPlanEquivalence ./internal/query`
 // to explore.
 func FuzzPlanEquivalence(f *testing.F) {
-	seeds := []string{
-		"EXISTS x . R(0, x)",                               // constant index probe
-		"EXISTS x, y . R(0, x) AND S(x, y)",                // runtime-bound join probe
-		"EXISTS x, y . S(x, 'n0') AND R(x, y) AND x < y",   // probe + residual comparison
-		"EXISTS x . R(x, x)",                               // repeated variable
-		"EXISTS x . R(x, x) AND NOT S(x, 'n1')",            // negated atom residual
-		"FORALL a, b . NOT R(a, b) OR a <= 2",              // guarded universal via NNF
-		"EXISTS x . R('name', x)",                          // kind mismatch: est 0
-		"FORALL x . (NOT R(x, x)) OR (EXISTS x . R(x, 0))", // shadowing
-		"EXISTS x, y . R(x, y) AND (S(y, 'n0') OR x = y)",  // disjunctive residual
-		"EXISTS x . x = 1 AND R(1, x)",                     // comparison + atom coverage
-		"EXISTS x, y . R(x, y) AND R(y, x) AND R(0, 0)",    // ground atom in the spine
-		// Acyclic shapes: the Yannakakis executor must agree too.
-		"EXISTS a, b, c . R(a, b) AND T(b, c)",                          // two-atom chain
-		"EXISTS a, b, c, d . R(a, b) AND T(b, c) AND S(c, d)",           // three-atom chain
-		"EXISTS h, a, b . R(h, a) AND T(h, b) AND R(h, h)",              // star on hub h
-		"EXISTS a, b, c, d . R(a, b) AND T(b, c) AND T(b, d) AND d > 0", // tree + residual
-		"EXISTS a, b . R(a, b) AND T(b, a)",                             // cyclic pair: generic join
-		"EXISTS a, b . R(a, b) AND T(a, b) AND a < b",                   // shared pair
-		// Cyclic shapes: the generic-join (WCOJ) executor must agree too.
-		"EXISTS a, b, c . R(a, b) AND T(b, c) AND R(c, a)",                                           // triangle
-		"EXISTS a, b, c . R(a, b) AND T(b, c) AND R(c, a) AND a > b",                                 // triangle + residual
-		"EXISTS a, b, c . R(a, b) AND S(b, c) AND T(c, a)",                                           // kind-mismatched triangle
-		"EXISTS a, b, c, d . R(a, b) AND R(a, c) AND R(a, d) AND T(b, c) AND T(b, d) AND R(c, d)",    // 4-clique
-		"EXISTS a, b, c, d, e . R(a, b) AND T(b, c) AND R(c, a) AND T(a, d) AND R(d, e) AND T(e, a)", // bowtie
-		// Quantified closed skeletons: boolean combinations of
-		// quantifiers and ground leaves — the shapes the CQA layer
-		// compiles once via PrepareClosed and re-runs per repair.
-		"(EXISTS x . R(0, x)) AND NOT (EXISTS y . S(y, 'n1'))",
-		"(FORALL a, b . NOT R(a, b) OR a <= 1) OR (EXISTS x . T(x, 0))",
-		"R(0, 0) AND (EXISTS v . T(1, v) AND v > 0)",
-		"NOT ((EXISTS x . R(x, x)) AND (FORALL y . NOT T(y, 2) OR y = 1))",
-		"EXISTS x . R(x, 0) AND NOT (EXISTS y . S(y, 'n0') AND y = x)", // nested quantifier residual
-	}
-	for _, s := range seeds {
+	for _, s := range fuzzPlanSeeds {
 		f.Add(s)
 	}
 	m := fuzzPlanModel()
@@ -147,13 +150,12 @@ func FuzzPlanEquivalence(f *testing.F) {
 		}
 		planned, errP := Eval(q, m)
 		greedy, errG := EvalGreedy(q, m)
-		scan, errS := EvalScan(q, m)
 		naive, errN := EvalNaive(q, m)
-		if (errP == nil) != (errN == nil) || (errS == nil) != (errN == nil) || (errG == nil) != (errN == nil) {
-			t.Fatalf("error mismatch planned=%v greedy=%v scan=%v naive=%v for %s", errP, errG, errS, errN, q)
+		if (errP == nil) != (errN == nil) || (errG == nil) != (errN == nil) {
+			t.Fatalf("error mismatch planned=%v greedy=%v naive=%v for %s", errP, errG, errN, q)
 		}
-		if errN == nil && (planned != naive || greedy != naive || scan != naive) {
-			t.Fatalf("planned=%v greedy=%v scan=%v naive=%v for %s", planned, greedy, scan, naive, q)
+		if errN == nil && (planned != naive || greedy != naive) {
+			t.Fatalf("planned=%v greedy=%v naive=%v for %s", planned, greedy, naive, q)
 		}
 	})
 }

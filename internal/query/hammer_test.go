@@ -12,7 +12,7 @@ func TestHammerNNFAndSimplify(t *testing.T) {
 	inst := relation.NewInstance(s)
 	inst.MustInsert(1)
 	inst.MustInsert(2)
-	m := InstanceModel{Inst: inst}
+	m := relModel(inst, nil)
 	for seed := int64(0); seed < 40000; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		e := randAST(rng, nil, 2)

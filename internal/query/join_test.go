@@ -120,7 +120,7 @@ func TestJoinAgainstNaive(t *testing.T) {
 
 func TestJoinPaperQueries(t *testing.T) {
 	inst := mgrInstance(t)
-	m := InstanceModel{Inst: inst}
+	m := relModel(inst, nil)
 	queries := []struct {
 		src  string
 		want bool
@@ -153,7 +153,7 @@ func TestJoinPaperQueries(t *testing.T) {
 // comparisons must still be quantified over the domain.
 func TestJoinFallbackVariableOnlyInResidual(t *testing.T) {
 	inst := mgrInstance(t)
-	m := InstanceModel{Inst: inst}
+	m := relModel(inst, nil)
 	// x occurs only in a comparison; the join path must decline.
 	got, err := Eval(MustParse("EXISTS x . x = 40"), m)
 	if err != nil || !got {
@@ -171,7 +171,7 @@ func TestJoinSharedVariableInAtom(t *testing.T) {
 	inst := relation.NewInstance(s)
 	inst.MustInsert(1, 2)
 	inst.MustInsert(3, 3)
-	m := InstanceModel{Inst: inst}
+	m := relModel(inst, nil)
 	// R(x, x) must match only (3,3).
 	got, err := Eval(MustParse("EXISTS x . R(x, x)"), m)
 	if err != nil || !got {
@@ -184,7 +184,7 @@ func TestJoinSharedVariableInAtom(t *testing.T) {
 }
 
 func TestJoinErrors(t *testing.T) {
-	m := InstanceModel{Inst: mgrInstance(t)}
+	m := relModel(mgrInstance(t), nil)
 	if _, err := Eval(MustParse("EXISTS a, b, c, d . Nope(a, b, c, d)"), m); err == nil {
 		t.Fatal("unknown relation through join path should error")
 	}
@@ -195,7 +195,7 @@ func TestJoinErrors(t *testing.T) {
 
 func BenchmarkEvalJoinVsNaive(b *testing.B) {
 	inst := mgrInstanceB(b)
-	m := InstanceModel{Inst: inst}
+	m := relModel(inst, nil)
 	q := MustParse(`EXISTS x1, y1, z1, x2, y2, z2 .
 		Mgr('Mary', x1, y1, z1) AND Mgr('John', x2, y2, z2) AND y1 > y2 AND z1 < z2`)
 	b.Run("join", func(b *testing.B) {

@@ -59,9 +59,8 @@ type OpenSpine struct {
 // match); callers dedupe.
 //
 // The error is *OpenUnsupportedError when the query's shape has no
-// direct path — free variables not covered by positive atoms, a
-// non-conjunctive top level, or a model without a columnar backing —
-// in which case nothing was yielded.
+// direct path — free variables not covered by positive atoms, or a
+// non-conjunctive top level — in which case nothing was yielded.
 func EnumerateOpen(ctx context.Context, m Model, q Expr, yield func(vals []relation.Value) bool) (*OpenSpine, error) {
 	free := FreeVars(q)
 	if len(free) == 0 {
@@ -109,13 +108,9 @@ func EnumerateOpen(ctx context.Context, m Model, q Expr, yield func(vals []relat
 		spine.Executor = "unsat"
 		return spine, nil
 	}
-	cm, columnar := m.(ColumnarModel)
-	if !columnar {
-		return nil, &OpenUnsupportedError{Reason: "model does not expose a columnar backing"}
-	}
-	vp := ev.compileVec(cm, p, env)
-	if vp == nil {
-		return nil, &OpenUnsupportedError{Reason: "spine could not be lowered onto the columnar backing"}
+	vp, err := ev.compileVec(p, env)
+	if err != nil {
+		return nil, err
 	}
 	// Drop the residuals the vector runtime cannot express: they are
 	// not monotone, so checking them here would make the candidate set

@@ -19,8 +19,7 @@ import (
 //   - Access-path selection. An atom argument whose value is known
 //     when the atom runs (a constant, or a variable bound by the
 //     environment or an earlier step) can be answered by an equality
-//     probe of the relation's secondary index instead of a scan,
-//     when the model supports it (IndexedModel).
+//     probe of the relation's secondary index instead of a scan.
 //   - Join ordering. Steps are ordered greedily by estimated
 //     candidate rows — exact posting lengths for values known at
 //     plan time, heuristic fractions of the relation cardinality
@@ -78,9 +77,6 @@ type Plan struct {
 	Vars     []string
 	Steps    []PlanStep
 	Residual []Expr
-	// Indexed records whether the model offered index access paths
-	// (false means every step scans regardless of Access hints).
-	Indexed bool
 	// Unsat marks a plan proven empty at compile time: some atom
 	// carries a value of the wrong domain (a name where the schema
 	// says int, or vice versa), so no tuple can ever match. The
@@ -91,10 +87,6 @@ type Plan struct {
 // Executor names, recorded per executed plan so ExplainPlan shows
 // which runtime answered the quantifier.
 const (
-	// ExecTuple is the tuple-at-a-time interpreter: per-row binding
-	// maps and materialized tuples (scan-only models, and shapes the
-	// vector compiler cannot lower).
-	ExecTuple = "tuple-at-a-time"
 	// ExecGreedyVec is the vectorized nested-loop join in greedy
 	// selectivity order: tuple-ID batches from index postings, flat
 	// binding arrays, no per-row allocation.
@@ -146,9 +138,10 @@ type WcojVarStat struct {
 // binding). Counts reflect the executed portion only — an EXISTS
 // short-circuits on its first satisfying binding, so actual rows can
 // undershoot an accurate estimate. Executor records which runtime
-// ran; Batch carries the per-step operator stats of the vectorized
-// executors (nil on the tuple-at-a-time path), and YanCost/GreedyCost
-// the planner's cost estimates behind the executor choice.
+// ran (empty for a plan proven Unsat at compile time, which runs
+// nothing); Batch carries the per-step operator stats, and
+// YanCost/GreedyCost the planner's cost estimates behind the executor
+// choice.
 type PlanExec struct {
 	Plan       *Plan
 	ActRows    []int
@@ -182,9 +175,6 @@ func (p *Plan) describe(act []int) string { return p.describeExec(act, nil) }
 func (p *Plan) describeExec(act []int, exec *PlanExec) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "EXISTS %s", strings.Join(p.Vars, ", "))
-	if !p.Indexed {
-		b.WriteString(" [scan-only model]")
-	}
 	if p.Unsat {
 		b.WriteString(" [unsatisfiable: kind mismatch]")
 	}
@@ -252,10 +242,6 @@ func flattenAnd(e Expr) []Expr {
 	return []Expr{e}
 }
 
-// unknownCard stands in for the cardinality of a relation when the
-// model cannot report one; only relative order matters.
-const unknownCard = 1 << 20
-
 // compileExists builds the physical plan for an existential
 // quantifier. ok=false means the shape is unsupported (no positive
 // atoms, or a quantified variable occurs only in residual conjuncts)
@@ -292,8 +278,7 @@ func (ev *evaluator) compileExists(q Quant, env map[string]relation.Value) (*Pla
 			return nil, false, nil
 		}
 	}
-	im, indexed := ev.m.(IndexedModel)
-	plan := &Plan{Vars: q.Vars, Residual: residual, Indexed: indexed}
+	plan := &Plan{Vars: q.Vars, Residual: residual}
 	for _, a := range atoms {
 		schema, ok := ev.m.Schema(a.Rel)
 		if !ok {
@@ -335,7 +320,7 @@ func (ev *evaluator) compileExists(q Quant, env map[string]relation.Value) (*Pla
 		best := 0
 		var bestStep PlanStep
 		for i, a := range remaining {
-			step := ev.estimateStep(a, env, quantified, bound, im)
+			step := ev.estimateStep(a, env, quantified, bound)
 			if i == 0 || step.EstRows < bestStep.EstRows {
 				best, bestStep = i, step
 			}
@@ -354,17 +339,14 @@ func (ev *evaluator) compileExists(q Quant, env map[string]relation.Value) (*Pla
 
 // estimateStep picks an access path and row estimate for one atom
 // given the variables bound so far. Values known at plan time
-// (constants and environment bindings) yield exact index estimates;
-// variables bound by earlier steps probe at run time and get a
-// heuristic fraction of the relation's cardinality; anything else
-// scans.
-func (ev *evaluator) estimateStep(a Atom, env map[string]relation.Value, quantified, bound map[string]bool, im IndexedModel) PlanStep {
-	card := unknownCard
-	if im != nil {
-		card = im.Card(a.Rel)
-	}
+// (constants and environment bindings) yield exact posting-length
+// estimates; variables bound by earlier steps probe at run time and
+// get the average posting length of their attribute; anything else
+// scans. The caller has checked that the relation exists.
+func (ev *evaluator) estimateStep(a Atom, env map[string]relation.Value, quantified, bound map[string]bool) PlanStep {
+	inst, _, _ := ev.m.Backing(a.Rel)
+	card := ev.m.Card(a.Rel)
 	step := PlanStep{Atom: a, Access: AccessScan, Attr: -1, EstRows: card}
-	schema, _ := ev.m.Schema(a.Rel)
 	var runtimePos []int
 	for i, t := range a.Args {
 		var val relation.Value
@@ -388,37 +370,23 @@ func (ev *evaluator) estimateStep(a Atom, env map[string]relation.Value, quantif
 		}
 		// Kind-mismatched known values were rejected at compile time
 		// (Plan.Unsat), so val matches the attribute's domain here.
-		if im == nil {
-			// No index: a known value still filters the scan's output;
-			// reward it so selective atoms run early.
-			if est := card/4 + 1; est < step.EstRows {
-				step.EstRows = est
-			}
-			continue
-		}
-		if est := im.EstimateEq(a.Rel, i, val); step.Access != AccessIndex || est < step.EstRows {
-			step.Access, step.Attr, step.AttrName, step.EstRows = AccessIndex, i, schema.Attr(i).Name, est
+		if est := inst.IndexEstimate(i, val); step.Access != AccessIndex || est < step.EstRows {
+			step.Access, step.Attr, step.AttrName, step.EstRows = AccessIndex, i, inst.Schema().Attr(i).Name, est
 		}
 	}
 	if step.Access == AccessScan && len(runtimePos) > 0 {
 		// The probe value arrives when an earlier step binds the
-		// variable; the executor picks the attribute then. With a
-		// columnar backing, the distinct-value count of the probe
-		// attribute turns the guess into card/distinct — the average
-		// posting length — which is what the Yannakakis-vs-greedy cost
-		// choice needs to be sharp about.
+		// variable; the executor picks the attribute then. The
+		// distinct-value count of the probe attribute turns the guess
+		// into card/distinct — the average posting length — which is
+		// what the Yannakakis-vs-greedy cost choice needs to be sharp
+		// about.
+		step.Access = AccessIndex
 		est := card/2 + 1
-		if im != nil {
-			step.Access = AccessIndex
-			if cm, ok := im.(ColumnarModel); ok {
-				if inst, _, ok := cm.Backing(a.Rel); ok && inst != nil {
-					for _, i := range runtimePos {
-						if d := inst.DistinctEstimate(i); d > 0 {
-							if e := card/d + 1; e < est {
-								est = e
-							}
-						}
-					}
+		for _, i := range runtimePos {
+			if d := inst.DistinctEstimate(i); d > 0 {
+				if e := card/d + 1; e < est {
+					est = e
 				}
 			}
 		}
@@ -427,127 +395,6 @@ func (ev *evaluator) estimateStep(a Atom, env map[string]relation.Value, quantif
 		}
 	}
 	return step
-}
-
-// runPlan executes the plan under env, extending it with bindings for
-// the quantified variables. Outer bindings shadowed by the quantifier
-// are hidden for the duration of the run, matching active-domain
-// quantifier semantics. exec may be nil (no stats collection).
-func (ev *evaluator) runPlan(p *Plan, exec *PlanExec, env map[string]relation.Value) (bool, error) {
-	if p.Unsat {
-		return false, nil
-	}
-	shadowed := shadowVars(env, p.Vars)
-	res, err := ev.runStep(p, exec, 0, env)
-	unshadowVars(env, shadowed)
-	return res, err
-}
-
-func (ev *evaluator) runStep(p *Plan, exec *PlanExec, si int, env map[string]relation.Value) (bool, error) {
-	if si == len(p.Steps) {
-		for _, c := range p.Residual {
-			v, err := ev.eval(c, env)
-			if err != nil || !v {
-				return false, err
-			}
-		}
-		return true, nil
-	}
-	a := p.Steps[si].Atom
-	found := false
-	var loopErr error
-	visit := func(t relation.Tuple) bool {
-		if err := ev.tick(); err != nil {
-			loopErr = err
-			return false
-		}
-		if exec != nil {
-			exec.ActRows[si]++
-		}
-		var boundNames []string
-		match := true
-		for i, term := range a.Args {
-			switch x := term.(type) {
-			case Const:
-				if !x.Value.Equal(t[i]) {
-					match = false
-				}
-			case Var:
-				if val, has := env[x.Name]; has {
-					if !val.Equal(t[i]) {
-						match = false
-					}
-				} else if containsVar(p.Vars, x.Name) {
-					env[x.Name] = t[i]
-					boundNames = append(boundNames, x.Name)
-				} else {
-					// A variable that is neither bound nor quantified
-					// here cannot occur in a well-formed evaluation.
-					loopErr = errUnbound(x.Name)
-					match = false
-				}
-			}
-			if !match || loopErr != nil {
-				break
-			}
-		}
-		if match && loopErr == nil {
-			res, err := ev.runStep(p, exec, si+1, env)
-			if err != nil {
-				loopErr = err
-			} else if res {
-				found = true
-			}
-		}
-		for _, name := range boundNames {
-			delete(env, name)
-		}
-		return !found && loopErr == nil
-	}
-	ev.iterateCandidates(p, si, env, visit)
-	return found, loopErr
-}
-
-// iterateCandidates drives the step's access path: an index probe on
-// the cheapest attribute whose value is bound right now, or a scan.
-func (ev *evaluator) iterateCandidates(p *Plan, si int, env map[string]relation.Value, visit func(relation.Tuple) bool) {
-	step := p.Steps[si]
-	a := step.Atom
-	if p.Indexed && step.Access == AccessIndex {
-		im := ev.m.(IndexedModel)
-		probeAttr, probeEst := -1, 0
-		var probeVal relation.Value
-		for i, term := range a.Args {
-			var val relation.Value
-			switch x := term.(type) {
-			case Const:
-				val = x.Value
-			case Var:
-				v, ok := env[x.Name]
-				if !ok {
-					continue
-				}
-				val = v
-			}
-			est := im.EstimateEq(a.Rel, i, val)
-			if probeAttr < 0 || est < probeEst {
-				probeAttr, probeEst, probeVal = i, est, val
-			}
-		}
-		if probeAttr >= 0 && im.TuplesEq(a.Rel, probeAttr, probeVal, visit) {
-			return
-		}
-	}
-	ev.m.Tuples(a.Rel, visit)
-}
-
-func containsVar(vars []string, name string) bool {
-	for _, v := range vars {
-		if v == name {
-			return true
-		}
-	}
-	return false
 }
 
 // Error helpers shared with the naive evaluator.

@@ -136,27 +136,25 @@ func modelOf(r, s *relation.Instance) Model {
 	return DBModel{DB: db}
 }
 
-// checkAgree evaluates the formula on all three evaluator modes and
-// fails on any disagreement.
+// checkAgree evaluates the formula planned and by active-domain
+// iteration and fails on any disagreement.
 func checkAgree(t *testing.T, tag string, q Expr, m Model) {
 	t.Helper()
 	planned, errP := Eval(q, m)
-	scan, errS := EvalScan(q, m)
 	naive, errN := EvalNaive(q, m)
-	if (errP == nil) != (errN == nil) || (errS == nil) != (errN == nil) {
-		t.Fatalf("%s: error mismatch planned=%v scan=%v naive=%v for %s", tag, errP, errS, errN, q)
+	if (errP == nil) != (errN == nil) {
+		t.Fatalf("%s: error mismatch planned=%v naive=%v for %s", tag, errP, errN, q)
 	}
 	if errP != nil {
 		return
 	}
-	if planned != naive || scan != naive {
-		t.Fatalf("%s: planned=%v scan=%v naive=%v for %s", tag, planned, scan, naive, q)
+	if planned != naive {
+		t.Fatalf("%s: planned=%v naive=%v for %s", tag, planned, naive, q)
 	}
 }
 
 // TestPlannedAgainstNaiveUnderMutation differentially tests the
-// planner — indexed and scan-only — against active-domain iteration,
-// on random formulas over instances that keep mutating (so postings
+// planner against active-domain iteration, on random formulas over instances that keep mutating (so postings
 // carry tombstones and stale entries) and across snapshot forks.
 func TestPlannedAgainstNaiveUnderMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1202))
@@ -202,10 +200,10 @@ func TestPlannedAgainstNaiveUnderMutation(t *testing.T) {
 	}
 }
 
-// TestPlannedOnSubsetModels runs the differential check on repair-like
+// TestPlannedOnSubsetViews runs the differential check on repair-like
 // views: random subsets of a shared instance, where index candidates
 // must be filtered by subset membership.
-func TestPlannedOnSubsetModels(t *testing.T) {
+func TestPlannedOnSubsetViews(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for iter := 0; iter < 80; iter++ {
 		inst := relation.NewInstance(relation.MustSchema("R", relation.IntAttr("A"), relation.IntAttr("B")))
@@ -220,7 +218,7 @@ func TestPlannedOnSubsetModels(t *testing.T) {
 			}
 			return true
 		})
-		m := SubsetModel{Inst: inst, IDs: ids}
+		m := relModel(inst, ids)
 		q := closeFormula(randFormula(rng, nil, 2))
 		// The generator also emits S atoms; the single-relation model
 		// would answer them with an unknown-relation error whose
@@ -239,38 +237,13 @@ func TestPlannedOnSubsetModels(t *testing.T) {
 	}
 }
 
-// TestScanOnlyHidesIndexes: the wrapper must strip the IndexedModel
-// capability and be idempotent.
-func TestScanOnlyHidesIndexes(t *testing.T) {
-	inst := relation.NewInstance(relation.MustSchema("R", relation.IntAttr("A")))
-	inst.MustInsert(1)
-	var m Model = InstanceModel{Inst: inst}
-	if _, ok := m.(IndexedModel); !ok {
-		t.Fatal("InstanceModel should be an IndexedModel")
-	}
-	w := ScanOnly(m)
-	if _, ok := w.(IndexedModel); ok {
-		t.Fatal("ScanOnly wrapper must not be an IndexedModel")
-	}
-	if ScanOnly(w) != w {
-		t.Fatal("ScanOnly should be idempotent")
-	}
-	res, tr, err := EvalTrace(MustParse("EXISTS x . R(x)"), w)
-	if err != nil || !res {
-		t.Fatalf("Eval on scan-only model = %v, %v", res, err)
-	}
-	if len(tr.Execs) != 1 || tr.Execs[0].Plan.Indexed {
-		t.Fatalf("plan should record a scan-only model: %+v", tr.Execs)
-	}
-}
-
 // TestPlanShadowedVariable: a quantified variable shadowing an outer
 // binding must not be treated as bound by the planner.
 func TestPlanShadowedVariable(t *testing.T) {
 	inst := relation.NewInstance(relation.MustSchema("R", relation.IntAttr("A")))
 	inst.MustInsert(1)
 	inst.MustInsert(2)
-	m := InstanceModel{Inst: inst}
+	m := relModel(inst, nil)
 	// Outer x ranges over the domain; inner EXISTS x shadows it and
 	// must hold for every outer choice (R(2) exists).
 	q := MustParse("FORALL x . (NOT R(x)) OR (EXISTS x . R(x) AND x = 2)")
@@ -286,7 +259,7 @@ func TestPlanKindMismatchShortCircuits(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		inst.MustInsert(i, i)
 	}
-	m := InstanceModel{Inst: inst}
+	m := relModel(inst, nil)
 	q := MustParse("EXISTS x . R('name', x)")
 	res, tr, err := EvalTrace(q, m)
 	if err != nil || res {

@@ -6,8 +6,8 @@ import (
 	"prefcqa/internal/relation"
 )
 
-// Prepared is a closed query compiled once against a columnar model
-// and re-evaluated many times while only the model's visibility
+// Prepared is a closed query compiled once against a model and
+// re-evaluated many times while only the model's visibility
 // changes — the vectorized half of the CQA repair sweep. The boolean
 // skeleton (conjunctions, disjunctions, negations, ground leaves) is
 // lowered to a small node tree; every quantifier is planned and
@@ -17,14 +17,13 @@ import (
 // re-runs the executors over pooled scratch. Nothing per-repair is
 // recompiled: a repair swap is a handful of pointer updates.
 //
-// The caller owns the visibility channel: a DBModel whose Subsets map
-// is retained and mutated between Eval calls (the per-repair subsets
-// the CQA walk unions in place), or any ColumnarModel whose Backing
-// reflects its current state. Prepared is not safe for concurrent
-// use; evaluations share one environment and one scratch state.
+// The caller owns the visibility channel: the model's Subsets map is
+// retained and mutated between Eval calls (the per-repair subsets the
+// CQA walk unions in place). Prepared is not safe for concurrent use;
+// evaluations share one environment and one scratch state.
 type Prepared struct {
 	ev       *evaluator
-	m        ColumnarModel
+	m        Model
 	root     pnode
 	env      map[string]relation.Value
 	vecAtoms []*vecAtom // every compiled atom, for visibility re-sync
@@ -73,28 +72,18 @@ type pGround struct{ e Expr }
 
 func (n pGround) eval(p *Prepared) (bool, error) { return p.ev.eval(n.e, p.env) }
 
-// pQuant is one quantifier compiled to a physical plan. neg marks a
-// universal rewritten ∀x̄.φ ⇒ ¬∃x̄.¬φ. vp is the vectorized lowering
-// (nil: unsatisfiable plan or no columnar lowering; runPlan handles
-// both).
+// pQuant is one quantifier compiled to its vectorized plan. neg marks
+// a universal rewritten ∀x̄.φ ⇒ ¬∃x̄.¬φ. A quantifier proven
+// unsatisfiable at compile time (Plan.Unsat) needs no plan: it
+// compiles to the constant pBool{neg}.
 type pQuant struct {
-	neg  bool
-	plan *Plan
-	vp   *vecPlan
+	neg bool
+	vp  *vecPlan
 }
 
 func (n *pQuant) eval(p *Prepared) (bool, error) {
-	var res bool
-	var err error
-	if n.vp != nil {
-		res, err = p.ev.runVec(n.vp, nil, p.env)
-	} else {
-		res, err = p.ev.runPlan(n.plan, nil, p.env)
-	}
-	if n.neg {
-		res = !res
-	}
-	return res, err
+	res, err := p.ev.runVec(n.vp, nil, p.env)
+	return res != n.neg, err
 }
 
 // PrepareClosed compiles the closed query q against m. ok=false means
@@ -102,7 +91,7 @@ func (n *pQuant) eval(p *Prepared) (bool, error) {
 // positive atom conjunct, or a variable occurring only in residuals)
 // and the caller must evaluate through Eval/EvalCtx instead. Queries
 // accepted by AnalyzeSupport always prepare.
-func PrepareClosed(m ColumnarModel, q Expr) (*Prepared, bool) {
+func PrepareClosed(m Model, q Expr) (*Prepared, bool) {
 	p := &Prepared{
 		m:   m,
 		env: make(map[string]relation.Value),
@@ -162,16 +151,17 @@ func (p *Prepared) compile(e Expr) (pnode, bool) {
 		if err != nil || !ok {
 			return nil, false
 		}
-		pq := &pQuant{neg: neg, plan: plan}
-		if !plan.Unsat {
-			if vp := p.ev.compileVec(p.m, plan, p.env); vp != nil {
-				pq.vp = vp
-				for i := range vp.atoms {
-					p.vecAtoms = append(p.vecAtoms, &vp.atoms[i])
-				}
-			}
+		if plan.Unsat {
+			return pBool{neg}, true
 		}
-		return pq, true
+		vp, err := p.ev.compileVec(plan, p.env)
+		if err != nil {
+			return nil, false
+		}
+		for i := range vp.atoms {
+			p.vecAtoms = append(p.vecAtoms, &vp.atoms[i])
+		}
+		return &pQuant{neg: neg, vp: vp}, true
 	default:
 		return nil, false
 	}

@@ -122,7 +122,7 @@ func TestQuickSimplifySemantics(t *testing.T) {
 	inst := relation.NewInstance(s)
 	inst.MustInsert(1)
 	inst.MustInsert(2)
-	m := InstanceModel{Inst: inst}
+	m := relModel(inst, nil)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e := randAST(rng, nil, 2)
@@ -158,7 +158,7 @@ func TestQuickNNFSemantics(t *testing.T) {
 	inst := relation.NewInstance(s)
 	inst.MustInsert(1)
 	inst.MustInsert(2)
-	m := InstanceModel{Inst: inst}
+	m := relModel(inst, nil)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e := randAST(rng, nil, 2)

@@ -76,10 +76,10 @@ func (s *Support) Relations() []string {
 // AnalyzeSupport computes the touched tuple IDs of a closed query
 // against the model's columnar backing. ok=false means the query's
 // verdict may depend on tuples outside any atom's reach — some
-// quantifier would fall back to active-domain iteration, or a
-// relation's backing is unavailable — and the caller must keep the
-// full repair enumeration.
-func AnalyzeSupport(q Expr, m ColumnarModel) (*Support, bool) {
+// quantifier would fall back to active-domain iteration, or an atom
+// names an absent relation — and the caller must keep the full
+// repair enumeration.
+func AnalyzeSupport(q Expr, m Model) (*Support, bool) {
 	if !domainFree(q) {
 		return nil, false
 	}
@@ -103,9 +103,9 @@ func AnalyzeSupport(q Expr, m ColumnarModel) (*Support, bool) {
 // touchAtom adds the live tuple IDs matching a's constant argument
 // positions to the support. An atom with no constant arguments can
 // bind any tuple of the relation, so the whole relation is touched.
-func (s *Support) touchAtom(a Atom, m ColumnarModel) bool {
+func (s *Support) touchAtom(a Atom, m Model) bool {
 	inst, _, ok := m.Backing(a.Rel)
-	if !ok || inst == nil {
+	if !ok {
 		return false
 	}
 	if len(a.Args) != inst.Schema().Arity() {

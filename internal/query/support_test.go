@@ -13,7 +13,7 @@ import (
 // map the tests own: R(A,B) with a tombstone at id 1, S(C,D) with a
 // name column, T(E,F) with a tombstone at id 2.
 func supportModel() DBModel {
-	return fuzzPlanModel().(DBModel)
+	return fuzzPlanModel()
 }
 
 // TestAnalyzeSupportCoverage pins the domain-freedom gate: a query is

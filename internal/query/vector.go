@@ -1,21 +1,14 @@
 package query
 
 import (
+	"fmt"
 	"sync"
 
 	"prefcqa/internal/bitset"
 	"prefcqa/internal/relation"
 )
 
-// Vectorized batch execution.
-//
-// The legacy executor (runPlan/runStep) interprets a plan
-// tuple-at-a-time: every candidate row materializes a relation.Tuple,
-// and every binding mutates a map[string]Value environment — two maps
-// and an allocation per row, which BENCH_6 showed to be the bottleneck
-// on selective workloads (indexes bought only 1.35x on lowsel at
-// ~100k allocs/op). This file replaces the inner loop for models that
-// expose their columnar backing (ColumnarModel):
+// Vectorized batch execution: the runtime of every planned EXISTS.
 //
 //   - Candidates are tuple IDs, never tuples. Operators read cells
 //     straight from the instance's typed columns (relation.Col) and
@@ -36,24 +29,11 @@ import (
 //     small compile-time plan structures.
 //
 // On top of the batch runtime, yannakakis.go adds a semijoin-reduction
-// executor for acyclic multi-atom queries; compileVec decides between
-// it and the greedy nested-loop order by cost (see chooseExecutor).
-// The legacy interpreter remains the oracle: scan-only models
-// (ScanOnly, facade WithIndexes(false)) never take this path, and the
-// differential tests pin both executors bit-for-bit against it.
-
-// ColumnarModel is an IndexedModel whose relations expose their
-// columnar backing: the instance (columns + postings) and the visible
-// tuple-ID subset (nil = every live tuple). The vectorized executor
-// requires it; models that cannot expose a backing stay on the
-// tuple-at-a-time path.
-type ColumnarModel interface {
-	IndexedModel
-	// Backing returns the instance holding rel's storage and the
-	// visible ID subset. ok=false means the relation is absent (or the
-	// model cannot expose it), and the caller falls back.
-	Backing(rel string) (inst *relation.Instance, visible *bitset.Set, ok bool)
-}
+// executor for acyclic multi-atom queries and wcoj.go a generic join
+// for cyclic ones; compileVec decides between them and the greedy
+// nested-loop order by cost (see chooseExecutor). Active-domain
+// iteration (EvalNaive) is the oracle the differential tests pin all
+// three executors against.
 
 // vecProbe is one atom position with a value available for an index
 // probe or an equality check when the step runs: a compile-time
@@ -262,11 +242,12 @@ func (sc *vecScratch) masks(sizes []int) []bitset.Words {
 	return out
 }
 
-// compileVec lowers a compiled plan onto the model's columnar
-// backing. nil means some part of the shape could not be lowered and
-// the caller must run the tuple-at-a-time interpreter (which also
-// owns the error reporting for malformed residuals).
-func (ev *evaluator) compileVec(cm ColumnarModel, p *Plan, env map[string]relation.Value) *vecPlan {
+// compileVec lowers a compiled (satisfiable) plan onto the model's
+// columnar backing. An error is an internal one: compileExists has
+// already checked every atom's relation and arity, and a closed
+// formula binds every non-quantified variable before the quantifier
+// is reached.
+func (ev *evaluator) compileVec(p *Plan, env map[string]relation.Value) (*vecPlan, error) {
 	v := &vecPlan{ev: ev, plan: p, vars: p.Vars}
 	varIdx := make(map[string]int, len(p.Vars))
 	for i, name := range p.Vars {
@@ -280,13 +261,13 @@ func (ev *evaluator) compileVec(cm ColumnarModel, p *Plan, env map[string]relati
 	for si := range p.Steps {
 		a := &v.atoms[si]
 		atom := p.Steps[si].Atom
-		inst, visible, ok := cm.Backing(atom.Rel)
-		if !ok || inst == nil {
-			return nil
+		inst, visible, ok := ev.m.Backing(atom.Rel)
+		if !ok {
+			return nil, errUnknownRelation(atom.Rel)
 		}
 		a.rel = atom.Rel
 		a.inst, a.visible, a.n = inst, visible, inst.NumIDs()
-		a.card = cm.Card(atom.Rel)
+		a.card = ev.m.Card(atom.Rel)
 		a.cols = make([]relation.Col, len(atom.Args))
 		for i := range atom.Args {
 			a.cols[i] = inst.Col(i)
@@ -302,9 +283,7 @@ func (ev *evaluator) compileVec(cm ColumnarModel, p *Plan, env map[string]relati
 				if !quantified {
 					val, bound := env[x.Name]
 					if !bound {
-						// The interpreter owns the unbound-variable
-						// error semantics; don't replicate them here.
-						return nil
+						return nil, errUnbound(x.Name)
 					}
 					a.probes = append(a.probes, vecProbe{pos: i, varIdx: -1, val: val})
 					a.sel = append(a.sel, vecProbe{pos: i, varIdx: -1, val: val})
@@ -329,7 +308,7 @@ func (ev *evaluator) compileVec(cm ColumnarModel, p *Plan, env map[string]relati
 				a.vars = append(a.vars, vi)
 				a.varPos = append(a.varPos, i)
 			default:
-				return nil
+				return nil, fmt.Errorf("query: unknown term %T", t)
 			}
 		}
 		a.estBase = a.card
@@ -367,8 +346,8 @@ func (ev *evaluator) compileVec(cm ColumnarModel, p *Plan, env map[string]relati
 		l, ls, lok := operand(c.L)
 		r2, rs, rok := operand(c.R)
 		if !lok || !rok {
-			// An unbound non-quantified variable: the interpreter's
-			// residual evaluation reports it.
+			// An unbound non-quantified variable: the residual's
+			// evaluation reports it.
 			v.complex = append(v.complex, r)
 			continue
 		}
@@ -391,7 +370,7 @@ func (ev *evaluator) compileVec(cm ColumnarModel, p *Plan, env map[string]relati
 	v.compileYan(cross)
 	v.compileWcoj(cross)
 	v.chooseExecutor()
-	return v
+	return v, nil
 }
 
 // chooseExecutor compares the cost of the two vectorized executors.
@@ -434,8 +413,10 @@ func (v *vecPlan) chooseExecutor() {
 	v.useWcoj = v.wcoj != nil && !v.ev.greedyOnly && yCost <= gCost
 }
 
-// runVec executes the vectorized plan, mirroring runPlan's shadowing
-// of outer bindings. exec may be nil (no stats collection).
+// runVec executes the vectorized plan under env. Outer bindings
+// shadowed by the quantifier are hidden for the duration of the run,
+// matching active-domain quantifier semantics. exec may be nil (no
+// stats collection).
 func (ev *evaluator) runVec(v *vecPlan, exec *PlanExec, env map[string]relation.Value) (bool, error) {
 	if v.constFalse {
 		if exec != nil {

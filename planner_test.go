@@ -3,6 +3,7 @@ package prefcqa
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -20,111 +21,98 @@ var plannerQueries = []string{
 	"R(1, 0)",
 	"R(2, 1) AND NOT R(2, 0)",
 	// Acyclic self-join chains and stars: the Yannakakis executor
-	// must agree with greedy and scan across every repair family.
+	// must agree with the oracle across every repair family.
 	"EXISTS a, b, c . R(a, b) AND R(b, c)",
 	"EXISTS a, b, c, d . R(a, b) AND R(b, c) AND R(c, d)",
 	"EXISTS h, a, b . R(h, a) AND R(h, b) AND a < b",
 }
 
-// TestFacadeIndexedMatchesScan is the facade-level planner property:
-// for every family, every query and every snapshot of a mutating
-// relation, WithIndexes(true) and WithIndexes(false) must return
-// identical answers — the planner only changes access paths.
-func TestFacadeIndexedMatchesScan(t *testing.T) {
+// TestFacadeMatchesOracle is the facade-level planner property: for
+// every family, every query and every snapshot of a mutating relation
+// — postings accumulating tombstones and fresh IDs across mutation
+// batches and snapshot forks — the planned, pruned read path must
+// return the verdict of the definitional oracle (oracle_test.go).
+func TestFacadeMatchesOracle(t *testing.T) {
 	families := []Family{Rep, Local, SemiGlobal, Global, Common}
+	const openSrc = "EXISTS v . R(x, v) AND v > 0"
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		idx, rIdx := newMutDB(t)
-		scan, rScan := newMutDB(t, WithIndexes(false))
+		db, r := newMutDB(t)
 
-		checkAll := func(tag string) {
+		checkSnap := func(tag string, snap *Snapshot) {
 			t.Helper()
 			for _, f := range families {
+				repairs := oracleRepairs(t, snap, f)
 				for _, src := range plannerQueries {
-					a, errA := idx.Query(f, src)
-					b, errB := scan.Query(f, src)
-					if (errA == nil) != (errB == nil) {
-						t.Fatalf("seed %d %s %v %q: error mismatch indexed=%v scan=%v", seed, tag, f, src, errA, errB)
+					got, err := snap.Query(f, src)
+					if err != nil {
+						t.Fatalf("seed %d %s %v %q: %v", seed, tag, f, src, err)
 					}
-					if errA == nil && a != b {
-						t.Fatalf("seed %d %s %v %q: indexed=%v scan=%v", seed, tag, f, src, a, b)
+					if want := oracleVerdict(t, repairs, src); got != want {
+						t.Fatalf("seed %d %s %v %q: facade=%v oracle=%v", seed, tag, f, src, got, want)
 					}
+				}
+				// Open queries go through the same evaluator; their
+				// certain-answer sets must match too.
+				bs, err := snap.QueryOpen(f, openSrc)
+				if err != nil {
+					t.Fatalf("seed %d %s %v open: %v", seed, tag, f, err)
+				}
+				got := make([]string, len(bs))
+				for i, b := range bs {
+					got[i] = b.String()
+				}
+				sort.Strings(got)
+				if want := oracleOpen(t, snap, repairs, openSrc, "x"); strings.Join(got, ";") != strings.Join(want, ";") {
+					t.Fatalf("seed %d %s %v open: facade=%v oracle=%v", seed, tag, f, got, want)
 				}
 			}
-			// Open queries go through the same evaluator; their
-			// certain-answer sets must match too.
-			for _, f := range families {
-				ba, errA := idx.QueryOpen(f, "EXISTS v . R(x, v) AND v > 0")
-				bb, errB := scan.QueryOpen(f, "EXISTS v . R(x, v) AND v > 0")
-				if (errA == nil) != (errB == nil) {
-					t.Fatalf("seed %d %s %v open: error mismatch %v vs %v", seed, tag, f, errA, errB)
-				}
-				if errA != nil {
-					continue
-				}
-				fp := func(bs []Binding) string {
-					out := make([]string, len(bs))
-					for i, b := range bs {
-						out[i] = b.String()
-					}
-					return strings.Join(out, ";")
-				}
-				if fp(ba) != fp(bb) {
-					t.Fatalf("seed %d %s %v open: indexed=%s scan=%s", seed, tag, f, fp(ba), fp(bb))
-				}
+		}
+		checkAll := func(tag string) {
+			t.Helper()
+			snap, err := db.Snapshot()
+			if err != nil {
+				t.Fatal(err)
 			}
+			checkSnap(tag, snap)
 		}
 
 		// Seed data: conflicting clusters on K with some preferences.
 		var ids []TupleID
 		for i := 0; i < 12; i++ {
-			id, err := rIdx.Insert(i%5, i%3)
+			id, err := r.Insert(i%5, i%3)
 			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := rScan.Insert(i%5, i%3); err != nil {
 				t.Fatal(err)
 			}
 			ids = append(ids, id)
 		}
 		checkAll("seeded")
 
-		// Mutation batches interleaved with queries: the indexed DB's
-		// postings accumulate tombstones and fresh IDs, the scan DB
-		// stays the oracle.
+		// Mutation batches interleaved with queries: the postings
+		// accumulate tombstones and fresh IDs.
 		for batch := 0; batch < 6; batch++ {
 			for j := 0; j < 3; j++ {
 				switch rng.Intn(3) {
 				case 0:
-					a, b := int64(rng.Intn(6)), int64(rng.Intn(4))
-					if _, err := rIdx.Insert(a, b); err != nil {
-						t.Fatal(err)
-					}
-					if _, err := rScan.Insert(a, b); err != nil {
+					if _, err := r.Insert(int64(rng.Intn(6)), int64(rng.Intn(4))); err != nil {
 						t.Fatal(err)
 					}
 				case 1:
-					if len(ids) > 0 {
-						v := ids[rng.Intn(len(ids))]
-						rIdx.Delete(v)
-						rScan.Delete(v)
+					if _, err := r.Delete(ids[rng.Intn(len(ids))]); err != nil {
+						t.Fatal(err)
 					}
 				case 2:
-					gi, err := rIdx.Graph()
+					g, err := r.Graph()
 					if err != nil {
 						t.Fatal(err)
 					}
-					es := gi.Edges()
-					if len(es) > 0 {
+					if es := g.Edges(); len(es) > 0 {
 						e := es[rng.Intn(len(es))]
 						x, y := e.A, e.B
 						if x > y {
 							x, y = y, x // low ≻ high stays acyclic
 						}
-						if err := rIdx.Prefer(x, y); err != nil {
-							t.Fatal(err)
-						}
-						if err := rScan.Prefer(x, y); err != nil {
+						if err := r.Prefer(x, y); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -133,52 +121,42 @@ func TestFacadeIndexedMatchesScan(t *testing.T) {
 			checkAll(fmt.Sprintf("batch %d", batch))
 		}
 
-		// Snapshot isolation: a snapshot taken now must keep answering
-		// identically on both DBs while the heads mutate on.
-		snapIdx, err := idx.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		snapScan, err := scan.Snapshot()
+		// Snapshot isolation: a snapshot taken now must keep matching
+		// the oracle over its own pinned versions while the head
+		// mutates on.
+		snap, err := db.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantSnap := map[string]Answer{}
 		for _, src := range plannerQueries {
-			a, err := snapIdx.Query(Global, src)
+			a, err := snap.Query(Global, src)
 			if err != nil {
 				t.Fatal(err)
 			}
 			wantSnap[src] = a
 		}
 		for j := 0; j < 5; j++ {
-			if _, err := rIdx.Insert(int64(j%5), int64(10+j)); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := rScan.Insert(int64(j%5), int64(10+j)); err != nil {
+			if _, err := r.Insert(int64(j%5), int64(10+j)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		checkAll("post-snapshot")
+		checkSnap("pinned", snap)
 		for _, src := range plannerQueries {
-			a, err := snapIdx.Query(Global, src)
+			a, err := snap.Query(Global, src)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := snapScan.Query(Global, src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a != wantSnap[src] || b != wantSnap[src] {
-				t.Fatalf("seed %d snapshot drift on %q: indexed=%v scan=%v want %v", seed, src, a, b, wantSnap[src])
+			if a != wantSnap[src] {
+				t.Fatalf("seed %d snapshot drift on %q: got %v want %v", seed, src, a, wantSnap[src])
 			}
 		}
 	}
 }
 
 // TestExplainPlanFacade pins the facade's plan report: a selective
-// EXISTS must show an index probe, the scan-only DB must not, and
-// ill-formed inputs must error.
+// EXISTS must show an index probe and ill-formed inputs must error.
 func TestExplainPlanFacade(t *testing.T) {
 	db, r := newMutDB(t)
 	for i := 0; i < 50; i++ {
@@ -190,13 +168,13 @@ func TestExplainPlanFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Indexed || !rep.Holds {
-		t.Fatalf("report = %+v; want indexed and holds", rep)
+	if !rep.Holds {
+		t.Fatalf("report = %+v; want holds", rep)
 	}
 	if len(rep.Plans) != 1 || !strings.Contains(rep.Plans[0], "index(K=7)") {
 		t.Fatalf("plan should probe K=7:\n%s", rep)
 	}
-	if !strings.Contains(rep.String(), "mode: indexed") {
+	if !strings.Contains(rep.String(), "holds on full instance: true") {
 		t.Fatalf("rendering: %s", rep)
 	}
 
@@ -207,19 +185,6 @@ func TestExplainPlanFacade(t *testing.T) {
 	}
 	if len(rep.Plans) != 0 || !strings.Contains(rep.String(), "no planned quantifiers") {
 		t.Fatalf("ground query report: %s", rep)
-	}
-
-	// Scan-only DB reports scan access.
-	sdb, sr := newMutDB(t, WithIndexes(false))
-	if _, err := sr.Insert(7, 1); err != nil {
-		t.Fatal(err)
-	}
-	rep, err = sdb.ExplainPlan("EXISTS v . R(7, v)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Indexed || !strings.Contains(rep.Plans[0], "scan") {
-		t.Fatalf("scan-only report: %+v", rep)
 	}
 
 	// Errors: open queries and parse failures.

@@ -45,7 +45,6 @@ import (
 	"prefcqa/internal/cqa"
 	"prefcqa/internal/fd"
 	"prefcqa/internal/priority"
-	"prefcqa/internal/query"
 	"prefcqa/internal/relation"
 	"prefcqa/internal/wal"
 )
@@ -171,8 +170,13 @@ func WriteCSV(dst io.Writer, inst *Instance) error { return relation.WriteCSV(ds
 // into a physical plan with index access paths — equality probes of
 // per-attribute secondary indexes, built lazily and maintained
 // incrementally through mutations — and selectivity-ordered joins
-// (see WithIndexes and ExplainPlan). Planned, scan-only and naive
-// evaluation return identical answers.
+// (see ExplainPlan). Planned and naive evaluation return identical
+// answers.
+//
+// Every read (Query, QueryOpen, CountRepairs, Repairs, Clean,
+// ExplainPlan) takes an implicit Snapshot and evaluates against it,
+// so a read sees one atomic cut across all relations; take the
+// Snapshot yourself to issue several reads against the same cut.
 //
 // Mutations (Insert, Delete, Prefer) are maintained incrementally:
 // instead of rebuilding the conflict graph, priority and component
@@ -209,7 +213,6 @@ type DB struct {
 	parallelism int
 	cache       bool
 	incremental bool
-	indexes     bool
 
 	// stats aggregates open-query path and spine-executor counters
 	// across direct queries and snapshots; see QueryStats.
@@ -236,17 +239,6 @@ func WithCache(on bool) Option {
 	return func(db *DB) { db.cache = on }
 }
 
-// WithIndexes enables or disables index access paths in query
-// evaluation (default on). When on, the query planner answers
-// selective atoms by equality probes of per-attribute secondary
-// indexes — built lazily on first use and maintained incrementally
-// through mutations — instead of scanning the relation. When off,
-// every atom scans. Results are identical for both settings; see
-// DB.ExplainPlan for the chosen access paths.
-func WithIndexes(on bool) Option {
-	return func(db *DB) { db.indexes = on }
-}
-
 // WithIncremental enables or disables delta maintenance of the
 // conflict graph, priority and component index across mutations
 // (default on). When disabled, every mutation invalidates the built
@@ -261,7 +253,7 @@ func WithIncremental(on bool) Option {
 // engine uses a GOMAXPROCS-sized worker pool with memoization on, and
 // mutations are maintained incrementally.
 func New(opts ...Option) *DB {
-	db := &DB{rels: make(map[string]*Relation), parallelism: 0, cache: true, incremental: true, indexes: true, stats: &cqa.EvalStats{}}
+	db := &DB{rels: make(map[string]*Relation), parallelism: 0, cache: true, incremental: true, stats: &cqa.EvalStats{}}
 	db.epoch.Store(1)
 	for _, opt := range opts {
 		opt(db)
@@ -947,103 +939,65 @@ func (db *DB) QueryStats() cqa.EvalStatsSnapshot {
 	return db.stats.Snapshot()
 }
 
-// input assembles the cqa.Input across all relations.
-func (db *DB) input() (cqa.Input, error) {
-	rels := make([]*cqa.Relation, 0, len(db.order))
-	for _, name := range db.order {
-		built, err := db.rels[name].build()
-		if err != nil {
-			return cqa.Input{}, fmt.Errorf("prefcqa: relation %s: %w", name, err)
-		}
-		rels = append(rels, built)
-	}
-	in, err := cqa.NewInput(rels...)
-	if err != nil {
-		return cqa.Input{}, err
-	}
-	return in.WithEngine(db.engine).WithScanOnly(!db.indexes).WithStats(db.stats), nil
-}
-
 // Query evaluates a closed first-order query under the family's
 // preferred-repair semantics and returns true, false or undetermined.
 func (db *DB) Query(f Family, src string) (Answer, error) {
-	q, err := query.Parse(src)
+	s, err := db.Snapshot()
 	if err != nil {
 		return 0, err
 	}
-	in, err := db.input()
-	if err != nil {
-		return 0, err
-	}
-	return cqa.Evaluate(f, in, q)
+	return s.Query(f, src)
 }
 
 // Certain reports whether true is the f-consistent answer to the
 // closed query.
 func (db *DB) Certain(f Family, src string) (bool, error) {
-	a, err := db.Query(f, src)
+	s, err := db.Snapshot()
 	if err != nil {
 		return false, err
 	}
-	return a == True, nil
+	return s.Certain(f, src)
 }
 
 // Possible reports whether the closed query holds in at least one
 // preferred repair of the family (brave semantics).
 func (db *DB) Possible(f Family, src string) (bool, error) {
-	a, err := db.Query(f, src)
+	s, err := db.Snapshot()
 	if err != nil {
 		return false, err
 	}
-	return a != False, nil
+	return s.Possible(f, src)
 }
 
 // QueryOpen evaluates an open query (free variables allowed) and
 // returns its certain answers: the bindings under which the query
 // holds in every preferred repair.
 func (db *DB) QueryOpen(f Family, src string) ([]Binding, error) {
-	q, err := query.Parse(src)
+	s, err := db.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	in, err := db.input()
-	if err != nil {
-		return nil, err
-	}
-	return cqa.FreeAnswers(f, in, q)
+	return s.QueryOpen(f, src)
 }
 
 // Repairs materializes the family's preferred repairs of one relation
 // as instances. Use CountRepairs first — the result can be
 // exponential.
 func (db *DB) Repairs(f Family, rel string) ([]*Instance, error) {
-	r, ok := db.rels[rel]
-	if !ok {
-		return nil, fmt.Errorf("prefcqa: unknown relation %q", rel)
-	}
-	built, err := r.build()
+	s, err := db.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	var out []*Instance
-	db.engine.Enumerate(f, built.Pri, func(s *bitset.Set) bool { //nolint:errcheck // never stops
-		out = append(out, built.Inst.Subset(s))
-		return true
-	})
-	return out, nil
+	return s.Repairs(f, rel)
 }
 
 // CountRepairs returns the number of preferred repairs of a relation.
 func (db *DB) CountRepairs(f Family, rel string) (int64, error) {
-	r, ok := db.rels[rel]
-	if !ok {
-		return 0, fmt.Errorf("prefcqa: unknown relation %q", rel)
-	}
-	built, err := r.build()
+	s, err := db.Snapshot()
 	if err != nil {
 		return 0, err
 	}
-	return db.engine.CountCached(f, built.Pri, r.counts)
+	return s.CountRepairs(f, rel)
 }
 
 // IsPreferredRepair checks whether the given tuple subset of a
@@ -1066,15 +1020,11 @@ func (db *DB) IsPreferredRepair(f Family, rel string, ids []TupleID) (bool, erro
 // result is always a single repair; with total preferences it is the
 // unique one (Proposition 1).
 func (db *DB) Clean(rel string) (*Instance, error) {
-	r, ok := db.rels[rel]
-	if !ok {
-		return nil, fmt.Errorf("prefcqa: unknown relation %q", rel)
-	}
-	built, err := r.build()
+	s, err := db.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	return built.Inst.Subset(clean.Deterministic(built.Pri)), nil
+	return s.Clean(rel)
 }
 
 // CleanNaive runs the naive cleaning baseline the paper argues

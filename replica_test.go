@@ -2,6 +2,7 @@ package prefcqa
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -204,5 +205,51 @@ func TestReplApplyForksPublishedVersions(t *testing.T) {
 	}
 	if inst, _ := fresh.Instance("R"); inst.Len() <= lenBefore {
 		t.Fatalf("fresh snapshot has %d tuples, want more than the pinned %d", inst.Len(), lenBefore)
+	}
+}
+
+// TestSnapshotDuringReplicatedCreates is the -race regression for the
+// follower's read path: the replication goroutine applies relation
+// creations (appending to the registry under the snapshot gate) while
+// readers snapshot. Snapshot must read the registry under the gate.
+func TestSnapshotDuringReplicatedCreates(t *testing.T) {
+	db := New()
+	db.SetReadOnly(true)
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			if _, err := db.Snapshot(); err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+	const creates = 200
+	for i := 1; i <= creates; i++ {
+		rec := wal.Record{
+			Seq: uint64(i), Epoch: 1, Op: wal.OpCreate, Rel: fmt.Sprintf("R%d", i),
+			Attrs: []WireAttr{{Name: "K", Kind: "int"}},
+		}
+		if err := db.ReplApply(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	snap, err := db.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(snap.Relations()); got != creates {
+		t.Fatalf("snapshot sees %d relations, want %d", got, creates)
 	}
 }

@@ -28,11 +28,10 @@ import (
 // conflict-graph component — the serving layer uses them to enforce
 // per-request deadlines. The plain variants never cancel.
 type Snapshot struct {
-	engine   *core.Engine
-	order    []string
-	rels     map[string]snapRel
-	scanOnly bool
-	stats    *cqa.EvalStats // shared with the owning DB; see DB.QueryStats
+	engine *core.Engine
+	order  []string
+	rels   map[string]snapRel
+	stats  *cqa.EvalStats // shared with the owning DB; see DB.QueryStats
 }
 
 type snapRel struct {
@@ -51,15 +50,16 @@ type snapRel struct {
 // O(pending delta); with nothing pending it is a handful of atomic
 // loads per relation.
 func (db *DB) Snapshot() (*Snapshot, error) {
-	s := &Snapshot{
-		engine:   db.engine,
-		order:    append([]string(nil), db.order...),
-		rels:     make(map[string]snapRel, len(db.order)),
-		scanOnly: !db.indexes,
-		stats:    db.stats,
-	}
+	// The gate also guards db.order and db.rels: relation creation
+	// (including a follower's replayed creates) appends under it.
 	db.snapMu.Lock()
 	defer db.snapMu.Unlock()
+	s := &Snapshot{
+		engine: db.engine,
+		order:  append([]string(nil), db.order...),
+		rels:   make(map[string]snapRel, len(db.order)),
+		stats:  db.stats,
+	}
 	for _, name := range db.order {
 		r := db.rels[name]
 		built, err := r.build()
@@ -105,7 +105,7 @@ func (s *Snapshot) input(ctx context.Context) (cqa.Input, error) {
 	if err != nil {
 		return cqa.Input{}, err
 	}
-	in = in.WithEngine(s.engine).WithScanOnly(s.scanOnly).WithStats(s.stats)
+	in = in.WithEngine(s.engine).WithStats(s.stats)
 	if ctx != nil {
 		in = in.WithContext(ctx)
 	}
@@ -252,22 +252,4 @@ func (s *Snapshot) Components(rel string) (int, error) {
 		return 0, fmt.Errorf("prefcqa: unknown relation %q", rel)
 	}
 	return len(sr.rel.Pri.Graph().Components()), nil
-}
-
-// ExplainPlan compiles and runs the closed query once against the
-// pinned full instances and reports the physical plans the planner
-// chose — DB.ExplainPlan against a snapshot.
-func (s *Snapshot) ExplainPlan(src string) (PlanReport, error) {
-	return s.ExplainPlanContext(context.Background(), src)
-}
-
-// ExplainPlanContext is ExplainPlan with cancellation: once ctx is
-// cancelled the traced evaluation aborts with ctx.Err(), checked
-// periodically as candidate rows are iterated.
-func (s *Snapshot) ExplainPlanContext(ctx context.Context, src string) (PlanReport, error) {
-	in, err := s.input(ctx)
-	if err != nil {
-		return PlanReport{}, err
-	}
-	return explainPlan(in, src)
 }

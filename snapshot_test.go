@@ -189,3 +189,82 @@ func TestConcurrentQueriesAndMutations(t *testing.T) {
 		}
 	}
 }
+
+// TestDBQueryIsOneCutUnderWrites is the -race check of the DB-level
+// reads' delegation to Snapshot: a writer keeps a cross-relation
+// invariant true at every instant — B(k, 0) exists only while A(k, 0)
+// is in every G-repair of A — through inserts, a preference and
+// deletes, so any verdict of the invariant query other than true is
+// one no single snapshot would give: relation A read at one moment
+// and relation B at another.
+func TestDBQueryIsOneCutUnderWrites(t *testing.T) {
+	db := New()
+	a, err := db.CreateRelation("A", IntAttr("K"), IntAttr("V"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.AddFD("K -> V"); err != nil {
+		t.Fatal(err)
+	}
+	b, err := db.CreateRelation("B", IntAttr("K"), IntAttr("V"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const invariant = "FORALL k . NOT B(k, 0) OR A(k, 0)"
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ans, err := db.Query(Global, invariant)
+				if err == nil && ans != True {
+					err = fmt.Errorf("%s = %v under writes, want true", invariant, ans)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+
+	type row struct{ a0, a1, b0 TupleID }
+	var live []row
+	for k := int64(0); k < 300 && len(errs) == 0; k++ {
+		var r row
+		r.a0 = a.MustInsert(k, 0)
+		r.a1 = a.MustInsert(k, 1) // conflicts with a0: A(k, 0) is now disputed
+		if err := a.Prefer(r.a0, r.a1); err != nil {
+			t.Fatal(err)
+		}
+		r.b0 = b.MustInsert(k, 0) // only now, with A(k, 0) certain
+		live = append(live, r)
+		if len(live) > 8 {
+			old := live[0]
+			live = live[1:]
+			for _, del := range []struct {
+				rel *Relation
+				id  TupleID
+			}{{b, old.b0}, {a, old.a0}, {a, old.a1}} {
+				if _, err := del.rel.Delete(del.id); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
