@@ -1,0 +1,142 @@
+package prefcqa
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"testing"
+
+	"prefcqa/internal/bitset"
+	"prefcqa/internal/repair"
+)
+
+// clusterDB builds R(K,V) with K -> V and n two-tuple clusters
+// {(k,0), (k,1)}, every one oriented towards (k,0) except the last
+// three, which stay undetermined: 8 preferred repairs, like relation C
+// of the serving benchmark's analytic dataset.
+func clusterDB(tb testing.TB, n int) *DB {
+	tb.Helper()
+	db := New()
+	r, err := db.CreateRelation("R", IntAttr("K"), IntAttr("V"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := r.AddFD("K -> V"); err != nil {
+		tb.Fatal(err)
+	}
+	rows := make([]Tuple, 0, 2*n)
+	for k := 0; k < n; k++ {
+		rows = append(rows, Tuple{Int(int64(k)), Int(0)}, Tuple{Int(int64(k)), Int(1)})
+	}
+	ids, err := r.InsertRows(rows)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for k := 0; k < n-3; k++ {
+		if err := r.Prefer(ids[2*k], ids[2*k+1]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return db
+}
+
+// bytesPerOp returns the bytes one call of fn allocates, averaged over
+// runs calls after one warm-up call (which fills every lazily built
+// structure: postings, the version's resolved components, the memo).
+func bytesPerOp(runs int, fn func()) uint64 {
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// wholeRelationQuery has a constant-free atom, so its support is all
+// of R and the verification consults every component; it is false in
+// every repair, so all 8 combinations are visited.
+const wholeRelationQuery = "EXISTS k, v . R(k, v) AND v > 1"
+
+// TestWarmRequestAllocations is the allocation gate of the resolved
+// structure. No timings: bytes allocated per warm request, which are
+// deterministic. A request that consults every component of an
+// n-cluster relation — a quantified query whose support is the whole
+// relation, a repair enumeration up to its first repair — may allocate
+// a clone of the base set (n/4 bytes) and the query's own buffers —
+// not a set per component, which was
+// quadratic (tens of MB at n = 16 000, growing 4x when n doubles).
+// And a ground point read of the highest key — an undetermined
+// cluster, two choices — may allocate one visibility set for the
+// relation, not one per choice plus one per choice tried.
+func TestWarmRequestAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads 48 000 clusters")
+	}
+	ctx := context.Background()
+	measure := func(n int) (query, ground, firstYield uint64) {
+		db := clusterDB(t, n)
+		snap, err := db.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Snapshot.EnumerateRepairs hands every repair over as a
+		// materialized instance (Instance.Subset: megabytes at this
+		// size, by design and unchanged). What is gated is everything it
+		// does before that: the walk over the version's resolved
+		// components up to the first repair.
+		sr := snap.rels["R"]
+		firstYield = bytesPerOp(5, func() {
+			res, err := sr.rel.Resolved(ctx, snap.engine, Global)
+			if err != nil {
+				t.Fatal(err)
+			}
+			yields := 0
+			err = res.Enumerate(ctx, func(*bitset.Set) bool { yields++; return false })
+			if err != repair.ErrStopped || yields != 1 {
+				t.Fatalf("n=%d: enumeration stopped at the first repair: %d yields, %v", n, yields, err)
+			}
+		})
+		query = bytesPerOp(5, func() {
+			if a, err := snap.QueryContext(ctx, Global, wholeRelationQuery); err != nil || a != False {
+				t.Fatalf("n=%d: whole-relation query = %v, %v, want false", n, a, err)
+			}
+		})
+		point := fmt.Sprintf("R(%d, 0)", n-1)
+		ground = bytesPerOp(20, func() {
+			if a, err := snap.QueryContext(ctx, Global, point); err != nil || a != Undetermined {
+				t.Fatalf("n=%d: %s = %v, %v, want undetermined", n, point, a, err)
+			}
+		})
+		return query, ground, firstYield
+	}
+	q16, g16, y16 := measure(16000)
+	q32, g32, y32 := measure(32000)
+	t.Logf("bytes per warm request at n=16000 and n=32000: whole-relation query %d, %d; repairs to the first yield %d, %d; ground point read %d, %d", q16, q32, y16, y32, g16, g32)
+	if y16 > 256<<10 {
+		t.Errorf("EnumerateRepairs allocates %d B up to its first yield at n=16000, want <= 256 KB", y16)
+	}
+	if float64(y32) > 2.2*float64(y16) {
+		t.Errorf("EnumerateRepairs allocates %d B up to its first yield at n=32000 against %d B at n=16000: more than 2.2x for 2x the data", y32, y16)
+	}
+	if q16 > 256<<10 {
+		t.Errorf("whole-relation query allocates %d B per request at n=16000, want <= 256 KB", q16)
+	}
+	if float64(q32) > 2.2*float64(q16) {
+		t.Errorf("whole-relation query allocates %d B at n=32000 against %d B at n=16000: more than 2.2x for 2x the data", q32, q16)
+	}
+	// One visibility set reaching the highest tuple ID is 2n/8 bytes;
+	// parsing and input assembly add about 2 KB whatever n is. Before
+	// the sparse application the same read allocated four such sets
+	// (two lifted choices and a clone for each), so this bound is under
+	// half of that at both sizes.
+	for _, c := range []struct {
+		n      int
+		ground uint64
+	}{{16000, g16}, {32000, g32}} {
+		if limit := uint64(2*c.n/8) + 3<<10; c.ground > limit {
+			t.Errorf("ground point read of the highest key allocates %d B at n=%d, want <= %d B (one visibility set plus the fixed overhead)", c.ground, c.n, limit)
+		}
+	}
+}

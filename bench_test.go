@@ -5,6 +5,7 @@
 package prefcqa
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -444,6 +445,45 @@ func BenchmarkEngineCQASequentialVsParallel(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// --- requests that consult every component of a version ---
+
+// One warm whole-relation verification at 16 000 two-tuple clusters
+// (3 undetermined): a clone of the version's resolved base and a walk
+// over its 8 combinations. TestWarmRequestAllocations gates the bytes.
+func BenchmarkWholeRelationVerify(b *testing.B) {
+	snap, err := clusterDB(b, 16000).Snapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if a, err := snap.QueryContext(ctx, Global, wholeRelationQuery); err != nil || a != False {
+			b.Fatalf("%v %v", a, err)
+		}
+	}
+}
+
+// One warm EnumerateRepairs on the same data, stopped at its first
+// yield: the resolved walk plus materializing one repair.
+func BenchmarkRepairsFirstYield(b *testing.B) {
+	snap, err := clusterDB(b, 16000).Snapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		yields := 0
+		err := snap.EnumerateRepairs(ctx, Global, "R", func(*Instance) bool { yields++; return false })
+		if err != nil || yields != 1 {
+			b.Fatalf("%d yields, %v", yields, err)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"prefcqa/internal/bitset"
 	"prefcqa/internal/core"
 	"prefcqa/internal/query"
 )
@@ -90,18 +89,15 @@ func (db *DB) ExplainTuple(f Family, rel string, id TupleID) (TupleReport, error
 	}
 	sort.Slice(rep.Conflicts, func(i, j int) bool { return rep.Conflicts[i].With < rep.Conflicts[j].With })
 
-	// Membership across the preferred repairs: only the components
-	// containing the tuple matter.
-	comp := g.ConflictClosure(bitset.FromSlice([]int{id}))
-	var compVertices []int
-	comp.Range(func(v int) bool { compVertices = append(compVertices, v); return true })
-	choices := core.ChoicesForComponent(f, built.Pri, compVertices)
-	if len(choices) == 0 {
+	// Membership across the preferred repairs: only the component
+	// containing the tuple matters.
+	choices := core.ChoicesForComponent(f, built.Pri, g.Component(g.ComponentOf(id)))
+	if len(choices.Local) == 0 {
 		return TupleReport{}, fmt.Errorf("prefcqa: no preferred choice for tuple %d's component", id)
 	}
 	rep.InAll = true
-	for _, c := range choices {
-		if c.Has(id) {
+	for k := range choices.Local {
+		if choices.Keeps(k, id) {
 			rep.InSome = true
 		} else {
 			rep.InAll = false

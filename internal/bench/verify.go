@@ -24,7 +24,10 @@ import (
 // compiled query re-runs per repair by swapping visibility subsets —
 // while mode "full" answers through cqa.EvaluateFull, the pinned
 // ablation baseline that enumerates preferred repairs of the whole
-// database (n/2 components lifted per repair). Both must agree on
+// database (a clone of the version's resolved base set, a walk over
+// its undetermined components, one evaluation per repair visited —
+// before the resolved structure, n/2 components lifted per repair).
+// Both must agree on
 // CertainlyTrue: cluster 7 is oriented, so R(7, 0) is in every
 // preferred repair. The source of the BENCH_9.json verify_query rows.
 func VerifyWorkload(n int, mode string) func(b *testing.B) {

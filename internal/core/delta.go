@@ -2,8 +2,8 @@ package core
 
 import (
 	"context"
-	"math"
 	"sync"
+	"sync/atomic"
 
 	"prefcqa/internal/priority"
 	"prefcqa/internal/repair"
@@ -39,9 +39,50 @@ const countCacheMax = 1 << 19
 // live DB and all of its snapshots: entries can never go stale
 // because a (era, component ID) pair is never reused for different
 // content.
+//
+// On top of the per-component entries the cache keeps, per family, the
+// finished total of the graph version counted last (see countTotal):
+// repeated counts of an unchanged version — the common case between
+// two mutations — are one pointer comparison, not a scan.
 type CountCache struct {
-	mu sync.Mutex
-	m  map[countKey]int64
+	mu     sync.RWMutex
+	m      map[countKey]int64
+	totals [NumFamilies]atomic.Pointer[countTotal]
+}
+
+// countTotal is a finished count (the product, or repair.ErrOverflow)
+// of the graph version whose component listing is (era, ids). A
+// listing is memoized per graph version and (era, component ID) pairs
+// are never reused for different content, so the identity of the ids
+// slice identifies the counted content as exactly as the per-component
+// keys do; holding ids keeps that identity from being reused.
+type countTotal struct {
+	era uint64
+	ids []int32
+	n   int64
+	err error
+}
+
+// total returns the kept total of the listing, if it is the one
+// counted last.
+func (c *CountCache) total(f Family, era uint64, ids []int32) (*countTotal, bool) {
+	if int(f) >= NumFamilies {
+		return nil, false
+	}
+	t := c.totals[f].Load()
+	if t == nil || t.era != era || len(t.ids) != len(ids) || (len(ids) > 0 && &t.ids[0] != &ids[0]) {
+		return nil, false
+	}
+	return t, true
+}
+
+// keepTotal records a finished count (ctx errors are not counts) and
+// returns it.
+func (c *CountCache) keepTotal(f Family, era uint64, ids []int32, n int64, err error) (int64, error) {
+	if int(f) < NumFamilies && (err == nil || err == repair.ErrOverflow) {
+		c.totals[f].Store(&countTotal{era: era, ids: ids, n: n, err: err})
+	}
+	return n, err
 }
 
 // NewCountCache returns an empty count cache.
@@ -49,26 +90,10 @@ func NewCountCache() *CountCache {
 	return &CountCache{m: make(map[countKey]int64)}
 }
 
-func (c *CountCache) get(k countKey) (int64, bool) {
-	c.mu.Lock()
-	v, ok := c.m[k]
-	c.mu.Unlock()
-	return v, ok
-}
-
-func (c *CountCache) put(k countKey, v int64) {
-	c.mu.Lock()
-	if len(c.m) >= countCacheMax {
-		c.m = make(map[countKey]int64)
-	}
-	c.m[k] = v
-	c.mu.Unlock()
-}
-
 // Len returns the number of cached component counts.
 func (c *CountCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	return len(c.m)
 }
 
@@ -76,10 +101,13 @@ func (c *CountCache) Len() int {
 // counts cached under the graph's (era, component ID) identities:
 // after a point mutation only the components the mutation dirtied
 // (whose IDs are fresh) are re-evaluated, so a Count in a mutation
-// workload costs O(#components) multiplications plus O(touched)
-// evaluation instead of O(instance) signature hashing. The cache is
-// consulted under one lock per call; misses (the dirtied components)
-// are evaluated outside it.
+// workload costs O(#components) lookups plus O(touched) evaluation
+// instead of O(instance) signature hashing — once per graph version:
+// the finished total is kept, and further counts of that version
+// return it. The lookups run under the cache's read lock, so
+// concurrent counts of one relation do not serialize; the misses (the
+// dirtied components) are evaluated outside any lock and stored under
+// one exclusive acquisition.
 //
 // Counts of every family are non-negative and multiplication is
 // commutative, so folding the cache misses in after the hits cannot
@@ -88,11 +116,9 @@ func (e *Engine) CountCached(f Family, p *priority.Priority, cc *CountCache) (in
 	return e.CountCachedCtx(context.Background(), f, p, cc)
 }
 
-// CountCachedCtx is CountCached with cancellation, checked per
-// cache-missed component: once ctx is cancelled the merge stops and
-// ctx.Err() is returned. Counts already folded in are discarded;
-// per-component entries cached before the abort are kept (they are
-// valid values, only the fold was abandoned).
+// CountCachedCtx is CountCached with cancellation, checked once per
+// chunk of cache-missed components: once ctx is cancelled ctx.Err() is
+// returned and nothing is cached.
 func (e *Engine) CountCachedCtx(ctx context.Context, f Family, p *priority.Priority, cc *CountCache) (int64, error) {
 	if cc == nil {
 		return e.CountCtx(ctx, f, p)
@@ -102,29 +128,28 @@ func (e *Engine) CountCachedCtx(ctx context.Context, f Family, p *priority.Prior
 	}
 	g := p.Graph()
 	comps, ids := g.ComponentsWithIDs()
-	era := g.Era()
+	key := countKey{era: g.Era(), f: f}
+	if t, ok := cc.total(f, key.era, ids); ok {
+		return t.n, t.err
+	}
 	total := int64(1)
+	var err error
 	var missIdx []int
-	cc.mu.Lock()
+	cc.mu.RLock()
 	for i := range comps {
-		c, ok := cc.m[countKey{era: era, comp: ids[i], f: f}]
+		key.comp = ids[i]
+		c, ok := cc.m[key]
 		if !ok {
 			missIdx = append(missIdx, i)
 			continue
 		}
-		if c == 0 {
-			cc.mu.Unlock()
-			return 0, nil
+		if total, err = mulCount(total, c); err != nil || total == 0 {
+			break
 		}
-		if total > math.MaxInt64/c {
-			cc.mu.Unlock()
-			return 0, repair.ErrOverflow
-		}
-		total *= c
 	}
-	cc.mu.Unlock()
-	if len(missIdx) == 0 {
-		return total, nil
+	cc.mu.RUnlock()
+	if err != nil || total == 0 || len(missIdx) == 0 {
+		return cc.keepTotal(f, key.era, ids, total, err)
 	}
 	// Evaluate the dirtied components on the engine's worker pool —
 	// a cold cache (first count, post-compaction, WithMemo(false)
@@ -133,21 +158,19 @@ func (e *Engine) CountCachedCtx(ctx context.Context, f Family, p *priority.Prior
 	for k, i := range missIdx {
 		missComps[k] = comps[i]
 	}
-	pend := e.startChoices(ctx, f, p, missComps)
-	defer pend.cancel()
-	for k, i := range missIdx {
-		c, err := pend.countCtx(ctx, k)
-		if err != nil {
-			return 0, err
-		}
-		cc.put(countKey{era: era, comp: ids[i], f: f}, c)
-		if c == 0 {
-			return 0, nil
-		}
-		if total > math.MaxInt64/c {
-			return 0, repair.ErrOverflow
-		}
-		total *= c
+	local, err := e.localChoicesOf(ctx, f, p, missComps)
+	if err != nil {
+		return 0, err
 	}
-	return total, nil
+	cc.mu.Lock()
+	if len(cc.m)+len(local) > countCacheMax {
+		cc.m = make(map[countKey]int64)
+	}
+	for k, i := range missIdx {
+		key.comp = ids[i]
+		cc.m[key] = int64(len(local[k]))
+	}
+	cc.mu.Unlock()
+	total, err = mulCounts(total, local)
+	return cc.keepTotal(f, key.era, ids, total, err)
 }

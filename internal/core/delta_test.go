@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -8,6 +10,7 @@ import (
 	"prefcqa/internal/fd"
 	"prefcqa/internal/priority"
 	"prefcqa/internal/relation"
+	"prefcqa/internal/repair"
 )
 
 // TestCountCachedMatchesCount checks the (era, component ID)-keyed
@@ -114,5 +117,62 @@ func TestCountCachedNilCache(t *testing.T) {
 	got, err := eng.CountCached(Rep, p, nil)
 	if err != nil || got != 2 {
 		t.Fatalf("CountCached(nil) = %d, %v; want 2", got, err)
+	}
+}
+
+// TestCountCachedKeepsTheLastTotal: the second count of an unchanged
+// graph version is the kept total — no per-component lookup — while a
+// new version (a fresh component listing) and a cancelled count never
+// see or leave a stale one.
+func TestCountCachedKeepsTheLastTotal(t *testing.T) {
+	p := clustersPriority(t, 40, 2)
+	eng := NewEngine(WithWorkers(1))
+	cc := NewCountCache()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := eng.CountCachedCtx(cancelled, Rep, p, cc); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled count: err = %v", err)
+	}
+	if cc.totals[Rep].Load() != nil {
+		t.Fatal("a cancelled count left a total behind")
+	}
+	want := int64(1) << 40
+	for round := 0; round < 2; round++ {
+		if n, err := eng.CountCached(Rep, p, cc); err != nil || n != want {
+			t.Fatalf("round %d: count = %d, %v, want %d", round, n, err, want)
+		}
+	}
+	hits, misses := eng.CacheStats()
+	if hits+misses != 40 {
+		t.Fatalf("memo consulted %d times for two counts of 40 components, want 40", hits+misses)
+	}
+	cc.mu.Lock()
+	cc.m = make(map[countKey]int64) // from here on only the kept total can answer
+	cc.mu.Unlock()
+	if n, err := eng.CountCached(Rep, p, cc); err != nil || n != want {
+		t.Fatalf("count from the kept total = %d, %v, want %d", n, err, want)
+	}
+	if hits2, misses2 := eng.CacheStats(); hits2+misses2 != 40 {
+		t.Fatal("a count of an unchanged version went back to the components")
+	}
+	// Deleting one tuple forks the graph: a new listing, a new total.
+	g := p.Graph()
+	inst := g.Instance().Fork()
+	inst.Delete(0)
+	ng, _, err := g.ApplyDelta(inst, conflict.Delta{Deletes: []int{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2 := p.Rebase(ng)
+	p2.DropVertex(0)
+	if n, err := eng.CountCached(Rep, p2, cc); err != nil || n != want/2 {
+		t.Fatalf("count after a delete = %d, %v, want %d", n, err, want/2)
+	}
+	// 70 undetermined clusters overflow int64, and say so twice.
+	big := clustersPriority(t, 70, 2)
+	for round := 0; round < 2; round++ {
+		if _, err := eng.CountCached(Rep, big, cc); err != repair.ErrOverflow {
+			t.Fatalf("round %d: 2^70 repairs: err = %v, want ErrOverflow", round, err)
+		}
 	}
 }

@@ -17,23 +17,29 @@ import (
 // components of the conflict graph with a configurable worker pool
 // and an optional memoization cache.
 //
-// Every family decomposes componentwise (see ComponentChoices), so
-// the per-component choice sets — the expensive part of enumeration,
-// counting and CQA — are independent units of work. The engine shards
-// them across workers and streams results to the consumer:
+// Every family decomposes componentwise (see ChoicesForComponent): a
+// preferred repair is one choice per component, and the per-component
+// choice sets — the expensive part of enumeration, counting and CQA —
+// are independent units of work. The engine offers them at the two
+// granularities its consumers have:
 //
-//   - Count multiplies per-component counts in completion order, so
-//     it finishes as soon as the slowest component does;
-//   - Enumerate walks the cross-product while later components are
-//     still being computed, blocking only when the walk reaches a
-//     component whose choices are not ready yet.
+//   - ChoicesForCtx resolves the few components a request touches,
+//     inline on the calling goroutine, and returns them in
+//     component-local form (Choices) to be applied sparsely;
+//   - Resolve, Count and Enumerate need every component: the
+//     components are cut into chunks, the chunks are sharded over the
+//     worker pool, and the consumer starts once all are done. Resolve
+//     folds the result into a Resolved — a base set holding every
+//     single-choice component plus the list of multi-choice ones —
+//     which callers that own an immutable database version keep with
+//     that version, so the work is done once per version.
 //
 // With memoization enabled, choice sets are cached keyed by
 // (family, component signature, priority orientation): structurally
 // identical components — ubiquitous in practice (key-violation
 // clusters, singleton components, repeated queries against the same
-// instance) — are computed once and remapped, which is a large win
-// even on a single CPU.
+// instance) — are computed once and shared, which is a large win even
+// on a single CPU.
 //
 // All configurations produce bit-for-bit identical results to the
 // sequential reference path (Sequential), in identical order. An
@@ -98,49 +104,23 @@ func (e *Engine) CacheStats() (hits, misses int64) {
 	return e.memo.hits.Load(), e.memo.misses.Load()
 }
 
-// ComponentChoices is Engine-level ComponentChoices: the choice sets
-// of every component, computed by the worker pool (and served from
-// the cache when possible), in component order.
-func (e *Engine) ComponentChoices(f Family, p *priority.Priority) [][]*bitset.Set {
-	return e.ChoicesFor(f, p, p.Graph().Components())
-}
-
-// ComponentChoicesCtx is ComponentChoices with cancellation: the
-// choice sets of every component of p's graph, lifted to global
-// tuple IDs, aborted with ctx.Err() once ctx is cancelled. It backs
-// the CQA quantified-query pruning when a relation's support spans
-// the whole relation (a constant-free atom touches every component).
-func (e *Engine) ComponentChoicesCtx(ctx context.Context, f Family, p *priority.Priority) ([][]*bitset.Set, error) {
-	return e.ChoicesForCtx(ctx, f, p, p.Graph().Components())
-}
-
-// ChoicesFor computes the choice sets of the given components only —
-// the building block of the CQA component pruning, which restricts
-// evaluation to the components a ground query touches.
-func (e *Engine) ChoicesFor(f Family, p *priority.Priority, comps [][]int) [][]*bitset.Set {
-	out, err := e.ChoicesForCtx(context.Background(), f, p, comps)
-	if err != nil {
-		panic("core: ChoicesFor cancelled without a context") // unreachable: Background never cancels
-	}
-	return out
-}
-
-// ChoicesForCtx is ChoicesFor with cancellation, checked per
-// component: once ctx is cancelled no further component is evaluated
+// ChoicesForCtx computes the choice sets of the given components only
+// — the building block of the CQA component pruning, which restricts
+// evaluation to the components a query touches. The result is in
+// component-local form, one Choices per component in the given order.
+// Once ctx is cancelled no further chunk of components is evaluated
 // and ctx.Err() is returned.
-func (e *Engine) ChoicesForCtx(ctx context.Context, f Family, p *priority.Priority, comps [][]int) ([][]*bitset.Set, error) {
+func (e *Engine) ChoicesForCtx(ctx context.Context, f Family, p *priority.Priority, comps [][]int) ([]Choices, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	pend := e.startChoices(ctx, f, p, comps)
-	defer pend.cancel()
-	out := make([][]*bitset.Set, len(comps))
-	for i := range comps {
-		cs, err := pend.waitCtx(ctx, i)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = cs
+	local, err := e.localChoicesOf(ctx, f, p, comps)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Choices, len(comps))
+	for i, l := range local {
+		out[i] = Choices{Comp: comps[i], Local: l}
 	}
 	return out, nil
 }
@@ -148,58 +128,24 @@ func (e *Engine) ChoicesForCtx(ctx context.Context, f Family, p *priority.Priori
 // Enumerate yields every preferred repair of the family, identical in
 // content and order to the sequential path. The yielded set is reused
 // between calls; clone it to retain. Returns repair.ErrStopped if the
-// callback stopped early. The cross-product walk overlaps with the
-// per-component computation: the walk blocks only when it reaches a
-// component whose choices are not ready yet.
+// callback stopped early.
 func (e *Engine) Enumerate(f Family, p *priority.Priority, yield func(*bitset.Set) bool) error {
 	return e.EnumerateCtx(context.Background(), f, p, yield)
 }
 
-// EnumerateCtx is Enumerate with cancellation, checked once per
-// component of the cross-product walk: once ctx is cancelled the walk
-// stops and ctx.Err() is returned (distinguishable from
-// repair.ErrStopped, which still reports an early-stopping yield).
-// A single component's choice-set computation is not interruptible;
-// the abort granularity is one component.
+// EnumerateCtx is Enumerate with cancellation: ctx is checked once per
+// chunk of components while they are resolved and once per repair
+// before it is yielded, and ctx.Err() is returned (distinguishable
+// from repair.ErrStopped, which still reports an early-stopping
+// yield). A single component's choice-set computation is not
+// interruptible. Callers that enumerate one priority repeatedly
+// should keep the Resolved and call its Enumerate.
 func (e *Engine) EnumerateCtx(ctx context.Context, f Family, p *priority.Priority, yield func(*bitset.Set) bool) error {
-	if err := ctx.Err(); err != nil {
+	res, err := e.Resolve(ctx, f, p)
+	if err != nil {
 		return err
 	}
-	comps := p.Graph().Components()
-	cur := bitset.New(p.Graph().Len())
-	if len(comps) == 0 {
-		if !yield(cur) {
-			return repair.ErrStopped
-		}
-		return nil
-	}
-	pend := e.startChoices(ctx, f, p, comps)
-	defer pend.cancel()
-	var rec func(i int) error
-	rec = func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if i == len(comps) {
-			if !yield(cur) {
-				return repair.ErrStopped
-			}
-			return nil
-		}
-		choices, err := pend.waitCtx(ctx, i)
-		if err != nil {
-			return err
-		}
-		for _, c := range choices {
-			cur.UnionWith(c)
-			if err := rec(i + 1); err != nil {
-				return err
-			}
-			cur.DifferenceWith(c)
-		}
-		return nil
-	}
-	return rec(0)
+	return res.Enumerate(ctx, yield)
 }
 
 // All materializes every preferred repair of the family, in the same
@@ -214,44 +160,47 @@ func (e *Engine) All(f Family, p *priority.Priority) []*bitset.Set {
 }
 
 // Count returns |X-Rep| as the product of per-component counts, or
-// repair.ErrOverflow when it exceeds int64. Counts are merged in
-// component completion order as workers finish, so Count never
-// materializes or waits on the full cross-product.
+// repair.ErrOverflow when it exceeds int64. Count never materializes
+// the cross-product.
 func (e *Engine) Count(f Family, p *priority.Priority) (int64, error) {
 	return e.CountCtx(context.Background(), f, p)
 }
 
-// CountCtx is Count with cancellation, checked per component as the
-// per-component counts stream in: once ctx is cancelled the merge
-// stops waiting and ctx.Err() is returned.
+// CountCtx is Count with cancellation, checked once per chunk of
+// components.
 func (e *Engine) CountCtx(ctx context.Context, f Family, p *priority.Priority) (int64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	comps := p.Graph().Components()
-	if len(comps) == 0 {
-		return 1, nil
+	local, err := e.localChoicesOf(ctx, f, p, p.Graph().Components())
+	if err != nil {
+		return 0, err
 	}
-	pend := e.startChoices(ctx, f, p, comps)
-	defer pend.cancel()
-	total := int64(1)
-	for range comps {
-		var i int
-		select {
-		case i = <-pend.done:
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		}
-		c := int64(pend.count(i))
-		if c == 0 {
-			return 0, nil
-		}
-		if total > math.MaxInt64/c {
-			return 0, repair.ErrOverflow
-		}
-		total *= c
+	return mulCounts(1, local)
+}
+
+// mulCount folds one component's count into a running product:
+// repair.ErrOverflow beyond int64, and a zero stays zero.
+func mulCount(total, c int64) (int64, error) {
+	if c == 0 {
+		return 0, nil
 	}
-	return total, nil
+	if total > math.MaxInt64/c {
+		return 0, repair.ErrOverflow
+	}
+	return total * c, nil
+}
+
+// mulCounts folds the number of choices of every listed component
+// into total.
+func mulCounts(total int64, local [][]*bitset.Set) (int64, error) {
+	var err error
+	for _, l := range local {
+		if total, err = mulCount(total, int64(len(l))); err != nil || total == 0 {
+			break
+		}
+	}
+	return total, err
 }
 
 // One returns a single preferred repair of the family — the first in
@@ -270,11 +219,11 @@ func (e *Engine) One(f Family, p *priority.Priority) *bitset.Set {
 // componentLocalChoices computes (or recalls) the choice sets of one
 // component, in component-local index space — exactly the
 // representation the memo cache stores, so a hit is returned as-is
-// and a miss computes locally and caches. Lifting to global TupleIDs
-// is the consumer's concern (pendingChoices.wait / ChoicesForComponent):
-// counting paths never lift, and no remap-to-local step exists
-// anymore. Callers must treat the result as immutable — it may be
-// shared with the cache and other components.
+// and a miss computes locally and caches. Nothing ever translates the
+// result to global tuple IDs: consumers pair it with the component's
+// member list (Choices) and apply it sparsely. Callers must treat the
+// result as immutable — it may be shared with the cache and other
+// components.
 func (e *Engine) componentLocalChoices(f Family, p *priority.Priority, comp []int) []*bitset.Set {
 	if len(comp) == 0 {
 		return []*bitset.Set{bitset.New(0)}

@@ -10,30 +10,19 @@ import (
 // every Engine configuration must reproduce bit-for-bit; use an
 // Engine for parallelism and memoization.
 
-// ComponentChoices returns, for every connected component of the
-// conflict graph, the list of component restrictions of preferred
-// repairs of the family. Every preferred repair is exactly one union
+// ChoicesForComponent returns the component restrictions of the
+// family's preferred repairs for a single connected component, in
+// component-local form. Every preferred repair is exactly one union
 // of one choice per component:
 //
 //   - the optimality conditions of L, S and G only relate tuples to
 //     their conflict neighborhoods, hence decompose componentwise;
 //   - C-Rep decomposes because Algorithm 1's choices in different
 //     components commute (clean.ComponentOutcomes).
-func ComponentChoices(f Family, p *priority.Priority) [][]*bitset.Set {
-	return sequential.ComponentChoices(f, p)
-}
-
-// ChoicesForComponent returns the component restrictions of the
-// family's preferred repairs for a single connected component. The
-// computation runs in component-local index space (local.go) and the
-// results are lifted back to global TupleIDs here.
-func ChoicesForComponent(f Family, p *priority.Priority, comp []int) []*bitset.Set {
-	if len(comp) == 0 {
-		// Degenerate input: the only "repair" of the empty subgraph is
-		// the empty set, for every family.
-		return []*bitset.Set{bitset.New(0)}
-	}
-	return liftChoices(localChoices(f, p, comp), comp)
+//
+// The computation runs in component-local index space (local.go).
+func ChoicesForComponent(f Family, p *priority.Priority, comp []int) Choices {
+	return Choices{Comp: comp, Local: sequential.componentLocalChoices(f, p, comp)}
 }
 
 // Enumerate yields every preferred repair of the family. The yielded

@@ -44,6 +44,10 @@ const (
 // Families lists all families in containment order (largest first).
 var Families = []Family{Rep, Local, SemiGlobal, Global, Common}
 
+// NumFamilies is len(Families) as a constant, for per-family arrays
+// indexed by Family.
+const NumFamilies = int(Common) + 1
+
 // String returns the paper's name for the family.
 func (f Family) String() string {
 	switch f {

@@ -11,11 +11,11 @@ import (
 // index space: vertices renumbered 0..k-1, scratch sets k bits wide,
 // adjacency and priority orientation read from the conflict.Local /
 // priority.Local projections. The renumbering is order-preserving, so
-// the local evaluation is bit-for-bit equivalent (after lifting local
-// indices back to global TupleIDs) to the same computation on global
-// IDs — and the local choice sets are exactly what the engine's memo
-// cache stores, collapsing the former remap-to-local step into the
-// projection itself.
+// the local evaluation is bit-for-bit equivalent (reading local index
+// i as the component's i-th tuple ID) to the same computation on
+// global IDs — and the local choice sets are exactly what the engine's
+// memo cache stores and what consumers apply (Choices), so a choice is
+// never translated to global IDs as a set.
 
 // localChoices computes the family's choice sets for one component,
 // as sets over local indices [0, k).
@@ -71,23 +71,6 @@ func localChoices(f Family, p *priority.Priority, comp []int) []*bitset.Set {
 		return true
 	})
 	return list
-}
-
-// liftChoices translates local-index choice sets onto a concrete
-// component's global tuple IDs. Because the renumbering is
-// order-preserving, the result equals what direct computation on this
-// component would produce, in the same order.
-func liftChoices(choices []*bitset.Set, comp []int) []*bitset.Set {
-	out := make([]*bitset.Set, len(choices))
-	for ci, c := range choices {
-		s := bitset.New(comp[len(comp)-1] + 1)
-		c.Range(func(i int) bool {
-			s.Add(comp[i])
-			return true
-		})
-		out[ci] = s
-	}
-	return out
 }
 
 // locallyOptimalCondLocal is locallyOptimalCond in local index space:

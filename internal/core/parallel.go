@@ -10,6 +10,12 @@ import (
 	"prefcqa/internal/priority"
 )
 
+// This file is the engine's only concurrency: a chunked parallel-for
+// over a list of components. Consumers receive the finished list —
+// there is no hand-off of single components between goroutines,
+// because every consumer of more than a handful of components (a
+// resolve, a count) needs all of them before it can produce anything.
+
 // effectiveWorkers resolves the configured worker count against the
 // machine and the number of work items.
 func (e *Engine) effectiveWorkers(items int) int {
@@ -26,133 +32,64 @@ func (e *Engine) effectiveWorkers(items int) int {
 	return w
 }
 
-// pendingChoices is the streaming hand-off between the component
-// workers and a consumer. Workers produce choice sets in component-
-// local index space — local[i] becomes valid once ready[i] is closed;
-// done receives each index exactly once, in completion order. Lifting
-// to global TupleIDs happens lazily on the consumer side (wait):
-// counting consumers never pay for it, and enumerating consumers pay
-// once per component regardless of how often the cross-product walk
-// revisits it.
-type pendingChoices struct {
-	comps   [][]int
-	local   [][]*bitset.Set // worker-filled, component-local indices
-	lifted  [][]*bitset.Set // consumer-side cache of global liftings
-	ready   []chan struct{}
-	done    chan int
-	stopped atomic.Bool
-	wg      sync.WaitGroup
-}
+const (
+	// inlineComps is the handful of components evaluated on the calling
+	// goroutine whatever the pool size: the components a point read or
+	// a ground query touches cost less than starting a worker.
+	inlineComps = 4
+	// maxChunk bounds the components a worker takes at a time, and so
+	// the components evaluated between two cancellation checks.
+	maxChunk = 256
+)
 
-// startChoices computes the choice sets of the given components on
-// the engine's worker pool. With one worker (or one component) the
-// computation runs inline on the calling goroutine, making the
-// sequential path allocation- and scheduling-free.
-//
-// Cancellation granularity is one component: once ctx is cancelled no
-// further component is started (inline or on a worker), but an
-// in-flight component runs to completion. A cancelled run may leave
-// ready channels that never close; consumers must use the ctx-aware
-// waits (waitCtx / the done channel paired with ctx.Done()).
-func (e *Engine) startChoices(ctx context.Context, f Family, p *priority.Priority, comps [][]int) *pendingChoices {
+// localChoicesOf computes the choice sets of the given components in
+// component-local form (see componentLocalChoices), in order. A
+// handful of components, or a one-worker engine, runs inline; anything
+// larger is cut into chunks that the workers claim from a shared
+// counter — few components (which may each be expensive) go one per
+// chunk, many go maxChunk at a time. ctx is checked once per chunk:
+// after cancellation no new chunk is started, chunks in flight run to
+// completion, and ctx.Err() is returned.
+func (e *Engine) localChoicesOf(ctx context.Context, f Family, p *priority.Priority, comps [][]int) ([][]*bitset.Set, error) {
 	n := len(comps)
-	pend := &pendingChoices{
-		comps:  comps,
-		local:  make([][]*bitset.Set, n),
-		lifted: make([][]*bitset.Set, n),
-		ready:  make([]chan struct{}, n),
-		done:   make(chan int, n),
+	out := make([][]*bitset.Set, n)
+	workers := 1
+	if n > inlineComps {
+		workers = e.effectiveWorkers(n)
 	}
-	for i := range pend.ready {
-		pend.ready[i] = make(chan struct{})
-	}
-	workers := e.effectiveWorkers(n)
-	if workers <= 1 {
-		for i, comp := range comps {
-			if ctx.Err() != nil {
-				pend.stopped.Store(true)
-				return pend
-			}
-			pend.local[i] = e.componentLocalChoices(f, p, comp)
-			close(pend.ready[i])
-			pend.done <- i
+	chunk := min(max(n/(4*workers), 1), maxChunk)
+	run := func(lo int) {
+		for i := lo; i < min(lo+chunk, n); i++ {
+			out[i] = e.componentLocalChoices(f, p, comps[i])
 		}
-		return pend
 	}
-	// Components() is memoized inside the graph; touching it here (the
-	// caller already did, to build comps) keeps workers read-only.
+	if workers == 1 {
+		for lo := 0; lo < n; lo += chunk {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			run(lo)
+		}
+		return out, nil
+	}
 	var next atomic.Int64
-	pend.wg.Add(workers)
+	var wg sync.WaitGroup
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
-			defer pend.wg.Done()
+			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || pend.stopped.Load() || ctx.Err() != nil {
+				lo := (int(next.Add(1)) - 1) * chunk
+				if lo >= n || ctx.Err() != nil {
 					return
 				}
-				pend.local[i] = e.componentLocalChoices(f, p, comps[i])
-				close(pend.ready[i])
-				pend.done <- i
+				run(lo)
 			}
 		}()
 	}
-	return pend
-}
-
-// count blocks until component i's choices are available and returns
-// how many there are (no lifting).
-func (p *pendingChoices) count(i int) int {
-	<-p.ready[i]
-	return len(p.local[i])
-}
-
-// countCtx is count with cancellation: it returns ctx.Err() once the
-// context is cancelled instead of waiting for component i.
-func (p *pendingChoices) countCtx(ctx context.Context, i int) (int64, error) {
-	select {
-	case <-p.ready[i]:
-		return int64(len(p.local[i])), nil
-	case <-ctx.Done():
-		return 0, ctx.Err()
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-}
-
-// wait blocks until component i's choices are available and returns
-// them lifted to global TupleIDs. Must be called from a single
-// consumer goroutine (the lifted cache is unsynchronized).
-func (p *pendingChoices) wait(i int) []*bitset.Set {
-	<-p.ready[i]
-	return p.lift(i)
-}
-
-// waitCtx is wait with cancellation: it returns ctx.Err() once the
-// context is cancelled, without waiting for component i to finish.
-// Same single-consumer requirement as wait.
-func (p *pendingChoices) waitCtx(ctx context.Context, i int) ([]*bitset.Set, error) {
-	select {
-	case <-p.ready[i]:
-		return p.lift(i), nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-func (p *pendingChoices) lift(i int) []*bitset.Set {
-	if p.lifted[i] == nil {
-		if len(p.comps[i]) == 0 {
-			p.lifted[i] = p.local[i]
-		} else {
-			p.lifted[i] = liftChoices(p.local[i], p.comps[i])
-		}
-	}
-	return p.lifted[i]
-}
-
-// cancel tells the workers to stop after their in-flight component
-// and waits for them to exit. Safe to call at any point, including
-// after full consumption.
-func (p *pendingChoices) cancel() {
-	p.stopped.Store(true)
-	p.wg.Wait()
+	return out, nil
 }

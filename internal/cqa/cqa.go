@@ -2,22 +2,31 @@
 // (Definition 3): true is the X-consistent answer to a closed query Q
 // iff Q holds in every preferred repair of the family X. Evaluation
 // treats repairs as views, enumerates preferred repairs with early
-// exit, prunes to the components a ground query actually touches, and
+// exit, prunes to the components a query actually touches, and
 // implements the polynomial-time ground quantifier-free algorithm for
 // the plain Rep family (first row of Fig. 5, after Chomicki &
 // Marcinkowski [6]).
 //
 // Per-component repair choices come from a core.Engine (Input.Engine;
-// sequential by default): both the ground pruned path and the
-// quantified full-enumeration path consume the engine's sharded,
-// optionally memoized per-component results, so repeated evaluation
-// against the same instance skips recomputation.
+// sequential by default) at the granularity the query's support has.
+// A support that is a set of tuple IDs (ground atoms, posting-list
+// supports) resolves the touched components inline, per request, at
+// O(touched). A support that spans a whole relation, and the
+// whole-database fallback, read the relation's core.Resolved — every
+// single-choice component folded into one base set plus the list of
+// multi-choice components — which is built once per Relation (one
+// immutable database version) and kept on it, so such a request costs
+// a clone of the base and a walk over the multi-choice components.
+// Either way choices stay in component-local form and are applied to
+// one visibility set per relation in place (core.Walk).
 package cqa
 
 import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"prefcqa/internal/bitset"
 	"prefcqa/internal/conflict"
@@ -26,15 +35,25 @@ import (
 	"prefcqa/internal/priority"
 	"prefcqa/internal/query"
 	"prefcqa/internal/relation"
-	"prefcqa/internal/repair"
 )
 
 // Relation bundles one relation's inconsistency context: the
 // instance, its dependencies, the conflict graph, and the priority.
+// It is one immutable version of the relation: once it has been
+// evaluated, Inst, FDs and Pri must not change (the facade publishes a
+// new Relation per mutation batch), which is what lets it keep, per
+// family, what was derived from all of its components — see Resolved.
+// That is built on first use, shared by every reader of the version
+// and freed with it; nothing invalidates it.
 type Relation struct {
 	Inst *relation.Instance
 	FDs  *fd.Set
 	Pri  *priority.Priority
+
+	derived [core.NumFamilies]struct {
+		mu       sync.Mutex // one builder at a time; readers never take it
+		resolved atomic.Pointer[core.Resolved]
+	}
 }
 
 // NewRelation builds the conflict graph of inst w.r.t. fds and wraps
@@ -45,6 +64,30 @@ func NewRelation(inst *relation.Instance, fds *fd.Set) (*Relation, error) {
 		return nil, err
 	}
 	return &Relation{Inst: inst, FDs: fds, Pri: priority.New(g)}, nil
+}
+
+// Resolved returns the version's core.Resolved for the family,
+// building it on first use (e.Resolve, cancellable through ctx) and
+// keeping it on the version. Every engine configuration resolves to
+// the same value, so which engine builds it does not matter.
+// Concurrent first users wait for one build rather than each doing
+// their own; a build abandoned on cancellation stores nothing.
+func (r *Relation) Resolved(ctx context.Context, e *core.Engine, f core.Family) (*core.Resolved, error) {
+	d := &r.derived[f]
+	if res := d.resolved.Load(); res != nil {
+		return res, nil
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if res := d.resolved.Load(); res != nil {
+		return res, nil
+	}
+	res, err := e.Resolve(ctx, f, r.Pri)
+	if err != nil {
+		return nil, err
+	}
+	d.resolved.Store(res)
+	return res, nil
 }
 
 // Input is the full CQA input: one entry per relation plus the
@@ -58,9 +101,10 @@ type Input struct {
 	// shard components across workers and memoize choice sets.
 	Engine *core.Engine
 	// Ctx, when non-nil, cancels evaluation: the engine checks it per
-	// conflict-graph component and the repair walks check it per
-	// enumerated combination, so a server deadline aborts a long
-	// evaluation with ctx.Err() instead of running to completion.
+	// chunk of conflict-graph components it resolves and the repair
+	// walks check it per enumerated combination, so a server deadline
+	// aborts a long evaluation with ctx.Err() instead of running to
+	// completion.
 	Ctx context.Context
 	// Stats, when non-nil, receives open-query path and spine-executor
 	// counters (see EvalStats). Shared across inputs by the facade.
@@ -165,39 +209,34 @@ func (in Input) model(subsets map[string]*bitset.Set) query.Model {
 }
 
 // forEachPreferredRepair enumerates the preferred repairs of the
-// whole database — the product of per-relation preferred repairs —
-// and calls visit with one subset per relation. visit returns false
-// to stop. Per-relation repairs come from the input's engine, so the
-// inner re-enumerations hit the engine's choice-set cache when
-// memoization is on. A non-nil error is the input context's
-// cancellation (an early visit stop is not an error).
+// whole database — the product of per-relation preferred repairs, the
+// first relation varying slowest — and calls visit with one subset per
+// relation. The subsets are the walk's own sets, mutated in place
+// between visits. visit returns false to stop. Every relation's
+// Resolved is read (built on the version's first use) and one
+// core.Walk runs over all of them, so a visit costs the bits that
+// differ from the previous one, not a pass over the database. A
+// non-nil error is the input context's cancellation, checked once per
+// visited repair (an early visit stop is not an error).
 func (in Input) forEachPreferredRepair(f core.Family, visit func(map[string]*bitset.Set) bool) error {
 	ctx := in.ctx()
-	eng := in.engine()
 	subsets := make(map[string]*bitset.Set, len(in.Rels))
-	var rec func(i int) (bool, error)
-	rec = func(i int) (bool, error) {
-		if i == len(in.Rels) {
-			return visit(subsets), nil
+	parts := make([]core.Part, len(in.Rels))
+	for i, r := range in.Rels {
+		res, err := r.Resolved(ctx, in.engine(), f)
+		if err != nil {
+			return err
 		}
-		r := in.Rels[i]
-		name := r.Inst.Schema().Name()
-		cont := true
-		var inner error
-		err := eng.EnumerateCtx(ctx, f, r.Pri, func(s *bitset.Set) bool {
-			subsets[name] = s
-			cont, inner = rec(i + 1)
-			return cont && inner == nil
-		})
-		if inner != nil {
-			return false, inner
-		}
-		if err != nil && err != repair.ErrStopped {
-			return false, err // context cancellation
-		}
-		return cont, nil
+		parts[i] = res.Part()
+		subsets[r.Inst.Schema().Name()] = parts[i].Set
 	}
-	_, err := rec(0)
+	var err error
+	core.Walk(parts, func() bool {
+		if err = ctx.Err(); err != nil {
+			return false
+		}
+		return visit(subsets)
+	})
 	return err
 }
 
@@ -310,19 +349,78 @@ func verdict(seenTrue, seenFalse bool) (Answer, error) {
 	}
 }
 
+// touchedPart resolves the components with the given IDs (any order,
+// duplicates allowed) inline and returns them as a walk part: one
+// visibility set for the relation, sized to the largest touched tuple
+// ID, with every single-choice component already applied and the
+// multi-choice ones left to the walk. Components outside compIDs stay
+// invisible — no atom of the query can reach their tuples.
+func touchedPart(ctx context.Context, e *core.Engine, f core.Family, p *priority.Priority, compIDs []int) (core.Part, error) {
+	g := p.Graph()
+	sort.Ints(compIDs)
+	comps := make([][]int, 0, len(compIDs))
+	size := 0
+	for i, cid := range compIDs {
+		if i > 0 && cid == compIDs[i-1] {
+			continue
+		}
+		comp := g.Component(cid)
+		comps = append(comps, comp)
+		if last := comp[len(comp)-1]; last >= size {
+			size = last + 1
+		}
+	}
+	choices, err := e.ChoicesForCtx(ctx, f, p, comps)
+	if err != nil {
+		return core.Part{}, err
+	}
+	part := core.Part{Set: bitset.New(size)}
+	for _, c := range choices {
+		if len(c.Local) == 0 {
+			return core.Part{}, fmt.Errorf("cqa: component with no preferred choice (P1 violated?)")
+		}
+		part.Fold(c)
+	}
+	return part, nil
+}
+
+// walkVerdict runs the repair walk over parts, evaluating holds at
+// every combination until both a satisfying and a falsifying one have
+// been seen. ctx is checked once per combination.
+func walkVerdict(ctx context.Context, parts []core.Part, holds func() (bool, error)) (seenTrue, seenFalse bool, err error) {
+	core.Walk(parts, func() bool {
+		if err = ctx.Err(); err != nil {
+			return false
+		}
+		var h bool
+		if h, err = holds(); err != nil {
+			return false
+		}
+		if h {
+			seenTrue = true
+		} else {
+			seenFalse = true
+		}
+		return !(seenTrue && seenFalse)
+	})
+	return seenTrue, seenFalse, err
+}
+
 // evaluateGroundPruned exploits that a ground query's truth in a
 // repair depends only on the membership of the tuples its atoms
 // mention. Only the conflict-graph components containing those
-// tuples vary the answer; all other components are fixed to an
-// arbitrary preferred choice (every family is componentwise
-// non-empty). The enumeration is then exponential only in the
-// touched components.
+// tuples vary the answer; all other components are invisible (the
+// query never consults them), which is observationally identical to
+// fixing them to an arbitrary preferred choice (every family is
+// componentwise non-empty). The touched components are resolved
+// inline and the walk — exponential only in the touched multi-choice
+// components — mutates one visibility set per touched relation in
+// place.
 func evaluateGroundPruned(f core.Family, in Input, q query.Expr) (Answer, error) {
 	in.Stats.noteClosed(true)
-	// Identify the touched tuple IDs per relation. The query mentions
-	// O(|Q|) tuples, so the touched sets are small slices, not
-	// instance-sized bitsets.
-	touched := make(map[string][]relation.TupleID)
+	// Identify the touched components per relation. The query mentions
+	// O(|Q|) tuples, so these are small slices.
+	touched := make(map[string][]int)
 	for _, a := range query.Atoms(q) {
 		tup := make(relation.Tuple, len(a.Args))
 		for i, t := range a.Args {
@@ -351,110 +449,35 @@ func evaluateGroundPruned(f core.Family, in Input, q query.Expr) (Answer, error)
 				continue // wrong kinds: tuple cannot exist
 			}
 			if id, found := r.Inst.Lookup(tup); found {
-				touched[name] = append(touched[name], id)
+				touched[name] = append(touched[name], r.Pri.Graph().ComponentOf(id))
 			}
 		}
 	}
-	// Per relation, collect the choices of the touched components
-	// only — located directly via the graph's component index. The
-	// engine shards the touched components across its workers and
-	// serves repeated structures from its cache.
-	eng := in.engine()
-	type relChoices struct {
-		name    string
-		choices [][]*bitset.Set
-	}
-	var work []relChoices
+	ctx := in.ctx()
+	subsets := make(map[string]*bitset.Set, len(touched))
+	var parts []core.Part
 	for _, r := range in.Rels {
 		name := r.Inst.Schema().Name()
-		tch := touched[name]
-		if len(tch) == 0 {
+		compIDs := touched[name]
+		if len(compIDs) == 0 {
 			continue
 		}
-		g := r.Pri.Graph()
-		compIDs := make([]int, 0, len(tch))
-		for _, id := range tch {
-			compIDs = append(compIDs, g.ComponentOf(id))
-		}
-		sort.Ints(compIDs)
-		var comps [][]int
-		for i, cid := range compIDs {
-			if i > 0 && cid == compIDs[i-1] {
-				continue
-			}
-			comps = append(comps, g.Component(cid))
-		}
-		lists, err := eng.ChoicesForCtx(in.ctx(), f, r.Pri, comps)
+		part, err := touchedPart(ctx, in.engine(), f, r.Pri, compIDs)
 		if err != nil {
 			return 0, err
 		}
-		for _, cs := range lists {
-			if len(cs) == 0 {
-				return 0, fmt.Errorf("cqa: component with no preferred choice (P1 violated?)")
-			}
-		}
-		work = append(work, relChoices{name: name, choices: lists})
+		subsets[name] = part.Set
+		parts = append(parts, part)
 	}
-	// Enumerate combinations of touched-component choices; evaluate on
-	// the union per relation (untouched components are invisible —
-	// the ground query never consults them).
-	seenTrue, seenFalse := false, false
-	ctx := in.ctx()
-	var evalErr error
-	subsets := make(map[string]*bitset.Set, len(work))
-	var rec func(wi, ci int) bool
-	rec = func(wi, ci int) bool {
-		if wi == len(work) {
-			if err := ctx.Err(); err != nil {
-				evalErr = err
-				return false
-			}
-			holds, err := query.EvalCtx(in.Ctx, q, in.model(subsets))
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if holds {
-				seenTrue = true
-			} else {
-				seenFalse = true
-			}
-			return !(seenTrue && seenFalse)
-		}
-		w := work[wi]
-		if ci == len(w.choices) {
-			return rec(wi+1, 0)
-		}
-		for _, choice := range w.choices[ci] {
-			prev := subsets[w.name]
-			if prev == nil {
-				subsets[w.name] = choice.Clone()
-			} else {
-				subsets[w.name] = bitset.Union(prev, choice)
-			}
-			if !rec(wi, ci+1) {
-				return false
-			}
-			subsets[w.name] = prev
-		}
-		return true
-	}
-	rec(0, 0)
-	if evalErr != nil {
-		return 0, evalErr
-	}
-	if !seenTrue && !seenFalse {
-		// No touched components anywhere: every atom references an
-		// absent tuple, so the answer is fixed and visibility is
-		// irrelevant. Evaluate once.
-		holds, err := query.EvalCtx(in.Ctx, q, in.model(map[string]*bitset.Set{}))
-		if err != nil {
-			return 0, err
-		}
-		if holds {
-			return CertainlyTrue, nil
-		}
-		return CertainlyFalse, nil
+	// No touched components anywhere means every atom references an
+	// absent tuple: the walk then evaluates once, with every relation
+	// fully visible, and the single verdict is certain.
+	model := in.model(subsets)
+	seenTrue, seenFalse, err := walkVerdict(ctx, parts, func() (bool, error) {
+		return query.EvalCtx(in.Ctx, q, model)
+	})
+	if err != nil {
+		return 0, err
 	}
 	return verdict(seenTrue, seenFalse)
 }
@@ -466,13 +489,14 @@ func evaluateGroundPruned(f core.Family, in Input, q query.Expr) (Answer, error)
 // the whole relation for constant-free atoms — and proves the verdict
 // a function of the visible touched tuples alone (no quantifier falls
 // back to active-domain iteration). Only the conflict components
-// containing touched tuples can then vary the answer: the walk
-// enumerates their choice product (single-choice components are fixed
-// into a per-relation base once, multi-choice ones are swapped in
-// place), leaving untouched components invisible — observationally
-// identical to fixing them to an arbitrary preferred choice. The
-// query itself is compiled once (query.PrepareClosed) and re-run per
-// combination by swapping visibility subsets.
+// containing touched tuples can then vary the answer. What the
+// support is decides what is paid: an ID set resolves its components
+// inline (touchedPart; O(touched), nothing kept), leaving untouched
+// components invisible — observationally identical to fixing them to
+// an arbitrary preferred choice; a support spanning the whole relation
+// clones the base of the version's Resolved and walks its multi-choice
+// components. The query itself is compiled once (query.PrepareClosed)
+// and re-run per combination; the walk swaps visibility in place.
 //
 // handled=false means the support analysis declined (the verdict may
 // depend on tuples outside the atoms' reach) and the caller must fall
@@ -485,105 +509,50 @@ func evaluateQuantPruned(f core.Family, in Input, q query.Expr) (ans Answer, han
 	in.Stats.noteClosed(true)
 	eng := in.engine()
 	ctx := in.ctx()
-	// Per touched relation: resolve the touched components' choice
-	// sets, fix single-choice components into the relation's base
-	// subset, and queue multi-choice components for the walk.
-	type multiComp struct {
-		set     *bitset.Set // the relation's visible subset, mutated in place
-		choices []*bitset.Set
-	}
 	subsets := make(map[string]*bitset.Set)
-	var multi []multiComp
+	var parts []core.Part
 	for _, r := range in.Rels {
 		name := r.Inst.Schema().Name()
 		ids, all := sup.TouchedIDs(name)
-		if !all && (ids == nil || ids.Empty()) {
+		var part core.Part
+		switch {
+		case all:
+			res, err := r.Resolved(ctx, eng, f)
+			if err != nil {
+				return 0, true, err
+			}
+			part = res.Part()
+		case ids == nil || ids.Empty():
 			// Untouched relation: left fully visible, like the ground
 			// path — no atom can bind any of its tuples anyway.
 			continue
-		}
-		g := r.Pri.Graph()
-		var lists [][]*bitset.Set
-		if all {
-			lists, err = eng.ComponentChoicesCtx(ctx, f, r.Pri)
-		} else {
+		default:
+			g := r.Pri.Graph()
 			compIDs := make([]int, 0, ids.Len())
 			ids.Range(func(id int) bool {
 				compIDs = append(compIDs, g.ComponentOf(id))
 				return true
 			})
-			sort.Ints(compIDs)
-			var comps [][]int
-			for i, cid := range compIDs {
-				if i > 0 && cid == compIDs[i-1] {
-					continue
-				}
-				comps = append(comps, g.Component(cid))
-			}
-			lists, err = eng.ChoicesForCtx(ctx, f, r.Pri, comps)
-		}
-		if err != nil {
-			return 0, true, err
-		}
-		set := bitset.New(g.Len())
-		for _, cs := range lists {
-			switch {
-			case len(cs) == 0:
-				return 0, true, fmt.Errorf("cqa: component with no preferred choice (P1 violated?)")
-			case len(cs) == 1:
-				set.UnionWith(cs[0])
-			default:
-				multi = append(multi, multiComp{set: set, choices: cs})
+			if part, err = touchedPart(ctx, eng, f, r.Pri, compIDs); err != nil {
+				return 0, true, err
 			}
 		}
-		subsets[name] = set
+		subsets[name] = part.Set
+		parts = append(parts, part)
 	}
 	// Compile once, swap visibility per combination.
 	prep, ok := query.PrepareClosed(in.model(subsets), q)
 	if !ok {
 		return 0, true, fmt.Errorf("cqa: internal: query with a support analysis did not prepare: %s", q)
 	}
-	seenTrue, seenFalse := false, false
-	var evalErr error
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(multi) {
-			if err := ctx.Err(); err != nil {
-				evalErr = err
-				return false
-			}
-			holds, err := prep.Eval(ctx)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if holds {
-				seenTrue = true
-			} else {
-				seenFalse = true
-			}
-			return !(seenTrue && seenFalse)
-		}
-		mc := multi[i]
-		for _, c := range mc.choices {
-			// Components are disjoint, so the in-place union/difference
-			// swap is exact (the same walk EnumerateCtx performs).
-			mc.set.UnionWith(c)
-			cont := rec(i + 1)
-			mc.set.DifferenceWith(c)
-			if !cont {
-				return false
-			}
-		}
-		return true
+	// With no multi-choice component the walk evaluates exactly once:
+	// every touched component is single-choice (or nothing is touched
+	// at all), so all preferred repairs agree and the verdict is
+	// certain.
+	seenTrue, seenFalse, err := walkVerdict(ctx, parts, func() (bool, error) { return prep.Eval(ctx) })
+	if err != nil {
+		return 0, true, err
 	}
-	rec(0)
-	if evalErr != nil {
-		return 0, true, evalErr
-	}
-	// len(multi) == 0 evaluates exactly once: every touched component
-	// is single-choice (or nothing is touched at all), so all
-	// preferred repairs agree and the single verdict is certain.
 	ans, err = verdict(seenTrue, seenFalse)
 	return ans, true, err
 }

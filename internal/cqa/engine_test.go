@@ -1,8 +1,11 @@
 package cqa
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"prefcqa/internal/conflict"
@@ -85,6 +88,60 @@ func TestFreeAnswersEngineEquivalence(t *testing.T) {
 			}
 			if fmt.Sprint(want) != fmt.Sprint(got) {
 				t.Fatalf("iter %d, %s: answers differ:\nseq: %v\npar: %v", iter, f, want, got)
+			}
+		}
+	}
+}
+
+// TestResolvedFirstTouchIsShared: 16 goroutines asking one version
+// for its resolved components for the first time all get one value —
+// built once, equal to what the sequential engine resolves — and a
+// build abandoned on cancellation leaves nothing behind.
+func TestResolvedFirstTouchIsShared(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	eng := core.NewEngine(core.WithWorkers(4))
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, f := range core.Families {
+		rel := randomInput(t, rng, 40).Rels[0]
+		if _, err := rel.Resolved(cancelled, eng, f); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v: Resolved on a cancelled context: err = %v", f, err)
+		}
+		want, err := core.Sequential().Resolve(context.Background(), f, rel.Pri)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]*core.Resolved, 16)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := rel.Resolved(context.Background(), eng, f)
+				if err != nil {
+					t.Errorf("%v: %v", f, err)
+				}
+				got[i] = res
+			}()
+		}
+		wg.Wait()
+		for i, res := range got {
+			if res != got[0] {
+				t.Fatalf("%v: goroutine %d got a different resolved structure than goroutine 0", f, i)
+			}
+		}
+		if !got[0].Base.Equal(want.Base) || len(got[0].Multi) != len(want.Multi) {
+			t.Fatalf("%v: resolved structure differs from the sequential engine's", f)
+		}
+		for i, c := range got[0].Multi {
+			w := want.Multi[i]
+			if c.Comp[0] != w.Comp[0] || len(c.Local) != len(w.Local) {
+				t.Fatalf("%v: multi-choice component %d differs from the sequential engine's", f, i)
+			}
+			for k := range c.Local {
+				if !c.Local[k].Equal(w.Local[k]) {
+					t.Fatalf("%v: component %d, choice %d differs from the sequential engine's", f, i, k)
+				}
 			}
 		}
 	}

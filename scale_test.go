@@ -205,7 +205,7 @@ func BenchmarkComponentChoicesMultiChain(b *testing.B) {
 		b.Run(f.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if len(core.ChoicesForComponent(f, p, comp)) == 0 {
+				if len(core.ChoicesForComponent(f, p, comp).Local) == 0 {
 					b.Fatal("no choices")
 				}
 			}

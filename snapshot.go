@@ -21,12 +21,16 @@ import (
 //
 // A snapshot shares the DB's evaluation engine and per-relation count
 // caches; cache entries are keyed by immutable (era, component ID)
-// identities, so sharing them across versions is safe.
+// identities, so sharing them across versions is safe. What a read
+// derives from every component of a pinned version (its resolved
+// components) is kept on that version and shared by all snapshots
+// pinning it.
 //
 // The Context-suffixed variants accept a cancellation context that is
-// plumbed down into the evaluation engine and checked per
-// conflict-graph component — the serving layer uses them to enforce
-// per-request deadlines. The plain variants never cancel.
+// plumbed down into the evaluation engine and checked per chunk of
+// conflict-graph components and per enumerated repair — the serving
+// layer uses them to enforce per-request deadlines. The plain variants
+// never cancel.
 type Snapshot struct {
 	engine *core.Engine
 	order  []string
@@ -119,8 +123,8 @@ func (s *Snapshot) Query(f Family, src string) (Answer, error) {
 }
 
 // QueryContext is Query with cancellation: once ctx is cancelled the
-// evaluation aborts with ctx.Err(), checked per conflict-graph
-// component and per enumerated repair combination.
+// evaluation aborts with ctx.Err(), checked per chunk of resolved
+// conflict-graph components and per enumerated repair combination.
 func (s *Snapshot) QueryContext(ctx context.Context, f Family, src string) (Answer, error) {
 	q, err := query.Parse(src)
 	if err != nil {
@@ -180,7 +184,9 @@ func (s *Snapshot) CountRepairs(f Family, rel string) (int64, error) {
 }
 
 // CountRepairsContext is CountRepairs with cancellation, checked per
-// conflict-graph component as the counts are merged.
+// chunk of conflict-graph components the count has to evaluate. The
+// relation's count cache keeps the total of the version counted last,
+// so repeated counts of an unchanged version return it.
 func (s *Snapshot) CountRepairsContext(ctx context.Context, f Family, rel string) (int64, error) {
 	sr, ok := s.rels[rel]
 	if !ok {
@@ -208,14 +214,20 @@ func (s *Snapshot) Repairs(f Family, rel string) ([]*Instance, error) {
 // relation at the pinned version, in canonical enumeration order,
 // without materializing the full (possibly exponential) list. yield
 // returns false to stop early (not an error). Once ctx is cancelled
-// the enumeration aborts with ctx.Err(). This is the backing of the
-// serving layer's NDJSON repair streaming.
+// the enumeration aborts with ctx.Err(), checked before every repair.
+// The walk runs over the pinned version's resolved components (built
+// on the version's first use, see cqa.Relation.Resolved). This is the
+// backing of the serving layer's NDJSON repair streaming.
 func (s *Snapshot) EnumerateRepairs(ctx context.Context, f Family, rel string, yield func(*Instance) bool) error {
 	sr, ok := s.rels[rel]
 	if !ok {
 		return fmt.Errorf("prefcqa: unknown relation %q", rel)
 	}
-	err := s.engine.EnumerateCtx(ctx, f, sr.rel.Pri, func(set *bitset.Set) bool {
+	res, err := sr.rel.Resolved(ctx, s.engine, f)
+	if err != nil {
+		return err
+	}
+	err = res.Enumerate(ctx, func(set *bitset.Set) bool {
 		return yield(sr.rel.Inst.Subset(set))
 	})
 	if err == repair.ErrStopped {
@@ -245,7 +257,7 @@ func (s *Snapshot) Conflicts(rel string) (int, error) {
 
 // Components returns the number of connected components of a
 // relation's conflict graph at the pinned version — the unit of
-// parallel evaluation and the granularity of cancellation checks.
+// parallel evaluation.
 func (s *Snapshot) Components(rel string) (int, error) {
 	sr, ok := s.rels[rel]
 	if !ok {
