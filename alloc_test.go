@@ -55,8 +55,8 @@ func bytesPerOp(runs int, fn func()) uint64 {
 }
 
 // wholeRelationQuery has a constant-free atom, so its support is all
-// of R and the verification consults every component; it is false in
-// every repair, so all 8 combinations are visited.
+// of R and the verification consults every component; it is false on
+// the union of the 8 preferred repairs, which is where it is decided.
 const wholeRelationQuery = "EXISTS k, v . R(k, v) AND v > 1"
 
 // TestWarmRequestAllocations is the allocation gate of the resolved
@@ -69,13 +69,16 @@ const wholeRelationQuery = "EXISTS k, v . R(k, v) AND v > 1"
 // quadratic (tens of MB at n = 16 000, growing 4x when n doubles).
 // And a ground point read of the highest key — an undetermined
 // cluster, two choices — may allocate one visibility set for the
-// relation, not one per choice plus one per choice tried.
+// relation, not one per choice plus one per choice tried. The same
+// holds for a quantified point read of that key, whose support is the
+// two tuples its posting matches: nothing of the instance's size but
+// that one set.
 func TestWarmRequestAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads 48 000 clusters")
 	}
 	ctx := context.Background()
-	measure := func(n int) (query, ground, firstYield uint64) {
+	measure := func(n int) (query, ground, quant, firstYield uint64) {
 		db := clusterDB(t, n)
 		snap, err := db.Snapshot()
 		if err != nil {
@@ -109,11 +112,17 @@ func TestWarmRequestAllocations(t *testing.T) {
 				t.Fatalf("n=%d: %s = %v, %v, want undetermined", n, point, a, err)
 			}
 		})
-		return query, ground, firstYield
+		quantPoint := fmt.Sprintf("EXISTS v . R(%d, v) AND v < 1", n-1)
+		quant = bytesPerOp(20, func() {
+			if a, err := snap.QueryContext(ctx, Global, quantPoint); err != nil || a != Undetermined {
+				t.Fatalf("n=%d: %s = %v, %v, want undetermined", n, quantPoint, a, err)
+			}
+		})
+		return query, ground, quant, firstYield
 	}
-	q16, g16, y16 := measure(16000)
-	q32, g32, y32 := measure(32000)
-	t.Logf("bytes per warm request at n=16000 and n=32000: whole-relation query %d, %d; repairs to the first yield %d, %d; ground point read %d, %d", q16, q32, y16, y32, g16, g32)
+	q16, g16, p16, y16 := measure(16000)
+	q32, g32, p32, y32 := measure(32000)
+	t.Logf("bytes per warm request at n=16000 and n=32000: whole-relation query %d, %d; repairs to the first yield %d, %d; ground point read %d, %d; quantified point read %d, %d", q16, q32, y16, y32, g16, g32, p16, p32)
 	if y16 > 256<<10 {
 		t.Errorf("EnumerateRepairs allocates %d B up to its first yield at n=16000, want <= 256 KB", y16)
 	}
@@ -132,11 +141,17 @@ func TestWarmRequestAllocations(t *testing.T) {
 	// (two lifted choices and a clone for each), so this bound is under
 	// half of that at both sizes.
 	for _, c := range []struct {
-		n      int
-		ground uint64
-	}{{16000, g16}, {32000, g32}} {
-		if limit := uint64(2*c.n/8) + 3<<10; c.ground > limit {
+		n             int
+		ground, quant uint64
+	}{{16000, g16, p16}, {32000, g32, p32}} {
+		limit := uint64(2*c.n/8) + 3<<10
+		if c.ground > limit {
 			t.Errorf("ground point read of the highest key allocates %d B at n=%d, want <= %d B (one visibility set plus the fixed overhead)", c.ground, c.n, limit)
+		}
+		// Support analysis and compiling the query add about 2 KB more;
+		// a support kept as an instance-wide set was another 2n/8 bytes.
+		if limit += 2 << 10; c.quant > limit {
+			t.Errorf("quantified point read of the highest key allocates %d B at n=%d, want <= %d B (one visibility set plus the fixed overhead)", c.quant, c.n, limit)
 		}
 	}
 }

@@ -244,10 +244,13 @@ type DBStats struct {
 	GreedySpines int64 `json:"greedy_spines"`
 	// Closed-query verification path counters: component-pruned
 	// repair walks (ground or quantified with a sound support
-	// analysis) vs full whole-database repair enumerations.
-	ClosedPruned int64                    `json:"closed_pruned"`
-	ClosedFull   int64                    `json:"closed_full"`
-	Relations    map[string]RelationStats `json:"relations"`
+	// analysis) vs full whole-database repair enumerations, and how
+	// many of the pruned ones were decided on the union or the
+	// intersection of the preferred repairs without walking them.
+	ClosedPruned  int64                    `json:"closed_pruned"`
+	ClosedFull    int64                    `json:"closed_full"`
+	ClosedBounded int64                    `json:"closed_bounded"`
+	Relations     map[string]RelationStats `json:"relations"`
 	// WAL describes the durability layer; absent on in-memory
 	// databases. Replication describes this database's role in a
 	// primary/follower topology; absent when the server neither follows

@@ -64,6 +64,41 @@ func (p *Part) Fold(c Choices) {
 	}
 }
 
+// OnBound calls fn with the parts' sets showing one bound of the sets
+// Walk shows at its leaves: their union (upper: every choice of every
+// Multi component) or their intersection (the tuples every choice of a
+// component keeps). Only the Multi components' own tuples are touched,
+// in place, and hidden again. Every component must have a choice.
+func OnBound(parts []Part, upper bool, fn func()) {
+	for _, p := range parts {
+		for _, c := range p.Multi {
+			if upper {
+				for k := range c.Local {
+					c.AddTo(p.Set, k)
+				}
+				continue
+			}
+			c.Local[0].Range(func(i int) bool {
+				for _, l := range c.Local[1:] {
+					if !l.Has(i) {
+						return true
+					}
+				}
+				p.Set.Add(c.Comp[i])
+				return true
+			})
+		}
+	}
+	fn()
+	for _, p := range parts {
+		for _, c := range p.Multi {
+			for _, id := range c.Comp {
+				p.Set.Remove(id)
+			}
+		}
+	}
+}
+
 // Walk is the one cross-product walk behind every repair enumeration:
 // it applies one choice per component of every part, in order (the
 // last component varies fastest), and calls leaf at each combination

@@ -83,6 +83,7 @@ func checkAllConfigurations(t *testing.T, label string, p *priority.Priority) {
 	t.Helper()
 	for _, f := range Families {
 		want := bruteForceFamily(t, f, p)
+		checkBounds(t, label, f, p, want)
 		configs := engineConfigs()
 		configs["sequential"] = Sequential()
 		for name, eng := range configs {
@@ -116,6 +117,51 @@ func checkAllConfigurations(t *testing.T, label string, p *priority.Priority) {
 			if n, err := eng.CountCached(f, p, NewCountCache()); err != nil || n != int64(len(want)) {
 				t.Fatalf("%s, %v, %s: CountCached = %d, %v, want %d", label, f, name, n, err, len(want))
 			}
+		}
+	}
+}
+
+// checkBounds asserts that the two bounds of the family's resolved
+// part are the union and the intersection of the sets Walk shows at its
+// leaves — which are the brute-force repairs — and that the part's set
+// is bit-identical once a bound has been shown and hidden.
+func checkBounds(t *testing.T, label string, f Family, p *priority.Priority, repairs []*bitset.Set) {
+	t.Helper()
+	res, err := Sequential().Resolve(context.Background(), f, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := res.Part()
+	var union, common *bitset.Set
+	leaves := 0
+	Walk([]Part{part}, func() bool {
+		if leaves == 0 {
+			union, common = part.Set.Clone(), part.Set.Clone()
+		}
+		union.UnionWith(part.Set)
+		common.IntersectWith(part.Set)
+		leaves++
+		return true
+	})
+	if leaves != len(repairs) {
+		t.Fatalf("%s, %v: the walk has %d leaves, brute force has %d repairs", label, f, leaves, len(repairs))
+	}
+	for _, r := range repairs {
+		if !common.SubsetOf(r) || !r.SubsetOf(union) {
+			t.Fatalf("%s, %v: repair %v is not between %v and %v", label, f, r, common, union)
+		}
+	}
+	for _, c := range []struct {
+		upper bool
+		want  *bitset.Set
+	}{{true, union}, {false, common}, {true, union}} {
+		OnBound([]Part{part}, c.upper, func() {
+			if !part.Set.Equal(c.want) {
+				t.Fatalf("%s, %v: OnBound(%v) shows %v, the leaves give %v", label, f, c.upper, part.Set, c.want)
+			}
+		})
+		if !part.Set.Equal(res.Base) {
+			t.Fatalf("%s, %v: after OnBound(%v) the set is %v, was %v", label, f, c.upper, part.Set, res.Base)
 		}
 	}
 }

@@ -330,6 +330,9 @@ func FuzzClosedEquivalence(f *testing.F) {
 	for _, s := range closedDiffCorpus {
 		f.Add(s)
 	}
+	for _, s := range boundSeeds {
+		f.Add(s.src)
+	}
 	f.Add("R(0, 0)")
 	f.Add("EXISTS k, v . R(k, v) AND S(k, v)")
 	f.Add("FORALL k, v . NOT S(k, v) OR k < v OR k = 0")

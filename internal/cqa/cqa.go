@@ -1,11 +1,12 @@
 // Package cqa computes preferred consistent query answers
 // (Definition 3): true is the X-consistent answer to a closed query Q
 // iff Q holds in every preferred repair of the family X. Evaluation
-// treats repairs as views, enumerates preferred repairs with early
-// exit, prunes to the components a query actually touches, and
-// implements the polynomial-time ground quantifier-free algorithm for
-// the plain Rep family (first row of Fig. 5, after Chomicki &
-// Marcinkowski [6]).
+// treats repairs as views, prunes to the components a query actually
+// touches, decides a monotone or antitone query on the union and the
+// intersection of the preferred repairs when that settles it,
+// enumerates them with early exit otherwise, and implements the
+// polynomial-time ground quantifier-free algorithm for the plain Rep
+// family (first row of Fig. 5, after Chomicki & Marcinkowski [6]).
 //
 // Per-component repair choices come from a core.Engine (Input.Engine;
 // sequential by default) at the granularity the query's support has.
@@ -106,8 +107,8 @@ type Input struct {
 	// aborts a long evaluation with ctx.Err() instead of running to
 	// completion.
 	Ctx context.Context
-	// Stats, when non-nil, receives open-query path and spine-executor
-	// counters (see EvalStats). Shared across inputs by the facade.
+	// Stats, when non-nil, receives the evaluation path counters (see
+	// EvalStats). Shared across inputs by the facade.
 	Stats *EvalStats
 }
 
@@ -126,8 +127,8 @@ func (in Input) WithContext(ctx context.Context) Input {
 	return in
 }
 
-// WithStats returns a copy of the input recording open-query path
-// counters into s.
+// WithStats returns a copy of the input recording its path counters
+// into s.
 func (in Input) WithStats(s *EvalStats) Input {
 	in.Stats = s
 	return in
@@ -384,10 +385,58 @@ func touchedPart(ctx context.Context, e *core.Engine, f core.Family, p *priority
 	return part, nil
 }
 
-// walkVerdict runs the repair walk over parts, evaluating holds at
-// every combination until both a satisfying and a falsifying one have
-// been seen. ctx is checked once per combination.
-func walkVerdict(ctx context.Context, parts []core.Part, holds func() (bool, error)) (seenTrue, seenFalse bool, err error) {
+// boundVerdict tries to decide a query of polarity pol on the two
+// bounds of the sets Walk shows over parts: their union U and their
+// intersection L, between which each of them lies. With no negative
+// atom the query is monotone in the visible tuples (callers bring only
+// domain-free queries): false on U is false on all the sets, true on L
+// true on all. No positive atom swaps the bounds. Undetermined means
+// the bounds do not tell.
+func boundVerdict(ctx context.Context, parts []core.Part, pol query.Polarity, holds func() (bool, error)) (Answer, error) {
+	if pol == query.Positive|query.Negative {
+		return Undetermined, nil
+	}
+	onBound := func(upper bool) (h bool, err error) {
+		if err = ctx.Err(); err == nil {
+			core.OnBound(parts, upper, func() { h, err = holds() })
+		}
+		return h, err
+	}
+	// The query holds on the bound most if it holds on any of the sets,
+	// and on the other bound only if it holds on all of them.
+	most := pol != query.Negative
+	if h, err := onBound(most); err != nil || !h {
+		return CertainlyFalse, err
+	}
+	if h, err := onBound(!most); err != nil || h {
+		return CertainlyTrue, err
+	}
+	return Undetermined, nil
+}
+
+// walkVerdict decides q over the preferred repairs parts span; holds
+// evaluates q on the parts' current sets. More than two leaves are
+// first tried on their bounds (a decision is counted in stats): with
+// one or two the walk's early exit never costs more, and with none it
+// keeps its error. The walk evaluates holds at every combination until
+// it has seen both outcomes. ctx is checked once per evaluation.
+func walkVerdict(ctx context.Context, stats *EvalStats, parts []core.Part, q query.Expr, holds func() (bool, error)) (ans Answer, err error) {
+	leaves := 1
+	for _, p := range parts {
+		for _, c := range p.Multi {
+			leaves = min(leaves*len(c.Local), 3)
+		}
+	}
+	if leaves > 2 {
+		if ans, err = boundVerdict(ctx, parts, query.PolarityOf(q), holds); err != nil {
+			return 0, err
+		}
+		if ans != Undetermined {
+			stats.noteBounded()
+			return ans, nil
+		}
+	}
+	var seenTrue, seenFalse bool
 	core.Walk(parts, func() bool {
 		if err = ctx.Err(); err != nil {
 			return false
@@ -403,7 +452,10 @@ func walkVerdict(ctx context.Context, parts []core.Part, holds func() (bool, err
 		}
 		return !(seenTrue && seenFalse)
 	})
-	return seenTrue, seenFalse, err
+	if err != nil {
+		return 0, err
+	}
+	return verdict(seenTrue, seenFalse)
 }
 
 // evaluateGroundPruned exploits that a ground query's truth in a
@@ -473,13 +525,9 @@ func evaluateGroundPruned(f core.Family, in Input, q query.Expr) (Answer, error)
 	// absent tuple: the walk then evaluates once, with every relation
 	// fully visible, and the single verdict is certain.
 	model := in.model(subsets)
-	seenTrue, seenFalse, err := walkVerdict(ctx, parts, func() (bool, error) {
+	return walkVerdict(ctx, in.Stats, parts, q, func() (bool, error) {
 		return query.EvalCtx(in.Ctx, q, model)
 	})
-	if err != nil {
-		return 0, err
-	}
-	return verdict(seenTrue, seenFalse)
 }
 
 // evaluateQuantPruned extends the ground pruning to quantified closed
@@ -496,7 +544,8 @@ func evaluateGroundPruned(f core.Family, in Input, q query.Expr) (Answer, error)
 // an arbitrary preferred choice; a support spanning the whole relation
 // clones the base of the version's Resolved and walks its multi-choice
 // components. The query itself is compiled once (query.PrepareClosed)
-// and re-run per combination; the walk swaps visibility in place.
+// and re-run per combination; the walk swaps visibility in place, and
+// walkVerdict tries the two bounds of the combinations before it.
 //
 // handled=false means the support analysis declined (the verdict may
 // depend on tuples outside the atoms' reach) and the caller must fall
@@ -522,17 +571,16 @@ func evaluateQuantPruned(f core.Family, in Input, q query.Expr) (ans Answer, han
 				return 0, true, err
 			}
 			part = res.Part()
-		case ids == nil || ids.Empty():
+		case len(ids) == 0:
 			// Untouched relation: left fully visible, like the ground
 			// path — no atom can bind any of its tuples anyway.
 			continue
 		default:
 			g := r.Pri.Graph()
-			compIDs := make([]int, 0, ids.Len())
-			ids.Range(func(id int) bool {
-				compIDs = append(compIDs, g.ComponentOf(id))
-				return true
-			})
+			compIDs := make([]int, len(ids))
+			for i, id := range ids {
+				compIDs[i] = g.ComponentOf(id)
+			}
 			if part, err = touchedPart(ctx, eng, f, r.Pri, compIDs); err != nil {
 				return 0, true, err
 			}
@@ -549,10 +597,6 @@ func evaluateQuantPruned(f core.Family, in Input, q query.Expr) (ans Answer, han
 	// every touched component is single-choice (or nothing is touched
 	// at all), so all preferred repairs agree and the verdict is
 	// certain.
-	seenTrue, seenFalse, err := walkVerdict(ctx, parts, func() (bool, error) { return prep.Eval(ctx) })
-	if err != nil {
-		return 0, true, err
-	}
-	ans, err = verdict(seenTrue, seenFalse)
+	ans, err = walkVerdict(ctx, in.Stats, parts, q, func() (bool, error) { return prep.Eval(ctx) })
 	return ans, true, err
 }

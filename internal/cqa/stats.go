@@ -8,10 +8,11 @@ import (
 
 // EvalStats is an optional, concurrency-safe counter block the facade
 // attaches to its inputs (Input.Stats): it records which open-query
-// path answered each FreeAnswers call and which vectorized executor
-// ran the candidate spine, so the serving layer can expose the
-// planner's choices (/v1/stats) without tracing individual queries.
-// A nil *EvalStats disables collection everywhere.
+// path answered each FreeAnswers call, which vectorized executor ran
+// the candidate spine and which verification path answered each closed
+// evaluation, so the serving layer can expose the planner's choices
+// (/v1/stats) without tracing individual queries. A nil *EvalStats
+// disables collection everywhere.
 type EvalStats struct {
 	openDirect   atomic.Int64
 	openFallback atomic.Int64
@@ -20,6 +21,7 @@ type EvalStats struct {
 	spineGreedy  atomic.Int64
 	closedPruned atomic.Int64
 	closedFull   atomic.Int64
+	closedBound  atomic.Int64
 }
 
 // EvalStatsSnapshot is a point-in-time copy of the counters.
@@ -39,6 +41,9 @@ type EvalStatsSnapshot struct {
 	// whole-database repair enumeration.
 	ClosedPruned int64
 	ClosedFull   int64
+	// ClosedBounded counts the ClosedPruned evaluations decided on the
+	// union or the intersection of the preferred repairs, without a walk.
+	ClosedBounded int64
 }
 
 // Snapshot copies the counters; safe on a nil receiver (all zero).
@@ -54,6 +59,7 @@ func (s *EvalStats) Snapshot() EvalStatsSnapshot {
 		SpineGreedy:     s.spineGreedy.Load(),
 		ClosedPruned:    s.closedPruned.Load(),
 		ClosedFull:      s.closedFull.Load(),
+		ClosedBounded:   s.closedBound.Load(),
 	}
 }
 
@@ -68,6 +74,13 @@ func (s *EvalStats) noteClosed(pruned bool) {
 		s.closedPruned.Add(1)
 	} else {
 		s.closedFull.Add(1)
+	}
+}
+
+// noteBounded records a pruned closed evaluation decided on a bound.
+func (s *EvalStats) noteBounded() {
+	if s != nil {
+		s.closedBound.Add(1)
 	}
 }
 

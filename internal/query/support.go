@@ -3,7 +3,6 @@ package query
 import (
 	"sort"
 
-	"prefcqa/internal/bitset"
 	"prefcqa/internal/relation"
 )
 
@@ -36,13 +35,45 @@ import (
 
 // RelTouched is one relation's share of a query support: either the
 // whole relation (an atom with no constant arguments can bind any
-// tuple) or the explicit set of live tuple IDs matching some atom's
-// constant positions.
+// tuple) or the live tuple IDs matching some atom's constant
+// positions.
 type RelTouched struct {
 	// All marks the whole relation touched; IDs is nil.
 	All bool
-	// IDs holds the touched live tuple IDs when All is false.
-	IDs *bitset.Set
+	// IDs lists the touched live tuple IDs when All is false, one atom's
+	// matches after another's (an ID may repeat): O(matches) in size.
+	IDs []relation.TupleID
+}
+
+// Polarity is the set of signs under which a formula's atoms occur:
+// negative under an odd number of NOTs; quantifiers keep the sign. A
+// formula that never consults the active domain (AnalyzeSupport accepts
+// it, or it is ground) sees only the visible tuples, so without Negative
+// showing more of them can only turn it true, without Positive false.
+type Polarity uint8
+
+const (
+	Positive Polarity = 1 << iota
+	Negative
+)
+
+// PolarityOf returns the polarity of e.
+func PolarityOf(e Expr) Polarity { return polarity(e, Positive) }
+
+func polarity(e Expr, sign Polarity) Polarity {
+	switch n := e.(type) {
+	case Atom:
+		return sign
+	case Not:
+		return polarity(n.Body, sign^(Positive|Negative))
+	case And:
+		return polarity(n.L, sign) | polarity(n.R, sign)
+	case Or:
+		return polarity(n.L, sign) | polarity(n.R, sign)
+	case Quant:
+		return polarity(n.Body, sign)
+	}
+	return 0
 }
 
 // Support is the result of AnalyzeSupport: per relation, the tuple
@@ -53,9 +84,9 @@ type Support struct {
 	rels map[string]*RelTouched
 }
 
-// TouchedIDs reports rel's touched set: all=true means every tuple,
-// otherwise ids (nil or empty when the relation is untouched).
-func (s *Support) TouchedIDs(rel string) (ids *bitset.Set, all bool) {
+// TouchedIDs reports rel's touched tuples: all=true means every tuple,
+// otherwise ids (empty when the relation is untouched).
+func (s *Support) TouchedIDs(rel string) (ids []relation.TupleID, all bool) {
 	t, ok := s.rels[rel]
 	if !ok {
 		return nil, false
@@ -146,9 +177,6 @@ func (s *Support) touchAtom(a Atom, m Model) bool {
 			}
 		}
 	}
-	if rt.IDs == nil {
-		rt.IDs = bitset.New(inst.NumIDs())
-	}
 	for _, id := range inst.PostingIDs(consts[seed].pos, consts[seed].val) {
 		if !inst.Live(id) {
 			continue
@@ -164,7 +192,7 @@ func (s *Support) touchAtom(a Atom, m Model) bool {
 			}
 		}
 		if match {
-			rt.IDs.Add(id)
+			rt.IDs = append(rt.IDs, id)
 		}
 	}
 	return true

@@ -68,8 +68,8 @@ func TestAnalyzeSupportTouchedIDs(t *testing.T) {
 		t.Fatal("support declined")
 	}
 	ids, all := sup.TouchedIDs("R")
-	if all || ids == nil || ids.Len() != 1 || !ids.Has(2) {
-		t.Fatalf("R touched = (%v, all=%v), want {2}", ids, all)
+	if all || len(ids) != 1 || ids[0] != 2 {
+		t.Fatalf("R touched = (%v, all=%v), want [2]", ids, all)
 	}
 	if got := sup.Relations(); len(got) != 1 || got[0] != "R" {
 		t.Fatalf("Relations() = %v, want [R]", got)
@@ -82,7 +82,7 @@ func TestAnalyzeSupportTouchedIDs(t *testing.T) {
 	// so the touched set is empty — the verdict cannot depend on R.
 	sup, _ = AnalyzeSupport(MustParse("EXISTS x . R(1, x)"), m)
 	ids, all = sup.TouchedIDs("R")
-	if all || ids == nil || !ids.Empty() {
+	if all || len(ids) != 0 {
 		t.Fatalf("dead posting should touch nothing, got (%v, all=%v)", ids, all)
 	}
 
@@ -90,8 +90,8 @@ func TestAnalyzeSupportTouchedIDs(t *testing.T) {
 	// A = 0 tuple has B = 0), R(0, 0) matches exactly id 0.
 	sup, _ = AnalyzeSupport(MustParse("R(0, 1) OR R(0, 0)"), m)
 	ids, all = sup.TouchedIDs("R")
-	if all || ids.Len() != 1 || !ids.Has(0) {
-		t.Fatalf("R touched = (%v, all=%v), want {0}", ids, all)
+	if all || len(ids) != 1 || ids[0] != 0 {
+		t.Fatalf("R touched = (%v, all=%v), want [0]", ids, all)
 	}
 
 	// A const-free atom anywhere escalates the relation to All, even
@@ -104,7 +104,7 @@ func TestAnalyzeSupportTouchedIDs(t *testing.T) {
 	// Atoms under negation and inside quantifier bodies count too.
 	sup, _ = AnalyzeSupport(MustParse("EXISTS x . R(0, x) AND NOT T(1, x)"), m)
 	ids, all = sup.TouchedIDs("T")
-	if all || ids == nil || ids.Empty() {
+	if all || len(ids) == 0 {
 		t.Fatalf("negated T atom not touched: (%v, all=%v)", ids, all)
 	}
 }
@@ -214,5 +214,148 @@ func TestAnalyzeSupportImpliesPrepares(t *testing.T) {
 		if _, ok := PrepareClosed(m, q); !ok {
 			t.Errorf("%q: accepted by AnalyzeSupport but declined by PrepareClosed", src)
 		}
+	}
+}
+
+// TestPolarityClassifies pins the classifier on fixed shapes: the sign
+// flips at NOT and nowhere else, and one atom of each sign is neither.
+func TestPolarityClassifies(t *testing.T) {
+	cases := []struct {
+		src                string
+		monotone, antitone bool
+	}{
+		{"TRUE", true, true},
+		{"R(1, 0) AND R(2, 1)", true, false},
+		{"EXISTS x, y . R(x, y) AND (T(y, 0) OR x < 2)", true, false},
+		{"NOT NOT (EXISTS x . R(x, 0))", true, false},
+		{"NOT R(1, 0)", false, true},
+		{"FORALL k, v . NOT R(k, v) OR v >= 0", false, true},
+		{"NOT (EXISTS x . R(x, 0) AND x > 1)", false, true},
+		{"R(1, 0) AND NOT R(2, 1)", false, false},
+		{"EXISTS x . R(x, 0) AND NOT S(x, 'n0')", false, false},
+		{"FORALL x, y . NOT R(x, y) OR (EXISTS z . T(y, z))", false, false},
+	}
+	m := supportModel()
+	for _, c := range cases {
+		q := MustParse(c.src)
+		p := PolarityOf(q)
+		if monotone, antitone := p&Negative == 0, p&Positive == 0; monotone != c.monotone || antitone != c.antitone {
+			t.Errorf("PolarityOf(%q) = monotone %v antitone %v, want %v %v", c.src, monotone, antitone, c.monotone, c.antitone)
+		}
+		if _, ok := AnalyzeSupport(q, m); !ok {
+			t.Errorf("AnalyzeSupport(%q) declined: the case is not one the bounds would see", c.src)
+		}
+	}
+}
+
+// randGuarded draws a closed formula over R, S and T in which every
+// quantifier is guarded by an atom over its variables, so most draws
+// are domain-free: EXISTS as guard AND body, FORALL as NOT guard OR
+// body, under nested NOT, AND, OR and comparisons.
+func randGuarded(rng *rand.Rand, vars []string, depth int) Expr {
+	term := func() Term {
+		if len(vars) > 0 && rng.Intn(2) == 0 {
+			return Var{Name: vars[rng.Intn(len(vars))]}
+		}
+		return Const{Value: relation.Int(int64(rng.Intn(3)))}
+	}
+	atom := func(first Term) Atom {
+		switch rng.Intn(3) {
+		case 0:
+			return Atom{Rel: "R", Args: []Term{first, term()}}
+		case 1:
+			return Atom{Rel: "T", Args: []Term{first, term()}}
+		default:
+			return Atom{Rel: "S", Args: []Term{first, Const{Value: relation.Name([]string{"n0", "n1"}[rng.Intn(2)])}}}
+		}
+	}
+	if depth == 0 {
+		if rng.Intn(3) == 0 {
+			return Cmp{Op: []CmpOp{EQ, NE, LT, LE, GT, GE}[rng.Intn(6)], L: term(), R: term()}
+		}
+		return atom(term())
+	}
+	switch rng.Intn(5) {
+	case 0:
+		return Not{Body: randGuarded(rng, vars, depth-1)}
+	case 1:
+		return And{L: randGuarded(rng, vars, depth-1), R: randGuarded(rng, vars, depth-1)}
+	case 2:
+		return Or{L: randGuarded(rng, vars, depth-1), R: randGuarded(rng, vars, depth-1)}
+	}
+	v := string(rune('a' + len(vars)))
+	guard := atom(Var{Name: v})
+	body := randGuarded(rng, append(vars[:len(vars):len(vars)], v), depth-1)
+	if rng.Intn(2) == 0 {
+		return Quant{Vars: []string{v}, Body: And{L: guard, R: body}}
+	}
+	return Quant{All: true, Vars: []string{v}, Body: Or{L: Not{Body: guard}, R: body}}
+}
+
+// TestPolarityBoundsEval is the property the bound short-circuit of the
+// CQA layer rests on: for a domain-free query the classifier calls
+// monotone (antitone), truth on a visible set A implies (is implied by)
+// truth on any B ⊇ A.
+func TestPolarityBoundsEval(t *testing.T) {
+	m := supportModel()
+	rng := rand.New(rand.NewSource(16))
+	ctx := context.Background()
+	var monotone, antitone, mixed, moved int
+	for round := 0; round < 3000; round++ {
+		q := randGuarded(rng, nil, 1+rng.Intn(3))
+		if _, ok := AnalyzeSupport(q, m); !ok {
+			continue
+		}
+		p := PolarityOf(q)
+		switch p {
+		case Positive:
+			monotone++
+		case Negative:
+			antitone++
+		case Positive | Negative:
+			mixed++
+			continue
+		default:
+			continue // no atom at all
+		}
+		for trial := 0; trial < 6; trial++ {
+			small, large := map[string]*bitset.Set{}, map[string]*bitset.Set{}
+			for _, rel := range m.Relations() {
+				inst, _ := m.DB.Relation(rel)
+				a, b := bitset.New(inst.NumIDs()), bitset.New(inst.NumIDs())
+				inst.RangeIDs(func(id relation.TupleID) bool {
+					switch rng.Intn(3) {
+					case 0:
+						a.Add(id)
+						b.Add(id)
+					case 1:
+						b.Add(id)
+					}
+					return true
+				})
+				small[rel], large[rel] = a, b
+			}
+			onSmall, err := EvalCtx(ctx, q, DBModel{DB: m.DB, Subsets: small})
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			onLarge, err := EvalCtx(ctx, q, DBModel{DB: m.DB, Subsets: large})
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			if onSmall != onLarge {
+				moved++
+			}
+			if p == Positive && onSmall && !onLarge {
+				t.Fatalf("classified monotone, but true on %v and false on the superset %v: %s", small, large, q)
+			}
+			if p == Negative && onLarge && !onSmall {
+				t.Fatalf("classified antitone, but true on %v and false on the subset %v: %s", large, small, q)
+			}
+		}
+	}
+	t.Logf("%d monotone, %d antitone, %d mixed queries; the verdict moved between the two sets %d times", monotone, antitone, mixed, moved)
+	if monotone < 100 || antitone < 100 || mixed < 100 || moved < 100 {
+		t.Fatal("the generator no longer covers every class")
 	}
 }

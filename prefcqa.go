@@ -931,10 +931,11 @@ func (db *DB) EngineStats() (hits, misses int64) {
 // QueryStats returns the cumulative query path counters: how many
 // open queries were answered by direct spine enumeration vs
 // active-domain substitution, which vectorized executor (generic
-// join, Yannakakis, greedy) ran the direct spines, and how many
-// closed verifications took the component-pruned repair walk vs the
-// full whole-database enumeration. Snapshots taken from this DB feed
-// the same counters.
+// join, Yannakakis, greedy) ran the direct spines, how many closed
+// verifications took the component-pruned repair walk vs the full
+// whole-database enumeration, and how many of the pruned ones were
+// decided on a bound of the preferred repairs without a walk.
+// Snapshots taken from this DB feed the same counters.
 func (db *DB) QueryStats() cqa.EvalStatsSnapshot {
 	return db.stats.Snapshot()
 }

@@ -258,3 +258,43 @@ func TestCountOverflowVerdictIsKept(t *testing.T) {
 		}
 	}
 }
+
+// TestBoundedVerifyThroughFacade: a monotone or antitone query over
+// more than two preferred repairs that is decided on their union or
+// their intersection says so in QueryStats, for every family; an
+// undecided one walks and does not.
+func TestBoundedVerifyThroughFacade(t *testing.T) {
+	const n = 200
+	db := chainDB(t, n)
+	snap, err := db.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, f := range []Family{Rep, Local, SemiGlobal, Global, Common} {
+		for _, c := range []struct {
+			query   string
+			want    Answer
+			bounded int64
+		}{
+			{chainQuery, False, 1},
+			{"EXISTS a, b . CR(a, b)", True, 1},
+			{"FORALL a, b . NOT CR(a, b) OR b >= 0", True, 1},
+			{fmt.Sprintf("EXISTS a, b . CR(a, b) AND b >= %d", n), Undetermined, 0},
+			{fmt.Sprintf("EXISTS a, b . CR(a, b) AND b >= %d AND NOT CS(b, b)", n), Undetermined, 0},
+		} {
+			before := db.QueryStats()
+			got, err := snap.QueryContext(ctx, f, c.query)
+			if err != nil || got != c.want {
+				t.Fatalf("%v %q = %v, %v, want %v", f, c.query, got, err, c.want)
+			}
+			after := db.QueryStats()
+			if d := after.ClosedBounded - before.ClosedBounded; d != c.bounded {
+				t.Errorf("%v %q: ClosedBounded grew by %d, want %d", f, c.query, d, c.bounded)
+			}
+			if d := after.ClosedPruned - before.ClosedPruned; d != 1 {
+				t.Errorf("%v %q: ClosedPruned grew by %d, want 1", f, c.query, d)
+			}
+		}
+	}
+}
