@@ -1,7 +1,8 @@
-// Benchmarks regenerating the paper's figures and tables; see
-// DESIGN.md §4 for the experiment index and EXPERIMENTS.md for the
-// recorded shapes. Naming: BenchmarkFigN... covers figure N;
-// Fig. 5 (the complexity table) is split per row and column.
+// Benchmarks regenerating the paper's figures and tables. Naming:
+// BenchmarkFigN... covers figure N; Fig. 5 (the complexity table) is
+// split per row and column. Where the printed Example 9 and the
+// S-Rep/P4 cell differ from the paper, see "Deviations from the
+// paper" in docs/ARCHITECTURE.md.
 package prefcqa
 
 import (
@@ -15,7 +16,6 @@ import (
 	"prefcqa/internal/conflict"
 	"prefcqa/internal/core"
 	"prefcqa/internal/cqa"
-	"prefcqa/internal/denial"
 	"prefcqa/internal/fd"
 	"prefcqa/internal/priority"
 	"prefcqa/internal/query"
@@ -255,59 +255,7 @@ func BenchmarkAlgorithm1Clean(b *testing.B) {
 	}
 }
 
-// --- §6 denial-constraint extension ---
-
-func BenchmarkDenialHypergraph(b *testing.B) {
-	schema := relation.MustSchema("R", relation.IntAttr("A"), relation.IntAttr("B"))
-	cons := denial.MustParse(schema, `R(x1,y1) AND R(x2,y2) AND R(x3,y3)
-		AND x1 = x2 AND x2 = x3 AND y1 < y2 AND y2 < y3`)
-	for _, groups := range []int{4, 16} {
-		b.Run(fmt.Sprintf("groups=%d", groups), func(b *testing.B) {
-			inst := relation.NewInstance(schema)
-			for g := 0; g < groups; g++ {
-				for j := 0; j < 3; j++ {
-					inst.MustInsert(g, j)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h, err := denial.Build(inst, []denial.Constraint{cons})
-				if err != nil || h.NumEdges() != groups {
-					b.Fatalf("%v edges=%d", err, h.NumEdges())
-				}
-			}
-		})
-	}
-}
-
-// --- Ablations (DESIGN.md §5) ---
-
-// Ground-query component pruning: on Pairs(16) with a query touching
-// one component, pruned evaluation is constant-ish while full
-// enumeration pays 2^16.
-func BenchmarkAblationPruningOn(b *testing.B) {
-	in := pairsInput(16)
-	q := query.MustParse("R(0,0) OR R(0,1)")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a, err := cqa.Evaluate(core.Rep, in, q)
-		if err != nil || a != cqa.CertainlyTrue {
-			b.Fatalf("%v %v", a, err)
-		}
-	}
-}
-
-func BenchmarkAblationPruningOff(b *testing.B) {
-	in := pairsInput(12) // smaller: full enumeration of 2^n repairs
-	q := query.MustParse("R(0,0) OR R(0,1)")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a, err := cqa.EvaluateFull(core.Rep, in, q)
-		if err != nil || a != cqa.CertainlyTrue {
-			b.Fatalf("%v %v", a, err)
-		}
-	}
-}
+// --- Ablations ---
 
 // Componentwise repair counting vs full enumeration.
 func BenchmarkAblationComponentCount(b *testing.B) {
@@ -544,6 +492,69 @@ func BenchmarkRepairsFirstYield(b *testing.B) {
 }
 
 // --- facade end-to-end ---
+
+// One single-tuple update on 2m tuples (m two-tuple clusters, each
+// oriented toward its anchor) — delete the losing side of a rotating
+// cluster, insert a replacement, orient the fresh conflict — followed
+// by one read: a ground G-Rep query or a full repair count.
+// "incremental" patches the touched component; "rebuild" is
+// WithIncremental(false), the reference of mutation_test.go, which
+// rebuilds graph, priority and component index for every read. Both
+// modes must give the same answers.
+func BenchmarkMutationUpdate(b *testing.B) {
+	const m = 2000
+	for _, kind := range []string{"query", "count"} {
+		for _, mode := range []string{"incremental", "rebuild"} {
+			b.Run(kind+"/"+mode, func(b *testing.B) {
+				db := New(WithIncremental(mode == "incremental"))
+				r, err := db.CreateRelation("R", IntAttr("K"), IntAttr("V"))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := r.AddFD("K -> V"); err != nil {
+					b.Fatal(err)
+				}
+				anchor := make([]TupleID, m) // the (key, 0) tuple of each cluster
+				for i := 0; i < m; i++ {
+					anchor[i] = r.MustInsert(i, 0)
+					if err := r.Prefer(anchor[i], r.MustInsert(i, 1)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if c, err := db.CountRepairs(Global, "R"); err != nil || c != 1 {
+					b.Fatalf("initial G-Rep count = %d, %v; want 1", c, err) // build and publish
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					key, gen := i%m, i/m
+					// Replace the cluster's (key, 1+gen) tuple with the next
+					// value: every cluster stays at two live tuples with the
+					// conflict resolved toward the anchor.
+					if old, ok := r.Instance().Lookup(Tuple{Int(int64(key)), Int(int64(1 + gen))}); ok {
+						r.Delete(old)
+					}
+					id, err := r.Insert(key, 2+gen)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := r.Prefer(anchor[key], id); err != nil {
+						b.Fatal(err)
+					}
+					if kind == "count" {
+						if c, err := db.CountRepairs(Global, "R"); err != nil || c != 1 {
+							b.Fatalf("G-Rep count = %d, %v", c, err)
+						}
+						continue
+					}
+					if a, err := db.Query(Global, fmt.Sprintf("R(%d, 0)", key)); err != nil || a != True {
+						b.Fatalf("anchor (%d, 0) not certain: %v, %v", key, a, err)
+					}
+				}
+			})
+		}
+	}
+}
 
 func BenchmarkFacadeQueryGlobal(b *testing.B) {
 	db := New()

@@ -2,7 +2,6 @@ package prefcqa
 
 import (
 	"fmt"
-	"time"
 
 	"prefcqa/internal/fd"
 	"prefcqa/internal/relation"
@@ -34,12 +33,6 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) { return wal.ParseSyncPolicy(
 // (default SyncAlways). Ignored by New.
 func WithSyncPolicy(p SyncPolicy) Option {
 	return func(db *DB) { db.walOpts.Policy = p }
-}
-
-// WithFlushInterval bounds how long a SyncGroup write may sit
-// unsynced (default 2ms). Ignored by New.
-func WithFlushInterval(d time.Duration) Option {
-	return func(db *DB) { db.walOpts.FlushInterval = d }
 }
 
 // WithCheckpointBytes sets the log growth after which a mutation

@@ -566,8 +566,8 @@ func (g *Graph) DOT() string {
 	return b.String()
 }
 
-// ASCII renders a deterministic textual adjacency listing, used by the
-// experiment harness to reproduce Figures 1–4.
+// ASCII renders a deterministic textual adjacency listing; tests print
+// it when a graph-shaped assertion fails.
 func (g *Graph) ASCII() string {
 	var b strings.Builder
 	for t := 0; t < g.numVerts; t++ {

@@ -125,8 +125,8 @@ func TestExample8LocalNotCategorical(t *testing.T) {
 }
 
 // TestExample9Literal checks the instance exactly as printed in the
-// paper. NOTE (paper deviation, see EXPERIMENTS.md): the printed
-// instance's conflict graph is the path ta-tb-tc-td-te, which has FOUR
+// paper. NOTE (paper deviation, see "Deviations from the paper" in
+// docs/ARCHITECTURE.md): the printed instance's conflict graph is the path ta-tb-tc-td-te, which has FOUR
 // repairs, not the two the paper lists — {ta,td} and {tb,te} are also
 // maximal independent sets. Under the paper's own Definition of
 // semi-global optimality, the total path priority then makes S-Rep

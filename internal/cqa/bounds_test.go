@@ -69,9 +69,9 @@ func TestClosedBoundsMatchFull(t *testing.T) {
 				t.Fatalf("%s: Evaluate: %v", tag, err)
 			}
 			after := stats.Snapshot()
-			full, err := EvaluateFull(f, in, q)
+			full, err := evaluateFull(f, in, q)
 			if err != nil {
-				t.Fatalf("%s: EvaluateFull: %v", tag, err)
+				t.Fatalf("%s: evaluateFull: %v", tag, err)
 			}
 			if got != full || got != c.want {
 				t.Errorf("%s: pruned=%v full=%v want=%v", tag, got, full, c.want)

@@ -3,6 +3,7 @@ package cqa
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -68,13 +69,21 @@ func quantDiffInput(t testing.TB) Input {
 	return in
 }
 
+// closedDeclinedCorpus holds the uncoverable shapes: the inner
+// quantifier has no positive atom, so the support analysis declines
+// and the full enumeration answers.
+var closedDeclinedCorpus = []string{
+	"EXISTS v . R(0, v) AND (EXISTS u . u = v)",
+	"FORALL v . NOT R(3, v) OR (EXISTS u . u = v AND u < 2)",
+}
+
 // closedDiffCorpus is the quantified closed-query mix the
 // differential test pins: oriented, unoriented and triangle
 // components, whole-relation supports, empty supports, negated-atom
 // residuals, cross-relation joins, boolean combinations of
-// quantifiers, mixed ground/quantified skeletons, and uncoverable
-// shapes that must take the full-enumeration path.
-var closedDiffCorpus = []string{
+// quantifiers, mixed ground/quantified skeletons, and the declined
+// shapes above.
+var closedDiffCorpus = append([]string{
 	"EXISTS v . R(0, v) AND v < 2",                                // single oriented component
 	"EXISTS v . R(3, v) AND v = 0",                                // unoriented: undetermined
 	"FORALL v . NOT R(3, v) OR v <= 1",                            // universal over one component
@@ -88,17 +97,14 @@ var closedDiffCorpus = []string{
 	"R(9, 9) AND EXISTS v . R(4, v) AND v = 1",                    // mixed ground + quantified
 	"(EXISTS v . R(1, v) AND v = 1) OR (EXISTS w . S(1, w) AND w = 6)",
 	"NOT (EXISTS v . R(2, v) AND v = 1)", // negated quantifier
-	// Uncoverable shapes: the inner quantifier has no positive atom,
-	// so support analysis declines and the full enumeration answers.
-	"EXISTS v . R(0, v) AND (EXISTS u . u = v)",
-	"FORALL v . NOT R(3, v) OR (EXISTS u . u = v AND u < 2)",
-}
+}, closedDeclinedCorpus...)
 
 // TestClosedQuantPrunedMatchesFull pins the component-pruned
 // vectorized verification bit-for-bit against the full
 // whole-database repair enumeration, across all five families, and
-// asserts via the stats counters that both the pruned and the full
-// path fired on the corpus.
+// asserts via the stats counters which path answered each query:
+// the pruned walk alone for every covered shape, the full
+// enumeration alone for every declined one.
 func TestClosedQuantPrunedMatchesFull(t *testing.T) {
 	in := quantDiffInput(t)
 	stats := &EvalStats{}
@@ -107,25 +113,27 @@ func TestClosedQuantPrunedMatchesFull(t *testing.T) {
 		for _, src := range closedDiffCorpus {
 			q := query.MustParse(src)
 			tag := fmt.Sprintf("%v %q", f, src)
+			before := stats.Snapshot()
 			pruned, err := Evaluate(f, in, q)
 			if err != nil {
 				t.Fatalf("%s: Evaluate: %v", tag, err)
 			}
-			full, err := EvaluateFull(f, in, q)
+			after := stats.Snapshot()
+			wantPruned, wantFull := int64(1), int64(0)
+			if slices.Contains(closedDeclinedCorpus, src) {
+				wantPruned, wantFull = 0, 1
+			}
+			if dp, df := after.ClosedPruned-before.ClosedPruned, after.ClosedFull-before.ClosedFull; dp != wantPruned || df != wantFull {
+				t.Fatalf("%s: ClosedPruned +%d ClosedFull +%d, want +%d +%d", tag, dp, df, wantPruned, wantFull)
+			}
+			full, err := evaluateFull(f, in, q)
 			if err != nil {
-				t.Fatalf("%s: EvaluateFull: %v", tag, err)
+				t.Fatalf("%s: evaluateFull: %v", tag, err)
 			}
 			if pruned != full {
 				t.Fatalf("%s: pruned=%v full=%v", tag, pruned, full)
 			}
 		}
-	}
-	snap := stats.Snapshot()
-	if snap.ClosedPruned == 0 {
-		t.Fatal("the pruned verification path never fired on the corpus")
-	}
-	if snap.ClosedFull == 0 {
-		t.Fatal("the full enumeration path never fired on the corpus")
 	}
 }
 
@@ -256,7 +264,7 @@ func TestClosedQuantForkedVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := EvaluateFull(core.Global, childIn, q)
+	full, err := evaluateFull(core.Global, childIn, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +312,7 @@ func TestClosedQuantConcurrent(t *testing.T) {
 					return
 				}
 				if i%3 == 0 {
-					full, err := EvaluateFull(core.Global, in, q)
+					full, err := evaluateFull(core.Global, in, q)
 					if err != nil || full != want[src] {
 						errs <- fmt.Errorf("reader %d: full %q = %v, %v", w, src, full, err)
 						return
@@ -347,7 +355,7 @@ func FuzzClosedEquivalence(f *testing.F) {
 		}
 		for _, fam := range core.Families {
 			pruned, errP := Evaluate(fam, in, q)
-			full, errF := EvaluateFull(fam, in, q)
+			full, errF := evaluateFull(fam, in, q)
 			if (errP == nil) != (errF == nil) {
 				t.Fatalf("%v: error mismatch pruned=%v full=%v for %s", fam, errP, errF, q)
 			}
@@ -356,4 +364,61 @@ func FuzzClosedEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// One quantified certain-answer check, EXISTS v . R(7, v) AND v < 2
+// under G-Rep, on n/2 clusters R(k, 0) / R(k, 1) under K -> V, all
+// oriented toward the 0-tuple except the last three (2^3 preferred
+// repairs, all agreeing on cluster 7). The support is the K = 7
+// posting: "pruned" is Evaluate, which must walk that one component
+// and nothing else; "full" is evaluateFull over the whole database.
+// Both must answer true.
+func BenchmarkClosedVerify(b *testing.B) {
+	const n = 2000
+	schema := relation.MustSchema("R", relation.IntAttr("K"), relation.IntAttr("V"))
+	inst := relation.NewInstance(schema)
+	for k := 0; k < n/2; k++ {
+		inst.MustInsert(k, 0) // ID 2k
+		inst.MustInsert(k, 1) // ID 2k+1
+	}
+	rel, err := NewRelation(inst, fd.MustParseSet(schema, "K -> V"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for k := 0; k < n/2-3; k++ {
+		rel.Pri.MustAdd(2*k, 2*k+1)
+	}
+	base, err := NewInput(rel)
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := query.MustParse("EXISTS v . R(7, v) AND v < 2")
+	for _, mode := range []string{"pruned", "full"} {
+		b.Run(mode, func(b *testing.B) {
+			stats := &EvalStats{}
+			in := base.WithEngine(core.NewEngine()).WithStats(stats)
+			eval := Evaluate
+			if mode == "full" {
+				eval = evaluateFull
+			}
+			check := func() {
+				if ans, err := eval(core.Global, in, q); err != nil || ans != CertainlyTrue {
+					b.Fatalf("%s answer = %v, %v; want true", mode, ans, err)
+				}
+			}
+			check()
+			snap := stats.Snapshot()
+			if mode == "pruned" && (snap.ClosedPruned == 0 || snap.ClosedFull != 0) {
+				b.Fatalf("pruned verification did not fire: %+v", snap)
+			}
+			if mode == "full" && snap.ClosedFull == 0 {
+				b.Fatalf("full enumeration did not fire: %+v", snap)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				check()
+			}
+		})
+	}
 }

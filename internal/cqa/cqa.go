@@ -277,20 +277,6 @@ func Evaluate(f core.Family, in Input, q query.Expr) (Answer, error) {
 	return evaluateClosed(f, in, q)
 }
 
-// EvaluateFull is Evaluate with the ground-query component pruning
-// disabled: every preferred repair of the whole database is
-// enumerated. Exposed for the pruning-ablation benchmarks; prefer
-// Evaluate.
-func EvaluateFull(f core.Family, in Input, q query.Expr) (Answer, error) {
-	if err := query.Validate(q, in.schemas()); err != nil {
-		return 0, err
-	}
-	if !query.IsClosed(q) {
-		return 0, fmt.Errorf("cqa: query has free variables %v; use FreeAnswers", query.FreeVars(q))
-	}
-	return evaluateFull(f, in, q)
-}
-
 // evaluateClosed dispatches evaluation of an already-validated closed
 // query. Kind-mismatched constants inside atoms (which arise when
 // open queries are instantiated over the mixed active domain) simply
@@ -311,6 +297,9 @@ func evaluateClosed(f core.Family, in Input, q query.Expr) (Answer, error) {
 	return evaluateFull(f, in, q)
 }
 
+// evaluateFull enumerates the preferred repairs of the whole database
+// and evaluates q on each: the exit for queries the support analysis
+// declines, and the reference the pruned walks are tested against.
 func evaluateFull(f core.Family, in Input, q query.Expr) (Answer, error) {
 	in.Stats.noteClosed(false)
 	seenTrue, seenFalse := false, false

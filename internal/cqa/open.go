@@ -67,7 +67,7 @@ func (e *OpenLimitError) Error() string {
 // the substitution fallback instantiates the query over the
 // kind-pruned active domain per variable, bounded by
 // MaxOpenVariables. Both paths return identical slices, pinned by
-// differential tests; FreeAnswersSubst forces the fallback.
+// differential tests that call freeAnswersSubst directly.
 func FreeAnswers(f core.Family, in Input, q query.Expr) ([]Binding, error) {
 	if err := query.Validate(q, in.schemas()); err != nil {
 		return nil, err
@@ -84,22 +84,6 @@ func FreeAnswers(f core.Family, in Input, q query.Expr) ([]Binding, error) {
 		return answers, nil
 	}
 	return freeAnswersSubst(f, in, q, vars, reason)
-}
-
-// FreeAnswersSubst is FreeAnswers with the direct-enumeration path
-// disabled: every kind-compatible active-domain combination is
-// substituted and evaluated. Exposed for differential testing and the
-// open-query ablation benchmarks; results are identical to
-// FreeAnswers (when within MaxOpenVariables).
-func FreeAnswersSubst(f core.Family, in Input, q query.Expr) ([]Binding, error) {
-	if err := query.Validate(q, in.schemas()); err != nil {
-		return nil, err
-	}
-	vars := query.FreeVars(q)
-	if len(vars) == 0 {
-		return nil, fmt.Errorf("cqa: query is closed; use Evaluate")
-	}
-	return freeAnswersSubst(f, in, q, vars, "forced")
 }
 
 // freeAnswersDirect answers the open query by spine enumeration.

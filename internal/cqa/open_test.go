@@ -49,6 +49,11 @@ func openDiffInput(t testing.TB) Input {
 	return in
 }
 
+// openSpineless is the corpus entry the direct path declines: t occurs
+// only in a comparison, so no positive spine covers it and
+// substitution answers.
+const openSpineless = "EXISTS s . Emp(n, s) AND s = t"
+
 // openDiffCorpus is the open-query mix the differential test pins:
 // single and multi free variables, joins across relations, residual
 // comparisons, negation residuals (dropped during candidate
@@ -63,8 +68,7 @@ var openDiffCorpus = []string{
 	"Emp(n, s) AND Dept(d, b) AND s < b",
 	"EXISTS s . Emp(n, s) AND NOT Dept(n, 35)",
 	"EXISTS s, b . Emp(n, s) AND Dept(d, b) AND NOT Emp('Ann', b)",
-	// t occurs only in a comparison: no positive spine, fallback.
-	"EXISTS s . Emp(n, s) AND s = t",
+	openSpineless,
 	// x constrained to both kinds at once: domain pruning must still
 	// agree with the unpruned fallback semantics.
 	"EXISTS s . Emp(x, s) AND Dept(x, 35)",
@@ -77,7 +81,9 @@ var openDiffCorpus = []string{
 
 // TestFreeAnswersDirectMatchesSubstitution pins the direct
 // open-enumeration path bit-for-bit against the substitution baseline
-// across all five repair families.
+// across all five repair families, and asserts via the stats counters
+// which path answered each query: direct enumeration with no fallback
+// for every entry but openSpineless.
 func TestFreeAnswersDirectMatchesSubstitution(t *testing.T) {
 	in := openDiffInput(t)
 	stats := &EvalStats{}
@@ -86,13 +92,22 @@ func TestFreeAnswersDirectMatchesSubstitution(t *testing.T) {
 		for _, src := range openDiffCorpus {
 			q := query.MustParse(src)
 			tag := fmt.Sprintf("%v %q", f, src)
+			before := stats.Snapshot()
 			direct, err := FreeAnswers(f, in, q)
 			if err != nil {
 				t.Fatalf("%s: FreeAnswers: %v", tag, err)
 			}
-			subst, err := FreeAnswersSubst(f, in, q)
+			after := stats.Snapshot()
+			wantDirect, wantFallback := int64(1), int64(0)
+			if src == openSpineless {
+				wantDirect, wantFallback = 0, 1
+			}
+			if dd, df := after.OpenDirect-before.OpenDirect, after.OpenFallback-before.OpenFallback; dd != wantDirect || df != wantFallback {
+				t.Fatalf("%s: OpenDirect +%d OpenFallback +%d, want +%d +%d", tag, dd, df, wantDirect, wantFallback)
+			}
+			subst, err := freeAnswersSubst(f, in, q, query.FreeVars(q), "forced")
 			if err != nil {
-				t.Fatalf("%s: FreeAnswersSubst: %v", tag, err)
+				t.Fatalf("%s: freeAnswersSubst: %v", tag, err)
 			}
 			if len(direct) != len(subst) {
 				t.Fatalf("%s: direct %v vs subst %v", tag, direct, subst)
@@ -105,12 +120,6 @@ func TestFreeAnswersDirectMatchesSubstitution(t *testing.T) {
 		}
 	}
 	snap := stats.Snapshot()
-	if snap.OpenDirect == 0 {
-		t.Fatal("direct open enumeration never fired on the corpus")
-	}
-	if snap.OpenFallback == 0 {
-		t.Fatal("substitution fallback never fired on the corpus")
-	}
 	// Candidate verification runs closed checks underneath: both the
 	// pruned (ground / support-covered quantified) path and the full
 	// enumeration (uncoverable quantifiers) must have fired.
@@ -148,5 +157,73 @@ func TestFreeAnswersKindPruning(t *testing.T) {
 	}
 	if !kinds[relation.KindInt] || !kinds[relation.KindName] {
 		t.Fatalf("x should try both kinds, domain %v", domsOpen[0])
+	}
+}
+
+// The certain answers of EXISTS v . R(x, v) AND v > n-6 under G-Rep on
+// R(Name, Val): n tuples cycling through 100 names with unique values,
+// plus 100 twins (same Val, other Name) under Val -> Name, each
+// conflict oriented toward the original. Every candidate the spine
+// does not kill costs one closed certain-answer check. "direct" is
+// FreeAnswers, which must take the spine enumeration with no
+// fallback: one columnar pass leaves 5 names alive and only those are
+// verified. "subst" closed-evaluates all 200 names of x's kind-pruned
+// domain.
+func BenchmarkOpenAnswers(b *testing.B) {
+	const n = 2000
+	schema := relation.MustSchema("R", relation.NameAttr("Name"), relation.IntAttr("Val"))
+	inst := relation.NewInstance(schema)
+	for i := 0; i < n; i++ {
+		inst.MustInsert(fmt.Sprintf("u%d", i%100), i) // tuple i has ID i
+	}
+	twins := make([]relation.TupleID, 100)
+	for j := range twins {
+		twins[j] = inst.MustInsert(fmt.Sprintf("x%d", j), j)
+	}
+	rel, err := NewRelation(inst, fd.MustParseSet(schema, "Val -> Name"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for j, twin := range twins {
+		rel.Pri.MustAdd(j, twin)
+	}
+	base, err := NewInput(rel)
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := query.MustParse(fmt.Sprintf("EXISTS v . R(x, v) AND v > %d", n-6))
+	for _, mode := range []string{"direct", "subst"} {
+		b.Run(mode, func(b *testing.B) {
+			stats := &EvalStats{}
+			in := base.WithStats(stats)
+			answers := func() int {
+				var ans []Binding
+				var err error
+				if mode == "direct" {
+					ans, err = FreeAnswers(core.Global, in, q)
+				} else {
+					ans, err = freeAnswersSubst(core.Global, in, q, query.FreeVars(q), "forced")
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				return len(ans)
+			}
+			// Warm the lazily built indexes; the 5 matching tuples are
+			// conflict-free, so both modes must find exactly them.
+			if got := answers(); got != 5 {
+				b.Fatalf("warmup: %d answers, want 5", got)
+			}
+			if snap := stats.Snapshot(); mode == "direct" && (snap.OpenDirect == 0 || snap.OpenFallback != 0) {
+				b.Fatalf("direct open enumeration did not fire: %+v", snap)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if got := answers(); got != 5 {
+					b.Fatalf("%d answers, want 5", got)
+				}
+			}
+		})
 	}
 }

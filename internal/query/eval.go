@@ -147,15 +147,6 @@ func EvalNaive(e Expr, m Model) (bool, error) {
 	return (&evaluator{m: m, root: e}).run()
 }
 
-// EvalGreedy is Eval with the Yannakakis and generic-join executors
-// disabled: multi-atom queries run the greedy vectorized nested-loop
-// order even when a reduction would be cheaper. Exposed for
-// differential testing and the executor ablation benchmarks; results
-// are identical to Eval.
-func EvalGreedy(e Expr, m Model) (bool, error) {
-	return (&evaluator{m: m, root: e, join: true, greedyOnly: true}).run()
-}
-
 // run evaluates the evaluator's root formula, which must be closed.
 func (ev *evaluator) run() (bool, error) {
 	if fv := FreeVars(ev.root); len(fv) != 0 {

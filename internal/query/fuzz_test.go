@@ -149,7 +149,7 @@ func FuzzPlanEquivalence(f *testing.F) {
 			return
 		}
 		planned, errP := Eval(q, m)
-		greedy, errG := EvalGreedy(q, m)
+		greedy, errG := evalGreedy(q, m)
 		naive, errN := EvalNaive(q, m)
 		if (errP == nil) != (errN == nil) || (errG == nil) != (errN == nil) {
 			t.Fatalf("error mismatch planned=%v greedy=%v naive=%v for %s", errP, errG, errN, q)

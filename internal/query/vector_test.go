@@ -97,6 +97,13 @@ func (m *mutableTriple) mutate(rng *rand.Rand) {
 	}
 }
 
+// evalGreedy is Eval with the Yannakakis and generic-join executors
+// switched off: the greedy reference the differential tests and the
+// executor benchmarks compare against.
+func evalGreedy(e Expr, m Model) (bool, error) {
+	return (&evaluator{m: m, root: e, join: true, greedyOnly: true}).run()
+}
+
 // checkCorpus requires the three strategies to agree bit-for-bit on
 // every corpus query over m.
 func checkCorpus(t *testing.T, tag string, m Model) {
@@ -107,7 +114,7 @@ func checkCorpus(t *testing.T, tag string, m Model) {
 			t.Fatalf("%s: parse %q: %v", tag, src, err)
 		}
 		planned, errP := Eval(q, m)
-		greedy, errG := EvalGreedy(q, m)
+		greedy, errG := evalGreedy(q, m)
 		naive, errN := EvalNaive(q, m)
 		for _, e := range []error{errP, errG} {
 			if (e == nil) != (errN == nil) {
@@ -241,7 +248,7 @@ func TestVectorizedConcurrentSnapshotReads(t *testing.T) {
 				q, _ := Parse(src)
 				eval := Eval
 				if i%2 == 1 {
-					eval = EvalGreedy
+					eval = evalGreedy
 				}
 				got, err := eval(q, model)
 				if err != nil {
@@ -339,11 +346,87 @@ func TestYannakakisFiresOnAcyclicChain(t *testing.T) {
 	}
 
 	// The greedy baseline must stay reachable for the cyclic shape.
-	forced, err := EvalGreedy(q, m)
+	forced, err := evalGreedy(q, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if forced != got {
-		t.Fatalf("EvalGreedy disagrees with WCOJ on %q: %v vs %v", triangle, forced, got)
+		t.Fatalf("evalGreedy disagrees with WCOJ on %q: %v vs %v", triangle, forced, got)
 	}
+}
+
+// emptyJoinRows is the size of each relation of the empty-join
+// benchmarks.
+const emptyJoinRows = 20_000
+
+// benchEmptyJoin times one closed three-atom query over R, S, T
+// (emptyJoinRows rows each, row i of the three given by rows) whose
+// join is empty, so no executor can stop at a first witness: once on
+// the executor the cost-based planner picks, which must be want, and
+// once on forced greedy, which walks every R tuple probing S and T per
+// tuple.
+func benchEmptyJoin(b *testing.B, src, want string, rows func(i int) [3][2]int) {
+	db := relation.NewDatabase()
+	var insts [3]*relation.Instance
+	for k, name := range []string{"R", "S", "T"} {
+		insts[k] = relation.NewInstance(relation.MustSchema(name, relation.IntAttr("X"), relation.IntAttr("Y")))
+		if err := db.AddInstance(insts[k]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < emptyJoinRows; i++ {
+		for k, row := range rows(i) {
+			insts[k].MustInsert(row[0], row[1])
+		}
+	}
+	m := DBModel{DB: db}
+	q := MustParse(src)
+	run := func(b *testing.B, eval func(Expr, Model) (bool, error)) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if res, err := eval(q, m); err != nil || res {
+				b.Fatalf("%v, %v", res, err)
+			}
+		}
+	}
+	b.Run(want, func(b *testing.B) {
+		// Warm the lazily built indexes and pin the planner's choice.
+		res, tr, err := EvalTrace(q, m)
+		if err != nil || res {
+			b.Fatalf("warmup: %v, %v", res, err)
+		}
+		if len(tr.Execs) == 0 || tr.Execs[0].Executor != want {
+			b.Fatalf("planner did not choose the %s executor: %+v", want, tr.Execs)
+		}
+		run(b, Eval)
+	})
+	b.Run("greedy", func(b *testing.B) {
+		if res, err := evalGreedy(q, m); err != nil || res {
+			b.Fatalf("warmup: %v, %v", res, err)
+		}
+		run(b, evalGreedy)
+	})
+}
+
+// The acyclic chain R(a,b) ⋈ S(b,c) ⋈ T(c,d) where S.c and T.c share no
+// value: Yannakakis finds the emptiness in one bottom-up semijoin pass
+// (T semijoin S empties T's mask) and never enumerates.
+func BenchmarkEmptyChain(b *testing.B) {
+	benchEmptyJoin(b, "EXISTS a, b, c, d . R(a, b) AND S(b, c) AND T(c, d)", ExecYannakakis,
+		func(i int) [3][2]int { return [3][2]int{{i, i}, {i, i}, {i + emptyJoinRows, i}} })
+}
+
+// The triangle R(a,b) ⋈ S(b,c) ⋈ T(c,a) over 1000 distinct values per
+// join column (distinct pairs, fan-out rows/1000 per value) with T's a
+// column offset past R's: GYO ear removal fails, and the generic join
+// finds the emptiness at the first variable level — every candidate a
+// has an empty T posting, so no (a, b) pair is ever enumerated.
+func BenchmarkEmptyTriangle(b *testing.B) {
+	const v = 1000
+	benchEmptyJoin(b, "EXISTS a, b, c . R(a, b) AND S(b, c) AND T(c, a)", ExecWCOJ,
+		func(i int) [3][2]int {
+			lo, fan := i%v, (i%v+i/v)%v
+			return [3][2]int{{lo, fan}, {lo, fan}, {lo, v + fan}}
+		})
 }

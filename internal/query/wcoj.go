@@ -35,9 +35,9 @@ import (
 //
 // The planner considers the operator only for cyclic multi-atom
 // spines (compileYan declined) and takes it when its base-candidates
-// cost beats the greedy nested-loop estimate; EvalGreedy forces the
-// greedy baseline, which the differential tests pin bit-for-bit
-// against this path.
+// cost beats the greedy nested-loop estimate; evaluator.greedyOnly
+// forces the greedy baseline, which the differential tests pin
+// bit-for-bit against this path.
 
 // wcojLevel is one variable of the generic join, in resolution order.
 type wcojLevel struct {

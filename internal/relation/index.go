@@ -177,37 +177,13 @@ func (r *Instance) index() *attrIndex {
 	return r.idx
 }
 
-// IndexScan iterates, in ascending ID order, the live tuples of r
-// whose attribute attr equals v, using the chain's secondary index.
-// The index is built for attr on first use (one pass over the
-// column) and maintained incrementally across Insert, Delete and
-// Fork afterwards; a probe on a snapshot observes exactly the
-// snapshot's tuples. Each yielded row is materialized from the
-// columns; ID-level consumers should use PostingIDs. Stop early by
-// returning false.
-func (r *Instance) IndexScan(attr int, v Value, yield func(id TupleID, t Tuple) bool) {
-	n := r.n
-	ids := r.index().ensure(attr, v, &r.cols[attr], n)
-	for _, id := range ids {
-		if id >= n {
-			break // inserted by a newer version of the chain
-		}
-		if !r.Live(id) {
-			continue
-		}
-		if !yield(id, r.Tuple(id)) {
-			return
-		}
-	}
-}
-
 // PostingIDs returns the raw secondary-index posting of (attr, v):
 // the ascending tuple IDs whose attribute attr equals v, built or
 // caught up on first use. The slice is shared with the index and must
 // not be mutated; it may contain IDs of newer chain versions (>=
 // NumIDs()) and tombstoned IDs — the batch executor filters both
 // against its own visibility, which is exactly why it wants the raw
-// posting rather than the filtered iteration of IndexScan.
+// posting rather than a filtered iteration.
 func (r *Instance) PostingIDs(attr int, v Value) []TupleID {
 	return r.index().ensure(attr, v, &r.cols[attr], r.n)
 }

@@ -342,7 +342,7 @@ func (r *Instance) Lookup(t Tuple) (TupleID, bool) {
 
 // Contains reports whether an equal live tuple is present, in O(1)
 // via Lookup. For equality lookups on a single attribute use
-// IndexScan (the secondary indexes of index.go).
+// PostingIDs (the secondary indexes of index.go).
 func (r *Instance) Contains(t Tuple) bool {
 	_, ok := r.Lookup(t)
 	return ok

@@ -5,57 +5,6 @@ import (
 	"prefcqa/internal/relation"
 )
 
-// MgrSchema is the schema of the running example (Example 1):
-// Mgr(Name, Dept, Salary, Reports).
-func MgrSchema() *relation.Schema {
-	return relation.MustSchema("Mgr",
-		relation.NameAttr("Name"), relation.NameAttr("Dept"),
-		relation.IntAttr("Salary"), relation.IntAttr("Reports"))
-}
-
-// MgrFDs returns fd1: Dept -> Name,Salary,Reports and fd2:
-// Name -> Dept,Salary,Reports.
-func MgrFDs() *fd.Set {
-	return fd.MustParseSet(MgrSchema(),
-		"Dept -> Name,Salary,Reports",
-		"Name -> Dept,Salary,Reports")
-}
-
-// Example1 builds the integrated instance r = s1 ∪ s2 ∪ s3 of
-// Example 1 with the reliability priority of Example 3 (s3 less
-// reliable than s1 and s2; s1 vs s2 unknown). Salaries are in
-// thousands.
-func Example1() *Scenario {
-	schema := MgrSchema()
-	s1 := relation.NewInstance(schema)
-	s1.MustInsert("Mary", "R&D", 40, 3)
-	s2 := relation.NewInstance(schema)
-	s2.MustInsert("John", "R&D", 10, 2)
-	s3 := relation.NewInstance(schema)
-	s3.MustInsert("Mary", "IT", 20, 1)
-	s3.MustInsert("John", "PR", 30, 4)
-
-	sc, err := Integration(MgrFDs(),
-		Source{Inst: s1, Rank: 0},
-		Source{Inst: s2, Rank: 0},
-		Source{Inst: s3, Rank: 1})
-	if err != nil {
-		panic(err) // fixed fixture cannot fail
-	}
-	sc.Name = "example1"
-	sc.Desc = "Examples 1-3: Mgr integration with source reliability"
-	return sc
-}
-
-// Q1 is Example 1's query: does John earn more than Mary?
-const Q1 = `EXISTS x1, y1, z1, x2, y2, z2 .
-	Mgr('Mary', x1, y1, z1) AND Mgr('John', x2, y2, z2) AND y1 < y2`
-
-// Q2 is Example 3's query: does Mary earn more and write fewer
-// reports than John?
-const Q2 = `EXISTS x1, y1, z1, x2, y2, z2 .
-	Mgr('Mary', x1, y1, z1) AND Mgr('John', x2, y2, z2) AND y1 > y2 AND z1 < z2`
-
 // Example7 builds Example 7: R(A,B) with key A -> B, instance
 // {ta=(1,1), tb=(1,2), tc=(1,3)}, priority ta ≻ tc, ta ≻ tb
 // (Figure 2). L-Rep selects only {ta}.
@@ -95,7 +44,8 @@ func Example8() *Scenario {
 // chain priority. NOTE: as printed, the instance has four repairs
 // (the paper lists two) and the chain priority is categorical for
 // S-Rep under the formal definitions; Example9Mutual reconstructs the
-// intended non-categoricity scenario. See EXPERIMENTS.md.
+// intended non-categoricity scenario. See "Deviations from the paper"
+// in docs/ARCHITECTURE.md.
 func Example9() *Scenario {
 	s := relation.MustSchema("R",
 		relation.IntAttr("A"), relation.IntAttr("B"),
@@ -116,12 +66,26 @@ func Example9() *Scenario {
 }
 
 // Example9Mutual reconstructs the scenario §3.3 describes around
-// Example 9: a K_{2,3} mutual-conflict component with the partial
-// chain priority. Repairs are exactly the two sides; S-Rep keeps
-// both, G-Rep and C-Rep keep only {t0, t2, t4}.
+// Example 9: one K_{2,3} mutual-conflict component over R(A,B,C,D,E)
+// with F = {A -> B, C -> D} — all five tuples share the A-group and
+// the C-group, B and D are constant per side, so exactly the
+// cross-side pairs conflict (under both dependencies) — with the
+// partial chain priority t0 ≻ t1 ≻ ... ≻ t4. Repairs are exactly the
+// two sides; S-Rep keeps both, G-Rep and C-Rep keep only {t0, t2, t4}.
 func Example9Mutual() *Scenario {
-	sc := ChainBipartite(5)
-	sc.Name = "example9-mutual"
-	sc.Desc = "Example 9 reconstructed: mutual conflicts, partial priority"
+	s := relation.MustSchema("R",
+		relation.IntAttr("A"), relation.IntAttr("B"),
+		relation.IntAttr("C"), relation.IntAttr("D"),
+		relation.IntAttr("E"))
+	inst := relation.NewInstance(s)
+	for i := 0; i < 5; i++ {
+		side := i%2 + 1
+		inst.MustInsert(1, side, 1, side, i)
+	}
+	sc := build("example9-mutual", "Example 9 reconstructed: mutual conflicts, partial priority",
+		inst, fd.MustParseSet(s, "A -> B", "C -> D"))
+	for i := 0; i+1 < 5; i++ {
+		sc.Pri.MustAdd(i, i+1)
+	}
 	return sc
 }

@@ -1,13 +1,12 @@
-// Package workload generates the instances, dependencies and
-// priorities used by tests, examples and the experiment harness. It
-// contains the paper's examples verbatim (Examples 1/3, 4, 7, 8, 9)
-// and parametric families whose conflict-graph shapes scale them up:
+// Package workload is test support: it generates the instances,
+// dependencies and priorities the tests and the Benchmark* functions
+// run on, and nothing that ships imports it. It contains the paper's
+// examples (Examples 4, 7, 8, 9) and parametric families whose
+// conflict-graph shapes scale them up:
 //
 //	Pairs(n)        Example 4: n disjoint conflict edges, 2^n repairs
 //	Chain(n)        Example 9: a conflict path of n tuples (two FDs)
 //	Clusters(m, k)  m independent key-violation cliques of size k
-//	Bipartite(m, k) K_{m,k} mutual-conflict components (§3.3 shape)
-//	Integration(..) multi-source union with reliability ranks (§1)
 //	Random(...)     random instances over R(A,B,C) with two FDs
 package workload
 
@@ -99,96 +98,6 @@ func Clusters(m, k int) *Scenario {
 	return build(fmt.Sprintf("clusters(%d,%d)", m, k),
 		"m independent key-violation cliques of size k",
 		inst, fd.MustParseSet(s, "K -> V"))
-}
-
-// Bipartite builds one complete bipartite mutual-conflict component
-// of n tuples over R(A,B,C,D,E) with F = {A -> B, C -> D}: even-ID
-// tuples form one side, odd-ID tuples the other, and every cross-side
-// pair conflicts — the §3.3 shape where tuples are involved in
-// conflicts from more than one dependency. The two repairs are the
-// sides; consecutive IDs are always adjacent, so chain priorities
-// (i ≻ i+1) can be added directly. Bipartite(5) with the chain
-// priority is the reconstruction of the paper's Example 9 (Fig. 4).
-func Bipartite(n int) *Scenario {
-	s := relation.MustSchema("R",
-		relation.IntAttr("A"), relation.IntAttr("B"),
-		relation.IntAttr("C"), relation.IntAttr("D"),
-		relation.IntAttr("E"))
-	inst := relation.NewInstance(s)
-	// All tuples share the A-group and the C-group; the B and D
-	// values are constant per side, so conflicts (under both FDs) are
-	// exactly the cross-side pairs.
-	for i := 0; i < n; i++ {
-		side := i%2 + 1
-		inst.MustInsert(1, side, 1, side, i)
-	}
-	return build(fmt.Sprintf("bipartite(%d)", n),
-		"complete bipartite mutual-conflict component under two FDs",
-		inst, fd.MustParseSet(s, "A -> B", "C -> D"))
-}
-
-// ChainBipartite is Bipartite(n) with the chain priority
-// t0 ≻ t1 ≻ ... ≻ t(n-1); for n = 5 it reconstructs the intended
-// content of the paper's Example 9: S-Rep keeps both sides, G-Rep and
-// C-Rep keep only the even side.
-func ChainBipartite(n int) *Scenario {
-	sc := Bipartite(n)
-	for i := 0; i+1 < n; i++ {
-		sc.Pri.MustAdd(i, i+1)
-	}
-	sc.Name = fmt.Sprintf("chain-bipartite(%d)", n)
-	return sc
-}
-
-// Source is one input of the Integration scenario: a consistent
-// relation with a reliability rank (0 = most reliable).
-type Source struct {
-	Inst *relation.Instance
-	Rank int
-}
-
-// Integration unions the sources (Example 1) and derives the
-// reliability priority of Example 3: a tuple from a more reliable
-// source dominates conflicting tuples from less reliable ones.
-func Integration(fds *fd.Set, sources ...Source) (*Scenario, error) {
-	if len(sources) == 0 {
-		return nil, fmt.Errorf("workload: Integration needs at least one source")
-	}
-	merged := relation.NewInstance(sources[0].Inst.Schema())
-	rank := map[relation.TupleID]int{}
-	for _, src := range sources {
-		ok := true
-		src.Inst.Range(func(_ relation.TupleID, t relation.Tuple) bool {
-			id, fresh, err := merged.Insert(t)
-			if err != nil {
-				ok = false
-				return false
-			}
-			if !fresh {
-				// The same tuple contributed twice keeps its best
-				// (smallest) rank.
-				if src.Rank < rank[id] {
-					rank[id] = src.Rank
-				}
-				return true
-			}
-			rank[id] = src.Rank
-			return true
-		})
-		if !ok {
-			return nil, fmt.Errorf("workload: source schema mismatch")
-		}
-	}
-	g, err := conflict.Build(merged, fds)
-	if err != nil {
-		return nil, err
-	}
-	pri := priority.FromRanks(g, func(t relation.TupleID) int { return rank[t] })
-	return &Scenario{
-		Name: fmt.Sprintf("integration(%d sources)", len(sources)),
-		Desc: "Example 1/3: union of sources with reliability priority",
-		Inst: merged, FDs: fds, Pri: pri,
-	}, nil
 }
 
 // Random builds a random instance of n tuples over R(A,B,C) with

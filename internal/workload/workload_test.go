@@ -6,8 +6,6 @@ import (
 
 	"prefcqa/internal/bitset"
 	"prefcqa/internal/core"
-	"prefcqa/internal/fd"
-	"prefcqa/internal/relation"
 	"prefcqa/internal/repair"
 )
 
@@ -91,7 +89,7 @@ func TestClustersShape(t *testing.T) {
 }
 
 func TestBipartiteShape(t *testing.T) {
-	sc := Bipartite(5)
+	sc := Example9Mutual()
 	g := sc.Graph()
 	if g.NumEdges() != 6 {
 		t.Fatalf("K_{2,3} should have 6 edges, got %d\n%s", g.NumEdges(), g.ASCII())
@@ -124,27 +122,6 @@ func TestChainBipartiteReconstructsExample9(t *testing.T) {
 	}
 }
 
-func TestExample1Scenario(t *testing.T) {
-	sc := Example1()
-	if sc.Inst.Len() != 4 {
-		t.Fatalf("instance size = %d", sc.Inst.Len())
-	}
-	if sc.Graph().NumEdges() != 3 {
-		t.Fatalf("conflicts = %d, want 3", sc.Graph().NumEdges())
-	}
-	// Priority: mary ≻ maryIT, john ≻ johnPR; mary vs john unoriented.
-	if sc.Pri.Len() != 2 {
-		t.Fatalf("priority edges = %d, want 2", sc.Pri.Len())
-	}
-	// Three repairs; two preferred under G.
-	if got := len(core.All(core.Rep, sc.Pri)); got != 3 {
-		t.Fatalf("repairs = %d", got)
-	}
-	if got := len(core.All(core.Global, sc.Pri)); got != 2 {
-		t.Fatalf("G-repairs = %d", got)
-	}
-}
-
 func TestExample7And8Scenarios(t *testing.T) {
 	e7 := Example7()
 	if got := len(core.All(core.Local, e7.Pri)); got != 1 {
@@ -166,41 +143,6 @@ func TestExample9Scenario(t *testing.T) {
 	}
 	if !sc.Pri.IsTotal() {
 		t.Fatal("Example9 priority should be total")
-	}
-}
-
-func TestIntegrationRanks(t *testing.T) {
-	schema := relation.MustSchema("R", relation.IntAttr("K"), relation.IntAttr("V"))
-	fds := fd.MustParseSet(schema, "K -> V")
-	a := relation.NewInstance(schema)
-	a.MustInsert(1, 10)
-	b := relation.NewInstance(schema)
-	b.MustInsert(1, 20)
-	// Duplicate of a's tuple contributed by the worse source keeps the
-	// better rank.
-	c := relation.NewInstance(schema)
-	c.MustInsert(1, 10)
-
-	sc, err := Integration(fds, Source{a, 0}, Source{b, 1}, Source{c, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Inst.Len() != 2 {
-		t.Fatalf("merged size = %d", sc.Inst.Len())
-	}
-	id10, _ := sc.Inst.Lookup(relation.Tuple{relation.Int(1), relation.Int(10)})
-	id20, _ := sc.Inst.Lookup(relation.Tuple{relation.Int(1), relation.Int(20)})
-	if !sc.Pri.Dominates(id10, id20) {
-		t.Fatal("rank 0 tuple should dominate rank 1 tuple")
-	}
-	if _, err := Integration(fds); err == nil {
-		t.Fatal("Integration with no sources should fail")
-	}
-	// Schema mismatch.
-	other := relation.NewInstance(relation.MustSchema("S", relation.IntAttr("X")))
-	other.MustInsert(1)
-	if _, err := Integration(fds, Source{a, 0}, Source{other, 1}); err == nil {
-		t.Fatal("schema mismatch should fail")
 	}
 }
 
