@@ -155,3 +155,115 @@ func TestWarmRequestAllocations(t *testing.T) {
 		}
 	}
 }
+
+// updateCycle replays in process, on a clusterDB, the iteration the
+// serving benchmark's write_mix drives over the wire: a challenger
+// (k, v >= 2) joins the next oriented cluster, the cluster's anchor
+// (k, 0) is preferred over it, the previous iteration's challenger is
+// deleted — and after each of the three writes the database is read at
+// the version the write produced.
+type updateCycle struct {
+	db    *DB
+	r     *Relation
+	n     int          // clusters; the last three stay out of the rotation
+	pos   int          // iterations so far
+	prev  TupleID      // the live challenger, -1 before the first
+	prefs [][2]TupleID // every preference stated so far, clusterDB's included
+}
+
+func newUpdateCycle(tb testing.TB, n int) *updateCycle {
+	db := clusterDB(tb, n)
+	r, _ := db.Relation("R")
+	u := &updateCycle{db: db, r: r, n: n, prev: -1}
+	for k := 0; k < n-3; k++ {
+		u.prefs = append(u.prefs, [2]TupleID{2 * k, 2*k + 1}) // clusterDB's IDs are dense: (k, v) is 2k+v
+	}
+	return u
+}
+
+// step runs one iteration. Each write and the Snapshot that folds it
+// in — the derivation of a version, as opposed to the query that then
+// reads it — run inside derive when one is given, so a caller can
+// account for them apart. R(k, 0) is undetermined under G-Rep while
+// the challenger is not yet dominated, and certain once it is.
+func (u *updateCycle) step(tb testing.TB, derive func(func())) {
+	if derive == nil {
+		derive = func(fn func()) { fn() }
+	}
+	k := u.pos % (u.n - 3)
+	val := 2 + u.pos/(u.n-3)
+	u.pos++
+	var id TupleID
+	writes := [3]func() error{
+		func() (err error) { id, err = u.r.Insert(k, val); return err },
+		func() error { return u.r.Prefer(2*k, id) },
+		func() error {
+			if u.prev < 0 {
+				return nil
+			}
+			_, err := u.r.Delete(u.prev)
+			return err
+		},
+	}
+	point := fmt.Sprintf("R(%d, 0)", k)
+	for i, want := range [3]Answer{Undetermined, True, True} {
+		var snap *Snapshot
+		derive(func() {
+			err := writes[i]()
+			if err == nil {
+				snap, err = u.db.Snapshot()
+			}
+			if err != nil {
+				tb.Fatalf("iteration %d, write %d: %v", u.pos, i, err)
+			}
+		})
+		if a, err := snap.Query(Global, point); err != nil || a != want {
+			tb.Fatalf("iteration %d, after write %d: %s = %v, %v; want %v", u.pos, i, point, a, err, want)
+		}
+	}
+	u.prev = id
+	u.prefs = append(u.prefs, [2]TupleID{2 * k, id})
+}
+
+// TestUpdateCycleAllocations is the allocation gate of version
+// derivation: what one update iteration allocates in its three writes
+// and the three Snapshot calls that fold them in must depend on what
+// the writes touch — one two-tuple cluster each — not on how much the
+// overlays of the conflict graph, the priority and the instance hold
+// at the time, and so not on the size of the instance. The warm-up
+// leaves the overlays between two compactions; the measured stretch
+// spans several, so the amortized share of compaction and flatten is
+// counted. The queries are not: each allocates a visibility set sized
+// to the highest tuple ID it touches (the challenger), which is the
+// read path's business.
+func TestUpdateCycleAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads 100 000 clusters")
+	}
+	measure := func(n int) uint64 {
+		u := newUpdateCycle(t, n)
+		for i := 0; i < 3000; i++ {
+			u.step(t, nil)
+		}
+		var total uint64
+		var before, after runtime.MemStats
+		const iterations = 6000
+		for i := 0; i < iterations; i++ {
+			u.step(t, func(fn func()) {
+				runtime.ReadMemStats(&before)
+				fn()
+				runtime.ReadMemStats(&after)
+				total += after.TotalAlloc - before.TotalAlloc
+			})
+		}
+		return total / iterations
+	}
+	b25, b100 := measure(25000), measure(100000)
+	t.Logf("bytes per update iteration (three writes and three Snapshot calls): %d at 25 000 clusters, %d at 100 000", b25, b100)
+	if b100 > 128<<10 {
+		t.Errorf("an update iteration allocates %d B deriving its three versions at 100 000 clusters, want <= 128 KB", b100)
+	}
+	if float64(b100) > 1.5*float64(b25) {
+		t.Errorf("an update iteration allocates %d B at 100 000 clusters against %d B at 25 000: more than 1.5x for 4x the data", b100, b25)
+	}
+}

@@ -556,6 +556,43 @@ func BenchmarkMutationUpdate(b *testing.B) {
 	}
 }
 
+// BenchmarkUpdateCycle times the iteration the serving benchmark's
+// write_mix replays (updateCycle, alloc_test.go): three writes, each
+// followed by the Snapshot that derives a version from it and a point
+// query at that version. BenchmarkMutationUpdate's 2 000 clusters are
+// too few to show what a derivation costs; at these sizes a version
+// that copied its overlays would pay for thousands of entries per
+// write. The warm-up leaves the overlays between two compactions.
+func BenchmarkUpdateCycle(b *testing.B) {
+	for _, size := range []struct {
+		name string
+		n    int
+	}{{"25k", 25000}, {"100k", 100000}} {
+		b.Run(size.name, func(b *testing.B) {
+			u := newUpdateCycle(b, size.n)
+			era := func() uint64 {
+				g, err := u.r.Graph()
+				if err != nil {
+					b.Fatal(err)
+				}
+				return g.Era()
+			}
+			first := era()
+			for i := 0; i < 3000; i++ {
+				u.step(b, nil) // asserts the three answers
+			}
+			if era() == first {
+				b.Fatal("3000 warm-up iterations never compacted the conflict graph")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				u.step(b, nil)
+			}
+		})
+	}
+}
+
 func BenchmarkFacadeQueryGlobal(b *testing.B) {
 	db := New()
 	mgr, err := db.CreateRelation("Mgr",

@@ -2,24 +2,29 @@ package conflict
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"prefcqa/internal/fd"
+	"prefcqa/internal/pmap"
 	"prefcqa/internal/relation"
 )
 
 // This file implements delta maintenance of conflict graphs: instead
 // of rebuilding the graph (and its components) after every Insert or
-// Delete, ApplyDelta patches a copy-on-write overlay over the
-// immutable CSR base — O(touched neighborhood + touched components)
-// per mutation — and folds the overlay back into a fresh base once it
-// grows past a threshold (amortized O(1) per mutation).
+// Delete, ApplyDelta patches a persistent overlay over the immutable
+// CSR base — O((touched neighborhood + touched components) · log n)
+// per mutation, nothing proportional to the overlay or the instance —
+// and folds the overlay back into a fresh base once it grows past a
+// threshold (amortized O(1) per mutation).
 //
 // Version model: a Graph is immutable once published. ApplyDelta
-// forks the receiver — sharing the base arrays, copying the small
-// overlay maps — patches the fork, and returns it. Readers holding
-// the old version keep a consistent view; the writer publishes the
-// new one. Component IDs are immutable value identities: any change
+// forks the receiver — sharing the base arrays and the overlay maps,
+// which are persistent (internal/pmap): a patch copies the few trie
+// nodes above the entry it writes and the parent never sees it —
+// patches the fork, and returns it. Readers holding the old version
+// keep a consistent view; the writer publishes the new one.
+// Component IDs are immutable value identities: any change
 // to a component (membership via insert/delete, or orientation via
 // Touch) retires its ID and assigns fresh IDs to the results, which
 // is what lets per-component caches skip explicit invalidation — a
@@ -101,19 +106,21 @@ func (idx *lhsIndex) remove(inst *relation.Instance, id relation.TupleID) {
 }
 
 // overlay size thresholds: compaction triggers when either map
-// outgrows its bound. The bound trades the per-mutation fork cost
-// (copying the overlay) against compaction frequency (amortized
-// O(n + m) / threshold per mutation): n/64 keeps forks tens of
-// microseconds at 100k tuples while compaction amortizes to a few
-// microseconds per mutation.
+// outgrows its bound. Forking does not depend on the overlay's size;
+// what the bound trades against compaction frequency (amortized
+// O(n + m) / threshold per mutation) is the share of reads that go
+// through a trie instead of the flat base arrays, and the memory the
+// overlay and the rows it shadows hold: with n/64 compaction amortizes
+// to a few microseconds per mutation and the overlay stays a few
+// hundred kilobytes at 100k tuples.
 func (g *Graph) overlayTooBig() bool {
-	return len(g.rows) > 64+g.numVerts/64 || len(g.vertComp) > 64+g.numVerts/32
+	return g.rows.Len() > 64+g.numVerts/64 || g.vertComp.Len() > 64+g.numVerts/32
 }
 
-// fork returns a writable copy-on-write child of g bound to the given
-// (newer) instance version. The base arrays are shared; overlay maps
-// are copied. Cost is O(overlay size), bounded by the compaction
-// thresholds.
+// fork returns a writable child of g bound to the given (newer)
+// instance version. The base arrays and the overlay are shared: the
+// maps are persistent, so copying their three words is the fork, at a
+// cost independent of how much they hold.
 func (g *Graph) fork(inst *relation.Instance) *Graph {
 	g.ensureComps()
 	ng := &Graph{
@@ -121,24 +128,13 @@ func (g *Graph) fork(inst *relation.Instance) *Graph {
 		off: g.off, nbrs: g.nbrs, edges: g.edges,
 		numVerts: inst.NumIDs(), m: g.m, era: g.era,
 		deadBase: g.deadBase,
+		rows:     g.rows,
 		comps:    g.comps, compID: g.compID, localIdx: g.localIdx,
+		compOver: g.compOver, vertComp: g.vertComp,
 		nextCompID: g.nextCompID,
 		lhs:        g.lhs,
 	}
 	ng.compsOnce.Do(func() {}) // base arrays inherited, never recompute
-	ng.rows = make(map[int32][]int32, len(g.rows)+8)
-	for k, v := range g.rows {
-		ng.rows[k] = v
-	}
-	ng.extraEdges = append([]Edge(nil), g.extraEdges...)
-	ng.compOver = make(map[int32][]int, len(g.compOver)+8)
-	for k, v := range g.compOver {
-		ng.compOver[k] = v
-	}
-	ng.vertComp = make(map[int32]int32, len(g.vertComp)+8)
-	for k, v := range g.vertComp {
-		ng.vertComp[k] = v
-	}
 	return ng
 }
 
@@ -148,9 +144,10 @@ func (g *Graph) fork(inst *relation.Instance) *Graph {
 // the delta produced (a descendant of the receiver's instance):
 // inserted IDs are appended IDs, deleted IDs must have been live.
 //
-// Cost is O(Σ touched neighborhoods + Σ touched component sizes),
-// plus an amortized O(n + m) share of the periodic compaction —
-// versus O(n + m) for every full rebuild.
+// Cost is O(Σ touched neighborhoods + Σ touched component sizes)
+// overlay patches of O(log n) small node copies each, plus an
+// amortized O(n + m) share of the periodic compaction — versus
+// O(n + m) for every full rebuild.
 func (g *Graph) ApplyDelta(inst *relation.Instance, d Delta) (*Graph, *DeltaReport, error) {
 	if !inst.Schema().Equal(g.inst.Schema()) {
 		return nil, nil, fmt.Errorf("conflict: delta instance schema %s does not match graph schema %s",
@@ -170,11 +167,6 @@ func (g *Graph) ApplyDelta(inst *relation.Instance, d Delta) (*Graph, *DeltaRepo
 		}
 		ng.insertVertex(t, rep)
 	}
-	if rep.AddedEdges > 0 {
-		// One sort per batch: insertVertex appends its partner edges
-		// unsorted; Edges()/compact expect (A, B) order.
-		sortEdges(ng.extraEdges)
-	}
 	for _, v := range d.Deletes {
 		if !ng.Live(v) {
 			return nil, nil, fmt.Errorf("conflict: deleted ID %d is not live", v)
@@ -191,9 +183,9 @@ func (g *Graph) ApplyDelta(inst *relation.Instance, d Delta) (*Graph, *DeltaRepo
 // retireComp marks a component ID as no longer current.
 func (g *Graph) retireComp(id int32, rep *DeltaReport) {
 	if int(id) < len(g.comps) {
-		g.compOver[id] = nil // tombstone a base ID
+		g.compOver.Set(int(id), nil) // tombstone a base ID
 	} else {
-		delete(g.compOver, id)
+		g.compOver.Delete(int(id))
 	}
 	rep.Retired = append(rep.Retired, id)
 }
@@ -203,9 +195,9 @@ func (g *Graph) retireComp(id int32, rep *DeltaReport) {
 func (g *Graph) newComp(members []int, rep *DeltaReport) int32 {
 	id := g.nextCompID
 	g.nextCompID++
-	g.compOver[id] = members
+	g.compOver.Set(int(id), members)
 	for _, m := range members {
-		g.vertComp[int32(m)] = id
+		g.vertComp.Set(m, id)
 	}
 	rep.Fresh = append(rep.Fresh, id)
 	return id
@@ -216,20 +208,16 @@ func (g *Graph) newComp(members []int, rep *DeltaReport) int32 {
 // the partner components (if any) merge with t into one fresh
 // component.
 func (g *Graph) insertVertex(t relation.TupleID, rep *DeltaReport) {
-	// Discover conflict partners per dependency; the first dependency
-	// witnessing a pair labels the edge, matching Build. Partner probes
-	// compare column cells by ID — no tuple materialization.
+	// Discover conflict partners per dependency. Partner probes compare
+	// column cells by ID — no tuple materialization. A partner under
+	// two dependencies is found twice; sorting puts the two side by
+	// side.
 	var partners []int32
 	var buf [48]byte
-	fdOf := make(map[int32]int)
 	for fi, f := range g.lhs.fds {
 		k := f.AppendLHSKeyAt(buf[:0], g.inst, t)
 		for _, c := range g.lhs.buckets[fi][string(k)] {
-			if _, seen := fdOf[c]; seen {
-				continue
-			}
 			if f.ConflictsAt(g.inst, t, int(c)) {
-				fdOf[c] = fi
 				partners = append(partners, c)
 			}
 		}
@@ -240,25 +228,26 @@ func (g *Graph) insertVertex(t relation.TupleID, rep *DeltaReport) {
 		g.newComp([]int{t}, rep)
 		return
 	}
-	sort.Slice(partners, func(i, j int) bool { return partners[i] < partners[j] })
-	g.rows[int32(t)] = partners
+	slices.Sort(partners)
+	partners = slices.Compact(partners)
+	g.rows.Set(t, partners)
 	for _, c := range partners {
-		g.rows[c] = insertSorted(g.Neighbors(int(c)), int32(t))
-		g.extraEdges = append(g.extraEdges, Edge{A: int(c), B: t, FD: fdOf[c]})
+		g.rows.Set(int(c), insertSorted(g.Neighbors(int(c)), int32(t)))
 	}
 	g.m += len(partners)
 	rep.AddedEdges += len(partners)
-	// Merge the partner components and t into one fresh component.
+	// Merge the partner components and t into one fresh component. A
+	// component two partners share resolves to nil for the second one:
+	// the first retired it.
 	var members []int
-	seen := make(map[int32]bool)
 	for _, c := range partners {
-		cid := int32(g.ComponentOf(int(c)))
-		if seen[cid] {
+		cid := g.ComponentOf(int(c))
+		old := g.Component(cid)
+		if old == nil {
 			continue
 		}
-		seen[cid] = true
-		members = append(members, g.Component(int(cid))...)
-		g.retireComp(cid, rep)
+		members = append(members, old...)
+		g.retireComp(int32(cid), rep)
 	}
 	members = append(members, t)
 	sort.Ints(members)
@@ -273,25 +262,16 @@ func (g *Graph) deleteVertex(v relation.TupleID, rep *DeltaReport) {
 	g.compList.Store((*componentListing)(nil))
 	nbrs := append([]int32(nil), g.Neighbors(v)...)
 	for _, u := range nbrs {
-		g.rows[u] = removeSorted(g.Neighbors(int(u)), int32(v))
+		g.rows.Set(int(u), removeSorted(g.Neighbors(int(u)), int32(v)))
 	}
-	g.rows[int32(v)] = nil
-	if len(g.extraEdges) > 0 {
-		kept := g.extraEdges[:0]
-		for _, e := range g.extraEdges {
-			if e.A != v && e.B != v {
-				kept = append(kept, e)
-			}
-		}
-		g.extraEdges = kept
-	}
+	g.rows.Set(v, nil)
 	g.m -= len(nbrs)
 	rep.RemovedEdges += len(nbrs)
 
 	cid := int32(g.ComponentOf(v))
 	old := g.Component(int(cid))
 	g.retireComp(cid, rep)
-	g.vertComp[int32(v)] = -1
+	g.vertComp.Set(v, -1)
 	if len(old) == 1 {
 		return // v was a singleton
 	}
@@ -324,12 +304,6 @@ func (g *Graph) deleteVertex(v relation.TupleID, rep *DeltaReport) {
 // version produced by ApplyDelta that has not been published yet.
 func (g *Graph) Touch(v relation.TupleID) (int32, int32) {
 	g.ensureComps()
-	if g.compOver == nil {
-		g.compOver = make(map[int32][]int)
-	}
-	if g.vertComp == nil {
-		g.vertComp = make(map[int32]int32)
-	}
 	cid := int32(g.ComponentOf(v))
 	if cid < 0 {
 		return -1, -1
@@ -350,11 +324,10 @@ func (g *Graph) compact() {
 	g.edges = g.Edges()
 	g.m = len(g.edges)
 	g.rebuildCSR()
-	g.rows = make(map[int32][]int32)
-	g.extraEdges = nil
+	g.rows = pmap.Map[[]int32]{}
 	g.deadBase = g.inst.DeadIDs()
-	g.compOver = make(map[int32][]int)
-	g.vertComp = make(map[int32]int32)
+	g.compOver = pmap.Map[[]int]{}
+	g.vertComp = pmap.Map[int32]{}
 	g.computeComponents()
 	g.era = eraCounter.Add(1)
 	g.compList.Store((*componentListing)(nil))
@@ -383,13 +356,4 @@ func removeSorted(row []int32, v int32) []int32 {
 	copy(out, row[:i])
 	copy(out[i:], row[i+1:])
 	return out
-}
-
-func sortEdges(es []Edge) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].A != es[j].A {
-			return es[i].A < es[j].A
-		}
-		return es[i].B < es[j].B
-	})
 }

@@ -191,7 +191,11 @@ func TestTouchRetiresComponent(t *testing.T) {
 
 // TestApplyDeltaVersionIsolation verifies the copy-on-write contract:
 // the parent graph answers from its own version after the child is
-// patched.
+// patched — one generation apart first, then at depth: versions pinned
+// along a 6 000-mutation stream (inserts, conflicting inserts, deletes,
+// re-inserts of deleted tuples, across many compactions) share their
+// overlay with every version derived after them, and each must still
+// equal a fresh Build of its own instance when the stream is over.
 func TestApplyDeltaVersionIsolation(t *testing.T) {
 	schema := relation.MustSchema("R", relation.IntAttr("A"), relation.IntAttr("B"))
 	inst := relation.NewInstance(schema)
@@ -221,6 +225,48 @@ func TestApplyDeltaVersionIsolation(t *testing.T) {
 	}
 	if len(g.Components()) != 1 || len(g.Components()[0]) != 2 {
 		t.Fatalf("parent components changed: %v", g.Components())
+	}
+
+	type pin struct {
+		g    *Graph
+		inst *relation.Instance
+	}
+	var pins []pin
+	rng := rand.New(rand.NewSource(19))
+	g, inst = g2, inst2
+	compactions := 0
+	for step := 0; step < 6000; step++ {
+		inst = inst.Fork()
+		var d Delta
+		if live := inst.AllIDs().Slice(); rng.Intn(5) < 2 && len(live) > 40 {
+			v := live[rng.Intn(len(live))]
+			inst.Delete(v)
+			d.Deletes = append(d.Deletes, v)
+		} else {
+			// 150 keys of up to 4 values: most inserts conflict, and a
+			// deleted tuple comes back under a fresh ID sooner or later.
+			before := inst.NumIDs()
+			if id, _ := inst.InsertValues(rng.Intn(150), rng.Intn(4)); inst.NumIDs() > before {
+				d.Inserts = append(d.Inserts, id)
+			}
+		}
+		ng, rep, err := g.ApplyDelta(inst, d)
+		if err != nil {
+			t.Fatalf("step %d: ApplyDelta: %v", step, err)
+		}
+		if rep.Compacted {
+			compactions++
+		}
+		g = ng
+		if step%97 == 0 {
+			pins = append(pins, pin{g, inst})
+		}
+	}
+	if compactions < 2 {
+		t.Fatalf("%d compactions in 6000 mutations, want at least 2", compactions)
+	}
+	for _, p := range pins {
+		checkGraphsEquivalent(t, p.g.Len(), p.g, MustBuild(p.inst, fds))
 	}
 }
 

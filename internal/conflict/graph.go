@@ -12,12 +12,14 @@
 //
 // Graphs support delta maintenance (ApplyDelta, delta.go): a mutation
 // produces a new Graph version that shares the immutable CSR base
-// arrays with its parent and carries the differences in small overlay
-// maps, compacted back into a fresh base once they grow. Connected
-// components are maintained incrementally and identified by IDs that
-// are immutable value identities: any change to a component retires
-// its ID and assigns fresh IDs to the results, so caches keyed by
-// (era, component ID) never need explicit invalidation.
+// arrays with its parent and carries the differences in persistent
+// overlay maps (internal/pmap) it also shares with its parent up to
+// the entries it patches, compacted back into a fresh base once they
+// grow. Connected components are maintained incrementally and
+// identified by IDs that are immutable value identities: any change
+// to a component retires its ID and assigns fresh IDs to the results,
+// so caches keyed by (era, component ID) never need explicit
+// invalidation.
 package conflict
 
 import (
@@ -30,6 +32,7 @@ import (
 
 	"prefcqa/internal/bitset"
 	"prefcqa/internal/fd"
+	"prefcqa/internal/pmap"
 	"prefcqa/internal/relation"
 )
 
@@ -70,12 +73,11 @@ type Graph struct {
 	// recorded in vertComp as -1.
 	deadBase *bitset.Set
 
-	// Delta overlay (nil maps on a statically built graph). rows holds
-	// full replacement adjacency rows for vertices whose neighborhood
-	// changed since the base; extraEdges lists edges absent from the
-	// base, sorted by (A, B).
-	rows       map[int32][]int32
-	extraEdges []Edge
+	// Delta overlay (empty on a statically built graph): full
+	// replacement adjacency rows for the vertices whose neighborhood
+	// changed since the base. The conflicts absent from the base are
+	// read off these rows (Edges); nothing else records them.
+	rows pmap.Map[[]int32]
 
 	// Component bookkeeping. The base arrays are computed lazily once
 	// and never change; overlay maps carry reassignments. comps[i] has
@@ -84,8 +86,8 @@ type Graph struct {
 	comps      [][]int         // base components, sorted members, min-vertex order
 	compID     []int32         // base vertex -> component ID (-1: dead at base)
 	localIdx   []int32         // base vertex -> position in its sorted component
-	compOver   map[int32][]int // component ID -> members; nil members = retired base ID
-	vertComp   map[int32]int32 // vertex -> current component ID (-1: deleted)
+	compOver   pmap.Map[[]int] // component ID -> members; nil members = retired base ID
+	vertComp   pmap.Map[int32] // vertex -> current component ID (-1: deleted)
 	nextCompID int32
 	compList   atomic.Pointer[componentListing] // cached live listing
 
@@ -192,10 +194,8 @@ func (g *Graph) Live(v relation.TupleID) bool {
 	if v < 0 || v >= g.numVerts {
 		return false
 	}
-	if g.vertComp != nil {
-		if c, ok := g.vertComp[int32(v)]; ok {
-			return c >= 0
-		}
+	if c, ok := g.vertComp.Get(v); ok {
+		return c >= 0
 	}
 	return g.deadBase == nil || !g.deadBase.Has(v)
 }
@@ -206,28 +206,59 @@ func (g *Graph) LiveSet() *bitset.Set {
 	if g.deadBase != nil {
 		s.DifferenceWith(g.deadBase)
 	}
-	for v, c := range g.vertComp {
+	g.vertComp.Range(func(v int, c int32) bool {
 		if c < 0 {
-			s.Remove(int(v))
+			s.Remove(v)
 		}
-	}
+		return true
+	})
 	return s
 }
 
-// Edges returns the live conflicts (A < B, sorted by (A, B)).
+// Edges returns the live conflicts (A < B, sorted by (A, B)): the base
+// list without the pairs that lost an endpoint, merged with the pairs
+// wired in since the base was built. Such a pair has the inserted
+// tuple — an ID beyond the base — as its larger endpoint and both
+// endpoints' rows in the overlay, so one ascending walk of the overlay
+// rows yields them in order; their label is recomputed here, the only
+// place that wants it. O(m + overlay).
 func (g *Graph) Edges() []Edge {
-	if len(g.extraEdges) == 0 && g.m == len(g.edges) {
-		return append([]Edge(nil), g.edges...)
-	}
 	out := make([]Edge, 0, g.m)
-	for _, e := range g.edges {
-		if g.Live(e.A) && g.Live(e.B) {
-			out = append(out, e)
+	if g.rows.Len() == 0 {
+		return append(out, g.edges...)
+	}
+	base, baseN := g.edges, len(g.off)-1
+	// flush emits the live base edges ordered before (a, b).
+	flush := func(a, b int) {
+		for len(base) > 0 && (base[0].A < a || base[0].A == a && base[0].B < b) {
+			if g.Live(base[0].A) && g.Live(base[0].B) {
+				out = append(out, base[0])
+			}
+			base = base[1:]
 		}
 	}
-	out = append(out, g.extraEdges...)
-	sortEdges(out)
+	g.rows.Range(func(a int, row []int32) bool {
+		for _, b := range row {
+			if b := int(b); b > a && b >= baseN {
+				flush(a, b)
+				out = append(out, Edge{A: a, B: b, FD: g.witness(a, b)})
+			}
+		}
+		return true
+	})
+	flush(g.numVerts, 0)
 	return out
+}
+
+// witness returns the first dependency tuples a and b violate, the
+// label Build gives their edge.
+func (g *Graph) witness(a, b relation.TupleID) int {
+	for i := 0; i < g.fds.Len(); i++ {
+		if g.fds.FD(i).ConflictsAt(g.inst, a, b) {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("conflict: adjacent tuples %d and %d violate no dependency", a, b))
 }
 
 // Adjacent reports whether tuples a and b conflict, by binary search
@@ -245,10 +276,8 @@ func (g *Graph) Adjacent(a, b relation.TupleID) bool {
 // Neighbors returns n(t): the tuples conflicting with t, as a sorted
 // slice view. The caller must not mutate it.
 func (g *Graph) Neighbors(t relation.TupleID) []int32 {
-	if g.rows != nil {
-		if r, ok := g.rows[int32(t)]; ok {
-			return r
-		}
+	if r, ok := g.rows.Get(t); ok {
+		return r
 	}
 	if t >= len(g.off)-1 {
 		return nil // post-base vertex with no conflicts
@@ -336,7 +365,7 @@ func (g *Graph) ConflictClosure(s *bitset.Set) *bitset.Set {
 
 // ensureComps computes the base component arrays once. On graphs that
 // undergo deltas the base is always computed before the first fork,
-// so overlay maps never exist while the base is missing.
+// so the overlay is never patched while the base is missing.
 func (g *Graph) ensureComps() {
 	g.compsOnce.Do(g.computeComponents)
 }
@@ -367,7 +396,7 @@ func (g *Graph) listing() *componentListing {
 	}
 	g.ensureComps()
 	var l *componentListing
-	if len(g.compOver) == 0 {
+	if g.compOver.Len() == 0 {
 		ids := make([]int32, len(g.comps))
 		for i := range ids {
 			ids[i] = int32(i)
@@ -382,23 +411,23 @@ func (g *Graph) listing() *componentListing {
 			members []int
 			id      int32
 		}
-		over := make([]entry, 0, len(g.compOver))
-		for id, c := range g.compOver {
+		over := make([]entry, 0, g.compOver.Len())
+		var retired []int // base IDs, ascending like the overlay's keys
+		g.compOver.Range(func(id int, c []int) bool {
 			if c != nil {
-				over = append(over, entry{members: c, id: id})
+				over = append(over, entry{members: c, id: int32(id)})
+			} else {
+				retired = append(retired, id)
 			}
-		}
+			return true
+		})
 		sort.Slice(over, func(i, j int) bool { return over[i].members[0] < over[j].members[0] })
-		n := 0
-		for i := range g.comps {
-			if _, retired := g.compOver[int32(i)]; !retired {
-				n++
-			}
-		}
-		l = &componentListing{comps: make([][]int, 0, n+len(over)), ids: make([]int32, 0, n+len(over))}
+		n := len(g.comps) - len(retired) + len(over)
+		l = &componentListing{comps: make([][]int, 0, n), ids: make([]int32, 0, n)}
 		oi := 0
 		for i, c := range g.comps {
-			if _, retired := g.compOver[int32(i)]; retired {
+			if len(retired) > 0 && retired[0] == i {
+				retired = retired[1:]
 				continue
 			}
 			for oi < len(over) && over[oi].members[0] < c[0] {
@@ -424,10 +453,8 @@ func (g *Graph) listing() *componentListing {
 // statically built graph IDs coincide with positions in Components().
 func (g *Graph) ComponentOf(v relation.TupleID) int {
 	g.ensureComps()
-	if g.vertComp != nil {
-		if c, ok := g.vertComp[int32(v)]; ok {
-			return int(c)
-		}
+	if c, ok := g.vertComp.Get(v); ok {
+		return int(c)
 	}
 	if v < 0 || v >= len(g.compID) {
 		return -1
@@ -440,10 +467,8 @@ func (g *Graph) ComponentOf(v relation.TupleID) int {
 // mutate the result.
 func (g *Graph) Component(id int) []int {
 	g.ensureComps()
-	if g.compOver != nil {
-		if m, ok := g.compOver[int32(id)]; ok {
-			return m
-		}
+	if m, ok := g.compOver.Get(id); ok {
+		return m
 	}
 	if id >= 0 && id < len(g.comps) {
 		return g.comps[id]
@@ -456,14 +481,13 @@ func (g *Graph) Component(id int) []int {
 // tombstoned vertices.
 func (g *Graph) LocalIndexOf(v relation.TupleID) int {
 	g.ensureComps()
-	if g.vertComp != nil {
-		if cid, ok := g.vertComp[int32(v)]; ok {
-			if cid < 0 {
-				return -1
-			}
-			// Reassigned vertices always live in overlay components.
-			return sort.SearchInts(g.compOver[cid], v)
+	if cid, ok := g.vertComp.Get(v); ok {
+		if cid < 0 {
+			return -1
 		}
+		// Reassigned vertices always live in overlay components.
+		members, _ := g.compOver.Get(int(cid))
+		return sort.SearchInts(members, v)
 	}
 	if v < 0 || v >= len(g.localIdx) {
 		return -1

@@ -113,7 +113,12 @@ func TestDeltaMatchesRegeneration(t *testing.T) {
 }
 
 // TestRebaseIsolation checks that Add/DropVertex on a rebased child
-// leave the parent untouched.
+// leave the parent untouched — one generation apart first, then at
+// depth: priorities pinned along a 6 000-mutation stream (inserts,
+// deletes, re-inserts, preferences; across flattens and compactions)
+// share their overlay with every version rebased after them, and each
+// must still equal a regeneration from its own instance and its own
+// preference history when the stream is over.
 func TestRebaseIsolation(t *testing.T) {
 	schema := relation.MustSchema("R", relation.IntAttr("A"), relation.IntAttr("B"))
 	inst := relation.NewInstance(schema)
@@ -134,6 +139,87 @@ func TestRebaseIsolation(t *testing.T) {
 	}
 	if q.Len() != 1 || q.Dominates(a, b) || !q.Dominates(b, c) {
 		t.Fatalf("child wrong: %v", q.Edges())
+	}
+
+	type pin struct {
+		p     *Priority
+		inst  *relation.Instance
+		pairs [][2]relation.TupleID
+	}
+	var pins []pin
+	// The accepted preferences between live tuples. Pins keep the slice
+	// they saw: it is only ever replaced, never written in place.
+	var pairs [][2]relation.TupleID
+	rng := rand.New(rand.NewSource(19))
+	p = New(g)
+	flattens, compactions := 0, 0
+	apply := func(d conflict.Delta) {
+		ng, rep, err := g.ApplyDelta(inst, d)
+		if err != nil {
+			t.Fatalf("ApplyDelta(%+v): %v", d, err)
+		}
+		if rep.Compacted {
+			compactions++
+		}
+		g, p = ng, p.Rebase(ng)
+		if !p.cow {
+			flattens++
+		}
+	}
+	for step := 0; step < 6000; step++ {
+		switch live, k := inst.AllIDs().Slice(), rng.Intn(10); {
+		case k < 3 && len(live) > 40: // delete
+			v := live[rng.Intn(len(live))]
+			inst = inst.Fork()
+			inst.Delete(v)
+			apply(conflict.Delta{Deletes: []int{v}})
+			p.DropVertex(v)
+			kept := make([][2]relation.TupleID, 0, len(pairs))
+			for _, pr := range pairs {
+				if pr[0] != v && pr[1] != v {
+					kept = append(kept, pr)
+				}
+			}
+			pairs = kept
+		case k < 6 && g.NumEdges() > 0: // prefer
+			es := g.Edges()
+			e := es[rng.Intn(len(es))]
+			x, y := e.A, e.B
+			if rng.Intn(2) == 0 {
+				x, y = y, x
+			}
+			q := p.Rebase(g) // apply on a fork, as the facade does
+			if q.Oriented(x, y) || q.Add(x, y) != nil {
+				continue // oriented already, or a cycle: rejected on both paths
+			}
+			p = q
+			pairs = append(pairs[:len(pairs):len(pairs)], [2]relation.TupleID{x, y})
+		default:
+			// Insert: 150 keys of up to 4 values, so most inserts conflict
+			// and a deleted tuple comes back under a fresh ID.
+			inst = inst.Fork()
+			var d conflict.Delta
+			before := inst.NumIDs()
+			if id, _ := inst.InsertValues(rng.Intn(150), rng.Intn(4)); inst.NumIDs() > before {
+				d.Inserts = []int{id}
+			}
+			apply(d)
+		}
+		if step%97 == 0 {
+			pins = append(pins, pin{p, inst, pairs})
+		}
+	}
+	if flattens < 1 || compactions < 2 {
+		t.Fatalf("%d flattens and %d compactions in 6000 mutations, want at least 1 and 2", flattens, compactions)
+	}
+	for i, pn := range pins {
+		ref, err := FromRelation(conflict.MustBuild(pn.inst, fds), pn.pairs)
+		if err != nil {
+			t.Fatalf("pin %d: FromRelation: %v", i, err)
+		}
+		if !prioritiesEqual(pn.p, ref) {
+			t.Fatalf("pin %d: pinned priority %v != regenerated %v", i, pn.p.Edges(), ref.Edges())
+		}
 	}
 }
 

@@ -14,9 +14,10 @@
 // Priorities participate in the delta-maintenance version model of
 // the conflict package: Rebase forks a priority onto a new graph
 // version as a copy-on-write child (base rows shared, touched rows in
-// a small overlay), so point mutations — DropVertex on a delete, Add
-// on a new preference — cost O(touched rows) instead of regenerating
-// the priority from scratch.
+// a persistent overlay the child shares with its parent), so point
+// mutations — DropVertex on a delete, Add on a new preference — cost
+// O(touched rows · log n) instead of regenerating the priority from
+// scratch, and the fork itself costs nothing that grows with either.
 package priority
 
 import (
@@ -26,6 +27,7 @@ import (
 
 	"prefcqa/internal/bitset"
 	"prefcqa/internal/conflict"
+	"prefcqa/internal/pmap"
 	"prefcqa/internal/relation"
 )
 
@@ -41,7 +43,7 @@ type Priority struct {
 	// the base arrays (post-fork inserts).
 	succ [][]int32
 	pred [][]int32
-	over map[int32]prow
+	over pmap.Map[prow]
 	cow  bool
 	n    int // number of oriented edges
 }
@@ -68,10 +70,8 @@ func (p *Priority) Len() int { return p.n }
 // row resolves a vertex's successor/predecessor rows through the
 // overlay.
 func (p *Priority) row(v relation.TupleID) prow {
-	if p.over != nil {
-		if r, ok := p.over[int32(v)]; ok {
-			return r
-		}
+	if r, ok := p.over.Get(v); ok {
+		return r
 	}
 	if v >= 0 && v < len(p.succ) {
 		return prow{succ: p.succ[v], pred: p.pred[v]}
@@ -86,22 +86,19 @@ func (p *Priority) succs(v relation.TupleID) []int32 { return p.row(v).succ }
 func (p *Priority) preds(v relation.TupleID) []int32 { return p.row(v).pred }
 
 // Rebase forks p onto a (newer) graph version as a copy-on-write
-// child: base rows are shared, the overlay is copied, and subsequent
+// child: base rows and the overlay are shared — the overlay is a
+// persistent map, so the fork is a struct copy — and subsequent
 // Add/DropVertex calls patch only the touched rows. The receiver is
 // left untouched and remains the consistent view of the old version.
 // Once the overlay outgrows its bound, the fork instead flattens into
 // fresh private base arrays (O(n), amortized O(1) per mutation), so a
-// long mutation stream never pays more than the bound per fork.
+// long mutation stream keeps all but a bounded share of its row reads
+// on the flat arrays and holds a bounded number of shadowed rows.
 func (p *Priority) Rebase(g *conflict.Graph) *Priority {
-	if len(p.over) > 64+g.Len()/64 {
+	if p.over.Len() > 64+g.Len()/64 {
 		return p.flatten(g)
 	}
-	q := &Priority{g: g, succ: p.succ, pred: p.pred, cow: true, n: p.n}
-	q.over = make(map[int32]prow, len(p.over)+4)
-	for k, v := range p.over {
-		q.over[k] = v
-	}
-	return q
+	return &Priority{g: g, succ: p.succ, pred: p.pred, over: p.over, cow: true, n: p.n}
 }
 
 // flatten materializes the overlay into fresh base arrays sized for
@@ -164,9 +161,9 @@ func removeCopy(s []int32, v int32) []int32 {
 func (p *Priority) addEdge(x, y relation.TupleID) {
 	if p.cow {
 		rx := p.row(x)
-		p.over[int32(x)] = prow{succ: insertCopy(rx.succ, int32(y)), pred: rx.pred}
+		p.over.Set(x, prow{succ: insertCopy(rx.succ, int32(y)), pred: rx.pred})
 		ry := p.row(y)
-		p.over[int32(y)] = prow{succ: ry.succ, pred: insertCopy(ry.pred, int32(x))}
+		p.over.Set(y, prow{succ: ry.succ, pred: insertCopy(ry.pred, int32(x))})
 	} else {
 		p.succ[x] = insert(p.succ[x], int32(y))
 		p.pred[y] = insert(p.pred[y], int32(x))
@@ -178,9 +175,9 @@ func (p *Priority) addEdge(x, y relation.TupleID) {
 func (p *Priority) removeEdge(x, y relation.TupleID) {
 	if p.cow {
 		rx := p.row(x)
-		p.over[int32(x)] = prow{succ: removeCopy(rx.succ, int32(y)), pred: rx.pred}
+		p.over.Set(x, prow{succ: removeCopy(rx.succ, int32(y)), pred: rx.pred})
 		ry := p.row(y)
-		p.over[int32(y)] = prow{succ: ry.succ, pred: removeCopy(ry.pred, int32(x))}
+		p.over.Set(y, prow{succ: ry.succ, pred: removeCopy(ry.pred, int32(x))})
 	} else {
 		p.succ[x] = remove(p.succ[x], int32(y))
 		p.pred[y] = remove(p.pred[y], int32(x))
@@ -218,14 +215,14 @@ func (p *Priority) DropVertex(v relation.TupleID) {
 	}
 	for _, y := range r.succ {
 		ry := p.row(int(y))
-		p.over[y] = prow{succ: ry.succ, pred: removeCopy(ry.pred, int32(v))}
+		p.over.Set(int(y), prow{succ: ry.succ, pred: removeCopy(ry.pred, int32(v))})
 	}
 	for _, x := range r.pred {
 		rx := p.row(int(x))
-		p.over[x] = prow{succ: removeCopy(rx.succ, int32(v)), pred: rx.pred}
+		p.over.Set(int(x), prow{succ: removeCopy(rx.succ, int32(v)), pred: rx.pred})
 	}
 	p.n -= len(r.succ) + len(r.pred)
-	p.over[int32(v)] = prow{}
+	p.over.Set(v, prow{})
 }
 
 // Dominates reports whether x ≻ y.

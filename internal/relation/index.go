@@ -5,12 +5,13 @@ import (
 	"sync"
 )
 
-// Secondary indexes.
+// The chain index.
 //
-// An attrIndex is the per-attribute hash index of one instance
-// version chain: for every attribute position, a map from value key
-// to the ascending list of tuple IDs carrying that value. The
-// structure exploits the storage model of the chain — tuple IDs are
+// A chainIndex is the index of one instance version chain: the tuple
+// key index (whole-tuple key → tuple ID, behind Lookup and the set
+// semantics of Insert) and, for every attribute position, a map from
+// value key to the ascending list of tuple IDs carrying that value.
+// The structure exploits the storage model of the chain — tuple IDs are
 // dense, assigned in insertion order, never reused, and the cell
 // data for an ID is immutable — so one shared, append-only index
 // serves every version of the chain:
@@ -19,7 +20,12 @@ import (
 //     with id < n, filtered by its own tombstone set. Older snapshots
 //     therefore read the same postings as the mutable head and stay
 //     consistent by construction; Delete needs no index maintenance
-//     at all.
+//     at all. The key index is read the same way: a key maps to the
+//     IDs it was inserted under, newest first (a tuple re-inserted
+//     after a delete gets a fresh ID), and a version takes the first
+//     one below its own bound — if that one is dead for it, so is
+//     every older one, since the newer was only assigned after the
+//     older had been deleted.
 //   - Insert appends the new ID to the postings of each already-built
 //     attribute (IDs arrive in ascending order, keeping postings
 //     sorted); attributes nobody has probed yet cost nothing.
@@ -59,10 +65,15 @@ type attrPostings struct {
 	sortedLen int
 }
 
-// attrIndex is the shared secondary index of a version chain.
-type attrIndex struct {
+// chainIndex is the shared index of a version chain.
+type chainIndex struct {
 	mu    sync.RWMutex
 	attrs []attrPostings
+	// keys maps a tuple key to the newest ID inserted under it, live
+	// or not; older links a re-inserted tuple's ID to the one its key
+	// carried before (nil until the first re-insert).
+	keys  map[string]TupleID
+	older map[TupleID]TupleID
 	// lastID is the highest tuple ID ever inserted through this
 	// index. On a linear version chain insert IDs strictly increase;
 	// a repeated or smaller ID means a sibling fork shares the index
@@ -70,8 +81,21 @@ type attrIndex struct {
 	lastID TupleID
 }
 
-func newAttrIndex(arity int) *attrIndex {
-	return &attrIndex{attrs: make([]attrPostings, arity), lastID: -1}
+func newChainIndex(arity int) *chainIndex {
+	return &chainIndex{attrs: make([]attrPostings, arity), keys: make(map[string]TupleID), lastID: -1}
+}
+
+// lookupKey returns the newest ID below n inserted under tuple key k:
+// the one a version with NumIDs() = n resolves k to, once it has
+// checked it against its own tombstones.
+func (ix *chainIndex) lookupKey(k string, n int) (TupleID, bool) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	id, ok := ix.keys[k]
+	for ok && id >= n {
+		id, ok = ix.older[id]
+	}
+	return id, ok
 }
 
 // keyOf returns the postings-map key of a value.
@@ -80,7 +104,7 @@ func keyOf(v Value) string { return string(v.appendKey(make([]byte, 0, 24))) }
 // extendLocked indexes column cells [ap.upto, n) into attribute attr.
 // Caller holds ix.mu for writing; col is the probing instance's
 // column, so cells below n are immutable.
-func (ix *attrIndex) extendLocked(attr int, col *column, n int) {
+func (ix *chainIndex) extendLocked(attr int, col *column, n int) {
 	ap := &ix.attrs[attr]
 	if ap.m == nil {
 		ap.m = make(map[string]*posting)
@@ -100,19 +124,27 @@ func (ix *attrIndex) extendLocked(attr int, col *column, n int) {
 	ap.built = true
 }
 
-// noteInsert maintains the built attributes after tuple id was
-// appended to the columns. diverged=true signals that a sibling fork
-// of the same parent already claimed this (or a later) ID: nothing
-// was recorded and the caller must detach onto a fresh index. The
-// check runs before any attribute is touched, so a divergent insert
-// never poisons the postings the first chain keeps using.
-func (ix *attrIndex) noteInsert(id TupleID, cols []column) (diverged bool) {
+// noteInsert records tuple id, appended to the columns under tuple
+// key k, in the key index and the built attributes. diverged=true
+// signals that a sibling fork of the same parent already claimed this
+// (or a later) ID: nothing was recorded and the caller must detach
+// onto a fresh index. The check runs before anything is touched, so a
+// divergent insert never poisons the keys and postings the first chain
+// keeps using.
+func (ix *chainIndex) noteInsert(id TupleID, k string, cols []column) (diverged bool) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if id <= ix.lastID {
 		return true
 	}
 	ix.lastID = id
+	if prev, ok := ix.keys[k]; ok {
+		if ix.older == nil {
+			ix.older = make(map[TupleID]TupleID)
+		}
+		ix.older[id] = prev
+	}
+	ix.keys[k] = id
 	for attr := range ix.attrs {
 		if ix.attrs[attr].built {
 			ix.extendLocked(attr, &cols[attr], id+1)
@@ -127,7 +159,7 @@ func (ix *attrIndex) noteInsert(id TupleID, cols []column) (diverged bool) {
 // append past its length (never reallocating entries below it), so
 // reading the returned prefix is race-free. Entries >= n belong to
 // newer versions of the chain and must be skipped by the caller.
-func (ix *attrIndex) ensure(attr int, v Value, col *column, n int) []TupleID {
+func (ix *chainIndex) ensure(attr int, v Value, col *column, n int) []TupleID {
 	k := keyOf(v)
 	ix.mu.RLock()
 	ap := &ix.attrs[attr]
@@ -152,7 +184,7 @@ func (ix *attrIndex) ensure(attr int, v Value, col *column, n int) []TupleID {
 }
 
 // ensureBuilt forces the attribute index to cover IDs [0, n).
-func (ix *attrIndex) ensureBuilt(attr int, col *column, n int) {
+func (ix *chainIndex) ensureBuilt(attr int, col *column, n int) {
 	ix.mu.RLock()
 	ap := &ix.attrs[attr]
 	ok := ap.built && ap.upto >= n
@@ -170,7 +202,7 @@ func (ix *attrIndex) ensureBuilt(attr int, col *column, n int) {
 // index returns the instance's index, which NewInstance always
 // allocates; the accessor exists so zero-value-ish internal callers
 // fail loudly rather than racing on lazy allocation.
-func (r *Instance) index() *attrIndex {
+func (r *Instance) index() *chainIndex {
 	if r.idx == nil {
 		panic("relation: instance has no index (not built by NewInstance?)")
 	}
@@ -262,7 +294,7 @@ func (r *Instance) DistinctValuesLive(attr int, dst []Value) []Value {
 			if id >= n {
 				break
 			}
-			if r.dead == nil || !r.dead.Has(id) {
+			if !r.dead.has(id) {
 				dst = append(dst, p.val)
 				break
 			}
@@ -304,12 +336,15 @@ func (r *Instance) SortedDistinctValues(attr int) []Value {
 	return ap.sorted
 }
 
-// noteInsert is the Insert hook: keep built attribute indexes in
-// step, detaching onto a private index if a sibling fork already
-// claimed the ID.
-func (r *Instance) noteInsert(id TupleID) {
-	if r.idx.noteInsert(id, r.cols) {
-		fresh := newAttrIndex(r.schema.Arity())
-		r.idx = fresh
+// noteInsert is the Insert hook: keep the key index and the built
+// attribute indexes in step, detaching onto a private index — its key
+// index refilled from this chain's own columns, its postings rebuilt
+// on the next probe — if a sibling fork already claimed the ID.
+func (r *Instance) noteInsert(id TupleID, k string) {
+	if r.idx.noteInsert(id, k, r.cols) {
+		r.idx = newChainIndex(r.schema.Arity())
+		for old := 0; old <= id; old++ {
+			r.idx.noteInsert(old, r.Tuple(old).Key(), r.cols)
+		}
 	}
 }

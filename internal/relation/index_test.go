@@ -155,6 +155,22 @@ func TestIndexSiblingForkDetaches(t *testing.T) {
 		b := parent.Fork()
 		a.MustInsert(7, 100) // id 5 on chain a
 		b.MustInsert(8, 200) // id 5 again: b must detach
+		// The key index is shared the same way and detaches with the
+		// postings: each chain resolves its own tuple and not the other's.
+		for _, c := range []struct {
+			inst *Instance
+			tup  Tuple
+			want bool
+		}{
+			{a, Tuple{Int(7), Int(100)}, true}, {a, Tuple{Int(8), Int(200)}, false},
+			{b, Tuple{Int(8), Int(200)}, true}, {b, Tuple{Int(7), Int(100)}, false},
+			{parent, Tuple{Int(7), Int(100)}, false}, {parent, Tuple{Int(8), Int(200)}, false},
+			{a, Tuple{Int(3), Int(3)}, true}, {b, Tuple{Int(3), Int(3)}, true},
+		} {
+			if id, ok := c.inst.Lookup(c.tup); ok != c.want || (ok && id != 5 && id != 3) {
+				t.Fatalf("probeFirst=%s: Lookup%v = %d, %v; want found=%v", probeFirst, c.tup, id, ok, c.want)
+			}
+		}
 		first, second := a, b
 		if probeFirst == "b" {
 			first, second = b, a

@@ -67,10 +67,10 @@ func (t Tuple) String() string {
 //
 // An Instance carries a monotone version counter (Version) that every
 // successful mutation bumps, and supports cheap structural-sharing
-// snapshots via Fork: the fork shares the tuple storage and the bulk
-// of the key index with its parent, and the parent is frozen — all
-// later mutations must go through the fork. This is the storage half
-// of the engine's snapshot-isolated mutation model: published
+// snapshots via Fork: the fork shares the tuple storage, the key
+// index and the tombstones with its parent, and the parent is frozen
+// — all later mutations must go through the fork. This is the storage
+// half of the engine's snapshot-isolated mutation model: published
 // instance versions are immutable, and a writer advances the database
 // by forking the latest version.
 //
@@ -83,24 +83,20 @@ type Instance struct {
 	// cols holds one typed column per attribute; n is the size of this
 	// version's ID universe (columns may be longer when a fork has
 	// appended — ids >= n belong to newer versions).
-	cols []column
-	n    int
-	// byKey is the base key index. Once the instance has been forked
-	// it is shared with the fork and must not be written; overKey
-	// holds this version's private additions.
-	byKey   map[string]TupleID
-	overKey map[string]TupleID // nil on an unforked instance
-	dead    *bitset.Set        // tombstoned IDs; nil when none
-	live    int                // number of live tuples
+	cols    []column
+	n       int
+	dead    tombstones // shared along the chain, see tombstones.go
+	live    int        // number of live tuples
 	version uint64
 	frozen  bool // set by Fork: mutations must go through the fork
-	// idx is the chain's shared secondary index (see index.go):
+	// idx is the chain's shared index (see index.go): the tuple-key
+	// index behind Lookup and Insert's set semantics, and the
 	// per-attribute value → tuple-ID postings, built lazily on first
-	// probe and maintained through Insert/Delete/Fork without
-	// rebuilds. Forks share the pointer; snapshot consistency comes
-	// from filtering postings by the reading version's ID bound and
+	// probe. Both are append-only and maintained through Insert
+	// without rebuilds. Forks share the pointer; snapshot consistency
+	// comes from filtering by the reading version's ID bound and
 	// tombstones.
-	idx *attrIndex
+	idx *chainIndex
 }
 
 // NewInstance returns an empty instance of the schema.
@@ -111,8 +107,7 @@ func NewInstance(schema *Schema) *Instance {
 	return &Instance{
 		schema: schema,
 		cols:   newColumns(schema),
-		byKey:  make(map[string]TupleID),
-		idx:    newAttrIndex(schema.Arity()),
+		idx:    newChainIndex(schema.Arity()),
 	}
 }
 
@@ -137,81 +132,38 @@ func (r *Instance) Live(id TupleID) bool {
 	if id < 0 || id >= r.n {
 		return false
 	}
-	return r.dead == nil || !r.dead.Has(id)
+	return !r.dead.has(id)
 }
 
 // DeadIDs returns an independent copy of the tombstone set, or nil
 // when no tuple has been deleted.
 func (r *Instance) DeadIDs() *bitset.Set {
-	if r.dead == nil || r.dead.Empty() {
+	if r.live == r.n {
 		return nil
 	}
-	return r.dead.Clone()
+	return r.dead.flat(r.n)
 }
 
 // Fork returns a mutable child version sharing storage with r, and
 // freezes r: every later mutation must target the fork. Forking is
-// O(overlay + tombstones), independent of the instance size, which is
-// what makes point mutations under snapshot isolation cheap. Readers
-// of r observe exactly the state at fork time.
+// O(arity): the columns, the indexes and the tombstones are shared,
+// not copied, which is what makes point mutations under snapshot
+// isolation cheap. Readers of r observe exactly the state at fork
+// time.
 func (r *Instance) Fork() *Instance {
 	r.frozen = true
-	child := &Instance{
+	return &Instance{
 		schema: r.schema,
 		// Column headers are copied so the child's appends never move
 		// the parent's bounds; the backing arrays are shared, and the
 		// parent reads only ids below its own n.
 		cols:    append([]column(nil), r.cols...),
 		n:       r.n,
-		byKey:   r.byKey,
+		dead:    r.dead,
 		live:    r.live,
 		version: r.version,
-		idx:     r.idx, // shared: postings are valid for every version of the chain
+		idx:     r.idx, // shared: keys and postings are valid for every version of the chain
 	}
-	// Fold an oversized overlay into a private base map; amortized the
-	// fold is O(1) per mutation, and the bound keeps each fork's copy
-	// small.
-	if len(r.overKey) > 64+len(r.byKey)/64 {
-		merged := make(map[string]TupleID, len(r.byKey)+len(r.overKey))
-		for k, v := range r.byKey {
-			merged[k] = v
-		}
-		for k, v := range r.overKey {
-			merged[k] = v
-		}
-		child.byKey = merged
-		child.overKey = make(map[string]TupleID)
-	} else {
-		child.overKey = make(map[string]TupleID, len(r.overKey)+1)
-		for k, v := range r.overKey {
-			child.overKey[k] = v
-		}
-	}
-	if r.dead != nil {
-		child.dead = r.dead.Clone()
-	}
-	return child
-}
-
-// lookupKey resolves a tuple key through the overlay, ignoring
-// tombstones.
-func (r *Instance) lookupKey(k string) (TupleID, bool) {
-	if r.overKey != nil {
-		if id, ok := r.overKey[k]; ok {
-			return id, true
-		}
-	}
-	id, ok := r.byKey[k]
-	return id, ok
-}
-
-// setKey records k → id in this version's writable index layer.
-func (r *Instance) setKey(k string, id TupleID) {
-	if r.overKey != nil {
-		r.overKey[k] = id
-		return
-	}
-	r.byKey[k] = id
 }
 
 func (r *Instance) mutable() {
@@ -249,7 +201,7 @@ func (r *Instance) Insert(t Tuple) (TupleID, bool, error) {
 		return -1, false, err
 	}
 	k := t.Key()
-	if id, ok := r.lookupKey(k); ok && r.Live(id) {
+	if id, ok := r.idx.lookupKey(k, r.n); ok && r.Live(id) {
 		return id, false, nil
 	}
 	id := TupleID(r.n)
@@ -257,8 +209,7 @@ func (r *Instance) Insert(t Tuple) (TupleID, bool, error) {
 		r.cols[a].push(t[a])
 	}
 	r.n++
-	r.setKey(k, id)
-	r.noteInsert(id)
+	r.noteInsert(id, k)
 	r.live++
 	r.version++
 	return id, true, nil
@@ -272,10 +223,7 @@ func (r *Instance) Delete(id TupleID) bool {
 	if !r.Live(id) {
 		return false
 	}
-	if r.dead == nil {
-		r.dead = bitset.New(r.n)
-	}
-	r.dead.Add(id)
+	r.dead = r.dead.with(id)
 	r.live--
 	r.version++
 	return true
@@ -333,7 +281,7 @@ func (r *Instance) Tuple(id TupleID) Tuple {
 // membership primitive every query.Model and the cqa ground path
 // build on.
 func (r *Instance) Lookup(t Tuple) (TupleID, bool) {
-	id, ok := r.lookupKey(t.Key())
+	id, ok := r.idx.lookupKey(t.Key(), r.n)
 	if !ok || !r.Live(id) {
 		return 0, false
 	}
@@ -354,7 +302,7 @@ func (r *Instance) Contains(t Tuple) bool {
 // the per-row materialization.
 func (r *Instance) Range(yield func(id TupleID, t Tuple) bool) {
 	for id := 0; id < r.n; id++ {
-		if r.dead != nil && r.dead.Has(id) {
+		if r.dead.has(id) {
 			continue
 		}
 		if !yield(id, r.Tuple(id)) {
@@ -367,7 +315,7 @@ func (r *Instance) Range(yield func(id TupleID, t Tuple) bool) {
 // touching the tuple data; stop early by returning false.
 func (r *Instance) RangeIDs(yield func(id TupleID) bool) {
 	for id := 0; id < r.n; id++ {
-		if r.dead != nil && r.dead.Has(id) {
+		if r.dead.has(id) {
 			continue
 		}
 		if !yield(id) {
@@ -379,8 +327,8 @@ func (r *Instance) RangeIDs(yield func(id TupleID) bool) {
 // AllIDs returns the set of all live tuple IDs.
 func (r *Instance) AllIDs() *bitset.Set {
 	s := bitset.Full(r.n)
-	if r.dead != nil {
-		s.DifferenceWith(r.dead)
+	if dead := r.DeadIDs(); dead != nil {
+		s.DifferenceWith(dead)
 	}
 	return s
 }

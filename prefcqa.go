@@ -828,7 +828,7 @@ func (r *Relation) materializeLocked() (*cqa.Relation, error) {
 	// Orientation changes do not alter component membership, but they
 	// dirty the per-component caches: retire each touched component ID
 	// once, after all pairs are applied.
-	touched := make(map[int]TupleID)
+	var touched map[int]TupleID
 	for _, pr := range r.pend.prefs {
 		if !g2.Adjacent(pr[0], pr[1]) {
 			continue // non-conflicting (or deleted) pair: ignored, as in FromRelation
@@ -845,6 +845,9 @@ func (r *Relation) materializeLocked() (*cqa.Relation, error) {
 		}
 		cid := g2.ComponentOf(pr[0])
 		if _, ok := touched[cid]; !ok {
+			if touched == nil {
+				touched = make(map[int]TupleID)
+			}
 			touched[cid] = pr[0]
 		}
 	}

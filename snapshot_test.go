@@ -5,6 +5,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"prefcqa/internal/core"
+	"prefcqa/internal/cqa"
+	"prefcqa/internal/priority"
 )
 
 // TestSnapshotPinsVersion verifies snapshot isolation: results read
@@ -266,5 +270,122 @@ func TestDBQueryIsOneCutUnderWrites(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestSnapshotPinsSurviveUpdateCycle is the -race check of version
+// derivation by sharing: while a writer runs update iterations (each
+// derives three versions from overlays and indexes it shares with
+// every version before it, through compactions and flattens), readers
+// keep reading snapshots pinned along the way — the repairs in order,
+// their count, a point query per cluster — and every pin must go on
+// answering what the sequential engine gets on a rebuild of the pin's
+// own instance with the preferences stated up to the pin.
+func TestSnapshotPinsSurviveUpdateCycle(t *testing.T) {
+	const clusters, iterations, readers = 10, 240, 2
+	type pin struct {
+		snap  *Snapshot
+		prefs [][2]TupleID
+		// The reference, filled in by the reader on first use.
+		repairs []string
+		verdict []Answer // of R(k, 0), per cluster
+	}
+	check := func(p *pin) error {
+		if p.repairs == nil {
+			built := p.snap.rels["R"].rel
+			ref, err := cqa.NewRelation(built.Inst, built.FDs)
+			if err != nil {
+				return err
+			}
+			pri, err := priority.FromRelation(ref.Pri.Graph(), p.prefs)
+			if err != nil {
+				return err
+			}
+			sets := core.Sequential().All(Global, pri)
+			for _, set := range sets {
+				p.repairs = append(p.repairs, built.Inst.Subset(set).String())
+			}
+			for k := 0; k < clusters; k++ {
+				in := 0
+				if id, ok := built.Inst.Lookup(Tuple{Int(int64(k)), Int(0)}); ok {
+					for _, set := range sets {
+						if set.Has(id) {
+							in++
+						}
+					}
+				}
+				switch in {
+				case len(sets):
+					p.verdict = append(p.verdict, True)
+				case 0:
+					p.verdict = append(p.verdict, False)
+				default:
+					p.verdict = append(p.verdict, Undetermined)
+				}
+			}
+		}
+		reps, err := p.snap.Repairs(Global, "R")
+		if err != nil {
+			return err
+		}
+		if n, err := p.snap.CountRepairs(Global, "R"); err != nil || n != int64(len(p.repairs)) || len(reps) != len(p.repairs) {
+			return fmt.Errorf("pinned snapshot counts %d repairs (%v) and lists %d, a rebuild has %d", n, err, len(reps), len(p.repairs))
+		}
+		for i, rp := range reps {
+			if rp.String() != p.repairs[i] {
+				return fmt.Errorf("pinned snapshot: repair %d = %s, a rebuild has %s", i, rp, p.repairs[i])
+			}
+		}
+		for k, want := range p.verdict {
+			if a, err := p.snap.Query(Global, fmt.Sprintf("R(%d, 0)", k)); err != nil || a != want {
+				return fmt.Errorf("pinned snapshot: R(%d, 0) = %v, %v; a rebuild says %v", k, a, err, want)
+			}
+		}
+		return nil
+	}
+
+	u := newUpdateCycle(t, clusters)
+	feed := make(chan *pin)
+	var wg sync.WaitGroup
+	for w := 0; w < readers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var pins []*pin
+			// Every new pin is checked at once and an old one again with
+			// it, and all of them once more when the writer is done. A
+			// reader that has failed keeps draining the feed.
+			checkAll := func(ps ...*pin) {
+				for _, p := range ps {
+					if !t.Failed() {
+						if err := check(p); err != nil {
+							t.Error(err)
+						}
+					}
+				}
+			}
+			for p := range feed {
+				pins = append(pins, p)
+				checkAll(p, pins[len(pins)/2])
+			}
+			checkAll(pins...)
+		}()
+	}
+	eras := map[uint64]bool{}
+	for i := 0; i < iterations && !t.Failed(); i++ {
+		u.step(t, nil)
+		if i%5 == 0 {
+			snap, err := u.db.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			eras[snap.rels["R"].rel.Pri.Graph().Era()] = true
+			feed <- &pin{snap: snap, prefs: u.prefs[:len(u.prefs):len(u.prefs)]}
+		}
+	}
+	close(feed)
+	wg.Wait()
+	if len(eras) < 3 {
+		t.Fatalf("the pins span %d graph eras: the writer never compacted twice", len(eras))
 	}
 }
