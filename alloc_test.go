@@ -32,10 +32,12 @@ func clusterDB(tb testing.TB, n int) *DB {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for k := 0; k < n-3; k++ {
-		if err := r.Prefer(ids[2*k], ids[2*k+1]); err != nil {
-			tb.Fatal(err)
-		}
+	pairs := make([][2]TupleID, n-3)
+	for k := range pairs {
+		pairs[k] = [2]TupleID{ids[2*k], ids[2*k+1]}
+	}
+	if err := r.PreferPairs(pairs); err != nil {
+		tb.Fatal(err)
 	}
 	return db
 }
@@ -59,6 +61,14 @@ func bytesPerOp(runs int, fn func()) uint64 {
 // the union of the 8 preferred repairs, which is where it is decided.
 const wholeRelationQuery = "EXISTS k, v . R(k, v) AND v > 1"
 
+// declinedQuery is the serving benchmark's declined class on a
+// clusterDB of n clusters: x occurs only under a negation, so the
+// support analysis declines and the whole-database enumeration answers
+// — about the highest key, one of the three undetermined clusters.
+func declinedQuery(n int) string {
+	return fmt.Sprintf("EXISTS x . x = %d AND NOT R(x, 0)", n-1)
+}
+
 // TestWarmRequestAllocations is the allocation gate of the resolved
 // structure. No timings: bytes allocated per warm request, which are
 // deterministic. A request that consults every component of an
@@ -72,13 +82,18 @@ const wholeRelationQuery = "EXISTS k, v . R(k, v) AND v > 1"
 // relation, not one per choice plus one per choice tried. The same
 // holds for a quantified point read of that key, whose support is the
 // two tuples its posting matches: nothing of the instance's size but
-// that one set.
+// that one set. A query the support analysis declines walks the
+// preferred repairs of the whole database on a clone of the base set,
+// and evaluating it in each of them allocates nothing of the instance's
+// size: its variable is bound by the equality that names its value, not
+// found by collecting the active domain (a map slot and a slice slot
+// per value, per visited repair).
 func TestWarmRequestAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads 48 000 clusters")
 	}
 	ctx := context.Background()
-	measure := func(n int) (query, ground, quant, firstYield uint64) {
+	measure := func(n int) (query, ground, quant, firstYield, declined uint64) {
 		db := clusterDB(t, n)
 		snap, err := db.Snapshot()
 		if err != nil {
@@ -118,11 +133,28 @@ func TestWarmRequestAllocations(t *testing.T) {
 				t.Fatalf("n=%d: %s = %v, %v, want undetermined", n, quantPoint, a, err)
 			}
 		})
-		return query, ground, quant, firstYield
+		full := db.QueryStats().ClosedFull
+		declined = bytesPerOp(5, func() {
+			if a, err := snap.QueryContext(ctx, Global, declinedQuery(n)); err != nil || a != Undetermined {
+				t.Fatalf("n=%d: %s = %v, %v, want undetermined", n, declinedQuery(n), a, err)
+			}
+		})
+		if got := db.QueryStats().ClosedFull - full; got != 6 {
+			t.Fatalf("n=%d: %d of 6 declined requests took the whole-database enumeration", n, got)
+		}
+		return query, ground, quant, firstYield, declined
 	}
-	q16, g16, p16, y16 := measure(16000)
-	q32, g32, p32, y32 := measure(32000)
-	t.Logf("bytes per warm request at n=16000 and n=32000: whole-relation query %d, %d; repairs to the first yield %d, %d; ground point read %d, %d; quantified point read %d, %d", q16, q32, y16, y32, g16, g32, p16, p32)
+	q16, g16, p16, y16, d16 := measure(16000)
+	q32, g32, p32, y32, d32 := measure(32000)
+	t.Logf("bytes per warm request at n=16000 and n=32000: whole-relation query %d, %d; repairs to the first yield %d, %d; ground point read %d, %d; quantified point read %d, %d; declined query %d, %d", q16, q32, y16, y32, g16, g32, p16, p32, d16, d32)
+	// The clone of R's base set is 2n/8 bytes; parsing, validation, the
+	// refused support analysis and two evaluations fit in 8 KB.
+	if limit := uint64(2*16000/8 + 8<<10); d16 > limit {
+		t.Errorf("declined query allocates %d B per request at n=16000, want <= %d B (the cloned base set plus 8 KB)", d16, limit)
+	}
+	if float64(d32) > 2.2*float64(d16) {
+		t.Errorf("declined query allocates %d B at n=32000 against %d B at n=16000: more than 2.2x for 2x the data", d32, d16)
+	}
 	if y16 > 256<<10 {
 		t.Errorf("EnumerateRepairs allocates %d B up to its first yield at n=16000, want <= 256 KB", y16)
 	}

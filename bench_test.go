@@ -472,6 +472,35 @@ func BenchmarkChainVerify(b *testing.B) {
 	}
 }
 
+// One warm request of the serving benchmark's declined class at 16 000
+// clusters: the support analysis refuses the query, the whole-database
+// enumeration visits preferred repairs until it has seen both outcomes,
+// and each visit is one evaluation that binds x from its equality.
+// TestWarmRequestAllocations gates the bytes.
+func BenchmarkDeclinedVerify(b *testing.B) {
+	const n = 16000
+	db := clusterDB(b, n)
+	snap, err := db.Snapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	check := func() {
+		if a, err := snap.QueryContext(ctx, Global, declinedQuery(n)); err != nil || a != Undetermined {
+			b.Fatalf("%v %v", a, err)
+		}
+	}
+	check()
+	if st := db.QueryStats(); st.ClosedFull == 0 || st.ClosedPruned != 0 {
+		b.Fatalf("the declined query was not answered by the whole-database enumeration: %+v", st)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		check()
+	}
+}
+
 // One warm EnumerateRepairs on the same data, stopped at its first
 // yield: the resolved walk plus materializing one repair.
 func BenchmarkRepairsFirstYield(b *testing.B) {

@@ -282,8 +282,9 @@ func (c *Client) Delete(ctx context.Context, db, rel string, ids ...int) (int, u
 }
 
 // Prefer records preference pairs (each pair's first tuple wins its
-// conflict against the second) and returns the published
-// write-version.
+// conflict against the second) as one atomic batch — all of them or,
+// when one names a tuple ID that is not live, none — and returns the
+// published write-version: one step per request, however many pairs.
 func (c *Client) Prefer(ctx context.Context, db, rel string, pairs ...[2]int) (uint64, error) {
 	var out VersionResponse
 	err := c.do(ctx, PathPrefer, PreferRequest{DB: db, Relation: rel, Pairs: pairs}, &out)

@@ -130,9 +130,11 @@ type DeleteResponse struct {
 }
 
 // PreferRequest records preference pairs: in each pair the first
-// tuple wins its conflict against the second. Pairs apply in order;
-// if one fails (unknown tuple ID), the earlier pairs stay applied
-// and versioned, and the error response identifies the failing pair.
+// tuple wins its conflict against the second. A request is one atomic
+// batch: every pair is validated before any applies, so a request
+// naming an unknown or deleted tuple ID is refused whole (400) and
+// changes nothing, and an accepted one is one write-version step (on a
+// durable server one log record and one durability barrier).
 type PreferRequest struct {
 	DB       string   `json:"db"`
 	Relation string   `json:"relation"`

@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -44,6 +45,7 @@ func TestCrashChild(t *testing.T) {
 	// killing us.
 	deadline := time.Now().Add(60 * time.Second)
 	var lastTwo [2]TupleID
+	var recent [4]TupleID
 	for i := 0; time.Now().Before(deadline); i++ {
 		k, v := int64(i%8), int64(i%3)
 		id, err := r.Insert(k, v)
@@ -52,6 +54,7 @@ func TestCrashChild(t *testing.T) {
 		}
 		fmt.Fprintf(ack, "insert %d %d %d %d\n", k, v, id, db.WriteVersion())
 		lastTwo[i%2] = id
+		recent[i%4] = id
 		if i%7 == 6 && lastTwo[0] != lastTwo[1] {
 			x, y := lastTwo[0], lastTwo[1]
 			if x > y {
@@ -62,6 +65,29 @@ func TestCrashChild(t *testing.T) {
 					t.Fatal(err)
 				}
 				fmt.Fprintf(ack, "prefer %d %d %d\n", x, y, db.WriteVersion())
+			}
+		}
+		if i%11 == 10 {
+			// A multi-pair batch is one log record: once acknowledged,
+			// every pair of it must survive the kill. Chaining the
+			// distinct live IDs in ascending order keeps low ≻ high.
+			inst := r.Instance()
+			var live []TupleID
+			for _, id := range recent {
+				if inst.Live(id) && !slices.Contains(live, id) {
+					live = append(live, id)
+				}
+			}
+			slices.Sort(live)
+			var batch [][2]TupleID
+			for j := 1; j < len(live); j++ {
+				batch = append(batch, [2]TupleID{live[j-1], live[j]})
+			}
+			if err := r.PreferPairs(batch); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range batch {
+				fmt.Fprintf(ack, "prefer %d %d %d\n", p[0], p[1], db.WriteVersion())
 			}
 		}
 		if i%23 == 22 {

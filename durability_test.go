@@ -357,8 +357,8 @@ func TestPreferPartialApplyRecovery(t *testing.T) {
 	}
 	before := db.WriteVersion()
 
-	// The batch a server prefer handler would run: pair 3 references
-	// the dead tuple and fails after pairs 1 and 2 applied.
+	// A caller looping Prefer over a batch: pair 3 references the dead
+	// tuple and fails after pairs 1 and 2 applied.
 	batch := [][2]TupleID{{a, b}, {c, d}, {e, f}}
 	var applied int
 	var batchErr error
@@ -399,6 +399,88 @@ func TestPreferPartialApplyRecovery(t *testing.T) {
 		}
 	}
 	assertSameResults(t, "partial batch", crashed, mirrorDB(t, db))
+}
+
+// preferBatchFixture fills R on db and on an in-memory reference with
+// six two-tuple clusters and orients the first five: on db with one
+// PreferPairs batch, on the reference pair by pair. It returns the
+// reference and the batch.
+func preferBatchFixture(t *testing.T, r *Relation) (*DB, [][2]TupleID) {
+	t.Helper()
+	ref := New()
+	rr, err := ref.CreateRelation("R", IntAttr("K"), IntAttr("V"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rr.AddFD("K -> V"); err != nil {
+		t.Fatal(err)
+	}
+	var batch [][2]TupleID
+	for k := 0; k < 6; k++ {
+		a, b := r.MustInsert(k, 0), r.MustInsert(k, 1)
+		if ra, rb := rr.MustInsert(k, 0), rr.MustInsert(k, 1); ra != a || rb != b {
+			t.Fatalf("reference IDs (%d, %d), want (%d, %d)", ra, rb, a, b)
+		}
+		if k < 5 {
+			batch = append(batch, [2]TupleID{a, b})
+		}
+	}
+	if err := r.PreferPairs(batch); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range batch {
+		if err := rr.Prefer(p[0], p[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ref, batch
+}
+
+// TestPreferPairsOneRecord: a preference batch is one log record and
+// one write-version step, a batch naming a dead tuple changes nothing,
+// and recovery replays the multi-pair record to the state pair-by-pair
+// Prefer calls build.
+func TestPreferPairsOneRecord(t *testing.T) {
+	db, r, dir := newDurDB(t, WithSyncPolicy(SyncAlways))
+	position := func() (uint64, uint64) {
+		st, _ := db.WALStats()
+		return st.Seq, db.WriteVersion()
+	}
+	seq0, _ := position()
+	ref, batch := preferBatchFixture(t, r)
+	// Twelve inserts, then the batch.
+	if seq, wv := position(); seq != seq0+13 || wv != seq0+13 {
+		t.Fatalf("log seq %d, write-version %d after 12 inserts and one %d-pair batch; want %d", seq, wv, len(batch), seq0+13)
+	}
+
+	dead := batch[0][1]
+	for _, d := range []*DB{db, ref} {
+		rel, _ := d.Relation("R")
+		if ok, err := rel.Delete(dead); err != nil || !ok {
+			t.Fatalf("Delete = %v, %v", ok, err)
+		}
+	}
+	seq1, wv1 := position()
+	open := [2]TupleID{10, 11} // cluster 5, valid and fresh
+	if err := r.PreferPairs([][2]TupleID{open, batch[0]}); err == nil {
+		t.Fatal("a batch naming a dead tuple was accepted")
+	}
+	if seq, wv := position(); seq != seq1 || wv != wv1 {
+		t.Fatalf("rejected batch moved the log %d -> %d, write-version %d -> %d", seq1, seq, wv1, wv)
+	}
+	r.mu.Lock()
+	nprefs := len(r.prefs)
+	r.mu.Unlock()
+	if nprefs != len(batch) {
+		t.Fatalf("%d preferences recorded after the rejected batch, want %d", nprefs, len(batch))
+	}
+
+	crashed, err := Open(cloneDir(t, dir))
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	defer crashed.Close()
+	assertSameResults(t, "batched prefer, recovered", crashed, ref)
 }
 
 // TestRecoveryScale100k replays a 100k-tuple log (checkpointing

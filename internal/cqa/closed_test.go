@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"prefcqa/internal/bitset"
 	"prefcqa/internal/core"
 	"prefcqa/internal/fd"
 	"prefcqa/internal/priority"
@@ -69,12 +70,41 @@ func quantDiffInput(t testing.TB) Input {
 	return in
 }
 
-// closedDeclinedCorpus holds the uncoverable shapes: the inner
-// quantifier has no positive atom, so the support analysis declines
-// and the full enumeration answers.
+// closedDeclinedCorpus holds the uncoverable shapes: a quantifier has
+// no positive atom, so the support analysis declines and the full
+// enumeration answers. The last three are the serving benchmark's
+// declined class — the variable occurs only under a negation — asked
+// about an unoriented cluster, an oriented one and an absent key.
 var closedDeclinedCorpus = []string{
 	"EXISTS v . R(0, v) AND (EXISTS u . u = v)",
 	"FORALL v . NOT R(3, v) OR (EXISTS u . u = v AND u < 2)",
+	"EXISTS x . x = 3 AND NOT R(x, 0)",
+	"EXISTS x . x = 0 AND NOT R(x, 0)",
+	"EXISTS x . x = 7 AND NOT R(x, 0)",
+}
+
+// evaluateNaive is Definition 3 with the oracle evaluator: q under
+// plain active-domain iteration (query.EvalNaive: no planner, no range
+// restriction) in every preferred repair of the whole database.
+func evaluateNaive(t *testing.T, f core.Family, in Input, q query.Expr) Answer {
+	t.Helper()
+	seenTrue, seenFalse := false, false
+	err := in.forEachPreferredRepair(f, func(subsets map[string]*bitset.Set) bool {
+		holds, err := query.EvalNaive(q, in.model(subsets))
+		if err != nil {
+			t.Fatalf("EvalNaive(%s): %v", q, err)
+		}
+		seenTrue, seenFalse = seenTrue || holds, seenFalse || !holds
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ans, err := verdict(seenTrue, seenFalse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ans
 }
 
 // closedDiffCorpus is the quantified closed-query mix the
@@ -132,6 +162,11 @@ func TestClosedQuantPrunedMatchesFull(t *testing.T) {
 			}
 			if pruned != full {
 				t.Fatalf("%s: pruned=%v full=%v", tag, pruned, full)
+			}
+			// For a declined shape the two above are one path; the
+			// oracle evaluator is the independent one.
+			if naive := evaluateNaive(t, f, in, q); full != naive {
+				t.Fatalf("%s: full=%v, active-domain iteration per repair=%v", tag, full, naive)
 			}
 		}
 	}

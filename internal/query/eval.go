@@ -109,10 +109,20 @@ func (m DBModel) Backing(rel string) (inst *relation.Instance, visible *bitset.S
 // vectorized executors (vector.go, yannakakis.go, wcoj.go). This is
 // sound for active-domain semantics: a satisfying assignment must
 // match the atoms, and matched tuples only carry active-domain
-// values. Every other quantifier falls back to domain iteration, with
-// the active domain collected lazily — a query that never needs
-// domain iteration (e.g. a ground query, or one fully answered by
-// plans) never scans the model. EvalNaive skips the planner entirely.
+// values.
+//
+// A block the planner refuses is range-restricted first
+// (peelEqualities): a variable that a top-level conjunct of the body
+// equates to a constant or to a variable bound outside the block is
+// bound to that value — the only one it can take, and a domain value
+// already — and what is left of the block is offered to the planner
+// again.
+//
+// Only a variable that is neither planned nor equated falls back to
+// domain iteration, with the active domain collected lazily — a query
+// that never needs domain iteration (a ground query, or one fully
+// answered by plans and equalities) never scans the model. EvalNaive
+// skips the planner and the range restriction entirely.
 func Eval(e Expr, m Model) (bool, error) {
 	return EvalCtx(nil, e, m)
 }
@@ -140,9 +150,9 @@ func EvalTraceCtx(ctx context.Context, e Expr, m Model) (bool, *Trace, error) {
 	return res, tr, err
 }
 
-// EvalNaive is Eval with the planner disabled: quantifiers always
-// iterate the active domain. It is the reference the planned
-// executors are tested against.
+// EvalNaive is Eval with the planner and the range restriction
+// disabled: quantifiers always iterate the active domain. It is the
+// reference the planned executors are tested against.
 func EvalNaive(e Expr, m Model) (bool, error) {
 	return (&evaluator{m: m, root: e}).run()
 }
@@ -163,12 +173,11 @@ func (ev *evaluator) run() (bool, error) {
 // activeDomain collects the distinct values of all visible tuples
 // plus the formula's constants.
 func activeDomain(m Model, e Expr) []relation.Value {
-	seen := map[string]bool{}
+	seen := map[relation.Value]struct{}{}
 	var out []relation.Value
 	add := func(v relation.Value) {
-		k := v.String()
-		if !seen[k] {
-			seen[k] = true
+		if _, dup := seen[v]; !dup {
+			seen[v] = struct{}{}
 			out = append(out, v)
 		}
 	}
@@ -267,24 +276,19 @@ func (ev *evaluator) evalQuant(q Quant, env map[string]relation.Value, i int) (b
 			v, err := ev.eval(Quant{Vars: q.Vars, Body: NNF(Not{Body: q.Body})}, env)
 			return !v, err
 		}
-		p, ok, err := ev.compileExists(q, env)
-		if err != nil {
-			return false, err
+		if res, ok, err := ev.evalPlanned(q, env); ok || err != nil {
+			return res, err
 		}
-		if ok {
-			var exec *PlanExec
-			if ev.trace != nil {
-				exec = &PlanExec{Plan: p, ActRows: make([]int, len(p.Steps))}
-				ev.trace.Execs = append(ev.trace.Execs, exec)
+		// The planner refused: bind what the body equates to a value,
+		// offer what is left to the planner again, and iterate the
+		// domain only for variables neither step answers.
+		if rest, bound := peelEqualities(q, env); len(rest.Vars) < len(q.Vars) {
+			q, env = rest, bound
+			if len(q.Vars) > 0 {
+				if res, ok, err := ev.evalPlanned(q, env); ok || err != nil {
+					return res, err
+				}
 			}
-			if p.Unsat {
-				return false, nil
-			}
-			vp, err := ev.compileVec(p, env)
-			if err != nil {
-				return false, err
-			}
-			return ev.runVec(vp, exec, env)
 		}
 	}
 	if i == len(q.Vars) {
@@ -316,6 +320,85 @@ func (ev *evaluator) evalQuant(q Quant, env map[string]relation.Value, i int) (b
 		}
 	}
 	return q.All, nil
+}
+
+// evalPlanned answers the existential block q with a physical plan.
+// ok=false means the planner refused the block (see compileExists) and
+// nothing was evaluated.
+func (ev *evaluator) evalPlanned(q Quant, env map[string]relation.Value) (res, ok bool, err error) {
+	p, ok, err := ev.compileExists(q, env)
+	if err != nil || !ok {
+		return false, false, err
+	}
+	var exec *PlanExec
+	if ev.trace != nil {
+		exec = &PlanExec{Plan: p, ActRows: make([]int, len(p.Steps))}
+		ev.trace.Execs = append(ev.trace.Execs, exec)
+	}
+	if p.Unsat {
+		return false, true, nil
+	}
+	vp, err := ev.compileVec(p, env)
+	if err != nil {
+		return false, true, err
+	}
+	res, err = ev.runVec(vp, exec, env)
+	return res, true, err
+}
+
+// peelEqualities range-restricts the existential block q: a block
+// variable that a top-level conjunct of the body equates to a constant,
+// or to a variable bound outside the block, can only take that value —
+// which is a domain value already (the domain holds the formula's
+// constants, and an outer variable was bound to a domain value) — so it
+// is bound instead of being searched for. Equalities under OR or NOT,
+// and between two variables of the block, restrict nothing on their own
+// and are left alone. It returns the block without the bound variables
+// (same body: the equality that bound a variable now holds trivially)
+// and env extended with their bindings, or q and env themselves when
+// there is nothing to bind.
+func peelEqualities(q Quant, env map[string]relation.Value) (Quant, map[string]relation.Value) {
+	inBlock := make(map[string]bool, len(q.Vars))
+	for _, v := range q.Vars {
+		inBlock[v] = true
+	}
+	bound := map[string]relation.Value{}
+	for _, c := range flattenAnd(q.Body) {
+		eq, ok := c.(Cmp)
+		if !ok || eq.Op != EQ {
+			continue
+		}
+		for _, side := range [2][2]Term{{eq.L, eq.R}, {eq.R, eq.L}} {
+			x, ok := side[0].(Var)
+			if _, done := bound[x.Name]; !ok || !inBlock[x.Name] || done {
+				continue
+			}
+			switch o := side[1].(type) {
+			case Const:
+				bound[x.Name] = o.Value
+			case Var:
+				// A block variable of that name shadows env's.
+				if v, ok := env[o.Name]; ok && !inBlock[o.Name] {
+					bound[x.Name] = v
+				}
+			}
+		}
+	}
+	if len(bound) == 0 {
+		return q, env
+	}
+	rest := Quant{Body: q.Body}
+	for _, v := range q.Vars {
+		if _, ok := bound[v]; !ok {
+			rest.Vars = append(rest.Vars, v)
+		}
+	}
+	for name, v := range env {
+		if _, ok := bound[name]; !ok {
+			bound[name] = v
+		}
+	}
+	return rest, bound
 }
 
 func (ev *evaluator) resolve(t Term, env map[string]relation.Value) (relation.Value, error) {

@@ -60,7 +60,7 @@ func TestEveryPlanIsVectorized(t *testing.T) {
 	}
 
 	var queries []Expr
-	for _, corpus := range [][]string{fuzzPlanSeeds, acyclicCorpus, preparedCorpus, executorCorpus} {
+	for _, corpus := range [][]string{fuzzPlanSeeds, acyclicCorpus, preparedCorpus, executorCorpus, peelCorpus} {
 		for _, src := range corpus {
 			queries = append(queries, MustParse(src))
 		}

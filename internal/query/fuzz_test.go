@@ -124,8 +124,10 @@ var fuzzPlanSeeds = []string{
 // mismatches. Run `go test -fuzz=FuzzPlanEquivalence ./internal/query`
 // to explore.
 func FuzzPlanEquivalence(f *testing.F) {
-	for _, s := range fuzzPlanSeeds {
-		f.Add(s)
+	for _, corpus := range [][]string{fuzzPlanSeeds, peelCorpus} {
+		for _, s := range corpus {
+			f.Add(s)
+		}
 	}
 	m := fuzzPlanModel()
 	schemas := map[string]*relation.Schema{}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"net/http"
 	"path/filepath"
@@ -139,5 +140,75 @@ func TestDBNameValidation(t *testing.T) {
 		if err := c.CreateDB(ctx, name); err == nil {
 			t.Errorf("CreateDB(%q) accepted a path-escaping name", name)
 		}
+	}
+}
+
+// TestPreferRequestIsOneAtomicRecord: a /v1/prefer request is one
+// mutation. Ten thousand pairs move the log's sequence and the
+// write-version by one, and a request naming a dead tuple ID applies
+// none of its pairs and moves neither.
+func TestPreferRequestIsOneAtomicRecord(t *testing.T) {
+	_, c := boot(t, Options{
+		DataDir:   filepath.Join(t.TempDir(), "data"),
+		DBOptions: []prefcqa.Option{prefcqa.WithSyncPolicy(prefcqa.SyncNever)},
+	})
+	ctx := context.Background()
+	if err := c.CreateDB(ctx, "d"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreateRelation(ctx, "d", "R", client.IntAttr("K"), client.IntAttr("V")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddFD(ctx, "d", "R", "K -> V"); err != nil {
+		t.Fatal(err)
+	}
+	// Clusters 0..n-1 get oriented by the big request; cluster n stays
+	// open for the rejected one.
+	const n = 10000
+	rows := make([]prefcqa.Tuple, 0, 2*n+2)
+	for k := 0; k <= n; k++ {
+		rows = append(rows, row(t, k, 0), row(t, k, 1))
+	}
+	ids, _, err := c.Insert(ctx, "d", "R", rows...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	position := func() (seq, version uint64) {
+		t.Helper()
+		st, err := c.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.DBs["d"].WAL.Seq, st.DBs["d"].WriteVersion
+	}
+
+	pairs := make([][2]int, n)
+	for k := range pairs {
+		pairs[k] = [2]int{ids[2*k], ids[2*k+1]}
+	}
+	seq0, _ := position()
+	v, err := c.Prefer(ctx, "d", "R", pairs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq, wv := position(); seq != seq0+1 || wv != seq0+1 || v != seq0+1 {
+		t.Fatalf("%d pairs: log seq %d -> %d, write-version %d, acked %d; want one step to %d", n, seq0, seq, wv, v, seq0+1)
+	}
+	if a, err := c.Query(ctx, "d", prefcqa.Global, "R(17, 0)", client.MinVersion(v)); err != nil || a != prefcqa.True {
+		t.Fatalf("R(17, 0) after the batch = %v, %v; want true", a, err)
+	}
+
+	if _, _, err := c.Delete(ctx, "d", "R", ids[1]); err != nil {
+		t.Fatal(err)
+	}
+	seq1, wv1 := position()
+	_, err = c.Prefer(ctx, "d", "R", [2]int{ids[2*n], ids[2*n+1]}, [2]int{ids[0], ids[1]})
+	mustStatus(t, err, http.StatusBadRequest)
+	if seq, wv := position(); seq != seq1 || wv != wv1 {
+		t.Fatalf("rejected batch moved the log %d -> %d, write-version %d -> %d", seq1, seq, wv1, wv)
+	}
+	q := fmt.Sprintf("R(%d, 0)", n)
+	if a, err := c.Query(ctx, "d", prefcqa.Global, q); err != nil || a != prefcqa.Undetermined {
+		t.Fatalf("%s after the rejected batch = %v, %v; want undetermined (its first pair must not apply)", q, a, err)
 	}
 }

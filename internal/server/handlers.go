@@ -198,21 +198,12 @@ func (s *Server) handlePrefer(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	t, err := s.withRelation(req.DB, req.Relation, func(t *tenant, rel *prefcqa.Relation) error {
-		for i, p := range req.Pairs {
-			if err := rel.Prefer(p[0], p[1]); err != nil {
-				// A later pair can fail after earlier ones applied (a
-				// concurrent delete can invalidate an ID between any
-				// pre-check and the apply, so the batch is inherently
-				// non-atomic). Each applied pair was validated, logged
-				// and versioned individually before this failure — the
-				// partial batch is exactly what the write-version (and,
-				// on a durable database, the log) says it is, so
-				// nothing hides behind the cached snapshot and recovery
-				// reproduces precisely the applied prefix.
-				return fmt.Errorf("pair %d: %w", i, err)
-			}
-		}
-		return nil
+		// One batch call, like handleInsert's: every pair is validated
+		// under the relation lock before any is logged or applied, so a
+		// request naming a dead tuple ID is rejected whole, and an
+		// accepted one is one log record, one durability barrier and one
+		// write-version step.
+		return rel.PreferPairs(req.Pairs)
 	})
 	if err != nil {
 		return err

@@ -671,7 +671,17 @@ func (r *Relation) FDs() string {
 // reported when the priority is built. Duplicate pairs are recorded
 // once.
 func (r *Relation) Prefer(x, y TupleID) error {
-	seq, err := r.preferPairs([][2]TupleID{{x, y}}, true)
+	return r.PreferPairs([][2]TupleID{{x, y}})
+}
+
+// PreferPairs records a batch of preferences (each pair {x, y} meaning
+// x ≻ y, as in Prefer) as one mutation: one lock acquisition, one
+// write-version step and — on a durable DB — one log record and one
+// durability barrier. Every pair is validated before any is logged or
+// applied, so a batch naming a tuple ID that is not live is rejected
+// whole and changes nothing.
+func (r *Relation) PreferPairs(pairs [][2]TupleID) error {
+	seq, err := r.preferPairs(pairs, true)
 	if err != nil {
 		return err
 	}

@@ -95,6 +95,36 @@ func TestReplApplyStrictSequenceAndFencing(t *testing.T) {
 	}
 }
 
+// TestReplApplyPreferBatch: a preference batch ships as one record,
+// and a follower replaying it answers like a database that was given
+// the same pairs one by one.
+func TestReplApplyPreferBatch(t *testing.T) {
+	primary, r, _ := newDurDB(t, WithSyncPolicy(SyncNever))
+	ref, batch := preferBatchFixture(t, r)
+	recs, err := primary.ReplReadFrom(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := recs[len(recs)-1]; last.Op != wal.OpPrefer || len(last.Pairs) != len(batch) {
+		t.Fatalf("last record is %v with %d pairs, want one prefer record carrying all %d", last.Op, len(last.Pairs), len(batch))
+	}
+	follower, err := Open(filepath.Join(t.TempDir(), "f"), WithSyncPolicy(SyncNever))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	follower.SetReadOnly(true)
+	for _, rec := range recs {
+		if err := follower.ReplApply(rec); err != nil {
+			t.Fatalf("ReplApply(seq %d): %v", rec.Seq, err)
+		}
+	}
+	if got, want := follower.WriteVersion(), primary.WriteVersion(); got != want {
+		t.Fatalf("follower version = %d, primary = %d", got, want)
+	}
+	assertSameResults(t, "batched prefer, replicated", follower, ref)
+}
+
 func TestReplBootstrapPromoteAndDurableFence(t *testing.T) {
 	base := t.TempDir()
 	primary, _ := seedPrimary(t, filepath.Join(base, "p"))
