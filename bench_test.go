@@ -527,7 +527,7 @@ func BenchmarkRepairsFirstYield(b *testing.B) {
 // cluster, insert a replacement, orient the fresh conflict — followed
 // by one read: a ground G-Rep query or a full repair count.
 // "incremental" patches the touched component; "rebuild" is
-// WithIncremental(false), the reference of mutation_test.go, which
+// withIncremental(false), the reference of mutation_test.go, which
 // rebuilds graph, priority and component index for every read. Both
 // modes must give the same answers.
 func BenchmarkMutationUpdate(b *testing.B) {
@@ -535,7 +535,7 @@ func BenchmarkMutationUpdate(b *testing.B) {
 	for _, kind := range []string{"query", "count"} {
 		for _, mode := range []string{"incremental", "rebuild"} {
 			b.Run(kind+"/"+mode, func(b *testing.B) {
-				db := New(WithIncremental(mode == "incremental"))
+				db := New(withIncremental(mode == "incremental"))
 				r, err := db.CreateRelation("R", IntAttr("K"), IntAttr("V"))
 				if err != nil {
 					b.Fatal(err)

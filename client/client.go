@@ -58,6 +58,13 @@ func New(base string, opts ...Option) *Client {
 	return c
 }
 
+// Close closes the client's idle keep-alive connections. The client
+// stays usable — a later request dials again — so Close is safe to
+// defer next to New; a client sharing a transport (http.DefaultTransport
+// unless WithHTTPClient substituted one) closes that transport's idle
+// connections.
+func (c *Client) Close() { c.http.CloseIdleConnections() }
+
 // BaseURL returns the server address the client was built with.
 func (c *Client) BaseURL() string { return c.base }
 

@@ -49,6 +49,16 @@ func NewReplicaSet(primaryURL string, replicaURLs []string, opts ...Option) *Rep
 	return rs
 }
 
+// Close closes the idle connections of every member (Client.Close).
+func (rs *ReplicaSet) Close() {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	rs.primary.Close()
+	for _, r := range rs.replicas {
+		r.Close()
+	}
+}
+
 // Primary returns the member currently treated as the primary.
 func (rs *ReplicaSet) Primary() *Client {
 	rs.mu.Lock()

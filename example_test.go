@@ -72,30 +72,6 @@ func ExampleDB_Clean() {
 	// true
 }
 
-// Tuning the evaluation engine: WithParallelism shards conflict-graph
-// components across workers and WithCache memoizes per-component
-// repair choices. Every configuration returns identical answers —
-// only the speed changes.
-func ExampleWithParallelism() {
-	db := prefcqa.New(prefcqa.WithParallelism(4), prefcqa.WithCache(true))
-	sensors, _ := db.CreateRelation("Sensor",
-		prefcqa.IntAttr("ID"), prefcqa.IntAttr("Reading"))
-	for i := 0; i < 6; i++ {
-		sensors.MustInsert(i, 0) // two conflicting readings
-		sensors.MustInsert(i, 1) // per sensor: 6 components
-	}
-	_ = sensors.AddFD("ID -> Reading")
-
-	n, _ := db.CountRepairs(prefcqa.Rep, "Sensor")
-	fmt.Println(n, "repairs")
-
-	certain, _ := db.Certain(prefcqa.Rep, "Sensor(0, 0) OR Sensor(0, 1)")
-	fmt.Println("certain:", certain)
-	// Output:
-	// 64 repairs
-	// certain: true
-}
-
 // Brave vs cautious answers.
 func ExampleDB_Possible() {
 	db := prefcqa.New()

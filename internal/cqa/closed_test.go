@@ -71,8 +71,8 @@ func quantDiffInput(t testing.TB) Input {
 }
 
 // closedDeclinedCorpus holds the uncoverable shapes: a quantifier has
-// no positive atom, so the support analysis declines and the full
-// enumeration answers. The last three are the serving benchmark's
+// no positive atom, so the support analysis declines and the walk runs
+// over the whole database. The last three are the serving benchmark's
 // declined class — the variable occurs only under a negation — asked
 // about an unoriented cluster, an oriented one and an absent key.
 var closedDeclinedCorpus = []string{
@@ -107,13 +107,42 @@ func evaluateNaive(t *testing.T, f core.Family, in Input, q query.Expr) Answer {
 	return ans
 }
 
-// closedDiffCorpus is the quantified closed-query mix the
-// differential test pins: oriented, unoriented and triangle
-// components, whole-relation supports, empty supports, negated-atom
-// residuals, cross-relation joins, boolean combinations of
-// quantifiers, mixed ground/quantified skeletons, and the declined
-// shapes above.
-var closedDiffCorpus = append([]string{
+// closedGroundCorpus holds ground shapes, which take the same path as
+// every other closed query: present and absent tuples under both signs,
+// oriented, unoriented and triangle components, two relations varying at
+// once, nothing touched at all, ground comparisons (an order comparison
+// under NOT, equality on names).
+var closedGroundCorpus = []string{
+	"R(0, 0)",                         // the winner of an oriented cluster
+	"NOT R(0, 1)",                     // its loser
+	"R(3, 0)",                         // unoriented: undetermined
+	"NOT R(3, 0) AND R(3, 1)",         // one component, both signs
+	"R(3, 0) OR R(3, 1)",              // every repair keeps one of the two
+	"R(0, 7)",                         // tombstoned: absent
+	"R(7, 7) OR NOT S(9, 9)",          // absent tuples only: nothing is touched
+	"R(5, 2) OR R(5, 0)",              // the triangle: families disagree
+	"R(3, 0) AND S(1, 1)",             // two relations vary
+	"R(9, 9) AND 1 < 2 AND NOT 2 < 1", // ground comparisons
+	"'n' = 'n' AND R(4, 0) AND 'n' != 'm'",
+	"R(3, 0) OR R(4, 1) OR R(9, 9)", // four leaves, true on their intersection
+}
+
+// closedBoundedCorpus lists the queries of closedDiffCorpus that are
+// decided on a bound of their walk, in every family: more than two
+// leaves, one polarity, and false on the union or true on the
+// intersection.
+var closedBoundedCorpus = []string{
+	"EXISTS k, v . R(k, v) AND v = 7",
+	"FORALL k, v . NOT R(k, v) OR v >= 0",
+	"R(3, 0) OR R(4, 1) OR R(9, 9)",
+}
+
+// closedDiffCorpus is the closed-query mix the differential test pins:
+// oriented, unoriented and triangle components, whole-relation
+// supports, empty supports, negated-atom residuals, cross-relation
+// joins, boolean combinations of quantifiers, mixed ground/quantified
+// skeletons, the ground shapes and the declined shapes above.
+var closedDiffCorpus = slices.Concat([]string{
 	"EXISTS v . R(0, v) AND v < 2",                                // single oriented component
 	"EXISTS v . R(3, v) AND v = 0",                                // unoriented: undetermined
 	"FORALL v . NOT R(3, v) OR v <= 1",                            // universal over one component
@@ -127,14 +156,15 @@ var closedDiffCorpus = append([]string{
 	"R(9, 9) AND EXISTS v . R(4, v) AND v = 1",                    // mixed ground + quantified
 	"(EXISTS v . R(1, v) AND v = 1) OR (EXISTS w . S(1, w) AND w = 6)",
 	"NOT (EXISTS v . R(2, v) AND v = 1)", // negated quantifier
-}, closedDeclinedCorpus...)
+}, closedGroundCorpus, closedDeclinedCorpus)
 
-// TestClosedQuantPrunedMatchesFull pins the component-pruned
-// vectorized verification bit-for-bit against the full
-// whole-database repair enumeration, across all five families, and
-// asserts via the stats counters which path answered each query:
-// the pruned walk alone for every covered shape, the full
-// enumeration alone for every declined one.
+// TestClosedQuantPrunedMatchesFull pins the one closed-query path
+// bit-for-bit against the full whole-database repair enumeration,
+// across all five families, and asserts via the stats counters what
+// answered each query: pruned for every shape the support analysis
+// accepts — ground ones included — and decided on a bound exactly where
+// closedBoundedCorpus says; the walk over the whole database, with no
+// bound tried, for every declined one.
 func TestClosedQuantPrunedMatchesFull(t *testing.T) {
 	in := quantDiffInput(t)
 	stats := &EvalStats{}
@@ -149,12 +179,20 @@ func TestClosedQuantPrunedMatchesFull(t *testing.T) {
 				t.Fatalf("%s: Evaluate: %v", tag, err)
 			}
 			after := stats.Snapshot()
-			wantPruned, wantFull := int64(1), int64(0)
+			want := EvalStatsSnapshot{ClosedPruned: 1}
 			if slices.Contains(closedDeclinedCorpus, src) {
-				wantPruned, wantFull = 0, 1
+				want = EvalStatsSnapshot{ClosedFull: 1}
 			}
-			if dp, df := after.ClosedPruned-before.ClosedPruned, after.ClosedFull-before.ClosedFull; dp != wantPruned || df != wantFull {
-				t.Fatalf("%s: ClosedPruned +%d ClosedFull +%d, want +%d +%d", tag, dp, df, wantPruned, wantFull)
+			if slices.Contains(closedBoundedCorpus, src) {
+				want.ClosedBounded = 1
+			}
+			got := EvalStatsSnapshot{
+				ClosedPruned:  after.ClosedPruned - before.ClosedPruned,
+				ClosedFull:    after.ClosedFull - before.ClosedFull,
+				ClosedBounded: after.ClosedBounded - before.ClosedBounded,
+			}
+			if got != want {
+				t.Fatalf("%s: counters moved by %+v, want %+v", tag, got, want)
 			}
 			full, err := evaluateFull(f, in, q)
 			if err != nil {
@@ -163,8 +201,8 @@ func TestClosedQuantPrunedMatchesFull(t *testing.T) {
 			if pruned != full {
 				t.Fatalf("%s: pruned=%v full=%v", tag, pruned, full)
 			}
-			// For a declined shape the two above are one path; the
-			// oracle evaluator is the independent one.
+			// The two above share the query evaluator; the oracle
+			// evaluator is the independent one.
 			if naive := evaluateNaive(t, f, in, q); full != naive {
 				t.Fatalf("%s: full=%v, active-domain iteration per repair=%v", tag, full, naive)
 			}
@@ -364,10 +402,12 @@ func TestClosedQuantConcurrent(t *testing.T) {
 }
 
 // FuzzClosedEquivalence parses arbitrary query text and, for every
-// accepted closed formula over the fixture's schemas, requires the
-// dispatching evaluator (ground-pruned, quantified-pruned or full,
-// whichever fires) and the pinned full enumeration to agree for every
-// family. Run with
+// accepted closed formula over the fixture's schemas, requires the one
+// closed-query path (evaluateClosed: a support of tuple IDs, of whole
+// relations, or none — the three arms its seeds reach through
+// closedGroundCorpus, the quantified shapes and closedDeclinedCorpus)
+// and the reference enumeration (evaluateFull, reference_test.go) to
+// agree for every family. Run with
 // `go test -fuzz=FuzzClosedEquivalence ./internal/cqa` to explore.
 func FuzzClosedEquivalence(f *testing.F) {
 	for _, s := range closedDiffCorpus {
@@ -406,8 +446,9 @@ func FuzzClosedEquivalence(f *testing.F) {
 // oriented toward the 0-tuple except the last three (2^3 preferred
 // repairs, all agreeing on cluster 7). The support is the K = 7
 // posting: "pruned" is Evaluate, which must walk that one component
-// and nothing else; "full" is evaluateFull over the whole database.
-// Both must answer true.
+// and nothing else; "full" is evaluateFull over the whole database;
+// "ground" is the point read R(7, 0), whose support is that one tuple.
+// All must answer true.
 func BenchmarkClosedVerify(b *testing.B) {
 	const n = 2000
 	schema := relation.MustSchema("R", relation.IntAttr("K"), relation.IntAttr("V"))
@@ -427,8 +468,11 @@ func BenchmarkClosedVerify(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	q := query.MustParse("EXISTS v . R(7, v) AND v < 2")
-	for _, mode := range []string{"pruned", "full"} {
+	for _, mode := range []string{"pruned", "ground", "full"} {
+		q := query.MustParse("EXISTS v . R(7, v) AND v < 2")
+		if mode == "ground" {
+			q = query.MustParse("R(7, 0)")
+		}
 		b.Run(mode, func(b *testing.B) {
 			stats := &EvalStats{}
 			in := base.WithEngine(core.NewEngine()).WithStats(stats)
@@ -443,7 +487,7 @@ func BenchmarkClosedVerify(b *testing.B) {
 			}
 			check()
 			snap := stats.Snapshot()
-			if mode == "pruned" && (snap.ClosedPruned == 0 || snap.ClosedFull != 0) {
+			if mode != "full" && (snap.ClosedPruned == 0 || snap.ClosedFull != 0) {
 				b.Fatalf("pruned verification did not fire: %+v", snap)
 			}
 			if mode == "full" && snap.ClosedFull == 0 {

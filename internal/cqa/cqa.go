@@ -1,19 +1,24 @@
 // Package cqa computes preferred consistent query answers
 // (Definition 3): true is the X-consistent answer to a closed query Q
-// iff Q holds in every preferred repair of the family X. Evaluation
-// treats repairs as views, prunes to the components a query actually
-// touches, decides a monotone or antitone query on the union and the
-// intersection of the preferred repairs when that settles it,
-// enumerates them with early exit otherwise, and implements the
+// iff Q holds in every preferred repair of the family X. Every closed
+// query — ground, quantified, or one instantiated from an open query's
+// candidate — takes one path (evaluateClosed): repairs are views, the
+// walk is pruned to the components the query's support touches, a
+// monotone or antitone query is decided on the union and the
+// intersection of the preferred repairs when that settles it, and the
+// remaining combinations are enumerated with early exit. A query whose
+// support analysis declines walks the preferred repairs of the whole
+// database the same way. Beside it the package keeps the
 // polynomial-time ground quantifier-free algorithm for the plain Rep
-// family (first row of Fig. 5, after Chomicki & Marcinkowski [6]).
+// family (GroundQFCertain: first row of Fig. 5, after Chomicki &
+// Marcinkowski [6]) as a tested reproduction no served query takes.
 //
 // Per-component repair choices come from a core.Engine (Input.Engine;
 // sequential by default) at the granularity the query's support has.
 // A support that is a set of tuple IDs (ground atoms, posting-list
 // supports) resolves the touched components inline, per request, at
-// O(touched). A support that spans a whole relation, and the
-// whole-database fallback, read the relation's core.Resolved — every
+// O(touched). A support that spans a whole relation, and every relation
+// of a declined query, read the relation's core.Resolved — every
 // single-choice component folded into one base set plus the list of
 // multi-choice components — which is built once per Relation (one
 // immutable database version) and kept on it, so such a request costs
@@ -209,38 +214,6 @@ func (in Input) model(subsets map[string]*bitset.Set) query.Model {
 	return query.DBModel{DB: in.DB, Subsets: subsets}
 }
 
-// forEachPreferredRepair enumerates the preferred repairs of the
-// whole database — the product of per-relation preferred repairs, the
-// first relation varying slowest — and calls visit with one subset per
-// relation. The subsets are the walk's own sets, mutated in place
-// between visits. visit returns false to stop. Every relation's
-// Resolved is read (built on the version's first use) and one
-// core.Walk runs over all of them, so a visit costs the bits that
-// differ from the previous one, not a pass over the database. A
-// non-nil error is the input context's cancellation, checked once per
-// visited repair (an early visit stop is not an error).
-func (in Input) forEachPreferredRepair(f core.Family, visit func(map[string]*bitset.Set) bool) error {
-	ctx := in.ctx()
-	subsets := make(map[string]*bitset.Set, len(in.Rels))
-	parts := make([]core.Part, len(in.Rels))
-	for i, r := range in.Rels {
-		res, err := r.Resolved(ctx, in.engine(), f)
-		if err != nil {
-			return err
-		}
-		parts[i] = res.Part()
-		subsets[r.Inst.Schema().Name()] = parts[i].Set
-	}
-	var err error
-	core.Walk(parts, func() bool {
-		if err = ctx.Err(); err != nil {
-			return false
-		}
-		return visit(subsets)
-	})
-	return err
-}
-
 // Certain reports whether true is the X-consistent answer to the
 // closed query q: q must hold in every preferred repair of family f.
 func Certain(f core.Family, in Input, q query.Expr) (bool, error) {
@@ -265,8 +238,7 @@ func Possible(f core.Family, in Input, q query.Expr) (bool, error) {
 
 // Evaluate computes the three-valued answer to the closed query q
 // over family f, stopping as soon as both a satisfying and a
-// falsifying preferred repair have been seen. Ground queries are
-// pruned to the conflict-graph components they touch.
+// falsifying preferred repair have been seen.
 func Evaluate(f core.Family, in Input, q query.Expr) (Answer, error) {
 	if err := query.Validate(q, in.schemas()); err != nil {
 		return 0, err
@@ -277,53 +249,79 @@ func Evaluate(f core.Family, in Input, q query.Expr) (Answer, error) {
 	return evaluateClosed(f, in, q)
 }
 
-// evaluateClosed dispatches evaluation of an already-validated closed
-// query. Kind-mismatched constants inside atoms (which arise when
-// open queries are instantiated over the mixed active domain) simply
-// make the atom false. Ground queries take the ground pruned walk;
-// quantified queries take the quantified pruned walk when the support
-// analysis proves it sound (no quantifier falls back to active-domain
-// iteration); everything else enumerates the full repair product.
+// evaluateClosed answers an already-validated closed query: its support
+// decides the parts of the walk, the query is prepared once against
+// their sets, and walkVerdict evaluates it over them. Kind-mismatched
+// constants inside atoms (which arise when open queries are instantiated
+// over the mixed active domain) simply make the atom false.
+//
+// The support analysis (query.AnalyzeSupport) computes, per relation,
+// every live tuple ID an atom of the query could bind — the one tuple a
+// ground atom names, the posting intersection of an atom's constant
+// positions, or the whole relation for constant-free atoms — and proves
+// the verdict a function of the visible touched tuples alone (no
+// quantifier consults the active domain). Only the conflict components
+// containing touched tuples can then vary the answer, and what the
+// support is decides what is paid: an ID set resolves its components
+// inline (touchedPart; O(touched), nothing kept), leaving untouched
+// components invisible — observationally identical to fixing them to
+// an arbitrary preferred choice, every family being componentwise
+// non-empty; a support spanning the whole relation clones the base of
+// the version's Resolved and walks its multi-choice components; a
+// relation no atom reaches stays fully visible. When the analysis
+// declines, the verdict may depend on any tuple: every relation's
+// Resolved is walked — the preferred repairs of the whole database —
+// and the bounds, which need a domain-free query, are not tried.
+//
+// The query itself is compiled once (query.PrepareClosed) and re-run
+// per combination; the walk swaps visibility in place.
 func evaluateClosed(f core.Family, in Input, q query.Expr) (Answer, error) {
-	if err := in.ctx().Err(); err != nil {
-		return 0, err
+	sup, pruned := query.AnalyzeSupport(q, in.model(nil))
+	in.Stats.noteClosed(pruned)
+	pol := query.Positive | query.Negative
+	if pruned {
+		pol = query.PolarityOf(q)
 	}
-	if query.IsGround(q) {
-		return evaluateGroundPruned(f, in, q)
-	}
-	if ans, handled, err := evaluateQuantPruned(f, in, q); handled {
-		return ans, err
-	}
-	return evaluateFull(f, in, q)
-}
-
-// evaluateFull enumerates the preferred repairs of the whole database
-// and evaluates q on each: the exit for queries the support analysis
-// declines, and the reference the pruned walks are tested against.
-func evaluateFull(f core.Family, in Input, q query.Expr) (Answer, error) {
-	in.Stats.noteClosed(false)
-	seenTrue, seenFalse := false, false
-	var evalErr error
-	walkErr := in.forEachPreferredRepair(f, func(subsets map[string]*bitset.Set) bool {
-		holds, err := query.EvalCtx(in.Ctx, q, in.model(subsets))
-		if err != nil {
-			evalErr = err
-			return false
+	eng, ctx := in.engine(), in.ctx()
+	subsets := make(map[string]*bitset.Set, len(in.Rels))
+	parts := make([]core.Part, 0, len(in.Rels))
+	for _, r := range in.Rels {
+		name := r.Inst.Schema().Name()
+		ids, all := []relation.TupleID(nil), true
+		if pruned {
+			ids, all = sup.TouchedIDs(name)
 		}
-		if holds {
-			seenTrue = true
-		} else {
-			seenFalse = true
+		var part core.Part
+		switch {
+		case all:
+			res, err := r.Resolved(ctx, eng, f)
+			if err != nil {
+				return 0, err
+			}
+			part = res.Part()
+		case len(ids) == 0:
+			continue
+		default:
+			// The support is this call's own: its tuple IDs become their
+			// component IDs in place.
+			g := r.Pri.Graph()
+			for i, id := range ids {
+				ids[i] = g.ComponentOf(id)
+			}
+			var err error
+			if part, err = touchedPart(ctx, eng, f, r.Pri, ids); err != nil {
+				return 0, err
+			}
 		}
-		return !(seenTrue && seenFalse)
-	})
-	if evalErr != nil {
-		return 0, evalErr
+		subsets[name] = part.Set
+		parts = append(parts, part)
 	}
-	if walkErr != nil {
-		return 0, walkErr
-	}
-	return verdict(seenTrue, seenFalse)
+	// With no multi-choice component the walk evaluates exactly once:
+	// every touched component is single-choice (or nothing is touched
+	// at all), so all preferred repairs agree and the verdict is
+	// certain.
+	prep := query.PrepareClosed(in.model(subsets), q)
+	return walkVerdict(ctx, in.Stats, parts, pol, func() (bool, error) { return prep.Eval(ctx) })
 }
 
 func verdict(seenTrue, seenFalse bool) (Answer, error) {
@@ -403,13 +401,14 @@ func boundVerdict(ctx context.Context, parts []core.Part, pol query.Polarity, ho
 	return Undetermined, nil
 }
 
-// walkVerdict decides q over the preferred repairs parts span; holds
-// evaluates q on the parts' current sets. More than two leaves are
-// first tried on their bounds (a decision is counted in stats): with
-// one or two the walk's early exit never costs more, and with none it
-// keeps its error. The walk evaluates holds at every combination until
-// it has seen both outcomes. ctx is checked once per evaluation.
-func walkVerdict(ctx context.Context, stats *EvalStats, parts []core.Part, q query.Expr, holds func() (bool, error)) (ans Answer, err error) {
+// walkVerdict decides a query of polarity pol over the preferred
+// repairs parts span; holds evaluates it on the parts' current sets.
+// More than two leaves are first tried on their bounds (a decision is
+// counted in stats): with one or two the walk's early exit never costs
+// more, and with none it keeps its error. The walk evaluates holds at
+// every combination until it has seen both outcomes. ctx is checked once
+// per evaluation.
+func walkVerdict(ctx context.Context, stats *EvalStats, parts []core.Part, pol query.Polarity, holds func() (bool, error)) (ans Answer, err error) {
 	leaves := 1
 	for _, p := range parts {
 		for _, c := range p.Multi {
@@ -417,7 +416,7 @@ func walkVerdict(ctx context.Context, stats *EvalStats, parts []core.Part, q que
 		}
 	}
 	if leaves > 2 {
-		if ans, err = boundVerdict(ctx, parts, query.PolarityOf(q), holds); err != nil {
+		if ans, err = boundVerdict(ctx, parts, pol, holds); err != nil {
 			return 0, err
 		}
 		if ans != Undetermined {
@@ -445,147 +444,4 @@ func walkVerdict(ctx context.Context, stats *EvalStats, parts []core.Part, q que
 		return 0, err
 	}
 	return verdict(seenTrue, seenFalse)
-}
-
-// evaluateGroundPruned exploits that a ground query's truth in a
-// repair depends only on the membership of the tuples its atoms
-// mention. Only the conflict-graph components containing those
-// tuples vary the answer; all other components are invisible (the
-// query never consults them), which is observationally identical to
-// fixing them to an arbitrary preferred choice (every family is
-// componentwise non-empty). The touched components are resolved
-// inline and the walk — exponential only in the touched multi-choice
-// components — mutates one visibility set per touched relation in
-// place.
-func evaluateGroundPruned(f core.Family, in Input, q query.Expr) (Answer, error) {
-	in.Stats.noteClosed(true)
-	// Identify the touched components per relation. The query mentions
-	// O(|Q|) tuples, so these are small slices.
-	touched := make(map[string][]int)
-	for _, a := range query.Atoms(q) {
-		tup := make(relation.Tuple, len(a.Args))
-		for i, t := range a.Args {
-			c, ok := t.(query.Const)
-			if !ok {
-				return 0, fmt.Errorf("cqa: internal: non-ground atom %s", a)
-			}
-			tup[i] = c.Value
-		}
-		for _, r := range in.Rels {
-			name := r.Inst.Schema().Name()
-			if name != a.Rel {
-				continue
-			}
-			if len(tup) != r.Inst.Schema().Arity() {
-				return 0, fmt.Errorf("cqa: %s arity mismatch", a.Rel)
-			}
-			ok := true
-			for i, v := range tup {
-				if v.Kind() != r.Inst.Schema().Attr(i).Kind {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue // wrong kinds: tuple cannot exist
-			}
-			if id, found := r.Inst.Lookup(tup); found {
-				touched[name] = append(touched[name], r.Pri.Graph().ComponentOf(id))
-			}
-		}
-	}
-	ctx := in.ctx()
-	subsets := make(map[string]*bitset.Set, len(touched))
-	var parts []core.Part
-	for _, r := range in.Rels {
-		name := r.Inst.Schema().Name()
-		compIDs := touched[name]
-		if len(compIDs) == 0 {
-			continue
-		}
-		part, err := touchedPart(ctx, in.engine(), f, r.Pri, compIDs)
-		if err != nil {
-			return 0, err
-		}
-		subsets[name] = part.Set
-		parts = append(parts, part)
-	}
-	// No touched components anywhere means every atom references an
-	// absent tuple: the walk then evaluates once, with every relation
-	// fully visible, and the single verdict is certain.
-	model := in.model(subsets)
-	return walkVerdict(ctx, in.Stats, parts, q, func() (bool, error) {
-		return query.EvalCtx(in.Ctx, q, model)
-	})
-}
-
-// evaluateQuantPruned extends the ground pruning to quantified closed
-// queries. The support analysis (query.AnalyzeSupport) computes,
-// per relation, every live tuple ID any atom of the query could bind
-// — the posting intersection of each atom's constant positions, or
-// the whole relation for constant-free atoms — and proves the verdict
-// a function of the visible touched tuples alone (no quantifier falls
-// back to active-domain iteration). Only the conflict components
-// containing touched tuples can then vary the answer. What the
-// support is decides what is paid: an ID set resolves its components
-// inline (touchedPart; O(touched), nothing kept), leaving untouched
-// components invisible — observationally identical to fixing them to
-// an arbitrary preferred choice; a support spanning the whole relation
-// clones the base of the version's Resolved and walks its multi-choice
-// components. The query itself is compiled once (query.PrepareClosed)
-// and re-run per combination; the walk swaps visibility in place, and
-// walkVerdict tries the two bounds of the combinations before it.
-//
-// handled=false means the support analysis declined (the verdict may
-// depend on tuples outside the atoms' reach) and the caller must fall
-// back to the full enumeration.
-func evaluateQuantPruned(f core.Family, in Input, q query.Expr) (ans Answer, handled bool, err error) {
-	sup, ok := query.AnalyzeSupport(q, in.model(nil))
-	if !ok {
-		return 0, false, nil
-	}
-	in.Stats.noteClosed(true)
-	eng := in.engine()
-	ctx := in.ctx()
-	subsets := make(map[string]*bitset.Set)
-	var parts []core.Part
-	for _, r := range in.Rels {
-		name := r.Inst.Schema().Name()
-		ids, all := sup.TouchedIDs(name)
-		var part core.Part
-		switch {
-		case all:
-			res, err := r.Resolved(ctx, eng, f)
-			if err != nil {
-				return 0, true, err
-			}
-			part = res.Part()
-		case len(ids) == 0:
-			// Untouched relation: left fully visible, like the ground
-			// path — no atom can bind any of its tuples anyway.
-			continue
-		default:
-			g := r.Pri.Graph()
-			compIDs := make([]int, len(ids))
-			for i, id := range ids {
-				compIDs[i] = g.ComponentOf(id)
-			}
-			if part, err = touchedPart(ctx, eng, f, r.Pri, compIDs); err != nil {
-				return 0, true, err
-			}
-		}
-		subsets[name] = part.Set
-		parts = append(parts, part)
-	}
-	// Compile once, swap visibility per combination.
-	prep, ok := query.PrepareClosed(in.model(subsets), q)
-	if !ok {
-		return 0, true, fmt.Errorf("cqa: internal: query with a support analysis did not prepare: %s", q)
-	}
-	// With no multi-choice component the walk evaluates exactly once:
-	// every touched component is single-choice (or nothing is touched
-	// at all), so all preferred repairs agree and the verdict is
-	// certain.
-	ans, err = walkVerdict(ctx, in.Stats, parts, q, func() (bool, error) { return prep.Eval(ctx) })
-	return ans, true, err
 }

@@ -21,6 +21,15 @@ import (
 // the positive facts and the other witnesses. The witness search
 // branches only over the negated facts — bounded by query size — so
 // data complexity stays polynomial.
+//
+// No served query takes this path: it is kept as the tested reproduction
+// of that cell (TestGroundQFAgainstNaive holds it to the enumeration of
+// all repairs). A served ground query takes evaluateClosed like every
+// other closed query — for all five families, exponential only in the
+// touched multi-choice components, of which a ground query has at most
+// one per atom. Atoms and comparisons are decided by the query
+// package's own evaluator and support analysis, not by copies of their
+// semantics.
 func GroundQFCertain(in Input, q query.Expr) (bool, error) {
 	if err := query.Validate(q, in.schemas()); err != nil {
 		return false, err
@@ -105,7 +114,8 @@ func (in Input) disjunctSatisfiableInSomeRepair(disj []query.Literal) (bool, err
 	var pos, negPresent []fact
 	for _, lit := range disj {
 		if lit.IsCmp {
-			holds, err := evalGroundCmp(lit.Cmp)
+			// Ground: the same in every repair.
+			holds, err := query.Eval(lit.Cmp, in.model(nil))
 			if err != nil {
 				return false, err
 			}
@@ -117,10 +127,7 @@ func (in Input) disjunctSatisfiableInSomeRepair(disj []query.Literal) (bool, err
 			}
 			continue
 		}
-		ri, id, present, err := in.lookupAtom(lit.Atom)
-		if err != nil {
-			return false, err
-		}
+		ri, id, present := in.lookupAtom(lit.Atom)
 		if lit.Negated {
 			if present {
 				negPresent = append(negPresent, fact{rel: ri, id: id})
@@ -187,62 +194,19 @@ func (in Input) coverNegated(negPresent []fact, chosen, negSet []tupleSet) bool 
 	return false
 }
 
-// lookupAtom resolves a ground atom to (relation index, tuple ID,
-// present).
-func (in Input) lookupAtom(a query.Atom) (int, relation.TupleID, bool, error) {
-	for ri, r := range in.Rels {
-		if r.Inst.Schema().Name() != a.Rel {
-			continue
+// lookupAtom resolves a ground atom of a validated query to (relation
+// index, tuple ID, present): the support of a ground atom is the tuple
+// it names, if that tuple is live.
+func (in Input) lookupAtom(a query.Atom) (ri int, id relation.TupleID, present bool) {
+	for ri = range in.Rels {
+		if in.Rels[ri].Inst.Schema().Name() == a.Rel {
+			break
 		}
-		if len(a.Args) != r.Inst.Schema().Arity() {
-			return 0, 0, false, fmt.Errorf("cqa: %s arity mismatch", a.Rel)
+	}
+	if sup, ok := query.AnalyzeSupport(a, in.model(nil)); ok {
+		if ids, _ := sup.TouchedIDs(a.Rel); len(ids) > 0 {
+			return ri, ids[0], true
 		}
-		tup := make(relation.Tuple, len(a.Args))
-		for i, t := range a.Args {
-			c, ok := t.(query.Const)
-			if !ok {
-				return 0, 0, false, fmt.Errorf("cqa: atom %s is not ground", a)
-			}
-			if c.Value.Kind() != r.Inst.Schema().Attr(i).Kind {
-				return ri, 0, false, nil // wrong kind: never present
-			}
-			tup[i] = c.Value
-		}
-		id, present := r.Inst.Lookup(tup)
-		return ri, id, present, nil
 	}
-	return 0, 0, false, fmt.Errorf("cqa: unknown relation %q", a.Rel)
-}
-
-func evalGroundCmp(c query.Cmp) (bool, error) {
-	lc, ok1 := c.L.(query.Const)
-	rc, ok2 := c.R.(query.Const)
-	if !ok1 || !ok2 {
-		return false, fmt.Errorf("cqa: comparison %s is not ground", c)
-	}
-	l, r := lc.Value, rc.Value
-	switch c.Op {
-	case query.EQ:
-		return l.Equal(r), nil
-	case query.NE:
-		return !l.Equal(r), nil
-	}
-	if l.Kind() != relation.KindInt || r.Kind() != relation.KindInt {
-		return false, nil
-	}
-	cv, err := l.Compare(r)
-	if err != nil {
-		return false, err
-	}
-	switch c.Op {
-	case query.LT:
-		return cv < 0, nil
-	case query.LE:
-		return cv <= 0, nil
-	case query.GT:
-		return cv > 0, nil
-	case query.GE:
-		return cv >= 0, nil
-	}
-	return false, fmt.Errorf("cqa: unknown operator %v", c.Op)
+	return ri, 0, false
 }

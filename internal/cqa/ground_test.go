@@ -112,7 +112,8 @@ func TestGroundQFAgainstNaive(t *testing.T) {
 }
 
 // TestGroundPrunedAgainstFull cross-validates the component-pruned
-// evaluation against full enumeration for all families.
+// evaluation of random ground queries against full enumeration for all
+// families; every one of them must be answered pruned.
 func TestGroundPrunedAgainstFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(2029))
 	for iter := 0; iter < 60; iter++ {
@@ -125,9 +126,13 @@ func TestGroundPrunedAgainstFull(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pruned, err := evaluateGroundPruned(f, in, q)
+			stats := &EvalStats{}
+			pruned, err := evaluateClosed(f, in.WithStats(stats), q)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if snap := stats.Snapshot(); snap.ClosedPruned != 1 || snap.ClosedFull != 0 {
+				t.Fatalf("iter %d %v: %s answered with %+v, want the pruned walk alone", iter, f, q, snap)
 			}
 			if full != pruned {
 				t.Fatalf("iter %d %v: full=%v pruned=%v for %s", iter, f, full, pruned, q)

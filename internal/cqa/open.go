@@ -3,6 +3,7 @@ package cqa
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -134,20 +135,23 @@ func freeAnswersDirect(f core.Family, in Input, q query.Expr, vars []string) (an
 		for i, name := range spine.Vars {
 			env[name] = vals[i]
 		}
-		a, err := evaluateClosed(f, in, query.Substitute(q, env))
-		if err != nil {
+		if answers, err = appendIfCertain(answers, f, in, q, env); err != nil {
 			return nil, "", false, err
-		}
-		if a == CertainlyTrue {
-			b := make(Binding, len(env))
-			for k, v := range env {
-				b[k] = v
-			}
-			answers = append(answers, b)
 		}
 	}
 	in.Stats.noteOpen(spine.Executor, true)
 	return answers, "", true, nil
+}
+
+// appendIfCertain verifies one candidate: q with its free variables
+// bound by env is a closed query, and env (copied) joins the answers if
+// that query is certainly true.
+func appendIfCertain(answers []Binding, f core.Family, in Input, q query.Expr, env map[string]relation.Value) ([]Binding, error) {
+	a, err := evaluateClosed(f, in, query.Substitute(q, env))
+	if err != nil || a != CertainlyTrue {
+		return answers, err
+	}
+	return append(answers, maps.Clone(env)), nil
 }
 
 // freeAnswersSubst answers the open query by active-domain
@@ -164,18 +168,9 @@ func freeAnswersSubst(f core.Family, in Input, q query.Expr, vars []string, reas
 	var rec func(i int) error
 	rec = func(i int) error {
 		if i == len(vars) {
-			a, err := evaluateClosed(f, in, query.Substitute(q, env))
-			if err != nil {
-				return err
-			}
-			if a == CertainlyTrue {
-				b := make(Binding, len(env))
-				for k, v := range env {
-					b[k] = v
-				}
-				answers = append(answers, b)
-			}
-			return nil
+			var err error
+			answers, err = appendIfCertain(answers, f, in, q, env)
+			return err
 		}
 		for _, v := range domains[i] {
 			env[vars[i]] = v

@@ -169,6 +169,14 @@ func TestFreeAnswersKindPruning(t *testing.T) {
 // fallback: one columnar pass leaves 5 names alive and only those are
 // verified. "subst" closed-evaluates all 200 names of x's kind-pruned
 // domain.
+//
+// "ground" is the serving benchmark's open_range class: C(x, 0) AND
+// x >= 0 AND x < n on C(K, V) under K -> V, n clusters (k, 0) / (k, 1),
+// every tenth oriented toward its 0-tuple and the others away from it.
+// The spine leaves all n keys as candidates and each costs one ground
+// closed check — analyse, resolve one component, prepare, evaluate — for
+// n/10 answers: the per-candidate cost of the closed pipeline is all
+// this case measures.
 func BenchmarkOpenAnswers(b *testing.B) {
 	const n = 2000
 	schema := relation.MustSchema("R", relation.NameAttr("Name"), relation.IntAttr("Val"))
@@ -187,41 +195,74 @@ func BenchmarkOpenAnswers(b *testing.B) {
 	for j, twin := range twins {
 		rel.Pri.MustAdd(j, twin)
 	}
-	base, err := NewInput(rel)
+	spine, err := NewInput(rel)
 	if err != nil {
 		b.Fatal(err)
 	}
-	q := query.MustParse(fmt.Sprintf("EXISTS v . R(x, v) AND v > %d", n-6))
-	for _, mode := range []string{"direct", "subst"} {
-		b.Run(mode, func(b *testing.B) {
+
+	cSchema := relation.MustSchema("C", relation.IntAttr("K"), relation.IntAttr("V"))
+	cInst := relation.NewInstance(cSchema)
+	for k := 0; k < n; k++ {
+		cInst.MustInsert(k, 0) // ID 2k
+		cInst.MustInsert(k, 1) // ID 2k+1
+	}
+	relC, err := NewRelation(cInst, fd.MustParseSet(cSchema, "K -> V"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for k := 0; k < n; k++ {
+		if k%10 == 0 {
+			relC.Pri.MustAdd(2*k, 2*k+1)
+		} else {
+			relC.Pri.MustAdd(2*k+1, 2*k)
+		}
+	}
+	clusters, err := NewInput(relC)
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	spineQ := query.MustParse(fmt.Sprintf("EXISTS v . R(x, v) AND v > %d", n-6))
+	for _, c := range []struct {
+		mode string
+		base Input
+		q    query.Expr
+		want int
+	}{
+		// The 5 matching tuples are conflict-free, so both modes must
+		// find exactly them.
+		{"direct", spine, spineQ, 5},
+		{"subst", spine, spineQ, 5},
+		{"ground", clusters, query.MustParse(fmt.Sprintf("C(x, 0) AND x >= 0 AND x < %d", n)), n / 10},
+	} {
+		b.Run(c.mode, func(b *testing.B) {
 			stats := &EvalStats{}
-			in := base.WithStats(stats)
+			in := c.base.WithStats(stats)
 			answers := func() int {
 				var ans []Binding
 				var err error
-				if mode == "direct" {
-					ans, err = FreeAnswers(core.Global, in, q)
+				if c.mode == "subst" {
+					ans, err = freeAnswersSubst(core.Global, in, c.q, query.FreeVars(c.q), "forced")
 				} else {
-					ans, err = freeAnswersSubst(core.Global, in, q, query.FreeVars(q), "forced")
+					ans, err = FreeAnswers(core.Global, in, c.q)
 				}
 				if err != nil {
 					b.Fatal(err)
 				}
 				return len(ans)
 			}
-			// Warm the lazily built indexes; the 5 matching tuples are
-			// conflict-free, so both modes must find exactly them.
-			if got := answers(); got != 5 {
-				b.Fatalf("warmup: %d answers, want 5", got)
+			// Warm the lazily built indexes.
+			if got := answers(); got != c.want {
+				b.Fatalf("warmup: %d answers, want %d", got, c.want)
 			}
-			if snap := stats.Snapshot(); mode == "direct" && (snap.OpenDirect == 0 || snap.OpenFallback != 0) {
+			if snap := stats.Snapshot(); c.mode != "subst" && (snap.OpenDirect == 0 || snap.OpenFallback != 0) {
 				b.Fatalf("direct open enumeration did not fire: %+v", snap)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if got := answers(); got != 5 {
-					b.Fatalf("%d answers, want 5", got)
+				if got := answers(); got != c.want {
+					b.Fatalf("%d answers, want %d", got, c.want)
 				}
 			}
 		})

@@ -35,10 +35,10 @@ type EvalStatsSnapshot struct {
 	SpineYannakakis int64
 	SpineGreedy     int64
 	// ClosedPruned / ClosedFull count closed-query evaluations (both
-	// direct Evaluate calls and per-candidate open-query verifies)
-	// answered by the component-pruned repair walk (ground or
-	// quantified with a sound support analysis) vs the full
-	// whole-database repair enumeration.
+	// direct Evaluate calls and per-candidate open-query verifies) whose
+	// walk was pruned to the components the query's support touches vs
+	// run over the preferred repairs of the whole database because the
+	// support analysis declined.
 	ClosedPruned int64
 	ClosedFull   int64
 	// ClosedBounded counts the ClosedPruned evaluations decided on the
@@ -64,8 +64,7 @@ func (s *EvalStats) Snapshot() EvalStatsSnapshot {
 }
 
 // noteClosed records one closed-query evaluation: pruned says whether
-// the component-pruned walk answered it (vs the full whole-database
-// repair enumeration).
+// its walk was pruned to a support (vs run over the whole database).
 func (s *EvalStats) noteClosed(pruned bool) {
 	if s == nil {
 		return

@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"prefcqa/internal/bitset"
 	"prefcqa/internal/relation"
@@ -54,21 +55,6 @@ func (m DBModel) Tuples(rel string, yield func(relation.Tuple) bool) {
 		}
 		return true
 	})
-}
-
-// Contains reports whether the visible part of rel has the tuple, in
-// O(1): a key-index lookup plus a bit test on the visible subset.
-func (m DBModel) Contains(rel string, t relation.Tuple) bool {
-	inst, ok := m.DB.Relation(rel)
-	if !ok {
-		return false
-	}
-	id, ok := inst.Lookup(t)
-	if !ok {
-		return false
-	}
-	sub := m.Subsets[rel]
-	return sub == nil || sub.Has(id)
 }
 
 // Card returns the number of visible tuples of rel.
@@ -262,35 +248,40 @@ func (ev *evaluator) eval(e Expr, env map[string]relation.Value) (bool, error) {
 		}
 		return ev.eval(n.R, env)
 	case Quant:
-		return ev.evalQuant(n, env, 0)
+		return ev.evalQuant(n, env)
 	default:
 		return false, fmt.Errorf("query: cannot evaluate node %T", e)
 	}
 }
 
-func (ev *evaluator) evalQuant(q Quant, env map[string]relation.Value, i int) (bool, error) {
-	if ev.join && i == 0 {
-		if q.All {
-			// ∀x̄.φ ≡ ¬∃x̄.¬φ, which the planner can often handle
-			// (e.g. guarded universals NOT R(x̄) OR ψ).
-			v, err := ev.eval(Quant{Vars: q.Vars, Body: NNF(Not{Body: q.Body})}, env)
-			return !v, err
-		}
-		if res, ok, err := ev.evalPlanned(q, env); ok || err != nil {
-			return res, err
-		}
-		// The planner refused: bind what the body equates to a value,
-		// offer what is left to the planner again, and iterate the
-		// domain only for variables neither step answers.
-		if rest, bound := peelEqualities(q, env); len(rest.Vars) < len(q.Vars) {
-			q, env = rest, bound
-			if len(q.Vars) > 0 {
-				if res, ok, err := ev.evalPlanned(q, env); ok || err != nil {
-					return res, err
-				}
-			}
-		}
+// evalQuant answers a quantifier from its analysed block: a plan when
+// the planner covers it; otherwise what the body equates to a value is
+// bound, what is left is offered to the planner again, and only
+// variables neither step answers iterate the domain.
+func (ev *evaluator) evalQuant(q Quant, env map[string]relation.Value) (bool, error) {
+	if !ev.join {
+		return ev.iterate(q, env, 0)
 	}
+	b := analyzeBlock(q)
+	if !b.covered {
+		b, env = peelEqualities(b, env)
+	}
+	var res bool
+	var err error
+	switch {
+	case len(b.vars) == 0: // every variable was equated to a value
+		res, err = ev.eval(b.body, env)
+	case b.covered:
+		res, err = ev.evalPlanned(b, env)
+	default:
+		res, err = ev.iterate(Quant{Vars: b.vars, Body: b.body}, env, 0)
+	}
+	return res != b.neg, err
+}
+
+// iterate answers the quantifier by active-domain iteration over its
+// variables from the i-th on.
+func (ev *evaluator) iterate(q Quant, env map[string]relation.Value, i int) (bool, error) {
 	if i == len(q.Vars) {
 		return ev.eval(q.Body, env)
 	}
@@ -308,7 +299,7 @@ func (ev *evaluator) evalQuant(q Quant, env map[string]relation.Value, i int) (b
 			return false, err
 		}
 		env[name] = v
-		res, err := ev.evalQuant(q, env, i+1)
+		res, err := ev.iterate(q, env, i+1)
 		if err != nil {
 			return false, err
 		}
@@ -322,13 +313,11 @@ func (ev *evaluator) evalQuant(q Quant, env map[string]relation.Value, i int) (b
 	return q.All, nil
 }
 
-// evalPlanned answers the existential block q with a physical plan.
-// ok=false means the planner refused the block (see compileExists) and
-// nothing was evaluated.
-func (ev *evaluator) evalPlanned(q Quant, env map[string]relation.Value) (res, ok bool, err error) {
-	p, ok, err := ev.compileExists(q, env)
-	if err != nil || !ok {
-		return false, false, err
+// evalPlanned answers a covered block with a physical plan.
+func (ev *evaluator) evalPlanned(b block, env map[string]relation.Value) (bool, error) {
+	p, err := ev.compileExists(b, env)
+	if err != nil {
+		return false, err
 	}
 	var exec *PlanExec
 	if ev.trace != nil {
@@ -336,41 +325,36 @@ func (ev *evaluator) evalPlanned(q Quant, env map[string]relation.Value) (res, o
 		ev.trace.Execs = append(ev.trace.Execs, exec)
 	}
 	if p.Unsat {
-		return false, true, nil
+		return false, nil
 	}
 	vp, err := ev.compileVec(p, env)
 	if err != nil {
-		return false, true, err
+		return false, err
 	}
-	res, err = ev.runVec(vp, exec, env)
-	return res, true, err
+	return ev.runVec(vp, exec, env)
 }
 
-// peelEqualities range-restricts the existential block q: a block
-// variable that a top-level conjunct of the body equates to a constant,
-// or to a variable bound outside the block, can only take that value —
-// which is a domain value already (the domain holds the formula's
-// constants, and an outer variable was bound to a domain value) — so it
-// is bound instead of being searched for. Equalities under OR or NOT,
-// and between two variables of the block, restrict nothing on their own
-// and are left alone. It returns the block without the bound variables
+// peelEqualities range-restricts the block b: a block variable that a
+// top-level conjunct of the body equates to a constant, or to a
+// variable bound outside the block, can only take that value — which is
+// a domain value already (the domain holds the formula's constants, and
+// an outer variable was bound to a domain value) — so it is bound
+// instead of being searched for. Equalities under OR or NOT, and
+// between two variables of the block, restrict nothing on their own and
+// are left alone. It returns the block without the bound variables
 // (same body: the equality that bound a variable now holds trivially)
-// and env extended with their bindings, or q and env themselves when
+// and env extended with their bindings, or b and env themselves when
 // there is nothing to bind.
-func peelEqualities(q Quant, env map[string]relation.Value) (Quant, map[string]relation.Value) {
-	inBlock := make(map[string]bool, len(q.Vars))
-	for _, v := range q.Vars {
-		inBlock[v] = true
-	}
+func peelEqualities(b block, env map[string]relation.Value) (block, map[string]relation.Value) {
 	bound := map[string]relation.Value{}
-	for _, c := range flattenAnd(q.Body) {
+	for _, c := range b.residual {
 		eq, ok := c.(Cmp)
 		if !ok || eq.Op != EQ {
 			continue
 		}
 		for _, side := range [2][2]Term{{eq.L, eq.R}, {eq.R, eq.L}} {
 			x, ok := side[0].(Var)
-			if _, done := bound[x.Name]; !ok || !inBlock[x.Name] || done {
+			if _, done := bound[x.Name]; !ok || !slices.Contains(b.vars, x.Name) || done {
 				continue
 			}
 			switch o := side[1].(type) {
@@ -378,19 +362,19 @@ func peelEqualities(q Quant, env map[string]relation.Value) (Quant, map[string]r
 				bound[x.Name] = o.Value
 			case Var:
 				// A block variable of that name shadows env's.
-				if v, ok := env[o.Name]; ok && !inBlock[o.Name] {
+				if v, ok := env[o.Name]; ok && !slices.Contains(b.vars, o.Name) {
 					bound[x.Name] = v
 				}
 			}
 		}
 	}
 	if len(bound) == 0 {
-		return q, env
+		return b, env
 	}
-	rest := Quant{Body: q.Body}
-	for _, v := range q.Vars {
+	var left []string
+	for _, v := range b.vars {
 		if _, ok := bound[v]; !ok {
-			rest.Vars = append(rest.Vars, v)
+			left = append(left, v)
 		}
 	}
 	for name, v := range env {
@@ -398,10 +382,12 @@ func peelEqualities(q Quant, env map[string]relation.Value) (Quant, map[string]r
 			bound[name] = v
 		}
 	}
+	rest := analyzeBlock(Quant{Vars: left, Body: b.body})
+	rest.neg = b.neg
 	return rest, bound
 }
 
-func (ev *evaluator) resolve(t Term, env map[string]relation.Value) (relation.Value, error) {
+func resolve(t Term, env map[string]relation.Value) (relation.Value, error) {
 	switch x := t.(type) {
 	case Const:
 		return x.Value, nil
@@ -416,64 +402,47 @@ func (ev *evaluator) resolve(t Term, env map[string]relation.Value) (relation.Va
 	}
 }
 
-func (ev *evaluator) evalAtom(a Atom, env map[string]relation.Value) (bool, error) {
-	schema, ok := ev.m.Schema(a.Rel)
-	if !ok {
-		return false, errUnknownRelation(a.Rel)
-	}
+// atomID resolves an atom whose arguments are all known — constants, or
+// variables env binds — to the ID of the live tuple of inst it names.
+// ok=false means inst has no such tuple.
+func atomID(inst *relation.Instance, a Atom, env map[string]relation.Value) (id relation.TupleID, ok bool, err error) {
+	schema := inst.Schema()
 	if len(a.Args) != schema.Arity() {
-		return false, errArity(a.Rel, schema.Arity(), len(a.Args))
+		return 0, false, errArity(a.Rel, schema.Arity(), len(a.Args))
 	}
 	tup := make(relation.Tuple, len(a.Args))
 	for i, t := range a.Args {
-		v, err := ev.resolve(t, env)
+		v, err := resolve(t, env)
 		if err != nil {
-			return false, err
+			return 0, false, err
 		}
 		// A value of the wrong kind cannot be in the relation.
 		if v.Kind() != schema.Attr(i).Kind {
-			return false, nil
+			return 0, false, nil
 		}
 		tup[i] = v
 	}
-	return ev.m.Contains(a.Rel, tup), nil
+	id, ok = inst.Lookup(tup)
+	return id, ok, nil
+}
+
+func (ev *evaluator) evalAtom(a Atom, env map[string]relation.Value) (bool, error) {
+	inst, visible, ok := ev.m.Backing(a.Rel)
+	if !ok {
+		return false, errUnknownRelation(a.Rel)
+	}
+	id, ok, err := atomID(inst, a, env)
+	return ok && (visible == nil || visible.Has(id)), err
 }
 
 func (ev *evaluator) evalCmp(c Cmp, env map[string]relation.Value) (bool, error) {
-	l, err := ev.resolve(c.L, env)
+	l, err := resolve(c.L, env)
 	if err != nil {
 		return false, err
 	}
-	r, err := ev.resolve(c.R, env)
+	r, err := resolve(c.R, env)
 	if err != nil {
 		return false, err
 	}
-	switch c.Op {
-	case EQ:
-		return l.Equal(r), nil
-	case NE:
-		return !l.Equal(r), nil
-	}
-	// Order comparisons are only defined on N (§2). Quantified
-	// variables range over the whole active domain, so a name reaching
-	// an order comparison is simply false rather than an error.
-	if l.Kind() != relation.KindInt || r.Kind() != relation.KindInt {
-		return false, nil
-	}
-	cv, err := l.Compare(r)
-	if err != nil {
-		return false, err
-	}
-	switch c.Op {
-	case LT:
-		return cv < 0, nil
-	case LE:
-		return cv <= 0, nil
-	case GT:
-		return cv > 0, nil
-	case GE:
-		return cv >= 0, nil
-	default:
-		return false, fmt.Errorf("query: unknown comparison operator %v", c.Op)
-	}
+	return cmpHolds(c.Op, l, r), nil
 }

@@ -233,9 +233,6 @@ func TestDBModel(t *testing.T) {
 	if got := len(m.Relations()); got != 2 {
 		t.Errorf("Relations = %d", got)
 	}
-	if m.Contains("Nope", relation.Tuple{}) {
-		t.Error("Contains on unknown relation")
-	}
 }
 
 func TestNNF(t *testing.T) {

@@ -120,7 +120,7 @@ func TestPreparedUnsatQuantifier(t *testing.T) {
 	r, _ := m.DB.Relation("R")
 	for _, c := range []struct {
 		src      string
-		constant bool // the whole query folds to a pBool
+		constant bool // the whole query folds to a pConst
 		atoms    int  // compiled atoms left to re-sync
 	}{
 		{"EXISTS x . R('name', x)", true, 0},
@@ -128,12 +128,9 @@ func TestPreparedUnsatQuantifier(t *testing.T) {
 		{"(EXISTS x . R('name', x)) OR (EXISTS y . R(0, y))", false, 1},
 	} {
 		q := MustParse(c.src)
-		prep, ok := PrepareClosed(m, q)
-		if !ok {
-			t.Fatalf("PrepareClosed declined %q", c.src)
-		}
-		if _, isConst := prep.root.(pBool); isConst != c.constant {
-			t.Errorf("%q compiled to %T, constant=%v wanted", c.src, prep.root, c.constant)
+		prep := PrepareClosed(m, q)
+		if isConst := prep.root.op == pConst; isConst != c.constant {
+			t.Errorf("%q compiled to op %d, constant=%v wanted", c.src, prep.root.op, c.constant)
 		}
 		if len(prep.vecAtoms) != c.atoms {
 			t.Errorf("%q: %d compiled atoms, want %d", c.src, len(prep.vecAtoms), c.atoms)

@@ -91,15 +91,15 @@ func EnumerateOpen(ctx context.Context, m Model, q Expr, yield func(vals []relat
 		body = qq.Body
 	}
 	closure := Quant{Vars: vars, Body: body}
-
+	b := analyzeBlock(closure)
+	if !b.covered {
+		return nil, &OpenUnsupportedError{Reason: "spine is not a positive conjunctive cover of the free variables"}
+	}
 	ev := &evaluator{m: m, root: closure, join: true, ctx: ctx}
 	env := map[string]relation.Value{}
-	p, ok, err := ev.compileExists(closure, env)
+	p, err := ev.compileExists(b, env)
 	if err != nil {
 		return nil, err
-	}
-	if !ok {
-		return nil, &OpenUnsupportedError{Reason: "spine is not a positive conjunctive cover of the free variables"}
 	}
 	spine := &OpenSpine{Vars: free}
 	if p.Unsat {

@@ -95,9 +95,9 @@ func TestPeelEqualities(t *testing.T) {
 	} {
 		q := MustParse(c.src).(Quant)
 		env := map[string]relation.Value{"v": one} // one outer binding
-		rest, bound := peelEqualities(q, env)
-		if !slices.Equal(rest.Vars, c.rest) || rest.Body.String() != q.Body.String() {
-			t.Errorf("%s: left %v . %s, want %v over the same body", c.src, rest.Vars, rest.Body, c.rest)
+		rest, bound := peelEqualities(analyzeBlock(q), env)
+		if !slices.Equal(rest.vars, c.rest) || rest.body.String() != q.Body.String() {
+			t.Errorf("%s: left %v . %s, want %v over the same body", c.src, rest.vars, rest.body, c.rest)
 		}
 		want := c.in
 		if want == nil {

@@ -242,50 +242,79 @@ func flattenAnd(e Expr) []Expr {
 	return []Expr{e}
 }
 
-// compileExists builds the physical plan for an existential
-// quantifier. ok=false means the shape is unsupported (no positive
-// atoms, or a quantified variable occurs only in residual conjuncts)
-// and the caller must fall back to active-domain iteration.
-func (ev *evaluator) compileExists(q Quant, env map[string]relation.Value) (*Plan, bool, error) {
-	conjs := flattenAnd(q.Body)
-	quantified := make(map[string]bool, len(q.Vars))
-	for _, v := range q.Vars {
-		quantified[v] = true
+// block is the analysed shape of one quantifier, read as an existential
+// block: the one place that knows the ∀ ⇒ ¬∃¬ rewrite, what the
+// conjuncts of the body are and whether the planner can answer the
+// block. The evaluator, Prepared, the support analysis and the open
+// enumeration all read it, so none of them can disagree with another
+// about the same quantifier.
+type block struct {
+	// neg marks a universal, rewritten ∀x̄.φ ≡ ¬∃x̄.¬φ (which the planner
+	// can often handle, e.g. guarded universals NOT R(x̄) OR ψ): vars and
+	// body describe the existential, whose verdict is to be negated.
+	neg  bool
+	vars []string
+	body Expr
+	// atoms are the positive relational atoms among the top-level
+	// conjuncts of body; residual is every other conjunct (comparisons —
+	// the equalities peelEqualities reads among them — negated atoms,
+	// disjunctions, nested quantifiers), in order.
+	atoms    []Atom
+	residual []Expr
+	// covered is the coverage rule: at least one positive atom conjunct,
+	// every quantified variable occurring in one. Enumerating the atoms'
+	// matches then enumerates every candidate binding; a block that is
+	// not covered needs its variables equated to a value or the active
+	// domain iterated.
+	covered bool
+}
+
+func analyzeBlock(q Quant) block {
+	b := block{neg: q.All, vars: q.Vars, body: q.Body}
+	if q.All {
+		b.body = Negate(q.Body)
 	}
-	var atoms []Atom
-	var residual []Expr
-	covered := map[string]bool{}
-	for _, c := range conjs {
-		a, ok := c.(Atom)
-		if !ok {
-			residual = append(residual, c)
-			continue
+	for _, c := range flattenAnd(b.body) {
+		if a, ok := c.(Atom); ok {
+			b.atoms = append(b.atoms, a)
+		} else {
+			b.residual = append(b.residual, c)
 		}
-		atoms = append(atoms, a)
+	}
+	b.covered = len(b.atoms) > 0
+	for _, v := range b.vars {
+		b.covered = b.covered && occursIn(b.atoms, v)
+	}
+	return b
+}
+
+// occursIn reports whether the variable is an argument of one of the
+// atoms.
+func occursIn(atoms []Atom, name string) bool {
+	for _, a := range atoms {
 		for _, t := range a.Args {
-			if v, isVar := t.(Var); isVar && quantified[v.Name] {
-				covered[v.Name] = true
+			if v, ok := t.(Var); ok && v.Name == name {
+				return true
 			}
 		}
 	}
-	if len(atoms) == 0 {
-		return nil, false, nil
+	return false
+}
+
+// compileExists builds the physical plan of a covered block.
+func (ev *evaluator) compileExists(b block, env map[string]relation.Value) (*Plan, error) {
+	quantified := make(map[string]bool, len(b.vars))
+	for _, v := range b.vars {
+		quantified[v] = true
 	}
-	for _, v := range q.Vars {
-		if !covered[v] {
-			// A variable occurring only in residual conjuncts needs
-			// domain iteration.
-			return nil, false, nil
-		}
-	}
-	plan := &Plan{Vars: q.Vars, Residual: residual}
-	for _, a := range atoms {
+	plan := &Plan{Vars: b.vars, Residual: b.residual}
+	for _, a := range b.atoms {
 		schema, ok := ev.m.Schema(a.Rel)
 		if !ok {
-			return nil, false, errUnknownRelation(a.Rel)
+			return nil, errUnknownRelation(a.Rel)
 		}
 		if len(a.Args) != schema.Arity() {
-			return nil, false, errArity(a.Rel, schema.Arity(), len(a.Args))
+			return nil, errArity(a.Rel, schema.Arity(), len(a.Args))
 		}
 		// A value of the wrong domain — a constant, or an outer
 		// binding of a non-quantified variable — proves the whole
@@ -310,12 +339,12 @@ func (ev *evaluator) compileExists(q Quant, env map[string]relation.Value) (*Pla
 			if val.Kind() != schema.Attr(i).Kind {
 				plan.Unsat = true
 				plan.Steps = append(plan.Steps, PlanStep{Atom: a, Access: AccessScan, Attr: -1})
-				return plan, true, nil
+				return plan, nil
 			}
 		}
 	}
 	bound := make(map[string]bool) // quantified vars bound by chosen steps
-	remaining := atoms
+	remaining := b.atoms
 	for len(remaining) > 0 {
 		best := 0
 		var bestStep PlanStep
@@ -334,7 +363,7 @@ func (ev *evaluator) compileExists(q Quant, env map[string]relation.Value) (*Pla
 		plan.Steps = append(plan.Steps, bestStep)
 		remaining = append(remaining[:best:best], remaining[best+1:]...)
 	}
-	return plan, true, nil
+	return plan, nil
 }
 
 // estimateStep picks an access path and row estimate for one atom

@@ -1,7 +1,7 @@
 package query
 
 import (
-	"sort"
+	"slices"
 
 	"prefcqa/internal/relation"
 )
@@ -27,23 +27,9 @@ import (
 // path) observes the domain of the *whole* visible instance, so a
 // tuple no atom mentions can still flip the verdict — e.g.
 // ∃x.(x = 1 ∧ ¬S(x)) depends on whether 1 is in the domain at all.
-// AnalyzeSupport refuses such queries: it requires every quantifier,
-// after the same ∀ ⇒ ¬∃¬ rewrite evalQuant performs, to be
-// spine-covered exactly as compileExists requires (at least one
-// positive atom conjunct, every quantified variable occurring in
-// one), recursively through residual conjuncts.
-
-// RelTouched is one relation's share of a query support: either the
-// whole relation (an atom with no constant arguments can bind any
-// tuple) or the live tuple IDs matching some atom's constant
-// positions.
-type RelTouched struct {
-	// All marks the whole relation touched; IDs is nil.
-	All bool
-	// IDs lists the touched live tuple IDs when All is false, one atom's
-	// matches after another's (an ID may repeat): O(matches) in size.
-	IDs []relation.TupleID
-}
+// AnalyzeSupport refuses such queries: it requires every quantifier
+// to be one the planner covers (block.covered, the verdict evalQuant
+// itself acts on), recursively through residual conjuncts.
 
 // Polarity is the set of signs under which a formula's atoms occur:
 // negative under an odd number of NOTs; quantifiers keep the sign. A
@@ -77,133 +63,132 @@ func polarity(e Expr, sign Polarity) Polarity {
 }
 
 // Support is the result of AnalyzeSupport: per relation, the tuple
-// IDs the query's verdict can depend on. Relations absent from the
-// map are untouched (no atom mentions them, or no live tuple matches
-// any mentioning atom's constants).
+// IDs the query's verdict can depend on. Relations without an entry
+// are untouched (no atom mentions them).
 type Support struct {
-	rels map[string]*RelTouched
+	rels []relTouched // a query names a handful of relations: no map
+}
+
+// relTouched is one relation's share of a query support: either the
+// whole relation (an atom with no constant arguments can bind any
+// tuple) or the live tuple IDs matching some atom's constant positions,
+// one atom's matches after another's (an ID may repeat): O(matches) in
+// size.
+type relTouched struct {
+	rel string
+	all bool
+	ids []relation.TupleID // nil when all
 }
 
 // TouchedIDs reports rel's touched tuples: all=true means every tuple,
-// otherwise ids (empty when the relation is untouched).
-func (s *Support) TouchedIDs(rel string) (ids []relation.TupleID, all bool) {
-	t, ok := s.rels[rel]
-	if !ok {
-		return nil, false
+// otherwise ids (empty when the relation is untouched). The slice is the
+// support's own; a caller that is done with the support may reuse it.
+func (s Support) TouchedIDs(rel string) (ids []relation.TupleID, all bool) {
+	for _, t := range s.rels {
+		if t.rel == rel {
+			return t.ids, t.all
+		}
 	}
-	return t.IDs, t.All
-}
-
-// Relations lists the touched relations in sorted order.
-func (s *Support) Relations() []string {
-	out := make([]string, 0, len(s.rels))
-	for name := range s.rels {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return nil, false
 }
 
 // AnalyzeSupport computes the touched tuple IDs of a closed query
 // against the model's columnar backing. ok=false means the query's
 // verdict may depend on tuples outside any atom's reach — some
-// quantifier would fall back to active-domain iteration, or an atom
-// names an absent relation — and the caller must keep the full
-// repair enumeration.
-func AnalyzeSupport(q Expr, m Model) (*Support, bool) {
+// quantifier is not covered by positive atoms, so its evaluation may
+// consult the active domain (this stays a per-query verdict: a block
+// whose uncovered variable an equality binds, ∃x.(x = k ∧ ¬C(x, 0)), is
+// declined although the evaluator answers it with one lookup), or an
+// atom names an absent relation or has the wrong arity — and the
+// verdict must be sought over the preferred repairs of the whole
+// database.
+func AnalyzeSupport(q Expr, m Model) (s Support, ok bool) {
 	if !domainFree(q) {
-		return nil, false
+		return s, false
 	}
-	s := &Support{rels: make(map[string]*RelTouched)}
-	okAll := true
+	ok = true
 	Walk(q, func(e Expr) {
-		a, isAtom := e.(Atom)
-		if !isAtom || !okAll {
-			return
-		}
-		if !s.touchAtom(a, m) {
-			okAll = false
+		if a, isAtom := e.(Atom); isAtom && ok {
+			ok = s.touchAtom(a, m)
 		}
 	})
-	if !okAll {
-		return nil, false
-	}
-	return s, true
+	return s, ok
 }
 
 // touchAtom adds the live tuple IDs matching a's constant argument
-// positions to the support. An atom with no constant arguments can
-// bind any tuple of the relation, so the whole relation is touched.
+// positions to the support: the one tuple a ground atom names (a key
+// lookup), a posting intersection otherwise. An atom with no constant
+// arguments can bind any tuple of the relation, so the whole relation
+// is touched.
 func (s *Support) touchAtom(a Atom, m Model) bool {
 	inst, _, ok := m.Backing(a.Rel)
-	if !ok {
-		return false
+	if !ok || len(a.Args) != inst.Schema().Arity() {
+		return false // Validate reports these; just decline to prune
 	}
-	if len(a.Args) != inst.Schema().Arity() {
-		return false // Validate reports this; just decline to prune
+	i := slices.IndexFunc(s.rels, func(t relTouched) bool { return t.rel == a.Rel })
+	if i < 0 {
+		i = len(s.rels)
+		s.rels = append(s.rels, relTouched{rel: a.Rel})
 	}
-	type constPos struct {
-		pos int
-		val relation.Value
+	rt := &s.rels[i]
+	if rt.all {
+		return true
 	}
-	var consts []constPos
+	consts := 0
+	for _, t := range a.Args {
+		if _, isConst := t.(Const); isConst {
+			consts++
+		}
+	}
+	switch consts {
+	case 0:
+		rt.all, rt.ids = true, nil
+		return true
+	case len(a.Args):
+		// Every term is a constant and the arity was checked: no error.
+		if id, ok, _ := atomID(inst, a, nil); ok {
+			rt.ids = append(rt.ids, id)
+		}
+		return true
+	}
+	// Seed from the most selective constant's posting.
+	seed, best := -1, 0
 	for i, t := range a.Args {
-		if c, isConst := t.(Const); isConst {
-			consts = append(consts, constPos{pos: i, val: c.Value})
+		c, isConst := t.(Const)
+		if !isConst {
+			continue
+		}
+		est := 0
+		if consts > 1 {
+			est = inst.IndexEstimate(i, c.Value)
+		}
+		if seed < 0 || est < best {
+			seed, best = i, est
 		}
 	}
-	rt := s.rels[a.Rel]
-	if rt == nil {
-		rt = &RelTouched{}
-		s.rels[a.Rel] = rt
-	}
-	if len(consts) == 0 {
-		rt.All, rt.IDs = true, nil
-		return true
-	}
-	if rt.All {
-		return true
-	}
-	// Seed from the most selective constant's posting, then check the
-	// remaining constant positions column-wise per candidate. The
-	// postings span the version chain, so each candidate is filtered
-	// through Live (version prefix + tombstones).
-	seed := 0
-	if len(consts) > 1 {
-		best := inst.IndexEstimate(consts[0].pos, consts[0].val)
-		for i := 1; i < len(consts); i++ {
-			if est := inst.IndexEstimate(consts[i].pos, consts[i].val); est < best {
-				seed, best = i, est
-			}
-		}
-	}
-	for _, id := range inst.PostingIDs(consts[seed].pos, consts[seed].val) {
+	// Walk the seed's posting and check the remaining constant positions
+	// column-wise per candidate. The postings span the version chain, so
+	// each candidate is filtered through Live (version prefix +
+	// tombstones).
+candidates:
+	for _, id := range inst.PostingIDs(seed, a.Args[seed].(Const).Value) {
 		if !inst.Live(id) {
 			continue
 		}
-		match := true
-		for i, c := range consts {
-			if i == seed {
-				continue
-			}
-			if !inst.Col(c.pos).Value(id).Equal(c.val) {
-				match = false
-				break
+		for i, t := range a.Args {
+			if c, isConst := t.(Const); isConst && i != seed && !inst.Col(i).Value(id).Equal(c.Value) {
+				continue candidates
 			}
 		}
-		if match {
-			rt.IDs = append(rt.IDs, id)
-		}
+		rt.ids = append(rt.ids, id)
 	}
 	return true
 }
 
 // domainFree reports whether evaluating e can never consult the
-// active domain: every quantifier — after the ∀ ⇒ ¬∃¬ NNF rewrite
-// evalQuant performs — satisfies compileExists's coverage rule (at
-// least one positive atom conjunct, every quantified variable
-// occurring in one), recursively through residual conjuncts. Only
-// then is the verdict a function of the visible touched tuples alone.
+// active domain: every quantifier is a block the planner covers,
+// recursively through residual conjuncts. Only then is the verdict a
+// function of the visible touched tuples alone.
 func domainFree(e Expr) bool {
 	switch n := e.(type) {
 	case Bool, Atom, Cmp:
@@ -215,39 +200,8 @@ func domainFree(e Expr) bool {
 	case Or:
 		return domainFree(n.L) && domainFree(n.R)
 	case Quant:
-		body := n.Body
-		if n.All {
-			body = NNF(Not{Body: n.Body})
-		}
-		quantified := make(map[string]bool, len(n.Vars))
-		for _, v := range n.Vars {
-			quantified[v] = true
-		}
-		covered := make(map[string]bool, len(n.Vars))
-		hasAtom := false
-		for _, c := range flattenAnd(body) {
-			if a, isAtom := c.(Atom); isAtom {
-				hasAtom = true
-				for _, t := range a.Args {
-					if v, isVar := t.(Var); isVar && quantified[v.Name] {
-						covered[v.Name] = true
-					}
-				}
-				continue
-			}
-			if !domainFree(c) {
-				return false
-			}
-		}
-		if !hasAtom {
-			return false
-		}
-		for _, v := range n.Vars {
-			if !covered[v] {
-				return false
-			}
-		}
-		return true
+		b := analyzeBlock(n)
+		return b.covered && !slices.ContainsFunc(b.residual, func(c Expr) bool { return !domainFree(c) })
 	default:
 		return false
 	}

@@ -79,8 +79,10 @@ func (c vecCmp) holds(vals []relation.Value) bool {
 	return cmpHolds(c.op, c.l.value(vals), c.r.value(vals))
 }
 
-// cmpHolds mirrors evalCmp exactly: EQ/NE on any kinds, order
-// comparisons defined only on integers (a name is simply false).
+// cmpHolds is the comparison semantics: EQ/NE on any kinds; order
+// comparisons are only defined on N (§2), and since quantified
+// variables range over the whole active domain, a name reaching one is
+// simply false rather than an error.
 func cmpHolds(op CmpOp, l, r relation.Value) bool {
 	switch op {
 	case EQ:

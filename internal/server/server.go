@@ -89,6 +89,20 @@ type Options struct {
 	DiscoverInterval time.Duration
 }
 
+// Connection limits. Constants, not Options: no deployment needs another
+// value. A request's body and its reply are bounded per request
+// (MaxBodyBytes, timeout_ms, StreamWindow), not here.
+const (
+	// readHeaderTimeout is how long a connection may take to send a
+	// request line and headers: a peer that connects and stalls is
+	// closed instead of holding a goroutine and a descriptor for good.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout closes a keep-alive connection that has carried no
+	// request for this long (above the 90 s after which Go's default
+	// client transport drops it itself, so the client closes first).
+	idleTimeout = 2 * time.Minute
+)
+
 func (o Options) withDefaults() Options {
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = 64
@@ -184,7 +198,12 @@ func New(opts Options) *Server {
 	s.sem = make(chan struct{}, s.opts.MaxInflight)
 	s.mux = http.NewServeMux()
 	s.routes()
-	s.http = &http.Server{Handler: s.mux, ConnState: s.trackConn}
+	s.http = &http.Server{
+		Handler:           s.mux,
+		ConnState:         s.trackConn,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	return s
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"net/http"
 	"strings"
@@ -19,6 +20,13 @@ import (
 func boot(t *testing.T, opts Options) (*Server, *client.Client) {
 	t.Helper()
 	srv := New(opts)
+	return srv, client.New("http://" + serve(t, srv))
+}
+
+// serve starts srv on a loopback socket, returns its address and shuts
+// it down with the test.
+func serve(t *testing.T, srv *Server) string {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +43,7 @@ func boot(t *testing.T, opts Options) (*Server, *client.Client) {
 			t.Errorf("serve: %v", err)
 		}
 	})
-	return srv, client.New("http://" + l.Addr().String())
+	return l.Addr().String()
 }
 
 // mustStatus asserts err is an APIError with the given status.
@@ -422,5 +430,37 @@ func TestWireInteroperability(t *testing.T) {
 	}
 	if out.Answer != "true" {
 		t.Fatalf("answer = %q", out.Answer)
+	}
+}
+
+// TestStalledConnectionIsClosed: a peer that sends half a request line
+// and stops is disconnected once the header timeout passes, and an idle
+// keep-alive connection has a timeout too. The production values are
+// asserted, then the header timeout is shortened so the test need not
+// wait for it.
+func TestStalledConnectionIsClosed(t *testing.T) {
+	srv := New(Options{})
+	if srv.http.ReadHeaderTimeout != readHeaderTimeout || srv.http.IdleTimeout != idleTimeout || readHeaderTimeout <= 0 || idleTimeout <= 0 {
+		t.Fatalf("http.Server timeouts: header %v idle %v, want %v and %v, both positive",
+			srv.http.ReadHeaderTimeout, srv.http.IdleTimeout, readHeaderTimeout, idleTimeout)
+	}
+	srv.http.ReadHeaderTimeout = 100 * time.Millisecond
+	conn, err := net.Dial("tcp", serve(t, srv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /healthz HT")); err != nil {
+		t.Fatal(err)
+	}
+	// The server hangs up, after whatever net/http replies; were the
+	// connection still open, the read would end on this deadline instead
+	// of at EOF.
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if reply, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("after %v the stalled connection had read %q and was still open (%v); want it closed by the server", time.Since(start), reply, err)
 	}
 }

@@ -70,7 +70,7 @@ func TestMutationStreamMatchesFreshRebuild(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		inc, rInc := newMutDB(t)
-		noInc, rNo := newMutDB(t, WithIncremental(false))
+		noInc, rNo := newMutDB(t, withIncremental(false))
 		var log []mutOp
 
 		for step := 0; step < 30; step++ {
@@ -129,7 +129,7 @@ func TestMutationStreamMatchesFreshRebuild(t *testing.T) {
 					t.Fatalf("seed %d step %d %v: incremental enumeration differs from fresh rebuild:\n%s\nvs\n%s", seed, step, f, fi, ff)
 				}
 				if fi != fn {
-					t.Fatalf("seed %d step %d %v: incremental enumeration differs from WithIncremental(false)", seed, step, f)
+					t.Fatalf("seed %d step %d %v: incremental enumeration differs from withIncremental(false)", seed, step, f)
 				}
 			}
 			// Spot-check query answers on a live tuple.

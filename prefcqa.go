@@ -163,8 +163,9 @@ func WriteCSV(dst io.Writer, inst *Instance) error { return relation.WriteCSV(ds
 //
 // Query evaluation runs on a parallel engine: per-component repair
 // choice sets are sharded across a worker pool and, by default,
-// memoized across queries (see WithParallelism and WithCache). All
-// engine configurations return identical results.
+// memoized across queries. Worker count and memoization change the
+// speed only: every configuration returns identical results
+// (TestParallelismEquivalence).
 //
 // Formula evaluation is plan-based: existential conjunctions compile
 // into a physical plan with index access paths — equality probes of
@@ -222,30 +223,34 @@ type DB struct {
 // Option configures a DB at construction time.
 type Option func(*DB)
 
-// WithParallelism sets how many workers evaluate conflict-graph
+// The engine and maintenance knobs below have one value in use —
+// nothing that ships sets them — so they are not part of the API; the
+// differential tests reach them (export_test.go) to hold every
+// configuration to identical results.
+
+// withParallelism sets how many workers evaluate conflict-graph
 // components concurrently. n == 1 evaluates sequentially on the
 // calling goroutine; n <= 0 (the default) uses runtime.GOMAXPROCS.
-// Results are identical for every setting.
-func WithParallelism(n int) Option {
+func withParallelism(n int) Option {
 	return func(db *DB) { db.parallelism = n }
 }
 
-// WithCache enables or disables memoization of per-component repair
+// withCache enables or disables memoization of per-component repair
 // choice sets (default on). Cached entries are keyed by the component
 // structure and preference orientation, so structurally identical
 // components — within one instance or across repeated queries — are
 // evaluated once.
-func WithCache(on bool) Option {
+func withCache(on bool) Option {
 	return func(db *DB) { db.cache = on }
 }
 
-// WithIncremental enables or disables delta maintenance of the
+// withIncremental enables or disables delta maintenance of the
 // conflict graph, priority and component index across mutations
 // (default on). When disabled, every mutation invalidates the built
-// state and the next read rebuilds it from scratch — the baseline the
-// mutation benchmarks compare against. Results are identical for both
-// settings.
-func WithIncremental(on bool) Option {
+// state and the next read rebuilds it from scratch — the path an
+// oversized batch takes anyway, and the reference the mutation tests
+// and benchmarks compare against.
+func withIncremental(on bool) Option {
 	return func(db *DB) { db.incremental = on }
 }
 
@@ -935,8 +940,7 @@ func (r *Relation) Consistent() (bool, error) {
 }
 
 // EngineStats returns the evaluation engine's cumulative choice-set
-// cache hit and miss counts (both zero with WithCache(false)) — the
-// numbers behind the serving layer's /v1/stats endpoint.
+// cache hit and miss counts — the numbers behind the serving layer's /v1/stats endpoint.
 func (db *DB) EngineStats() (hits, misses int64) {
 	return db.engine.CacheStats()
 }
