@@ -280,8 +280,10 @@ func (c *Client) Insert(ctx context.Context, db, rel string, rows ...prefcqa.Tup
 	return out.IDs, out.Version, err
 }
 
-// Delete tombstones tuples by ID; it returns how many were live and
-// the published write-version.
+// Delete tombstones tuples by ID as one batch — one write-version step
+// per request, however many IDs — and returns how many were live
+// (dead, unknown and repeated IDs are skipped) and the published
+// write-version.
 func (c *Client) Delete(ctx context.Context, db, rel string, ids ...int) (int, uint64, error) {
 	var out DeleteResponse
 	err := c.do(ctx, PathDelete, DeleteRequest{DB: db, Relation: rel, IDs: ids}, &out)

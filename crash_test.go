@@ -97,6 +97,25 @@ func TestCrashChild(t *testing.T) {
 				fmt.Fprintf(ack, "delete %d %d\n", id, db.WriteVersion())
 			}
 		}
+		if i%31 == 30 {
+			// A multi-ID delete is one log record too: once acknowledged,
+			// every live ID of it must stay dead — the repeated and the
+			// possibly dead ones beside them are not logged at all.
+			inst := r.Instance()
+			var live []TupleID
+			for _, id := range recent[:3] {
+				if inst.Live(id) && !slices.Contains(live, id) {
+					live = append(live, id)
+				}
+			}
+			n, err := r.DeleteIDs([]TupleID{recent[0], recent[1], recent[2], recent[0]})
+			if err != nil || n != len(live) {
+				t.Fatalf("DeleteIDs = %d, %v; want %d", n, err, len(live))
+			}
+			for _, id := range live {
+				fmt.Fprintf(ack, "delete %d %d\n", id, db.WriteVersion())
+			}
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package prefcqa
 import (
 	"fmt"
 
-	"prefcqa/internal/fd"
 	"prefcqa/internal/relation"
 	"prefcqa/internal/wal"
 )
@@ -123,27 +122,34 @@ func (db *DB) Checkpoint() error {
 }
 
 // checkpointRelation captures one relation's writer-side state.
-// Caller holds db.snapMu and r.mu. Every tuple is stored in ID order,
-// tombstoned ones included: the TupleID universe must survive the
-// checkpoint bit-for-bit, because tail records and recorded
-// preferences address tuples by ID.
+// Caller holds db.snapMu and r.mu.
 func checkpointRelation(name string, r *Relation) wal.CheckpointRelation {
 	cr := wal.CheckpointRelation{
 		Name:  name,
-		Attrs: wireAttrs(r.inst.Schema()),
-		Rows:  make([][]string, r.inst.NumIDs()),
+		Attrs: r.inst.Schema().WireAttrs(),
 		Prefs: append([][2]TupleID(nil), r.prefs...),
 	}
-	for id := 0; id < r.inst.NumIDs(); id++ {
-		cr.Rows[id] = encodeRow(r.inst.Tuple(id))
-		if !r.inst.Live(id) {
-			cr.Dead = append(cr.Dead, id)
-		}
-	}
+	cr.Rows, cr.Dead = encodeUniverse(r.inst)
 	for _, f := range r.fds.All() {
 		cr.FDs = append(cr.FDs, f.String())
 	}
 	return cr
+}
+
+// encodeUniverse renders every tuple of the instance in ID order,
+// tombstoned ones included, plus the tombstoned IDs — what a creation
+// record and a checkpoint store: the TupleID universe must survive
+// bit-for-bit, because later records and recorded preferences address
+// tuples by ID. replayCreate is the inverse.
+func encodeUniverse(inst *relation.Instance) (rows [][]string, dead []int) {
+	rows = make([][]string, inst.NumIDs())
+	for id := range rows {
+		rows[id] = relation.EncodeRow(inst.Tuple(id))
+		if !inst.Live(id) {
+			dead = append(dead, id)
+		}
+	}
+	return rows, dead
 }
 
 // logAppend assigns the mutation its write-version: on a durable DB
@@ -197,7 +203,7 @@ func (db *DB) loadCheckpoint(c *wal.Checkpoint) error {
 			return fmt.Errorf("relation %s: %w", cr.Name, err)
 		}
 		for _, spec := range cr.FDs {
-			if err := r.replayFD(spec); err != nil {
+			if _, err := r.applyFD(spec, false); err != nil {
 				return fmt.Errorf("relation %s: %w", cr.Name, err)
 			}
 		}
@@ -227,7 +233,8 @@ func (db *DB) applyRecord(rec wal.Record) error {
 		if err != nil {
 			return err
 		}
-		return r.replayFD(rec.FD)
+		_, err = r.applyFD(rec.FD, false)
+		return err
 	case wal.OpInsert:
 		r, err := db.replayRel(rec.Rel)
 		if err != nil {
@@ -264,18 +271,7 @@ func (db *DB) replayRel(name string) (*Relation, error) {
 // immediately after insertion so set-semantics deduplication — which
 // only considers live tuples — reproduces the exact original IDs.
 func (db *DB) replayCreate(name string, wattrs []relation.WireAttr, rows [][]string, dead []int) (*Relation, error) {
-	if _, dup := db.rels[name]; dup {
-		return nil, fmt.Errorf("relation already exists")
-	}
-	attrs, err := parseWireAttrs(wattrs)
-	if err != nil {
-		return nil, err
-	}
-	schema, err := relation.NewSchema(name, attrs...)
-	if err != nil {
-		return nil, err
-	}
-	fds, err := fd.NewSet(schema)
+	schema, err := relation.WireSchema(name, wattrs)
 	if err != nil {
 		return nil, err
 	}
@@ -288,7 +284,7 @@ func (db *DB) replayCreate(name string, wattrs []relation.WireAttr, rows [][]str
 	}
 	inst := relation.NewInstance(schema)
 	for i, cells := range rows {
-		tup, err := decodeRow(schema, cells)
+		tup, err := relation.DecodeRow(schema, cells)
 		if err != nil {
 			return nil, fmt.Errorf("row %d: %w", i, err)
 		}
@@ -303,73 +299,35 @@ func (db *DB) replayCreate(name string, wattrs []relation.WireAttr, rows [][]str
 			inst.Delete(i)
 		}
 	}
-	r := db.newRelation(name, inst, fds)
-	db.rels[name] = r
-	db.order = append(db.order, name)
+	r, err := db.freshRelation(inst)
+	if err != nil {
+		return nil, err
+	}
+	db.register(r)
 	return r, nil
 }
 
-func (r *Relation) replayFD(spec string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f, err := fd.Parse(r.inst.Schema(), spec)
-	if err != nil {
-		return err
-	}
-	nfds, err := fd.NewSet(r.inst.Schema(), append(r.fds.All(), f)...)
-	if err != nil {
-		return err
-	}
-	r.fds = nfds
-	r.pend.rebuild = true
-	r.dirty.Store(true)
-	return nil
-}
-
-// replayInserts and replayDeletes serve two callers: crash recovery
-// (no published version exists yet, so beginMutate and the pending
-// delta are no-ops) and live replication on a follower, where readers
-// hold published versions that must stay immutable — hence the same
-// fork-and-track discipline as the public mutation paths.
+// replayInserts and replayDeletes: lock, decode, apply. The strictness
+// a replay needs is applyInserts' and applyDeletes' own.
 func (r *Relation) replayInserts(rows [][]string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.beginMutate()
+	tuples := make([]Tuple, len(rows))
 	for i, cells := range rows {
-		tup, err := decodeRow(r.inst.Schema(), cells)
+		tup, err := relation.DecodeRow(r.inst.Schema(), cells)
 		if err != nil {
 			return fmt.Errorf("row %d: %w", i, err)
 		}
-		id, fresh, err := r.inst.Insert(tup)
-		if err != nil {
-			return fmt.Errorf("row %d: %w", i, err)
-		}
-		if !fresh {
-			return fmt.Errorf("row %d replayed as a duplicate of tuple %d", i, id)
-		}
-		if r.cur.Load() != nil {
-			r.pend.inserts = append(r.pend.inserts, id)
-		}
+		tuples[i] = tup
 	}
-	r.dirty.Store(true)
-	return nil
+	_, err := r.applyInserts(tuples)
+	return err
 }
 
 func (r *Relation) replayDeletes(ids []int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.beginMutate()
-	for _, id := range ids {
-		if !r.inst.Live(id) {
-			return fmt.Errorf("delete of non-live tuple %d", id)
-		}
-		r.inst.Delete(id)
-		if r.cur.Load() != nil {
-			r.pend.deletes = append(r.pend.deletes, id)
-		}
-	}
-	r.dirty.Store(true)
-	return nil
+	return r.applyDeletes(ids)
 }
 
 func (r *Relation) replayPrefs(pairs [][2]TupleID, requireLive bool) error {
@@ -385,50 +343,4 @@ func (r *Relation) replayPrefs(pairs [][2]TupleID, requireLive bool) error {
 		r.preferLocked(p[0], p[1])
 	}
 	return nil
-}
-
-// --- wire helpers -----------------------------------------------------
-
-func encodeRow(t Tuple) []string {
-	cells := make([]string, len(t))
-	for i, v := range t {
-		cells[i] = relation.EncodeValue(v)
-	}
-	return cells
-}
-
-func decodeRow(schema *Schema, cells []string) (Tuple, error) {
-	if len(cells) != schema.Arity() {
-		return nil, fmt.Errorf("%d cells for arity-%d schema", len(cells), schema.Arity())
-	}
-	tup := make(Tuple, len(cells))
-	for i, cell := range cells {
-		v, err := relation.DecodeValue(schema.Attr(i).Kind, cell)
-		if err != nil {
-			return nil, err
-		}
-		tup[i] = v
-	}
-	return tup, nil
-}
-
-func wireAttrs(schema *Schema) []relation.WireAttr {
-	attrs := schema.Attrs()
-	out := make([]relation.WireAttr, len(attrs))
-	for i, a := range attrs {
-		out[i] = relation.WireAttr{Name: a.Name, Kind: a.Kind.String()}
-	}
-	return out
-}
-
-func parseWireAttrs(wattrs []relation.WireAttr) ([]Attribute, error) {
-	out := make([]Attribute, len(wattrs))
-	for i, w := range wattrs {
-		k, err := relation.ParseKind(w.Kind)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = Attribute{Name: w.Name, Kind: k}
-	}
-	return out, nil
 }

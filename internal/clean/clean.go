@@ -25,9 +25,6 @@ import (
 // reported as an error by Clean.
 type Choice func(candidates *bitset.Set) int
 
-// MinChoice picks the smallest tuple ID — the deterministic default.
-func MinChoice(candidates *bitset.Set) int { return candidates.Min() }
-
 // ErrBadChoice is returned when a Choice selects a tuple outside the
 // winnow set.
 var ErrBadChoice = errors.New("clean: choice outside the winnow set")
@@ -57,7 +54,8 @@ func Clean(p *priority.Priority, choose Choice) (*bitset.Set, error) {
 	return out, nil
 }
 
-// Deterministic runs Algorithm 1 with MinChoice. It processes one
+// Deterministic runs Algorithm 1 always choosing the smallest tuple ID
+// of the winnow set (MinChoice). It processes one
 // connected component at a time, which yields exactly the global
 // MinChoice outcome — whenever the global minimum of the winnow lies
 // in a component, it is also that component's local minimum, and

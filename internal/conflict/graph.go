@@ -338,31 +338,6 @@ func (g *Graph) IsMaximalIndependent(s *bitset.Set) bool {
 	return true
 }
 
-// ConflictClosure extends s with every tuple reachable through
-// conflict edges — the union of the components touching s.
-func (g *Graph) ConflictClosure(s *bitset.Set) *bitset.Set {
-	out := bitset.New(g.numVerts)
-	var stack []int
-	s.Range(func(t int) bool {
-		if t < g.numVerts && !out.Has(t) {
-			out.Add(t)
-			stack = append(stack, t)
-		}
-		return true
-	})
-	for len(stack) > 0 {
-		t := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, u := range g.Neighbors(t) {
-			if !out.Has(int(u)) {
-				out.Add(int(u))
-				stack = append(stack, int(u))
-			}
-		}
-	}
-	return out
-}
-
 // ensureComps computes the base component arrays once. On graphs that
 // undergo deltas the base is always computed before the first fork,
 // so the overlay is never patched while the base is missing.
@@ -386,9 +361,6 @@ func (g *Graph) ComponentsWithIDs() ([][]int, []int32) {
 	l := g.listing()
 	return l.comps, l.ids
 }
-
-// NumComponents returns the number of live components.
-func (g *Graph) NumComponents() int { return len(g.listing().comps) }
 
 func (g *Graph) listing() *componentListing {
 	if l := g.compList.Load(); l != nil {
@@ -558,18 +530,6 @@ func (g *Graph) ComponentSignature(comp []int) string {
 		}
 	}
 	return b.String()
-}
-
-// ConflictingVertices returns the set of live tuples involved in at
-// least one conflict.
-func (g *Graph) ConflictingVertices() *bitset.Set {
-	s := bitset.New(g.numVerts)
-	for t := 0; t < g.numVerts; t++ {
-		if g.Degree(t) > 0 {
-			s.Add(t)
-		}
-	}
-	return s
 }
 
 // DOT renders the graph in Graphviz format with tuple labels, matching

@@ -164,23 +164,6 @@ func TestConsistentInstanceGraph(t *testing.T) {
 	if !g.IsMaximalIndependent(inst.AllIDs()) {
 		t.Fatal("full instance should be the unique repair")
 	}
-	if got := g.ConflictingVertices(); !got.Empty() {
-		t.Fatalf("ConflictingVertices = %v", got)
-	}
-}
-
-func TestConflictClosure(t *testing.T) {
-	inst, fds := pairsInstance(3)
-	g := MustBuild(inst, fds)
-	// Closure of {(0,0)} is its pair component {0,1}.
-	got := g.ConflictClosure(bitset.FromSlice([]int{0}))
-	if !got.Equal(bitset.FromSlice([]int{0, 1})) {
-		t.Fatalf("closure = %v", got)
-	}
-	got = g.ConflictClosure(bitset.FromSlice([]int{0, 4}))
-	if !got.Equal(bitset.FromSlice([]int{0, 1, 4, 5})) {
-		t.Fatalf("closure = %v", got)
-	}
 }
 
 func TestIsolatedVertexComponent(t *testing.T) {

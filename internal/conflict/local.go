@@ -78,10 +78,6 @@ func (l *Local) Len() int { return len(l.verts) }
 // Global returns the global TupleID of local vertex i.
 func (l *Local) Global(i int) int { return l.verts[i] }
 
-// Verts returns the sorted global vertex list. Callers must not
-// mutate it.
-func (l *Local) Verts() []int { return l.verts }
-
 // Neighbors returns the local indices adjacent to local vertex i,
 // ascending. The caller must not mutate the result.
 func (l *Local) Neighbors(i int) []int32 { return l.nbrs[l.off[i]:l.off[i+1]] }

@@ -89,12 +89,6 @@ var sequential = &Engine{workers: 1}
 // results; the property tests assert this.
 func Sequential() *Engine { return sequential }
 
-// Workers returns the configured worker count (0 means GOMAXPROCS).
-func (e *Engine) Workers() int { return e.workers }
-
-// Memoizing reports whether the choice-set cache is enabled.
-func (e *Engine) Memoizing() bool { return e.memo != nil }
-
 // CacheStats returns the cumulative cache hit and miss counts (both
 // zero when memoization is disabled).
 func (e *Engine) CacheStats() (hits, misses int64) {
@@ -201,19 +195,6 @@ func mulCounts(total int64, local [][]*bitset.Set) (int64, error) {
 		}
 	}
 	return total, err
-}
-
-// One returns a single preferred repair of the family — the first in
-// enumeration order. Every family is non-empty for every priority
-// (P1 holds for Rep, L, S, G, C; Props. 2–4, 6), so One always
-// succeeds on a well-formed priority.
-func (e *Engine) One(f Family, p *priority.Priority) *bitset.Set {
-	var out *bitset.Set
-	e.Enumerate(f, p, func(s *bitset.Set) bool { //nolint:errcheck // stops after first
-		out = s.Clone()
-		return false
-	})
-	return out
 }
 
 // componentLocalChoices computes (or recalls) the choice sets of one

@@ -206,3 +206,21 @@ func BenchmarkEngineClusters(b *testing.B) {
 		})
 	}
 }
+
+// One returns a single preferred repair of the family — the first in
+// enumeration order. Every family is non-empty for every priority
+// (P1 holds for Rep, L, S, G, C; Props. 2–4, 6), so One always
+// succeeds on a well-formed priority.
+func (e *Engine) One(f Family, p *priority.Priority) *bitset.Set {
+	var out *bitset.Set
+	e.Enumerate(f, p, func(s *bitset.Set) bool { //nolint:errcheck // stops after first
+		out = s.Clone()
+		return false
+	})
+	return out
+}
+
+// One is Engine.One on the sequential reference engine.
+func One(f Family, p *priority.Priority) *bitset.Set {
+	return sequential.One(f, p)
+}

@@ -43,11 +43,3 @@ func All(f Family, p *priority.Priority) []*bitset.Set {
 func Count(f Family, p *priority.Priority) (int64, error) {
 	return sequential.Count(f, p)
 }
-
-// One returns a single preferred repair of the family — the first in
-// enumeration order. Every family is non-empty for every priority
-// (P1 holds for Rep, L, S, G, C; Props. 2–4, 6), so One always
-// succeeds on a well-formed priority.
-func One(f Family, p *priority.Priority) *bitset.Set {
-	return sequential.One(f, p)
-}

@@ -1,9 +1,6 @@
 // Package fd implements functional dependencies over a relation
-// schema: representation, parsing, violation detection (the conflicts
-// of §2.1), and the classical dependency-theory toolbox (attribute
-// closure, keys, BCNF test, minimal cover) used to classify workloads
-// (one key vs one FD vs many FDs with mutual conflicts — the
-// "possible applications" column of Fig. 5).
+// schema: representation, parsing and violation detection (the
+// conflicts of §2.1).
 package fd
 
 import (
@@ -124,35 +121,12 @@ func splitNames(s string) []string {
 // Schema returns the schema the FD is defined over.
 func (f FD) Schema() *relation.Schema { return f.schema }
 
-// LHS returns the left-hand side attribute positions (sorted copy).
-func (f FD) LHS() []int { return append([]int(nil), f.lhs...) }
-
-// RHS returns the right-hand side attribute positions (sorted copy).
-func (f FD) RHS() []int { return append([]int(nil), f.rhs...) }
-
-// LHSKey returns the canonical key of t's LHS projection — the hash
-// bucket two tuples must share to possibly conflict under f. Used by
-// the incremental conflict-partner index.
-func (f FD) LHSKey(t relation.Tuple) string {
-	b := make([]byte, 0, 16*len(f.lhs))
-	for _, i := range f.lhs {
-		b = t[i].AppendKey(b)
-	}
-	return string(b)
-}
-
 // AppendLHSKeyAt appends the LHS projection key of tuple id of r to b,
-// reading the columns directly — LHSKey without materializing the
-// tuple, for the bulk conflict-build and delta paths.
+// reading the columns directly, without materializing the tuple — the
+// hash bucket two tuples must share to possibly conflict under f, for
+// the bulk conflict-build and delta paths.
 func (f FD) AppendLHSKeyAt(b []byte, r *relation.Instance, id relation.TupleID) []byte {
 	return r.AppendProjectionKey(b, id, f.lhs)
-}
-
-// IsKeyDependency reports whether the FD is a key dependency: X → U
-// where U is all attributes outside X (so conflicting tuples can never
-// be duplicates with respect to it).
-func (f FD) IsKeyDependency() bool {
-	return len(f.lhs)+len(f.rhs) == f.schema.Arity()
 }
 
 // Conflicts reports whether tuples t and u conflict with respect to f:

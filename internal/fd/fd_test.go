@@ -48,11 +48,11 @@ func TestNewNormalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := f.LHS(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
+	if got := f.lhs; len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("LHS = %v", got)
 	}
 	// Name is in the LHS so it is dropped from the RHS.
-	if got := f.RHS(); len(got) != 1 || got[0] != 2 {
+	if got := f.rhs; len(got) != 1 || got[0] != 2 {
 		t.Fatalf("RHS = %v", got)
 	}
 	if _, err := New(s, []int{0}, []int{7}); err == nil {
@@ -63,16 +63,6 @@ func TestNewNormalization(t *testing.T) {
 	}
 	if _, err := New(nil, []int{0}, []int{1}); err == nil {
 		t.Fatal("nil schema should fail")
-	}
-}
-
-func TestIsKeyDependency(t *testing.T) {
-	s := mgrSchema()
-	if !MustParse(s, "Name -> Dept,Salary,Reports").IsKeyDependency() {
-		t.Error("full-RHS FD should be a key dependency")
-	}
-	if MustParse(s, "Name -> Dept").IsKeyDependency() {
-		t.Error("partial FD should not be a key dependency")
 	}
 }
 
@@ -145,7 +135,7 @@ func TestViolationsExample1(t *testing.T) {
 			t.Errorf("unexpected violation %+v", v)
 		}
 	}
-	if set.Consistent(r) {
+	if len(set.Violations(r)) == 0 {
 		t.Error("instance should be inconsistent")
 	}
 }
@@ -193,9 +183,6 @@ func TestConsistentInstance(t *testing.T) {
 	r := relation.NewInstance(s)
 	r.MustInsert("Mary", "R&D", 40, 3)
 	r.MustInsert("John", "PR", 30, 4)
-	if !set.Consistent(r) {
-		t.Fatal("instance should be consistent")
-	}
 	if vs := set.Violations(r); len(vs) != 0 {
 		t.Fatalf("violations = %v", vs)
 	}
@@ -213,5 +200,15 @@ func TestSetAddDeduplicates(t *testing.T) {
 	other := relation.MustSchema("Other", relation.NameAttr("X"), relation.NameAttr("Y"))
 	if err := set.Add(MustParse(other, "X -> Y")); err == nil {
 		t.Fatal("adding FD over a different schema should fail")
+	}
+}
+
+func TestSetString(t *testing.T) {
+	s := relation.MustSchema("R",
+		relation.IntAttr("A"), relation.IntAttr("B"),
+		relation.IntAttr("C"), relation.IntAttr("D"))
+	set := MustParseSet(s, "A -> B", "C -> D")
+	if got := set.String(); got != "A -> B; C -> D" {
+		t.Fatalf("String = %q", got)
 	}
 }

@@ -86,11 +86,6 @@ func (s *Set) Conflicts(t, u relation.Tuple) (int, bool) {
 	return -1, false
 }
 
-// Consistent reports whether the instance satisfies every dependency.
-func (s *Set) Consistent(r *relation.Instance) bool {
-	return len(s.Violations(r)) == 0
-}
-
 // Violation is a pair of conflicting tuples and the dependency they
 // violate.
 type Violation struct {
@@ -154,196 +149,6 @@ func (s *Set) Violations(r *relation.Instance) []Violation {
 		return a.FD < b.FD
 	})
 	return out
-}
-
-// Closure computes the attribute closure of attrs under the set
-// (Armstrong axioms fixpoint).
-func (s *Set) Closure(attrs []int) []int {
-	in := make([]bool, s.schema.Arity())
-	for _, a := range attrs {
-		if a >= 0 && a < len(in) {
-			in[a] = true
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, f := range s.fds {
-			all := true
-			for _, a := range f.lhs {
-				if !in[a] {
-					all = false
-					break
-				}
-			}
-			if !all {
-				continue
-			}
-			for _, b := range f.rhs {
-				if !in[b] {
-					in[b] = true
-					changed = true
-				}
-			}
-		}
-	}
-	var out []int
-	for a, ok := range in {
-		if ok {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// IsSuperkey reports whether the attribute set determines the whole
-// schema.
-func (s *Set) IsSuperkey(attrs []int) bool {
-	return len(s.Closure(attrs)) == s.schema.Arity()
-}
-
-// Keys enumerates all minimal keys of the schema under the set.
-// Exponential in arity; arities here are small.
-func (s *Set) Keys() [][]int {
-	n := s.schema.Arity()
-	var keys [][]int
-	// Enumerate candidate subsets in order of increasing size so that
-	// minimality can be checked against previously found keys.
-	subsets := make([][]int, 0, 1<<uint(n))
-	for mask := 1; mask < 1<<uint(n); mask++ {
-		var sub []int
-		for a := 0; a < n; a++ {
-			if mask&(1<<uint(a)) != 0 {
-				sub = append(sub, a)
-			}
-		}
-		subsets = append(subsets, sub)
-	}
-	sort.Slice(subsets, func(i, j int) bool { return len(subsets[i]) < len(subsets[j]) })
-	for _, sub := range subsets {
-		if !s.IsSuperkey(sub) {
-			continue
-		}
-		minimal := true
-		for _, k := range keys {
-			if subsetOf(k, sub) {
-				minimal = false
-				break
-			}
-		}
-		if minimal {
-			keys = append(keys, sub)
-		}
-	}
-	return keys
-}
-
-func subsetOf(a, b []int) bool {
-	in := make(map[int]bool, len(b))
-	for _, x := range b {
-		in[x] = true
-	}
-	for _, x := range a {
-		if !in[x] {
-			return false
-		}
-	}
-	return true
-}
-
-// IsBCNF reports whether every dependency's LHS is a superkey — the
-// normal-form condition the paper's future-work section singles out
-// (after [2]).
-func (s *Set) IsBCNF() bool {
-	for _, f := range s.fds {
-		if !s.IsSuperkey(f.lhs) {
-			return false
-		}
-	}
-	return true
-}
-
-// Implies reports whether the set logically implies f (via closure).
-func (s *Set) Implies(f FD) bool {
-	cl := s.Closure(f.lhs)
-	in := make(map[int]bool, len(cl))
-	for _, a := range cl {
-		in[a] = true
-	}
-	for _, b := range f.rhs {
-		if !in[b] {
-			return false
-		}
-	}
-	return true
-}
-
-// Equivalent reports whether two sets over the same schema imply each
-// other.
-func (s *Set) Equivalent(t *Set) bool {
-	if !s.schema.Equal(t.schema) {
-		return false
-	}
-	for _, f := range s.fds {
-		if !t.Implies(f) {
-			return false
-		}
-	}
-	for _, f := range t.fds {
-		if !s.Implies(f) {
-			return false
-		}
-	}
-	return true
-}
-
-// MinimalCover returns an equivalent set with singleton RHSs, no
-// redundant dependencies, and no redundant LHS attributes.
-func (s *Set) MinimalCover() *Set {
-	// Split RHSs.
-	work := &Set{schema: s.schema}
-	for _, f := range s.fds {
-		for _, b := range f.rhs {
-			g, err := New(s.schema, f.lhs, []int{b})
-			if err == nil {
-				work.Add(g) //nolint:errcheck // same schema
-			}
-		}
-	}
-	// Remove extraneous LHS attributes.
-	for i := 0; i < len(work.fds); i++ {
-		f := work.fds[i]
-		for len(f.lhs) > 1 {
-			reduced := false
-			for k := range f.lhs {
-				trial := append(append([]int(nil), f.lhs[:k]...), f.lhs[k+1:]...)
-				g, err := New(s.schema, trial, f.rhs)
-				if err == nil && work.Implies(g) {
-					f = g
-					work.fds[i] = g
-					reduced = true
-					break
-				}
-			}
-			if !reduced {
-				break
-			}
-		}
-	}
-	// Remove redundant dependencies.
-	for i := 0; i < len(work.fds); {
-		rest := &Set{schema: s.schema}
-		for j, g := range work.fds {
-			if j != i {
-				rest.Add(g) //nolint:errcheck // same schema
-			}
-		}
-		if rest.Implies(work.fds[i]) {
-			work.fds = append(work.fds[:i], work.fds[i+1:]...)
-		} else {
-			i++
-		}
-	}
-	return work
 }
 
 // String lists the dependencies separated by "; ".

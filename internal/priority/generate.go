@@ -29,22 +29,6 @@ func FromRanks(g *conflict.Graph, rank func(relation.TupleID) int) *Priority {
 	return p
 }
 
-// FromScores is FromRanks with the opposite convention: higher score
-// wins (e.g. utility-based resolution in the style of [17]).
-func FromScores(g *conflict.Graph, score func(relation.TupleID) float64) *Priority {
-	p := New(g)
-	for _, e := range g.Edges() {
-		sa, sb := score(e.A), score(e.B)
-		switch {
-		case sa > sb:
-			p.addEdge(e.A, e.B)
-		case sb > sa:
-			p.addEdge(e.B, e.A)
-		}
-	}
-	return p
-}
-
 // Random orients each conflict edge independently with probability
 // density, directions drawn from a random linear order on tuples so
 // the result is acyclic. density 0 gives the empty priority, 1 a

@@ -333,22 +333,6 @@ func (p *Priority) Clone() *Priority {
 	return q
 }
 
-// Extends reports whether p extends q: same graph and q's orientations
-// are a subset of p's (≻q ⊆ ≻p).
-func (p *Priority) Extends(q *Priority) bool {
-	if p.g != q.g {
-		return false
-	}
-	for x := 0; x < q.g.Len(); x++ {
-		for _, y := range q.succs(x) {
-			if !contains(p.succs(x), y) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // IsTotal reports whether every conflict edge is oriented — a total
 // priority cannot be extended further.
 func (p *Priority) IsTotal() bool {

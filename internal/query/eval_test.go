@@ -211,8 +211,8 @@ func TestDBModel(t *testing.T) {
 	if err := db.AddInstance(mgr); err != nil {
 		t.Fatal(err)
 	}
-	dept, err := db.AddRelation(relation.MustSchema("Dept", relation.NameAttr("DName"), relation.IntAttr("Budget")))
-	if err != nil {
+	dept := relation.NewInstance(relation.MustSchema("Dept", relation.NameAttr("DName"), relation.IntAttr("Budget")))
+	if err := db.AddInstance(dept); err != nil {
 		t.Fatal(err)
 	}
 	dept.MustInsert("R&D", 100)

@@ -159,25 +159,66 @@ func DecodeValue(kind Kind, cell string) (Value, error) {
 	return v, nil
 }
 
+// EncodeRow renders a tuple as wire cells, one per attribute — the row
+// format of the insert request, the log record and the checkpoint.
+func EncodeRow(t Tuple) []string {
+	cells := make([]string, len(t))
+	for i, v := range t {
+		cells[i] = EncodeValue(v)
+	}
+	return cells
+}
+
+// DecodeRow parses wire cells against the schema: the arity must match,
+// then every cell must be of its attribute's kind.
+func DecodeRow(s *Schema, cells []string) (Tuple, error) {
+	if len(cells) != s.Arity() {
+		return nil, fmt.Errorf("%d cells for arity-%d schema %s", len(cells), s.Arity(), s.Name())
+	}
+	t := make(Tuple, len(cells))
+	for i, cell := range cells {
+		v, err := DecodeValue(s.Attr(i).Kind, cell)
+		if err != nil {
+			return nil, fmt.Errorf("attr %s: %w", s.Attr(i).Name, err)
+		}
+		t[i] = v
+	}
+	return t, nil
+}
+
+// WireAttrs renders the schema's attributes for the wire.
+func (s *Schema) WireAttrs() []WireAttr {
+	out := make([]WireAttr, s.Arity())
+	for i := range out {
+		out[i] = WireAttr{Name: s.Attr(i).Name, Kind: s.Attr(i).Kind.String()}
+	}
+	return out
+}
+
+// WireSchema builds the schema a wire attribute list describes; an
+// unknown kind, like a name NewSchema rejects, is an error.
+func WireSchema(name string, attrs []WireAttr) (*Schema, error) {
+	out := make([]Attribute, len(attrs))
+	for i, a := range attrs {
+		kind, err := ParseKind(a.Kind)
+		if err != nil {
+			return nil, fmt.Errorf("relation: wire attr %q: %w", a.Name, err)
+		}
+		out[i] = Attribute{Name: a.Name, Kind: kind}
+	}
+	return NewSchema(name, out...)
+}
+
 // EncodeWire encodes the instance's schema and live tuples for the
 // wire. The inverse is DecodeWire.
 func EncodeWire(inst *Instance) WireInstance {
-	s := inst.Schema()
 	w := WireInstance{
-		Relation: s.Name(),
-		Attrs:    make([]WireAttr, s.Arity()),
+		Relation: inst.Schema().Name(),
+		Attrs:    inst.Schema().WireAttrs(),
 		Rows:     make([][]string, 0, inst.Len()),
 	}
-	for i := 0; i < s.Arity(); i++ {
-		w.Attrs[i] = WireAttr{Name: s.Attr(i).Name, Kind: s.Attr(i).Kind.String()}
-	}
 	for _, id := range inst.SortedIDs() {
-		t := inst.Tuple(id)
-		row := make([]string, len(t))
-		for i, v := range t {
-			row[i] = EncodeValue(v)
-		}
-		w.Rows = append(w.Rows, row)
+		w.Rows = append(w.Rows, EncodeRow(inst.Tuple(id)))
 	}
 	return w
 }
@@ -186,30 +227,15 @@ func EncodeWire(inst *Instance) WireInstance {
 // assigned densely in row order; the live tuple set and schema equal
 // the encoded instance's.
 func DecodeWire(w WireInstance) (*Instance, error) {
-	attrs := make([]Attribute, len(w.Attrs))
-	for i, a := range w.Attrs {
-		kind, err := ParseKind(a.Kind)
-		if err != nil {
-			return nil, fmt.Errorf("relation: wire attr %q: %w", a.Name, err)
-		}
-		attrs[i] = Attribute{Name: a.Name, Kind: kind}
-	}
-	schema, err := NewSchema(w.Relation, attrs...)
+	schema, err := WireSchema(w.Relation, w.Attrs)
 	if err != nil {
 		return nil, err
 	}
 	inst := NewInstance(schema)
 	for ri, row := range w.Rows {
-		if len(row) != len(attrs) {
-			return nil, fmt.Errorf("relation: wire row %d has %d cells, want %d", ri, len(row), len(attrs))
-		}
-		t := make(Tuple, len(row))
-		for i, cell := range row {
-			v, err := DecodeValue(attrs[i].Kind, cell)
-			if err != nil {
-				return nil, fmt.Errorf("relation: wire row %d, attr %s: %w", ri, attrs[i].Name, err)
-			}
-			t[i] = v
+		t, err := DecodeRow(schema, row)
+		if err != nil {
+			return nil, fmt.Errorf("relation: wire row %d: %w", ri, err)
 		}
 		if _, _, err := inst.Insert(t); err != nil {
 			return nil, fmt.Errorf("relation: wire row %d: %w", ri, err)

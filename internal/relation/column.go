@@ -50,18 +50,6 @@ func (c *column) value(id TupleID) Value {
 	return Value{kind: KindName, s: c.strs[id]}
 }
 
-// equals reports whether the cell at id equals v without
-// materializing a Value.
-func (c *column) equals(id TupleID, v Value) bool {
-	if c.kind != v.kind {
-		return false
-	}
-	if c.kind == KindInt {
-		return c.ints[id] == v.i
-	}
-	return c.strs[id] == v.s
-}
-
 // Col is a read-only view of one attribute column of one instance
 // version, bounded to the version's ID universe [0, NumIDs()).
 // It is the storage currency of the vectorized executor: batch
@@ -143,15 +131,6 @@ func (c Col) AppendKey(b []byte, id TupleID) []byte {
 // FD projections) rather than whole columns.
 func (r *Instance) ValueAt(id TupleID, attr int) Value {
 	return r.cols[attr].value(id)
-}
-
-// appendTupleKey appends the canonical Tuple.Key encoding of tuple id
-// to b, reading the columns directly.
-func (r *Instance) appendTupleKey(b []byte, id TupleID) []byte {
-	for a := range r.cols {
-		b = r.cols[a].value(id).appendKey(b)
-	}
-	return b
 }
 
 // AppendProjectionKey appends the canonical key of tuple id projected

@@ -21,18 +21,6 @@ func NewDatabase() *Database {
 	return &Database{rels: make(map[string]*Instance)}
 }
 
-// AddRelation creates an empty instance of the schema and registers it
-// under the schema's name.
-func (db *Database) AddRelation(schema *Schema) (*Instance, error) {
-	if _, dup := db.rels[schema.Name()]; dup {
-		return nil, fmt.Errorf("relation: database already has relation %q", schema.Name())
-	}
-	inst := NewInstance(schema)
-	db.rels[schema.Name()] = inst
-	db.order = append(db.order, schema.Name())
-	return inst, nil
-}
-
 // AddInstance registers an existing instance under its schema name.
 func (db *Database) AddInstance(inst *Instance) error {
 	name := inst.Schema().Name()
@@ -59,15 +47,6 @@ func (db *Database) Names() []string {
 
 // Len returns the number of relations.
 func (db *Database) Len() int { return len(db.order) }
-
-// TotalTuples returns the number of tuples across all relations.
-func (db *Database) TotalTuples() int {
-	n := 0
-	for _, r := range db.rels {
-		n += r.Len()
-	}
-	return n
-}
 
 // String lists relations in name order.
 func (db *Database) String() string {

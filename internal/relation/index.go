@@ -258,25 +258,6 @@ func (r *Instance) DistinctEstimate(attr int) int {
 	return len(ix.attrs[attr].m)
 }
 
-// DistinctValues appends the distinct values occurring in attribute
-// attr of any tuple of r — live or tombstoned — to dst and returns
-// it. Tombstoned values are a deliberate over-approximation for
-// callers that only need a superset; DistinctValuesLive filters them.
-// Order is unspecified; callers sort.
-func (r *Instance) DistinctValues(attr int, dst []Value) []Value {
-	n := r.n
-	ix := r.index()
-	ix.ensureBuilt(attr, &r.cols[attr], n)
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	for _, p := range ix.attrs[attr].m {
-		if len(p.ids) > 0 && p.ids[0] < n {
-			dst = append(dst, p.val)
-		}
-	}
-	return dst
-}
-
 // DistinctValuesLive appends the distinct values occurring in
 // attribute attr of a live tuple of r to dst and returns it — exact
 // even when the instance carries tombstones, by skipping posting IDs

@@ -234,26 +234,26 @@ func TestDistinctValues(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		ids = append(ids, inst.MustInsert(i%6, fmt.Sprintf("v%d", i%4)))
 	}
-	got := inst.DistinctValues(0, nil)
+	got := inst.DistinctValuesLive(0, nil)
 	if len(got) != 6 {
 		t.Fatalf("DistinctValues(K) = %v, want 6 values", got)
 	}
-	got = inst.DistinctValues(1, nil)
+	got = inst.DistinctValuesLive(1, nil)
 	if len(got) != 4 {
 		t.Fatalf("DistinctValues(V) = %v, want 4 values", got)
 	}
-	// Tombstoned values remain (documented over-approximation); values
+	// A value with another live occurrence survives a delete; values
 	// first occurring in a newer fork do not leak into the snapshot.
 	inst.Delete(ids[0])
-	if got := inst.DistinctValues(0, nil); len(got) != 6 {
+	if got := inst.DistinctValuesLive(0, nil); len(got) != 6 {
 		t.Fatalf("after delete: DistinctValues(K) = %v, want 6", got)
 	}
 	child := inst.Fork()
 	child.MustInsert(99, "fresh")
-	if got := inst.DistinctValues(0, nil); len(got) != 6 {
+	if got := inst.DistinctValuesLive(0, nil); len(got) != 6 {
 		t.Fatalf("parent sees fork's value: %v", got)
 	}
-	if got := child.DistinctValues(0, nil); len(got) != 7 {
+	if got := child.DistinctValuesLive(0, nil); len(got) != 7 {
 		t.Fatalf("child DistinctValues(K) = %v, want 7", got)
 	}
 }

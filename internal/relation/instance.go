@@ -358,20 +358,6 @@ func (r *Instance) Clone() *Instance {
 	return out
 }
 
-// Union inserts every live tuple of other (same schema) into r. It is
-// the source-integration operation of Example 1.
-func (r *Instance) Union(other *Instance) error {
-	if !r.schema.Equal(other.schema) {
-		return fmt.Errorf("relation: union of different schemas %s and %s", r.schema, other.schema)
-	}
-	var err error
-	other.Range(func(_ TupleID, t Tuple) bool {
-		_, _, err = r.Insert(t)
-		return err == nil
-	})
-	return err
-}
-
 // SortedIDs returns the live tuple IDs ordered by tuple value (Order),
 // for deterministic rendering.
 func (r *Instance) SortedIDs() []TupleID {
@@ -384,30 +370,6 @@ func (r *Instance) SortedIDs() []TupleID {
 		return r.compareIDs(ids[a], ids[b]) < 0
 	})
 	return ids
-}
-
-// ActiveDomain appends every value occurring in the selected live
-// tuples to dst and returns it. Pass nil ids for the whole instance.
-func (r *Instance) ActiveDomain(ids *bitset.Set, dst []Value) []Value {
-	appendRow := func(id TupleID) {
-		for a := range r.cols {
-			dst = append(dst, r.cols[a].value(id))
-		}
-	}
-	if ids == nil {
-		r.RangeIDs(func(id TupleID) bool {
-			appendRow(id)
-			return true
-		})
-		return dst
-	}
-	ids.Range(func(id int) bool {
-		if r.Live(id) {
-			appendRow(id)
-		}
-		return true
-	})
-	return dst
 }
 
 // String renders the instance as a deterministic multi-line listing.

@@ -193,31 +193,6 @@ func TestSubsetAndClone(t *testing.T) {
 	}
 }
 
-func TestUnionIntegration(t *testing.T) {
-	// Example 1: r = s1 ∪ s2 ∪ s3.
-	s1 := NewInstance(mgrSchema(t))
-	s1.MustInsert("Mary", "R&D", 40, 3)
-	s2 := NewInstance(mgrSchema(t))
-	s2.MustInsert("John", "R&D", 10, 2)
-	s3 := NewInstance(mgrSchema(t))
-	s3.MustInsert("Mary", "IT", 20, 1)
-	s3.MustInsert("John", "PR", 30, 4)
-
-	r := NewInstance(mgrSchema(t))
-	for _, s := range []*Instance{s1, s2, s3} {
-		if err := r.Union(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if r.Len() != 4 {
-		t.Fatalf("integrated instance Len = %d, want 4", r.Len())
-	}
-	other := NewInstance(MustSchema("Other", NameAttr("X")))
-	if err := r.Union(other); err == nil {
-		t.Fatal("union across schemas should fail")
-	}
-}
-
 func TestSortedIDsDeterministic(t *testing.T) {
 	inst := NewInstance(MustSchema("R", IntAttr("A"), NameAttr("B")))
 	inst.MustInsert(3, "c")
@@ -233,20 +208,6 @@ func TestSortedIDsDeterministic(t *testing.T) {
 		if !got[i].Equal(want[i]) {
 			t.Fatalf("SortedIDs order = %v", got)
 		}
-	}
-}
-
-func TestActiveDomain(t *testing.T) {
-	inst := NewInstance(MustSchema("R", IntAttr("A"), NameAttr("B")))
-	inst.MustInsert(1, "x")
-	inst.MustInsert(2, "y")
-	all := inst.ActiveDomain(nil, nil)
-	if len(all) != 4 {
-		t.Fatalf("ActiveDomain(all) = %v", all)
-	}
-	some := inst.ActiveDomain(bitset.FromSlice([]int{1}), nil)
-	if len(some) != 2 || !some[0].Equal(Int(2)) || !some[1].Equal(Name("y")) {
-		t.Fatalf("ActiveDomain(subset) = %v", some)
 	}
 }
 
@@ -274,12 +235,12 @@ func TestInstanceString(t *testing.T) {
 
 func TestDatabase(t *testing.T) {
 	db := NewDatabase()
-	mgr, err := db.AddRelation(mgrSchema(t))
-	if err != nil {
+	mgr := NewInstance(mgrSchema(t))
+	if err := db.AddInstance(mgr); err != nil {
 		t.Fatal(err)
 	}
 	mgr.MustInsert("Mary", "R&D", 40, 3)
-	if _, err := db.AddRelation(mgrSchema(t)); err == nil {
+	if err := db.AddInstance(NewInstance(mgrSchema(t))); err == nil {
 		t.Fatal("duplicate relation should fail")
 	}
 	dept := NewInstance(MustSchema("Dept", NameAttr("DName")))
@@ -299,8 +260,8 @@ func TestDatabase(t *testing.T) {
 	if len(names) != 2 || names[0] != "Mgr" || names[1] != "Dept" {
 		t.Fatalf("Names = %v", names)
 	}
-	if db.Len() != 2 || db.TotalTuples() != 1 {
-		t.Fatalf("Len/TotalTuples = %d/%d", db.Len(), db.TotalTuples())
+	if db.Len() != 2 {
+		t.Fatalf("Len = %d", db.Len())
 	}
 	if db.String() == "" {
 		t.Fatal("String should render")

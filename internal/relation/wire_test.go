@@ -99,6 +99,29 @@ func TestWireRoundTripProperty(t *testing.T) {
 		if string(blob) != string(blob2) {
 			t.Fatalf("iter %d: re-encoding differs\n 1st: %s\n 2nd: %s", iter, blob, blob2)
 		}
+		// A row decodes against its own schema only: one cell fewer, one
+		// more, or one of the other kind is an error, not a guess.
+		for _, row := range w2.Rows {
+			if tup, err := DecodeRow(got.Schema(), row); err != nil || !got.Contains(tup) {
+				t.Fatalf("iter %d: DecodeRow(%q) = %v, %v; want a tuple of the instance", iter, row, tup, err)
+			}
+			if _, err := DecodeRow(got.Schema(), row[1:]); err == nil {
+				t.Fatalf("iter %d: DecodeRow accepted %d cells for arity %d", iter, len(row)-1, len(row))
+			}
+			if _, err := DecodeRow(got.Schema(), append(row, row[0])); err == nil {
+				t.Fatalf("iter %d: DecodeRow accepted %d cells for arity %d", iter, len(row)+1, len(row))
+			}
+			flipped := append([]string(nil), row...)
+			at := rng.Intn(len(row))
+			if got.Schema().Attr(at).Kind == KindName {
+				flipped[at] = EncodeValue(Int(7))
+			} else {
+				flipped[at] = EncodeValue(Name(row[at])) // the same digits, quoted
+			}
+			if _, err := DecodeRow(got.Schema(), flipped); err == nil {
+				t.Fatalf("iter %d: DecodeRow accepted cell %q for a %s attribute", iter, flipped[at], got.Schema().Attr(at).Kind)
+			}
+		}
 	}
 }
 

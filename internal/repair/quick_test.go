@@ -74,15 +74,3 @@ func TestQuickTupleMembership(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: Sample always returns a repair, for arbitrary seeds.
-func TestQuickSample(t *testing.T) {
-	f := func(seed, sampleSeed int64) bool {
-		g := graphFromSeed(seed, 9)
-		rng := rand.New(rand.NewSource(sampleSeed))
-		return IsRepair(g, Sample(g, rng))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}

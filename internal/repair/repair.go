@@ -13,7 +13,6 @@ package repair
 import (
 	"errors"
 	"math"
-	"math/rand"
 
 	"prefcqa/internal/bitset"
 	"prefcqa/internal/conflict"
@@ -230,30 +229,6 @@ func Count(g *conflict.Graph) (int64, error) {
 		total *= c
 	}
 	return total, nil
-}
-
-// Sample returns a uniformly-greedy random repair: a random
-// permutation of the tuples is scanned, adding each tuple that does
-// not conflict with the chosen ones. (The distribution is not uniform
-// over repairs; it is a cheap generator for tests and probes.)
-func Sample(g *conflict.Graph, rng *rand.Rand) *bitset.Set {
-	s := bitset.New(g.Len())
-	for _, v := range rng.Perm(g.Len()) {
-		if !g.Live(v) {
-			continue
-		}
-		free := true
-		for _, u := range g.Neighbors(v) {
-			if s.Has(int(u)) {
-				free = false
-				break
-			}
-		}
-		if free {
-			s.Add(v)
-		}
-	}
-	return s
 }
 
 // Restrict returns the intersection of a repair with a component's

@@ -204,25 +204,6 @@ func TestIsRepair(t *testing.T) {
 	}
 }
 
-func TestSampleIsRepair(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	g, _ := mgrGraph(t)
-	for i := 0; i < 100; i++ {
-		if s := Sample(g, rng); !IsRepair(g, s) {
-			t.Fatalf("Sample returned non-repair %v", s)
-		}
-	}
-	// Sampling should be able to reach every repair of the Mgr
-	// instance (3 repairs, 100 draws).
-	seen := map[string]bool{}
-	for i := 0; i < 100; i++ {
-		seen[Sample(g, rng).Key()] = true
-	}
-	if len(seen) != 3 {
-		t.Fatalf("Sample reached %d distinct repairs, want 3", len(seen))
-	}
-}
-
 func TestCombineEmptyChoices(t *testing.T) {
 	n := 0
 	if err := Combine(4, nil, func(s *bitset.Set) bool {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"prefcqa"
@@ -80,6 +81,8 @@ type Manager struct {
 	followers map[string]*Follower
 	contacted bool // ever reached the primary
 	promoted  bool
+
+	rounds atomic.Uint64 // completed discovery rounds, see Rounds
 }
 
 // NewManager builds a follower-role manager replicating from
@@ -112,6 +115,13 @@ func (m *Manager) Follower(name string) *Follower {
 	defer m.mu.Unlock()
 	return m.followers[name]
 }
+
+// Rounds counts the discovery rounds that completed: the primary
+// answered and every database it listed has its follower. Of two rounds
+// completed after a caller looked, the second began after it did, so a
+// database still without a follower then is one the primary does not
+// list.
+func (m *Manager) Rounds() uint64 { return m.rounds.Load() }
 
 // Followers returns every follower, sorted by database name.
 func (m *Manager) Followers() []*Follower {
@@ -191,6 +201,7 @@ func (m *Manager) discoverOnce() {
 			return
 		}
 	}
+	m.rounds.Add(1)
 }
 
 // attach starts a follower for the named database if none runs yet.

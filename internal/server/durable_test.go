@@ -212,3 +212,56 @@ func TestPreferRequestIsOneAtomicRecord(t *testing.T) {
 		t.Fatalf("%s after the rejected batch = %v, %v; want undetermined (its first pair must not apply)", q, a, err)
 	}
 }
+
+// TestDeleteRequestIsOneRecord: a /v1/delete of live, dead, repeated
+// and never-assigned IDs answers the live count and steps the version —
+// and the log — exactly once; the record it wrote holds the live IDs
+// once each, in request order.
+func TestDeleteRequestIsOneRecord(t *testing.T) {
+	srv, c := boot(t, durableOpts(t))
+	ctx := context.Background()
+	if err := c.CreateDB(ctx, "d"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreateRelation(ctx, "d", "R", client.IntAttr("K"), client.IntAttr("V")); err != nil {
+		t.Fatal(err)
+	}
+	ids, _, err := c.Insert(ctx, "d", "R", row(t, 1, 0), row(t, 1, 1), row(t, 2, 0), row(t, 2, 1), row(t, 3, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _, err := c.Delete(ctx, "d", "R", ids[4]); err != nil || n != 1 {
+		t.Fatalf("Delete = %d, %v", n, err)
+	}
+	walSeq := func() uint64 {
+		st, err := c.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.DBs["d"].WAL.Seq
+	}
+	before := walSeq()
+	n, v, err := c.Delete(ctx, "d", "R", ids[3], ids[4], ids[0], ids[3], 99, ids[1])
+	if err != nil || n != 3 {
+		t.Fatalf("Delete = %d, %v; want the 3 live IDs", n, err)
+	}
+	if v != before+1 || walSeq() != before+1 {
+		t.Fatalf("version %d, log seq %d after one delete request at %d: want one step", v, walSeq(), before)
+	}
+	srv.mu.RLock()
+	db := srv.tenants["d"].db
+	srv.mu.RUnlock()
+	recs, err := db.ReplReadFrom(v, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{ids[3], ids[0], ids[1]}; len(recs) != 1 || recs[0].Op != "delete" || fmt.Sprint(recs[0].IDs) != fmt.Sprint(want) {
+		t.Fatalf("log tail %+v, want one delete record with IDs %v", recs, want)
+	}
+	if n, v2, err := c.Delete(ctx, "d", "R", ids[0], 99); err != nil || n != 0 || v2 != v {
+		t.Fatalf("a request with nothing live: %d deleted, version %d, %v; want 0 at version %d", n, v2, err, v)
+	}
+	if a, err := c.Query(ctx, "d", prefcqa.Rep, "R(2, 0) AND NOT R(1, 0) AND NOT R(1, 1) AND NOT R(2, 1)", client.MinVersion(v)); err != nil || a != prefcqa.True {
+		t.Fatalf("after the batch: %v, %v", a, err)
+	}
+}

@@ -74,18 +74,16 @@ func (s *Server) handleRelation(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	attrs := make([]prefcqa.Attribute, len(req.Attrs))
-	for i, a := range req.Attrs {
-		kind, err := relation.ParseKind(a.Kind)
-		if err != nil {
-			return err
-		}
-		attrs[i] = prefcqa.Attribute{Name: a.Name, Kind: kind}
+	// A malformed schema is the request's fault (400); 409 is left to
+	// mean that the relation exists already.
+	schema, err := relation.WireSchema(req.Relation, req.Attrs)
+	if err != nil {
+		return err
 	}
 	// Schema changes take the tenant write lock: prefcqa.DB does not
 	// synchronize relation creation with concurrent use.
 	t.mu.Lock()
-	_, err = t.db.CreateRelation(req.Relation, attrs...)
+	_, err = t.db.AddInstance(relation.NewInstance(schema))
 	t.mu.Unlock()
 	if err != nil {
 		return &httpError{code: http.StatusConflict, err: err}
@@ -131,25 +129,17 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) error {
 	}
 	var ids []int
 	t, err := s.withRelation(req.DB, req.Relation, func(t *tenant, rel *prefcqa.Relation) error {
-		// Decode and type-check every row before inserting any, so a
-		// malformed batch is rejected whole: no partial, unversioned
-		// mutation can hide behind the cached snapshot and surface as
-		// a phantom after an unrelated later write.
+		// Decode every row before inserting any, so a malformed batch is
+		// rejected whole: no partial, unversioned mutation can hide
+		// behind the cached snapshot and surface as a phantom after an
+		// unrelated later write.
 		schema := rel.Schema()
 		tuples := make([]prefcqa.Tuple, len(req.Rows))
 		for ri, row := range req.Rows {
-			if len(row) != schema.Arity() {
-				return fmt.Errorf("row %d has %d cells, schema %s needs %d", ri, len(row), schema.Name(), schema.Arity())
+			var err error
+			if tuples[ri], err = relation.DecodeRow(schema, row); err != nil {
+				return fmt.Errorf("row %d: %w", ri, err)
 			}
-			tup := make(prefcqa.Tuple, len(row))
-			for i, cell := range row {
-				v, err := prefcqa.DecodeValue(schema.Attr(i).Kind, cell)
-				if err != nil {
-					return fmt.Errorf("row %d: %w", ri, err)
-				}
-				tup[i] = v
-			}
-			tuples[ri] = tup
 		}
 		// One batch call: one lock acquisition, one log record, one
 		// durability barrier — a bulk load costs one fsync, not one
@@ -171,20 +161,12 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 	}
 	deleted := 0
 	t, err := s.withRelation(req.DB, req.Relation, func(t *tenant, rel *prefcqa.Relation) error {
-		for i, id := range req.IDs {
-			ok, err := rel.Delete(id)
-			if err != nil {
-				// A durability failure mid-batch: what applied before it
-				// is logged and versioned per delete, so the partial
-				// effect is recoverable and never hides behind the
-				// cached snapshot.
-				return fmt.Errorf("id %d (index %d): %w", id, i, err)
-			}
-			if ok {
-				deleted++
-			}
-		}
-		return nil
+		// One batch call, like handleInsert's: the live IDs of the request
+		// are one log record, one durability barrier and one write-version
+		// step.
+		var err error
+		deleted, err = rel.DeleteIDs(req.IDs)
+		return err
 	})
 	if err != nil {
 		return err

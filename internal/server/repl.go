@@ -81,16 +81,19 @@ func (s *Server) Promote() (client.PromoteResponse, error) {
 	return s.repl.Promote()
 }
 
-// pollFollower re-tests ready every 25ms for as long as this server is
-// a running follower: the discovery loop is about to make it true. It
-// reports whether ready held; ctx ending is an error (→ 504).
+// pollFollower re-tests ready every 25ms for as long as the discovery
+// loop of this running follower may still make it true: until two
+// rounds have completed since the call, the second of which began after
+// it (replication.Manager.Rounds) — no new duration to configure, and a
+// primary that cannot be reached bounds nothing. It reports whether
+// ready held; ctx ending is an error (→ 504).
 func (s *Server) pollFollower(ctx context.Context, ready func() bool) (bool, error) {
 	if ready() {
 		return true, nil
 	}
 	tick := time.NewTicker(25 * time.Millisecond)
 	defer tick.Stop()
-	for s.isFollower() {
+	for settled := s.repl.Rounds() + 2; s.isFollower() && s.repl.Rounds() < settled; {
 		select {
 		case <-ctx.Done():
 			return false, ctx.Err()
@@ -102,13 +105,14 @@ func (s *Server) pollFollower(ctx context.Context, ready func() bool) (bool, err
 			return true, nil
 		}
 	}
-	return false, nil
+	return ready(), nil // a round attaches before it counts itself
 }
 
 // waitTenant parks a follower read addressed to a database that has
 // not been discovered from the primary yet: a min_version read
 // asserts the database exists, so the 404 would be a lie about a
-// discovery race. Bounded by ctx (→ 504).
+// discovery race. Bounded by ctx (→ 504) and by pollFollower: a
+// database the primary does not list is a 404 after all.
 func (s *Server) waitTenant(ctx context.Context, name string) (*tenant, error) {
 	if _, err := s.pollFollower(ctx, func() bool { _, err := s.tenant(name); return err == nil }); err != nil {
 		return nil, err
@@ -121,8 +125,9 @@ func (s *Server) waitTenant(ctx context.Context, name string) (*tenant, error) {
 // deadline → 504). A database the discovery loop has registered (or
 // recovery reopened) but not attached a follower to yet is the same
 // discovery race waitTenant covers, and is waited out the same way.
-// On a non-follower — or a follower that stopped replicating while
-// still behind — an unsatisfiable min falls through to
+// On a non-follower, on a follower that stopped replicating while
+// still behind and for a database the primary does not list — no
+// follower will ever attach — an unsatisfiable min falls through to
 // snapshotAtLeast's 412.
 func (s *Server) waitMin(ctx context.Context, t *tenant, min uint64) error {
 	if min <= t.version() || s.repl == nil {

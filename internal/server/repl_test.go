@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strings"
 	"sync"
@@ -474,5 +475,35 @@ func TestStatsCarryWALAndReplication(t *testing.T) {
 	}
 	if fds.Replication.LastContactMS < 0 {
 		t.Errorf("follower last_contact_ms = %d, want ≥ 0", fds.Replication.LastContactMS)
+	}
+}
+
+// TestMinVersionOnUnlistedDatabase: a database registered on the
+// follower that the primary does not list never gets a Follower, so a
+// min_version read on it must not park to its deadline (504): once two
+// discovery rounds have completed without attaching it, the read falls
+// through to the 412 every unsatisfiable min_version gets — and a
+// database the follower has never heard of is a 404.
+func TestMinVersionOnUnlistedDatabase(t *testing.T) {
+	primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != client.PathReplDBs {
+			http.NotFound(w, r)
+			return
+		}
+		json.NewEncoder(w).Encode(client.ReplDBsResponse{DBs: []string{}}) //nolint:errcheck // test stub
+	}))
+	defer primary.Close()
+	fsrv, fc := bootFollower(t, primary.URL, nil)
+	if _, _, err := fsrv.Replica("d"); err != nil { // registered, as recovery or a vanished primary database leaves it
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	start := time.Now()
+	_, err := fc.Query(ctx, "d", prefcqa.Rep, "R(1)", client.MinVersion(5), client.Timeout(20*time.Second))
+	mustStatus(t, err, http.StatusPreconditionFailed)
+	_, err = fc.Query(ctx, "nosuch", prefcqa.Rep, "R(1)", client.MinVersion(5), client.Timeout(20*time.Second))
+	mustStatus(t, err, http.StatusNotFound)
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("two reads took %v at a 25 ms discovery interval: they waited for more than discovery rounds", d)
 	}
 }

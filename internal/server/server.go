@@ -230,15 +230,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // http.ErrServerClosed after a clean shutdown.
 func (s *Server) Serve(l net.Listener) error { return s.http.Serve(l) }
 
-// ListenAndServe listens on addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
-
 // Shutdown gracefully stops the server: no new connections, in-flight
 // requests drain until ctx expires, then every durable database is
 // closed — flushing and fsyncing its write-ahead log — so a SIGTERM

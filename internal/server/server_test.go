@@ -222,6 +222,33 @@ func TestErrorMapping(t *testing.T) {
 	mustStatus(t, err, http.StatusBadRequest)
 }
 
+// TestRelationSchemaErrors: a schema the request spells wrong is the
+// request's fault (400); 409 means only that the relation exists.
+func TestRelationSchemaErrors(t *testing.T) {
+	_, c := boot(t, Options{})
+	ctx := context.Background()
+	if err := c.CreateDB(ctx, "d"); err != nil {
+		t.Fatal(err)
+	}
+	for name, req := range map[string]client.RelationRequest{
+		"duplicate attribute": {DB: "d", Relation: "R", Attrs: []prefcqa.WireAttr{{Name: "A", Kind: "int"}, {Name: "A", Kind: "int"}}},
+		"empty attribute":     {DB: "d", Relation: "R", Attrs: []prefcqa.WireAttr{{Name: "", Kind: "int"}}},
+		"unknown kind":        {DB: "d", Relation: "R", Attrs: []prefcqa.WireAttr{{Name: "A", Kind: "float"}}},
+		"empty relation name": {DB: "d", Relation: "", Attrs: []prefcqa.WireAttr{{Name: "A", Kind: "int"}}},
+	} {
+		err := c.Do(ctx, client.PathRelation, req, nil)
+		var ae *client.APIError
+		if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
+			t.Errorf("%s: err = %v, want status 400", name, err)
+		}
+	}
+	if _, err := c.CreateRelation(ctx, "d", "R", client.IntAttr("A")); err != nil {
+		t.Fatalf("a well-formed schema after the rejected ones: %v", err)
+	}
+	_, err := c.CreateRelation(ctx, "d", "R", client.IntAttr("A"))
+	mustStatus(t, err, http.StatusConflict)
+}
+
 // TestInsertBatchAtomicity: a batch with a malformed row inserts
 // nothing — no partial, unversioned mutation that would later
 // surface as a phantom.

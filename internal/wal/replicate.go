@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 )
 
 // ErrCompacted reports that the requested tail position has been
@@ -97,27 +96,6 @@ func (l *Log) InstallCheckpoint(c *Checkpoint) error {
 	}
 	l.syncedSeq = c.Seq
 	return nil
-}
-
-// LatestCheckpoint reads back the newest durable checkpoint, or nil if
-// the log has never checkpointed. Safe to call while the log is live.
-func (l *Log) LatestCheckpoint() (*Checkpoint, error) {
-	for attempt := 0; ; attempt++ {
-		l.mu.Lock()
-		seq := l.ckptSeq
-		l.mu.Unlock()
-		if seq == 0 {
-			return nil, nil
-		}
-		data, err := os.ReadFile(filepath.Join(l.dir, ckptName(seq)))
-		if os.IsNotExist(err) && attempt < 3 {
-			continue // a concurrent checkpoint replaced it; re-resolve
-		}
-		if err != nil {
-			return nil, err
-		}
-		return decodeCheckpoint(data)
-	}
 }
 
 // ReadFrom returns up to max records starting at exactly fromSeq, in

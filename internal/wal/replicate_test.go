@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"sync"
@@ -362,5 +364,27 @@ func TestConcurrentReadWhileWrite(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Error(err)
+	}
+}
+
+// LatestCheckpoint reads back the newest durable checkpoint, or nil if
+// the log has never checkpointed — where a reader that fell behind a
+// rotation resumes. Safe to call while the log is live.
+func (l *Log) LatestCheckpoint() (*Checkpoint, error) {
+	for attempt := 0; ; attempt++ {
+		l.mu.Lock()
+		seq := l.ckptSeq
+		l.mu.Unlock()
+		if seq == 0 {
+			return nil, nil
+		}
+		data, err := os.ReadFile(filepath.Join(l.dir, ckptName(seq)))
+		if os.IsNotExist(err) && attempt < 3 {
+			continue // a concurrent checkpoint replaced it; re-resolve
+		}
+		if err != nil {
+			return nil, err
+		}
+		return decodeCheckpoint(data)
 	}
 }

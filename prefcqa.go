@@ -313,7 +313,18 @@ func (p *pendingDelta) dirty() bool {
 	return p.rebuild || len(p.inserts)+len(p.deletes)+len(p.prefs) > 0
 }
 
-func (db *DB) newRelation(name string, inst *relation.Instance, fds *fd.Set) *Relation {
+// freshRelation is the one constructor of a Relation: the instance's
+// schema name must be unused, and the relation starts with an empty
+// dependency set. register makes it visible. Caller holds db.snapMu.
+func (db *DB) freshRelation(inst *relation.Instance) (*Relation, error) {
+	name := inst.Schema().Name()
+	if _, dup := db.rels[name]; dup {
+		return nil, fmt.Errorf("prefcqa: relation %q already exists", name)
+	}
+	fds, err := fd.NewSet(inst.Schema())
+	if err != nil {
+		return nil, err
+	}
 	return &Relation{
 		snap: &db.snapMu,
 		db:   db,
@@ -322,42 +333,21 @@ func (db *DB) newRelation(name string, inst *relation.Instance, fds *fd.Set) *Re
 		prefSeen:    make(map[[2]TupleID]bool),
 		incremental: db.incremental,
 		counts:      core.NewCountCache(),
-	}
+	}, nil
+}
+
+func (db *DB) register(r *Relation) {
+	db.rels[r.name] = r
+	db.order = append(db.order, r.name)
 }
 
 // CreateRelation adds an empty relation with the given schema.
 func (db *DB) CreateRelation(name string, attrs ...Attribute) (*Relation, error) {
-	r, seq, err := db.createRelation(name, attrs)
+	schema, err := relation.NewSchema(name, attrs...)
 	if err != nil {
 		return nil, err
 	}
-	return r, db.commit(seq)
-}
-
-func (db *DB) createRelation(name string, attrs []Attribute) (*Relation, uint64, error) {
-	db.snapMu.Lock()
-	defer db.snapMu.Unlock()
-	if _, dup := db.rels[name]; dup {
-		return nil, 0, fmt.Errorf("prefcqa: relation %q already exists", name)
-	}
-	schema, err := relation.NewSchema(name, attrs...)
-	if err != nil {
-		return nil, 0, err
-	}
-	fds, err := fd.NewSet(schema)
-	if err != nil {
-		return nil, 0, err
-	}
-	seq, err := db.logAppend(func() wal.Record {
-		return wal.Record{Op: wal.OpCreate, Rel: name, Attrs: wireAttrs(schema)}
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	r := db.newRelation(name, relation.NewInstance(schema), fds)
-	db.rels[name] = r
-	db.order = append(db.order, name)
-	return r, seq, nil
+	return db.AddInstance(relation.NewInstance(schema))
 }
 
 // AddInstance registers an existing instance (with no dependencies
@@ -375,31 +365,19 @@ func (db *DB) AddInstance(inst *Instance) (*Relation, error) {
 func (db *DB) addInstance(inst *Instance) (*Relation, uint64, error) {
 	db.snapMu.Lock()
 	defer db.snapMu.Unlock()
-	name := inst.Schema().Name()
-	if _, dup := db.rels[name]; dup {
-		return nil, 0, fmt.Errorf("prefcqa: relation %q already exists", name)
-	}
-	fds, err := fd.NewSet(inst.Schema())
+	r, err := db.freshRelation(inst)
 	if err != nil {
 		return nil, 0, err
 	}
 	seq, err := db.logAppend(func() wal.Record {
-		rec := wal.Record{Op: wal.OpCreate, Rel: name, Attrs: wireAttrs(inst.Schema())}
-		rec.Rows = make([][]string, inst.NumIDs())
-		for id := 0; id < inst.NumIDs(); id++ {
-			rec.Rows[id] = encodeRow(inst.Tuple(id))
-			if !inst.Live(id) {
-				rec.IDs = append(rec.IDs, id)
-			}
-		}
+		rec := wal.Record{Op: wal.OpCreate, Rel: r.name, Attrs: inst.Schema().WireAttrs()}
+		rec.Rows, rec.IDs = encodeUniverse(inst)
 		return rec
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	r := db.newRelation(name, inst, fds)
-	db.rels[name] = r
-	db.order = append(db.order, name)
+	db.register(r)
 	return r, seq, nil
 }
 
@@ -450,58 +428,27 @@ func (r *Relation) beginMutate() {
 }
 
 // Insert adds a row from native Go values (string → name, integer
-// types → int) and returns its tuple ID. Duplicate inserts return
-// the existing ID (set semantics) without touching any state. On a
-// durable DB the row is logged before it is applied and the call
-// blocks on the configured durability barrier.
+// types → int) and returns its tuple ID: InsertRows of one row, so a
+// duplicate returns the existing ID (set semantics) without touching
+// any state, and a value of the wrong kind is reported as "row 0: …".
 func (r *Relation) Insert(vals ...any) (TupleID, error) {
 	tup, err := relation.CoerceTuple(vals...)
 	if err != nil {
 		return -1, err
 	}
-	id, seq, err := r.insertTuple(tup)
-	if err != nil {
-		return id, err
+	ids, err := r.InsertRows([]Tuple{tup})
+	if len(ids) == 0 {
+		return -1, err
 	}
-	return id, r.db.commit(seq)
+	return ids[0], err
 }
 
-// insertTuple applies one insert under the locks: validate, log,
-// apply — in that order, so a logged row is always an applied row.
-func (r *Relation) insertTuple(tup Tuple) (TupleID, uint64, error) {
-	r.snap.RLock()
-	defer r.snap.RUnlock()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if id, ok := r.inst.Lookup(tup); ok {
-		return id, 0, nil // duplicate: no mutation, no fork
-	}
-	if err := r.inst.TypeCheck(tup); err != nil {
-		return -1, 0, err
-	}
-	seq, err := r.db.logAppend(func() wal.Record {
-		return wal.Record{Op: wal.OpInsert, Rel: r.name, Rows: [][]string{encodeRow(tup)}}
-	})
-	if err != nil {
-		return -1, 0, err
-	}
-	r.beginMutate()
-	id, _, err := r.inst.Insert(tup) // validated fresh above: always applies
-	if err != nil {
-		return id, 0, err
-	}
-	if r.cur.Load() != nil {
-		r.pend.inserts = append(r.pend.inserts, id)
-	}
-	r.dirty.Store(true)
-	return id, seq, nil
-}
-
-// InsertRows inserts a batch of rows under one lock acquisition and —
-// on a durable DB — one log record and one durability barrier, so a
-// large batch costs one fsync instead of one per row. It returns one
-// tuple ID per input row; duplicates (against the relation or within
-// the batch) resolve to the first occurrence's ID, as in Insert.
+// InsertRows inserts a batch of rows as one mutation: one lock
+// acquisition, one write-version step and — on a durable DB — one log
+// record, written before anything is applied, and one durability
+// barrier, so a large batch costs one fsync instead of one per row. It
+// returns one tuple ID per input row; duplicates (against the relation
+// or within the batch) resolve to the first occurrence's ID.
 func (r *Relation) InsertRows(rows []Tuple) ([]TupleID, error) {
 	ids, seq, err := r.insertRows(rows)
 	if err != nil {
@@ -510,6 +457,8 @@ func (r *Relation) InsertRows(rows []Tuple) ([]TupleID, error) {
 	return ids, r.db.commit(seq)
 }
 
+// insertRows validates, logs and applies a batch under the locks — in
+// that order, so a logged row is always an applied row.
 func (r *Relation) insertRows(rows []Tuple) ([]TupleID, uint64, error) {
 	r.snap.RLock()
 	defer r.snap.RUnlock()
@@ -524,9 +473,9 @@ func (r *Relation) insertRows(rows []Tuple) ([]TupleID, uint64, error) {
 	// the rest dedupe against each other so the log carries exactly the
 	// rows that will apply fresh.
 	ids := make([]TupleID, len(rows))
-	var freshIdx []int            // indexes into rows, in apply order
-	byKey := make(map[string]int) // batch-local tuple key → freshIdx position
-	ref := make([]int, len(rows)) // per row: freshIdx position, or -1 when resolved
+	var fresh []Tuple             // the rows that will apply, in apply order
+	byKey := make(map[string]int) // batch-local tuple key → position in fresh
+	ref := make([]int, len(rows)) // per row: position in fresh, or -1 when resolved
 	for i, tup := range rows {
 		if id, ok := r.inst.Lookup(tup); ok {
 			ids[i] = id
@@ -534,47 +483,81 @@ func (r *Relation) insertRows(rows []Tuple) ([]TupleID, uint64, error) {
 			continue
 		}
 		k := tup.Key()
-		if p, ok := byKey[k]; ok {
-			ref[i] = p
-			continue
+		p, ok := byKey[k]
+		if !ok {
+			p = len(fresh)
+			byKey[k] = p
+			fresh = append(fresh, tup)
 		}
-		p := len(freshIdx)
-		byKey[k] = p
-		freshIdx = append(freshIdx, i)
 		ref[i] = p
 	}
-	if len(freshIdx) == 0 {
+	if len(fresh) == 0 {
 		return ids, 0, nil
 	}
 	seq, err := r.db.logAppend(func() wal.Record {
-		enc := make([][]string, len(freshIdx))
-		for p, i := range freshIdx {
-			enc[p] = encodeRow(rows[i])
+		enc := make([][]string, len(fresh))
+		for p, tup := range fresh {
+			enc[p] = relation.EncodeRow(tup)
 		}
 		return wal.Record{Op: wal.OpInsert, Rel: r.name, Rows: enc}
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	r.beginMutate()
-	freshIDs := make([]TupleID, len(freshIdx))
-	for p, i := range freshIdx {
-		id, _, err := r.inst.Insert(rows[i]) // validated fresh above: always applies
-		if err != nil {
-			return nil, 0, err
-		}
-		freshIDs[p] = id
-		if r.cur.Load() != nil {
-			r.pend.inserts = append(r.pend.inserts, id)
-		}
+	freshIDs, err := r.applyInserts(fresh)
+	if err != nil {
+		return nil, 0, err
 	}
-	r.dirty.Store(true)
 	for i := range rows {
 		if ref[i] >= 0 {
 			ids[i] = freshIDs[ref[i]]
 		}
 	}
 	return ids, seq, nil
+}
+
+// applyInserts and applyDeletes are the only place a tuple enters or
+// leaves a Relation, for the public mutations, crash recovery and a
+// follower's replicated records alike: fork away from the published
+// version (readers keep theirs), change the instance, track the change
+// for the next read's delta. They are strict — an insert that is not
+// fresh, a delete that is not live is an error — because a record
+// reaches the log exactly when it applies: the public paths filter
+// before they log, and a record that replays any other way means the
+// log does not match the state it claims to rebuild. Caller holds r.mu.
+func (r *Relation) applyInserts(rows []Tuple) ([]TupleID, error) {
+	r.beginMutate()
+	r.dirty.Store(true)
+	ids := make([]TupleID, len(rows))
+	for i, tup := range rows {
+		id, fresh, err := r.inst.Insert(tup)
+		if err == nil && !fresh {
+			err = fmt.Errorf("duplicate of tuple %d", id)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("row %d: %w", i, err)
+		}
+		ids[i] = id
+		if r.cur.Load() != nil {
+			r.pend.inserts = append(r.pend.inserts, id)
+		}
+	}
+	return ids, nil
+}
+
+func (r *Relation) applyDeletes(ids []TupleID) error {
+	r.beginMutate()
+	r.dirty.Store(true)
+	for _, id := range ids {
+		if !r.inst.Live(id) {
+			return fmt.Errorf("delete of non-live tuple %d", id)
+		}
+		r.inst.Delete(id)
+		if r.cur.Load() != nil {
+			r.pend.deletes = append(r.pend.deletes, id)
+		}
+	}
+	return nil
 }
 
 // MustInsert is Insert that panics on error, for fixtures.
@@ -587,56 +570,73 @@ func (r *Relation) MustInsert(vals ...any) TupleID {
 }
 
 // Delete tombstones the tuple with the given ID and reports whether
-// it was live. Other tuple IDs are unchanged; preferences touching
-// the tuple are dropped from the built priority. The built state is
-// patched, not rebuilt: cost is proportional to the tuple's conflict
-// component. The error is nil on an in-memory DB; on a durable DB it
-// reports a failed log write or durability barrier.
+// it was live: DeleteIDs of one ID.
 func (r *Relation) Delete(id TupleID) (bool, error) {
-	ok, seq, err := r.deleteTuple(id)
-	if !ok || err != nil {
-		return false, err
-	}
-	return true, r.db.commit(seq)
+	n, err := r.DeleteIDs([]TupleID{id})
+	return n == 1, err
 }
 
-func (r *Relation) deleteTuple(id TupleID) (bool, uint64, error) {
+// DeleteIDs tombstones a batch of tuples as one mutation: one lock
+// acquisition, one write-version step and — on a durable DB — one log
+// record and one durability barrier, however many IDs. It returns how
+// many were live; IDs that are not (never assigned, already deleted,
+// repeated in the batch) are skipped, and a batch with none changes
+// nothing. Other tuple IDs are unchanged; preferences touching a
+// deleted tuple are dropped from the built priority. The built state
+// is patched, not rebuilt: cost is proportional to the tuples' conflict
+// components. The error is nil on an in-memory DB; on a durable DB it
+// reports a failed log write or durability barrier.
+func (r *Relation) DeleteIDs(ids []TupleID) (int, error) {
+	n, seq, err := r.deleteIDs(ids)
+	if err != nil {
+		return 0, err
+	}
+	return n, r.db.commit(seq)
+}
+
+func (r *Relation) deleteIDs(ids []TupleID) (int, uint64, error) {
 	r.snap.RLock()
 	defer r.snap.RUnlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.inst.Live(id) {
-		return false, 0, nil
+	// Only live IDs, once each, reach the log.
+	live := make([]TupleID, 0, len(ids))
+	seen := make(map[TupleID]bool, len(ids))
+	for _, id := range ids {
+		if r.inst.Live(id) && !seen[id] {
+			seen[id] = true
+			live = append(live, id)
+		}
+	}
+	if len(live) == 0 {
+		return 0, 0, nil
 	}
 	seq, err := r.db.logAppend(func() wal.Record {
-		return wal.Record{Op: wal.OpDelete, Rel: r.name, IDs: []int{id}}
+		return wal.Record{Op: wal.OpDelete, Rel: r.name, IDs: live}
 	})
 	if err != nil {
-		return false, 0, err
+		return 0, 0, err
 	}
-	r.beginMutate()
-	r.inst.Delete(id)
-	if r.cur.Load() != nil {
-		r.pend.deletes = append(r.pend.deletes, id)
-	}
-	r.dirty.Store(true)
-	return true, seq, nil
+	return len(live), seq, r.applyDeletes(live)
 }
 
 // AddFD declares a functional dependency, e.g. "Dept -> Name, Salary".
 // Unlike tuple-level mutations, adding a dependency rebuilds the
 // conflict graph from scratch on the next read.
 func (r *Relation) AddFD(spec string) error {
-	seq, err := r.addFD(spec)
+	r.snap.RLock()
+	seq, err := r.applyFD(spec, true)
+	r.snap.RUnlock()
 	if err != nil {
 		return err
 	}
 	return r.db.commit(seq)
 }
 
-func (r *Relation) addFD(spec string) (uint64, error) {
-	r.snap.RLock()
-	defer r.snap.RUnlock()
+// applyFD parses spec, extends the dependency set by it and installs
+// the result, logging in between when live — replay (recovery, a
+// follower) applies a record that is in the log already.
+func (r *Relation) applyFD(spec string, live bool) (seq uint64, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, err := fd.Parse(r.inst.Schema(), spec)
@@ -649,13 +649,15 @@ func (r *Relation) addFD(spec string) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Log the normalized rendering, not the raw spec: FD.String
-	// round-trips through fd.Parse on replay.
-	seq, err := r.db.logAppend(func() wal.Record {
-		return wal.Record{Op: wal.OpFD, Rel: r.name, FD: f.String()}
-	})
-	if err != nil {
-		return 0, err
+	if live {
+		// Log the normalized rendering, not the raw spec: FD.String
+		// round-trips through fd.Parse on replay.
+		seq, err = r.db.logAppend(func() wal.Record {
+			return wal.Record{Op: wal.OpFD, Rel: r.name, FD: f.String()}
+		})
+		if err != nil {
+			return 0, err
+		}
 	}
 	r.fds = nfds
 	r.pend.rebuild = true
