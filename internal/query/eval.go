@@ -57,18 +57,6 @@ func (m DBModel) Tuples(rel string, yield func(relation.Tuple) bool) {
 	})
 }
 
-// Card returns the number of visible tuples of rel.
-func (m DBModel) Card(rel string) int {
-	inst, ok := m.DB.Relation(rel)
-	if !ok {
-		return 0
-	}
-	if sub := m.Subsets[rel]; sub != nil {
-		return sub.Len()
-	}
-	return inst.Len()
-}
-
 // Backing returns the instance holding rel's storage (columns and
 // postings) and the visible ID subset (nil = every live tuple).
 // ok=false means the relation is absent.
@@ -88,11 +76,11 @@ func (m DBModel) Backing(rel string) (inst *relation.Instance, visible *bitset.S
 //
 // Existential quantifiers whose body is a conjunction with relational
 // atoms covering all quantified variables are compiled into a
-// physical plan (see plan.go) — per-atom access-path selection (index
-// probe on attributes whose value is known, full ID range otherwise),
-// selectivity-ordered join ordering, residual conjuncts evaluated
-// under the completed binding — and run by one of the three
-// vectorized executors (vector.go, yannakakis.go, wcoj.go). This is
+// physical plan (compileBlock, plan.go) — per-atom access-path
+// selection (index probe on attributes whose value is known, full ID
+// range otherwise), selectivity-ordered join ordering, residual
+// conjuncts evaluated under the completed binding — and run by one of
+// the three vectorized executors (vector.go, yannakakis.go, wcoj.go). This is
 // sound for active-domain semantics: a satisfying assignment must
 // match the atoms, and matched tuples only carry active-domain
 // values.
@@ -203,16 +191,16 @@ type evaluator struct {
 }
 
 // tick reports the context's cancellation, sampled every 256 calls
-// to keep the per-row overhead negligible.
+// to keep the per-row overhead negligible. It is called per candidate
+// by every loop of every executor, and written to fit the compiler's
+// inlining budget: a nil context costs one compare in the caller's loop.
 func (ev *evaluator) tick() error {
-	if ev.ctx == nil {
-		return nil
+	if ev.ctx != nil {
+		if ev.steps++; ev.steps&255 == 0 {
+			return ev.ctx.Err()
+		}
 	}
-	ev.steps++
-	if ev.steps&255 != 0 {
-		return nil
-	}
-	return ev.ctx.Err()
+	return nil
 }
 
 // dom returns the active domain, collecting it on first use.
@@ -315,21 +303,17 @@ func (ev *evaluator) iterate(q Quant, env map[string]relation.Value, i int) (boo
 
 // evalPlanned answers a covered block with a physical plan.
 func (ev *evaluator) evalPlanned(b block, env map[string]relation.Value) (bool, error) {
-	p, err := ev.compileExists(b, env)
+	vp, err := ev.compileBlock(b, env)
 	if err != nil {
 		return false, err
 	}
 	var exec *PlanExec
 	if ev.trace != nil {
-		exec = &PlanExec{Plan: p, ActRows: make([]int, len(p.Steps))}
+		exec = &PlanExec{Plan: vp.plan, ActRows: make([]int, len(vp.plan.Steps))}
 		ev.trace.Execs = append(ev.trace.Execs, exec)
 	}
-	if p.Unsat {
+	if vp.plan.Unsat {
 		return false, nil
-	}
-	vp, err := ev.compileVec(p, env)
-	if err != nil {
-		return false, err
 	}
 	return ev.runVec(vp, exec, env)
 }

@@ -301,25 +301,6 @@ func TestNegate(t *testing.T) {
 	}
 }
 
-func TestSimplify(t *testing.T) {
-	cases := map[string]string{
-		"R(1) AND TRUE":            "R(1)",
-		"R(1) AND FALSE":           "FALSE",
-		"TRUE AND R(1)":            "R(1)",
-		"R(1) OR TRUE":             "TRUE",
-		"FALSE OR R(1)":            "R(1)",
-		"NOT TRUE":                 "FALSE",
-		"NOT NOT R(1)":             "R(1)",
-		"EXISTS x . TRUE":          "TRUE",
-		"EXISTS x . R(x) AND TRUE": "EXISTS x . R(x)",
-	}
-	for in, want := range cases {
-		if got := Simplify(MustParse(in)).String(); got != want {
-			t.Errorf("Simplify(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 func TestSubstitute(t *testing.T) {
 	e := MustParse("R(x, y) AND (EXISTS x . S(x, y))")
 	env := map[string]relation.Value{"x": relation.Int(1), "y": relation.Name("a")}

@@ -104,6 +104,11 @@ var fuzzPlanSeeds = []string{
 	"EXISTS a, b, c . R(a, b) AND S(b, c) AND T(c, a)",                                           // kind-mismatched triangle
 	"EXISTS a, b, c, d . R(a, b) AND R(a, c) AND R(a, d) AND T(b, c) AND T(b, d) AND R(c, d)",    // 4-clique
 	"EXISTS a, b, c, d, e . R(a, b) AND T(b, c) AND R(c, a) AND T(a, d) AND R(d, e) AND T(e, a)", // bowtie
+	// A quantifier listing a variable twice binds it once: the repeat
+	// must not become a binding slot no atom fills (over a cyclic spine,
+	// a generic-join level without atoms).
+	"EXISTS a, a . R(a, a)",
+	"EXISTS a,a,b,c,d,e.R(0,0)AND T(b,c)AND R(a,d)AND R(d,e)AND T(e,a)",
 	// Quantified closed skeletons: boolean combinations of
 	// quantifiers and ground leaves — the shapes the CQA layer
 	// compiles once via PrepareClosed and re-runs per repair.

@@ -97,20 +97,16 @@ func EnumerateOpen(ctx context.Context, m Model, q Expr, yield func(vals []relat
 	}
 	ev := &evaluator{m: m, root: closure, join: true, ctx: ctx}
 	env := map[string]relation.Value{}
-	p, err := ev.compileExists(b, env)
+	vp, err := ev.compileBlock(b, env)
 	if err != nil {
 		return nil, err
 	}
 	spine := &OpenSpine{Vars: free}
-	if p.Unsat {
+	if vp.plan.Unsat {
 		// A compile-known kind mismatch: the spine is empty for every
 		// binding, so the enumeration succeeds with zero candidates.
 		spine.Executor = "unsat"
 		return spine, nil
-	}
-	vp, err := ev.compileVec(p, env)
-	if err != nil {
-		return nil, err
 	}
 	// Drop the residuals the vector runtime cannot express: they are
 	// not monotone, so checking them here would make the candidate set
@@ -122,7 +118,7 @@ func EnumerateOpen(ctx context.Context, m Model, q Expr, yield func(vals []relat
 		// result is meaningless in enumeration mode either way.
 		return !yield(vals[:len(free)]), nil
 	}
-	exec := &PlanExec{Plan: p, ActRows: make([]int, len(p.Steps))}
+	exec := &PlanExec{Plan: vp.plan, ActRows: make([]int, len(vp.plan.Steps))}
 	if _, err := ev.runVec(vp, exec, env); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"prefcqa/internal/relation"
@@ -25,15 +26,19 @@ import (
 //     plan time, heuristic fractions of the relation cardinality
 //     for values bound at run time — so selective atoms run first
 //     and shrink the backtracking product.
-//   - Residual placement. Conjuncts that are not positive relational
-//     atoms (comparisons, negated atoms, disjunctions, nested
+//   - Residual placement. Comparisons run the moment their last
+//     operand is bound; the other conjuncts that are not positive
+//     relational atoms (negated atoms, disjunctions, nested
 //     quantifiers) are evaluated once under the completed binding.
 //
-// Plans compile against the live environment, so estimates use the
-// actual probe values; the executor re-picks the cheapest probe
-// attribute per step invocation from the values bound at that moment.
-// Evaluation results are identical to pure active-domain iteration
-// (EvalNaive) — pinned by differential and property tests.
+// One function, compileBlock, does all of it in one pass over the
+// block's atoms and hands back the Plan EXPLAIN renders together with
+// the vectorized atoms and the executor that run it (vector.go). Plans
+// compile against the live environment, so estimates use the actual
+// probe values; the scan re-picks the cheapest probe attribute per
+// step invocation from the values bound at that moment. Evaluation
+// results are identical to pure active-domain iteration (EvalNaive) —
+// pinned by differential and property tests.
 
 // AccessPath says how a plan step locates its candidate tuples.
 type AccessPath int
@@ -139,21 +144,19 @@ type WcojVarStat struct {
 // short-circuits on its first satisfying binding, so actual rows can
 // undershoot an accurate estimate. Executor records which runtime
 // ran (empty for a plan proven Unsat at compile time, which runs
-// nothing); Batch carries the per-step operator stats, and
-// YanCost/GreedyCost the planner's cost estimates behind the executor
-// choice.
+// nothing); Batch carries the per-step operator stats, GreedyCost the
+// planner's nested-loop estimate and linearCost the base-candidates
+// estimate of Yannakakis and the generic join it was compared with,
+// and Wcoj the generic join's per-variable intersection stats
+// (populated only when Executor is ExecWCOJ).
 type PlanExec struct {
 	Plan       *Plan
 	ActRows    []int
 	Executor   string
 	Batch      []BatchStat
-	YanCost    int
 	GreedyCost int
-	// WcojCost is the generic join's cost estimate (base candidates,
-	// like YanCost) and Wcoj its per-variable intersection stats — both
-	// populated only when Executor is ExecWCOJ.
-	WcojCost int
-	Wcoj     []WcojVarStat
+	linearCost int
+	Wcoj       []WcojVarStat
 }
 
 // Trace collects the executed plans of one evaluation, in the order
@@ -180,13 +183,11 @@ func (p *Plan) describeExec(act []int, exec *PlanExec) string {
 	}
 	if exec != nil && exec.Executor != "" {
 		fmt.Fprintf(&b, " [exec %s", exec.Executor)
-		switch exec.Executor {
-		case ExecGreedyVec, ExecYannakakis:
-			fmt.Fprintf(&b, "; cost yannakakis %d vs greedy %d", exec.YanCost, exec.GreedyCost)
-		case ExecWCOJ:
-			fmt.Fprintf(&b, "; cost wcoj %d vs greedy %d", exec.WcojCost, exec.GreedyCost)
+		linear := ExecYannakakis // also what greedy is shown to have beaten
+		if exec.Executor == ExecWCOJ {
+			linear = ExecWCOJ
 		}
-		b.WriteString("]")
+		fmt.Fprintf(&b, "; cost %s %d vs greedy %d]", linear, exec.linearCost, exec.GreedyCost)
 	}
 	for i, s := range p.Steps {
 		fmt.Fprintf(&b, "\n  %d. %s  ", i+1, s.Atom)
@@ -252,6 +253,9 @@ type block struct {
 	// neg marks a universal, rewritten ∀x̄.φ ≡ ¬∃x̄.¬φ (which the planner
 	// can often handle, e.g. guarded universals NOT R(x̄) OR ψ): vars and
 	// body describe the existential, whose verdict is to be negated.
+	// vars is the quantifier's list as a set, first occurrence kept:
+	// EXISTS a, a . φ quantifies one variable, and the compiled plan
+	// gives every entry a binding slot that some atom must fill.
 	neg  bool
 	vars []string
 	body Expr
@@ -271,6 +275,17 @@ type block struct {
 
 func analyzeBlock(q Quant) block {
 	b := block{neg: q.All, vars: q.Vars, body: q.Body}
+	for i, v := range q.Vars {
+		if slices.Contains(q.Vars[:i], v) {
+			b.vars = slices.Clone(q.Vars[:i])
+			for _, w := range q.Vars[i+1:] {
+				if !slices.Contains(b.vars, w) {
+					b.vars = append(b.vars, w)
+				}
+			}
+			break
+		}
+	}
 	if q.All {
 		b.body = Negate(q.Body)
 	}
@@ -301,129 +316,189 @@ func occursIn(atoms []Atom, name string) bool {
 	return false
 }
 
-// compileExists builds the physical plan of a covered block.
-func (ev *evaluator) compileExists(b block, env map[string]relation.Value) (*Plan, error) {
-	quantified := make(map[string]bool, len(b.vars))
-	for _, v := range b.vars {
-		quantified[v] = true
-	}
+// compileBlock compiles a covered block in one pass: the physical plan
+// EXPLAIN renders and the vectorized atoms the executors run both come
+// out of it, so they cannot disagree about an access path or a number.
+//
+// Each atom is resolved against its backing once — relation, arity,
+// columns, and per argument either the slot of the block variable or
+// the value known now (a constant, or a binding of env) with its exact
+// posting length. A known value of the wrong domain (a name where the
+// schema says int, or vice versa) proves the conjunction empty:
+// Plan.Unsat, nothing else compiled. The atoms are then ordered
+// greedily on those numbers, each step fixing which variables it binds
+// and which of its positions have a value in hand when it runs; the
+// comparison residuals are scheduled on that order and the executor is
+// chosen (chooseExecutor).
+func (ev *evaluator) compileBlock(b block, env map[string]relation.Value) (*vecPlan, error) {
 	plan := &Plan{Vars: b.vars, Residual: b.residual}
-	for _, a := range b.atoms {
-		schema, ok := ev.m.Schema(a.Rel)
-		if !ok {
-			return nil, errUnknownRelation(a.Rel)
-		}
-		if len(a.Args) != schema.Arity() {
-			return nil, errArity(a.Rel, schema.Arity(), len(a.Args))
-		}
-		// A value of the wrong domain — a constant, or an outer
-		// binding of a non-quantified variable — proves the whole
-		// conjunction empty at compile time.
-		for i, t := range a.Args {
-			var val relation.Value
-			switch x := t.(type) {
-			case Const:
-				val = x.Value
-			case Var:
-				if quantified[x.Name] {
-					continue
-				}
-				v, ok := env[x.Name]
-				if !ok {
-					continue
-				}
-				val = v
-			default:
-				continue
-			}
-			if val.Kind() != schema.Attr(i).Kind {
-				plan.Unsat = true
-				plan.Steps = append(plan.Steps, PlanStep{Atom: a, Access: AccessScan, Attr: -1})
-				return plan, nil
-			}
-		}
+	v := &vecPlan{ev: ev, plan: plan, vars: b.vars}
+	varIdx := make(map[string]int, len(b.vars))
+	for i, name := range b.vars {
+		varIdx[name] = i
 	}
-	bound := make(map[string]bool) // quantified vars bound by chosen steps
-	remaining := b.atoms
-	for len(remaining) > 0 {
-		best := 0
-		var bestStep PlanStep
-		for i, a := range remaining {
-			step := ev.estimateStep(a, env, quantified, bound)
-			if i == 0 || step.EstRows < bestStep.EstRows {
-				best, bestStep = i, step
-			}
-		}
-		for _, t := range bestStep.Atom.Args {
-			if v, isVar := t.(Var); isVar && quantified[v.Name] && !bound[v.Name] {
-				bound[v.Name] = true
-				bestStep.Binds = append(bestStep.Binds, v.Name)
-			}
-		}
-		plan.Steps = append(plan.Steps, bestStep)
-		remaining = append(remaining[:best:best], remaining[best+1:]...)
-	}
-	return plan, nil
-}
-
-// estimateStep picks an access path and row estimate for one atom
-// given the variables bound so far. Values known at plan time
-// (constants and environment bindings) yield exact posting-length
-// estimates; variables bound by earlier steps probe at run time and
-// get the average posting length of their attribute; anything else
-// scans. The caller has checked that the relation exists.
-func (ev *evaluator) estimateStep(a Atom, env map[string]relation.Value, quantified, bound map[string]bool) PlanStep {
-	inst, _, _ := ev.m.Backing(a.Rel)
-	card := ev.m.Card(a.Rel)
-	step := PlanStep{Atom: a, Access: AccessScan, Attr: -1, EstRows: card}
-	var runtimePos []int
-	for i, t := range a.Args {
-		var val relation.Value
-		known := false
+	// operand resolves a term to the slot of a block variable — which
+	// shadows any outer binding of the name — or to a value known now.
+	operand := func(t Term) (vecOperand, bool) {
 		switch x := t.(type) {
 		case Const:
-			val, known = x.Value, true
+			return vecOperand{varIdx: -1, val: x.Value}, true
 		case Var:
-			// A quantified variable shadows any outer env binding:
-			// its value is only known once an earlier step binds it.
-			if quantified[x.Name] {
-				if bound[x.Name] {
-					runtimePos = append(runtimePos, i)
-				}
-			} else if v, ok := env[x.Name]; ok {
-				val, known = v, true
+			if vi, quantified := varIdx[x.Name]; quantified {
+				return vecOperand{varIdx: vi}, true
+			}
+			if val, bound := env[x.Name]; bound {
+				return vecOperand{varIdx: -1, val: val}, true
 			}
 		}
-		if !known {
-			continue
+		return vecOperand{}, false
+	}
+
+	atoms := make([]vecAtom, len(b.atoms))
+	steps := make([]PlanStep, len(b.atoms)) // until ordered: the compile-known access path
+	for ai, atom := range b.atoms {
+		inst, visible, ok := ev.m.Backing(atom.Rel)
+		if !ok {
+			return nil, errUnknownRelation(atom.Rel)
 		}
-		// Kind-mismatched known values were rejected at compile time
-		// (Plan.Unsat), so val matches the attribute's domain here.
-		if est := inst.IndexEstimate(i, val); step.Access != AccessIndex || est < step.EstRows {
-			step.Access, step.Attr, step.AttrName, step.EstRows = AccessIndex, i, inst.Schema().Attr(i).Name, est
+		schema := inst.Schema()
+		if len(atom.Args) != schema.Arity() {
+			return nil, errArity(atom.Rel, schema.Arity(), len(atom.Args))
+		}
+		card := inst.Len()
+		if visible != nil {
+			card = visible.Len()
+		}
+		a, step := &atoms[ai], &steps[ai]
+		*a = vecAtom{rel: atom.Rel, inst: inst, visible: visible, n: inst.NumIDs(),
+			cols: make([]relation.Col, len(atom.Args)), card: card, estBase: card}
+		*step = PlanStep{Atom: atom, Access: AccessScan, Attr: -1, EstRows: card}
+		for i, t := range atom.Args {
+			a.cols[i] = inst.Col(i)
+			o, ok := operand(t)
+			if !ok {
+				// Internal: a closed formula binds every variable that is
+				// not quantified here before the quantifier is reached.
+				return nil, errUnbound(t.String())
+			}
+			if o.varIdx >= 0 {
+				a.ops = append(a.ops, vecOp{pos: i, varIdx: o.varIdx})
+				if fp := a.posOf(o.varIdx); fp >= 0 {
+					a.intraEq = append(a.intraEq, [2]int{i, fp})
+					continue
+				}
+				a.vars, a.varPos = append(a.vars, o.varIdx), append(a.varPos, i)
+				continue
+			}
+			if o.val.Kind() != schema.Attr(i).Kind {
+				plan.Unsat = true
+				plan.Steps = []PlanStep{{Atom: atom, Access: AccessScan, Attr: -1}}
+				return v, nil
+			}
+			est := inst.IndexEstimate(i, o.val)
+			if step.Access != AccessIndex || est < step.EstRows {
+				step.Access, step.Attr, step.AttrName, step.EstRows = AccessIndex, i, schema.Attr(i).Name, est
+			}
+			a.estBase = min(a.estBase, est)
+			a.sel = append(a.sel, vecProbe{pos: i, vecOperand: o})
 		}
 	}
-	if step.Access == AccessScan && len(runtimePos) > 0 {
-		// The probe value arrives when an earlier step binds the
-		// variable; the executor picks the attribute then. The
-		// distinct-value count of the probe attribute turns the guess
-		// into card/distinct — the average posting length — which is
-		// what the Yannakakis-vs-greedy cost choice needs to be sharp
-		// about.
-		step.Access = AccessIndex
-		est := card/2 + 1
-		for _, i := range runtimePos {
-			if d := inst.DistinctEstimate(i); d > 0 {
-				if e := card/d + 1; e < est {
-					est = e
+
+	// Greedy order: repeatedly the atom with the fewest estimated
+	// candidates, ties to source order. An atom with no compile-known
+	// value probes at run time once an earlier step binds one of its
+	// variables; the distinct-value count of the probe attribute turns
+	// the guess into card/distinct — the average posting length — which
+	// is what the linear-vs-greedy cost choice needs to be sharp about.
+	boundAt := make([]int, len(b.vars)) // block variable → the step binding it
+	for i := range boundAt {
+		boundAt[i] = -1
+	}
+	for si := range atoms {
+		best := si
+		var bestStep PlanStep
+		for k := si; k < len(atoms); k++ {
+			step, a := steps[k], &atoms[k]
+			if step.Access == AccessScan {
+				est := a.card/2 + 1
+				for _, op := range a.ops {
+					if boundAt[op.varIdx] < 0 {
+						continue
+					}
+					step.Access = AccessIndex
+					if d := a.inst.DistinctEstimate(op.pos); d > 0 {
+						est = min(est, a.card/d+1)
+					}
+				}
+				if step.Access == AccessIndex {
+					step.EstRows = min(step.EstRows, est)
 				}
 			}
+			if k == si || step.EstRows < bestStep.EstRows {
+				best, bestStep = k, step
+			}
 		}
-		if est < step.EstRows {
-			step.EstRows = est
+		// Move the winner to position si; the others keep source order.
+		a := atoms[best]
+		copy(atoms[si+1:best+1], atoms[si:best])
+		copy(steps[si+1:best+1], steps[si:best])
+		// The step's probes, in argument order: the compile-known
+		// selections — alone, the slice is shared — and the first position
+		// of every variable an earlier step binds.
+		var merged []vecProbe
+		rest := a.sel
+		for k, vi := range a.vars {
+			if boundAt[vi] < 0 {
+				continue
+			}
+			for len(rest) > 0 && rest[0].pos < a.varPos[k] {
+				merged, rest = append(merged, rest[0]), rest[1:]
+			}
+			merged = append(merged, vecProbe{pos: a.varPos[k], vecOperand: vecOperand{varIdx: vi}})
+		}
+		a.probes = a.sel
+		if merged != nil {
+			a.probes = append(merged, rest...)
+		}
+		for k := range a.ops {
+			if op := &a.ops[k]; boundAt[op.varIdx] < 0 {
+				boundAt[op.varIdx], op.bind = si, true
+				bestStep.Binds = append(bestStep.Binds, b.vars[op.varIdx])
+			}
+		}
+		atoms[si], steps[si] = a, bestStep
+	}
+	v.atoms, plan.Steps = atoms, steps
+
+	// Residuals: a comparison over known values and block variables is
+	// checked from the flat bindings the moment its last operand is bound
+	// (folded now when it has no variable at all); anything else — and a
+	// comparison naming an unbound outer variable, whose evaluation
+	// reports it — waits for the tree-walking evaluator in finish.
+	v.cmpsAt = make([][]vecCmp, len(v.atoms))
+	var cross []vecCmp
+	for _, r := range b.residual {
+		c, ok := r.(Cmp)
+		vc := vecCmp{op: c.Op}
+		if ok {
+			vc.l, ok = operand(c.L)
+		}
+		if ok {
+			vc.r, ok = operand(c.R)
+		}
+		switch {
+		case !ok:
+			v.complex = append(v.complex, r)
+		case vc.l.varIdx < 0 && vc.r.varIdx < 0:
+			v.constFalse = v.constFalse || !vc.holds(nil)
+		default:
+			at := vc.lastLevel(boundAt)
+			v.cmpsAt[at] = append(v.cmpsAt[at], vc)
+			cross = append(cross, vc)
 		}
 	}
-	return step
+	v.chooseExecutor(cross)
+	return v, nil
 }
 
 // Error helpers shared with the naive evaluator.

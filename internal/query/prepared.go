@@ -10,11 +10,10 @@ import (
 // re-evaluated many times while only the model's visibility
 // changes — the CQA repair sweep. The boolean skeleton (conjunctions,
 // disjunctions, negations) is lowered to a small node tree; every
-// quantifier the planner covers is planned and vector-compiled exactly
-// once (compileExists + compileVec, including the Yannakakis / WCOJ
-// executor choice); each Eval then re-syncs the compiled atoms'
-// visibility bitsets from the model's Backing and re-runs the executors
-// over pooled scratch. Nothing per-repair is recompiled: a repair swap
+// quantifier the planner covers is compiled exactly once (compileBlock,
+// including the executor choice); each Eval then re-syncs the compiled
+// atoms' visibility bitsets from the model's Backing and re-runs the
+// executors over the pooled run state. Nothing per-repair is recompiled: a repair swap
 // is a handful of pointer updates. What has no plan — a quantifier-free
 // subformula, a block the planner refuses — is a leaf the tree
 // evaluator answers on each Eval, exactly as Eval would.
@@ -117,16 +116,12 @@ func (p *Prepared) compile(e Expr) pnode {
 		if !b.covered {
 			break
 		}
-		plan, err := p.ev.compileExists(b, p.env)
+		vp, err := p.ev.compileBlock(b, p.env)
 		if err != nil {
 			break // the leaf reports it
 		}
-		if plan.Unsat {
+		if vp.plan.Unsat {
 			return pnode{op: pConst, neg: b.neg}
-		}
-		vp, err := p.ev.compileVec(plan, p.env)
-		if err != nil {
-			break
 		}
 		for i := range vp.atoms {
 			p.vecAtoms = append(p.vecAtoms, &vp.atoms[i])
@@ -141,8 +136,8 @@ func (p *Prepared) compile(e Expr) pnode {
 // the model's Backing (the instance and its ID universe are fixed by
 // the version), the evaluator's cached active domain is dropped (a
 // block falling back to domain iteration must see the current view),
-// and the executors run over pooled scratch — no plan or vector
-// compilation happens per call.
+// and the executors run over the pooled run state — nothing is compiled
+// per call.
 func (p *Prepared) Eval(ctx context.Context) (bool, error) {
 	p.ev.ctx = ctx
 	p.ev.domain, p.ev.domainOK = nil, false

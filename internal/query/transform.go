@@ -57,69 +57,6 @@ func nnf(e Expr, neg bool) Expr {
 	}
 }
 
-// Simplify performs constant folding: TRUE/FALSE absorb or vanish in
-// connectives, double negations collapse, quantifiers over constant
-// bodies disappear.
-//
-// Simplify preserves logical equivalence but NOT necessarily
-// active-domain equivalence: dropping a dead branch removes its
-// constants from the formula, and quantifiers range over the model's
-// values plus the formula's constants, so a query whose truth depends
-// on a dropped constant being in the domain (e.g. FALSE AND R('x')
-// OR FORALL v . v <= 5) can change value. The evaluation engine never
-// applies Simplify implicitly for exactly this reason.
-func Simplify(e Expr) Expr {
-	switch n := e.(type) {
-	case Not:
-		b := Simplify(n.Body)
-		if bb, ok := b.(Bool); ok {
-			return Bool{Value: !bb.Value}
-		}
-		if nn, ok := b.(Not); ok {
-			return nn.Body
-		}
-		return Not{Body: b}
-	case And:
-		l, r := Simplify(n.L), Simplify(n.R)
-		if lb, ok := l.(Bool); ok {
-			if !lb.Value {
-				return Bool{Value: false}
-			}
-			return r
-		}
-		if rb, ok := r.(Bool); ok {
-			if !rb.Value {
-				return Bool{Value: false}
-			}
-			return l
-		}
-		return And{L: l, R: r}
-	case Or:
-		l, r := Simplify(n.L), Simplify(n.R)
-		if lb, ok := l.(Bool); ok {
-			if lb.Value {
-				return Bool{Value: true}
-			}
-			return r
-		}
-		if rb, ok := r.(Bool); ok {
-			if rb.Value {
-				return Bool{Value: true}
-			}
-			return l
-		}
-		return Or{L: l, R: r}
-	case Quant:
-		b := Simplify(n.Body)
-		if bb, ok := b.(Bool); ok {
-			return bb
-		}
-		return Quant{All: n.All, Vars: n.Vars, Body: b}
-	default:
-		return e
-	}
-}
-
 // Substitute replaces free occurrences of variables by constants.
 func Substitute(e Expr, env map[string]relation.Value) Expr {
 	subTerm := func(t Term, bound map[string]bool) Term {

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"fmt"
 	"sync"
 
 	"prefcqa/internal/bitset"
@@ -23,26 +22,43 @@ import (
 //     (negations, disjunctions, nested quantifiers) fall back to the
 //     tree-walking evaluator, and only for rows that survived
 //     everything else.
-//   - Scratch (the flat binding array, key buffers, the bitset.Words
-//     mask arena used by the Yannakakis reducer) is pooled and reused
-//     across evaluations, so a steady-state Eval allocates only the
-//     small compile-time plan structures.
+//   - The run state (vecRun: the flat binding array, key buffer and
+//     bitset.Words mask arena, plus the plan, environment and stats
+//     record of the run in progress) is pooled and reused across
+//     evaluations, so a steady-state Eval allocates only the small
+//     compile-time plan structures.
 //
-// On top of the batch runtime, yannakakis.go adds a semijoin-reduction
-// executor for acyclic multi-atom queries and wcoj.go a generic join
-// for cyclic ones; compileVec decides between them and the greedy
-// nested-loop order by cost (see chooseExecutor). Active-domain
-// iteration (EvalNaive) is the oracle the differential tests pin all
-// three executors against.
+// A compiled block (compileBlock, plan.go) runs behind one seam: the
+// executor interface. An executor owns its join strategy and nothing
+// else — greedy nested loops here, semijoin reduction for acyclic
+// spines in yannakakis.go, the generic join for cyclic ones in wcoj.go.
+// Candidate iteration (vecRun.scan: access path, visibility, row
+// counts, the cancellation tick), the base selection of the order-free
+// executors (vecRun.base), comparison scheduling (pushDown, lastLevel)
+// and the end of a binding (vecRun.finish, with the emit hook) exist
+// once and are shared. Active-domain iteration (EvalNaive) is the
+// oracle the differential tests pin all three executors against.
 
-// vecProbe is one atom position with a value available for an index
-// probe or an equality check when the step runs: a compile-time
-// constant or environment binding (varIdx < 0, use val), or a
-// quantified variable bound by an earlier step (read vals[varIdx]).
-type vecProbe struct {
-	pos    int
+// vecOperand is a value an atom position or a comparison reads: a
+// compile-time constant or environment binding (varIdx < 0, use val),
+// or a block variable (read vals[varIdx] once it is bound).
+type vecOperand struct {
 	varIdx int
 	val    relation.Value
+}
+
+func (o vecOperand) value(vals []relation.Value) relation.Value {
+	if o.varIdx >= 0 {
+		return vals[o.varIdx]
+	}
+	return o.val
+}
+
+// vecProbe is one atom position with a value available for an index
+// probe or an equality check when the atom's candidates are scanned.
+type vecProbe struct {
+	pos int
+	vecOperand
 }
 
 // vecOp is one quantified-variable position of an atom, in argument
@@ -52,19 +68,6 @@ type vecOp struct {
 	pos    int
 	varIdx int
 	bind   bool
-}
-
-// vecOperand is one side of a compiled residual comparison.
-type vecOperand struct {
-	varIdx int // >= 0: read vals[varIdx]; < 0: literal
-	val    relation.Value
-}
-
-func (o vecOperand) value(vals []relation.Value) relation.Value {
-	if o.varIdx >= 0 {
-		return vals[o.varIdx]
-	}
-	return o.val
 }
 
 // vecCmp is a residual comparison whose operands are constants,
@@ -77,6 +80,19 @@ type vecCmp struct {
 
 func (c vecCmp) holds(vals []relation.Value) bool {
 	return cmpHolds(c.op, c.l.value(vals), c.r.value(vals))
+}
+
+// lastLevel is the level — greedy step, join-forest node or generic-join
+// variable — at which the comparison's last operand is bound, levelOf
+// giving the level that binds each block variable.
+func (c vecCmp) lastLevel(levelOf []int) int {
+	at := 0
+	for _, o := range [2]vecOperand{c.l, c.r} {
+		if o.varIdx >= 0 {
+			at = max(at, levelOf[o.varIdx])
+		}
+	}
+	return at
 }
 
 // cmpHolds is the comparison semantics: EQ/NE on any kinds; order
@@ -112,7 +128,7 @@ func cmpHolds(op CmpOp, l, r relation.Value) bool {
 
 // vecCmpPos is a comparison pushed down to a single atom: operands
 // resolved to column positions of that atom (pos < 0: literal). The
-// Yannakakis base build applies these before any join work.
+// base selection applies these before any join work.
 type vecCmpPos struct {
 	op         CmpOp
 	lPos, rPos int
@@ -142,20 +158,31 @@ type vecAtom struct {
 	// greedy order (compile-known values and vars bound earlier).
 	probes []vecProbe
 	// sel: the compile-known subset of probes — the only selections
-	// available to the order-free Yannakakis base build.
+	// available to the order-free base selection.
 	sel []vecProbe
 	// ops: quantified-var positions in argument order (greedy path).
 	ops []vecOp
 	// intraEq: (pos, firstPos) pairs for a variable repeated within
 	// this atom (order-free form of the ops check).
 	intraEq [][2]int
-	// pushed: residual comparisons local to this atom.
+	// pushed: residual comparisons local to this atom (pushDown).
 	pushed []vecCmpPos
 
 	vars    []int // distinct quantified vars, first-occurrence order
 	varPos  []int // first occurrence position per vars entry
 	card    int
 	estBase int // estimated base candidates after compile-known selections
+}
+
+// posOf returns the first argument position of the block variable in
+// the atom, or -1 when the atom does not mention it.
+func (a *vecAtom) posOf(varIdx int) int {
+	for k, x := range a.vars {
+		if x == varIdx {
+			return a.varPos[k]
+		}
+	}
+	return -1
 }
 
 // visibleID reports whether id is visible to this atom's model view:
@@ -168,29 +195,31 @@ func (a *vecAtom) visibleID(id relation.TupleID) bool {
 	return a.visible == nil || a.visible.Has(id)
 }
 
-// vecPlan is the vectorized compilation of one existential plan.
+// executor is the seam a compiled block runs behind: one join strategy
+// over the plan's atoms, reading and filling the run state. run reports
+// whether a satisfying binding exists — or, with an emit hook attached,
+// whether the hook stopped the enumeration.
+type executor interface {
+	name() string
+	run(r *vecRun) (bool, error)
+}
+
+// vecPlan is the vectorized compilation of one existential block.
 type vecPlan struct {
 	ev      *evaluator
 	plan    *Plan
-	atoms   []vecAtom
+	atoms   []vecAtom // in the plan's step order
 	vars    []string
 	cmpsAt  [][]vecCmp // greedy: cmps checkable after step i's binds
 	complex []Expr     // residuals needing the tree-walking evaluator
 	// constFalse: a residual over compile-known values already failed.
 	constFalse bool
 
-	// Yannakakis data (nil/empty when the query is not acyclic or has
-	// fewer than two atoms).
-	yan        *yanPlan
-	useYan     bool
-	yanCost    int
+	// exec is the executor chooseExecutor picked, on the comparison of
+	// greedyCost with linearCost.
+	exec       executor
 	greedyCost int
-
-	// Generic-join data (nil unless the spine is cyclic: compileWcoj
-	// only runs when compileYan declined).
-	wcoj     *wcojPlan
-	useWcoj  bool
-	wcojCost int
+	linearCost int
 
 	// emit, when set, turns the boolean EXISTS run into an enumeration:
 	// finish calls it with every satisfying flat binding instead of
@@ -199,220 +228,108 @@ type vecPlan struct {
 	emit func(vals []relation.Value) (bool, error)
 }
 
-// vecScratch is the pooled per-evaluation scratch: the flat binding
-// array, the join-key buffer, and the word arena backing the
-// Yannakakis candidate masks. Reused across evaluations so the
-// steady-state hot path does not allocate.
-type vecScratch struct {
-	vals  []relation.Value
-	key   []byte
-	arena []uint64
-}
-
-var vecScratchPool = sync.Pool{New: func() any { return new(vecScratch) }}
-
-func (sc *vecScratch) bindings(n int) []relation.Value {
-	if cap(sc.vals) < n {
-		sc.vals = make([]relation.Value, n)
-	}
-	sc.vals = sc.vals[:n]
-	for i := range sc.vals {
-		sc.vals[i] = relation.Value{}
-	}
-	return sc.vals
-}
-
-// masks carves one cleared bitset.Words mask per requested universe
-// size out of the shared arena.
-func (sc *vecScratch) masks(sizes []int) []bitset.Words {
-	total := 0
-	for _, n := range sizes {
-		total += bitset.WordsLen(n)
-	}
-	if cap(sc.arena) < total {
-		sc.arena = make([]uint64, total)
-	}
-	sc.arena = sc.arena[:total]
-	out := make([]bitset.Words, len(sizes))
-	off := 0
-	for i, n := range sizes {
-		w := bitset.WordsLen(n)
-		out[i] = bitset.Words(sc.arena[off : off+w])
-		out[i].Clear()
-		off += w
-	}
-	return out
-}
-
-// compileVec lowers a compiled (satisfiable) plan onto the model's
-// columnar backing. An error is an internal one: compileExists has
-// already checked every atom's relation and arity, and a closed
-// formula binds every non-quantified variable before the quantifier
-// is reached.
-func (ev *evaluator) compileVec(p *Plan, env map[string]relation.Value) (*vecPlan, error) {
-	v := &vecPlan{ev: ev, plan: p, vars: p.Vars}
-	varIdx := make(map[string]int, len(p.Vars))
-	for i, name := range p.Vars {
-		varIdx[name] = i
-	}
-	firstBind := make([]int, len(p.Vars)) // step that first binds each var
-	for i := range firstBind {
-		firstBind[i] = -1
-	}
-	v.atoms = make([]vecAtom, len(p.Steps))
-	for si := range p.Steps {
-		a := &v.atoms[si]
-		atom := p.Steps[si].Atom
-		inst, visible, ok := ev.m.Backing(atom.Rel)
-		if !ok {
-			return nil, errUnknownRelation(atom.Rel)
-		}
-		a.rel = atom.Rel
-		a.inst, a.visible, a.n = inst, visible, inst.NumIDs()
-		a.card = ev.m.Card(atom.Rel)
-		a.cols = make([]relation.Col, len(atom.Args))
-		for i := range atom.Args {
-			a.cols[i] = inst.Col(i)
-		}
-		firstPosHere := make(map[int]int, len(atom.Args))
-		for i, t := range atom.Args {
-			switch x := t.(type) {
-			case Const:
-				a.probes = append(a.probes, vecProbe{pos: i, varIdx: -1, val: x.Value})
-				a.sel = append(a.sel, vecProbe{pos: i, varIdx: -1, val: x.Value})
-			case Var:
-				vi, quantified := varIdx[x.Name]
-				if !quantified {
-					val, bound := env[x.Name]
-					if !bound {
-						return nil, errUnbound(x.Name)
-					}
-					a.probes = append(a.probes, vecProbe{pos: i, varIdx: -1, val: val})
-					a.sel = append(a.sel, vecProbe{pos: i, varIdx: -1, val: val})
-					continue
-				}
-				if fp, repeat := firstPosHere[vi]; repeat {
-					a.ops = append(a.ops, vecOp{pos: i, varIdx: vi})
-					a.intraEq = append(a.intraEq, [2]int{i, fp})
-					continue
-				}
-				firstPosHere[vi] = i
-				if firstBind[vi] >= 0 {
-					// Bound by an earlier step: a runtime probe and an
-					// equality check in greedy order, a semijoin
-					// constraint for Yannakakis.
-					a.probes = append(a.probes, vecProbe{pos: i, varIdx: vi})
-					a.ops = append(a.ops, vecOp{pos: i, varIdx: vi})
-				} else {
-					firstBind[vi] = si
-					a.ops = append(a.ops, vecOp{pos: i, varIdx: vi, bind: true})
-				}
-				a.vars = append(a.vars, vi)
-				a.varPos = append(a.varPos, i)
-			default:
-				return nil, fmt.Errorf("query: unknown term %T", t)
-			}
-		}
-		a.estBase = a.card
-		for _, s := range a.sel {
-			if est := a.inst.IndexEstimate(s.pos, s.val); est < a.estBase {
-				a.estBase = est
-			}
-		}
-	}
-
-	// Residual classification.
-	v.cmpsAt = make([][]vecCmp, len(v.atoms))
-	var cross []vecCmp // all compiled cmps, for the Yannakakis planner
-	for _, r := range p.Residual {
-		c, ok := r.(Cmp)
-		if !ok {
-			v.complex = append(v.complex, r)
-			continue
-		}
-		operand := func(t Term) (vecOperand, int, bool) {
-			switch x := t.(type) {
-			case Const:
-				return vecOperand{varIdx: -1, val: x.Value}, -1, true
-			case Var:
-				if vi, quantified := varIdx[x.Name]; quantified {
-					return vecOperand{varIdx: vi}, firstBind[vi], true
-				}
-				if val, bound := env[x.Name]; bound {
-					return vecOperand{varIdx: -1, val: val}, -1, true
-				}
-				return vecOperand{}, 0, false
-			}
-			return vecOperand{}, 0, false
-		}
-		l, ls, lok := operand(c.L)
-		r2, rs, rok := operand(c.R)
-		if !lok || !rok {
-			// An unbound non-quantified variable: the residual's
-			// evaluation reports it.
-			v.complex = append(v.complex, r)
-			continue
-		}
-		step := ls
-		if rs > step {
-			step = rs
-		}
-		vc := vecCmp{op: c.Op, l: l, r: r2}
-		if step < 0 {
-			// Fully known now: fold.
-			if !cmpHolds(vc.op, vc.l.val, vc.r.val) {
-				v.constFalse = true
-			}
-			continue
-		}
-		v.cmpsAt[step] = append(v.cmpsAt[step], vc)
-		cross = append(cross, vc)
-	}
-
-	v.compileYan(cross)
-	v.compileWcoj(cross)
-	v.chooseExecutor()
-	return v, nil
-}
-
-// chooseExecutor compares the cost of the two vectorized executors.
+// chooseExecutor compares the nested-loop cost with the linear one.
 // Greedy cost models the nested-loop product: each step runs once per
-// surviving outer binding and yields EstRows candidates. Yannakakis
-// cost is linear in the base candidates of each atom (every reduction
-// pass re-walks them). Ties go to Yannakakis: its passes are tight
-// column loops with no per-binding bookkeeping.
-func (v *vecPlan) chooseExecutor() {
+// surviving outer binding and yields EstRows candidates. The linear
+// cost is the sum of the atoms' base candidates: every Yannakakis
+// reduction pass re-walks them, and the generic join's intersections
+// only shrink them. When it wins (ties included: its passes are tight
+// column loops with no per-binding bookkeeping) a multi-atom spine runs
+// on Yannakakis if GYO ear removal finds a join forest and on the
+// generic join if not — a spine is acyclic or cyclic, so the two never
+// compete.
+func (v *vecPlan) chooseExecutor(cross []vecCmp) {
 	const costCap = 1 << 40
-	prod, gCost := 1, 0
+	prod := 1
 	for _, s := range v.plan.Steps {
-		gCost += prod * s.EstRows
-		if gCost > costCap {
-			gCost = costCap
+		v.greedyCost += prod * s.EstRows
+		if v.greedyCost > costCap {
+			v.greedyCost = costCap
 			break
 		}
 		if s.EstRows > 0 {
 			prod *= s.EstRows
 		}
-		if prod > costCap {
-			prod = costCap
-		}
+		prod = min(prod, costCap)
 	}
-	yCost := 0
 	for i := range v.atoms {
-		yCost += v.atoms[i].estBase
-		if yCost > costCap {
-			yCost = costCap
-			break
-		}
+		v.linearCost = min(v.linearCost+v.atoms[i].estBase, costCap)
 	}
-	v.greedyCost, v.yanCost = gCost, yCost
-	v.useYan = v.yan != nil && !v.ev.greedyOnly && yCost <= gCost
-	// The generic join's work is likewise dominated by the per-atom base
-	// candidates (each level's intersections only shrink them), so it
-	// shares the linear cost estimate. compileWcoj only attaches a plan
-	// when compileYan declined, so the two never compete.
-	v.wcojCost = yCost
-	v.useWcoj = v.wcoj != nil && !v.ev.greedyOnly && yCost <= gCost
+	v.exec = greedyExec{}
+	if len(v.atoms) < 2 || v.ev.greedyOnly || v.linearCost > v.greedyCost {
+		return
+	}
+	if y := v.compileYan(cross); y != nil {
+		v.exec = y
+	} else {
+		v.exec = v.compileWcoj(cross)
+	}
+}
+
+// pushDown moves every comparison whose variables all occur in one atom
+// into that atom's base selection (resolved to its column positions)
+// and returns the comparisons spanning atoms, which the executor
+// schedules at the level binding their last operand (lastLevel).
+func (v *vecPlan) pushDown(cross []vecCmp) (spanning []vecCmp) {
+next:
+	for _, c := range cross {
+		for i := range v.atoms {
+			a := &v.atoms[i]
+			pc := vecCmpPos{op: c.op, lPos: -1, rPos: -1, lVal: c.l.val, rVal: c.r.val}
+			if c.l.varIdx >= 0 {
+				pc.lPos = a.posOf(c.l.varIdx)
+			}
+			if c.r.varIdx >= 0 {
+				pc.rPos = a.posOf(c.r.varIdx)
+			}
+			if (c.l.varIdx < 0 || pc.lPos >= 0) && (c.r.varIdx < 0 || pc.rPos >= 0) {
+				a.pushed = append(a.pushed, pc)
+				continue next
+			}
+		}
+		spanning = append(spanning, c)
+	}
+	return spanning
+}
+
+// vecRun is the state of one plan run: the pooled scratch — the flat
+// binding array, the join-key buffer, and the word arena backing the
+// Yannakakis candidate masks, reused across evaluations so the
+// steady-state hot path does not allocate — and what the run in
+// progress reads: its plan, the environment around the quantifier and
+// the stats record (nil: no stats collection).
+type vecRun struct {
+	vals  []relation.Value
+	key   []byte
+	arena []uint64
+
+	v    *vecPlan
+	env  map[string]relation.Value
+	exec *PlanExec
+}
+
+var vecRunPool = sync.Pool{New: func() any { return new(vecRun) }}
+
+// masks carves one cleared bitset.Words mask per requested universe
+// size out of the shared arena.
+func (r *vecRun) masks(sizes []int) []bitset.Words {
+	total := 0
+	for _, n := range sizes {
+		total += bitset.WordsLen(n)
+	}
+	if cap(r.arena) < total {
+		r.arena = make([]uint64, total)
+	}
+	r.arena = r.arena[:total]
+	out := make([]bitset.Words, len(sizes))
+	off := 0
+	for i, n := range sizes {
+		w := bitset.WordsLen(n)
+		out[i] = bitset.Words(r.arena[off : off+w])
+		out[i].Clear()
+		off += w
+	}
+	return out
 }
 
 // runVec executes the vectorized plan under env. Outer bindings
@@ -426,164 +343,175 @@ func (ev *evaluator) runVec(v *vecPlan, exec *PlanExec, env map[string]relation.
 		}
 		return false, nil
 	}
-	shadowed := shadowVars(env, v.vars)
-	sc := vecScratchPool.Get().(*vecScratch)
-	vals := sc.bindings(len(v.vars))
-	var res bool
-	var err error
-	if v.useYan {
-		if exec != nil {
-			exec.Executor = ExecYannakakis
-			exec.YanCost, exec.GreedyCost = v.yanCost, v.greedyCost
-			exec.Batch = make([]BatchStat, len(v.atoms))
-		}
-		res, err = v.runYan(sc, exec, vals, env)
-	} else if v.useWcoj {
-		if exec != nil {
-			exec.Executor = ExecWCOJ
-			exec.WcojCost, exec.GreedyCost = v.wcojCost, v.greedyCost
-			exec.Batch = make([]BatchStat, len(v.atoms))
-		}
-		res, err = v.runWcoj(sc, exec, vals, env)
-	} else {
-		if exec != nil {
-			exec.Executor = ExecGreedyVec
-			exec.YanCost, exec.GreedyCost = v.yanCost, v.greedyCost
-			exec.Batch = make([]BatchStat, len(v.atoms))
-		}
-		res, err = v.stepGreedy(0, sc, exec, vals, env)
+	if exec != nil {
+		exec.Executor = v.exec.name()
+		exec.linearCost, exec.GreedyCost = v.linearCost, v.greedyCost
+		exec.Batch = make([]BatchStat, len(v.atoms))
 	}
-	vecScratchPool.Put(sc)
+	shadowed := shadowVars(env, v.vars)
+	r := vecRunPool.Get().(*vecRun)
+	r.v, r.env, r.exec = v, env, exec
+	if cap(r.vals) < len(v.vars) {
+		r.vals = make([]relation.Value, len(v.vars))
+	}
+	r.vals = r.vals[:len(v.vars)]
+	clear(r.vals)
+	res, err := v.exec.run(r)
+	r.v, r.env, r.exec = nil, nil, nil
+	vecRunPool.Put(r)
 	unshadowVars(env, shadowed)
 	return res, err
 }
 
-// stepGreedy is the vectorized nested-loop join: the plan's step
-// order, candidate IDs from raw index postings (or a full ID range),
-// bindings in the flat array, comparisons checked the moment their
-// operands are bound. Short-circuits on the first satisfying binding.
-func (v *vecPlan) stepGreedy(si int, sc *vecScratch, exec *PlanExec, vals []relation.Value, env map[string]relation.Value) (bool, error) {
-	if si == len(v.atoms) {
-		return v.finish(vals, env)
+// scan iterates the candidates of atom ai: the IDs of the shortest
+// posting among the probes — each has its value in hand: compile-known,
+// or bound by an earlier greedy step — or the full ID range when there
+// is none, in ascending order either way; filtered to the model's view,
+// counted, ticked for cancellation, and checked against the probes the
+// posting does not already guarantee. visit gets each survivor and
+// stops the scan by returning true or an error, which scan returns.
+func (r *vecRun) scan(ai int, probes []vecProbe, visit func(id relation.TupleID) (bool, error)) (bool, error) {
+	a, ev, vals := &r.v.atoms[ai], r.v.ev, r.vals
+	var stat *BatchStat // nil: no stats collection
+	if r.exec != nil {
+		stat = &r.exec.Batch[ai]
+		stat.Batches++
 	}
-	a := &v.atoms[si]
-	cmps := v.cmpsAt[si]
-
-	// Pick the shortest posting among the positions with a value in
-	// hand; fall back to the full ID range when none exist.
-	probeIdx := -1
+	probeIdx, last := -1, a.n
 	var posting []relation.TupleID
-	for k := range a.probes {
-		pr := &a.probes[k]
-		val := pr.val
-		if pr.varIdx >= 0 {
-			val = vals[pr.varIdx]
-		}
-		ids := a.inst.PostingIDs(pr.pos, val)
+	for k := range probes {
+		ids := a.inst.PostingIDs(probes[k].pos, probes[k].value(vals))
 		if probeIdx < 0 || len(ids) < len(posting) {
-			probeIdx, posting = k, ids
+			probeIdx, posting, last = k, ids, len(ids)
 		}
 	}
-	if exec != nil {
-		exec.Batch[si].Batches++
-	}
-
-	tryID := func(id relation.TupleID) (bool, error) {
-		if err := v.ev.tick(); err != nil {
-			return false, err
-		}
-		if exec != nil {
-			exec.ActRows[si]++
-			exec.Batch[si].IDs++
-		}
-		for k := range a.probes {
-			if k == probeIdx {
-				continue // the posting already guarantees equality
-			}
-			pr := &a.probes[k]
-			val := pr.val
-			if pr.varIdx >= 0 {
-				val = vals[pr.varIdx]
-			}
-			if !a.cols[pr.pos].Equals(id, val) {
-				return false, nil
-			}
-		}
-		for k := range a.ops {
-			op := &a.ops[k]
-			if op.bind {
-				vals[op.varIdx] = a.cols[op.pos].Value(id)
-			} else if !a.cols[op.pos].Equals(id, vals[op.varIdx]) {
-				return false, nil
-			}
-		}
-		for _, c := range cmps {
-			if !c.holds(vals) {
-				return false, nil
-			}
-		}
-		if exec != nil {
-			exec.Batch[si].Out++
-		}
-		return v.stepGreedy(si+1, sc, exec, vals, env)
-	}
-
-	if probeIdx >= 0 {
-		for _, id := range posting {
-			if id >= a.n {
+candidates:
+	for i := 0; i < last; i++ {
+		id := i
+		if probeIdx >= 0 {
+			if id = posting[i]; id >= a.n {
 				break // appended by a newer version of the chain
 			}
-			if !a.visibleID(id) {
-				continue
-			}
-			found, err := tryID(id)
-			if err != nil || found {
-				return found, err
-			}
 		}
-		return false, nil
-	}
-	for id := 0; id < a.n; id++ {
 		if !a.visibleID(id) {
 			continue
 		}
-		found, err := tryID(id)
-		if err != nil || found {
-			return found, err
+		if err := ev.tick(); err != nil {
+			return false, err
+		}
+		if stat != nil {
+			stat.IDs++
+			r.exec.ActRows[ai]++
+		}
+		for k := range probes {
+			if k != probeIdx && !a.cols[probes[k].pos].Equals(id, probes[k].value(vals)) {
+				continue candidates
+			}
+		}
+		if stop, err := visit(id); err != nil || stop {
+			return stop, err
 		}
 	}
 	return false, nil
 }
 
-// finish runs the residuals the vector runtime cannot express, under
-// a real environment built from the flat bindings — only for rows
-// that survived every vectorized check. With an emit hook attached,
-// a surviving binding is handed to the hook instead of ending the
-// search: the hook's result decides whether to stop.
-func (v *vecPlan) finish(vals []relation.Value, env map[string]relation.Value) (bool, error) {
+// base scans the atom's base candidates — every visible ID passing the
+// compile-known equality selections, intra-atom variable repeats, and
+// pushed-down comparisons, in ascending ID order — into admit, and
+// returns how many there are. It is what an executor that does not
+// follow the greedy order (Yannakakis, the generic join) starts from.
+func (r *vecRun) base(ai int, admit func(id relation.TupleID)) (int, error) {
+	a := &r.v.atoms[ai]
+	cnt := 0
+	_, err := r.scan(ai, a.sel, func(id relation.TupleID) (bool, error) {
+		for _, eq := range a.intraEq {
+			if !a.cols[eq[0]].EqualsCell(id, a.cols[eq[1]], id) {
+				return false, nil
+			}
+		}
+		for _, c := range a.pushed {
+			if !c.holds(a, id) {
+				return false, nil
+			}
+		}
+		admit(id)
+		cnt++
+		return false, nil
+	})
+	if r.exec != nil {
+		r.exec.Batch[ai].Base = cnt
+	}
+	return cnt, err
+}
+
+// greedyExec is the vectorized nested-loop join: the plan's step
+// order, bindings in the flat array, comparisons checked the moment
+// their operands are bound. Short-circuits on the first satisfying
+// binding.
+type greedyExec struct{}
+
+func (greedyExec) name() string { return ExecGreedyVec }
+
+func (greedyExec) run(r *vecRun) (bool, error) { return r.stepGreedy(0) }
+
+func (r *vecRun) stepGreedy(si int) (bool, error) {
+	v := r.v
+	if si == len(v.atoms) {
+		return r.finish()
+	}
+	a := &v.atoms[si]
+	return r.scan(si, a.probes, func(id relation.TupleID) (bool, error) {
+		for k := range a.ops {
+			op := &a.ops[k]
+			if op.bind {
+				r.vals[op.varIdx] = a.cols[op.pos].Value(id)
+			} else if !a.cols[op.pos].Equals(id, r.vals[op.varIdx]) {
+				return false, nil
+			}
+		}
+		for _, c := range v.cmpsAt[si] {
+			if !c.holds(r.vals) {
+				return false, nil
+			}
+		}
+		if r.exec != nil {
+			r.exec.Batch[si].Out++
+		}
+		return r.stepGreedy(si + 1)
+	})
+}
+
+// finish ends a completed binding: it runs the residuals the vector
+// runtime cannot express, under a real environment built from the flat
+// bindings — only for rows that survived every vectorized check. With
+// an emit hook attached, a surviving binding is handed to the hook
+// instead of ending the search: the hook's result decides whether to
+// stop.
+func (r *vecRun) finish() (bool, error) {
+	v := r.v
 	if len(v.complex) > 0 {
 		for i, name := range v.vars {
-			env[name] = vals[i]
+			r.env[name] = r.vals[i]
 		}
 		res := true
 		var err error
 		for _, c := range v.complex {
 			var ok bool
-			ok, err = v.ev.eval(c, env)
+			ok, err = v.ev.eval(c, r.env)
 			if err != nil || !ok {
 				res = false
 				break
 			}
 		}
 		for _, name := range v.vars {
-			delete(env, name)
+			delete(r.env, name)
 		}
 		if err != nil || !res {
 			return false, err
 		}
 	}
 	if v.emit != nil {
-		return v.emit(vals)
+		return v.emit(r.vals)
 	}
 	return true, nil
 }

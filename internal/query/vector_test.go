@@ -1,6 +1,8 @@
 package query
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -359,19 +361,15 @@ func TestYannakakisFiresOnAcyclicChain(t *testing.T) {
 // benchmarks.
 const emptyJoinRows = 20_000
 
-// benchEmptyJoin times one closed three-atom query over R, S, T
-// (emptyJoinRows rows each, row i of the three given by rows) whose
-// join is empty, so no executor can stop at a first witness: once on
-// the executor the cost-based planner picks, which must be want, and
-// once on forced greedy, which walks every R tuple probing S and T per
-// tuple.
-func benchEmptyJoin(b *testing.B, src, want string, rows func(i int) [3][2]int) {
+// emptyJoinModel builds R, S and T of emptyJoinRows rows each, row i of
+// the three given by rows.
+func emptyJoinModel(tb testing.TB, rows func(i int) [3][2]int) Model {
 	db := relation.NewDatabase()
 	var insts [3]*relation.Instance
 	for k, name := range []string{"R", "S", "T"} {
 		insts[k] = relation.NewInstance(relation.MustSchema(name, relation.IntAttr("X"), relation.IntAttr("Y")))
 		if err := db.AddInstance(insts[k]); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	for i := 0; i < emptyJoinRows; i++ {
@@ -379,7 +377,38 @@ func benchEmptyJoin(b *testing.B, src, want string, rows func(i int) [3][2]int) 
 			insts[k].MustInsert(row[0], row[1])
 		}
 	}
-	m := DBModel{DB: db}
+	return DBModel{DB: db}
+}
+
+// The acyclic chain R(a,b) ⋈ S(b,c) ⋈ T(c,d) where S.c and T.c share no
+// value: Yannakakis finds the emptiness in one bottom-up semijoin pass
+// (T semijoin S empties T's mask) and never enumerates.
+const emptyChain = "EXISTS a, b, c, d . R(a, b) AND S(b, c) AND T(c, d)"
+
+func emptyChainRows(i int) [3][2]int {
+	return [3][2]int{{i, i}, {i, i}, {i + emptyJoinRows, i}}
+}
+
+// The triangle R(a,b) ⋈ S(b,c) ⋈ T(c,a) over 1000 distinct values per
+// join column (distinct pairs, fan-out rows/1000 per value) with T's a
+// column offset past R's: GYO ear removal fails, and the generic join
+// finds the emptiness at the first variable level — every candidate a
+// has an empty T posting, so no (a, b) pair is ever enumerated.
+const emptyTriangle = "EXISTS a, b, c . R(a, b) AND S(b, c) AND T(c, a)"
+
+func emptyTriangleRows(i int) [3][2]int {
+	const v = 1000
+	lo, fan := i%v, (i%v+i/v)%v
+	return [3][2]int{{lo, fan}, {lo, fan}, {lo, v + fan}}
+}
+
+// benchEmptyJoin times one closed three-atom query over an
+// emptyJoinModel whose join is empty, so no executor can stop at a
+// first witness: once on the executor the cost-based planner picks,
+// which must be want, and once on forced greedy, which walks every R
+// tuple probing S and T per tuple.
+func benchEmptyJoin(b *testing.B, src, want string, rows func(i int) [3][2]int) {
+	m := emptyJoinModel(b, rows)
 	q := MustParse(src)
 	run := func(b *testing.B, eval func(Expr, Model) (bool, error)) {
 		b.ReportAllocs()
@@ -409,24 +438,54 @@ func benchEmptyJoin(b *testing.B, src, want string, rows func(i int) [3][2]int) 
 	})
 }
 
-// The acyclic chain R(a,b) ⋈ S(b,c) ⋈ T(c,d) where S.c and T.c share no
-// value: Yannakakis finds the emptiness in one bottom-up semijoin pass
-// (T semijoin S empties T's mask) and never enumerates.
 func BenchmarkEmptyChain(b *testing.B) {
-	benchEmptyJoin(b, "EXISTS a, b, c, d . R(a, b) AND S(b, c) AND T(c, d)", ExecYannakakis,
-		func(i int) [3][2]int { return [3][2]int{{i, i}, {i, i}, {i + emptyJoinRows, i}} })
+	benchEmptyJoin(b, emptyChain, ExecYannakakis, emptyChainRows)
 }
 
-// The triangle R(a,b) ⋈ S(b,c) ⋈ T(c,a) over 1000 distinct values per
-// join column (distinct pairs, fan-out rows/1000 per value) with T's a
-// column offset past R's: GYO ear removal fails, and the generic join
-// finds the emptiness at the first variable level — every candidate a
-// has an empty T posting, so no (a, b) pair is ever enumerated.
 func BenchmarkEmptyTriangle(b *testing.B) {
-	const v = 1000
-	benchEmptyJoin(b, "EXISTS a, b, c . R(a, b) AND S(b, c) AND T(c, a)", ExecWCOJ,
-		func(i int) [3][2]int {
-			lo, fan := i%v, (i%v+i/v)%v
-			return [3][2]int{{lo, fan}, {lo, fan}, {lo, v + fan}}
-		})
+	benchEmptyJoin(b, emptyTriangle, ExecWCOJ, emptyTriangleRows)
+}
+
+// cancelledAfterFirstCheck is live for the one check an evaluation makes
+// before it starts and cancelled from then on: what a deadline that
+// expires mid-join looks like to the evaluator's periodic sampling.
+type cancelledAfterFirstCheck struct {
+	context.Context
+	checks int
+}
+
+func (c *cancelledAfterFirstCheck) Err() error {
+	if c.checks++; c.checks == 1 {
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestExecutorsHonourCancellation: every executor samples the context
+// as it iterates candidate rows — in base selections and semijoin
+// passes as much as in the nested loop — so none of the three can walk
+// 60 000 rows of an empty join past a cancellation and answer false.
+func TestExecutorsHonourCancellation(t *testing.T) {
+	for _, c := range []struct {
+		src        string
+		rows       func(i int) [3][2]int
+		greedyOnly bool
+		want       string
+	}{
+		{emptyChain, emptyChainRows, false, ExecYannakakis},
+		{emptyTriangle, emptyTriangleRows, false, ExecWCOJ},
+		{emptyChain, emptyChainRows, true, ExecGreedyVec},
+	} {
+		tr := &Trace{}
+		ev := &evaluator{m: emptyJoinModel(t, c.rows), root: MustParse(c.src), join: true, trace: tr,
+			greedyOnly: c.greedyOnly, ctx: &cancelledAfterFirstCheck{Context: context.Background()}}
+		res, err := ev.run()
+		if len(tr.Execs) != 1 || tr.Execs[0].Executor != c.want {
+			t.Fatalf("%s: ran on %+v, want %s", c.src, tr.Execs, c.want)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s on %s: %v, %v after inspecting %v rows; want context.Canceled",
+				c.src, c.want, res, err, tr.Execs[0].ActRows)
+		}
+	}
 }

@@ -16,9 +16,9 @@ import (
 // currency of vector.go:
 //
 //   - Per-atom candidate sets are ascending tuple-ID slices, seeded by
-//     the same base selections the Yannakakis executor uses
-//     (visibility, compile-known equality probes, intra-atom repeats,
-//     pushed-down comparisons).
+//     the base selection the Yannakakis executor starts from too
+//     (vecRun.base: visibility, compile-known equality probes,
+//     intra-atom repeats, pushed-down comparisons).
 //   - Variables are resolved one at a time, most-constrained first.
 //     The candidate values of a variable come from the smallest
 //     containing atom — the relation's cached sorted distinct-value
@@ -33,11 +33,11 @@ import (
 //     variable binds; complex residuals (negation, disjunction,
 //     nested quantifiers) run under the completed binding via finish.
 //
-// The planner considers the operator only for cyclic multi-atom
-// spines (compileYan declined) and takes it when its base-candidates
-// cost beats the greedy nested-loop estimate; evaluator.greedyOnly
-// forces the greedy baseline, which the differential tests pin
-// bit-for-bit against this path.
+// chooseExecutor considers the operator only for cyclic multi-atom
+// spines (compileYan found no join forest) whose base-candidates cost
+// beats the greedy nested-loop estimate; evaluator.greedyOnly forces
+// the greedy baseline, which the differential tests pin bit-for-bit
+// against this path.
 
 // wcojLevel is one variable of the generic join, in resolution order.
 type wcojLevel struct {
@@ -52,36 +52,13 @@ type wcojPlan struct {
 	levels []wcojLevel
 }
 
-// compileWcoj attaches a generic-join plan when the spine is cyclic
-// (compileYan declined) with at least two atoms. Variable order is
-// most-constrained first (occurrence count descending, first
+// compileWcoj compiles the generic join of a cyclic spine. Variable
+// order is most-constrained first (occurrence count descending, first
 // occurrence breaking ties). Residual comparisons local to a single
 // atom are pushed into that atom's base selection, exactly like the
 // Yannakakis pushdown; the rest are scheduled at the level binding
 // their last operand.
-func (v *vecPlan) compileWcoj(cross []vecCmp) {
-	if v.yan != nil || len(v.atoms) < 2 || len(v.vars) == 0 {
-		return
-	}
-	m := len(v.atoms)
-	contains := func(atom, varIdx int) bool {
-		for _, x := range v.atoms[atom].vars {
-			if x == varIdx {
-				return true
-			}
-		}
-		return false
-	}
-	posOf := func(atom, varIdx int) int {
-		a := &v.atoms[atom]
-		for k, x := range a.vars {
-			if x == varIdx {
-				return a.varPos[k]
-			}
-		}
-		return -1
-	}
-
+func (v *vecPlan) compileWcoj(cross []vecCmp) *wcojPlan {
 	occ := make([]int, len(v.vars))
 	for i := range v.atoms {
 		for _, x := range v.atoms[i].vars {
@@ -98,8 +75,8 @@ func (v *vecPlan) compileWcoj(cross []vecCmp) {
 	levelOf := make([]int, len(v.vars))
 	for k, x := range order {
 		lv := wcojLevel{varIdx: x}
-		for ai := 0; ai < m; ai++ {
-			if p := posOf(ai, x); p >= 0 {
+		for ai := range v.atoms {
+			if p := v.atoms[ai].posOf(x); p >= 0 {
 				lv.atoms = append(lv.atoms, ai)
 				lv.pos = append(lv.pos, p)
 			}
@@ -107,106 +84,14 @@ func (v *vecPlan) compileWcoj(cross []vecCmp) {
 		levelOf[x] = k
 		w.levels[k] = lv
 	}
-
-	// Residual placement: a comparison whose variables all occur in one
-	// atom filters that atom's base candidates; anything spanning atoms
-	// waits for the level binding its last operand.
-	for _, c := range cross {
-		home := -1
-		for i := 0; i < m && home < 0; i++ {
-			ok := true
-			for _, o := range []vecOperand{c.l, c.r} {
-				if o.varIdx >= 0 && !contains(i, o.varIdx) {
-					ok = false
-				}
-			}
-			if ok {
-				home = i
-			}
-		}
-		if home >= 0 {
-			pc := vecCmpPos{op: c.op, lPos: -1, rPos: -1, lVal: c.l.val, rVal: c.r.val}
-			if c.l.varIdx >= 0 {
-				pc.lPos = posOf(home, c.l.varIdx)
-			}
-			if c.r.varIdx >= 0 {
-				pc.rPos = posOf(home, c.r.varIdx)
-			}
-			v.atoms[home].pushed = append(v.atoms[home].pushed, pc)
-			continue
-		}
-		at := 0
-		for _, o := range []vecOperand{c.l, c.r} {
-			if o.varIdx >= 0 && levelOf[o.varIdx] > at {
-				at = levelOf[o.varIdx]
-			}
-		}
+	for _, c := range v.pushDown(cross) {
+		at := c.lastLevel(levelOf)
 		w.levels[at].cmps = append(w.levels[at].cmps, c)
 	}
-	v.wcoj = w
+	return w
 }
 
-// scanBase iterates the atom's base candidates in ascending ID order:
-// every visible ID passing the compile-known equality selections,
-// intra-atom variable repeats, and pushed-down comparisons — probed
-// through the shortest posting when a known value exists, a column
-// sweep otherwise. Shared by the Yannakakis and generic-join base
-// builds.
-func (v *vecPlan) scanBase(ai int, exec *PlanExec, admit func(id relation.TupleID)) {
-	a := &v.atoms[ai]
-	selIdx := -1
-	var posting []relation.TupleID
-	for k := range a.sel {
-		ids := a.inst.PostingIDs(a.sel[k].pos, a.sel[k].val)
-		if selIdx < 0 || len(ids) < len(posting) {
-			selIdx, posting = k, ids
-		}
-	}
-	check := func(id relation.TupleID) {
-		if exec != nil {
-			exec.ActRows[ai]++
-			exec.Batch[ai].IDs++
-		}
-		for k := range a.sel {
-			if k == selIdx {
-				continue
-			}
-			if !a.cols[a.sel[k].pos].Equals(id, a.sel[k].val) {
-				return
-			}
-		}
-		for _, eq := range a.intraEq {
-			if !a.cols[eq[0]].EqualsCell(id, a.cols[eq[1]], id) {
-				return
-			}
-		}
-		for _, c := range a.pushed {
-			if !c.holds(a, id) {
-				return
-			}
-		}
-		admit(id)
-	}
-	if exec != nil {
-		exec.Batch[ai].Batches++
-	}
-	if selIdx >= 0 {
-		for _, id := range posting {
-			if id >= a.n {
-				break
-			}
-			if a.visibleID(id) {
-				check(id)
-			}
-		}
-		return
-	}
-	for id := 0; id < a.n; id++ {
-		if a.visibleID(id) {
-			check(id)
-		}
-	}
-}
+func (w *wcojPlan) name() string { return ExecWCOJ }
 
 // intersectSorted writes the intersection of two ascending TupleID
 // slices into dst (overwritten from the start) and returns it. When
@@ -259,38 +144,30 @@ func intersectSorted(dst, a, b []relation.TupleID) []relation.TupleID {
 	return dst
 }
 
-// runWcoj executes the generic join: per-atom base candidate lists,
-// then one variable per level, each candidate value confirmed by a
-// multiway posting intersection across the atoms containing the
-// variable. exec may be nil (no stats collection).
-func (v *vecPlan) runWcoj(sc *vecScratch, exec *PlanExec, vals []relation.Value, env map[string]relation.Value) (bool, error) {
-	w := v.wcoj
+// run executes the generic join: per-atom base candidate lists, then
+// one variable per level, each candidate value confirmed by a multiway
+// posting intersection across the atoms containing the variable.
+func (w *wcojPlan) run(r *vecRun) (bool, error) {
+	v, vals := r.v, r.vals
 	m := len(v.atoms)
 	cands := make([][]relation.TupleID, m)
 	baseLen := make([]int, m)
 	for i := 0; i < m; i++ {
-		if err := v.ev.tick(); err != nil {
+		var base []relation.TupleID
+		n, err := r.base(i, func(id relation.TupleID) { base = append(base, id) })
+		if err != nil || n == 0 {
 			return false, err
 		}
-		var base []relation.TupleID
-		v.scanBase(i, exec, func(id relation.TupleID) { base = append(base, id) })
-		if exec != nil {
-			exec.Batch[i].Base = len(base)
-		}
-		if len(base) == 0 {
-			return false, nil
-		}
-		cands[i] = base
-		baseLen[i] = len(base)
+		cands[i], baseLen[i] = base, n
 	}
 
 	var stats []WcojVarStat
-	if exec != nil {
+	if r.exec != nil {
 		stats = make([]WcojVarStat, len(w.levels))
 		for k := range w.levels {
 			stats[k] = WcojVarStat{Var: v.vars[w.levels[k].varIdx], Atoms: len(w.levels[k].atoms)}
 		}
-		exec.Wcoj = stats
+		r.exec.Wcoj = stats
 	}
 
 	// Per-level scratch, reused across sibling values of the level:
@@ -317,7 +194,7 @@ func (v *vecPlan) runWcoj(sc *vecScratch, exec *PlanExec, vals []relation.Value,
 	var step func(k int) (bool, error)
 	step = func(k int) (bool, error) {
 		if k == len(w.levels) {
-			return v.finish(vals, env)
+			return r.finish()
 		}
 		lv := &w.levels[k]
 		ls := &lsc[k]

@@ -20,9 +20,10 @@ import (
 //
 // The machinery runs entirely on the batch currency of vector.go:
 // candidate sets are bitset.Words masks over the instance's tuple-ID
-// universe (carved from the pooled scratch arena), semijoins hash the
-// join-key cells straight out of the columns, and enumeration binds
-// into the flat value array. Acyclicity is decided by GYO ear
+// universe (carved from the pooled run state's arena, filled by the
+// shared base selection vecRun.base), semijoins hash the join-key cells
+// straight out of the columns, and enumeration binds into the flat
+// value array. Acyclicity is decided by GYO ear
 // removal, which also yields the join forest and the bottom-up
 // reduction order; disconnected queries need no special casing — an
 // atom sharing no variables attaches with an empty join key, making
@@ -49,42 +50,20 @@ type yanNode struct {
 
 // yanPlan is the compiled join forest of an acyclic query.
 type yanPlan struct {
-	parent []int
-	edges  []yanEdge // GYO removal order = bottom-up reduction order
-	nodes  []yanNode // enumeration preorder
+	edges []yanEdge // GYO removal order = bottom-up reduction order
+	nodes []yanNode // enumeration preorder
 	// pushedOnly: every residual was pushed into a single atom's base
 	// selection, so the bottom-up pass alone decides the answer.
 	pushedOnly bool
 }
 
 // compileYan runs GYO ear removal over the atoms' variable sets and,
-// if the query is acyclic with at least two atoms, attaches a yanPlan:
-// join forest, semijoin edges, enumeration schedule, and residual
-// pushdown (comparisons local to one atom move into its base
-// selection; the rest are scheduled on the enumeration preorder).
-func (v *vecPlan) compileYan(cross []vecCmp) {
+// if the spine is acyclic, returns its yanPlan: join forest, semijoin
+// edges, enumeration schedule, and residual pushdown (comparisons local
+// to one atom move into its base selection; the rest are scheduled on
+// the enumeration preorder). It returns nil for a cyclic spine.
+func (v *vecPlan) compileYan(cross []vecCmp) *yanPlan {
 	m := len(v.atoms)
-	if m < 2 {
-		return
-	}
-	contains := func(atom int, varIdx int) bool {
-		for _, x := range v.atoms[atom].vars {
-			if x == varIdx {
-				return true
-			}
-		}
-		return false
-	}
-	posOf := func(atom int, varIdx int) int {
-		a := &v.atoms[atom]
-		for k, x := range a.vars {
-			if x == varIdx {
-				return a.varPos[k]
-			}
-		}
-		return -1
-	}
-
 	// GYO: repeatedly remove an ear — an edge whose variables shared
 	// with any other live edge all fit inside a single live host. The
 	// removal order doubles as the bottom-up semijoin order.
@@ -107,7 +86,7 @@ func (v *vecPlan) compileYan(cross []vecCmp) {
 			var shared []int
 			for _, x := range v.atoms[i].vars {
 				for j := 0; j < m; j++ {
-					if j != i && alive[j] && contains(j, x) {
+					if j != i && alive[j] && v.atoms[j].posOf(x) >= 0 {
 						shared = append(shared, x)
 						break
 					}
@@ -120,7 +99,7 @@ func (v *vecPlan) compileYan(cross []vecCmp) {
 				}
 				all := true
 				for _, x := range shared {
-					if !contains(j, x) {
+					if v.atoms[j].posOf(x) < 0 {
 						all = false
 						break
 					}
@@ -138,15 +117,15 @@ func (v *vecPlan) compileYan(cross []vecCmp) {
 			}
 		}
 		if !removed {
-			return // cyclic: no ear left — wcoj.go's generic join takes over
+			return nil // cyclic: no ear left — wcoj.go's generic join takes over
 		}
 	}
 
-	y := &yanPlan{parent: parent}
+	y := &yanPlan{}
 	for _, i := range order {
 		e := yanEdge{child: i, parent: parent[i]}
 		for k, x := range v.atoms[i].vars {
-			if pp := posOf(parent[i], x); pp >= 0 {
+			if pp := v.atoms[parent[i]].posOf(x); pp >= 0 {
 				e.childPos = append(e.childPos, v.atoms[i].varPos[k])
 				e.parentPos = append(e.parentPos, pp)
 			}
@@ -182,7 +161,7 @@ func (v *vecPlan) compileYan(cross []vecCmp) {
 			if bound[x] < 0 {
 				bound[x] = k
 				node.binds = append(node.binds, vecOp{pos: a.varPos[vi], varIdx: x, bind: true})
-			} else if parent[ai] >= 0 && contains(parent[ai], x) {
+			} else if parent[ai] >= 0 && v.atoms[parent[ai]].posOf(x) >= 0 {
 				node.keyVars = append(node.keyVars, x)
 				node.keyPos = append(node.keyPos, a.varPos[vi])
 			}
@@ -194,72 +173,29 @@ func (v *vecPlan) compileYan(cross []vecCmp) {
 		y.nodes[k] = node
 	}
 
-	// Residual placement: a comparison whose variables all occur in one
-	// atom filters that atom's base candidates; anything spanning atoms
-	// waits for enumeration, at the first node where all operands are
-	// bound.
-	y.pushedOnly = len(v.complex) == 0
-	for _, c := range cross {
-		home := -1
-		for i := 0; i < m && home < 0; i++ {
-			ok := true
-			for _, o := range []vecOperand{c.l, c.r} {
-				if o.varIdx >= 0 && !contains(i, o.varIdx) {
-					ok = false
-				}
-			}
-			if ok {
-				home = i
-			}
-		}
-		if home >= 0 {
-			pc := vecCmpPos{op: c.op, lPos: -1, rPos: -1, lVal: c.l.val, rVal: c.r.val}
-			if c.l.varIdx >= 0 {
-				pc.lPos = posOf(home, c.l.varIdx)
-			}
-			if c.r.varIdx >= 0 {
-				pc.rPos = posOf(home, c.r.varIdx)
-			}
-			v.atoms[home].pushed = append(v.atoms[home].pushed, pc)
-			continue
-		}
-		at := 0
-		for _, o := range []vecOperand{c.l, c.r} {
-			if o.varIdx >= 0 && bound[o.varIdx] > at {
-				at = bound[o.varIdx]
-			}
-		}
+	// A comparison spanning atoms waits for enumeration, at the first
+	// node where all its operands are bound.
+	spanning := v.pushDown(cross)
+	for _, c := range spanning {
+		at := c.lastLevel(bound)
 		y.nodes[at].cmps = append(y.nodes[at].cmps, c)
-		y.pushedOnly = false
 	}
-	v.yan = y
+	y.pushedOnly = len(v.complex) == 0 && len(spanning) == 0
+	return y
 }
 
-// yanBase fills the atom's candidate mask from the shared base scan
-// (wcoj.go's scanBase): every visible ID passing the compile-known
-// equality selections, intra-atom variable repeats, and pushed-down
-// comparisons.
-func (v *vecPlan) yanBase(ai int, mask bitset.Words, exec *PlanExec) int {
-	cnt := 0
-	v.scanBase(ai, exec, func(id relation.TupleID) {
-		mask.Add(id)
-		cnt++
-	})
-	if exec != nil {
-		exec.Batch[ai].Base = cnt
-	}
-	return cnt
-}
+func (y *yanPlan) name() string { return ExecYannakakis }
 
 // semijoinInto filters dst's candidate mask to the IDs whose join key
 // appears among src's candidates. Returns dst's new candidate count.
 // Single-int-column keys — the overwhelmingly common join shape — hash
 // the raw cells into an int64 set; everything else falls back to the
 // encoded byte-key set (whose inserts copy the key).
-func (v *vecPlan) semijoinInto(sc *vecScratch, masks []bitset.Words, counts []int,
-	src int, srcPos []int, dst int, dstPos []int, exec *PlanExec) int {
-	sa, da := &v.atoms[src], &v.atoms[dst]
+func (r *vecRun) semijoinInto(masks []bitset.Words, counts []int,
+	src int, srcPos []int, dst int, dstPos []int) (int, error) {
+	sa, da, ev := &r.v.atoms[src], &r.v.atoms[dst], r.v.ev
 	removed := 0
+	var err error
 	if len(srcPos) == 1 && len(dstPos) == 1 &&
 		sa.cols[srcPos[0]].Kind() == relation.KindInt &&
 		da.cols[dstPos[0]].Kind() == relation.KindInt {
@@ -267,82 +203,84 @@ func (v *vecPlan) semijoinInto(sc *vecScratch, masks []bitset.Words, counts []in
 		set := make(map[int64]struct{}, counts[src])
 		masks[src].Range(func(id int) bool {
 			set[sCol.Int(id)] = struct{}{}
-			return true
+			err = ev.tick()
+			return err == nil
 		})
-		masks[dst].Range(func(id int) bool {
-			if _, ok := set[dCol.Int(id)]; !ok {
-				masks[dst].Remove(id)
-				removed++
-			}
-			return true
-		})
+		if err == nil {
+			masks[dst].Range(func(id int) bool {
+				if _, ok := set[dCol.Int(id)]; !ok {
+					masks[dst].Remove(id)
+					removed++
+				}
+				err = ev.tick()
+				return err == nil
+			})
+		}
 	} else {
 		set := make(map[string]struct{}, counts[src])
 		masks[src].Range(func(id int) bool {
-			sc.key = sc.key[:0]
+			r.key = r.key[:0]
 			for _, p := range srcPos {
-				sc.key = sa.cols[p].AppendKey(sc.key, id)
+				r.key = sa.cols[p].AppendKey(r.key, id)
 			}
-			if _, ok := set[string(sc.key)]; !ok {
-				set[string(sc.key)] = struct{}{}
+			if _, ok := set[string(r.key)]; !ok {
+				set[string(r.key)] = struct{}{}
 			}
-			return true
+			err = ev.tick()
+			return err == nil
 		})
-		masks[dst].Range(func(id int) bool {
-			sc.key = sc.key[:0]
-			for _, p := range dstPos {
-				sc.key = da.cols[p].AppendKey(sc.key, id)
-			}
-			if _, ok := set[string(sc.key)]; !ok {
-				masks[dst].Remove(id)
-				removed++
-			}
-			return true
-		})
+		if err == nil {
+			masks[dst].Range(func(id int) bool {
+				r.key = r.key[:0]
+				for _, p := range dstPos {
+					r.key = da.cols[p].AppendKey(r.key, id)
+				}
+				if _, ok := set[string(r.key)]; !ok {
+					masks[dst].Remove(id)
+					removed++
+				}
+				err = ev.tick()
+				return err == nil
+			})
+		}
 	}
 	counts[dst] -= removed
-	if exec != nil {
-		exec.Batch[dst].Batches++
+	if r.exec != nil {
+		r.exec.Batch[dst].Batches++
 	}
-	return counts[dst]
+	return counts[dst], err
 }
 
-// runYan executes the Yannakakis plan: base masks, bottom-up semijoin
+// run executes the Yannakakis plan: base masks, bottom-up semijoin
 // reduction, and — only if residuals demand it — a top-down completion
 // pass and enumeration over the fully reduced candidates.
-func (v *vecPlan) runYan(sc *vecScratch, exec *PlanExec, vals []relation.Value, env map[string]relation.Value) (bool, error) {
-	y := v.yan
+func (y *yanPlan) run(r *vecRun) (bool, error) {
+	v := r.v
 	m := len(v.atoms)
 	sizes := make([]int, m)
 	for i := range sizes {
 		sizes[i] = v.atoms[i].n
 	}
-	masks := sc.masks(sizes)
+	masks := r.masks(sizes)
 	counts := make([]int, m)
-	setOut := func() {
-		if exec != nil {
+	if r.exec != nil {
+		// However the run ends, the surviving candidates are each step's Out.
+		defer func() {
 			for i := range counts {
-				exec.Batch[i].Out = counts[i]
+				r.exec.Batch[i].Out = counts[i]
 			}
-		}
+		}()
 	}
 	for i := range v.atoms {
-		if err := v.ev.tick(); err != nil {
+		var err error
+		counts[i], err = r.base(i, func(id relation.TupleID) { masks[i].Add(id) })
+		if err != nil || counts[i] == 0 {
 			return false, err
-		}
-		counts[i] = v.yanBase(i, masks[i], exec)
-		if counts[i] == 0 {
-			setOut()
-			return false, nil
 		}
 	}
 	for _, e := range y.edges {
-		if err := v.ev.tick(); err != nil {
+		if n, err := r.semijoinInto(masks, counts, e.child, e.childPos, e.parent, e.parentPos); err != nil || n == 0 {
 			return false, err
-		}
-		if v.semijoinInto(sc, masks, counts, e.child, e.childPos, e.parent, e.parentPos, exec) == 0 {
-			setOut()
-			return false, nil
 		}
 	}
 	if y.pushedOnly && v.emit == nil {
@@ -350,20 +288,14 @@ func (v *vecPlan) runYan(sc *vecScratch, exec *PlanExec, vals []relation.Value, 
 		// surviving candidates each extend to a full match. (With an
 		// emit hook attached the caller wants the bindings themselves,
 		// so fall through to the completion pass and enumerate.)
-		setOut()
 		return true, nil
 	}
 	for k := len(y.edges) - 1; k >= 0; k-- {
 		e := y.edges[k]
-		if err := v.ev.tick(); err != nil {
+		if n, err := r.semijoinInto(masks, counts, e.parent, e.parentPos, e.child, e.childPos); err != nil || n == 0 {
 			return false, err
 		}
-		if v.semijoinInto(sc, masks, counts, e.parent, e.parentPos, e.child, e.childPos, exec) == 0 {
-			setOut()
-			return false, nil
-		}
 	}
-	setOut()
 
 	// Group each non-root node's reduced candidates by its join key.
 	groups := make([]map[string][]relation.TupleID, len(y.nodes))
@@ -372,57 +304,57 @@ func (v *vecPlan) runYan(sc *vecScratch, exec *PlanExec, vals []relation.Value, 
 		a := &v.atoms[node.atom]
 		g := make(map[string][]relation.TupleID, counts[node.atom])
 		masks[node.atom].Range(func(id int) bool {
-			sc.key = sc.key[:0]
+			r.key = r.key[:0]
 			for _, p := range node.keyPos {
-				sc.key = a.cols[p].AppendKey(sc.key, id)
+				r.key = a.cols[p].AppendKey(r.key, id)
 			}
-			g[string(sc.key)] = append(g[string(sc.key)], id)
+			g[string(r.key)] = append(g[string(r.key)], id)
 			return true
 		})
 		groups[k] = g
 	}
-	return v.yanEnum(0, masks, groups, sc, vals, env)
+	return r.yanEnum(y, 0, masks[y.nodes[0].atom], groups)
 }
 
-// yanEnum backtracks over the reduced candidates in preorder. Every
-// lookup hits a non-empty group unless a cross-atom comparison or
-// complex residual rejected the partial binding, so the search space
-// is the reduced relations, not the original ones.
-func (v *vecPlan) yanEnum(k int, masks []bitset.Words, groups []map[string][]relation.TupleID,
-	sc *vecScratch, vals []relation.Value, env map[string]relation.Value) (bool, error) {
-	if k == len(v.yan.nodes) {
-		return v.finish(vals, env)
+// yanEnum backtracks over the reduced candidates in preorder: the
+// root's mask, then each node's group under the join key its parent
+// bound. Every lookup hits a non-empty group unless a cross-atom
+// comparison or complex residual rejected the partial binding, so the
+// search space is the reduced relations, not the original ones.
+func (r *vecRun) yanEnum(y *yanPlan, k int, root bitset.Words, groups []map[string][]relation.TupleID) (bool, error) {
+	if k == len(y.nodes) {
+		return r.finish()
 	}
-	node := &v.yan.nodes[k]
-	a := &v.atoms[node.atom]
+	node := &y.nodes[k]
+	a := &r.v.atoms[node.atom]
 	try := func(id relation.TupleID) (bool, error) {
-		if err := v.ev.tick(); err != nil {
+		if err := r.v.ev.tick(); err != nil {
 			return false, err
 		}
 		for i := range node.binds {
-			vals[node.binds[i].varIdx] = a.cols[node.binds[i].pos].Value(id)
+			r.vals[node.binds[i].varIdx] = a.cols[node.binds[i].pos].Value(id)
 		}
 		for _, c := range node.cmps {
-			if !c.holds(vals) {
+			if !c.holds(r.vals) {
 				return false, nil
 			}
 		}
-		return v.yanEnum(k+1, masks, groups, sc, vals, env)
+		return r.yanEnum(y, k+1, root, groups)
 	}
 	if k == 0 {
 		found := false
 		var err error
-		masks[node.atom].Range(func(id int) bool {
+		root.Range(func(id int) bool {
 			found, err = try(id)
 			return err == nil && !found
 		})
 		return found, err
 	}
-	sc.key = sc.key[:0]
+	r.key = r.key[:0]
 	for _, vi := range node.keyVars {
-		sc.key = vals[vi].AppendKey(sc.key)
+		r.key = r.vals[vi].AppendKey(r.key)
 	}
-	for _, id := range groups[k][string(sc.key)] {
+	for _, id := range groups[k][string(r.key)] {
 		found, err := try(id)
 		if err != nil || found {
 			return found, err

@@ -28,7 +28,6 @@ var keptOrphans = map[string]string{
 	"core.Engine.CountCached":          "oracle: the era-keyed count cache against a fresh count",
 	"conflict.Graph.ASCII":             "diagnostic: conflict graphs in other packages' test failures",
 	"relation.Instance.AllIDs":         "diagnostic: the ID universe, tombstones included, in other packages' tests",
-	"query.Simplify":                   "constant folding up to logical, not active-domain, equivalence; nothing ships it, and its three tests are on the test floor — it goes in a PR of its own (ROADMAP)",
 	"wal.DecodeSegment":                "the entry point of FuzzWALReplay",
 	"cqa.GroundQFEvaluate":             "Fig. 5's PTIME cell (settled in PR 21); GroundQFCertain, ToDNF and IsGround ship through it",
 	"clean.byElems.Less":               "sort.Interface: called by package sort, never by name",
