@@ -249,10 +249,14 @@ type DBStats struct {
 	// analysis) vs full whole-database repair enumerations, and how
 	// many of the pruned ones were decided on the union or the
 	// intersection of the preferred repairs without walking them.
-	ClosedPruned  int64                    `json:"closed_pruned"`
-	ClosedFull    int64                    `json:"closed_full"`
-	ClosedBounded int64                    `json:"closed_bounded"`
-	Relations     map[string]RelationStats `json:"relations"`
+	ClosedPruned  int64 `json:"closed_pruned"`
+	ClosedFull    int64 `json:"closed_full"`
+	ClosedBounded int64 `json:"closed_bounded"`
+	// Analysed-query cache counters: query texts answered with a kept
+	// analysis vs parsed, validated and analysed.
+	QueryCacheHits   int64                    `json:"query_cache_hits"`
+	QueryCacheMisses int64                    `json:"query_cache_misses"`
+	Relations        map[string]RelationStats `json:"relations"`
 	// WAL describes the durability layer; absent on in-memory
 	// databases. Replication describes this database's role in a
 	// primary/follower topology; absent when the server neither follows

@@ -172,29 +172,18 @@ func (s *Snapshot) ExplainPlan(src string) (PlanReport, error) {
 // cancelled the traced evaluation aborts with ctx.Err(), checked
 // periodically as candidate rows are iterated.
 func (s *Snapshot) ExplainPlanContext(ctx context.Context, src string) (PlanReport, error) {
-	q, err := query.Parse(src)
+	in, a, err := s.analyzed(ctx, src)
 	if err != nil {
 		return PlanReport{}, err
 	}
-	in, err := s.input(ctx)
+	if len(a.Free) > 0 {
+		return PlanReport{}, fmt.Errorf("prefcqa: ExplainPlan needs a closed query, free variables %v", a.Free)
+	}
+	holds, trace, err := query.EvalTraceCtx(in.Ctx, a.Expr, query.DBModel{DB: in.DB})
 	if err != nil {
 		return PlanReport{}, err
 	}
-	schemas := make(map[string]*Schema, len(in.Rels))
-	for _, r := range in.Rels {
-		schemas[r.Inst.Schema().Name()] = r.Inst.Schema()
-	}
-	if err := query.Validate(q, schemas); err != nil {
-		return PlanReport{}, err
-	}
-	if !query.IsClosed(q) {
-		return PlanReport{}, fmt.Errorf("prefcqa: ExplainPlan needs a closed query, free variables %v", query.FreeVars(q))
-	}
-	holds, trace, err := query.EvalTraceCtx(in.Ctx, q, query.DBModel{DB: in.DB})
-	if err != nil {
-		return PlanReport{}, err
-	}
-	rep := PlanReport{Query: q.String(), Holds: holds}
+	rep := PlanReport{Query: a.Expr.String(), Holds: holds}
 	for _, e := range trace.Execs {
 		rep.Plans = append(rep.Plans, e.Describe())
 	}

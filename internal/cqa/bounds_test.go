@@ -241,7 +241,7 @@ func TestBoundsHonourCancellation(t *testing.T) {
 	before := stats.Snapshot().ClosedBounded
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := evaluateClosed(core.Global, in.WithContext(ctx), q); !errors.Is(err, context.Canceled) {
+	if _, err := evaluateClosed(core.Global, in.WithContext(ctx), query.Analyze(q)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled bound evaluation: err=%v, want context.Canceled", err)
 	}
 	if d := stats.Snapshot().ClosedBounded - before; d != 0 {

@@ -17,7 +17,10 @@
 // sequential by default) at the granularity the query's support has.
 // A support that is a set of tuple IDs (ground atoms, posting-list
 // supports) resolves the touched components inline, per request, at
-// O(touched). A support that spans a whole relation, and every relation
+// O(touched) — its visibility set included: the set is lent by the
+// relation's version and given back emptied of the touched components'
+// tuples, never allocated to reach the largest touched tuple ID (see
+// touched). A support that spans a whole relation, and every relation
 // of a declined query, read the relation's core.Resolved — every
 // single-choice component folded into one base set plus the list of
 // multi-choice components — which is built once per Relation (one
@@ -59,6 +62,12 @@ type Relation struct {
 	derived [core.NumFamilies]struct {
 		mu       sync.Mutex // one builder at a time; readers never take it
 		resolved atomic.Pointer[core.Resolved]
+	}
+	// free holds the emptied visibility sets of released touched parts
+	// over this version (see touched).
+	free struct {
+		mu   sync.Mutex
+		sets []*bitset.Set
 	}
 }
 
@@ -243,10 +252,16 @@ func Evaluate(f core.Family, in Input, q query.Expr) (Answer, error) {
 	if err := query.Validate(q, in.schemas()); err != nil {
 		return 0, err
 	}
-	if !query.IsClosed(q) {
-		return 0, fmt.Errorf("cqa: query has free variables %v; use FreeAnswers", query.FreeVars(q))
+	return EvaluateAnalyzed(f, in, query.Analyze(q))
+}
+
+// EvaluateAnalyzed is Evaluate on a query already analysed and
+// validated against in's schemas — what a QueryCache hands out.
+func EvaluateAnalyzed(f core.Family, in Input, a *query.Analyzed) (Answer, error) {
+	if len(a.Free) > 0 {
+		return 0, fmt.Errorf("cqa: query has free variables %v; use FreeAnswers", a.Free)
 	}
-	return evaluateClosed(f, in, q)
+	return evaluateClosed(f, in, a)
 }
 
 // evaluateClosed answers an already-validated closed query: its support
@@ -275,16 +290,23 @@ func Evaluate(f core.Family, in Input, q query.Expr) (Answer, error) {
 //
 // The query itself is compiled once (query.PrepareClosed) and re-run
 // per combination; the walk swaps visibility in place.
-func evaluateClosed(f core.Family, in Input, q query.Expr) (Answer, error) {
-	sup, pruned := query.AnalyzeSupport(q, in.model(nil))
+func evaluateClosed(f core.Family, in Input, a *query.Analyzed) (Answer, error) {
+	sup, pruned := query.AnalyzeSupport(a, in.model(nil))
 	in.Stats.noteClosed(pruned)
 	pol := query.Positive | query.Negative
 	if pruned {
-		pol = query.PolarityOf(q)
+		pol = a.Pol
 	}
 	eng, ctx := in.engine(), in.ctx()
 	subsets := make(map[string]*bitset.Set, len(in.Rels))
 	parts := make([]core.Part, 0, len(in.Rels))
+	var lentBuf [2]touched // a point read touches one or two relations
+	lent := lentBuf[:0]
+	defer func() {
+		for _, t := range lent {
+			t.release()
+		}
+	}()
 	for _, r := range in.Rels {
 		name := r.Inst.Schema().Name()
 		ids, all := []relation.TupleID(nil), true
@@ -308,10 +330,12 @@ func evaluateClosed(f core.Family, in Input, q query.Expr) (Answer, error) {
 			for i, id := range ids {
 				ids[i] = g.ComponentOf(id)
 			}
-			var err error
-			if part, err = touchedPart(ctx, eng, f, r.Pri, ids); err != nil {
+			t, err := touchedPart(ctx, eng, f, r, ids)
+			lent = append(lent, t)
+			if err != nil {
 				return 0, err
 			}
+			part = t.part
 		}
 		subsets[name] = part.Set
 		parts = append(parts, part)
@@ -320,7 +344,7 @@ func evaluateClosed(f core.Family, in Input, q query.Expr) (Answer, error) {
 	// every touched component is single-choice (or nothing is touched
 	// at all), so all preferred repairs agree and the verdict is
 	// certain.
-	prep := query.PrepareClosed(in.model(subsets), q)
+	prep := query.PrepareClosed(in.model(subsets), a)
 	return walkVerdict(ctx, in.Stats, parts, pol, func() (bool, error) { return prep.Eval(ctx) })
 }
 
@@ -337,39 +361,77 @@ func verdict(seenTrue, seenFalse bool) (Answer, error) {
 	}
 }
 
-// touchedPart resolves the components with the given IDs (any order,
-// duplicates allowed) inline and returns them as a walk part: one
-// visibility set for the relation, sized to the largest touched tuple
-// ID, with every single-choice component already applied and the
-// multi-choice ones left to the walk. Components outside compIDs stay
-// invisible — no atom of the query can reach their tuples.
-func touchedPart(ctx context.Context, e *core.Engine, f core.Family, p *priority.Priority, compIDs []int) (core.Part, error) {
-	g := p.Graph()
+// touched is a walk part over the components a query's support touches
+// in one relation, on a visibility set lent by the relation's version.
+//
+// A point read thereby allocates nothing of the relation's size. A set
+// is lent empty and given back empty: every bit a walk part's set ever
+// holds is a tuple of one of its components — Fold, Walk and OnBound add
+// only component members — so removing the components' tuples clears it
+// in O(touched), however large the relation. The version keeps every
+// set given back — never more than the reads that ran on it at once had
+// out — and they go with the version. (Not a sync.Pool: a set a
+// collection drops, or one left on another processor, is allocated
+// again at the relation's size.)
+type touched struct {
+	rel   *Relation
+	part  core.Part
+	comps [][]int
+}
+
+// lendSet returns an empty visibility set over the version's tuples.
+func (r *Relation) lendSet() *bitset.Set {
+	r.free.mu.Lock()
+	defer r.free.mu.Unlock()
+	n := len(r.free.sets)
+	if n == 0 {
+		return new(bitset.Set)
+	}
+	s := r.free.sets[n-1]
+	r.free.sets = r.free.sets[:n-1]
+	return s
+}
+
+// release empties the part's set and gives it back to its version.
+func (t touched) release() {
+	for _, comp := range t.comps {
+		for _, id := range comp {
+			t.part.Set.Remove(id)
+		}
+	}
+	free := &t.rel.free
+	free.mu.Lock()
+	free.sets = append(free.sets, t.part.Set)
+	free.mu.Unlock()
+}
+
+// touchedPart resolves the components of r with the given IDs (any
+// order, duplicates allowed) inline and returns them as a walk part: one
+// visibility set for the relation, lent by the version, with every
+// single-choice component already applied and the multi-choice ones left
+// to the walk. Components outside compIDs stay invisible — no atom of
+// the query can reach their tuples. The caller releases the part, error
+// or not, once nothing reads its set.
+func touchedPart(ctx context.Context, e *core.Engine, f core.Family, r *Relation, compIDs []int) (touched, error) {
+	g := r.Pri.Graph()
 	sort.Ints(compIDs)
-	comps := make([][]int, 0, len(compIDs))
-	size := 0
+	t := touched{rel: r, part: core.Part{Set: r.lendSet()}, comps: make([][]int, 0, len(compIDs))}
 	for i, cid := range compIDs {
-		if i > 0 && cid == compIDs[i-1] {
-			continue
-		}
-		comp := g.Component(cid)
-		comps = append(comps, comp)
-		if last := comp[len(comp)-1]; last >= size {
-			size = last + 1
+		if i == 0 || cid != compIDs[i-1] {
+			t.comps = append(t.comps, g.Component(cid))
 		}
 	}
-	choices, err := e.ChoicesForCtx(ctx, f, p, comps)
+	choices, err := e.ChoicesForCtx(ctx, f, r.Pri, t.comps)
 	if err != nil {
-		return core.Part{}, err
+		return t, err
 	}
-	part := core.Part{Set: bitset.New(size)}
 	for _, c := range choices {
 		if len(c.Local) == 0 {
-			return core.Part{}, fmt.Errorf("cqa: component with no preferred choice (P1 violated?)")
+			return t, fmt.Errorf("cqa: component with no preferred choice (P1 violated?)")
 		}
-		part.Fold(c)
+		t.part.Fold(c)
 	}
-	return part, nil
+	return t, nil
 }
 
 // boundVerdict tries to decide a query of polarity pol on the two

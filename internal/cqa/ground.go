@@ -203,7 +203,7 @@ func (in Input) lookupAtom(a query.Atom) (ri int, id relation.TupleID, present b
 			break
 		}
 	}
-	if sup, ok := query.AnalyzeSupport(a, in.model(nil)); ok {
+	if sup, ok := query.AnalyzeSupport(query.Analyze(a), in.model(nil)); ok {
 		if ids, _ := sup.TouchedIDs(a.Rel); len(ids) > 0 {
 			return ri, ids[0], true
 		}

@@ -127,7 +127,7 @@ func TestGroundPrunedAgainstFull(t *testing.T) {
 				t.Fatal(err)
 			}
 			stats := &EvalStats{}
-			pruned, err := evaluateClosed(f, in.WithStats(stats), q)
+			pruned, err := evaluateClosed(f, in.WithStats(stats), query.Analyze(q))
 			if err != nil {
 				t.Fatal(err)
 			}

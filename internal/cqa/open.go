@@ -73,24 +73,29 @@ func FreeAnswers(f core.Family, in Input, q query.Expr) ([]Binding, error) {
 	if err := query.Validate(q, in.schemas()); err != nil {
 		return nil, err
 	}
-	vars := query.FreeVars(q)
-	if len(vars) == 0 {
+	return FreeAnswersAnalyzed(f, in, query.Analyze(q))
+}
+
+// FreeAnswersAnalyzed is FreeAnswers on a query already analysed and
+// validated against in's schemas — what a QueryCache hands out.
+func FreeAnswersAnalyzed(f core.Family, in Input, a *query.Analyzed) ([]Binding, error) {
+	if len(a.Free) == 0 {
 		return nil, fmt.Errorf("cqa: query is closed; use Evaluate")
 	}
-	answers, reason, ok, err := freeAnswersDirect(f, in, q, vars)
+	answers, reason, ok, err := freeAnswersDirect(f, in, a)
 	if err != nil {
 		return nil, err
 	}
 	if ok {
 		return answers, nil
 	}
-	return freeAnswersSubst(f, in, q, vars, reason)
+	return freeAnswersSubst(f, in, a.Expr, a.Free, reason)
 }
 
 // freeAnswersDirect answers the open query by spine enumeration.
 // ok=false (with a reason) means the path does not apply and nothing
 // was evaluated; the caller falls back to substitution.
-func freeAnswersDirect(f core.Family, in Input, q query.Expr, vars []string) (answers []Binding, reason string, ok bool, err error) {
+func freeAnswersDirect(f core.Family, in Input, a *query.Analyzed) (answers []Binding, reason string, ok bool, err error) {
 	// The candidate spine runs over the FULL database (nil subsets):
 	// every preferred repair is a subset of it, so spine matches over
 	// it form a superset of the certain answers.
@@ -100,7 +105,7 @@ func freeAnswersDirect(f core.Family, in Input, q query.Expr, vars []string) (an
 		seen   = map[string]bool{}
 		keyBuf []byte
 	)
-	spine, enumErr := query.EnumerateOpen(in.Ctx, m, q, func(vals []relation.Value) bool {
+	spine, enumErr := query.EnumerateOpen(in.Ctx, m, a, func(vals []relation.Value) bool {
 		keyBuf = keyBuf[:0]
 		for _, v := range vals {
 			keyBuf = v.AppendKey(keyBuf)
@@ -130,12 +135,12 @@ func freeAnswersDirect(f core.Family, in Input, q query.Expr, vars []string) (an
 		}
 		return false
 	})
-	env := make(map[string]relation.Value, len(vars))
+	env := make(map[string]relation.Value, len(a.Free))
 	for _, vals := range cands {
 		for i, name := range spine.Vars {
 			env[name] = vals[i]
 		}
-		if answers, err = appendIfCertain(answers, f, in, q, env); err != nil {
+		if answers, err = appendIfCertain(answers, f, in, a.Expr, env); err != nil {
 			return nil, "", false, err
 		}
 	}
@@ -147,7 +152,7 @@ func freeAnswersDirect(f core.Family, in Input, q query.Expr, vars []string) (an
 // bound by env is a closed query, and env (copied) joins the answers if
 // that query is certainly true.
 func appendIfCertain(answers []Binding, f core.Family, in Input, q query.Expr, env map[string]relation.Value) ([]Binding, error) {
-	a, err := evaluateClosed(f, in, query.Substitute(q, env))
+	a, err := evaluateClosed(f, in, query.Analyze(query.Substitute(q, env)))
 	if err != nil || a != CertainlyTrue {
 		return answers, err
 	}

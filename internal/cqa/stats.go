@@ -10,9 +10,10 @@ import (
 // attaches to its inputs (Input.Stats): it records which open-query
 // path answered each FreeAnswers call, which vectorized executor ran
 // the candidate spine and which verification path answered each closed
-// evaluation, so the serving layer can expose the planner's choices
-// (/v1/stats) without tracing individual queries. A nil *EvalStats
-// disables collection everywhere.
+// evaluation, and how often a QueryCache answered a query text, so the
+// serving layer can expose the planner's choices (/v1/stats) without
+// tracing individual queries. A nil *EvalStats disables collection
+// everywhere.
 type EvalStats struct {
 	openDirect   atomic.Int64
 	openFallback atomic.Int64
@@ -22,6 +23,8 @@ type EvalStats struct {
 	closedPruned atomic.Int64
 	closedFull   atomic.Int64
 	closedBound  atomic.Int64
+	queryHits    atomic.Int64
+	queryMisses  atomic.Int64
 }
 
 // EvalStatsSnapshot is a point-in-time copy of the counters.
@@ -44,6 +47,10 @@ type EvalStatsSnapshot struct {
 	// ClosedBounded counts the ClosedPruned evaluations decided on the
 	// union or the intersection of the preferred repairs, without a walk.
 	ClosedBounded int64
+	// QueryCacheHits / QueryCacheMisses count query texts a QueryCache
+	// answered with a kept analysis vs parsed, validated and analysed.
+	QueryCacheHits   int64
+	QueryCacheMisses int64
 }
 
 // Snapshot copies the counters; safe on a nil receiver (all zero).
@@ -52,14 +59,16 @@ func (s *EvalStats) Snapshot() EvalStatsSnapshot {
 		return EvalStatsSnapshot{}
 	}
 	return EvalStatsSnapshot{
-		OpenDirect:      s.openDirect.Load(),
-		OpenFallback:    s.openFallback.Load(),
-		SpineWcoj:       s.spineWcoj.Load(),
-		SpineYannakakis: s.spineYan.Load(),
-		SpineGreedy:     s.spineGreedy.Load(),
-		ClosedPruned:    s.closedPruned.Load(),
-		ClosedFull:      s.closedFull.Load(),
-		ClosedBounded:   s.closedBound.Load(),
+		OpenDirect:       s.openDirect.Load(),
+		OpenFallback:     s.openFallback.Load(),
+		SpineWcoj:        s.spineWcoj.Load(),
+		SpineYannakakis:  s.spineYan.Load(),
+		SpineGreedy:      s.spineGreedy.Load(),
+		ClosedPruned:     s.closedPruned.Load(),
+		ClosedFull:       s.closedFull.Load(),
+		ClosedBounded:    s.closedBound.Load(),
+		QueryCacheHits:   s.queryHits.Load(),
+		QueryCacheMisses: s.queryMisses.Load(),
 	}
 }
 
@@ -80,6 +89,18 @@ func (s *EvalStats) noteClosed(pruned bool) {
 func (s *EvalStats) noteBounded() {
 	if s != nil {
 		s.closedBound.Add(1)
+	}
+}
+
+// noteQueryCache records one QueryCache lookup.
+func (s *EvalStats) noteQueryCache(hit bool) {
+	if s == nil {
+		return
+	}
+	if hit {
+		s.queryHits.Add(1)
+	} else {
+		s.queryMisses.Add(1)
 	}
 }
 

@@ -20,6 +20,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -138,6 +139,9 @@ type Quant struct {
 	All  bool
 	Vars []string
 	Body Expr
+	// blk is the quantifier's analysed block, set by Analyze (a Quant
+	// built any other way has none).
+	blk *block
 }
 
 func (Bool) isExpr()  {}
@@ -195,55 +199,42 @@ func parenthesize(e Expr) string {
 	}
 }
 
-// FreeVars returns the free variables of the formula in sorted order.
+// FreeVars returns the free variables of the formula in sorted order;
+// nil when it is closed.
 func FreeVars(e Expr) []string {
-	set := map[string]bool{}
-	collectFree(e, map[string]bool{}, set)
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
+	out := collectFree(e, nil, nil)
 	sort.Strings(out)
 	return out
 }
 
-func collectFree(e Expr, bound, out map[string]bool) {
+// collectFree appends to out the variables of e not in bound and not in
+// out already. A formula has a handful of variables, so slices serve
+// where sets would allocate.
+func collectFree(e Expr, bound, out []string) []string {
+	add := func(t Term) {
+		if v, ok := t.(Var); ok && !slices.Contains(bound, v.Name) && !slices.Contains(out, v.Name) {
+			out = append(out, v.Name)
+		}
+	}
 	switch n := e.(type) {
-	case Bool:
 	case Atom:
 		for _, t := range n.Args {
-			if v, ok := t.(Var); ok && !bound[v.Name] {
-				out[v.Name] = true
-			}
+			add(t)
 		}
 	case Cmp:
-		for _, t := range []Term{n.L, n.R} {
-			if v, ok := t.(Var); ok && !bound[v.Name] {
-				out[v.Name] = true
-			}
-		}
+		add(n.L)
+		add(n.R)
 	case Not:
-		collectFree(n.Body, bound, out)
+		out = collectFree(n.Body, bound, out)
 	case And:
-		collectFree(n.L, bound, out)
-		collectFree(n.R, bound, out)
+		out = collectFree(n.R, bound, collectFree(n.L, bound, out))
 	case Or:
-		collectFree(n.L, bound, out)
-		collectFree(n.R, bound, out)
+		out = collectFree(n.R, bound, collectFree(n.L, bound, out))
 	case Quant:
-		inner := make(map[string]bool, len(bound)+len(n.Vars))
-		for k := range bound {
-			inner[k] = true
-		}
-		for _, v := range n.Vars {
-			inner[v] = true
-		}
-		collectFree(n.Body, inner, out)
+		out = collectFree(n.Body, append(slices.Clip(bound), n.Vars...), out)
 	}
+	return out
 }
-
-// IsClosed reports whether the formula has no free variables.
-func IsClosed(e Expr) bool { return len(FreeVars(e)) == 0 }
 
 // IsQuantifierFree reports whether the formula contains no
 // quantifiers ({∀,∃}-free in Fig. 5).

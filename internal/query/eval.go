@@ -3,7 +3,6 @@ package query
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"prefcqa/internal/bitset"
 	"prefcqa/internal/relation"
@@ -86,7 +85,7 @@ func (m DBModel) Backing(rel string) (inst *relation.Instance, visible *bitset.S
 // values.
 //
 // A block the planner refuses is range-restricted first
-// (peelEqualities): a variable that a top-level conjunct of the body
+// (block.peelPlan): a variable that a top-level conjunct of the body
 // equates to a constant or to a variable bound outside the block is
 // bound to that value — the only one it can take, and a domain value
 // already — and what is left of the block is offered to the planner
@@ -106,7 +105,7 @@ func Eval(e Expr, m Model) (bool, error) {
 // a deadline aborts a long evaluation with ctx.Err() mid-join
 // instead of running to completion. A nil ctx disables the checks.
 func EvalCtx(ctx context.Context, e Expr, m Model) (bool, error) {
-	return (&evaluator{m: m, root: e, join: true, ctx: ctx}).run()
+	return (&evaluator{m: m, root: annotated(e), join: true, ctx: ctx}).run()
 }
 
 // EvalTrace is Eval, additionally returning the physical plans that
@@ -120,7 +119,7 @@ func EvalTrace(e Expr, m Model) (bool, *Trace, error) {
 // EvalCtx.
 func EvalTraceCtx(ctx context.Context, e Expr, m Model) (bool, *Trace, error) {
 	tr := &Trace{}
-	res, err := (&evaluator{m: m, root: e, join: true, trace: tr, ctx: ctx}).run()
+	res, err := (&evaluator{m: m, root: annotated(e), join: true, trace: tr, ctx: ctx}).run()
 	return res, tr, err
 }
 
@@ -171,7 +170,7 @@ func activeDomain(m Model, e Expr) []relation.Value {
 
 type evaluator struct {
 	m    Model
-	root Expr // the formula being evaluated, for domain constants
+	root Expr // the formula being evaluated, annotated (see Analyze); its constants join the domain
 	// domain is the active domain, collected lazily by dom(): only a
 	// quantifier that actually falls back to domain iteration pays
 	// the full model scan. domainOK marks it collected (the domain of
@@ -250,9 +249,13 @@ func (ev *evaluator) evalQuant(q Quant, env map[string]relation.Value) (bool, er
 	if !ev.join {
 		return ev.iterate(q, env, 0)
 	}
-	b := analyzeBlock(q)
-	if !b.covered {
-		b, env = peelEqualities(b, env)
+	b := q.blk
+	if b.rest != nil {
+		var err error
+		if env, err = b.peelEnv(env); err != nil {
+			return false, err
+		}
+		b = b.rest
 	}
 	var res bool
 	var err error
@@ -260,7 +263,7 @@ func (ev *evaluator) evalQuant(q Quant, env map[string]relation.Value) (bool, er
 	case len(b.vars) == 0: // every variable was equated to a value
 		res, err = ev.eval(b.body, env)
 	case b.covered:
-		res, err = ev.evalPlanned(b, env)
+		res, err = ev.evalPlanned(*b, env)
 	default:
 		res, err = ev.iterate(Quant{Vars: b.vars, Body: b.body}, env, 0)
 	}
@@ -318,57 +321,24 @@ func (ev *evaluator) evalPlanned(b block, env map[string]relation.Value) (bool, 
 	return ev.runVec(vp, exec, env)
 }
 
-// peelEqualities range-restricts the block b: a block variable that a
-// top-level conjunct of the body equates to a constant, or to a
-// variable bound outside the block, can only take that value — which is
-// a domain value already (the domain holds the formula's constants, and
-// an outer variable was bound to a domain value) — so it is bound
-// instead of being searched for. Equalities under OR or NOT, and
-// between two variables of the block, restrict nothing on their own and
-// are left alone. It returns the block without the bound variables
-// (same body: the equality that bound a variable now holds trivially)
-// and env extended with their bindings, or b and env themselves when
-// there is nothing to bind.
-func peelEqualities(b block, env map[string]relation.Value) (block, map[string]relation.Value) {
-	bound := map[string]relation.Value{}
-	for _, c := range b.residual {
-		eq, ok := c.(Cmp)
-		if !ok || eq.Op != EQ {
-			continue
-		}
-		for _, side := range [2][2]Term{{eq.L, eq.R}, {eq.R, eq.L}} {
-			x, ok := side[0].(Var)
-			if _, done := bound[x.Name]; !ok || !slices.Contains(b.vars, x.Name) || done {
-				continue
-			}
-			switch o := side[1].(type) {
-			case Const:
-				bound[x.Name] = o.Value
-			case Var:
-				// A block variable of that name shadows env's.
-				if v, ok := env[o.Name]; ok && !slices.Contains(b.vars, o.Name) {
-					bound[x.Name] = v
-				}
-			}
-		}
-	}
-	if len(bound) == 0 {
-		return b, env
-	}
-	var left []string
-	for _, v := range b.vars {
-		if _, ok := bound[v]; !ok {
-			left = append(left, v)
-		}
-	}
+// peelEnv is env extended with the bindings of the block's peeled
+// variables (block.peelPlan), for evaluating b.rest; env itself is left
+// as it was. A closed formula binds every variable not quantified here
+// before the quantifier is reached, so an outer variable a peel reads
+// is bound.
+func (b *block) peelEnv(env map[string]relation.Value) (map[string]relation.Value, error) {
+	bound := make(map[string]relation.Value, len(env)+len(b.peel))
 	for name, v := range env {
-		if _, ok := bound[name]; !ok {
-			bound[name] = v
-		}
+		bound[name] = v
 	}
-	rest := analyzeBlock(Quant{Vars: left, Body: b.body})
-	rest.neg = b.neg
-	return rest, bound
+	for _, p := range b.peel {
+		v, err := resolve(p.to, env)
+		if err != nil {
+			return nil, err
+		}
+		bound[p.name] = v
+	}
+	return bound, nil
 }
 
 func resolve(t Term, env map[string]relation.Value) (relation.Value, error) {

@@ -128,7 +128,7 @@ func TestPreparedUnsatQuantifier(t *testing.T) {
 		{"(EXISTS x . R('name', x)) OR (EXISTS y . R(0, y))", false, 1},
 	} {
 		q := MustParse(c.src)
-		prep := PrepareClosed(m, q)
+		prep := PrepareClosed(m, Analyze(q))
 		if isConst := prep.root.op == pConst; isConst != c.constant {
 			t.Errorf("%q compiled to op %d, constant=%v wanted", c.src, prep.root.op, c.constant)
 		}

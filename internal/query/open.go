@@ -2,7 +2,6 @@ package query
 
 import (
 	"context"
-	"sort"
 
 	"prefcqa/internal/relation"
 )
@@ -44,7 +43,8 @@ func (e *OpenUnsupportedError) Error() string {
 
 // OpenSpine describes a completed enumeration: the free variables in
 // yield order, the executor that ran the spine, and how many spine
-// matches were emitted (before any caller-side dedup).
+// matches were emitted (before any caller-side dedup). Vars is the
+// analysed query's Free, shared with every evaluation of it: read-only.
 type OpenSpine struct {
 	Vars     []string
 	Executor string
@@ -52,52 +52,28 @@ type OpenSpine struct {
 }
 
 // EnumerateOpen enumerates candidate free-variable bindings of the
-// open query q over m. yield receives the values aligned with
-// OpenSpine.Vars (sorted free-variable order); the slice is reused
-// across calls and must be copied to retain. Returning false stops
-// the enumeration. Duplicate bindings may be yielded (one per spine
-// match); callers dedupe.
+// analysed open query a over m. yield receives the values aligned with
+// OpenSpine.Vars (a.Free: sorted free-variable order); the slice is
+// reused across calls and must be copied to retain. Returning false
+// stops the enumeration. Duplicate bindings may be yielded (one per
+// spine match); callers dedupe.
 //
-// The error is *OpenUnsupportedError when the query's shape has no
-// direct path — free variables not covered by positive atoms, or a
+// The spine is the query's existential closure with its top-level
+// existential prefixes peeled into it (analysed once, see Analyze). The
+// error is *OpenUnsupportedError when the query's shape has no direct
+// path — free variables not covered by positive atoms, or a
 // non-conjunctive top level — in which case nothing was yielded.
-func EnumerateOpen(ctx context.Context, m Model, q Expr, yield func(vals []relation.Value) bool) (*OpenSpine, error) {
-	free := FreeVars(q)
-	if len(free) == 0 {
+func EnumerateOpen(ctx context.Context, m Model, a *Analyzed, yield func(vals []relation.Value) bool) (*OpenSpine, error) {
+	if a.open == nil {
 		return nil, &OpenUnsupportedError{Reason: "query is closed (no free variables)"}
 	}
-	sort.Strings(free)
-
-	// Peel top-level existential prefixes into the closure, so
-	// EXISTS b . R(x, b) compiles as one spine over {x, b} rather than
-	// a nested quantifier residual.
-	body := q
-	vars := append([]string{}, free...)
-	have := make(map[string]bool, len(free))
-	for _, v := range free {
-		have[v] = true
-	}
-	for {
-		qq, ok := body.(Quant)
-		if !ok || qq.All {
-			break
-		}
-		for _, v := range qq.Vars {
-			if !have[v] {
-				have[v] = true
-				vars = append(vars, v)
-			}
-		}
-		body = qq.Body
-	}
-	closure := Quant{Vars: vars, Body: body}
-	b := analyzeBlock(closure)
-	if !b.covered {
+	if !a.open.covered {
 		return nil, &OpenUnsupportedError{Reason: "spine is not a positive conjunctive cover of the free variables"}
 	}
-	ev := &evaluator{m: m, root: closure, join: true, ctx: ctx}
+	free := a.Free
+	ev := &evaluator{m: m, root: a.Expr, join: true, ctx: ctx}
 	env := map[string]relation.Value{}
-	vp, err := ev.compileBlock(b, env)
+	vp, err := ev.compileBlock(*a.open, env)
 	if err != nil {
 		return nil, err
 	}

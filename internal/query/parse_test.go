@@ -53,7 +53,7 @@ func TestParsePaperQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsClosed(e) {
+	if len(FreeVars(e)) != 0 {
 		t.Error("Q1 should be closed")
 	}
 	if IsQuantifierFree(e) {
@@ -169,10 +169,10 @@ func TestFreeVarsAndClosed(t *testing.T) {
 	if len(fv) != 2 || fv[0] != "y" || fv[1] != "z" {
 		t.Fatalf("FreeVars = %v, want [y z]", fv)
 	}
-	if IsClosed(e) {
+	if len(FreeVars(e)) == 0 {
 		t.Error("formula with free vars is not closed")
 	}
-	if !IsClosed(MustParse("EXISTS x, y, z . R(x, y) AND x < z")) {
+	if len(FreeVars(MustParse("EXISTS x, y, z . R(x, y) AND x < z"))) != 0 {
 		t.Error("fully quantified formula is closed")
 	}
 	// Shadowing: inner quantifier rebinds x.

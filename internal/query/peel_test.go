@@ -12,7 +12,7 @@ import (
 )
 
 // peelCorpus holds the shapes around evalQuant's range restriction
-// (peelEqualities): blocks the planner refuses whose variables the body
+// (block.peelPlan): blocks the planner refuses whose variables the body
 // equates to a value, and the look-alikes that restrict nothing and
 // must keep iterating the domain. Each is also a seed of
 // FuzzPlanEquivalence and a query of TestEveryPlanIsVectorized.
@@ -79,7 +79,8 @@ func TestPeelEqualities(t *testing.T) {
 		in   map[string]relation.Value // bindings the block is evaluated under; nil = nothing peeled
 	}{
 		{"EXISTS x . x = 1 AND NOT R(x, 0)", nil, map[string]relation.Value{"x": one, "v": one}},
-		{"EXISTS x, y . 1 = x AND R(y, x)", []string{"y"}, map[string]relation.Value{"x": one, "v": one}},
+		{"EXISTS x, y . 1 = x AND R(y, x)", []string{"x", "y"}, nil}, // covered as written: the planner binds x
+		{"EXISTS x, y . 1 = x AND NOT R(y, x) AND S(y, 'n0')", []string{"y"}, map[string]relation.Value{"x": one, "v": one}},
 		{"EXISTS u . u = v AND u < 2", nil, map[string]relation.Value{"u": one, "v": one}},
 		{"EXISTS v . v = 5 AND NOT R(v, 0)", nil, map[string]relation.Value{"v": relation.Int(5)}},
 		{"EXISTS x . x = 5 AND x = 6", nil, map[string]relation.Value{"x": relation.Int(5), "v": one}},
@@ -91,12 +92,18 @@ func TestPeelEqualities(t *testing.T) {
 		{"EXISTS x . x = x AND NOT R(x, 0)", []string{"x"}, nil},
 		{"EXISTS x, y . x = y AND NOT R(x, y)", []string{"x", "y"}, nil},
 		{"EXISTS y, v . y = v AND NOT R(y, 2)", []string{"y", "v"}, nil}, // this block's v, not the outer one
-		{"EXISTS x . x = w AND NOT R(x, 0)", []string{"x"}, nil},         // w is bound nowhere
 	} {
-		q := MustParse(c.src).(Quant)
+		b := Analyze(MustParse(c.src)).Expr.(Quant).blk
 		env := map[string]relation.Value{"v": one} // one outer binding
-		rest, bound := peelEqualities(analyzeBlock(q), env)
-		if !slices.Equal(rest.vars, c.rest) || rest.body.String() != q.Body.String() {
+		rest, bound := b, env
+		if b.rest != nil {
+			var err error
+			if bound, err = b.peelEnv(env); err != nil {
+				t.Fatalf("%s: %v", c.src, err)
+			}
+			rest = b.rest
+		}
+		if !slices.Equal(rest.vars, c.rest) || rest.body.String() != b.body.String() {
 			t.Errorf("%s: left %v . %s, want %v over the same body", c.src, rest.vars, rest.body, c.rest)
 		}
 		want := c.in
@@ -109,6 +116,12 @@ func TestPeelEqualities(t *testing.T) {
 		if len(env) != 1 || env["v"] != one {
 			t.Errorf("%s: the caller's env became %v, want only v = 1", c.src, env)
 		}
+	}
+	// An outer variable a peel reads is bound in a closed formula; left
+	// unbound it is an error, not a silent domain iteration.
+	b := Analyze(MustParse("EXISTS x . x = w AND NOT R(x, 0)")).Expr.(Quant).blk
+	if _, err := b.peelEnv(map[string]relation.Value{}); err == nil {
+		t.Errorf("peeling x = w with w unbound: no error")
 	}
 }
 
@@ -148,8 +161,7 @@ func TestPeelNeverScansTheModel(t *testing.T) {
 		{"EXISTS x . x = 1 AND NOT R(x, 0)", false, true},
 		{"EXISTS x . (x = 1 OR x = 2) AND NOT R(x, 0)", true, true},
 	} {
-		q := MustParse(c.src)
-		ev := &evaluator{m: m, root: q, join: c.join}
+		ev := &evaluator{m: m, root: annotated(MustParse(c.src)), join: c.join}
 		if _, err := ev.run(); err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"prefcqa/internal/relation"
@@ -233,87 +232,6 @@ func (p *Plan) describeExec(act []int, exec *PlanExec) string {
 		fmt.Fprintf(&b, "\n  residual: %s", r)
 	}
 	return b.String()
-}
-
-// flattenAnd returns the conjuncts of an And-tree.
-func flattenAnd(e Expr) []Expr {
-	if a, ok := e.(And); ok {
-		return append(flattenAnd(a.L), flattenAnd(a.R)...)
-	}
-	return []Expr{e}
-}
-
-// block is the analysed shape of one quantifier, read as an existential
-// block: the one place that knows the ∀ ⇒ ¬∃¬ rewrite, what the
-// conjuncts of the body are and whether the planner can answer the
-// block. The evaluator, Prepared, the support analysis and the open
-// enumeration all read it, so none of them can disagree with another
-// about the same quantifier.
-type block struct {
-	// neg marks a universal, rewritten ∀x̄.φ ≡ ¬∃x̄.¬φ (which the planner
-	// can often handle, e.g. guarded universals NOT R(x̄) OR ψ): vars and
-	// body describe the existential, whose verdict is to be negated.
-	// vars is the quantifier's list as a set, first occurrence kept:
-	// EXISTS a, a . φ quantifies one variable, and the compiled plan
-	// gives every entry a binding slot that some atom must fill.
-	neg  bool
-	vars []string
-	body Expr
-	// atoms are the positive relational atoms among the top-level
-	// conjuncts of body; residual is every other conjunct (comparisons —
-	// the equalities peelEqualities reads among them — negated atoms,
-	// disjunctions, nested quantifiers), in order.
-	atoms    []Atom
-	residual []Expr
-	// covered is the coverage rule: at least one positive atom conjunct,
-	// every quantified variable occurring in one. Enumerating the atoms'
-	// matches then enumerates every candidate binding; a block that is
-	// not covered needs its variables equated to a value or the active
-	// domain iterated.
-	covered bool
-}
-
-func analyzeBlock(q Quant) block {
-	b := block{neg: q.All, vars: q.Vars, body: q.Body}
-	for i, v := range q.Vars {
-		if slices.Contains(q.Vars[:i], v) {
-			b.vars = slices.Clone(q.Vars[:i])
-			for _, w := range q.Vars[i+1:] {
-				if !slices.Contains(b.vars, w) {
-					b.vars = append(b.vars, w)
-				}
-			}
-			break
-		}
-	}
-	if q.All {
-		b.body = Negate(q.Body)
-	}
-	for _, c := range flattenAnd(b.body) {
-		if a, ok := c.(Atom); ok {
-			b.atoms = append(b.atoms, a)
-		} else {
-			b.residual = append(b.residual, c)
-		}
-	}
-	b.covered = len(b.atoms) > 0
-	for _, v := range b.vars {
-		b.covered = b.covered && occursIn(b.atoms, v)
-	}
-	return b
-}
-
-// occursIn reports whether the variable is an argument of one of the
-// atoms.
-func occursIn(atoms []Atom, name string) bool {
-	for _, a := range atoms {
-		for _, t := range a.Args {
-			if v, ok := t.(Var); ok && v.Name == name {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // compileBlock compiles a covered block in one pass: the physical plan

@@ -85,17 +85,17 @@ func (p *Prepared) eval(n *pnode) (bool, error) {
 	}
 }
 
-// PrepareClosed compiles the closed query q against m. It is total:
-// Eval answers exactly what EvalCtx answers on the model's visibility
-// at that moment, errors included.
-func PrepareClosed(m Model, q Expr) *Prepared {
-	p := &Prepared{ev: evaluator{m: m, root: q, join: true}}
-	if !IsQuantifierFree(q) {
+// PrepareClosed compiles the analysed closed query a against m. It is
+// total: Eval answers exactly what EvalCtx answers on the model's
+// visibility at that moment, errors included.
+func PrepareClosed(m Model, a *Analyzed) *Prepared {
+	p := &Prepared{ev: evaluator{m: m, root: a.Expr, join: true}}
+	if !IsQuantifierFree(a.Expr) {
 		// Only a quantifier binds anything: a ground query reads a nil
 		// environment.
 		p.env = make(map[string]relation.Value)
 	}
-	p.root = p.compile(q)
+	p.root = p.compile(a.Expr)
 	return p
 }
 
@@ -112,11 +112,11 @@ func (p *Prepared) compile(e Expr) pnode {
 	case Or:
 		return pnode{op: pOr, l: sub(n.L), r: sub(n.R)}
 	case Quant:
-		b := analyzeBlock(n)
+		b := n.blk
 		if !b.covered {
 			break
 		}
-		vp, err := p.ev.compileBlock(b, p.env)
+		vp, err := p.ev.compileBlock(*b, p.env)
 		if err != nil {
 			break // the leaf reports it
 		}

@@ -29,7 +29,8 @@ import (
 // ∃x.(x = 1 ∧ ¬S(x)) depends on whether 1 is in the domain at all.
 // AnalyzeSupport refuses such queries: it requires every quantifier
 // to be one the planner covers (block.covered, the verdict evalQuant
-// itself acts on), recursively through residual conjuncts.
+// itself acts on), recursively through residual conjuncts — the
+// analysed query's domain-free verdict (Analyze).
 
 // Polarity is the set of signs under which a formula's atoms occur:
 // negative under an odd number of NOTs; quantifiers keep the sign. A
@@ -43,9 +44,8 @@ const (
 	Negative
 )
 
-// PolarityOf returns the polarity of e.
-func PolarityOf(e Expr) Polarity { return polarity(e, Positive) }
-
+// polarity returns the polarity of e's atoms when e itself occurs
+// under sign (Analyzed.Pol is the query's, under Positive).
 func polarity(e Expr, sign Polarity) Polarity {
 	switch n := e.(type) {
 	case Atom:
@@ -92,24 +92,25 @@ func (s Support) TouchedIDs(rel string) (ids []relation.TupleID, all bool) {
 	return nil, false
 }
 
-// AnalyzeSupport computes the touched tuple IDs of a closed query
-// against the model's columnar backing. ok=false means the query's
-// verdict may depend on tuples outside any atom's reach — some
-// quantifier is not covered by positive atoms, so its evaluation may
-// consult the active domain (this stays a per-query verdict: a block
-// whose uncovered variable an equality binds, ∃x.(x = k ∧ ¬C(x, 0)), is
-// declined although the evaluator answers it with one lookup), or an
-// atom names an absent relation or has the wrong arity — and the
-// verdict must be sought over the preferred repairs of the whole
-// database.
-func AnalyzeSupport(q Expr, m Model) (s Support, ok bool) {
-	if !domainFree(q) {
+// AnalyzeSupport computes the touched tuple IDs of the analysed closed
+// query a against the model's columnar backing: a's shape decides
+// whether there is a support at all, the model's postings what it is.
+// ok=false means the query's verdict may depend on tuples outside any
+// atom's reach — some quantifier is not covered by positive atoms, so
+// its evaluation may consult the active domain (this stays a per-query
+// verdict: a block whose uncovered variable an equality binds,
+// ∃x.(x = k ∧ ¬C(x, 0)), is declined although the evaluator answers it
+// with one lookup), or an atom names an absent relation or has the
+// wrong arity — and the verdict must be sought over the preferred
+// repairs of the whole database.
+func AnalyzeSupport(a *Analyzed, m Model) (s Support, ok bool) {
+	if !a.domainFree {
 		return s, false
 	}
 	ok = true
-	Walk(q, func(e Expr) {
-		if a, isAtom := e.(Atom); isAtom && ok {
-			ok = s.touchAtom(a, m)
+	Walk(a.Expr, func(e Expr) {
+		if at, isAtom := e.(Atom); isAtom && ok {
+			ok = s.touchAtom(at, m)
 		}
 	})
 	return s, ok
@@ -183,26 +184,4 @@ candidates:
 		rt.ids = append(rt.ids, id)
 	}
 	return true
-}
-
-// domainFree reports whether evaluating e can never consult the
-// active domain: every quantifier is a block the planner covers,
-// recursively through residual conjuncts. Only then is the verdict a
-// function of the visible touched tuples alone.
-func domainFree(e Expr) bool {
-	switch n := e.(type) {
-	case Bool, Atom, Cmp:
-		return true
-	case Not:
-		return domainFree(n.Body)
-	case And:
-		return domainFree(n.L) && domainFree(n.R)
-	case Or:
-		return domainFree(n.L) && domainFree(n.R)
-	case Quant:
-		b := analyzeBlock(n)
-		return b.covered && !slices.ContainsFunc(b.residual, func(c Expr) bool { return !domainFree(c) })
-	default:
-		return false
-	}
 }

@@ -46,7 +46,7 @@ func TestAnalyzeSupportCoverage(t *testing.T) {
 		{"EXISTS x . Nope(x)", false},                        // no backing
 	}
 	for _, c := range cases {
-		if _, ok := AnalyzeSupport(MustParse(c.src), m); ok != c.ok {
+		if _, ok := AnalyzeSupport(Analyze(MustParse(c.src)), m); ok != c.ok {
 			t.Errorf("AnalyzeSupport(%q) ok = %v, want %v", c.src, ok, c.ok)
 		}
 	}
@@ -60,7 +60,7 @@ func TestAnalyzeSupportTouchedIDs(t *testing.T) {
 	m := supportModel()
 	// R's tuples are (0,0) (1,2)† (2,1), † = tombstoned (id 1). The
 	// A = 2 posting is the single live id 2.
-	sup, ok := AnalyzeSupport(MustParse("EXISTS x . R(2, x)"), m)
+	sup, ok := AnalyzeSupport(Analyze(MustParse("EXISTS x . R(2, x)")), m)
 	if !ok {
 		t.Fatal("support declined")
 	}
@@ -74,7 +74,7 @@ func TestAnalyzeSupportTouchedIDs(t *testing.T) {
 
 	// Tombstone filtering: the A = 1 posting holds only the dead id 1,
 	// so the touched set is empty — the verdict cannot depend on R.
-	sup, _ = AnalyzeSupport(MustParse("EXISTS x . R(1, x)"), m)
+	sup, _ = AnalyzeSupport(Analyze(MustParse("EXISTS x . R(1, x)")), m)
 	ids, all = sup.TouchedIDs("R")
 	if all || len(ids) != 0 {
 		t.Fatalf("dead posting should touch nothing, got (%v, all=%v)", ids, all)
@@ -82,7 +82,7 @@ func TestAnalyzeSupportTouchedIDs(t *testing.T) {
 
 	// Two constant positions intersect: R(0, 1) matches nothing (the
 	// A = 0 tuple has B = 0), R(0, 0) matches exactly id 0.
-	sup, _ = AnalyzeSupport(MustParse("R(0, 1) OR R(0, 0)"), m)
+	sup, _ = AnalyzeSupport(Analyze(MustParse("R(0, 1) OR R(0, 0)")), m)
 	ids, all = sup.TouchedIDs("R")
 	if all || len(ids) != 1 || ids[0] != 0 {
 		t.Fatalf("R touched = (%v, all=%v), want [0]", ids, all)
@@ -90,13 +90,13 @@ func TestAnalyzeSupportTouchedIDs(t *testing.T) {
 
 	// A const-free atom anywhere escalates the relation to All, even
 	// when another atom is constant-constrained.
-	sup, _ = AnalyzeSupport(MustParse("EXISTS x, y . R(x, y) AND R(0, y)"), m)
+	sup, _ = AnalyzeSupport(Analyze(MustParse("EXISTS x, y . R(x, y) AND R(0, y)")), m)
 	if ids, all := sup.TouchedIDs("R"); !all || ids != nil {
 		t.Fatalf("const-free atom should touch all of R, got (%v, all=%v)", ids, all)
 	}
 
 	// Atoms under negation and inside quantifier bodies count too.
-	sup, _ = AnalyzeSupport(MustParse("EXISTS x . R(0, x) AND NOT T(1, x)"), m)
+	sup, _ = AnalyzeSupport(Analyze(MustParse("EXISTS x . R(0, x) AND NOT T(1, x)")), m)
 	ids, all = sup.TouchedIDs("T")
 	if all || len(ids) == 0 {
 		t.Fatalf("negated T atom not touched: (%v, all=%v)", ids, all)
@@ -153,7 +153,7 @@ func TestPreparedEvalMatchesEvalCtx(t *testing.T) {
 	ctx := context.Background()
 	for _, src := range slices.Concat(preparedCorpus, peelCorpus, refusedCorpus) {
 		q := MustParse(src)
-		prep := PrepareClosed(m, q)
+		prep := PrepareClosed(m, Analyze(q))
 		for round := 0; round < 40; round++ {
 			// Random visibility per relation; occasionally drop the
 			// entry entirely (full visibility), as the CQA walk does
@@ -214,11 +214,12 @@ func TestPolarityClassifies(t *testing.T) {
 	m := supportModel()
 	for _, c := range cases {
 		q := MustParse(c.src)
-		p := PolarityOf(q)
+		a := Analyze(q)
+		p := a.Pol
 		if monotone, antitone := p&Negative == 0, p&Positive == 0; monotone != c.monotone || antitone != c.antitone {
-			t.Errorf("PolarityOf(%q) = monotone %v antitone %v, want %v %v", c.src, monotone, antitone, c.monotone, c.antitone)
+			t.Errorf("polarity of %q = monotone %v antitone %v, want %v %v", c.src, monotone, antitone, c.monotone, c.antitone)
 		}
-		if _, ok := AnalyzeSupport(q, m); !ok {
+		if _, ok := AnalyzeSupport(a, m); !ok {
 			t.Errorf("AnalyzeSupport(%q) declined: the case is not one the bounds would see", c.src)
 		}
 	}
@@ -279,10 +280,11 @@ func TestPolarityBoundsEval(t *testing.T) {
 	var monotone, antitone, mixed, moved int
 	for round := 0; round < 3000; round++ {
 		q := randGuarded(rng, nil, 1+rng.Intn(3))
-		if _, ok := AnalyzeSupport(q, m); !ok {
+		a := Analyze(q)
+		if _, ok := AnalyzeSupport(a, m); !ok {
 			continue
 		}
-		p := PolarityOf(q)
+		p := a.Pol
 		switch p {
 		case Positive:
 			monotone++

@@ -47,7 +47,7 @@ type vecOperand struct {
 	val    relation.Value
 }
 
-func (o vecOperand) value(vals []relation.Value) relation.Value {
+func (o *vecOperand) value(vals []relation.Value) relation.Value {
 	if o.varIdx >= 0 {
 		return vals[o.varIdx]
 	}
@@ -78,7 +78,12 @@ type vecCmp struct {
 	l, r vecOperand
 }
 
-func (c vecCmp) holds(vals []relation.Value) bool {
+// holds is called per scanned row, so it takes the comparison by
+// pointer: a vecCmp is too large to pass in registers, and a copy to
+// the stack on every call made the scan's speed depend on where the
+// calling goroutine's stack happened to lie (an open-query spine ran 3x
+// slower in a server's connection goroutine than in a test's).
+func (c *vecCmp) holds(vals []relation.Value) bool {
 	return cmpHolds(c.op, c.l.value(vals), c.r.value(vals))
 }
 
@@ -469,8 +474,8 @@ func (r *vecRun) stepGreedy(si int) (bool, error) {
 				return false, nil
 			}
 		}
-		for _, c := range v.cmpsAt[si] {
-			if !c.holds(r.vals) {
+		for i := range v.cmpsAt[si] {
+			if !v.cmpsAt[si][i].holds(r.vals) {
 				return false, nil
 			}
 		}

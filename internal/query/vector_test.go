@@ -103,7 +103,7 @@ func (m *mutableTriple) mutate(rng *rand.Rand) {
 // switched off: the greedy reference the differential tests and the
 // executor benchmarks compare against.
 func evalGreedy(e Expr, m Model) (bool, error) {
-	return (&evaluator{m: m, root: e, join: true, greedyOnly: true}).run()
+	return (&evaluator{m: m, root: annotated(e), join: true, greedyOnly: true}).run()
 }
 
 // checkCorpus requires the three strategies to agree bit-for-bit on
@@ -477,7 +477,7 @@ func TestExecutorsHonourCancellation(t *testing.T) {
 		{emptyChain, emptyChainRows, true, ExecGreedyVec},
 	} {
 		tr := &Trace{}
-		ev := &evaluator{m: emptyJoinModel(t, c.rows), root: MustParse(c.src), join: true, trace: tr,
+		ev := &evaluator{m: emptyJoinModel(t, c.rows), root: annotated(MustParse(c.src)), join: true, trace: tr,
 			greedyOnly: c.greedyOnly, ctx: &cancelledAfterFirstCheck{Context: context.Background()}}
 		res, err := ev.run()
 		if len(tr.Execs) != 1 || tr.Execs[0].Executor != c.want {

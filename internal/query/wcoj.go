@@ -280,8 +280,8 @@ func (w *wcojPlan) run(r *vecRun) (bool, error) {
 			}
 			vals[lv.varIdx] = val
 			ok = true
-			for _, c := range lv.cmps {
-				if !c.holds(vals) {
+			for i := range lv.cmps {
+				if !lv.cmps[i].holds(vals) {
 					ok = false
 					break
 				}

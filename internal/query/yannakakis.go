@@ -334,8 +334,8 @@ func (r *vecRun) yanEnum(y *yanPlan, k int, root bitset.Words, groups []map[stri
 		for i := range node.binds {
 			r.vals[node.binds[i].varIdx] = a.cols[node.binds[i].pos].Value(id)
 		}
-		for _, c := range node.cmps {
-			if !c.holds(r.vals) {
+		for i := range node.cmps {
+			if !node.cmps[i].holds(r.vals) {
 				return false, nil
 			}
 		}

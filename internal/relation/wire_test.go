@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -170,4 +171,59 @@ func TestWireDecodeErrors(t *testing.T) {
 	if _, err := DecodeWire(bad); err == nil {
 		t.Fatal("kind-mismatched cell accepted")
 	}
+}
+
+// FuzzDecodeRow drives the decoder every insert runs (DecodeRow, and
+// DecodeWire around it) with arbitrary cells against a schema drawn
+// from shape: arity 1-4 from its low bits, each attribute's kind from
+// the next ones. cells holds the row's cells separated by \x1f. The
+// decoder must never panic, must reject a row of the wrong arity or
+// with a cell of the wrong kind, and whatever it accepts must come back
+// from EncodeRow unchanged — and DecodeWire must agree with it.
+func FuzzDecodeRow(f *testing.F) {
+	for _, name := range nastyNames {
+		f.Add(uint8(1<<2), EncodeValue(Name(name))) // one name column
+		f.Add(uint8(0), name)                       // the same text, unquoted, against an int column
+	}
+	f.Add(uint8(1), "42\x1f-7")
+	f.Add(uint8(1|1<<3), "42\x1f'x'")
+	f.Add(uint8(3|1<<2|1<<4), "'a''b'\x1f 0 \x1f'名前'\x1f9223372036854775807")
+	f.Add(uint8(1), "1")
+	f.Add(uint8(0), "99999999999999999999")
+	f.Fuzz(func(t *testing.T, shape uint8, cells string) {
+		attrs := make([]Attribute, 1+int(shape%4))
+		for i := range attrs {
+			if shape>>(2+i)&1 == 1 {
+				attrs[i] = NameAttr(fmt.Sprintf("N%d", i))
+			} else {
+				attrs[i] = IntAttr(fmt.Sprintf("I%d", i))
+			}
+		}
+		s := MustSchema("R", attrs...)
+		row := strings.Split(cells, "\x1f")
+		tup, err := DecodeRow(s, row)
+		inst, werr := DecodeWire(WireInstance{Relation: "R", Attrs: s.WireAttrs(), Rows: [][]string{row, row}})
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("DecodeRow error %v, DecodeWire error %v", err, werr)
+		}
+		if err != nil {
+			return
+		}
+		if len(row) != s.Arity() {
+			t.Fatalf("accepted %d cells for arity %d", len(row), s.Arity())
+		}
+		for i, v := range tup {
+			if v.Kind() != s.Attr(i).Kind {
+				t.Fatalf("cell %d %q decoded to a %s, attribute is %s", i, row[i], v.Kind(), s.Attr(i).Kind)
+			}
+		}
+		again, err := DecodeRow(s, EncodeRow(tup))
+		if err != nil || !again.Equal(tup) {
+			t.Fatalf("%q decoded to %v, re-encoded as %q, which decodes to %v, %v", row, tup, EncodeRow(tup), again, err)
+		}
+		// The duplicate row collapses: one live tuple, the decoded one.
+		if inst.Len() != 1 || !inst.Tuple(0).Equal(tup) {
+			t.Fatalf("DecodeWire of the row twice holds %d tuples, first %v; want %v once", inst.Len(), inst.Tuple(0), tup)
+		}
+	})
 }

@@ -387,18 +387,20 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 		hits, misses := t.db.EngineStats()
 		qs := t.db.QueryStats()
 		ds := client.DBStats{
-			WriteVersion:  t.version(),
-			CacheHits:     hits,
-			CacheMisses:   misses,
-			OpenDirect:    qs.OpenDirect,
-			OpenFallback:  qs.OpenFallback,
-			WcojSpines:    qs.SpineWcoj,
-			YanSpines:     qs.SpineYannakakis,
-			GreedySpines:  qs.SpineGreedy,
-			ClosedPruned:  qs.ClosedPruned,
-			ClosedFull:    qs.ClosedFull,
-			ClosedBounded: qs.ClosedBounded,
-			Relations:     map[string]client.RelationStats{},
+			WriteVersion:     t.version(),
+			CacheHits:        hits,
+			CacheMisses:      misses,
+			OpenDirect:       qs.OpenDirect,
+			OpenFallback:     qs.OpenFallback,
+			WcojSpines:       qs.SpineWcoj,
+			YanSpines:        qs.SpineYannakakis,
+			GreedySpines:     qs.SpineGreedy,
+			ClosedPruned:     qs.ClosedPruned,
+			ClosedFull:       qs.ClosedFull,
+			ClosedBounded:    qs.ClosedBounded,
+			QueryCacheHits:   qs.QueryCacheHits,
+			QueryCacheMisses: qs.QueryCacheMisses,
+			Relations:        map[string]client.RelationStats{},
 		}
 		if ws, durable := t.db.WALStats(); durable {
 			ds.WAL = &client.WALStats{

@@ -195,6 +195,12 @@ type DB struct {
 	engine *core.Engine
 	snapMu sync.RWMutex // see Relation.snap
 
+	// schemaEpoch counts relation creations; like rels and order it is
+	// guarded by snapMu. queries keeps the analysed query texts of the
+	// current epoch (cqa.QueryCache) for every snapshot's reads.
+	schemaEpoch uint64
+	queries     cqa.QueryCache
+
 	// log is the write-ahead log of a durable DB (see Open); nil on an
 	// in-memory DB. ver is the in-memory write-version counter; on a
 	// durable DB the log's record sequence is the write-version. See
@@ -339,6 +345,7 @@ func (db *DB) freshRelation(inst *relation.Instance) (*Relation, error) {
 func (db *DB) register(r *Relation) {
 	db.rels[r.name] = r
 	db.order = append(db.order, r.name)
+	db.schemaEpoch++
 }
 
 // CreateRelation adds an empty relation with the given schema.
@@ -952,9 +959,11 @@ func (db *DB) EngineStats() (hits, misses int64) {
 // active-domain substitution, which vectorized executor (generic
 // join, Yannakakis, greedy) ran the direct spines, how many closed
 // verifications took the component-pruned repair walk vs the full
-// whole-database enumeration, and how many of the pruned ones were
-// decided on a bound of the preferred repairs without a walk.
-// Snapshots taken from this DB feed the same counters.
+// whole-database enumeration, how many of the pruned ones were
+// decided on a bound of the preferred repairs without a walk, and how
+// many query texts the analysed-query cache answered (hits) or had to
+// parse, validate and analyse (misses). Snapshots taken from this DB
+// feed the same counters.
 func (db *DB) QueryStats() cqa.EvalStatsSnapshot {
 	return db.stats.Snapshot()
 }

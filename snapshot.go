@@ -3,6 +3,7 @@ package prefcqa
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"prefcqa/internal/bitset"
 	"prefcqa/internal/clean"
@@ -24,7 +25,12 @@ import (
 // identities, so sharing them across versions is safe. What a read
 // derives from every component of a pinned version (its resolved
 // components) is kept on that version and shared by all snapshots
-// pinning it.
+// pinning it. The evaluation input over the pinned versions is
+// assembled on the snapshot's first read and reused by every later one,
+// and query texts are analysed through the DB's cache of analysed
+// queries (cqa.QueryCache), under the schema epoch the snapshot pinned:
+// a repeated text is parsed, validated and analysed once per set of
+// relations, not once per read.
 //
 // The Context-suffixed variants accept a cancellation context that is
 // plumbed down into the evaluation engine and checked per chunk of
@@ -32,10 +38,16 @@ import (
 // layer uses them to enforce per-request deadlines. The plain variants
 // never cancel.
 type Snapshot struct {
-	engine *core.Engine
-	order  []string
-	rels   map[string]snapRel
-	stats  *cqa.EvalStats // shared with the owning DB; see DB.QueryStats
+	engine  *core.Engine
+	order   []string
+	rels    map[string]snapRel
+	stats   *cqa.EvalStats  // shared with the owning DB; see DB.QueryStats
+	queries *cqa.QueryCache // the owning DB's
+	epoch   uint64          // the DB's schema epoch at the pin
+
+	inOnce sync.Once
+	in     cqa.Input // the evaluation input over the pinned versions, without a context
+	inErr  error
 }
 
 type snapRel struct {
@@ -59,10 +71,12 @@ func (db *DB) Snapshot() (*Snapshot, error) {
 	db.snapMu.Lock()
 	defer db.snapMu.Unlock()
 	s := &Snapshot{
-		engine: db.engine,
-		order:  append([]string(nil), db.order...),
-		rels:   make(map[string]snapRel, len(db.order)),
-		stats:  db.stats,
+		engine:  db.engine,
+		order:   append([]string(nil), db.order...),
+		rels:    make(map[string]snapRel, len(db.order)),
+		stats:   db.stats,
+		queries: &db.queries,
+		epoch:   db.schemaEpoch,
 	}
 	for _, name := range db.order {
 		r := db.rels[name]
@@ -99,21 +113,32 @@ func (s *Snapshot) Instance(rel string) (*Instance, bool) {
 	return sr.rel.Inst, true
 }
 
-// input assembles the CQA input over the pinned versions.
+// input returns the CQA input over the pinned versions, cancelled by
+// ctx; the input itself is assembled once per snapshot.
 func (s *Snapshot) input(ctx context.Context) (cqa.Input, error) {
-	rels := make([]*cqa.Relation, 0, len(s.order))
-	for _, name := range s.order {
-		rels = append(rels, s.rels[name].rel)
+	s.inOnce.Do(func() {
+		rels := make([]*cqa.Relation, 0, len(s.order))
+		for _, name := range s.order {
+			rels = append(rels, s.rels[name].rel)
+		}
+		in, err := cqa.NewInput(rels...)
+		s.in, s.inErr = in.WithEngine(s.engine).WithStats(s.stats), err
+	})
+	if s.inErr != nil {
+		return cqa.Input{}, s.inErr
 	}
-	in, err := cqa.NewInput(rels...)
+	return s.in.WithContext(ctx), nil
+}
+
+// analyzed returns the input over the pinned versions, cancelled by
+// ctx, and the analysed query of src, validated against their schemas.
+func (s *Snapshot) analyzed(ctx context.Context, src string) (cqa.Input, *query.Analyzed, error) {
+	in, err := s.input(ctx)
 	if err != nil {
-		return cqa.Input{}, err
+		return cqa.Input{}, nil, err
 	}
-	in = in.WithEngine(s.engine).WithStats(s.stats)
-	if ctx != nil {
-		in = in.WithContext(ctx)
-	}
-	return in, nil
+	a, err := s.queries.Analyzed(in, s.epoch, src)
+	return in, a, err
 }
 
 // Query evaluates a closed first-order query under the family's
@@ -126,15 +151,11 @@ func (s *Snapshot) Query(f Family, src string) (Answer, error) {
 // evaluation aborts with ctx.Err(), checked per chunk of resolved
 // conflict-graph components and per enumerated repair combination.
 func (s *Snapshot) QueryContext(ctx context.Context, f Family, src string) (Answer, error) {
-	q, err := query.Parse(src)
+	in, a, err := s.analyzed(ctx, src)
 	if err != nil {
 		return 0, err
 	}
-	in, err := s.input(ctx)
-	if err != nil {
-		return 0, err
-	}
-	return cqa.Evaluate(f, in, q)
+	return cqa.EvaluateAnalyzed(f, in, a)
 }
 
 // Certain reports whether true is the f-consistent answer to the
@@ -166,15 +187,11 @@ func (s *Snapshot) QueryOpen(f Family, src string) ([]Binding, error) {
 // QueryOpenContext is QueryOpen with cancellation, checked per
 // candidate substitution of the free variables.
 func (s *Snapshot) QueryOpenContext(ctx context.Context, f Family, src string) ([]Binding, error) {
-	q, err := query.Parse(src)
+	in, a, err := s.analyzed(ctx, src)
 	if err != nil {
 		return nil, err
 	}
-	in, err := s.input(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return cqa.FreeAnswers(f, in, q)
+	return cqa.FreeAnswersAnalyzed(f, in, a)
 }
 
 // CountRepairs returns the number of preferred repairs of a relation
