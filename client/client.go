@@ -120,10 +120,26 @@ func (c *Client) do(ctx context.Context, path string, in, out any) error {
 	if out == nil {
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := decodeReply(resp, out); err != nil {
 		return fmt.Errorf("client: decoding %s response: %w", path, err)
 	}
 	return nil
+}
+
+// decodeReply decodes a response body into out: a read reply with
+// DecodeJSON from the body read whole, anything else streamed through
+// json.Decoder. A reply whose reading fails is streamed too, after the
+// bytes already read, so it decodes, or fails, as it always did.
+func decodeReply(resp *http.Response, out any) error {
+	switch out.(type) {
+	case *QueryResponse, *QueryOpenResponse, *CountResponse:
+		b, err := io.ReadAll(resp.Body)
+		if err == nil {
+			return DecodeJSON(b, out)
+		}
+		return json.NewDecoder(io.MultiReader(bytes.NewReader(b), resp.Body)).Decode(out)
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // doRead is do with the WithRetry policy applied: a 503 admission
@@ -191,7 +207,9 @@ func (c *Client) backoff(ctx context.Context, attempt int) error {
 func (c *Client) send(ctx context.Context, method, path string, in any) (*http.Response, error) {
 	var body io.Reader
 	if in != nil {
-		blob, err := json.Marshal(in)
+		// Room for a point read's request, which AppendJSON would
+		// otherwise grow four times; a larger body grows once.
+		blob, err := AppendJSON(make([]byte, 0, 256), in)
 		if err != nil {
 			return nil, fmt.Errorf("client: encoding %s request: %w", path, err)
 		}

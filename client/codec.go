@@ -1,0 +1,372 @@
+package client
+
+import (
+	"bytes"
+	"encoding/json"
+	"slices"
+	"strconv"
+	"strings"
+	"unicode/utf8"
+)
+
+// AppendJSON appends to dst what a json.Encoder with its defaults
+// writes for v: HTML-safe string escaping, sorted map keys and the
+// trailing newline included. A QueryRequest, CountRequest,
+// QueryResponse, QueryOpenResponse or CountResponse value is written
+// without reflection; any other v goes to encoding/json.
+func AppendJSON(dst []byte, v any) ([]byte, error) {
+	switch v := v.(type) {
+	case QueryRequest:
+		dst = appendRequest(dst, v.DB, v.Family, `,"query":`, v.Query, v.ReadOptions)
+	case CountRequest:
+		dst = appendRequest(dst, v.DB, v.Family, `,"relation":`, v.Relation, v.ReadOptions)
+	case QueryResponse:
+		dst = appendString(append(dst, `{"answer":`...), v.Answer)
+		dst = strconv.AppendUint(append(dst, `,"version":`...), v.Version, 10)
+		if len(v.Versions) > 0 {
+			dst = appendMap(append(dst, `,"versions":`...), v.Versions, func(dst []byte, n uint64) []byte {
+				return strconv.AppendUint(dst, n, 10)
+			})
+		}
+	case QueryOpenResponse:
+		dst = append(dst, `{"bindings":`...)
+		if v.Bindings == nil {
+			dst = append(dst, "null"...)
+		} else {
+			dst = append(dst, '[')
+			for i, b := range v.Bindings {
+				if i > 0 {
+					dst = append(dst, ',')
+				}
+				dst = appendMap(dst, b, appendString)
+			}
+			dst = append(dst, ']')
+		}
+		dst = strconv.AppendUint(append(dst, `,"version":`...), v.Version, 10)
+	case CountResponse:
+		dst = strconv.AppendInt(append(dst, `{"count":`...), v.Count, 10)
+		dst = strconv.AppendUint(append(dst, `,"version":`...), v.Version, 10)
+	default:
+		blob, err := json.Marshal(v)
+		if err != nil {
+			return dst, err
+		}
+		return append(append(dst, blob...), '\n'), nil
+	}
+	return append(dst, "}\n"...), nil
+}
+
+func appendRequest(dst []byte, db, family, textKey, text string, o ReadOptions) []byte {
+	dst = appendString(append(dst, `{"db":`...), db)
+	dst = appendString(append(dst, `,"family":`...), family)
+	dst = appendString(append(dst, textKey...), text)
+	if o.MinVersion != 0 {
+		dst = strconv.AppendUint(append(dst, `,"min_version":`...), o.MinVersion, 10)
+	}
+	if o.TimeoutMS != 0 {
+		dst = strconv.AppendInt(append(dst, `,"timeout_ms":`...), o.TimeoutMS, 10)
+	}
+	return dst
+}
+
+// appendMap appends m as encoding/json writes a map: null when nil,
+// else the members in byte order of their keys.
+func appendMap[V any](dst []byte, m map[string]V, appendValue func([]byte, V) []byte) []byte {
+	if m == nil {
+		return append(dst, "null"...)
+	}
+	var buf [8]string // a few keys sort without allocating
+	keys := buf[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	dst = append(dst, '{')
+	for i, k := range keys {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendValue(append(appendString(dst, k), ':'), m[k])
+	}
+	return append(dst, '}')
+}
+
+// appendString appends s as encoding/json writes a string with HTML
+// escaping on: " \ \b \f \n \r \t as short escapes; other controls,
+// < > &, U+2028, U+2029 and each byte of invalid UTF-8 (as U+FFFD) as
+// \uXXXX escapes.
+func appendString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		r, size := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(s[i:])
+		}
+		if r >= 0x20 && !strings.ContainsRune("\"\\<>&\xe2\x80\xa8\xe2\x80\xa9", r) && (r != utf8.RuneError || size > 1) {
+			i += size
+			continue
+		}
+		dst = append(dst, s[start:i]...)
+		if j := strings.IndexRune("\"\\\b\f\n\r\t", r); j >= 0 {
+			dst = append(dst, '\\', "\"\\bfnrt"[j])
+		} else {
+			const hex = "0123456789abcdef"
+			dst = append(dst, '\\', 'u', hex[r>>12], hex[r>>8&0xF], hex[r>>4&0xF], hex[r&0xF])
+		}
+		i += size
+		start = i
+	}
+	return append(append(dst, s[start:]...), '"')
+}
+
+// DecodeJSON decodes b into v as a json.Decoder reading b would: the
+// same value or the same error. For *QueryRequest and *CountRequest
+// that decoder disallows unknown fields, as the server always has; for
+// *QueryResponse, *QueryOpenResponse and *CountResponse it tolerates
+// them, so a field a newer server adds to a reply does not break this
+// client. Any other v gets the tolerant decoder.
+//
+// Canonical input — exact-case known keys, strings with standard
+// escapes, integers in range, nothing after the object but whitespace —
+// is read without reflection, straight into *v. Every other body (a
+// case-folded or unknown key, null, a float, trailing data, invalid
+// UTF-8, a surrogate escape) goes whole to that json.Decoder, which
+// writes again every member the body names: what is accepted, the value
+// and every error text stay encoding/json's.
+func DecodeJSON(b []byte, v any) error {
+	s := wireScan{b: b}
+	strict, done := false, false
+	switch v := v.(type) {
+	case *QueryRequest:
+		strict, done = true, v != nil && s.request("query", &v.DB, &v.Family, &v.Query, &v.ReadOptions)
+	case *CountRequest:
+		strict, done = true, v != nil && s.request("relation", &v.DB, &v.Family, &v.Relation, &v.ReadOptions)
+	case *QueryResponse:
+		for key, more := s.object(v != nil); more; key, more = s.next() {
+			switch string(key) {
+			case "answer":
+				v.Answer = s.str()
+			case "version":
+				v.Version = s.uint()
+			case "versions": // merged into a map v holds, as by encoding/json
+				if v.Versions == nil {
+					v.Versions = map[string]uint64{}
+				}
+				for name, more := s.object(true); more; name, more = s.next() {
+					v.Versions[string(name)] = s.uint()
+				}
+			default:
+				s.bad = true
+			}
+		}
+		done = s.done()
+	case *QueryOpenResponse:
+		// encoding/json decodes an array into the maps of a slice v
+		// already holds, a repeated member's too: declined.
+		for key, more := s.object(v != nil && v.Bindings == nil); more; key, more = s.next() {
+			switch {
+			case string(key) == "version":
+				v.Version = s.uint()
+			case string(key) == "bindings" && v.Bindings == nil && s.token('['):
+				v.Bindings = []map[string]string{}
+				for i := 0; !s.bad && !s.token(']'); i++ {
+					s.bad = i > 0 && !s.token(',')
+					m := map[string]string{}
+					for name, more := s.object(true); more; name, more = s.next() {
+						m[string(name)] = s.str()
+					}
+					v.Bindings = append(v.Bindings, m)
+				}
+			default:
+				s.bad = true
+			}
+		}
+		done = s.done()
+	case *CountResponse:
+		for key, more := s.object(v != nil); more; key, more = s.next() {
+			switch string(key) {
+			case "count":
+				v.Count = s.int()
+			case "version":
+				v.Version = s.uint()
+			default:
+				s.bad = true
+			}
+		}
+		done = s.done()
+	}
+	if done {
+		return nil
+	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	if strict {
+		dec.DisallowUnknownFields()
+	}
+	return dec.Decode(v)
+}
+
+// wireScan reads one body for DecodeJSON. It turns bad on input it
+// does not take, malformed or not plain, and then takes nothing more.
+type wireScan struct {
+	b   []byte
+	i   int
+	bad bool
+}
+
+func (s *wireScan) space() {
+	for s.i < len(s.b) && strings.IndexByte(" \t\n\r", s.b[s.i]) >= 0 {
+		s.i++
+	}
+}
+
+// token consumes c after optional whitespace.
+func (s *wireScan) token(c byte) bool {
+	s.space()
+	ok := !s.bad && s.i < len(s.b) && s.b[s.i] == c
+	if ok {
+		s.i++
+	}
+	return ok
+}
+
+// done reports whether the scan took all of b.
+func (s *wireScan) done() bool {
+	s.space()
+	return !s.bad && s.i == len(s.b)
+}
+
+// object opens the object under the scan (turning bad unless take) and
+// returns its first key, next the following ones: ASCII without
+// escapes, with the scan left before the value. Both report false at
+// the closing brace or once the scan is bad.
+func (s *wireScan) object(take bool) ([]byte, bool) {
+	s.bad = s.bad || !take || !s.token('{')
+	if s.token('}') {
+		return nil, false
+	}
+	return s.key()
+}
+
+func (s *wireScan) next() ([]byte, bool) {
+	if s.token(',') {
+		return s.key()
+	}
+	s.bad = s.bad || !s.token('}')
+	return nil, false
+}
+
+func (s *wireScan) key() ([]byte, bool) {
+	if !s.token('"') {
+		s.bad = true
+		return nil, false
+	}
+	start := s.i
+	for s.i < len(s.b) && s.b[s.i] >= 0x20 && s.b[s.i] < utf8.RuneSelf && s.b[s.i] != '"' && s.b[s.i] != '\\' {
+		s.i++
+	}
+	if s.i == len(s.b) || s.b[s.i] != '"' {
+		s.bad = true
+		return nil, false
+	}
+	key := s.b[start:s.i]
+	s.i++
+	s.bad = !s.token(':')
+	return key, !s.bad
+}
+
+// request reads a QueryRequest or CountRequest, whose third string
+// member is named textKey.
+func (s *wireScan) request(textKey string, db, family, text *string, o *ReadOptions) bool {
+	for key, more := s.object(true); more; key, more = s.next() {
+		switch string(key) {
+		case "db":
+			*db = s.str()
+		case "family":
+			*family = s.str()
+		case textKey:
+			*text = s.str()
+		case "min_version":
+			o.MinVersion = s.uint()
+		case "timeout_ms":
+			o.TimeoutMS = s.int()
+		default:
+			s.bad = true
+		}
+	}
+	return s.done()
+}
+
+// str reads a string of valid UTF-8 whose escapes are not surrogate
+// halves (encoding/json pairs those up or replaces them).
+func (s *wireScan) str() string {
+	s.bad = s.bad || !s.token('"')
+	var out []byte // nil until the first escape
+	for start := s.i; !s.bad && s.i < len(s.b); {
+		switch c := s.b[s.i]; {
+		case c == '"':
+			s.i++
+			if out == nil {
+				return string(s.b[start : s.i-1])
+			}
+			return string(append(out, s.b[start:s.i-1]...))
+		case c == '\\':
+			out = utf8.AppendRune(append(out, s.b[start:s.i]...), s.escape())
+			start = s.i
+		case c < utf8.RuneSelf:
+			s.bad = c < 0x20
+			s.i++
+		default:
+			r, size := utf8.DecodeRune(s.b[s.i:])
+			s.bad = r == utf8.RuneError && size == 1
+			s.i += size
+		}
+	}
+	s.bad = true
+	return ""
+}
+
+// escape reads the escape sequence under the scan.
+func (s *wireScan) escape() rune {
+	if s.i+1 < len(s.b) {
+		if j := strings.IndexByte(`"\/bfnrt`, s.b[s.i+1]); j >= 0 {
+			s.i += 2
+			return rune("\"\\/\b\f\n\r\t"[j])
+		}
+	}
+	if s.i+6 > len(s.b) || s.b[s.i+1] != 'u' {
+		s.bad = true
+		return 0
+	}
+	n, err := strconv.ParseUint(string(s.b[s.i+2:s.i+6]), 16, 32)
+	s.i += 6
+	s.bad = err != nil || 0xD800 <= n && n < 0xE000
+	return rune(n)
+}
+
+// integer returns the digits under the scan, after an optional minus;
+// with a leading zero it returns nil, which strconv refuses. A fraction
+// or exponent after them is refused by whatever reads next.
+func (s *wireScan) integer() []byte {
+	s.space()
+	start := s.i
+	for s.i < len(s.b) && (s.b[s.i] == '-' && s.i == start || '0' <= s.b[s.i] && s.b[s.i] <= '9') {
+		s.i++
+	}
+	if d := bytes.TrimPrefix(s.b[start:s.i], []byte("-")); len(d) > 1 && d[0] == '0' {
+		return nil
+	}
+	return s.b[start:s.i]
+}
+
+func (s *wireScan) uint() uint64 {
+	n, err := strconv.ParseUint(string(s.integer()), 10, 64)
+	s.bad = s.bad || err != nil
+	return n
+}
+
+func (s *wireScan) int() int64 {
+	n, err := strconv.ParseInt(string(s.integer()), 10, 64)
+	s.bad = s.bad || err != nil
+	return n
+}

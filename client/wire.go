@@ -9,6 +9,14 @@
 // single-quoted with ” escaping ("'R&D'", "'it”s'") — so every
 // value round-trips exactly; see prefcqa.EncodeValue. Instances
 // (repair and clean results) cross as prefcqa.WireInstance.
+//
+// The read round trip — QueryRequest and CountRequest out,
+// QueryResponse, QueryOpenResponse and CountResponse back — goes
+// through AppendJSON and DecodeJSON, a codec without reflection that
+// writes exactly encoding/json's bytes and reads exactly what
+// encoding/json reads (handing it every body it does not take).
+// prefserve uses the same two functions. The types carry no JSON
+// methods, so encoding/json applied to them behaves as it always has.
 package client
 
 import (

@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"prefcqa/internal/bitset"
 	"prefcqa/internal/relation"
@@ -271,12 +272,16 @@ func (ev *evaluator) evalQuant(q Quant, env map[string]relation.Value) (bool, er
 }
 
 // iterate answers the quantifier by active-domain iteration over its
-// variables from the i-th on.
+// variables from the i-th on. A variable the list repeats is bound once:
+// EXISTS a, a . φ is EXISTS a . φ.
 func (ev *evaluator) iterate(q Quant, env map[string]relation.Value, i int) (bool, error) {
 	if i == len(q.Vars) {
 		return ev.eval(q.Body, env)
 	}
 	name := q.Vars[i]
+	if slices.Contains(q.Vars[:i], name) {
+		return ev.iterate(q, env, i+1)
+	}
 	saved, had := env[name]
 	defer func() {
 		if had {

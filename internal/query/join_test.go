@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"prefcqa/internal/relation"
 )
@@ -145,6 +146,48 @@ func TestJoinPaperQueries(t *testing.T) {
 		naive, err := EvalNaive(MustParse(c.src), m)
 		if err != nil || naive != got {
 			t.Errorf("naive disagrees on %q: %v vs %v (%v)", c.src, naive, got, err)
+		}
+	}
+}
+
+// TestNaiveRepeatedQuantifiedVariable: EXISTS a, a . φ is EXISTS a . φ,
+// so the oracle binds a repeated variable once. Iterating the list as
+// written costs |domain|^10 body evaluations here (6^10, over half a
+// minute) for the answer one pass over the domain gives.
+func TestNaiveRepeatedQuantifiedVariable(t *testing.T) {
+	inst := relation.NewInstance(relation.MustSchema("S", relation.IntAttr("C"), relation.IntAttr("D")))
+	for i := 0; i < 5; i++ {
+		inst.MustInsert(i, i+1)
+	}
+	m := relModel(inst, nil)
+	for _, c := range []struct {
+		src  string
+		want bool
+	}{
+		{"EXISTS A,A,A,A,A,A,A,A,A,A . S(5, A)", false},
+		{"EXISTS A,A,A,A,A,A,A,A,A,A . S(4, A)", true},
+		{"FORALL A,A,A,A,A,A,A,A,A,A . NOT S(5, A)", true},
+		{"EXISTS A, B, A . S(A, B) AND B = 3", true},
+	} {
+		q := MustParse(c.src)
+		done := make(chan error, 1)
+		go func() {
+			got, err := EvalNaive(q, m)
+			if err == nil && got != c.want {
+				err = fmt.Errorf("= %v, want %v", got, c.want)
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("EvalNaive(%s) %v", c.src, err)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("EvalNaive(%s) did not answer within 1s", c.src)
+		}
+		if got, err := Eval(q, m); err != nil || got != c.want {
+			t.Fatalf("Eval(%s) = %v, %v, want %v", c.src, got, err, c.want)
 		}
 	}
 }

@@ -197,7 +197,7 @@ func (s *Server) handlePrefer(w http.ResponseWriter, r *http.Request) error {
 // options. On a follower, a min_version ahead of the replicated
 // watermark waits (bounded by ctx) for replication to catch up —
 // read-your-writes holds through any replica.
-func (s *Server) pinned(ctx context.Context, db string, opts client.ReadOptions) (*prefcqa.Snapshot, uint64, error) {
+func (s *Server) pinned(ctx context.Context, db string, opts client.ReadOptions) (*pinnedSnap, error) {
 	t, err := s.tenant(db)
 	if err != nil && opts.MinVersion > 0 && s.isFollower() {
 		// min_version asserts the database exists; on a follower the
@@ -205,17 +205,17 @@ func (s *Server) pinned(ctx context.Context, db string, opts client.ReadOptions)
 		t, err = s.waitTenant(ctx, db)
 	}
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if err := s.waitMin(ctx, t, opts.MinVersion); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	return t.snapshotAtLeast(opts.MinVersion)
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 	var req client.QueryRequest
-	if err := decode(r, &req); err != nil {
+	if err := decodeRead(r, &req); err != nil {
 		return err
 	}
 	fam, err := prefcqa.ParseFamily(req.Family)
@@ -224,20 +224,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 	}
 	ctx, cancel := s.readCtx(r, req.ReadOptions)
 	defer cancel()
-	snap, wv, err := s.pinned(ctx, req.DB, req.ReadOptions)
+	p, err := s.pinned(ctx, req.DB, req.ReadOptions)
 	if err != nil {
 		return err
 	}
-	ans, err := snap.QueryContext(ctx, fam, req.Query)
+	ans, err := p.snap.QueryContext(ctx, fam, req.Query)
 	if err != nil {
 		return err
 	}
-	return writeJSON(w, client.QueryResponse{Answer: ans.String(), Version: wv, Versions: snap.Versions()})
+	return writeReply(w, client.QueryResponse{Answer: ans.String(), Version: p.wv, Versions: p.versions})
 }
 
 func (s *Server) handleQueryOpen(w http.ResponseWriter, r *http.Request) error {
 	var req client.QueryRequest
-	if err := decode(r, &req); err != nil {
+	if err := decodeRead(r, &req); err != nil {
 		return err
 	}
 	fam, err := prefcqa.ParseFamily(req.Family)
@@ -246,15 +246,15 @@ func (s *Server) handleQueryOpen(w http.ResponseWriter, r *http.Request) error {
 	}
 	ctx, cancel := s.readCtx(r, req.ReadOptions)
 	defer cancel()
-	snap, wv, err := s.pinned(ctx, req.DB, req.ReadOptions)
+	p, err := s.pinned(ctx, req.DB, req.ReadOptions)
 	if err != nil {
 		return err
 	}
-	bindings, err := snap.QueryOpenContext(ctx, fam, req.Query)
+	bindings, err := p.snap.QueryOpenContext(ctx, fam, req.Query)
 	if err != nil {
 		return err
 	}
-	resp := client.QueryOpenResponse{Bindings: make([]map[string]string, 0, len(bindings)), Version: wv}
+	resp := client.QueryOpenResponse{Bindings: make([]map[string]string, 0, len(bindings)), Version: p.wv}
 	for _, b := range bindings {
 		m := make(map[string]string, len(b))
 		for name, v := range b {
@@ -262,12 +262,12 @@ func (s *Server) handleQueryOpen(w http.ResponseWriter, r *http.Request) error {
 		}
 		resp.Bindings = append(resp.Bindings, m)
 	}
-	return writeJSON(w, resp)
+	return writeReply(w, resp)
 }
 
 func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) error {
 	var req client.CountRequest
-	if err := decode(r, &req); err != nil {
+	if err := decodeRead(r, &req); err != nil {
 		return err
 	}
 	fam, err := prefcqa.ParseFamily(req.Family)
@@ -276,18 +276,18 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) error {
 	}
 	ctx, cancel := s.readCtx(r, req.ReadOptions)
 	defer cancel()
-	snap, wv, err := s.pinned(ctx, req.DB, req.ReadOptions)
+	p, err := s.pinned(ctx, req.DB, req.ReadOptions)
 	if err != nil {
 		return err
 	}
-	n, err := snap.CountRepairsContext(ctx, fam, req.Relation)
+	n, err := p.snap.CountRepairsContext(ctx, fam, req.Relation)
 	if err != nil {
-		if _, ok := snap.Instance(req.Relation); !ok {
+		if _, ok := p.snap.Instance(req.Relation); !ok {
 			return &httpError{code: http.StatusNotFound, err: err}
 		}
 		return err
 	}
-	return writeJSON(w, client.CountResponse{Count: n, Version: wv})
+	return writeReply(w, client.CountResponse{Count: n, Version: p.wv})
 }
 
 // handleRepairs streams the preferred repairs as NDJSON: one
@@ -305,10 +305,11 @@ func (s *Server) handleRepairs(w http.ResponseWriter, r *http.Request) error {
 	}
 	ctx, cancel := s.readCtx(r, req.ReadOptions)
 	defer cancel()
-	snap, _, err := s.pinned(ctx, req.DB, req.ReadOptions)
+	p, err := s.pinned(ctx, req.DB, req.ReadOptions)
 	if err != nil {
 		return err
 	}
+	snap := p.snap
 	if _, ok := snap.Instance(req.Relation); !ok {
 		return &httpError{code: http.StatusNotFound, err: fmt.Errorf("unknown relation %q in database %q", req.Relation, req.DB)}
 	}
@@ -362,16 +363,16 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) error {
 	}
 	ctx, cancel := s.readCtx(r, req.ReadOptions)
 	defer cancel()
-	snap, wv, err := s.pinned(ctx, req.DB, req.ReadOptions)
+	p, err := s.pinned(ctx, req.DB, req.ReadOptions)
 	if err != nil {
 		return err
 	}
-	rep, err := snap.ExplainPlanContext(ctx, req.Query)
+	rep, err := p.snap.ExplainPlanContext(ctx, req.Query)
 	if err != nil {
 		return err
 	}
 	return writeJSON(w, client.ExplainResponse{
-		Query: rep.Query, Holds: rep.Holds, Plans: rep.Plans, Version: wv,
+		Query: rep.Query, Holds: rep.Holds, Plans: rep.Plans, Version: p.wv,
 	})
 }
 
@@ -422,7 +423,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 		// reports its write-version without detail.
 		if p := t.snap.Load(); p != nil {
 			snap := p.snap
-			for name, ver := range snap.Versions() {
+			for name, ver := range p.versions {
 				inst, _ := snap.Instance(name)
 				conflicts, _ := snap.Conflicts(name)
 				components, _ := snap.Components(name)

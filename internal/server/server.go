@@ -25,10 +25,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -185,6 +187,9 @@ func (t *tenant) version() uint64 { return t.db.WriteVersion() }
 type pinnedSnap struct {
 	wv   uint64
 	snap *prefcqa.Snapshot
+	// versions is snap.Versions(), made once when the pin is published
+	// and shared read-only by the /v1/query replies and /v1/stats.
+	versions map[string]uint64
 }
 
 // New returns a Server with an empty database registry.
@@ -358,12 +363,11 @@ func (s *Server) tenant(name string) (*tenant, error) {
 	return t, nil
 }
 
-// snapshotAtLeast returns a snapshot covering at least write-version
-// min (and never older than the last completed write), plus the
-// version it is labelled with. The cached snapshot is reused when new
-// enough; otherwise a fresh cut is taken and published. The label is
-// read before the cut, so it is a lower bound on what the snapshot
-// contains.
+// snapshotAtLeast returns a pinned snapshot covering at least
+// write-version min (and never older than the last completed write),
+// labelled with its version. The cached pin is reused when new enough;
+// otherwise a fresh cut is taken and published. The label is read
+// before the cut, so it is a lower bound on what the snapshot contains.
 //
 // A min above the database's current write-version cannot be
 // honored and is rejected (412): every version this database ever
@@ -371,17 +375,17 @@ func (s *Server) tenant(name string) (*tenant, error) {
 // is handed out), so an unsatisfiable min is a client mixing up
 // versions across databases or servers — serving older data with a
 // 200 would silently void the read-your-writes contract.
-func (t *tenant) snapshotAtLeast(min uint64) (*prefcqa.Snapshot, uint64, error) {
+func (t *tenant) snapshotAtLeast(min uint64) (*pinnedSnap, error) {
 	cur := t.version()
 	if min > cur {
-		return nil, 0, &httpError{
+		return nil, &httpError{
 			code: http.StatusPreconditionFailed,
 			err:  fmt.Errorf("min_version %d is beyond database %q's write-version %d (version from another database?)", min, t.name, cur),
 		}
 	}
 	min = cur
 	if p := t.snap.Load(); p != nil && p.wv >= min {
-		return p.snap, p.wv, nil
+		return p, nil
 	}
 	wv := t.version()
 	t.mu.RLock()
@@ -390,16 +394,16 @@ func (t *tenant) snapshotAtLeast(min uint64) (*prefcqa.Snapshot, uint64, error) 
 	if err != nil {
 		// A failing build (e.g. contradictory preferences) is the
 		// client's doing: surface as a conflict, not a server error.
-		return nil, 0, &httpError{code: http.StatusConflict, err: err}
+		return nil, &httpError{code: http.StatusConflict, err: err}
 	}
-	p := &pinnedSnap{wv: wv, snap: snap}
+	p := &pinnedSnap{wv: wv, snap: snap, versions: snap.Versions()}
 	for {
 		old := t.snap.Load()
 		if old != nil && old.wv >= p.wv {
-			return snap, wv, nil // someone published a newer cut
+			return p, nil // someone published a newer cut
 		}
 		if t.snap.CompareAndSwap(old, p) {
-			return snap, wv, nil
+			return p, nil
 		}
 	}
 }
@@ -460,7 +464,9 @@ func (s *Server) endpoint(method string, h handlerFunc) http.Handler {
 func (s *Server) readCtx(r *http.Request, opts client.ReadOptions) (context.Context, context.CancelFunc) {
 	d := s.opts.DefaultTimeout
 	if opts.TimeoutMS > 0 {
-		d = time.Duration(opts.TimeoutMS) * time.Millisecond
+		// Clamped in milliseconds first: a huge timeout_ms would wrap
+		// the Duration negative and expire the read at once.
+		d = time.Duration(min(opts.TimeoutMS, s.opts.MaxTimeout.Milliseconds()+1)) * time.Millisecond
 	}
 	if d > s.opts.MaxTimeout {
 		d = s.opts.MaxTimeout
@@ -516,6 +522,65 @@ func decode(r *http.Request, dst any) error {
 		return fmt.Errorf("bad request body: %w", err)
 	}
 	return nil
+}
+
+// maxPooledBody bounds the buffers returned to bodies. A point read's
+// request and reply are a few hundred bytes; a buffer grown past this
+// held an outlier (a long open answer or query text) and would pin that
+// memory in the pool, so it is dropped.
+const maxPooledBody = 4 << 10
+
+// bodies lends the buffers of the read endpoints' bodies: only their
+// small requests are read whole (decodeRead); every other body streams
+// through decode, as a bulk insert must.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// getBody returns an empty buffer with room for n bytes and the
+// MinRead more ReadFrom wants.
+func getBody(n int64) *bytes.Buffer {
+	b := bodies.Get().(*bytes.Buffer)
+	b.Reset()
+	b.Grow(int(min(max(n, 0), maxPooledBody)) + bytes.MinRead)
+	return b
+}
+
+func putBody(b *bytes.Buffer) {
+	if b.Cap() <= maxPooledBody {
+		bodies.Put(b)
+	}
+}
+
+// decodeRead is decode with the client codec, for a client.QueryRequest
+// or client.CountRequest read whole into a buffer sized from
+// Content-Length. A body whose reading fails (over MaxBodyBytes, a peer
+// gone) is streamed to decode after the bytes already read, so it gets
+// the reply it always got.
+func decodeRead(r *http.Request, dst any) error {
+	buf := getBody(r.ContentLength)
+	defer putBody(buf)
+	if _, err := buf.ReadFrom(r.Body); err != nil {
+		r.Body = io.NopCloser(io.MultiReader(bytes.NewReader(buf.Bytes()), r.Body))
+		return decode(r, dst)
+	}
+	if err := client.DecodeJSON(buf.Bytes(), dst); err != nil {
+		return fmt.Errorf("bad request body: %w", err)
+	}
+	return nil
+}
+
+// writeReply is writeJSON with the client codec, for a
+// client.QueryResponse, QueryOpenResponse or CountResponse: the same
+// bytes.
+func writeReply(w http.ResponseWriter, v any) error {
+	buf := getBody(0)
+	defer putBody(buf)
+	b, err := client.AppendJSON(buf.AvailableBuffer(), v)
+	if err != nil {
+		return err
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_, err = w.Write(b)
+	return err
 }
 
 // Stats samples the server's counters (also served at /v1/stats).
