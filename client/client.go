@@ -120,26 +120,13 @@ func (c *Client) do(ctx context.Context, path string, in, out any) error {
 	if out == nil {
 		return nil
 	}
-	if err := decodeReply(resp, out); err != nil {
+	// A reply is read whole (a json.Decoder would buffer it whole too)
+	// and tolerates unknown fields, so a field a newer server adds does
+	// not break this client.
+	if err := ReadJSON(new(bytes.Buffer), resp.Body, out, false); err != nil {
 		return fmt.Errorf("client: decoding %s response: %w", path, err)
 	}
 	return nil
-}
-
-// decodeReply decodes a response body into out: a read reply with
-// DecodeJSON from the body read whole, anything else streamed through
-// json.Decoder. A reply whose reading fails is streamed too, after the
-// bytes already read, so it decodes, or fails, as it always did.
-func decodeReply(resp *http.Response, out any) error {
-	switch out.(type) {
-	case *QueryResponse, *QueryOpenResponse, *CountResponse:
-		b, err := io.ReadAll(resp.Body)
-		if err == nil {
-			return DecodeJSON(b, out)
-		}
-		return json.NewDecoder(io.MultiReader(bytes.NewReader(b), resp.Body)).Decode(out)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // doRead is do with the WithRetry policy applied: a 503 admission
@@ -285,16 +272,8 @@ func (c *Client) AddFD(ctx context.Context, db, rel, fd string) (uint64, error) 
 // Insert adds a batch of tuples and returns their IDs (row order) and
 // the published write-version. Build rows with prefcqa.MakeTuple.
 func (c *Client) Insert(ctx context.Context, db, rel string, rows ...prefcqa.Tuple) ([]int, uint64, error) {
-	req := InsertRequest{DB: db, Relation: rel, Rows: make([][]string, len(rows))}
-	for i, row := range rows {
-		cells := make([]string, len(row))
-		for j, v := range row {
-			cells[j] = prefcqa.EncodeValue(v)
-		}
-		req.Rows[i] = cells
-	}
 	var out InsertResponse
-	err := c.do(ctx, PathInsert, req, &out)
+	err := c.do(ctx, PathInsert, insertTuples{db: db, relation: rel, rows: rows}, &out)
 	return out.IDs, out.Version, err
 }
 
@@ -440,6 +419,11 @@ func (c *Client) Health(ctx context.Context) error {
 // exact sequence where its primary stopped, bumping the fencing epoch
 // (see PathPromote). It fails with HTTP 409 on a server that is not a
 // follower.
+//
+// Replication is asynchronous: a write the old primary acknowledged but
+// had not yet shipped to this follower is lost by the failover. A
+// caller that must not lose a write reads it back from a follower at
+// its version (MinVersion) before counting it as safe.
 func (c *Client) Promote(ctx context.Context) (PromoteResponse, error) {
 	var out PromoteResponse
 	err := c.do(ctx, PathPromote, nil, &out)

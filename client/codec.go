@@ -3,17 +3,23 @@ package client
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
+
+	"prefcqa"
+	"prefcqa/internal/relation"
 )
 
 // AppendJSON appends to dst what a json.Encoder with its defaults
 // writes for v: HTML-safe string escaping, sorted map keys and the
-// trailing newline included. A QueryRequest, CountRequest,
-// QueryResponse, QueryOpenResponse or CountResponse value is written
-// without reflection; any other v goes to encoding/json.
+// trailing newline included. The read shapes (QueryRequest,
+// CountRequest, QueryResponse, QueryOpenResponse, CountResponse) and
+// the write shapes (InsertRequest, DeleteRequest, PreferRequest,
+// InsertResponse, DeleteResponse, VersionResponse) are written without
+// reflection; any other v goes to encoding/json.
 func AppendJSON(dst []byte, v any) ([]byte, error) {
 	switch v := v.(type) {
 	case QueryRequest:
@@ -29,23 +35,36 @@ func AppendJSON(dst []byte, v any) ([]byte, error) {
 			})
 		}
 	case QueryOpenResponse:
-		dst = append(dst, `{"bindings":`...)
-		if v.Bindings == nil {
-			dst = append(dst, "null"...)
-		} else {
-			dst = append(dst, '[')
-			for i, b := range v.Bindings {
-				if i > 0 {
-					dst = append(dst, ',')
-				}
-				dst = appendMap(dst, b, appendString)
-			}
-			dst = append(dst, ']')
-		}
+		dst = appendList(append(dst, `{"bindings":`...), v.Bindings, func(dst []byte, b map[string]string) []byte {
+			return appendMap(dst, b, appendString)
+		})
 		dst = strconv.AppendUint(append(dst, `,"version":`...), v.Version, 10)
 	case CountResponse:
 		dst = strconv.AppendInt(append(dst, `{"count":`...), v.Count, 10)
 		dst = strconv.AppendUint(append(dst, `,"version":`...), v.Version, 10)
+	case InsertRequest:
+		dst = appendList(appendTarget(dst, v.DB, v.Relation, "rows"), v.Rows, func(dst []byte, row []string) []byte {
+			return appendList(dst, row, appendString)
+		})
+	case insertTuples:
+		dst = appendTarget(dst, v.db, v.relation, "rows")
+		dst = appendList(dst, nonNil(v.rows), func(dst []byte, row prefcqa.Tuple) []byte {
+			return appendList(dst, nonNil(row), appendCell)
+		})
+	case DeleteRequest:
+		dst = appendList(appendTarget(dst, v.DB, v.Relation, "ids"), v.IDs, appendInt)
+	case PreferRequest:
+		dst = appendList(appendTarget(dst, v.DB, v.Relation, "pairs"), v.Pairs, func(dst []byte, p [2]int) []byte {
+			return append(appendInt(append(appendInt(append(dst, '['), p[0]), ','), p[1]), ']')
+		})
+	case InsertResponse:
+		dst = appendList(append(dst, `{"ids":`...), v.IDs, appendInt)
+		dst = strconv.AppendUint(append(dst, `,"version":`...), v.Version, 10)
+	case DeleteResponse:
+		dst = appendInt(append(dst, `{"deleted":`...), v.Deleted)
+		dst = strconv.AppendUint(append(dst, `,"version":`...), v.Version, 10)
+	case VersionResponse:
+		dst = strconv.AppendUint(append(dst, `{"version":`...), v.Version, 10)
 	default:
 		blob, err := json.Marshal(v)
 		if err != nil {
@@ -54,6 +73,58 @@ func AppendJSON(dst []byte, v any) ([]byte, error) {
 		return append(append(dst, blob...), '\n'), nil
 	}
 	return append(dst, "}\n"...), nil
+}
+
+// insertTuples is the body of Client.Insert: an InsertRequest whose
+// rows are written straight from the tuples, each cell as EncodeValue
+// renders it, with no [][]string in between.
+type insertTuples struct {
+	db, relation string
+	rows         []prefcqa.Tuple
+}
+
+// appendTarget opens a write request: its database, its relation and
+// the key of the member that follows.
+func appendTarget(dst []byte, db, rel, key string) []byte {
+	dst = appendString(append(dst, `{"db":`...), db)
+	dst = appendString(append(dst, `,"relation":`...), rel)
+	return append(append(append(dst, `,"`...), key...), `":`...)
+}
+
+// appendList appends list as encoding/json writes a slice: null when
+// nil, else the elements in order.
+func appendList[E any](dst []byte, list []E, appendElem func([]byte, E) []byte) []byte {
+	if list == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, e := range list {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendElem(dst, e)
+	}
+	return append(dst, ']')
+}
+
+// nonNil is list, or an empty list where list is nil: Client.Insert has
+// always sent its rows and cells as arrays.
+func nonNil[E any](list []E) []E {
+	if list == nil {
+		return []E{}
+	}
+	return list
+}
+
+func appendInt(dst []byte, n int) []byte { return strconv.AppendInt(dst, int64(n), 10) }
+
+// appendCell appends the JSON string of a value's wire cell
+// (prefcqa.EncodeValue); an integer's digits need no escaping.
+func appendCell(dst []byte, v prefcqa.Value) []byte {
+	if v.Kind() == relation.KindInt {
+		return append(strconv.AppendInt(append(dst, '"'), v.AsInt(), 10), '"')
+	}
+	return appendString(dst, prefcqa.EncodeValue(v))
 }
 
 func appendRequest(dst []byte, db, family, textKey, text string, o ReadOptions) []byte {
@@ -121,27 +192,29 @@ func appendString(dst []byte, s string) []byte {
 }
 
 // DecodeJSON decodes b into v as a json.Decoder reading b would: the
-// same value or the same error. For *QueryRequest and *CountRequest
-// that decoder disallows unknown fields, as the server always has; for
-// *QueryResponse, *QueryOpenResponse and *CountResponse it tolerates
-// them, so a field a newer server adds to a reply does not break this
-// client. Any other v gets the tolerant decoder.
+// same value or the same error. With strict that decoder disallows
+// unknown fields, as prefserve decodes every request; without, it
+// tolerates them, as this client decodes every reply, so a field a
+// newer server adds to a reply does not break it.
 //
-// Canonical input — exact-case known keys, strings with standard
-// escapes, integers in range, nothing after the object but whitespace —
-// is read without reflection, straight into *v. Every other body (a
-// case-folded or unknown key, null, a float, trailing data, invalid
-// UTF-8, a surrogate escape) goes whole to that json.Decoder, which
-// writes again every member the body names: what is accepted, the value
-// and every error text stay encoding/json's.
-func DecodeJSON(b []byte, v any) error {
+// The read and write shapes AppendJSON writes without reflection are
+// read without it too, straight into *v, when the body is canonical:
+// exact-case known keys, strings with standard escapes, integers in
+// range, arrays of the exact shape, nothing after the object but
+// whitespace. Every other body (a case-folded or unknown key, null, a
+// float, a pair of three, trailing data, invalid UTF-8, a surrogate
+// escape, a slice member v already holds), and every body of another
+// type, goes whole to that json.Decoder, which writes again every
+// member the body names: what is accepted, the value and every error
+// text stay encoding/json's.
+func DecodeJSON(b []byte, v any, strict bool) error {
 	s := wireScan{b: b}
-	strict, done := false, false
+	done := false
 	switch v := v.(type) {
 	case *QueryRequest:
-		strict, done = true, v != nil && s.request("query", &v.DB, &v.Family, &v.Query, &v.ReadOptions)
+		done = v != nil && s.request("query", &v.DB, &v.Family, &v.Query, &v.ReadOptions)
 	case *CountRequest:
-		strict, done = true, v != nil && s.request("relation", &v.DB, &v.Family, &v.Relation, &v.ReadOptions)
+		done = v != nil && s.request("relation", &v.DB, &v.Family, &v.Relation, &v.ReadOptions)
 	case *QueryResponse:
 		for key, more := s.object(v != nil); more; key, more = s.next() {
 			switch string(key) {
@@ -168,16 +241,14 @@ func DecodeJSON(b []byte, v any) error {
 			switch {
 			case string(key) == "version":
 				v.Version = s.uint()
-			case string(key) == "bindings" && v.Bindings == nil && s.token('['):
-				v.Bindings = []map[string]string{}
-				for i := 0; !s.bad && !s.token(']'); i++ {
-					s.bad = i > 0 && !s.token(',')
+			case string(key) == "bindings" && v.Bindings == nil:
+				v.Bindings = scanList(&s, func() map[string]string {
 					m := map[string]string{}
 					for name, more := s.object(true); more; name, more = s.next() {
 						m[string(name)] = s.str()
 					}
-					v.Bindings = append(v.Bindings, m)
-				}
+					return m
+				})
 			default:
 				s.bad = true
 			}
@@ -195,11 +266,103 @@ func DecodeJSON(b []byte, v any) error {
 			}
 		}
 		done = s.done()
+	case *InsertRequest:
+		// Like bindings above, a rows member v already holds is declined.
+		for key, more := s.object(v != nil && v.Rows == nil); more; key, more = s.next() {
+			switch {
+			case s.target(key, &v.DB, &v.Relation):
+			case string(key) == "rows" && v.Rows == nil:
+				v.Rows = s.rows()
+			default:
+				s.bad = true
+			}
+		}
+		done = s.done()
+	case *DeleteRequest:
+		for key, more := s.object(v != nil && v.IDs == nil); more; key, more = s.next() {
+			switch {
+			case s.target(key, &v.DB, &v.Relation):
+			case string(key) == "ids" && v.IDs == nil:
+				v.IDs = scanList(&s, s.goInt)
+			default:
+				s.bad = true
+			}
+		}
+		done = s.done()
+	case *PreferRequest:
+		for key, more := s.object(v != nil && v.Pairs == nil); more; key, more = s.next() {
+			switch {
+			case s.target(key, &v.DB, &v.Relation):
+			case string(key) == "pairs" && v.Pairs == nil:
+				v.Pairs = scanList(&s, func() (p [2]int) {
+					s.bad = s.bad || !s.token('[')
+					p[0] = s.goInt()
+					s.bad = s.bad || !s.token(',')
+					p[1] = s.goInt()
+					s.bad = s.bad || !s.token(']')
+					return p
+				})
+			default:
+				s.bad = true
+			}
+		}
+		done = s.done()
+	case *InsertResponse:
+		for key, more := s.object(v != nil && v.IDs == nil); more; key, more = s.next() {
+			switch {
+			case string(key) == "ids" && v.IDs == nil:
+				v.IDs = scanList(&s, s.goInt)
+			case string(key) == "version":
+				v.Version = s.uint()
+			default:
+				s.bad = true
+			}
+		}
+		done = s.done()
+	case *DeleteResponse:
+		for key, more := s.object(v != nil); more; key, more = s.next() {
+			switch string(key) {
+			case "deleted":
+				v.Deleted = s.goInt()
+			case "version":
+				v.Version = s.uint()
+			default:
+				s.bad = true
+			}
+		}
+		done = s.done()
+	case *VersionResponse:
+		for key, more := s.object(v != nil); more; key, more = s.next() {
+			switch string(key) {
+			case "version":
+				v.Version = s.uint()
+			default:
+				s.bad = true
+			}
+		}
+		done = s.done()
 	}
 	if done {
 		return nil
 	}
-	dec := json.NewDecoder(bytes.NewReader(b))
+	return decodeStream(bytes.NewReader(b), v, strict)
+}
+
+// ReadJSON reads r whole into buf and decodes it into v as DecodeJSON
+// does. If the reading fails (a body over its size limit, a peer gone),
+// the bytes already read and the rest of r are streamed to DecodeJSON's
+// json.Decoder instead, so the value or the error is the one it gives.
+func ReadJSON(buf *bytes.Buffer, r io.Reader, v any, strict bool) error {
+	if _, err := buf.ReadFrom(r); err != nil {
+		return decodeStream(io.MultiReader(bytes.NewReader(buf.Bytes()), r), v, strict)
+	}
+	return DecodeJSON(buf.Bytes(), v, strict)
+}
+
+// decodeStream decodes one value from r with json.Decoder, disallowing
+// unknown fields when strict.
+func decodeStream(r io.Reader, v any, strict bool) error {
+	dec := json.NewDecoder(r)
 	if strict {
 		dec.DisallowUnknownFields()
 	}
@@ -297,6 +460,57 @@ func (s *wireScan) request(textKey string, db, family, text *string, o *ReadOpti
 	return s.done()
 }
 
+// target reads the member key names when it is "db" or "relation",
+// the members every write request opens with.
+func (s *wireScan) target(key []byte, db, rel *string) bool {
+	switch string(key) {
+	case "db":
+		*db = s.str()
+	case "relation":
+		*rel = s.str()
+	default:
+		return false
+	}
+	return true
+}
+
+// array reads an array, calling elem for each element.
+func (s *wireScan) array(elem func()) {
+	s.bad = s.bad || !s.token('[')
+	for i := 0; !s.bad && !s.token(']'); i++ {
+		s.bad = i > 0 && !s.token(',')
+		elem()
+	}
+}
+
+// scanList reads an array, each element with elem, into a fresh
+// non-nil slice, as encoding/json decodes into a nil one.
+func scanList[E any](s *wireScan, elem func() E) []E {
+	list := []E{}
+	s.array(func() { list = append(list, elem()) })
+	return list
+}
+
+// rows reads an insert's rows: an array of arrays of strings. The
+// cells of all rows share one backing array, each row capped at its
+// own end, so a row holds what encoding/json gives it and appending
+// to one cannot write into the next.
+func (s *wireScan) rows() [][]string {
+	cells := []string{}
+	var ends []int
+	s.array(func() {
+		s.array(func() { cells = append(cells, s.str()) })
+		ends = append(ends, len(cells))
+	})
+	rows := make([][]string, len(ends))
+	start := 0
+	for i, end := range ends {
+		rows[i] = cells[start:end:end]
+		start = end
+	}
+	return rows
+}
+
 // str reads a string of valid UTF-8 whose escapes are not surrogate
 // halves (encoding/json pairs those up or replaces them).
 func (s *wireScan) str() string {
@@ -369,4 +583,11 @@ func (s *wireScan) int() int64 {
 	n, err := strconv.ParseInt(string(s.integer()), 10, 64)
 	s.bad = s.bad || err != nil
 	return n
+}
+
+// goInt reads an int of the platform's size.
+func (s *wireScan) goInt() int {
+	n, err := strconv.ParseInt(string(s.integer()), 10, strconv.IntSize)
+	s.bad = s.bad || err != nil
+	return int(n)
 }

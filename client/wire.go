@@ -11,7 +11,9 @@
 // (repair and clean results) cross as prefcqa.WireInstance.
 //
 // The read round trip — QueryRequest and CountRequest out,
-// QueryResponse, QueryOpenResponse and CountResponse back — goes
+// QueryResponse, QueryOpenResponse and CountResponse back — and the
+// write round trip — InsertRequest, DeleteRequest and PreferRequest
+// out, InsertResponse, DeleteResponse and VersionResponse back — go
 // through AppendJSON and DecodeJSON, a codec without reflection that
 // writes exactly encoding/json's bytes and reads exactly what
 // encoding/json reads (handing it every body it does not take).

@@ -312,15 +312,11 @@ func (db *DB) replayCreate(name string, wattrs []relation.WireAttr, rows [][]str
 func (r *Relation) replayInserts(rows [][]string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	tuples := make([]Tuple, len(rows))
-	for i, cells := range rows {
-		tup, err := relation.DecodeRow(r.inst.Schema(), cells)
-		if err != nil {
-			return fmt.Errorf("row %d: %w", i, err)
-		}
-		tuples[i] = tup
+	tuples, err := relation.DecodeRows(r.inst.Schema(), rows)
+	if err != nil {
+		return err
 	}
-	_, err := r.applyInserts(tuples)
+	_, err = r.applyInserts(tuples, nil)
 	return err
 }
 

@@ -223,3 +223,22 @@ func BenchmarkBuildPairs(b *testing.B) {
 		}
 	}
 }
+
+// TestBuildAllocations is the allocation gate of the conflict-graph
+// build at the serving benchmark's size: 100 000 two-tuple clusters,
+// 200 000 tuples. A violation scan that keeps a map entry, a slice and
+// an RHS map per LHS group makes about five objects per tuple; the
+// grouped scan makes a fixed handful per dependency.
+func TestBuildAllocations(t *testing.T) {
+	inst, fds := pairsInstance(100000)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Build(inst, fds); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perTuple := allocs / float64(inst.Len())
+	t.Logf("Build at %d tuples: %.0f objects, %.4f per tuple", inst.Len(), allocs, perTuple)
+	if perTuple > 0.01 {
+		t.Fatalf("Build allocates %.4f objects per tuple, limit 0.01", perTuple)
+	}
+}

@@ -1,8 +1,9 @@
 package fd
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"prefcqa/internal/relation"
@@ -94,61 +95,115 @@ type Violation struct {
 }
 
 // Violations lists all conflicting tuple pairs (T1 < T2) in the
-// instance, one entry per violated dependency. Pairs are found by
-// hashing on the LHS projection, so the cost is proportional to the
-// number of conflicts rather than all tuple pairs.
+// instance, one entry per violated dependency, sorted by (T1, T2, FD).
+//
+// Per dependency the live tuples are numbered by LHS group — one map
+// probe per tuple, keyed by substrings of one string holding every
+// tuple's LHS key — and a counting sort lays the IDs of each group side
+// by side. A group whose tuples all agree on the RHS costs one pass; any
+// other is sorted by RHS value in place, so its RHS classes are runs,
+// and every pair across two runs is a conflict. Nothing is allocated
+// per group, and no group is scanned pair by pair: a group of s tuples
+// costs O(s) when it holds no conflict, else O(s log s) against its at
+// least s-1 conflicts.
 func (s *Set) Violations(r *relation.Instance) []Violation {
+	n := r.NumIDs()
+	group := make([]int32, n) // per ID: its LHS group, -1 when dead
+	off := make([]int, n+1)   // per ID: the end of its LHS key in keys
+	ids := make([]relation.TupleID, 0, r.Len())
+	var ends []int32 // per group: the end of its run in ids
+	var keys []byte
+	lhsGroup := make(map[string]int32)
 	var out []Violation
-	var buf []byte
 	for fi, f := range s.fds {
-		groups := make(map[string][]relation.TupleID)
-		r.RangeIDs(func(id relation.TupleID) bool {
-			buf = r.AppendProjectionKey(buf[:0], id, f.lhs)
-			groups[string(buf)] = append(groups[string(buf)], id)
-			return true
-		})
-		for _, ids := range groups {
-			if len(ids) < 2 {
+		keys, ids = keys[:0], ids[:0]
+		for id := 0; id < n; id++ {
+			group[id] = -1
+			if r.Live(id) {
+				group[id] = 0
+				keys = r.AppendProjectionKey(keys, id, f.lhs)
+			}
+			off[id+1] = len(keys)
+		}
+		all := string(keys)
+		clear(lhsGroup)
+		ends = ends[:0]
+		for id := 0; id < n; id++ {
+			if group[id] < 0 {
 				continue
 			}
-			// Within an LHS group, tuples conflict iff they differ on
-			// the RHS projection; partition by RHS value.
-			byRHS := make(map[string][]relation.TupleID)
-			var order []string
-			for _, id := range ids {
-				buf = r.AppendProjectionKey(buf[:0], id, f.rhs)
-				k := string(buf)
-				if _, seen := byRHS[k]; !seen {
-					order = append(order, k)
-				}
-				byRHS[k] = append(byRHS[k], id)
+			k := all[off[id]:off[id+1]]
+			g, ok := lhsGroup[k]
+			if !ok {
+				g = int32(len(ends))
+				lhsGroup[k] = g
+				ends = append(ends, 0)
 			}
-			for i := 0; i < len(order); i++ {
-				for j := i + 1; j < len(order); j++ {
-					for _, a := range byRHS[order[i]] {
-						for _, b := range byRHS[order[j]] {
-							t1, t2 := a, b
-							if t1 > t2 {
-								t1, t2 = t2, t1
-							}
-							out = append(out, Violation{T1: t1, T2: t2, FD: fi})
-						}
-					}
-				}
+			group[id] = g
+			ends[g]++
+		}
+		// Counting sort: ends[g] becomes the start of group g's run, and
+		// the end once its IDs are placed, ascending.
+		sum := int32(0)
+		for g, c := range ends {
+			ends[g], sum = sum, sum+c
+		}
+		ids = ids[:sum]
+		for id := 0; id < n; id++ {
+			if g := group[id]; g >= 0 {
+				ids[ends[g]] = id
+				ends[g]++
 			}
+		}
+		lo := int32(0)
+		for _, hi := range ends {
+			out = appendGroupViolations(out, r, f.rhs, fi, ids[lo:hi])
+			lo = hi
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
+	slices.SortFunc(out, func(a, b Violation) int {
 		if a.T1 != b.T1 {
-			return a.T1 < b.T1
+			return cmp.Compare(a.T1, b.T1)
 		}
 		if a.T2 != b.T2 {
-			return a.T2 < b.T2
+			return cmp.Compare(a.T2, b.T2)
 		}
-		return a.FD < b.FD
+		return cmp.Compare(a.FD, b.FD)
 	})
 	return out
+}
+
+// appendGroupViolations appends the conflicts of dependency fi inside
+// one LHS group, which is not empty: every pair of its tuples that
+// differ on rhs. It may reorder grp.
+func appendGroupViolations(out []Violation, r *relation.Instance, rhs []int, fi int, grp []relation.TupleID) []Violation {
+	if !slices.ContainsFunc(grp[1:], func(id relation.TupleID) bool { return compareRHS(r, rhs, grp[0], id) != 0 }) {
+		return out
+	}
+	slices.SortFunc(grp, func(a, b relation.TupleID) int { return compareRHS(r, rhs, a, b) })
+	for i := 0; i < len(grp); {
+		j := i + 1
+		for j < len(grp) && compareRHS(r, rhs, grp[i], grp[j]) == 0 {
+			j++
+		}
+		for _, a := range grp[i:j] {
+			for _, b := range grp[j:] {
+				out = append(out, Violation{T1: min(a, b), T2: max(a, b), FD: fi})
+			}
+		}
+		i = j
+	}
+	return out
+}
+
+// compareRHS orders tuples a and b of r by their cells at rhs.
+func compareRHS(r *relation.Instance, rhs []int, a, b relation.TupleID) int {
+	for _, i := range rhs {
+		if c := r.ValueAt(a, i).Order(r.ValueAt(b, i)); c != 0 {
+			return c
+		}
+	}
+	return 0
 }
 
 // String lists the dependencies separated by "; ".

@@ -172,18 +172,43 @@ func EncodeRow(t Tuple) []string {
 // DecodeRow parses wire cells against the schema: the arity must match,
 // then every cell must be of its attribute's kind.
 func DecodeRow(s *Schema, cells []string) (Tuple, error) {
-	if len(cells) != s.Arity() {
-		return nil, fmt.Errorf("%d cells for arity-%d schema %s", len(cells), s.Arity(), s.Name())
+	t := make(Tuple, s.Arity())
+	if err := decodeRowInto(t, s, cells); err != nil {
+		return nil, err
 	}
-	t := make(Tuple, len(cells))
+	return t, nil
+}
+
+// DecodeRows is DecodeRow over a batch, each error prefixed with
+// "row N: ". The tuples share one backing array, each capped at its own
+// end; the callers copy the values out (Instance.Insert pushes them
+// into its columns), so no tuple pins the batch after the call.
+func DecodeRows(s *Schema, rows [][]string) ([]Tuple, error) {
+	k := s.Arity()
+	tuples := make([]Tuple, len(rows))
+	vals := make(Tuple, k*len(rows))
+	for i, cells := range rows {
+		tuples[i] = vals[i*k : (i+1)*k : (i+1)*k]
+		if err := decodeRowInto(tuples[i], s, cells); err != nil {
+			return nil, fmt.Errorf("row %d: %w", i, err)
+		}
+	}
+	return tuples, nil
+}
+
+// decodeRowInto is DecodeRow into t, which has the schema's arity.
+func decodeRowInto(t Tuple, s *Schema, cells []string) error {
+	if len(cells) != s.Arity() {
+		return fmt.Errorf("%d cells for arity-%d schema %s", len(cells), s.Arity(), s.Name())
+	}
 	for i, cell := range cells {
 		v, err := DecodeValue(s.Attr(i).Kind, cell)
 		if err != nil {
-			return nil, fmt.Errorf("attr %s: %w", s.Attr(i).Name, err)
+			return fmt.Errorf("attr %s: %w", s.Attr(i).Name, err)
 		}
 		t[i] = v
 	}
-	return t, nil
+	return nil
 }
 
 // WireAttrs renders the schema's attributes for the wire.
@@ -231,12 +256,12 @@ func DecodeWire(w WireInstance) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
+	tuples, err := DecodeRows(schema, w.Rows)
+	if err != nil {
+		return nil, fmt.Errorf("relation: wire %w", err)
+	}
 	inst := NewInstance(schema)
-	for ri, row := range w.Rows {
-		t, err := DecodeRow(schema, row)
-		if err != nil {
-			return nil, fmt.Errorf("relation: wire row %d: %w", ri, err)
-		}
+	for ri, t := range tuples {
 		if _, _, err := inst.Insert(t); err != nil {
 			return nil, fmt.Errorf("relation: wire row %d: %w", ri, err)
 		}

@@ -34,7 +34,8 @@ func (t Tuple) Equal(u Tuple) bool {
 // Key returns a canonical string encoding of the tuple, used for
 // set-semantics deduplication.
 func (t Tuple) Key() string {
-	b := make([]byte, 0, 16*len(t))
+	var buf [64]byte // a short tuple's key is built on the stack
+	b := buf[:0]
 	for _, v := range t {
 		b = v.appendKey(b)
 	}
@@ -201,9 +202,17 @@ func (r *Instance) Insert(t Tuple) (TupleID, bool, error) {
 		return -1, false, err
 	}
 	k := t.Key()
-	if id, ok := r.idx.lookupKey(k, r.n); ok && r.Live(id) {
+	if id, ok := r.LookupKey(k); ok {
 		return id, false, nil
 	}
+	return r.InsertFresh(t, k), true, nil
+}
+
+// InsertFresh adds a tuple the caller has type-checked (TypeCheck),
+// keyed (k is t.Key()) and probed (LookupKey finds no live tuple under
+// k), and returns its ID: a bulk insert keys and probes each row once.
+func (r *Instance) InsertFresh(t Tuple, k string) TupleID {
+	r.mutable()
 	id := TupleID(r.n)
 	for a := range r.cols {
 		r.cols[a].push(t[a])
@@ -212,7 +221,7 @@ func (r *Instance) Insert(t Tuple) (TupleID, bool, error) {
 	r.noteInsert(id, k)
 	r.live++
 	r.version++
-	return id, true, nil
+	return id
 }
 
 // Delete tombstones the tuple with the given ID and reports whether
@@ -280,8 +289,11 @@ func (r *Instance) Tuple(id TupleID) Tuple {
 // hash lookup on the key index — O(1) in the instance size — and the
 // membership primitive every query.Model and the cqa ground path
 // build on.
-func (r *Instance) Lookup(t Tuple) (TupleID, bool) {
-	id, ok := r.idx.lookupKey(t.Key(), r.n)
+func (r *Instance) Lookup(t Tuple) (TupleID, bool) { return r.LookupKey(t.Key()) }
+
+// LookupKey is Lookup of the tuple whose key (Tuple.Key) is k.
+func (r *Instance) LookupKey(k string) (TupleID, bool) {
+	id, ok := r.idx.lookupKey(k, r.n)
 	if !ok || !r.Live(id) {
 		return 0, false
 	}

@@ -53,7 +53,7 @@ func (s *Server) writeGate(h handlerFunc) handlerFunc {
 
 func (s *Server) handleCreateDB(w http.ResponseWriter, r *http.Request) error {
 	var req client.CreateDBRequest
-	if err := decode(r, &req); err != nil {
+	if err := s.decode(r, &req); err != nil {
 		return err
 	}
 	db, err := s.CreateDB(req.DB)
@@ -62,12 +62,12 @@ func (s *Server) handleCreateDB(w http.ResponseWriter, r *http.Request) error {
 	}
 	// A fresh database reports version 0; a durable one whose
 	// directory carried prior state reports the recovered version.
-	return writeJSON(w, client.VersionResponse{Version: db.WriteVersion()})
+	return writeReply(w, client.VersionResponse{Version: db.WriteVersion()})
 }
 
 func (s *Server) handleRelation(w http.ResponseWriter, r *http.Request) error {
 	var req client.RelationRequest
-	if err := decode(r, &req); err != nil {
+	if err := s.decode(r, &req); err != nil {
 		return err
 	}
 	t, err := s.tenant(req.DB)
@@ -88,7 +88,7 @@ func (s *Server) handleRelation(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return &httpError{code: http.StatusConflict, err: err}
 	}
-	return writeJSON(w, client.VersionResponse{Version: t.version()})
+	return writeReply(w, client.VersionResponse{Version: t.version()})
 }
 
 // withRelation resolves a tenant and relation and runs fn holding the
@@ -110,7 +110,7 @@ func (s *Server) withRelation(db, rel string, fn func(t *tenant, r *prefcqa.Rela
 
 func (s *Server) handleFD(w http.ResponseWriter, r *http.Request) error {
 	var req client.FDRequest
-	if err := decode(r, &req); err != nil {
+	if err := s.decode(r, &req); err != nil {
 		return err
 	}
 	t, err := s.withRelation(req.DB, req.Relation, func(t *tenant, rel *prefcqa.Relation) error {
@@ -119,12 +119,12 @@ func (s *Server) handleFD(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	return writeJSON(w, client.VersionResponse{Version: t.version()})
+	return writeReply(w, client.VersionResponse{Version: t.version()})
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) error {
 	var req client.InsertRequest
-	if err := decode(r, &req); err != nil {
+	if err := s.decode(r, &req); err != nil {
 		return err
 	}
 	var ids []int
@@ -133,30 +133,25 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) error {
 		// rejected whole: no partial, unversioned mutation can hide
 		// behind the cached snapshot and surface as a phantom after an
 		// unrelated later write.
-		schema := rel.Schema()
-		tuples := make([]prefcqa.Tuple, len(req.Rows))
-		for ri, row := range req.Rows {
-			var err error
-			if tuples[ri], err = relation.DecodeRow(schema, row); err != nil {
-				return fmt.Errorf("row %d: %w", ri, err)
-			}
+		tuples, err := relation.DecodeRows(rel.Schema(), req.Rows)
+		if err != nil {
+			return err
 		}
 		// One batch call: one lock acquisition, one log record, one
 		// durability barrier — a bulk load costs one fsync, not one
 		// per row.
-		var err error
 		ids, err = rel.InsertRows(tuples)
 		return err
 	})
 	if err != nil {
 		return err
 	}
-	return writeJSON(w, client.InsertResponse{IDs: ids, Version: t.version()})
+	return writeReply(w, client.InsertResponse{IDs: ids, Version: t.version()})
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 	var req client.DeleteRequest
-	if err := decode(r, &req); err != nil {
+	if err := s.decode(r, &req); err != nil {
 		return err
 	}
 	deleted := 0
@@ -171,12 +166,12 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	return writeJSON(w, client.DeleteResponse{Deleted: deleted, Version: t.version()})
+	return writeReply(w, client.DeleteResponse{Deleted: deleted, Version: t.version()})
 }
 
 func (s *Server) handlePrefer(w http.ResponseWriter, r *http.Request) error {
 	var req client.PreferRequest
-	if err := decode(r, &req); err != nil {
+	if err := s.decode(r, &req); err != nil {
 		return err
 	}
 	t, err := s.withRelation(req.DB, req.Relation, func(t *tenant, rel *prefcqa.Relation) error {
@@ -190,7 +185,7 @@ func (s *Server) handlePrefer(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	return writeJSON(w, client.VersionResponse{Version: t.version()})
+	return writeReply(w, client.VersionResponse{Version: t.version()})
 }
 
 // pinned resolves a tenant and a snapshot satisfying the read
@@ -215,7 +210,7 @@ func (s *Server) pinned(ctx context.Context, db string, opts client.ReadOptions)
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 	var req client.QueryRequest
-	if err := decodeRead(r, &req); err != nil {
+	if err := s.decode(r, &req); err != nil {
 		return err
 	}
 	fam, err := prefcqa.ParseFamily(req.Family)
@@ -237,7 +232,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 
 func (s *Server) handleQueryOpen(w http.ResponseWriter, r *http.Request) error {
 	var req client.QueryRequest
-	if err := decodeRead(r, &req); err != nil {
+	if err := s.decode(r, &req); err != nil {
 		return err
 	}
 	fam, err := prefcqa.ParseFamily(req.Family)
@@ -267,7 +262,7 @@ func (s *Server) handleQueryOpen(w http.ResponseWriter, r *http.Request) error {
 
 func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) error {
 	var req client.CountRequest
-	if err := decodeRead(r, &req); err != nil {
+	if err := s.decode(r, &req); err != nil {
 		return err
 	}
 	fam, err := prefcqa.ParseFamily(req.Family)
@@ -296,7 +291,7 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) error {
 // status code; the terminal line carries them instead.
 func (s *Server) handleRepairs(w http.ResponseWriter, r *http.Request) error {
 	var req client.RepairsRequest
-	if err := decode(r, &req); err != nil {
+	if err := s.decode(r, &req); err != nil {
 		return err
 	}
 	fam, err := prefcqa.ParseFamily(req.Family)
@@ -358,7 +353,7 @@ func (s *Server) handleRepairs(w http.ResponseWriter, r *http.Request) error {
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) error {
 	var req client.ExplainRequest
-	if err := decode(r, &req); err != nil {
+	if err := s.decode(r, &req); err != nil {
 		return err
 	}
 	ctx, cancel := s.readCtx(r, req.ReadOptions)

@@ -141,7 +141,9 @@ func perCall(runs int, fn func()) (allocs, bytes uint64) {
 // encoding/json, and building a /v1/query reply's versions map per
 // read, cost 43, 55 and 112 objects (2 784, 3 792 and 7 072 B) for the
 // three reads below; the client codec and the pin's shared map take 10
-// to 12 objects and about 1 KB off each (31, 43 and 102 objects).
+// to 12 objects and about 1 KB off each (31, 43 and 102 objects), and a
+// codec scanner that stays on the stack and a tuple key built on it
+// take up to 4 more (29, 43 and 98).
 func TestReadHandlerAllocations(t *testing.T) {
 	srv := clusterServer(t, Options{}, 1000)
 	limits := map[string]struct{ allocs, bytes uint64 }{

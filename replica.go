@@ -202,6 +202,12 @@ func (db *DB) ReplWaitAppend(ctx context.Context, after uint64) error {
 // durable database the bump is made durable immediately (a
 // checkpoint), so a restarted promoted follower cannot regress behind
 // the fence. Promoting a non-follower just advances the epoch.
+//
+// Replication is asynchronous, so promotion can lose acknowledged
+// writes: the primary acknowledges a write once it is in its own log,
+// and a write it acknowledged but had not yet shipped when it failed
+// is not in the history this follower continues. The window is the
+// replication lag.
 func (db *DB) Promote() (uint64, error) {
 	db.snapMu.Lock()
 	var epoch uint64
