@@ -13,9 +13,10 @@ type SyncPolicy = wal.SyncPolicy
 
 // The durability policies (see WithSyncPolicy).
 const (
-	// SyncAlways fsyncs before acknowledging every mutation;
-	// concurrent writers share fsyncs (group commit). An acknowledged
-	// write survives SIGKILL and power loss.
+	// SyncAlways fsyncs before acknowledging every mutation. The fsync
+	// runs without the log's lock, so writers that append while one is
+	// in flight share the next (group commit). An acknowledged write
+	// survives SIGKILL and power loss.
 	SyncAlways = wal.SyncAlways
 	// SyncGroup acknowledges once the record reaches the OS and fsyncs
 	// on a bounded background interval: a power failure loses at most
@@ -282,12 +283,12 @@ func (db *DB) replayCreate(name string, wattrs []relation.WireAttr, rows [][]str
 		}
 		deadSet[id] = true
 	}
+	tuples, err := relation.DecodeRows(schema, rows)
+	if err != nil {
+		return nil, err
+	}
 	inst := relation.NewInstance(schema)
-	for i, cells := range rows {
-		tup, err := relation.DecodeRow(schema, cells)
-		if err != nil {
-			return nil, fmt.Errorf("row %d: %w", i, err)
-		}
+	for i, tup := range tuples {
 		id, fresh, err := inst.Insert(tup)
 		if err != nil {
 			return nil, fmt.Errorf("row %d: %w", i, err)

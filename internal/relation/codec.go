@@ -169,18 +169,9 @@ func EncodeRow(t Tuple) []string {
 	return cells
 }
 
-// DecodeRow parses wire cells against the schema: the arity must match,
-// then every cell must be of its attribute's kind.
-func DecodeRow(s *Schema, cells []string) (Tuple, error) {
-	t := make(Tuple, s.Arity())
-	if err := decodeRowInto(t, s, cells); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// DecodeRows is DecodeRow over a batch, each error prefixed with
-// "row N: ". The tuples share one backing array, each capped at its own
+// DecodeRows parses a batch of wire rows against the schema: each row's
+// arity must match, then every cell must be of its attribute's kind;
+// an error is prefixed with "row N: ". The tuples share one backing array, each capped at its own
 // end; the callers copy the values out (Instance.Insert pushes them
 // into its columns), so no tuple pins the batch after the call.
 func DecodeRows(s *Schema, rows [][]string) ([]Tuple, error) {
@@ -196,7 +187,8 @@ func DecodeRows(s *Schema, rows [][]string) ([]Tuple, error) {
 	return tuples, nil
 }
 
-// decodeRowInto is DecodeRow into t, which has the schema's arity.
+// decodeRowInto parses one row's cells into t, which has the schema's
+// arity.
 func decodeRowInto(t Tuple, s *Schema, cells []string) error {
 	if len(cells) != s.Arity() {
 		return fmt.Errorf("%d cells for arity-%d schema %s", len(cells), s.Arity(), s.Name())

@@ -103,14 +103,14 @@ func TestWireRoundTripProperty(t *testing.T) {
 		// A row decodes against its own schema only: one cell fewer, one
 		// more, or one of the other kind is an error, not a guess.
 		for _, row := range w2.Rows {
-			if tup, err := DecodeRow(got.Schema(), row); err != nil || !got.Contains(tup) {
-				t.Fatalf("iter %d: DecodeRow(%q) = %v, %v; want a tuple of the instance", iter, row, tup, err)
+			if tup, err := decodeRow(got.Schema(), row); err != nil || !got.Contains(tup) {
+				t.Fatalf("iter %d: decodeRow(%q) = %v, %v; want a tuple of the instance", iter, row, tup, err)
 			}
-			if _, err := DecodeRow(got.Schema(), row[1:]); err == nil {
-				t.Fatalf("iter %d: DecodeRow accepted %d cells for arity %d", iter, len(row)-1, len(row))
+			if _, err := decodeRow(got.Schema(), row[1:]); err == nil {
+				t.Fatalf("iter %d: decodeRow accepted %d cells for arity %d", iter, len(row)-1, len(row))
 			}
-			if _, err := DecodeRow(got.Schema(), append(row, row[0])); err == nil {
-				t.Fatalf("iter %d: DecodeRow accepted %d cells for arity %d", iter, len(row)+1, len(row))
+			if _, err := decodeRow(got.Schema(), append(row, row[0])); err == nil {
+				t.Fatalf("iter %d: decodeRow accepted %d cells for arity %d", iter, len(row)+1, len(row))
 			}
 			flipped := append([]string(nil), row...)
 			at := rng.Intn(len(row))
@@ -119,8 +119,8 @@ func TestWireRoundTripProperty(t *testing.T) {
 			} else {
 				flipped[at] = EncodeValue(Name(row[at])) // the same digits, quoted
 			}
-			if _, err := DecodeRow(got.Schema(), flipped); err == nil {
-				t.Fatalf("iter %d: DecodeRow accepted cell %q for a %s attribute", iter, flipped[at], got.Schema().Attr(at).Kind)
+			if _, err := decodeRow(got.Schema(), flipped); err == nil {
+				t.Fatalf("iter %d: decodeRow accepted cell %q for a %s attribute", iter, flipped[at], got.Schema().Attr(at).Kind)
 			}
 		}
 	}
@@ -173,13 +173,20 @@ func TestWireDecodeErrors(t *testing.T) {
 	}
 }
 
-// FuzzDecodeRow drives the decoder every insert runs (DecodeRow, and
-// DecodeWire around it) with arbitrary cells against a schema drawn
-// from shape: arity 1-4 from its low bits, each attribute's kind from
-// the next ones. cells holds the row's cells separated by \x1f. The
-// decoder must never panic, must reject a row of the wrong arity or
-// with a cell of the wrong kind, and whatever it accepts must come back
-// from EncodeRow unchanged — and DecodeWire must agree with it.
+// decodeRow decodes one row as DecodeRows decodes each row of a batch.
+func decodeRow(s *Schema, cells []string) (Tuple, error) {
+	t := make(Tuple, s.Arity())
+	return t, decodeRowInto(t, s, cells)
+}
+
+// FuzzDecodeRow drives the decoder every insert runs (decodeRowInto,
+// the per-row step of DecodeRows, and DecodeWire around it) with
+// arbitrary cells against a schema drawn from shape: arity 1-4 from its
+// low bits, each attribute's kind from the next ones. cells holds the
+// row's cells separated by \x1f. The decoder must never panic, must
+// reject a row of the wrong arity or with a cell of the wrong kind, and
+// whatever it accepts must come back from EncodeRow unchanged — and
+// DecodeWire must agree with it.
 func FuzzDecodeRow(f *testing.F) {
 	for _, name := range nastyNames {
 		f.Add(uint8(1<<2), EncodeValue(Name(name))) // one name column
@@ -201,10 +208,10 @@ func FuzzDecodeRow(f *testing.F) {
 		}
 		s := MustSchema("R", attrs...)
 		row := strings.Split(cells, "\x1f")
-		tup, err := DecodeRow(s, row)
+		tup, err := decodeRow(s, row)
 		inst, werr := DecodeWire(WireInstance{Relation: "R", Attrs: s.WireAttrs(), Rows: [][]string{row, row}})
 		if (err == nil) != (werr == nil) {
-			t.Fatalf("DecodeRow error %v, DecodeWire error %v", err, werr)
+			t.Fatalf("decodeRow error %v, DecodeWire error %v", err, werr)
 		}
 		if err != nil {
 			return
@@ -217,7 +224,7 @@ func FuzzDecodeRow(f *testing.F) {
 				t.Fatalf("cell %d %q decoded to a %s, attribute is %s", i, row[i], v.Kind(), s.Attr(i).Kind)
 			}
 		}
-		again, err := DecodeRow(s, EncodeRow(tup))
+		again, err := decodeRow(s, EncodeRow(tup))
 		if err != nil || !again.Equal(tup) {
 			t.Fatalf("%q decoded to %v, re-encoded as %q, which decodes to %v, %v", row, tup, EncodeRow(tup), again, err)
 		}

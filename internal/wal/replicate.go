@@ -72,6 +72,7 @@ func (l *Log) AppendExact(rec Record) error {
 func (l *Log) InstallCheckpoint(c *Checkpoint) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.waitFlushLocked()
 	if l.err != nil {
 		return l.err
 	}

@@ -17,9 +17,10 @@ import (
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs before every acknowledgement. Concurrent
-	// committers are batched into shared fsyncs by the flusher
-	// goroutine (group commit), so the cost is one fsync per batch of
+	// SyncAlways fsyncs before every acknowledgement. The flusher
+	// goroutine runs the fsync without the log's lock, so committers
+	// keep appending while it is in flight and the next fsync covers
+	// all of them (group commit): the cost is one fsync per batch of
 	// concurrent writers, not one per write. A write acknowledged
 	// under SyncAlways survives SIGKILL and power loss.
 	SyncAlways SyncPolicy = iota
@@ -104,7 +105,7 @@ type Log struct {
 	epoch atomic.Uint64 // current replication epoch (≥ 1)
 
 	mu             sync.Mutex
-	cond           *sync.Cond    // broadcast when syncedSeq or err advances
+	cond           *sync.Cond    // broadcast when syncedSeq or err advances, or an fsync ends
 	appendCh       chan struct{} // closed and replaced on every append (tail notification)
 	f              *os.File      // active segment (appended under mu, ReadAt by ReadFrom without it)
 	segStart       uint64        // first sequence the active segment may hold
@@ -112,6 +113,7 @@ type Log struct {
 	ckptSeq        uint64        // sequence of the newest durable checkpoint
 	ckptEpoch      uint64        // epoch recorded in that checkpoint (0 = none)
 	syncedSeq      uint64        // highest sequence known durable
+	syncing        bool          // the flusher is fsyncing f without the lock; f must not be closed
 	bytesSinceCkpt int64
 	err            error // sticky I/O failure
 	closed         bool
@@ -120,6 +122,10 @@ type Log struct {
 	quit    chan struct{}
 	done    chan struct{}
 }
+
+// syncFile fsyncs a segment. Tests replace it to hold an fsync in
+// flight or to fail one.
+var syncFile = (*os.File).Sync
 
 func segName(start uint64) string { return fmt.Sprintf("wal-%016x.log", start) }
 func ckptName(seq uint64) string  { return fmt.Sprintf("checkpoint-%016x.ckpt", seq) }
@@ -429,23 +435,42 @@ func (l *Log) flusher() {
 	}
 }
 
-// flushOnce fsyncs the active segment up to the current sequence.
+// flushOnce fsyncs the active segment up to the current sequence. It
+// captures the target and the file under the lock, fsyncs without it,
+// so appends, tail reads and the next committers never wait for the
+// disk, and takes the lock again only to publish the result. While
+// syncing is set, rotation waits rather than close the file.
 func (l *Log) flushOnce() {
 	l.mu.Lock()
+	target, f := l.seq.Load(), l.f
+	if l.err != nil || l.closed || l.syncedSeq >= target {
+		l.mu.Unlock()
+		return
+	}
+	l.syncing = true
+	l.mu.Unlock()
+
+	err := syncFile(f)
+
+	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.err != nil || l.closed {
-		return
-	}
-	target := l.seq.Load()
-	if l.syncedSeq >= target {
-		return
-	}
-	if err := l.f.Sync(); err != nil {
+	l.syncing = false
+	if err != nil {
 		l.fail(err)
 		return
 	}
-	l.syncedSeq = target
+	// A clean Close may have synced further meanwhile.
+	l.syncedSeq = max(l.syncedSeq, target)
 	l.cond.Broadcast()
+}
+
+// waitFlushLocked waits until no fsync is in flight, so the active
+// segment may be closed. Caller holds l.mu; the wait releases it, so
+// the caller checks the log's state after it.
+func (l *Log) waitFlushLocked() {
+	for l.syncing {
+		l.cond.Wait()
+	}
 }
 
 // WriteCheckpoint durably installs a checkpoint covering the whole
@@ -458,6 +483,7 @@ func (l *Log) flushOnce() {
 func (l *Log) WriteCheckpoint(c *Checkpoint) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.waitFlushLocked()
 	if l.err != nil {
 		return l.err
 	}
@@ -483,7 +509,8 @@ func (l *Log) WriteCheckpoint(c *Checkpoint) error {
 
 // installCheckpointLocked durably writes the checkpoint file, rotates
 // to a fresh empty segment at c.Seq+1 and removes every file the
-// checkpoint subsumes. Caller holds l.mu and has validated c.Seq.
+// checkpoint subsumes. Caller holds l.mu, has waited out any fsync in
+// flight (waitFlushLocked) and has then validated c.Seq.
 func (l *Log) installCheckpointLocked(c *Checkpoint) error {
 	frame, err := encodeCheckpointFile(c)
 	if err != nil {
@@ -547,7 +574,7 @@ func (l *Log) Close() error {
 	}
 	var err error
 	if l.err == nil && l.syncedSeq < l.seq.Load() {
-		if err = l.f.Sync(); err == nil {
+		if err = syncFile(l.f); err == nil {
 			l.syncedSeq = l.seq.Load()
 		}
 	}
