@@ -127,6 +127,12 @@ func TestWarmRequestAllocations(t *testing.T) {
 				t.Fatalf("n=%d: whole-relation query = %v, %v, want false", n, a, err)
 			}
 		})
+		// The point reads run on one P. bytesPerOp holds the collector
+		// off, so no GC empties the executors' sync.Pool; but a Pool
+		// keeps a private slot per P that no other P takes from, and a
+		// read that moved to another P since the last one would miss the
+		// pooled run state and allocate it again.
+		procs := runtime.GOMAXPROCS(1)
 		point := fmt.Sprintf("R(%d, 0)", n-1)
 		ground = bytesPerOp(20, func() {
 			if a, err := snap.QueryContext(ctx, Global, point); err != nil || a != Undetermined {
@@ -139,6 +145,7 @@ func TestWarmRequestAllocations(t *testing.T) {
 				t.Fatalf("n=%d: %s = %v, %v, want undetermined", n, quantPoint, a, err)
 			}
 		})
+		runtime.GOMAXPROCS(procs)
 		full := db.QueryStats().ClosedFull
 		declined = bytesPerOp(5, func() {
 			if a, err := snap.QueryContext(ctx, Global, declinedQuery(n)); err != nil || a != Undetermined {

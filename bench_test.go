@@ -20,7 +20,6 @@ import (
 	"prefcqa/internal/priority"
 	"prefcqa/internal/query"
 	"prefcqa/internal/relation"
-	"prefcqa/internal/repair"
 	"prefcqa/internal/workload"
 )
 
@@ -43,10 +42,9 @@ func BenchmarkFig1ConflictGraphBuild(b *testing.B) {
 
 func BenchmarkFig1RepairCount(b *testing.B) {
 	sc := workload.Pairs(60) // 2^60 repairs, counted componentwise
-	g := sc.Graph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := repair.Count(g)
+		c, err := core.Sequential().CountCtx(context.Background(), core.Rep, sc.Pri)
 		if err != nil || c != 1<<60 {
 			b.Fatalf("count = %d, %v", c, err)
 		}
@@ -62,7 +60,7 @@ func benchFamilies(b *testing.B, sc *workload.Scenario) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				n := 0
-				core.Enumerate(f, sc.Pri, func(*bitset.Set) bool { n++; return true }) //nolint:errcheck
+				core.Sequential().Enumerate(f, sc.Pri, func(*bitset.Set) bool { n++; return true }) //nolint:errcheck
 				if n == 0 {
 					b.Fatal("empty family")
 				}
@@ -260,10 +258,9 @@ func BenchmarkAlgorithm1Clean(b *testing.B) {
 // Componentwise repair counting vs full enumeration.
 func BenchmarkAblationComponentCount(b *testing.B) {
 	sc := workload.Pairs(16)
-	g := sc.Graph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if c, err := repair.Count(g); err != nil || c != 1<<16 {
+		if c, err := core.Sequential().CountCtx(context.Background(), core.Rep, sc.Pri); err != nil || c != 1<<16 {
 			b.Fatalf("%d %v", c, err)
 		}
 	}
@@ -271,11 +268,10 @@ func BenchmarkAblationComponentCount(b *testing.B) {
 
 func BenchmarkAblationFullEnumerationCount(b *testing.B) {
 	sc := workload.Pairs(12)
-	g := sc.Graph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		repair.Enumerate(g, func(*bitset.Set) bool { n++; return true }) //nolint:errcheck
+		core.Sequential().Enumerate(core.Rep, sc.Pri, func(*bitset.Set) bool { n++; return true }) //nolint:errcheck
 		if n != 1<<12 {
 			b.Fatalf("n=%d", n)
 		}
@@ -305,6 +301,18 @@ func engineConfigs() []struct {
 // quadratic in its Fibonacci-many repairs, so per-component work
 // dominates — the shape the component-sharded engine targets.
 func multiChains(m, n int) *priority.Priority {
+	inst, fds := multiChainsInstance(m, n)
+	p := priority.New(conflict.MustBuild(inst, fds))
+	for j := 0; j < m; j++ {
+		for i := 0; i+1 < n; i++ {
+			p.MustAdd(j*n+i, j*n+i+1)
+		}
+	}
+	return p
+}
+
+// multiChainsInstance is the instance and FDs behind multiChains.
+func multiChainsInstance(m, n int) (*relation.Instance, *fd.Set) {
 	s := relation.MustSchema("R",
 		relation.IntAttr("A"), relation.IntAttr("B"),
 		relation.IntAttr("C"), relation.IntAttr("D"))
@@ -317,14 +325,7 @@ func multiChains(m, n int) *priority.Priority {
 			inst.MustInsert(a, int64(i%2), c, int64((i+1)%2))
 		}
 	}
-	g := conflict.MustBuild(inst, fd.MustParseSet(s, "A -> B", "C -> D"))
-	p := priority.New(g)
-	for j := 0; j < m; j++ {
-		for i := 0; i+1 < n; i++ {
-			p.MustAdd(j*n+i, j*n+i+1)
-		}
-	}
-	return p
+	return inst, fd.MustParseSet(s, "A -> B", "C -> D")
 }
 
 // Counting G-Rep over 8 disjoint conflict chains (an 8-component
@@ -339,7 +340,7 @@ func BenchmarkEngineCountSequentialVsParallel(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c, err := cfg.eng.Count(core.Global, p)
+				c, err := cfg.eng.CountCtx(context.Background(), core.Global, p)
 				if err != nil || c == 0 {
 					b.Fatalf("count = %d, %v", c, err)
 				}
@@ -376,9 +377,8 @@ func BenchmarkEngineCQASequentialVsParallel(b *testing.B) {
 	for _, cfg := range engineConfigs() {
 		b.Run(cfg.name, func(b *testing.B) {
 			p := multiChains(8, 10)
-			in, err := cqa.NewInput(&cqa.Relation{
-				Inst: p.Graph().Instance(), FDs: p.Graph().FDs(), Pri: p,
-			})
+			inst, fds := multiChainsInstance(8, 10)
+			in, err := cqa.NewInput(&cqa.Relation{Inst: inst, FDs: fds, Pri: p})
 			if err != nil {
 				b.Fatal(err)
 			}

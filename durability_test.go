@@ -71,7 +71,11 @@ func mirrorDB(t *testing.T, src *DB) *DB {
 		sr, _ := src.Relation(name)
 		inst := sr.Instance()
 		sch := inst.Schema()
-		mr, err := m.CreateRelation(sch.Name(), sch.Attrs()...)
+		attrs := make([]Attribute, sch.Arity())
+		for i := range attrs {
+			attrs[i] = sch.Attr(i)
+		}
+		mr, err := m.CreateRelation(sch.Name(), attrs...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -56,9 +56,9 @@ func (r TupleReport) Status() string {
 // ExplainTuple builds a TupleReport for one tuple of a relation under
 // the given family.
 func (db *DB) ExplainTuple(f Family, rel string, id TupleID) (TupleReport, error) {
-	r, ok := db.rels[rel]
-	if !ok {
-		return TupleReport{}, fmt.Errorf("prefcqa: unknown relation %q", rel)
+	r, err := db.relation(rel)
+	if err != nil {
+		return TupleReport{}, err
 	}
 	built, err := r.build()
 	if err != nil {

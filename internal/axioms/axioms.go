@@ -19,7 +19,6 @@ import (
 	"prefcqa/internal/bitset"
 	"prefcqa/internal/core"
 	"prefcqa/internal/priority"
-	"prefcqa/internal/repair"
 )
 
 // FamilyFunc materializes the preferred repairs of a family for a
@@ -122,7 +121,7 @@ func checkP2(f FamilyFunc, p *priority.Priority, opts Options) Verdict {
 func checkP3(f FamilyFunc, p *priority.Priority) Verdict {
 	empty := priority.New(p.Graph())
 	got := keySet(f(empty))
-	want := keySet(repair.All(p.Graph()))
+	want := keySet(core.All(core.Rep, p))
 	if len(got) != len(want) {
 		return Violated
 	}

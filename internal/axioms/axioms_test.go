@@ -8,7 +8,6 @@ import (
 	"prefcqa/internal/clean"
 	"prefcqa/internal/core"
 	"prefcqa/internal/priority"
-	"prefcqa/internal/repair"
 	"prefcqa/internal/workload"
 )
 
@@ -67,7 +66,7 @@ func trivialFamily(p *priority.Priority) []*bitset.Set {
 	if p.IsTotal() {
 		return []*bitset.Set{clean.Deterministic(p)}
 	}
-	return repair.All(p.Graph())
+	return core.All(core.Rep, p)
 }
 
 func TestExample6TrivialFamilySatisfiesAxioms(t *testing.T) {
@@ -109,7 +108,7 @@ func TestViolationsDetected(t *testing.T) {
 // antiMonotone violates P2: under a total priority it returns a
 // repair that the partial priority's family does not contain.
 func antiMonotone(p *priority.Priority) []*bitset.Set {
-	all := repair.All(p.Graph())
+	all := core.All(core.Rep, p)
 	if !p.IsTotal() {
 		return all[:1]
 	}

@@ -114,13 +114,6 @@ func (s *Set) Clone() *Set {
 	return c
 }
 
-// Clear removes all elements, keeping capacity.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
 // UnionWith adds every element of t to s and returns s.
 func (s *Set) UnionWith(t *Set) *Set {
 	s.grow(len(t.words) - 1)
@@ -291,15 +284,6 @@ func (w Words) Empty() bool {
 		}
 	}
 	return true
-}
-
-// Len returns the number of elements.
-func (w Words) Len() int {
-	n := 0
-	for _, x := range w {
-		n += bits.OnesCount64(x)
-	}
-	return n
 }
 
 // Clear removes all elements.

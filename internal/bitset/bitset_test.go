@@ -336,3 +336,10 @@ func BenchmarkRange(b *testing.B) {
 		}
 	}
 }
+
+// Clear removes all elements, keeping capacity.
+func (s *Set) Clear() {
+	for i := range s.words {
+		s.words[i] = 0
+	}
+}

@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -101,4 +102,13 @@ func TestWordsSetOps(t *testing.T) {
 			t.Fatalf("copy wrong at %d", i)
 		}
 	}
+}
+
+// Len returns the number of elements.
+func (w Words) Len() int {
+	n := 0
+	for _, x := range w {
+		n += bits.OnesCount64(x)
+	}
+	return n
 }

@@ -3,7 +3,8 @@
 // tuples (tuples not dominated by any remaining tuple) and discarding
 // their neighborhoods. For a total priority the result is a unique
 // repair (Proposition 1); for partial priorities the set of outcomes
-// over all choice sequences is exactly C-Rep (Proposition 7).
+// over all choice sequences is exactly C-Rep (Proposition 7), which
+// LocalOutcomes lists one conflict component at a time.
 //
 // The package also provides the naive cleaning baseline the
 // introduction argues against ([14]-style): resolve a conflict when
@@ -13,54 +14,22 @@
 package clean
 
 import (
-	"errors"
 	"sort"
 
 	"prefcqa/internal/bitset"
 	"prefcqa/internal/priority"
 )
 
-// Choice selects the next tuple from the non-empty winnow set ω≻(rest)
-// during Algorithm 1. Returning a tuple outside the candidate set is
-// reported as an error by Clean.
-type Choice func(candidates *bitset.Set) int
-
-// ErrBadChoice is returned when a Choice selects a tuple outside the
-// winnow set.
-var ErrBadChoice = errors.New("clean: choice outside the winnow set")
-
-// Clean runs Algorithm 1: repeatedly pick x ∈ ω≻(rest), move x to the
-// result, and remove v(x) = {x} ∪ n(x) from rest. The result is
-// always a repair. With a total priority the result is independent of
-// the choices (Proposition 1).
-func Clean(p *priority.Priority, choose Choice) (*bitset.Set, error) {
-	g := p.Graph()
-	rest := g.LiveSet()
-	out := bitset.New(g.Len())
-	for !rest.Empty() {
-		w := p.Winnow(rest)
-		// ω≻ of a non-empty set under an acyclic priority is
-		// non-empty: a ≻-maximal element of rest is undominated.
-		x := choose(w)
-		if !w.Has(x) {
-			return nil, ErrBadChoice
-		}
-		out.Add(x)
-		rest.Remove(x)
-		for _, u := range g.Neighbors(x) {
-			rest.Remove(int(u))
-		}
-	}
-	return out, nil
-}
-
-// Deterministic runs Algorithm 1 always choosing the smallest tuple ID
-// of the winnow set (MinChoice). It processes one
-// connected component at a time, which yields exactly the global
-// MinChoice outcome — whenever the global minimum of the winnow lies
-// in a component, it is also that component's local minimum, and
-// choices in different components do not interact — while keeping
-// each winnow recomputation proportional to the component.
+// Deterministic runs Algorithm 1 — repeatedly pick x ∈ ω≻(rest), move
+// x to the result, and remove v(x) = {x} ∪ n(x) from rest — always
+// choosing the smallest tuple ID of the winnow set. The result is a
+// repair; with a total priority it is independent of the choices
+// (Proposition 1). It processes one connected component at a time,
+// which yields exactly the outcome of the smallest-ID choice over the
+// whole instance — whenever the global minimum of the winnow lies in a
+// component, it is also that component's local minimum, and choices in
+// different components do not interact — while keeping each winnow
+// recomputation proportional to the component.
 func Deterministic(p *priority.Priority) *bitset.Set {
 	g := p.Graph()
 	out := bitset.New(g.Len())
@@ -75,55 +44,6 @@ func Deterministic(p *priority.Priority) *bitset.Set {
 				rest.Remove(int(u))
 			}
 		}
-	}
-	return out
-}
-
-// AllOutcomes returns every distinct result of Algorithm 1 over all
-// choice sequences — by Proposition 7 this is exactly C-Rep. The
-// search memoizes on the remaining-tuple set, and independent
-// components are explored separately and recombined, so the cost is
-// exponential only in individual component size.
-func AllOutcomes(p *priority.Priority) []*bitset.Set {
-	g := p.Graph()
-	comps := g.Components()
-	choices := make([][]*bitset.Set, len(comps))
-	for i, comp := range comps {
-		choices[i] = ComponentOutcomes(p, comp)
-	}
-	var out []*bitset.Set
-	cur := bitset.New(g.Len())
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(choices) {
-			out = append(out, cur.Clone())
-			return
-		}
-		for _, c := range choices[i] {
-			cur.UnionWith(c)
-			rec(i + 1)
-			cur.DifferenceWith(c)
-		}
-	}
-	rec(0)
-	return out
-}
-
-// ComponentOutcomes returns every distinct result of Algorithm 1
-// restricted to the subgraph induced by comp (a sorted vertex list),
-// as sets of global TupleIDs. Because choices in different components
-// commute, C-Rep is the componentwise product of these outcome lists.
-func ComponentOutcomes(p *priority.Priority, comp []int) []*bitset.Set {
-	l := p.Graph().Project(comp)
-	local := LocalOutcomes(p.Localize(l))
-	out := make([]*bitset.Set, len(local))
-	for i, s := range local {
-		gs := bitset.New(0)
-		s.Range(func(j int) bool {
-			gs.Add(l.Global(j))
-			return true
-		})
-		out[i] = gs
 	}
 	return out
 }

@@ -11,6 +11,31 @@ import (
 	"prefcqa/internal/relation"
 )
 
+// AllOutcomes returns every distinct result of Algorithm 1 over all
+// choice sequences — by Proposition 7 this is exactly C-Rep — as the
+// product of every component's LocalOutcomes, lifted to TupleIDs.
+func AllOutcomes(p *priority.Priority) []*bitset.Set {
+	g := p.Graph()
+	out := []*bitset.Set{bitset.New(g.Len())}
+	for _, comp := range g.Components() {
+		l := g.Project(comp)
+		local := LocalOutcomes(p.Localize(l))
+		var next []*bitset.Set
+		for _, prefix := range out {
+			for _, s := range local {
+				o := prefix.Clone()
+				s.Range(func(j int) bool {
+					o.Add(l.Global(j))
+					return true
+				})
+				next = append(next, o)
+			}
+		}
+		out = next
+	}
+	return out
+}
+
 func triangleGraph(t *testing.T) *conflict.Graph {
 	t.Helper()
 	s := relation.MustSchema("R", relation.IntAttr("A"), relation.IntAttr("B"))
@@ -55,7 +80,7 @@ func TestCleanProducesRepair(t *testing.T) {
 
 func TestProposition1TotalPriorityUnique(t *testing.T) {
 	// For a total priority Algorithm 1 computes a unique repair for
-	// ANY sequence of choices.
+	// ANY sequence of choices: AllOutcomes explores every sequence.
 	rng := rand.New(rand.NewSource(31))
 	for iter := 0; iter < 40; iter++ {
 		g := randomGraph(rng)
@@ -64,18 +89,6 @@ func TestProposition1TotalPriorityUnique(t *testing.T) {
 			t.Fatal("Random(1) should be total")
 		}
 		want := Deterministic(total)
-		for trial := 0; trial < 20; trial++ {
-			got, err := Clean(total, func(c *bitset.Set) int {
-				elems := c.Slice()
-				return elems[rng.Intn(len(elems))]
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("total priority gave different outcomes %v vs %v", got, want)
-			}
-		}
 		outs := AllOutcomes(total)
 		if len(outs) != 1 || !outs[0].Equal(want) {
 			t.Fatalf("AllOutcomes of total priority = %v, want exactly {%v}", outs, want)
@@ -151,15 +164,6 @@ func TestAllOutcomesMatchesChoiceBruteForce(t *testing.T) {
 				t.Fatalf("iter %d: missing outcome", iter)
 			}
 		}
-	}
-}
-
-func TestCleanBadChoice(t *testing.T) {
-	g := triangleGraph(t)
-	p := priority.New(g)
-	p.MustAdd(0, 1)
-	if _, err := Clean(p, func(*bitset.Set) int { return 1 }); err != ErrBadChoice {
-		t.Fatalf("err = %v, want ErrBadChoice", err)
 	}
 }
 

@@ -170,13 +170,6 @@ func MustBuild(inst *relation.Instance, fds *fd.Set) *Graph {
 	return g
 }
 
-// Instance returns the underlying instance (the version the graph was
-// built against).
-func (g *Graph) Instance() *relation.Instance { return g.inst }
-
-// FDs returns the dependency set the graph was built from.
-func (g *Graph) FDs() *fd.Set { return g.fds }
-
 // Len returns the size of the vertex universe (live tuples plus
 // tombstones).
 func (g *Graph) Len() int { return g.numVerts }

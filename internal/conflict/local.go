@@ -69,9 +69,6 @@ func (g *Graph) Project(comp []int) *Local {
 	return l
 }
 
-// Graph returns the underlying global graph.
-func (l *Local) Graph() *Graph { return l.g }
-
 // Len returns the number of local vertices k.
 func (l *Local) Len() int { return len(l.verts) }
 

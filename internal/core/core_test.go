@@ -84,13 +84,13 @@ func TestExample7LocalSelects(t *testing.T) {
 	if len(lreps) != 1 || !lreps[0].Equal(bitset.FromSlice([]int{0})) {
 		t.Fatalf("L-Rep = %v, want [{0}]", lreps)
 	}
-	if !IsLocallyOptimal(p, bitset.FromSlice([]int{0})) {
+	if !Check(Local, p, bitset.FromSlice([]int{0})) {
 		t.Error("r1 = {ta} should be locally optimal")
 	}
-	if IsLocallyOptimal(p, bitset.FromSlice([]int{1})) {
+	if Check(Local, p, bitset.FromSlice([]int{1})) {
 		t.Error("r2 = {tb} should not be locally optimal (ta ≻ tb)")
 	}
-	if IsLocallyOptimal(p, bitset.FromSlice([]int{2})) {
+	if Check(Local, p, bitset.FromSlice([]int{2})) {
 		t.Error("r3 = {tc} should not be locally optimal (ta ≻ tc)")
 	}
 }
@@ -108,14 +108,14 @@ func TestExample8LocalNotCategorical(t *testing.T) {
 	if len(lreps) != 2 {
 		t.Fatalf("L-Rep = %v, want both repairs", lreps)
 	}
-	if !IsLocallyOptimal(p, r1) || !IsLocallyOptimal(p, r2) {
+	if !Check(Local, p, r1) || !Check(Local, p, r2) {
 		t.Error("both repairs should be locally optimal")
 	}
 	// S-Rep fixes it: r1 is not semi-globally optimal, r2 is.
-	if IsSemiGloballyOptimal(p, r1) {
+	if Check(SemiGlobal, p, r1) {
 		t.Error("r1 = {ta,tb} should NOT be semi-globally optimal")
 	}
-	if !IsSemiGloballyOptimal(p, r2) {
+	if !Check(SemiGlobal, p, r2) {
 		t.Error("r2 = {tc} should be semi-globally optimal")
 	}
 	sreps := All(SemiGlobal, p)
@@ -151,10 +151,10 @@ func TestExample9Literal(t *testing.T) {
 	if PreferredOver(p, r1, r2) {
 		t.Error("r1 ≪ r2 should not hold")
 	}
-	if !IsGloballyOptimal(p, r1) {
+	if !Check(Global, p, r1) {
 		t.Error("r1 should be globally optimal")
 	}
-	if IsGloballyOptimal(p, r2) {
+	if Check(Global, p, r2) {
 		t.Error("r2 should not be globally optimal")
 	}
 	// Under the formal definitions the total path priority is
@@ -165,7 +165,7 @@ func TestExample9Literal(t *testing.T) {
 			t.Fatalf("%v = %v, want exactly [r1]", f, fam)
 		}
 	}
-	if !IsCommon(p, r1) || IsCommon(p, r2) {
+	if !Check(Common, p, r1) || Check(Common, p, r2) {
 		t.Error("IsCommon disagrees with enumeration")
 	}
 }
@@ -296,7 +296,7 @@ func TestCountMatchesEnumeration(t *testing.T) {
 	for _, build := range []func(testing.TB) *priority.Priority{example7, example8, example9} {
 		p := build(t)
 		for _, f := range Families {
-			n, err := Count(f, p)
+			n, err := Sequential().Count(f, p)
 			if err != nil {
 				t.Fatal(err)
 			}

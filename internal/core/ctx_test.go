@@ -60,7 +60,7 @@ func TestMidEnumerationCancel(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("EnumerateCtx err = %v after %d repairs, want context.Canceled", err, n)
 	}
-	if want, _ := Count(Rep, p); int64(n) >= want {
+	if want, _ := Sequential().Count(Rep, p); int64(n) >= want {
 		t.Fatalf("walk ran to completion (%d repairs) despite cancellation", n)
 	}
 }
@@ -71,7 +71,7 @@ func TestBackgroundContextUnchanged(t *testing.T) {
 	p := clustersPriority(t, 6, 3)
 	ctx := context.Background()
 	for _, f := range Families {
-		want, wantErr := Count(f, p)
+		want, wantErr := Sequential().Count(f, p)
 		eng := NewEngine(WithWorkers(4), WithMemo(true))
 		got, gotErr := eng.CountCtx(ctx, f, p)
 		if got != want || !errors.Is(gotErr, wantErr) {

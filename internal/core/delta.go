@@ -90,13 +90,6 @@ func NewCountCache() *CountCache {
 	return &CountCache{m: make(map[countKey]int64)}
 }
 
-// Len returns the number of cached component counts.
-func (c *CountCache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
-}
-
 // CountCached returns |X-Rep| like Count, but reuses per-component
 // counts cached under the graph's (era, component ID) identities:
 // after a point mutation only the components the mutation dirtied

@@ -125,7 +125,8 @@ func TestCountCachedNilCache(t *testing.T) {
 // new version (a fresh component listing) and a cancelled count never
 // see or leave a stale one.
 func TestCountCachedKeepsTheLastTotal(t *testing.T) {
-	p := clustersPriority(t, 40, 2)
+	base, fds := clustersInstance(40, 2)
+	p := priority.New(conflict.MustBuild(base, fds))
 	eng := NewEngine(WithWorkers(1))
 	cc := NewCountCache()
 	cancelled, cancel := context.WithCancel(context.Background())
@@ -157,7 +158,7 @@ func TestCountCachedKeepsTheLastTotal(t *testing.T) {
 	}
 	// Deleting one tuple forks the graph: a new listing, a new total.
 	g := p.Graph()
-	inst := g.Instance().Fork()
+	inst := base.Fork()
 	inst.Delete(0)
 	ng, _, err := g.ApplyDelta(inst, conflict.Delta{Deletes: []int{0}})
 	if err != nil {
@@ -175,4 +176,11 @@ func TestCountCachedKeepsTheLastTotal(t *testing.T) {
 			t.Fatalf("round %d: 2^70 repairs: err = %v, want ErrOverflow", round, err)
 		}
 	}
+}
+
+// Len returns the number of cached component counts.
+func (c *CountCache) Len() int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.m)
 }

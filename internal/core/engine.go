@@ -153,13 +153,6 @@ func (e *Engine) All(f Family, p *priority.Priority) []*bitset.Set {
 	return out
 }
 
-// Count returns |X-Rep| as the product of per-component counts, or
-// repair.ErrOverflow when it exceeds int64. Count never materializes
-// the cross-product.
-func (e *Engine) Count(f Family, p *priority.Priority) (int64, error) {
-	return e.CountCtx(context.Background(), f, p)
-}
-
 // CountCtx is Count with cancellation, checked once per chunk of
 // components.
 func (e *Engine) CountCtx(ctx context.Context, f Family, p *priority.Priority) (int64, error) {

@@ -18,28 +18,16 @@ import (
 //   - the optimality conditions of L, S and G only relate tuples to
 //     their conflict neighborhoods, hence decompose componentwise;
 //   - C-Rep decomposes because Algorithm 1's choices in different
-//     components commute (clean.ComponentOutcomes).
+//     components commute, so its outcomes are the product of each
+//     component's outcomes (clean.LocalOutcomes).
 //
 // The computation runs in component-local index space (local.go).
 func ChoicesForComponent(f Family, p *priority.Priority, comp []int) Choices {
 	return Choices{Comp: comp, Local: sequential.componentLocalChoices(f, p, comp)}
 }
 
-// Enumerate yields every preferred repair of the family. The yielded
-// set is reused between calls; clone it to retain. Returns
-// repair.ErrStopped if the callback stopped early.
-func Enumerate(f Family, p *priority.Priority, yield func(*bitset.Set) bool) error {
-	return sequential.Enumerate(f, p, yield)
-}
-
 // All materializes every preferred repair of the family. Use only
-// when the count is known to be small; prefer Enumerate.
+// when the count is known to be small; an Engine enumerates lazily.
 func All(f Family, p *priority.Priority) []*bitset.Set {
 	return sequential.All(f, p)
-}
-
-// Count returns |X-Rep| as the product of per-component counts, or
-// repair.ErrOverflow when it exceeds int64.
-func Count(f Family, p *priority.Priority) (int64, error) {
-	return sequential.Count(f, p)
 }

@@ -1,8 +1,10 @@
 // Package core implements the paper's primary contribution: families
 // of preferred repairs selected by a priority (§3). It provides the
-// optimality checkers (locally / semi-globally / globally optimal,
-// common), the repair preference relation ≪ (Proposition 5), and
-// per-component enumerators and counters for each family:
+// optimality conditions (locally / semi-globally / globally optimal,
+// common) and the repair preference relation ≪ (Proposition 5), all in
+// component-local index space (local.go); the repair check built on
+// them (Check); and per-component enumerators and counters for each
+// family:
 //
 //	Rep     all repairs                         (no priority used)
 //	L-Rep   locally optimal repairs             (§3.1)
@@ -13,9 +15,9 @@
 // The families form a chain C ⊆ G ⊆ S ⊆ L ⊆ Rep (Props. 3, 4, 6).
 //
 // All evaluation decomposes over the connected components of the
-// conflict graph. The package-level Enumerate/All/Count/One functions
-// run on a sequential reference path; Engine evaluates the same
-// decomposition on a worker pool with optional memoization of
+// conflict graph. The package-level All and ChoicesForComponent run on
+// the sequential reference engine (Sequential); an Engine evaluates the
+// same decomposition on a worker pool with optional memoization of
 // per-component choice sets, producing bit-for-bit identical results.
 package core
 

@@ -39,19 +39,21 @@ func workloads(rng *rand.Rand, iters int) []*priority.Priority {
 	return out
 }
 
-// TestCheckersAgreeWithEnumeration verifies, for every family, that
-// the membership checkers and the per-component enumerators select
-// exactly the same repairs.
+// TestCheckersAgreeWithEnumeration verifies, for every family and
+// every repair, that Check (component-local conditions) agrees with
+// the global-ID reference (reference_test.go), and that both select
+// exactly the repairs the per-component enumerators produce.
 func TestCheckersAgreeWithEnumeration(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for wi, p := range workloads(rng, 12) {
-		allReps := repair.All(p.Graph())
+		allReps := allRepairs(p.Graph())
 		for _, f := range Families {
 			enum := keys(All(f, p))
 			for _, r := range allReps {
-				if got, want := Check(f, p, r), enum[r.Key()]; got != want {
-					t.Fatalf("workload %d, %v: checker=%v enum=%v for %v\npriority %v\n%s",
-						wi, f, got, want, r, p, p.Graph().ASCII())
+				got, ref := Check(f, p, r), referenceCheck(f, p, r)
+				if got != ref || got != enum[r.Key()] {
+					t.Fatalf("workload %d, %v: checker=%v reference=%v enum=%v for %v\npriority %v\n%s",
+						wi, f, got, ref, enum[r.Key()], r, p, p.Graph().ASCII())
 				}
 			}
 			// Enumeration must only produce repairs.
@@ -140,9 +142,9 @@ func TestProposition5DirectDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
 	for i := 0; i < 25; i++ {
 		p := randomInstance(rng, 5+rng.Intn(3), "A -> B", "B -> C")
-		for _, r := range repair.All(p.Graph()) {
+		for _, r := range allRepairs(p.Graph()) {
 			want := gloOptDirect(p, r)
-			if got := IsGloballyOptimal(p, r); got != want {
+			if got := Check(Global, p, r); got != want {
 				t.Fatalf("Prop 5 mismatch: ≪-maximality=%v direct=%v for %v\npriority %v\n%s",
 					got, want, r, p, p.Graph().ASCII())
 			}
@@ -204,7 +206,7 @@ func TestProposition7CommonEqualsAlgorithmOutcomes(t *testing.T) {
 	rng := rand.New(rand.NewSource(127))
 	for wi, p := range workloads(rng, 10) {
 		got := keys(All(Common, p))
-		want := keys(clean.AllOutcomes(p))
+		want := keys(allOutcomes(p))
 		if len(got) != len(want) {
 			t.Fatalf("workload %d: |C-Rep|=%d, |outcomes|=%d", wi, len(got), len(want))
 		}
@@ -304,12 +306,13 @@ func TestTheorem2ForestImpliesCEqualsG(t *testing.T) {
 }
 
 // TestGloballyOptimalWholeGraphAgreement cross-checks the
-// per-component G checker against whole-graph ≪-maximality.
+// per-component G checker against whole-graph ≪-maximality over the
+// reference PreferredOver.
 func TestGloballyOptimalWholeGraphAgreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(151))
 	for i := 0; i < 20; i++ {
 		p := randomInstance(rng, 6+rng.Intn(3), "A -> B", "B -> C")
-		allReps := repair.All(p.Graph())
+		allReps := allRepairs(p.Graph())
 		for _, r := range allReps {
 			want := true
 			for _, other := range allReps {
@@ -318,7 +321,7 @@ func TestGloballyOptimalWholeGraphAgreement(t *testing.T) {
 					break
 				}
 			}
-			if got := IsGloballyOptimal(p, r); got != want {
+			if got := Check(Global, p, r); got != want {
 				t.Fatalf("per-component G=%v, whole-graph ≪-maximality=%v for %v", got, want, r)
 			}
 		}
@@ -330,7 +333,7 @@ func BenchmarkIsCommonChain(b *testing.B) {
 	r1 := bitset.FromSlice([]int{0, 2, 4})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if !IsCommon(p, r1) {
+		if !Check(Common, p, r1) {
 			b.Fatal("r1 should be common")
 		}
 	}

@@ -8,22 +8,20 @@ import (
 	"testing"
 
 	"prefcqa/internal/bitset"
-	"prefcqa/internal/clean"
 	"prefcqa/internal/conflict"
 	"prefcqa/internal/fd"
 	"prefcqa/internal/priority"
 	"prefcqa/internal/relation"
-	"prefcqa/internal/repair"
 )
 
 // bruteForceFamily lists the family's preferred repairs from the
 // definitions alone: every subset of the live tuples (a bitmask) that
-// is independent and maximal, kept when the whole-repair checker of
-// the family accepts it. Nothing here is componentwise. The list is
-// put in the order of an enumeration that never passes through the
-// engine, so it also pins the order: repair.All, the plain list of
-// all repairs, and for C-Rep — whose component outcomes are listed
-// lexicographically, not in repair order — clean.AllOutcomes.
+// is independent and maximal, kept when the global-ID reference checker
+// of the family (referenceCheck) accepts it. The list is put in the
+// order of an enumeration that never passes through the engine, so it
+// also pins the order: allRepairs, the plain list of all repairs, and
+// for C-Rep — whose component outcomes are listed lexicographically,
+// not in repair order — allOutcomes.
 func bruteForceFamily(t *testing.T, f Family, p *priority.Priority) []*bitset.Set {
 	t.Helper()
 	g := p.Graph()
@@ -55,13 +53,13 @@ func bruteForceFamily(t *testing.T, f Family, p *priority.Priority) []*bitset.Se
 				maximal = false
 			}
 		}
-		if independent && maximal && Check(f, p, s) {
+		if independent && maximal && referenceCheck(f, p, s) {
 			members[s.Key()] = true
 		}
 	}
-	order := repair.All(g)
+	order := allRepairs(g)
 	if f == Common {
-		order = clean.AllOutcomes(p)
+		order = allOutcomes(p)
 	}
 	var out []*bitset.Set
 	for _, r := range order {

@@ -223,28 +223,6 @@ func (in Input) model(subsets map[string]*bitset.Set) query.Model {
 	return query.DBModel{DB: in.DB, Subsets: subsets}
 }
 
-// Certain reports whether true is the X-consistent answer to the
-// closed query q: q must hold in every preferred repair of family f.
-func Certain(f core.Family, in Input, q query.Expr) (bool, error) {
-	a, err := Evaluate(f, in, q)
-	if err != nil {
-		return false, err
-	}
-	return a == CertainlyTrue, nil
-}
-
-// Possible reports whether q holds in at least one preferred repair
-// of family f — the "brave" companion of Certain (presence of an atom
-// in some repair is the Σ₂ᵖ-flavored problem §5 compares prioritized
-// logic programming against). Possible(q) = ¬Certain(¬q).
-func Possible(f core.Family, in Input, q query.Expr) (bool, error) {
-	a, err := Evaluate(f, in, q)
-	if err != nil {
-		return false, err
-	}
-	return a != CertainlyFalse, nil
-}
-
 // Evaluate computes the three-valued answer to the closed query q
 // over family f, stopping as soon as both a satisfying and a
 // falsifying preferred repair have been seen.

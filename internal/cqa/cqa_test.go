@@ -150,13 +150,13 @@ func TestCertainGroundQueries(t *testing.T) {
 
 func TestCertainHelper(t *testing.T) {
 	in := mgrInput(t, false)
-	ok, err := Certain(core.Rep, in, query.MustParse("NOT Mgr('Bob','IT',1,1)"))
-	if err != nil || !ok {
-		t.Fatalf("Certain = %v, %v", ok, err)
+	a, err := Evaluate(core.Rep, in, query.MustParse("NOT Mgr('Bob','IT',1,1)"))
+	if err != nil || a != CertainlyTrue {
+		t.Fatalf("Evaluate = %v, %v; want certainly true", a, err)
 	}
-	ok, err = Certain(core.Rep, in, query.MustParse("Mgr('Mary','IT',20,1)"))
-	if err != nil || ok {
-		t.Fatalf("Certain = %v, %v", ok, err)
+	a, err = Evaluate(core.Rep, in, query.MustParse("Mgr('Mary','IT',20,1)"))
+	if err != nil || a == CertainlyTrue {
+		t.Fatalf("Evaluate = %v, %v; want not certain", a, err)
 	}
 }
 

@@ -9,8 +9,9 @@ import (
 	"prefcqa/internal/query"
 )
 
-// TestPossibleDuality verifies Possible(q) = ¬Certain(¬q) on random
-// inputs and queries, for every family.
+// TestPossibleDuality verifies that q is possible (holds in some
+// preferred repair: its answer is not certainly false) exactly when ¬q
+// is not certain, on random inputs and queries, for every family.
 func TestPossibleDuality(t *testing.T) {
 	rng := rand.New(rand.NewSource(606))
 	for iter := 0; iter < 40; iter++ {
@@ -18,15 +19,15 @@ func TestPossibleDuality(t *testing.T) {
 		in.Rels[0].Pri = priority.Random(in.Rels[0].Pri.Graph(), 0.5, rng)
 		q := randomGroundQuery(rng, in.Rels[0].Inst, 2)
 		for _, f := range core.Families {
-			pos, err := Possible(f, in, q)
+			a, err := Evaluate(f, in, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			certNeg, err := Certain(f, in, query.Negate(q))
+			neg, err := Evaluate(f, in, query.Negate(q))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if pos == certNeg {
+			if pos, certNeg := a != CertainlyFalse, neg == CertainlyTrue; pos == certNeg {
 				t.Fatalf("iter %d %v: Possible=%v but Certain(¬q)=%v for %s",
 					iter, f, pos, certNeg, q)
 			}
@@ -44,27 +45,23 @@ func TestPossibleMgr(t *testing.T) {
 		"Mgr('Mary','IT',20,1)",
 		"Mgr('John','PR',30,4)",
 	} {
-		pos, err := Possible(core.Rep, in, query.MustParse(atom))
+		a, err := Evaluate(core.Rep, in, query.MustParse(atom))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !pos {
+		if a == CertainlyFalse {
 			t.Errorf("%s should be possible", atom)
 		}
-		cert, err := Certain(core.Rep, in, query.MustParse(atom))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cert {
+		if a == CertainlyTrue {
 			t.Errorf("%s should not be certain", atom)
 		}
 	}
 	// Absent tuples are not even possible.
-	pos, err := Possible(core.Rep, in, query.MustParse("Mgr('Bob','IT',1,1)"))
+	a, err := Evaluate(core.Rep, in, query.MustParse("Mgr('Bob','IT',1,1)"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pos {
+	if a != CertainlyFalse {
 		t.Error("absent tuple should be impossible")
 	}
 }

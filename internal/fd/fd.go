@@ -103,23 +103,11 @@ func Parse(schema *relation.Schema, s string) (FD, error) {
 	return NewByName(schema, lhs, rhs)
 }
 
-// MustParse is Parse that panics on error, for fixtures.
-func MustParse(schema *relation.Schema, s string) FD {
-	f, err := Parse(schema, s)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 func splitNames(s string) []string {
 	return strings.FieldsFunc(s, func(r rune) bool {
 		return r == ',' || r == ' ' || r == '\t'
 	})
 }
-
-// Schema returns the schema the FD is defined over.
-func (f FD) Schema() *relation.Schema { return f.schema }
 
 // AppendLHSKeyAt appends the LHS projection key of tuple id of r to b,
 // reading the columns directly, without materializing the tuple — the
@@ -127,22 +115,6 @@ func (f FD) Schema() *relation.Schema { return f.schema }
 // the bulk conflict-build and delta paths.
 func (f FD) AppendLHSKeyAt(b []byte, r *relation.Instance, id relation.TupleID) []byte {
 	return r.AppendProjectionKey(b, id, f.lhs)
-}
-
-// Conflicts reports whether tuples t and u conflict with respect to f:
-// they agree on X and differ on some attribute of Y (§2.1).
-func (f FD) Conflicts(t, u relation.Tuple) bool {
-	for _, i := range f.lhs {
-		if !t[i].Equal(u[i]) {
-			return false
-		}
-	}
-	for _, i := range f.rhs {
-		if !t[i].Equal(u[i]) {
-			return true
-		}
-	}
-	return false
 }
 
 // ConflictsAt is Conflicts over two tuples of r addressed by ID,

@@ -212,3 +212,39 @@ func TestSetString(t *testing.T) {
 		t.Fatalf("String = %q", got)
 	}
 }
+
+// Conflicts reports whether tuples t and u conflict with respect to f:
+// they agree on X and differ on some attribute of Y (§2.1).
+func (f FD) Conflicts(t, u relation.Tuple) bool {
+	for _, i := range f.lhs {
+		if !t[i].Equal(u[i]) {
+			return false
+		}
+	}
+	for _, i := range f.rhs {
+		if !t[i].Equal(u[i]) {
+			return true
+		}
+	}
+	return false
+}
+
+// MustParse is Parse that panics on error, for fixtures.
+func MustParse(schema *relation.Schema, s string) FD {
+	f, err := Parse(schema, s)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
+// Conflicts reports whether two tuples conflict with respect to some
+// dependency in the set, and returns the index of the first witness.
+func (s *Set) Conflicts(t, u relation.Tuple) (int, bool) {
+	for i, f := range s.fds {
+		if f.Conflicts(t, u) {
+			return i, true
+		}
+	}
+	return -1, false
+}

@@ -76,17 +76,6 @@ func (s *Set) FD(i int) FD { return s.fds[i] }
 // All returns a copy of the dependency list.
 func (s *Set) All() []FD { return append([]FD(nil), s.fds...) }
 
-// Conflicts reports whether two tuples conflict with respect to some
-// dependency in the set, and returns the index of the first witness.
-func (s *Set) Conflicts(t, u relation.Tuple) (int, bool) {
-	for i, f := range s.fds {
-		if f.Conflicts(t, u) {
-			return i, true
-		}
-	}
-	return -1, false
-}
-
 // Violation is a pair of conflicting tuples and the dependency they
 // violate.
 type Violation struct {

@@ -66,17 +66,6 @@ func (p *Priority) Localize(l *conflict.Local) *Local {
 // View returns the conflict-graph view the priority is projected on.
 func (pl *Local) View() *conflict.Local { return pl.l }
 
-// Dominates reports whether local vertex x ≻ local vertex y.
-func (pl *Local) Dominates(x, y int) bool {
-	base := pl.entryBase(x)
-	for k, j := range pl.l.Neighbors(x) {
-		if int(j) == y {
-			return pl.orient[base+k] == orientOut
-		}
-	}
-	return false
-}
-
 // entryBase returns the CSR entry index of x's first neighbor.
 func (pl *Local) entryBase(x int) int { return pl.l.Offset(x) }
 

@@ -74,3 +74,14 @@ func TestLocalUndominatedIn(t *testing.T) {
 		}
 	}
 }
+
+// Dominates reports whether local vertex x ≻ local vertex y.
+func (pl *Local) Dominates(x, y int) bool {
+	base := pl.entryBase(x)
+	for k, j := range pl.l.Neighbors(x) {
+		if int(j) == y {
+			return pl.orient[base+k] == orientOut
+		}
+	}
+	return false
+}

@@ -64,9 +64,6 @@ func New(g *conflict.Graph) *Priority {
 // Graph returns the conflict graph the priority orients.
 func (p *Priority) Graph() *conflict.Graph { return p.g }
 
-// Len returns the number of oriented conflict edges.
-func (p *Priority) Len() int { return p.n }
-
 // row resolves a vertex's successor/predecessor rows through the
 // overlay.
 func (p *Priority) row(v relation.TupleID) prow {

@@ -471,3 +471,6 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatalf("Len after clone: p=%d q=%d", p.Len(), q.Len())
 	}
 }
+
+// Len returns the number of oriented conflict edges.
+func (p *Priority) Len() int { return p.n }

@@ -281,17 +281,6 @@ func Constants(e Expr) []relation.Value {
 	return out
 }
 
-// Atoms returns every relational atom in the formula.
-func Atoms(e Expr) []Atom {
-	var out []Atom
-	Walk(e, func(x Expr) {
-		if a, ok := x.(Atom); ok {
-			out = append(out, a)
-		}
-	})
-	return out
-}
-
 // Walk calls fn on every node of the formula in prefix order.
 func Walk(e Expr, fn func(Expr)) {
 	fn(e)

@@ -25,15 +25,6 @@ type DBModel struct {
 // that spell the parameter type.
 type Model = DBModel
 
-// Schema returns the schema of a relation, if present.
-func (m DBModel) Schema(rel string) (*relation.Schema, bool) {
-	inst, ok := m.DB.Relation(rel)
-	if !ok {
-		return nil, false
-	}
-	return inst.Schema(), true
-}
-
 // Relations lists the relation names in the model.
 func (m DBModel) Relations() []string { return m.DB.Names() }
 

@@ -403,3 +403,17 @@ func TestLiteralString(t *testing.T) {
 		t.Errorf("literal = %q", got)
 	}
 }
+
+// String renders the literal.
+func (l Literal) String() string {
+	var inner string
+	if l.IsCmp {
+		inner = l.Cmp.String()
+	} else {
+		inner = l.Atom.String()
+	}
+	if l.Negated {
+		return "NOT " + inner
+	}
+	return inner
+}

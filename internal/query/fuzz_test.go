@@ -166,3 +166,12 @@ func FuzzPlanEquivalence(f *testing.F) {
 		}
 	})
 }
+
+// Schema returns the schema of a relation, if present.
+func (m DBModel) Schema(rel string) (*relation.Schema, bool) {
+	inst, ok := m.DB.Relation(rel)
+	if !ok {
+		return nil, false
+	}
+	return inst.Schema(), true
+}

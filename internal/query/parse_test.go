@@ -232,3 +232,14 @@ func TestValidate(t *testing.T) {
 		}
 	}
 }
+
+// Atoms returns every relational atom in the formula.
+func Atoms(e Expr) []Atom {
+	var out []Atom
+	Walk(e, func(x Expr) {
+		if a, ok := x.(Atom); ok {
+			out = append(out, a)
+		}
+	})
+	return out
+}

@@ -49,14 +49,6 @@ const (
 	AccessIndex
 )
 
-// String renders "scan" or "index".
-func (a AccessPath) String() string {
-	if a == AccessIndex {
-		return "index"
-	}
-	return "scan"
-}
-
 // PlanStep is one atom of the join in execution order.
 type PlanStep struct {
 	Atom Atom
@@ -164,15 +156,10 @@ type Trace struct {
 	Execs []*PlanExec
 }
 
-// String renders the plan, one step per line.
-func (p *Plan) String() string { return p.describe(nil) }
-
 // Describe renders the plan with actual row counts next to the
 // estimates, the executor that ran it, and — for the vectorized
 // executors — per-step batch stats and semijoin reduction ratios.
 func (e *PlanExec) Describe() string { return e.Plan.describeExec(e.ActRows, e) }
-
-func (p *Plan) describe(act []int) string { return p.describeExec(act, nil) }
 
 func (p *Plan) describeExec(act []int, exec *PlanExec) string {
 	var b strings.Builder

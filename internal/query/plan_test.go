@@ -278,3 +278,6 @@ func TestPlanKindMismatchShortCircuits(t *testing.T) {
 		t.Errorf("rendering should flag the unsat plan:\n%s", e.Plan)
 	}
 }
+
+// String renders the plan, one step per line, in test failures.
+func (p *Plan) String() string { return p.describeExec(nil, nil) }

@@ -111,20 +111,6 @@ type Literal struct {
 	Cmp   Cmp
 }
 
-// String renders the literal.
-func (l Literal) String() string {
-	var inner string
-	if l.IsCmp {
-		inner = l.Cmp.String()
-	} else {
-		inner = l.Atom.String()
-	}
-	if l.Negated {
-		return "NOT " + inner
-	}
-	return inner
-}
-
 // ToDNF converts a quantifier-free formula into disjunctive normal
 // form: a list of disjuncts, each a list of literals. It fails on
 // quantified formulas. Exponential in formula size (acceptable: data

@@ -74,14 +74,6 @@ func (r *Instance) Col(attr int) Col {
 // Kind reports the column's domain.
 func (c Col) Kind() Kind { return c.kind }
 
-// Len returns the size of the column's ID universe.
-func (c Col) Len() int {
-	if c.kind == KindInt {
-		return len(c.ints)
-	}
-	return len(c.strs)
-}
-
 // Value materializes the cell at id.
 func (c Col) Value(id TupleID) Value {
 	if c.kind == KindInt {
@@ -92,9 +84,6 @@ func (c Col) Value(id TupleID) Value {
 
 // Int returns the integer cell at id; the column must be KindInt.
 func (c Col) Int(id TupleID) int64 { return c.ints[id] }
-
-// Name returns the name cell at id; the column must be KindName.
-func (c Col) Name(id TupleID) string { return c.strs[id] }
 
 // Equals reports whether the cell at id equals v.
 func (c Col) Equals(id TupleID, v Value) bool {

@@ -2,8 +2,6 @@ package relation
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 )
 
 // Database is a named collection of relation instances. The paper
@@ -43,18 +41,4 @@ func (db *Database) Names() []string {
 	out := make([]string, len(db.order))
 	copy(out, db.order)
 	return out
-}
-
-// Len returns the number of relations.
-func (db *Database) Len() int { return len(db.order) }
-
-// String lists relations in name order.
-func (db *Database) String() string {
-	names := db.Names()
-	sort.Strings(names)
-	parts := make([]string, len(names))
-	for i, n := range names {
-		parts[i] = db.rels[n].String()
-	}
-	return strings.Join(parts, "\n")
 }

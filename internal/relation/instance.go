@@ -18,19 +18,6 @@ type Tuple []Value
 // equal tuple later assigns a fresh ID.
 type TupleID = int
 
-// Equal reports component-wise equality.
-func (t Tuple) Equal(u Tuple) bool {
-	if len(t) != len(u) {
-		return false
-	}
-	for i := range t {
-		if !t[i].Equal(u[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // Key returns a canonical string encoding of the tuple, used for
 // set-semantics deduplication.
 func (t Tuple) Key() string {
@@ -40,15 +27,6 @@ func (t Tuple) Key() string {
 		b = v.appendKey(b)
 	}
 	return string(b)
-}
-
-// Project returns the subtuple at the given attribute positions.
-func (t Tuple) Project(idx []int) Tuple {
-	out := make(Tuple, len(idx))
-	for i, j := range idx {
-		out[i] = t[j]
-	}
-	return out
 }
 
 // String renders "(v1, v2, ...)".
@@ -354,17 +332,6 @@ func (r *Instance) Subset(ids *bitset.Set) *Instance {
 		if r.Live(id) {
 			out.Insert(r.Tuple(id)) //nolint:errcheck // re-inserting typed tuples cannot fail
 		}
-		return true
-	})
-	return out
-}
-
-// Clone returns an independent copy holding the live tuples; IDs are
-// reassigned densely in the original ID order.
-func (r *Instance) Clone() *Instance {
-	out := NewInstance(r.schema)
-	r.Range(func(_ TupleID, t Tuple) bool {
-		out.Insert(t) //nolint:errcheck // same schema
 		return true
 	})
 	return out

@@ -67,13 +67,6 @@ func (s *Schema) Arity() int { return len(s.attrs) }
 // Attr returns the i-th attribute.
 func (s *Schema) Attr(i int) Attribute { return s.attrs[i] }
 
-// Attrs returns a copy of the attribute list.
-func (s *Schema) Attrs() []Attribute {
-	out := make([]Attribute, len(s.attrs))
-	copy(out, s.attrs)
-	return out
-}
-
 // Index returns the position of the named attribute.
 func (s *Schema) Index(name string) (int, bool) {
 	i, ok := s.index[name]

@@ -1,18 +1,16 @@
 // Package repair implements Definition 1: a repair of r w.r.t. F is a
 // maximal subset of r consistent with F — equivalently, a maximal
-// independent set of the conflict graph. The package enumerates,
-// counts, samples, and checks repairs. Enumeration runs per connected
-// component (Bron–Kerbosch with pivoting on the complement graph) in
-// component-local index space — scratch sets are k-bit for a
-// k-vertex component and live in one preallocated arena, so the
-// recursion allocates nothing per node — and composes componentwise,
-// so instances like Example 4's r_n with 2^n repairs can be counted
-// without enumeration.
+// independent set of the conflict graph. The package checks repairs and
+// enumerates them one connected component at a time (Bron–Kerbosch
+// with pivoting on the complement graph) in component-local index
+// space — scratch sets are k-bit for a k-vertex component and live in
+// one preallocated arena, so the recursion allocates nothing per
+// node. Package core composes the components, so instances like
+// Example 4's r_n with 2^n repairs are counted without enumeration.
 package repair
 
 import (
 	"errors"
-	"math"
 
 	"prefcqa/internal/bitset"
 	"prefcqa/internal/conflict"
@@ -22,8 +20,8 @@ import (
 // callback asked to stop early.
 var ErrStopped = errors.New("repair: enumeration stopped by caller")
 
-// ErrOverflow is returned by Count when the number of repairs exceeds
-// math.MaxInt64.
+// ErrOverflow is returned by the counts of package core when the
+// number of repairs exceeds math.MaxInt64.
 var ErrOverflow = errors.New("repair: repair count overflows int64")
 
 // IsRepair reports whether s is a repair of the instance underlying g:
@@ -117,128 +115,4 @@ func EnumerateLocal(l *conflict.Local, yield func(bitset.Words) bool) error {
 	p0, x0 := frame(0, 0), frame(0, 1)
 	p0.Fill(k)
 	return rec(0, p0, x0)
-}
-
-// EnumerateComponent yields every maximal independent set of the
-// subgraph induced by the vertices in comp (a sorted vertex list),
-// as a set of global TupleIDs. The yielded set is reused between
-// calls; clone it to retain. Returns ErrStopped if the yield callback
-// returned false.
-func EnumerateComponent(g *conflict.Graph, comp []int, yield func(*bitset.Set) bool) error {
-	l := g.Project(comp)
-	out := bitset.New(g.Len())
-	return EnumerateLocal(l, func(r bitset.Words) bool {
-		out.Clear()
-		r.Range(func(i int) bool {
-			out.Add(l.Global(i))
-			return true
-		})
-		return yield(out)
-	})
-}
-
-// Enumerate yields every repair of the instance underlying g. Repairs
-// are produced as the componentwise union of per-component maximal
-// independent sets. The yielded set is reused; clone to retain.
-// Returns ErrStopped on early stop, nil otherwise.
-func Enumerate(g *conflict.Graph, yield func(*bitset.Set) bool) error {
-	comps := g.Components()
-	// Pre-materialize per-component choices only for components, one
-	// at a time, via nested recursion to avoid holding all choices of
-	// all components at once — except that backtracking re-enumerates
-	// inner components exponentially. Materializing per component is
-	// the right trade: each component's repair list is small.
-	choices := make([][]*bitset.Set, len(comps))
-	for i, comp := range comps {
-		err := EnumerateComponent(g, comp, func(s *bitset.Set) bool {
-			choices[i] = append(choices[i], s.Clone())
-			return true
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return Combine(g.Len(), choices, yield)
-}
-
-// Combine yields every union of one choice per component. The yielded
-// set is reused; clone to retain.
-func Combine(n int, choices [][]*bitset.Set, yield func(*bitset.Set) bool) error {
-	cur := bitset.New(n)
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == len(choices) {
-			if !yield(cur) {
-				return ErrStopped
-			}
-			return nil
-		}
-		for _, c := range choices[i] {
-			cur.UnionWith(c)
-			if err := rec(i + 1); err != nil {
-				return err
-			}
-			cur.DifferenceWith(c)
-		}
-		return nil
-	}
-	if len(choices) == 0 {
-		if !yield(cur) {
-			return ErrStopped
-		}
-		return nil
-	}
-	return rec(0)
-}
-
-// All materializes every repair. Use only when the repair count is
-// known to be small; prefer Enumerate.
-func All(g *conflict.Graph) []*bitset.Set {
-	var out []*bitset.Set
-	Enumerate(g, func(s *bitset.Set) bool { //nolint:errcheck // yield never stops
-		out = append(out, s.Clone())
-		return true
-	})
-	return out
-}
-
-// CountComponent returns the number of maximal independent sets of the
-// component. The count runs entirely in local index space — no global
-// sets are materialized.
-func CountComponent(g *conflict.Graph, comp []int) int64 {
-	var n int64
-	EnumerateLocal(g.Project(comp), func(bitset.Words) bool { //nolint:errcheck // never stops
-		n++
-		return true
-	})
-	return n
-}
-
-// Count returns the number of repairs as the product of per-component
-// counts, or ErrOverflow if it exceeds int64.
-func Count(g *conflict.Graph) (int64, error) {
-	total := int64(1)
-	for _, comp := range g.Components() {
-		c := CountComponent(g, comp)
-		if c == 0 {
-			return 0, nil // cannot happen: every graph has a MIS
-		}
-		if total > math.MaxInt64/c {
-			return 0, ErrOverflow
-		}
-		total *= c
-	}
-	return total, nil
-}
-
-// Restrict returns the intersection of a repair with a component's
-// vertex set.
-func Restrict(s *bitset.Set, comp []int) *bitset.Set {
-	out := bitset.New(0)
-	for _, v := range comp {
-		if s.Has(v) {
-			out.Add(v)
-		}
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -9,6 +10,56 @@ import (
 	"prefcqa/internal/fd"
 	"prefcqa/internal/relation"
 )
+
+// perComponent lists the maximal independent sets of every component
+// of g, as sets of global TupleIDs.
+func perComponent(g *conflict.Graph) [][]*bitset.Set {
+	var out [][]*bitset.Set
+	for _, comp := range g.Components() {
+		l := g.Project(comp)
+		var list []*bitset.Set
+		EnumerateLocal(l, func(r bitset.Words) bool { //nolint:errcheck // yield never stops
+			s := bitset.New(g.Len())
+			r.Range(func(i int) bool {
+				s.Add(l.Global(i))
+				return true
+			})
+			list = append(list, s)
+			return true
+		})
+		out = append(out, list)
+	}
+	return out
+}
+
+// all lists every repair of g: each union of one maximal independent
+// set per component.
+func all(g *conflict.Graph) []*bitset.Set {
+	out := []*bitset.Set{bitset.New(g.Len())}
+	for _, choices := range perComponent(g) {
+		var next []*bitset.Set
+		for _, prefix := range out {
+			for _, c := range choices {
+				next = append(next, bitset.Union(prefix, c))
+			}
+		}
+		out = next
+	}
+	return out
+}
+
+// count returns the number of repairs of g, the product of the
+// per-component counts, or ErrOverflow beyond int64.
+func count(g *conflict.Graph) (int64, error) {
+	total := int64(1)
+	for _, choices := range perComponent(g) {
+		if total > math.MaxInt64/int64(len(choices)) {
+			return 0, ErrOverflow
+		}
+		total *= int64(len(choices))
+	}
+	return total, nil
+}
 
 func pairsGraph(t *testing.T, n int) *conflict.Graph {
 	t.Helper()
@@ -40,7 +91,7 @@ func mgrGraph(t *testing.T) (*conflict.Graph, map[string]relation.TupleID) {
 func TestExample2MgrRepairs(t *testing.T) {
 	// Example 2: exactly three repairs r1, r2, r3.
 	g, ids := mgrGraph(t)
-	repairs := All(g)
+	repairs := all(g)
 	if len(repairs) != 3 {
 		t.Fatalf("repairs = %d, want 3", len(repairs))
 	}
@@ -72,7 +123,7 @@ func TestExample4PairsCount(t *testing.T) {
 	// Example 4: r_n has exactly 2^n repairs.
 	for _, n := range []int{1, 2, 5, 10, 20, 62} {
 		g := pairsGraph(t, n)
-		c, err := Count(g)
+		c, err := count(g)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -81,7 +132,7 @@ func TestExample4PairsCount(t *testing.T) {
 		}
 	}
 	// n=63: 2^63 overflows int64.
-	if _, err := Count(pairsGraph(t, 63)); err != ErrOverflow {
+	if _, err := count(pairsGraph(t, 63)); err != ErrOverflow {
 		t.Fatalf("n=63 should overflow, got %v", err)
 	}
 }
@@ -99,11 +150,8 @@ func TestEnumerateMatchesBruteForce(t *testing.T) {
 		g := conflict.MustBuild(inst, fd.MustParseSet(s, "A -> B", "B -> C"))
 
 		got := map[string]bool{}
-		if err := Enumerate(g, func(r *bitset.Set) bool {
+		for _, r := range all(g) {
 			got[r.Key()] = true
-			return true
-		}); err != nil {
-			t.Fatal(err)
 		}
 
 		want := map[string]bool{}
@@ -133,15 +181,12 @@ func TestEnumerateMatchesBruteForce(t *testing.T) {
 func TestEnumerateNoDuplicates(t *testing.T) {
 	g := pairsGraph(t, 6)
 	seen := map[string]bool{}
-	if err := Enumerate(g, func(r *bitset.Set) bool {
+	for _, r := range all(g) {
 		k := r.Key()
 		if seen[k] {
 			t.Fatalf("duplicate repair %v", r)
 		}
 		seen[k] = true
-		return true
-	}); err != nil {
-		t.Fatal(err)
 	}
 	if len(seen) != 64 {
 		t.Fatalf("enumerated %d repairs, want 64", len(seen))
@@ -149,9 +194,9 @@ func TestEnumerateNoDuplicates(t *testing.T) {
 }
 
 func TestEnumerateEarlyStop(t *testing.T) {
-	g := pairsGraph(t, 10)
+	g := chainGraph(10)
 	n := 0
-	err := Enumerate(g, func(*bitset.Set) bool {
+	err := EnumerateLocal(g.Project(g.Components()[0]), func(bitset.Words) bool {
 		n++
 		return n < 5
 	})
@@ -170,11 +215,11 @@ func TestConsistentInstanceSingleRepair(t *testing.T) {
 	inst.MustInsert(1, 1)
 	inst.MustInsert(2, 2)
 	g := conflict.MustBuild(inst, fd.MustParseSet(s, "A -> B"))
-	repairs := All(g)
+	repairs := all(g)
 	if len(repairs) != 1 || !repairs[0].Equal(inst.AllIDs()) {
 		t.Fatalf("repairs of a consistent instance = %v", repairs)
 	}
-	if c, _ := Count(g); c != 1 {
+	if c, _ := count(g); c != 1 {
 		t.Fatalf("Count = %d, want 1", c)
 	}
 }
@@ -183,7 +228,7 @@ func TestEmptyInstance(t *testing.T) {
 	s := relation.MustSchema("R", relation.IntAttr("A"), relation.IntAttr("B"))
 	inst := relation.NewInstance(s)
 	g := conflict.MustBuild(inst, fd.MustParseSet(s, "A -> B"))
-	repairs := All(g)
+	repairs := all(g)
 	if len(repairs) != 1 || !repairs[0].Empty() {
 		t.Fatalf("repairs of empty instance = %v", repairs)
 	}
@@ -204,30 +249,6 @@ func TestIsRepair(t *testing.T) {
 	}
 }
 
-func TestCombineEmptyChoices(t *testing.T) {
-	n := 0
-	if err := Combine(4, nil, func(s *bitset.Set) bool {
-		if !s.Empty() {
-			t.Fatal("empty combine should yield empty set")
-		}
-		n++
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("yielded %d, want 1", n)
-	}
-}
-
-func TestRestrict(t *testing.T) {
-	s := bitset.FromSlice([]int{0, 2, 5})
-	got := Restrict(s, []int{2, 3, 5, 7})
-	if !got.Equal(bitset.FromSlice([]int{2, 5})) {
-		t.Fatalf("Restrict = %v", got)
-	}
-}
-
 func TestCountComponentTriangle(t *testing.T) {
 	s := relation.MustSchema("R", relation.IntAttr("A"), relation.IntAttr("B"))
 	inst := relation.NewInstance(s)
@@ -239,7 +260,12 @@ func TestCountComponentTriangle(t *testing.T) {
 	if len(comps) != 1 {
 		t.Fatalf("components = %v", comps)
 	}
-	if c := CountComponent(g, comps[0]); c != 3 {
+	c := 0
+	EnumerateLocal(g.Project(comps[0]), func(bitset.Words) bool { //nolint:errcheck // never stops
+		c++
+		return true
+	})
+	if c != 3 {
 		t.Fatalf("triangle has %d MIS, want 3", c)
 	}
 }
@@ -254,9 +280,7 @@ func BenchmarkEnumeratePairs12(b *testing.B) {
 	g := conflict.MustBuild(inst, fd.MustParseSet(s, "A -> B"))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n := 0
-		Enumerate(g, func(*bitset.Set) bool { n++; return true }) //nolint:errcheck
-		if n != 4096 {
+		if n := len(all(g)); n != 4096 {
 			b.Fatalf("n = %d", n)
 		}
 	}

@@ -117,10 +117,6 @@ func (f *Follower) Name() string { return f.name }
 // DB returns the local database the follower applies into.
 func (f *Follower) DB() *prefcqa.DB { return f.local }
 
-// AppliedSeq returns the replicated watermark: every record up to it
-// is applied and readable.
-func (f *Follower) AppliedSeq() uint64 { return f.local.WriteVersion() }
-
 // setStatus records the lifecycle state shown in /v1/stats.
 func (f *Follower) setStatus(s string) {
 	f.mu.Lock()

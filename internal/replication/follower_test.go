@@ -136,3 +136,7 @@ func TestMarkStoppedReleasesWaiters(t *testing.T) {
 		t.Fatalf("WaitVersion past the watermark of a live follower = %v, want DeadlineExceeded", err)
 	}
 }
+
+// AppliedSeq returns the replicated watermark: every record up to it
+// is applied and readable.
+func (f *Follower) AppliedSeq() uint64 { return f.local.WriteVersion() }

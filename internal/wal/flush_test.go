@@ -262,6 +262,37 @@ func TestFsyncFailurePoisonsLog(t *testing.T) {
 	}
 }
 
+// TestCloseReportsFailedFsync: a log poisoned by a failed fsync, or
+// whose own closing fsync fails, does not close clean.
+func TestCloseReportsFailedFsync(t *testing.T) {
+	injected := errors.New("injected fsync failure")
+	t.Run("poisoned", func(t *testing.T) {
+		h := holdFsyncs(t)
+		l := openHeld(t, h, Options{Policy: SyncAlways})
+		first := startHeldFsync(t, h, l)
+		h.give(t, injected)
+		if err := result(t, first); !errors.Is(err, injected) {
+			t.Fatalf("Sync = %v; want the fsync failure", err)
+		}
+		for i := 0; i < 2; i++ {
+			if err := l.Close(); !errors.Is(err, injected) {
+				t.Fatalf("Close #%d of a poisoned log = %v; want the fsync failure", i+1, err)
+			}
+		}
+	})
+	t.Run("closing fsync", func(t *testing.T) {
+		h := holdFsyncs(t)
+		l := openHeld(t, h, Options{Policy: SyncNever})
+		appendOne(t, l)
+		closed := make(chan error, 1)
+		go func() { closed <- l.Close() }()
+		h.give(t, injected)
+		if err := result(t, closed); !errors.Is(err, injected) {
+			t.Fatalf("Close whose fsync fails = %v; want the fsync failure", err)
+		}
+	})
+}
+
 func TestRotationWaitsForFsyncInFlight(t *testing.T) {
 	h := holdFsyncs(t)
 	l := openHeld(t, h, Options{Policy: SyncAlways})

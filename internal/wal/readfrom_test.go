@@ -207,3 +207,6 @@ func BenchmarkReadFromTail(b *testing.B) {
 		})
 	}
 }
+
+// Dir returns the log directory.
+func (l *Log) Dir() string { return l.dir }

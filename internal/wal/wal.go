@@ -297,15 +297,9 @@ func Open(dir string, opts Options) (*Log, *Checkpoint, []Record, error) {
 	return l, ckpt, tail, nil
 }
 
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Seq returns the last assigned record sequence — the write-version of
 // the logged history.
 func (l *Log) Seq() uint64 { return l.seq.Load() }
-
-// SyncPolicy returns the configured durability policy.
-func (l *Log) SyncPolicy() SyncPolicy { return l.opts.Policy }
 
 // NeedCheckpoint reports whether the log has grown past the
 // checkpoint threshold since the last checkpoint.
@@ -565,19 +559,24 @@ func (l *Log) installCheckpointLocked(c *Checkpoint) error {
 
 // Close flushes and fsyncs the active segment (a clean shutdown is
 // durable under every policy), stops the flusher and closes the log.
+// A log whose fsync has failed, before or during Close, returns that
+// sticky error: the shutdown was not clean.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
+		err := l.err
 		l.mu.Unlock()
 		<-l.done
-		return nil
+		return err
 	}
-	var err error
 	if l.err == nil && l.syncedSeq < l.seq.Load() {
-		if err = syncFile(l.f); err == nil {
+		if err := syncFile(l.f); err != nil {
+			l.fail(err)
+		} else {
 			l.syncedSeq = l.seq.Load()
 		}
 	}
+	err := l.err
 	l.closed = true
 	l.cond.Broadcast()
 	l.notifyAppendLocked()

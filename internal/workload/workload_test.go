@@ -1,12 +1,12 @@
 package workload
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"prefcqa/internal/bitset"
 	"prefcqa/internal/core"
-	"prefcqa/internal/repair"
 )
 
 func TestPairsShape(t *testing.T) {
@@ -19,7 +19,7 @@ func TestPairsShape(t *testing.T) {
 		if got := len(g.Components()); got != n {
 			t.Fatalf("Pairs(%d): %d components", n, got)
 		}
-		c, err := repair.Count(g)
+		c, err := core.Sequential().CountCtx(context.Background(), core.Rep, sc.Pri)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestClustersShape(t *testing.T) {
 	if g.NumEdges() != 18 {
 		t.Fatalf("edges = %d, want 18", g.NumEdges())
 	}
-	c, err := repair.Count(g)
+	c, err := core.Sequential().CountCtx(context.Background(), core.Rep, sc.Pri)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestBipartiteShape(t *testing.T) {
 	if g.NumEdges() != 6 {
 		t.Fatalf("K_{2,3} should have 6 edges, got %d\n%s", g.NumEdges(), g.ASCII())
 	}
-	reps := repair.All(g)
+	reps := core.All(core.Rep, sc.Pri)
 	if len(reps) != 2 {
 		t.Fatalf("repairs = %v, want the two sides", reps)
 	}

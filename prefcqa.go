@@ -187,8 +187,9 @@ func WriteCSV(dst io.Writer, inst *Instance) error { return relation.WriteCSV(ds
 // mutations and queries on existing relations are therefore safe to
 // run concurrently; readers always see a consistent published
 // version, and Snapshot pins one for repeated reads. Creating
-// relations (CreateRelation, AddInstance) concurrently with use is
-// not synchronized: register all relations first.
+// relations (CreateRelation, AddInstance) takes the snapshot gate's
+// write side, and every lookup of a relation by name its read side, so
+// relations may be created while others are in use.
 type DB struct {
 	rels   map[string]*Relation
 	order  []string
@@ -390,12 +391,27 @@ func (db *DB) addInstance(inst *Instance) (*Relation, uint64, error) {
 
 // Relation returns a previously created relation.
 func (db *DB) Relation(name string) (*Relation, bool) {
+	r, err := db.relation(name)
+	return r, err == nil
+}
+
+// relation looks a relation up under the read side of the snapshot
+// gate, which register writes the registry under. The caller must not
+// hold snapMu: a second RLock queued behind a waiting Lock deadlocks.
+func (db *DB) relation(name string) (*Relation, error) {
+	db.snapMu.RLock()
 	r, ok := db.rels[name]
-	return r, ok
+	db.snapMu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("prefcqa: unknown relation %q", name)
+	}
+	return r, nil
 }
 
 // Relations lists the relation names in creation order.
 func (db *DB) Relations() []string {
+	db.snapMu.RLock()
+	defer db.snapMu.RUnlock()
 	out := make([]string, len(db.order))
 	copy(out, db.order)
 	return out
@@ -1045,9 +1061,9 @@ func (db *DB) CountRepairs(f Family, rel string) (int64, error) {
 // relation is a preferred repair of the family (the repair-checking
 // problem of §4.1).
 func (db *DB) IsPreferredRepair(f Family, rel string, ids []TupleID) (bool, error) {
-	r, ok := db.rels[rel]
-	if !ok {
-		return false, fmt.Errorf("prefcqa: unknown relation %q", rel)
+	r, err := db.relation(rel)
+	if err != nil {
+		return false, err
 	}
 	built, err := r.build()
 	if err != nil {
@@ -1074,9 +1090,9 @@ func (db *DB) Clean(rel string) (*Instance, error) {
 // disjunctive information is lost. Provided for comparison with
 // Clean and with preferred consistent query answering.
 func (db *DB) CleanNaive(rel string) (*Instance, error) {
-	r, ok := db.rels[rel]
-	if !ok {
-		return nil, fmt.Errorf("prefcqa: unknown relation %q", rel)
+	r, err := db.relation(rel)
+	if err != nil {
+		return nil, err
 	}
 	built, err := r.build()
 	if err != nil {
@@ -1088,9 +1104,9 @@ func (db *DB) CleanNaive(rel string) (*Instance, error) {
 // CheckAxioms probes properties P1-P4 for the family on the
 // relation's current priority.
 func (db *DB) CheckAxioms(f Family, rel string) (AxiomReport, error) {
-	r, ok := db.rels[rel]
-	if !ok {
-		return AxiomReport{}, fmt.Errorf("prefcqa: unknown relation %q", rel)
+	r, err := db.relation(rel)
+	if err != nil {
+		return AxiomReport{}, err
 	}
 	built, err := r.build()
 	if err != nil {
@@ -1102,9 +1118,9 @@ func (db *DB) CheckAxioms(f Family, rel string) (AxiomReport, error) {
 // ConflictGraphDOT renders the relation's conflict graph in Graphviz
 // format.
 func (db *DB) ConflictGraphDOT(rel string) (string, error) {
-	r, ok := db.rels[rel]
-	if !ok {
-		return "", fmt.Errorf("prefcqa: unknown relation %q", rel)
+	r, err := db.relation(rel)
+	if err != nil {
+		return "", err
 	}
 	g, err := r.Graph()
 	if err != nil {

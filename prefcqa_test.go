@@ -1,6 +1,7 @@
 package prefcqa
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -146,6 +147,56 @@ func TestIsPreferredRepair(t *testing.T) {
 	}
 	if ok {
 		t.Fatal("r3 should not be globally optimal (maryIT is dominated)")
+	}
+}
+
+// TestRelationLookupDuringCreate calls every DB method that looks a
+// relation up by name while another goroutine creates relations.
+// Under -race it fails if a lookup reads the registry outside the
+// snapshot gate that CreateRelation writes it under.
+func TestRelationLookupDuringCreate(t *testing.T) {
+	db, mgr, ids := paperDB(t)
+	mgr.Prefer(ids["mary"], ids["maryIT"]) //nolint:errcheck
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			if _, err := db.CreateRelation(fmt.Sprintf("S%d", i), IntAttr("A")); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if _, err := db.IsPreferredRepair(Local, "Mgr", []TupleID{ids["mary"], ids["johnPR"]}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.CleanNaive("Mgr"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.CheckAxioms(Rep, "Mgr"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.ConflictGraphDOT("Mgr"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.ExplainTuple(Global, "Mgr", ids["mary"]); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := db.Relation("Mgr"); !ok {
+			t.Fatal("Mgr is gone")
+		}
+		if names := db.Relations(); names[0] != "Mgr" {
+			t.Fatalf("Relations() = %v", names)
+		}
+	}
+	if n := len(db.Relations()); n != 51 {
+		t.Fatalf("%d relations, want 51", n)
 	}
 }
 
