@@ -129,7 +129,7 @@ func (g *Graph) fork(inst *relation.Instance) *Graph {
 		numVerts: inst.NumIDs(), m: g.m, era: g.era,
 		deadBase: g.deadBase,
 		rows:     g.rows,
-		comps:    g.comps, compID: g.compID, localIdx: g.localIdx,
+		members:  g.members, start: g.start, compID: g.compID, localIdx: g.localIdx,
 		compOver: g.compOver, vertComp: g.vertComp,
 		nextCompID: g.nextCompID,
 		lhs:        g.lhs,
@@ -182,7 +182,7 @@ func (g *Graph) ApplyDelta(inst *relation.Instance, d Delta) (*Graph, *DeltaRepo
 
 // retireComp marks a component ID as no longer current.
 func (g *Graph) retireComp(id int32, rep *DeltaReport) {
-	if int(id) < len(g.comps) {
+	if int(id) < g.baseComps() {
 		g.compOver.Set(int(id), nil) // tombstone a base ID
 	} else {
 		g.compOver.Delete(int(id))

@@ -47,6 +47,9 @@ func checkGraphsEquivalent(t *testing.T, step int, g, h *Graph) {
 	if len(gc) != len(hc) {
 		t.Fatalf("step %d: %d components != %d", step, len(gc), len(hc))
 	}
+	if g.NumComponents() != len(gc) {
+		t.Fatalf("step %d: NumComponents %d, but %d listed", step, g.NumComponents(), len(gc))
+	}
 	for i := range gc {
 		if len(gc[i]) != len(hc[i]) {
 			t.Fatalf("step %d: component %d size %d != %d\n%v\n%v", step, i, len(gc[i]), len(hc[i]), gc, hc)

@@ -24,6 +24,7 @@ package conflict
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -80,10 +81,13 @@ type Graph struct {
 	rows pmap.Map[[]int32]
 
 	// Component bookkeeping. The base arrays are computed lazily once
-	// and never change; overlay maps carry reassignments. comps[i] has
-	// component ID i; overlay components take IDs from nextCompID.
+	// and never change; overlay maps carry reassignments. Base
+	// component i, in min-vertex order, is the sorted run
+	// members[start[i]:start[i+1]]; overlay components take IDs from
+	// nextCompID.
 	compsOnce  sync.Once
-	comps      [][]int         // base components, sorted members, min-vertex order
+	members    []int           // base components' vertices, one flat array
+	start      []int32         // base component ID -> its run in members; len = components + 1
 	compID     []int32         // base vertex -> component ID (-1: dead at base)
 	localIdx   []int32         // base vertex -> position in its sorted component
 	compOver   pmap.Map[[]int] // component ID -> members; nil members = retired base ID
@@ -360,56 +364,75 @@ func (g *Graph) listing() *componentListing {
 		return l
 	}
 	g.ensureComps()
-	var l *componentListing
-	if g.compOver.Len() == 0 {
-		ids := make([]int32, len(g.comps))
-		for i := range ids {
-			ids[i] = int32(i)
+	// The base components are already in min-vertex order; only the
+	// (small) overlay needs sorting. A linear merge of the two keeps
+	// the listing O(C + overlay log overlay) — it is built once per
+	// published version, for the first caller that wants all of it.
+	type entry struct {
+		members []int
+		id      int32
+	}
+	over := make([]entry, 0, g.compOver.Len())
+	var retired []int // base IDs, ascending like the overlay's keys
+	g.compOver.Range(func(id int, c []int) bool {
+		if c != nil {
+			over = append(over, entry{members: c, id: int32(id)})
+		} else {
+			retired = append(retired, id)
 		}
-		l = &componentListing{comps: g.comps, ids: ids}
-	} else {
-		// The base listing is already in min-vertex order; only the
-		// (small) overlay needs sorting. A linear merge of the two
-		// keeps the rebuild O(C + overlay log overlay) — this runs
-		// once per published version on its first full evaluation.
-		type entry struct {
-			members []int
-			id      int32
+		return true
+	})
+	sort.Slice(over, func(i, j int) bool { return over[i].members[0] < over[j].members[0] })
+	base := g.baseComps()
+	n := base - len(retired) + len(over)
+	l := &componentListing{comps: make([][]int, 0, n), ids: make([]int32, 0, n)}
+	oi := 0
+	for i := 0; i < base; i++ {
+		if len(retired) > 0 && retired[0] == i {
+			retired = retired[1:]
+			continue
 		}
-		over := make([]entry, 0, g.compOver.Len())
-		var retired []int // base IDs, ascending like the overlay's keys
-		g.compOver.Range(func(id int, c []int) bool {
-			if c != nil {
-				over = append(over, entry{members: c, id: int32(id)})
-			} else {
-				retired = append(retired, id)
-			}
-			return true
-		})
-		sort.Slice(over, func(i, j int) bool { return over[i].members[0] < over[j].members[0] })
-		n := len(g.comps) - len(retired) + len(over)
-		l = &componentListing{comps: make([][]int, 0, n), ids: make([]int32, 0, n)}
-		oi := 0
-		for i, c := range g.comps {
-			if len(retired) > 0 && retired[0] == i {
-				retired = retired[1:]
-				continue
-			}
-			for oi < len(over) && over[oi].members[0] < c[0] {
-				l.comps = append(l.comps, over[oi].members)
-				l.ids = append(l.ids, over[oi].id)
-				oi++
-			}
-			l.comps = append(l.comps, c)
-			l.ids = append(l.ids, int32(i))
-		}
-		for ; oi < len(over); oi++ {
+		c := g.baseComp(i)
+		for oi < len(over) && over[oi].members[0] < c[0] {
 			l.comps = append(l.comps, over[oi].members)
 			l.ids = append(l.ids, over[oi].id)
+			oi++
 		}
+		l.comps = append(l.comps, c)
+		l.ids = append(l.ids, int32(i))
+	}
+	for ; oi < len(over); oi++ {
+		l.comps = append(l.comps, over[oi].members)
+		l.ids = append(l.ids, over[oi].id)
 	}
 	g.compList.Store(l)
 	return l
+}
+
+// NumComponents returns the number of live components, without
+// building the listing Components returns.
+func (g *Graph) NumComponents() int {
+	g.ensureComps()
+	n := g.baseComps()
+	g.compOver.Range(func(_ int, c []int) bool {
+		if c != nil {
+			n++ // a fresh component
+		} else {
+			n-- // a retired base ID
+		}
+		return true
+	})
+	return n
+}
+
+// baseComps returns the number of base component IDs.
+func (g *Graph) baseComps() int { return len(g.start) - 1 }
+
+// baseComp returns the members of base component i as a
+// capacity-limited view of the flat array.
+func (g *Graph) baseComp(i int) []int {
+	s, e := g.start[i], g.start[i+1]
+	return g.members[s:e:e]
 }
 
 // ComponentOf returns the ID of the component containing vertex v, or
@@ -435,8 +458,8 @@ func (g *Graph) Component(id int) []int {
 	if m, ok := g.compOver.Get(id); ok {
 		return m
 	}
-	if id >= 0 && id < len(g.comps) {
-		return g.comps[id]
+	if id >= 0 && id < g.baseComps() {
+		return g.baseComp(id)
 	}
 	return nil
 }
@@ -460,6 +483,11 @@ func (g *Graph) LocalIndexOf(v relation.TupleID) int {
 	return int(g.localIdx[v])
 }
 
+// computeComponents lays the live components out in the flat base
+// arrays: a walk from each unvisited live vertex, in ascending order,
+// appends its component to members — the run it grows is its own
+// queue — and sorts the run in place. O(n + m) time and a fixed
+// number of allocations, however many components there are.
 func (g *Graph) computeComponents() {
 	n := g.numVerts
 	g.compID = make([]int32, n)
@@ -467,34 +495,45 @@ func (g *Graph) computeComponents() {
 	for i := range g.compID {
 		g.compID[i] = -1
 	}
-	var comps [][]int
+	live := n
+	if g.deadBase != nil {
+		live -= g.deadBase.Len()
+	}
+	members := make([]int, 0, live)
+	comps := int32(0)
 	for v := 0; v < n; v++ {
 		if g.compID[v] >= 0 || (g.deadBase != nil && g.deadBase.Has(v)) {
 			continue
 		}
-		id := int32(len(comps))
-		var members []int
-		stack := []int{v}
-		g.compID[v] = id
-		for len(stack) > 0 {
-			t := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			members = append(members, t)
-			for _, u := range g.Neighbors(t) {
+		s := len(members)
+		members = append(members, v)
+		g.compID[v] = comps
+		for q := s; q < len(members); q++ {
+			for _, u := range g.Neighbors(members[q]) {
 				if g.compID[u] < 0 {
-					g.compID[u] = id
-					stack = append(stack, int(u))
+					g.compID[u] = comps
+					members = append(members, int(u))
 				}
 			}
 		}
-		sort.Ints(members)
-		for i, m := range members {
+		run := members[s:]
+		slices.Sort(run)
+		for i, m := range run {
 			g.localIdx[m] = int32(i)
 		}
-		comps = append(comps, members)
+		comps++
 	}
-	g.comps = comps
-	g.nextCompID = int32(len(comps))
+	// Runs follow one another in ID order: each starts where the
+	// component ID changes.
+	start := make([]int32, comps+1)
+	for i, m := range members {
+		if i == 0 || g.compID[m] != g.compID[members[i-1]] {
+			start[g.compID[m]] = int32(i)
+		}
+	}
+	start[comps] = int32(len(members))
+	g.members, g.start = members, start
+	g.nextCompID = comps
 }
 
 // ComponentSignature returns a canonical encoding of the subgraph

@@ -242,3 +242,20 @@ func TestBuildAllocations(t *testing.T) {
 		t.Fatalf("Build allocates %.4f objects per tuple, limit 0.01", perTuple)
 	}
 }
+
+// TestComponentsAllocations pins the flat component layout: laying out
+// the components of 100 000 two-tuple clusters makes a fixed number of
+// allocations — the per-vertex and per-component arrays — not one
+// member list (or walk stack) per component.
+func TestComponentsAllocations(t *testing.T) {
+	inst, fds := pairsInstance(100000)
+	g := MustBuild(inst, fds)
+	allocs := testing.AllocsPerRun(3, g.computeComponents)
+	t.Logf("computeComponents at %d tuples, %d components: %.0f objects", inst.Len(), g.NumComponents(), allocs)
+	if allocs > 8 {
+		t.Fatalf("computeComponents allocates %.0f objects for %d components, want at most 8", allocs, g.NumComponents())
+	}
+	if c := g.Component(g.ComponentOf(7)); len(c) != 2 || c[0] != 6 || c[1] != 7 || cap(c) != 2 {
+		t.Fatalf("component of tuple 7 = %v (cap %d), want [6 7] (cap 2)", c, cap(c))
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"prefcqa/internal/conflict"
 	"prefcqa/internal/fd"
@@ -161,9 +162,10 @@ func TestRebaseIsolation(t *testing.T) {
 		if rep.Compacted {
 			compactions++
 		}
+		prev := p
 		g, p = ng, p.Rebase(ng)
-		if !p.cow {
-			flattens++
+		if unsafe.SliceData(p.succOff) != unsafe.SliceData(prev.succOff) {
+			flattens++ // laid out afresh rather than sharing the base
 		}
 	}
 	for step := 0; step < 6000; step++ {

@@ -16,17 +16,17 @@ import (
 // The result is always acyclic because every ≻-edge strictly
 // decreases rank along its direction.
 func FromRanks(g *conflict.Graph, rank func(relation.TupleID) int) *Priority {
-	p := New(g)
+	pairs := make([][2]relation.TupleID, 0, g.NumEdges())
 	for _, e := range g.Edges() {
 		ra, rb := rank(e.A), rank(e.B)
 		switch {
 		case ra < rb:
-			p.addEdge(e.A, e.B)
+			pairs = append(pairs, [2]relation.TupleID{e.A, e.B})
 		case rb < ra:
-			p.addEdge(e.B, e.A)
+			pairs = append(pairs, [2]relation.TupleID{e.B, e.A})
 		}
 	}
-	return p
+	return build(g, pairs)
 }
 
 // Random orients each conflict edge independently with probability
@@ -39,7 +39,7 @@ func Random(g *conflict.Graph, density float64, rng *rand.Rand) *Priority {
 	for i, v := range perm {
 		rank[v] = i
 	}
-	p := New(g)
+	var pairs [][2]relation.TupleID
 	for _, e := range g.Edges() {
 		if rng.Float64() >= density {
 			continue
@@ -48,9 +48,9 @@ func Random(g *conflict.Graph, density float64, rng *rand.Rand) *Priority {
 		if rank[x] > rank[y] {
 			x, y = y, x
 		}
-		p.addEdge(x, y)
+		pairs = append(pairs, [2]relation.TupleID{x, y})
 	}
-	return p
+	return build(g, pairs)
 }
 
 // AllTotalExtensions enumerates every total priority extending p, by
@@ -77,14 +77,15 @@ func AllTotalExtensions(p *Priority, maxEdges int) ([]*Priority, error) {
 		}
 		x, y := free[i][0], free[i][1]
 		for _, dir := range [][2]relation.TupleID{{x, y}, {y, x}} {
-			if err := q.Add(dir[0], dir[1]); err != nil {
+			// A copy shares q's persistent overlay and leaves q as it was.
+			r := *q
+			if err := r.Add(dir[0], dir[1]); err != nil {
 				continue // would create a cycle
 			}
-			rec(q, i+1)
-			q.removeEdge(dir[0], dir[1])
+			rec(&r, i+1)
 		}
 	}
-	rec(p.Clone(), 0)
+	rec(p, 0)
 	return out, nil
 }
 

@@ -8,22 +8,20 @@
 //
 // Because ≻ only orients conflict edges, each tuple's successor and
 // predecessor lists are bounded by its conflict degree: the relation
-// is stored as per-vertex sorted slices, O(n + m) memory in total,
-// mirroring the conflict graph's CSR representation.
+// is stored in CSR form like the conflict graph, O(n + m) memory with
+// no heap object per vertex.
 //
-// Priorities participate in the delta-maintenance version model of
-// the conflict package: Rebase forks a priority onto a new graph
-// version as a copy-on-write child (base rows shared, touched rows in
-// a persistent overlay the child shares with its parent), so point
-// mutations — DropVertex on a delete, Add on a new preference — cost
-// O(touched rows · log n) instead of regenerating the priority from
-// scratch, and the fork itself costs nothing that grows with either.
+// The CSR base is immutable once built. Every change (Add, DropVertex)
+// replaces the touched rows in a persistent overlay (internal/pmap):
+// Rebase forks a priority onto a new graph version by sharing both, so
+// point mutations cost O(touched rows · log n) and the fork nothing
+// that grows with either.
 package priority
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"prefcqa/internal/bitset"
 	"prefcqa/internal/conflict"
@@ -36,15 +34,16 @@ import (
 // the conflict {x, y} by keeping x.
 type Priority struct {
 	g *conflict.Graph
-	// Base rows: succ[x] = {y : x ≻ y}, pred[y] = {x : x ≻ y}, sorted
-	// ascending. On a copy-on-write child (cow == true) the base is
-	// shared with the parent and must not be written; over holds this
-	// version's replacement rows, including rows of vertices beyond
-	// the base arrays (post-fork inserts).
-	succ [][]int32
-	pred [][]int32
+	// Immutable CSR base rows, sorted ascending:
+	// succ[succOff[x]:succOff[x+1]] = {y : x ≻ y} and
+	// pred[predOff[y]:predOff[y+1]] = {x : x ≻ y}, for the vertices
+	// below len(succOff)-1 (none on an empty priority). Shared by every
+	// version rebased from the one that built them.
+	succOff, succ []int32
+	predOff, pred []int32
+	// over holds this version's replacement rows, including rows of
+	// vertices beyond the base (post-fork inserts).
 	over pmap.Map[prow]
-	cow  bool
 	n    int // number of oriented edges
 }
 
@@ -56,10 +55,8 @@ type prow struct {
 }
 
 // New returns the empty priority over the graph (no edge oriented).
-func New(g *conflict.Graph) *Priority {
-	n := g.Len()
-	return &Priority{g: g, succ: make([][]int32, n), pred: make([][]int32, n)}
-}
+// It allocates nothing that grows with the graph.
+func New(g *conflict.Graph) *Priority { return &Priority{g: g} }
 
 // Graph returns the conflict graph the priority orients.
 func (p *Priority) Graph() *conflict.Graph { return p.g }
@@ -70,123 +67,42 @@ func (p *Priority) row(v relation.TupleID) prow {
 	if r, ok := p.over.Get(v); ok {
 		return r
 	}
-	if v >= 0 && v < len(p.succ) {
-		return prow{succ: p.succ[v], pred: p.pred[v]}
+	if v >= 0 && v < len(p.succOff)-1 {
+		s, e := p.succOff[v], p.succOff[v+1]
+		ps, pe := p.predOff[v], p.predOff[v+1]
+		return prow{succ: p.succ[s:e:e], pred: p.pred[ps:pe:pe]}
 	}
 	return prow{}
 }
 
-// succs returns {y : v ≻ y} as a sorted read-only view.
-func (p *Priority) succs(v relation.TupleID) []int32 { return p.row(v).succ }
-
-// preds returns {x : x ≻ v} as a sorted read-only view.
-func (p *Priority) preds(v relation.TupleID) []int32 { return p.row(v).pred }
-
-// Rebase forks p onto a (newer) graph version as a copy-on-write
-// child: base rows and the overlay are shared — the overlay is a
-// persistent map, so the fork is a struct copy — and subsequent
-// Add/DropVertex calls patch only the touched rows. The receiver is
-// left untouched and remains the consistent view of the old version.
-// Once the overlay outgrows its bound, the fork instead flattens into
-// fresh private base arrays (O(n), amortized O(1) per mutation), so a
-// long mutation stream keeps all but a bounded share of its row reads
-// on the flat arrays and holds a bounded number of shadowed rows.
+// Rebase forks p onto a (newer) graph version: base rows and the
+// overlay are shared — the overlay is a persistent map, so the fork is
+// a struct copy — and subsequent Add/DropVertex calls patch only the
+// touched rows. The receiver is left untouched and remains the
+// consistent view of the old version. Once the overlay outgrows its
+// bound, the fork instead lays its rows out as a fresh CSR base (O(n),
+// amortized O(1) per mutation), so a long mutation stream keeps all
+// but a bounded share of its row reads on the flat arrays and holds a
+// bounded number of shadowed rows.
 func (p *Priority) Rebase(g *conflict.Graph) *Priority {
 	if p.over.Len() > 64+g.Len()/64 {
-		return p.flatten(g)
+		return build(g, p.Edges())
 	}
-	return &Priority{g: g, succ: p.succ, pred: p.pred, over: p.over, cow: true, n: p.n}
-}
-
-// flatten materializes the overlay into fresh base arrays sized for
-// the (possibly larger) new graph. The result owns its rows, so it
-// runs in non-cow mode until it is itself rebased.
-func (p *Priority) flatten(g *conflict.Graph) *Priority {
-	n := g.Len()
-	q := &Priority{g: g, succ: make([][]int32, n), pred: make([][]int32, n), n: p.n}
-	for v := 0; v < n; v++ {
-		r := p.row(v)
-		if len(r.succ) > 0 {
-			q.succ[v] = append([]int32(nil), r.succ...)
-		}
-		if len(r.pred) > 0 {
-			q.pred[v] = append([]int32(nil), r.pred...)
-		}
-	}
-	return q
-}
-
-// contains reports membership of v in the sorted slice s.
-func contains(s []int32, v int32) bool {
-	i := sort.Search(len(s), func(k int) bool { return s[k] >= v })
-	return i < len(s) && s[i] == v
-}
-
-// insert adds v to the sorted slice s in place, keeping order. Only
-// used on rows this version exclusively owns (non-cow mode).
-func insert(s []int32, v int32) []int32 {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
+	q := *p
+	q.g = g
+	return &q
 }
 
 // insertCopy returns a fresh sorted slice = s ∪ {v}.
 func insertCopy(s []int32, v int32) []int32 {
-	i := sort.Search(len(s), func(k int) bool { return s[k] >= v })
-	out := make([]int32, len(s)+1)
-	copy(out, s[:i])
-	out[i] = v
-	copy(out[i+1:], s[i:])
-	return out
+	i, _ := slices.BinarySearch(s, v)
+	return slices.Insert(slices.Clip(s), i, v)
 }
 
 // removeCopy returns a fresh sorted slice = s \ {v}.
 func removeCopy(s []int32, v int32) []int32 {
-	i := sort.Search(len(s), func(k int) bool { return s[k] >= v })
-	if i >= len(s) || s[i] != v {
-		return s
-	}
-	out := make([]int32, len(s)-1)
-	copy(out, s[:i])
-	copy(out[i:], s[i+1:])
-	return out
-}
-
-// addEdge records x ≻ y without any validity checking.
-func (p *Priority) addEdge(x, y relation.TupleID) {
-	if p.cow {
-		rx := p.row(x)
-		p.over.Set(x, prow{succ: insertCopy(rx.succ, int32(y)), pred: rx.pred})
-		ry := p.row(y)
-		p.over.Set(y, prow{succ: ry.succ, pred: insertCopy(ry.pred, int32(x))})
-	} else {
-		p.succ[x] = insert(p.succ[x], int32(y))
-		p.pred[y] = insert(p.pred[y], int32(x))
-	}
-	p.n++
-}
-
-// removeEdge erases x ≻ y (which must be present).
-func (p *Priority) removeEdge(x, y relation.TupleID) {
-	if p.cow {
-		rx := p.row(x)
-		p.over.Set(x, prow{succ: removeCopy(rx.succ, int32(y)), pred: rx.pred})
-		ry := p.row(y)
-		p.over.Set(y, prow{succ: ry.succ, pred: removeCopy(ry.pred, int32(x))})
-	} else {
-		p.succ[x] = remove(p.succ[x], int32(y))
-		p.pred[y] = remove(p.pred[y], int32(x))
-	}
-	p.n--
-}
-
-// remove deletes v from the sorted slice s in place.
-func remove(s []int32, v int32) []int32 {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	if i < len(s) && s[i] == v {
-		return append(s[:i], s[i+1:]...)
+	if i, ok := slices.BinarySearch(s, v); ok {
+		return slices.Delete(slices.Clone(s), i, i+1)
 	}
 	return s
 }
@@ -196,18 +112,6 @@ func remove(s []int32, v int32) []int32 {
 func (p *Priority) DropVertex(v relation.TupleID) {
 	r := p.row(v)
 	if len(r.succ) == 0 && len(r.pred) == 0 {
-		return
-	}
-	if !p.cow {
-		for _, y := range r.succ {
-			p.pred[y] = remove(p.pred[y], int32(v))
-		}
-		for _, x := range r.pred {
-			p.succ[x] = remove(p.succ[x], int32(v))
-		}
-		p.n -= len(r.succ) + len(r.pred)
-		p.succ[v] = nil
-		p.pred[v] = nil
 		return
 	}
 	for _, y := range r.succ {
@@ -224,7 +128,8 @@ func (p *Priority) DropVertex(v relation.TupleID) {
 
 // Dominates reports whether x ≻ y.
 func (p *Priority) Dominates(x, y relation.TupleID) bool {
-	return x >= 0 && contains(p.succs(x), int32(y))
+	_, ok := slices.BinarySearch(p.row(x).succ, int32(y))
+	return ok
 }
 
 // Oriented reports whether the conflict {x, y} is oriented either way.
@@ -253,7 +158,11 @@ func (p *Priority) Add(x, y relation.TupleID) error {
 	if p.reaches(y, x) {
 		return fmt.Errorf("priority: orienting %d ≻ %d would create a cycle", x, y)
 	}
-	p.addEdge(x, y)
+	rx := p.row(x)
+	p.over.Set(x, prow{succ: insertCopy(rx.succ, int32(y)), pred: rx.pred})
+	ry := p.row(y)
+	p.over.Set(y, prow{succ: ry.succ, pred: insertCopy(ry.pred, int32(x))})
+	p.n++
 	return nil
 }
 
@@ -267,9 +176,8 @@ func (p *Priority) MustAdd(x, y relation.TupleID) {
 // reaches reports whether there is a ≻-path from x to y. Since ≻
 // only orients conflict edges, any such path stays inside x's
 // connected component: the search is bounded by the component size,
-// with a component-local visited set, so bulk priority construction
-// over a large instance costs near-linear total work instead of an
-// O(n)-sized scan per inserted edge.
+// with a component-local visited set, so an Add on a large instance
+// costs its component, not an O(n)-sized scan.
 func (p *Priority) reaches(x, y relation.TupleID) bool {
 	if x == y {
 		return true
@@ -282,7 +190,7 @@ func (p *Priority) reaches(x, y relation.TupleID) bool {
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, w := range p.succs(int(v)) {
+		for _, w := range p.row(int(v)).succ {
 			if int(w) == y {
 				return true
 			}
@@ -300,35 +208,122 @@ func (p *Priority) reaches(x, y relation.TupleID) bool {
 // relation on tuples by keeping only the pairs that conflict (§2.2
 // notes the two approaches are equivalent). Pairs on non-conflicting
 // tuples are silently dropped; an orientation conflict or a cycle
-// among the kept pairs is an error.
+// among the kept pairs is an error — the one Add reports for the first
+// pair that fails when the kept pairs are added in order. The kept
+// pairs are laid out in one go and checked together (unsound); only
+// the components where the check fails — a cycle or a repeat, and all
+// Add decides about a pair, stays inside one — are replayed through
+// Add, in order.
 func FromRelation(g *conflict.Graph, pairs [][2]relation.TupleID) (*Priority, error) {
-	p := New(g)
+	kept := make([][2]relation.TupleID, 0, len(pairs))
 	for _, pr := range pairs {
-		if !g.Adjacent(pr[0], pr[1]) {
-			continue
+		if g.Adjacent(pr[0], pr[1]) {
+			kept = append(kept, pr)
 		}
-		if err := p.Add(pr[0], pr[1]); err != nil {
+	}
+	p := build(g, kept)
+	bad := p.unsound()
+	if bad == nil {
+		return p, nil
+	}
+	replay := make(map[int]bool)
+	for _, v := range bad {
+		replay[g.ComponentOf(int(v))] = true
+	}
+	q := New(g)
+	rest := kept[:0] // filtered in place: never written ahead of the read
+	for _, pr := range kept {
+		if !replay[g.ComponentOf(pr[0])] {
+			rest = append(rest, pr)
+		} else if err := q.Add(pr[0], pr[1]); err != nil {
 			return nil, err
 		}
 	}
-	return p, nil
+	return build(g, append(rest, q.Edges()...)), nil
 }
 
-// Clone returns an independent, flat (non-cow) copy.
-func (p *Priority) Clone() *Priority {
-	n := p.g.Len()
-	q := &Priority{g: p.g, succ: make([][]int32, n), pred: make([][]int32, n), n: p.n}
+// build lays the oriented pairs out as the CSR base of a fresh
+// priority over g, in two counting passes: degrees into the offsets,
+// then each pair into its two rows, which are sorted in place. The
+// pairs must be conflict edges of g; build does not check that they
+// are distinct, oriented one way each or acyclic (valid does).
+func build(g *conflict.Graph, pairs [][2]relation.TupleID) *Priority {
+	n := g.Len()
+	// The offsets count into index v+2, so that after the prefix sum
+	// off[v+1] is the start of row v and serves as its fill cursor;
+	// once filled it is the row's end, and off[:n+1] is the CSR index.
+	p := &Priority{g: g, succOff: make([]int32, n+2), predOff: make([]int32, n+2), n: len(pairs)}
+	for _, pr := range pairs {
+		p.succOff[pr[0]+2]++
+		p.predOff[pr[1]+2]++
+	}
+	for v := 2; v < n+2; v++ {
+		p.succOff[v] += p.succOff[v-1]
+		p.predOff[v] += p.predOff[v-1]
+	}
+	p.succ = make([]int32, len(pairs))
+	p.pred = make([]int32, len(pairs))
+	for _, pr := range pairs {
+		x, y := pr[0], pr[1]
+		p.succ[p.succOff[x+1]] = int32(y)
+		p.succOff[x+1]++
+		p.pred[p.predOff[y+1]] = int32(x)
+		p.predOff[y+1]++
+	}
+	p.succOff, p.predOff = p.succOff[:n+1], p.predOff[:n+1]
 	for v := 0; v < n; v++ {
-		r := p.row(v)
-		if len(r.succ) > 0 {
-			q.succ[v] = append([]int32(nil), r.succ...)
-		}
-		if len(r.pred) > 0 {
-			q.pred[v] = append([]int32(nil), r.pred...)
+		slices.Sort(p.succ[p.succOff[v]:p.succOff[v+1]])
+		slices.Sort(p.pred[p.predOff[v]:p.predOff[v+1]])
+	}
+	return p
+}
+
+// unsound returns, for a freshly built priority, a vertex of every
+// component where adding the pairs one by one with Add would not just
+// orient them all: each vertex whose row repeats an entry (Add skips a
+// repeat), and each vertex one Kahn pass cannot order (on or after a
+// cycle; a conflict oriented both ways is one of length two). nil: the
+// priority is exactly what the Add sequence builds.
+func (p *Priority) unsound() []int32 {
+	n := len(p.succOff) - 1
+	var bad []int32
+	for v := 0; v < n; v++ {
+		row := p.succ[p.succOff[v]:p.succOff[v+1]]
+		for i := 1; i < len(row); i++ {
+			if row[i] == row[i-1] {
+				bad = append(bad, int32(v))
+				break
+			}
 		}
 	}
-	return q
+	indeg := make([]int32, n)
+	queue := make([]int32, 0, n)
+	for v := 0; v < n; v++ {
+		if indeg[v] = p.predOff[v+1] - p.predOff[v]; indeg[v] == 0 {
+			queue = append(queue, int32(v))
+		}
+	}
+	for i := 0; i < len(queue); i++ {
+		v := queue[i]
+		for _, w := range p.succ[p.succOff[v]:p.succOff[v+1]] {
+			if indeg[w]--; indeg[w] == 0 {
+				queue = append(queue, w)
+			}
+		}
+	}
+	if len(queue) < n {
+		for v, d := range indeg {
+			if d > 0 {
+				bad = append(bad, int32(v))
+			}
+		}
+	}
+	return bad
 }
+
+// Clone returns an independent copy with its rows laid out as a fresh
+// CSR base and an empty overlay.
+func (p *Priority) Clone() *Priority { return build(p.g, p.Edges()) }
 
 // IsTotal reports whether every conflict edge is oriented — a total
 // priority cannot be extended further.
@@ -338,11 +333,11 @@ func (p *Priority) IsTotal() bool {
 
 // Dominators returns {x : x ≻ t} as a sorted slice view. The caller
 // must not mutate the result.
-func (p *Priority) Dominators(t relation.TupleID) []int32 { return p.preds(t) }
+func (p *Priority) Dominators(t relation.TupleID) []int32 { return p.row(t).pred }
 
 // Dominated returns {y : t ≻ y} as a sorted slice view. The caller
 // must not mutate the result.
-func (p *Priority) Dominated(t relation.TupleID) []int32 { return p.succs(t) }
+func (p *Priority) Dominated(t relation.TupleID) []int32 { return p.row(t).succ }
 
 // Winnow computes ω≻ restricted to the sub-instance rest: the tuples
 // of rest not dominated by any other tuple of rest [5].
@@ -359,7 +354,7 @@ func (p *Priority) Winnow(rest *bitset.Set) *bitset.Set {
 
 // UndominatedIn reports whether tuple t has no dominator inside rest.
 func (p *Priority) UndominatedIn(t relation.TupleID, rest *bitset.Set) bool {
-	for _, x := range p.preds(t) {
+	for _, x := range p.row(t).pred {
 		if rest.Has(int(x)) {
 			return false
 		}
@@ -377,9 +372,9 @@ func (p *Priority) TotalExtension(rng *rand.Rand) *Priority {
 	for i, v := range order {
 		rank[v] = i
 	}
-	q := p.Clone()
+	pairs := p.Edges()
 	for _, e := range p.g.Edges() {
-		if q.Oriented(e.A, e.B) {
+		if p.Oriented(e.A, e.B) {
 			continue
 		}
 		x, y := e.A, e.B
@@ -388,9 +383,9 @@ func (p *Priority) TotalExtension(rng *rand.Rand) *Priority {
 		}
 		// rank[x] < rank[y]: orienting x ≻ y follows the linear order,
 		// so no cycle can arise.
-		q.addEdge(x, y)
+		pairs = append(pairs, [2]relation.TupleID{x, y})
 	}
-	return q
+	return build(p.g, pairs)
 }
 
 // topoOrder returns a topological order of the ≻ digraph (which is
@@ -400,7 +395,7 @@ func (p *Priority) topoOrder(rng *rand.Rand) []int {
 	n := p.g.Len()
 	indeg := make([]int, n)
 	for v := 0; v < n; v++ {
-		indeg[v] = len(p.preds(v))
+		indeg[v] = len(p.row(v).pred)
 	}
 	ready := make([]int, 0, n)
 	for v := 0; v < n; v++ {
@@ -417,7 +412,7 @@ func (p *Priority) topoOrder(rng *rand.Rand) []int {
 		v := ready[i]
 		ready = append(ready[:i], ready[i+1:]...)
 		order = append(order, v)
-		for _, w := range p.succs(v) {
+		for _, w := range p.row(v).succ {
 			indeg[w]--
 			if indeg[w] == 0 {
 				ready = append(ready, int(w))
@@ -432,7 +427,7 @@ func (p *Priority) topoOrder(rng *rand.Rand) []int {
 func (p *Priority) Edges() [][2]relation.TupleID {
 	out := make([][2]relation.TupleID, 0, p.n)
 	for x := 0; x < p.g.Len(); x++ {
-		for _, y := range p.succs(x) {
+		for _, y := range p.row(x).succ {
 			out = append(out, [2]relation.TupleID{x, int(y)})
 		}
 	}

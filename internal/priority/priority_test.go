@@ -142,8 +142,8 @@ func (p *Priority) Extends(q *Priority) bool {
 		return false
 	}
 	for x := 0; x < q.g.Len(); x++ {
-		for _, y := range q.succs(x) {
-			if !contains(p.succs(x), y) {
+		for _, y := range q.Dominated(x) {
+			if !p.Dominates(x, int(y)) {
 				return false
 			}
 		}

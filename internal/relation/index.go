@@ -10,7 +10,7 @@ import (
 // A chainIndex is the index of one instance version chain: the tuple
 // key index (whole-tuple key → tuple ID, behind Lookup and the set
 // semantics of Insert) and, for every attribute position, a map from
-// value key to the ascending list of tuple IDs carrying that value.
+// value to the ascending list of tuple IDs carrying that value.
 // The structure exploits the storage model of the chain — tuple IDs are
 // dense, assigned in insertion order, never reused, and the cell
 // data for an ID is immutable — so one shared, append-only index
@@ -43,26 +43,46 @@ import (
 // access goes through idx.mu because the facade mutates the head
 // version while readers probe published snapshots concurrently.
 
-// posting holds the ascending tuple IDs of one attribute value, plus
-// a representative Value so DistinctValues can recover typed values
-// from the map without decoding keys.
-type posting struct {
-	val Value
-	ids []TupleID
-}
-
-// attrPostings is the index of a single attribute position. upto is
-// the exclusive upper bound of indexed IDs: every live or dead tuple
-// with id < upto appears in m.
+// attrPostings is the index of a single attribute position: a map
+// from value to the ascending tuple IDs carrying it, typed by the
+// column's kind — ints for KindInt, strs for KindName; the other map
+// stays nil, so a value of the wrong kind finds nothing. A map entry
+// is the value itself and the posting slice: no key encoding and no
+// object per value. upto is the exclusive upper bound of indexed IDs:
+// every live or dead tuple with id < upto appears in the map.
 type attrPostings struct {
 	built bool
 	upto  int
-	m     map[string]*posting
+	ints  map[int64][]TupleID
+	strs  map[string][]TupleID
 	// sorted caches the distinct values of the attribute in ascending
 	// Value.Order, rebuilt lazily whenever new distinct values appear
-	// (sortedLen is len(m) at build time). See SortedDistinctValues.
+	// (sortedLen is the distinct count at build time). See
+	// SortedDistinctValues.
 	sorted    []Value
 	sortedLen int
+}
+
+// lookup returns the posting of v, nil when v does not occur.
+func (ap *attrPostings) lookup(v Value) []TupleID {
+	if v.kind == KindInt {
+		return ap.ints[v.i]
+	}
+	return ap.strs[v.s]
+}
+
+// distinct returns the number of distinct values indexed.
+func (ap *attrPostings) distinct() int { return len(ap.ints) + len(ap.strs) }
+
+// rangeValues calls yield with every distinct value and its posting,
+// in map order.
+func (ap *attrPostings) rangeValues(yield func(Value, []TupleID)) {
+	for k, ids := range ap.ints {
+		yield(Value{kind: KindInt, i: k}, ids)
+	}
+	for k, ids := range ap.strs {
+		yield(Value{kind: KindName, s: k}, ids)
+	}
 }
 
 // chainIndex is the shared index of a version chain.
@@ -98,27 +118,27 @@ func (ix *chainIndex) lookupKey(k string, n int) (TupleID, bool) {
 	return id, ok
 }
 
-// keyOf returns the postings-map key of a value.
-func keyOf(v Value) string { return string(v.appendKey(make([]byte, 0, 24))) }
-
 // extendLocked indexes column cells [ap.upto, n) into attribute attr.
 // Caller holds ix.mu for writing; col is the probing instance's
 // column, so cells below n are immutable.
 func (ix *chainIndex) extendLocked(attr int, col *column, n int) {
 	ap := &ix.attrs[attr]
-	if ap.m == nil {
-		ap.m = make(map[string]*posting)
-	}
-	var buf [24]byte
-	for id := ap.upto; id < n; id++ {
-		v := col.value(id)
-		k := v.appendKey(buf[:0])
-		p := ap.m[string(k)]
-		if p == nil {
-			p = &posting{val: v}
-			ap.m[string(k)] = p
+	if col.kind == KindInt {
+		if ap.ints == nil {
+			ap.ints = make(map[int64][]TupleID)
 		}
-		p.ids = append(p.ids, id)
+		for id := ap.upto; id < n; id++ {
+			k := col.ints[id]
+			ap.ints[k] = append(ap.ints[k], id)
+		}
+	} else {
+		if ap.strs == nil {
+			ap.strs = make(map[string][]TupleID)
+		}
+		for id := ap.upto; id < n; id++ {
+			k := col.strs[id]
+			ap.strs[k] = append(ap.strs[k], id)
+		}
 	}
 	ap.upto = n
 	ap.built = true
@@ -160,14 +180,10 @@ func (ix *chainIndex) noteInsert(id TupleID, k string, cols []column) (diverged 
 // reading the returned prefix is race-free. Entries >= n belong to
 // newer versions of the chain and must be skipped by the caller.
 func (ix *chainIndex) ensure(attr int, v Value, col *column, n int) []TupleID {
-	k := keyOf(v)
 	ix.mu.RLock()
 	ap := &ix.attrs[attr]
 	if ap.built && ap.upto >= n {
-		var ids []TupleID
-		if p := ap.m[k]; p != nil {
-			ids = p.ids
-		}
+		ids := ap.lookup(v)
 		ix.mu.RUnlock()
 		return ids
 	}
@@ -177,10 +193,7 @@ func (ix *chainIndex) ensure(attr int, v Value, col *column, n int) []TupleID {
 	if !ap.built || ap.upto < n {
 		ix.extendLocked(attr, col, n)
 	}
-	if p := ap.m[k]; p != nil {
-		return p.ids
-	}
-	return nil
+	return ap.lookup(v)
 }
 
 // ensureBuilt forces the attribute index to cover IDs [0, n).
@@ -255,7 +268,7 @@ func (r *Instance) DistinctEstimate(attr int) int {
 	ix.ensureBuilt(attr, &r.cols[attr], r.n)
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.attrs[attr].m)
+	return ix.attrs[attr].distinct()
 }
 
 // DistinctValuesLive appends the distinct values occurring in
@@ -270,17 +283,17 @@ func (r *Instance) DistinctValuesLive(attr int, dst []Value) []Value {
 	ix.ensureBuilt(attr, &r.cols[attr], n)
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	for _, p := range ix.attrs[attr].m {
-		for _, id := range p.ids {
+	ix.attrs[attr].rangeValues(func(v Value, ids []TupleID) {
+		for _, id := range ids {
 			if id >= n {
 				break
 			}
 			if !r.dead.has(id) {
-				dst = append(dst, p.val)
+				dst = append(dst, v)
 				break
 			}
 		}
-	}
+	})
 	return dst
 }
 
@@ -298,7 +311,7 @@ func (r *Instance) SortedDistinctValues(attr int) []Value {
 	ix.ensureBuilt(attr, &r.cols[attr], r.n)
 	ix.mu.RLock()
 	ap := &ix.attrs[attr]
-	if ap.sortedLen == len(ap.m) {
+	if ap.sortedLen == ap.distinct() {
 		s := ap.sorted
 		ix.mu.RUnlock()
 		return s
@@ -306,11 +319,9 @@ func (r *Instance) SortedDistinctValues(attr int) []Value {
 	ix.mu.RUnlock()
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if ap.sortedLen != len(ap.m) {
-		s := make([]Value, 0, len(ap.m))
-		for _, p := range ap.m {
-			s = append(s, p.val)
-		}
+	if ap.sortedLen != ap.distinct() {
+		s := make([]Value, 0, ap.distinct())
+		ap.rangeValues(func(v Value, _ []TupleID) { s = append(s, v) })
 		sort.Slice(s, func(i, j int) bool { return s[i].Order(s[j]) < 0 })
 		ap.sorted, ap.sortedLen = s, len(s)
 	}

@@ -280,5 +280,5 @@ func (s *Snapshot) Components(rel string) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("prefcqa: unknown relation %q", rel)
 	}
-	return len(sr.rel.Pri.Graph().Components()), nil
+	return sr.rel.Pri.Graph().NumComponents(), nil
 }
