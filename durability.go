@@ -317,7 +317,7 @@ func (r *Relation) replayInserts(rows [][]string) error {
 	if err != nil {
 		return err
 	}
-	_, err = r.applyInserts(tuples, nil)
+	_, err = r.applyInserts(tuples)
 	return err
 }
 

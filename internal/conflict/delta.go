@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 
-	"prefcqa/internal/fd"
 	"prefcqa/internal/pmap"
 	"prefcqa/internal/relation"
 )
@@ -53,58 +52,6 @@ type DeltaReport struct {
 	Compacted    bool
 }
 
-// lhsIndex buckets live tuple IDs by their LHS projection, one map
-// per dependency — the partner index that makes insert-time conflict
-// discovery O(partners) instead of O(n). It is owned by the writer
-// (the newest graph version) and shared along the version chain:
-// older versions never touch it.
-type lhsIndex struct {
-	fds     []fd.FD
-	buckets []map[string][]int32
-}
-
-func newLHSIndex(inst *relation.Instance, fds *fd.Set) *lhsIndex {
-	idx := &lhsIndex{fds: fds.All(), buckets: make([]map[string][]int32, fds.Len())}
-	for i := range idx.buckets {
-		idx.buckets[i] = make(map[string][]int32)
-	}
-	inst.RangeIDs(func(id relation.TupleID) bool {
-		idx.add(inst, id)
-		return true
-	})
-	return idx
-}
-
-// add buckets tuple id under its LHS key for every dependency, reading
-// the instance columns directly.
-func (idx *lhsIndex) add(inst *relation.Instance, id relation.TupleID) {
-	var buf [48]byte
-	for i, f := range idx.fds {
-		k := f.AppendLHSKeyAt(buf[:0], inst, id)
-		idx.buckets[i][string(k)] = append(idx.buckets[i][string(k)], int32(id))
-	}
-}
-
-func (idx *lhsIndex) remove(inst *relation.Instance, id relation.TupleID) {
-	var buf [48]byte
-	for i, f := range idx.fds {
-		k := string(f.AppendLHSKeyAt(buf[:0], inst, id))
-		b := idx.buckets[i][k]
-		for j, x := range b {
-			if x == int32(id) {
-				b[j] = b[len(b)-1]
-				b = b[:len(b)-1]
-				break
-			}
-		}
-		if len(b) == 0 {
-			delete(idx.buckets[i], k)
-		} else {
-			idx.buckets[i][k] = b
-		}
-	}
-}
-
 // overlay size thresholds: compaction triggers when either map
 // outgrows its bound. Forking does not depend on the overlay's size;
 // what the bound trades against compaction frequency (amortized
@@ -132,7 +79,6 @@ func (g *Graph) fork(inst *relation.Instance) *Graph {
 		members:  g.members, start: g.start, compID: g.compID, localIdx: g.localIdx,
 		compOver: g.compOver, vertComp: g.vertComp,
 		nextCompID: g.nextCompID,
-		lhs:        g.lhs,
 	}
 	ng.compsOnce.Do(func() {}) // base arrays inherited, never recompute
 	return ng
@@ -155,9 +101,6 @@ func (g *Graph) ApplyDelta(inst *relation.Instance, d Delta) (*Graph, *DeltaRepo
 	}
 	if inst.NumIDs() < g.numVerts {
 		return nil, nil, fmt.Errorf("conflict: delta instance has %d IDs, graph has %d", inst.NumIDs(), g.numVerts)
-	}
-	if g.lhs == nil {
-		g.lhs = newLHSIndex(g.inst, g.fds)
 	}
 	ng := g.fork(inst)
 	rep := &DeltaReport{}
@@ -204,25 +147,28 @@ func (g *Graph) newComp(members []int, rep *DeltaReport) int32 {
 }
 
 // insertVertex wires a newly inserted tuple into the graph: partners
-// are found through the LHS index, adjacency rows are patched, and
-// the partner components (if any) merge with t into one fresh
-// component.
+// are found in its LHS groups, adjacency rows are patched, and the
+// partner components (if any) merge with t into one fresh component.
 func (g *Graph) insertVertex(t relation.TupleID, rep *DeltaReport) {
-	// Discover conflict partners per dependency. Partner probes compare
-	// column cells by ID — no tuple materialization. A partner under
-	// two dependencies is found twice; sorting puts the two side by
-	// side.
+	// Discover conflict partners per dependency. A group holds every ID
+	// of the chain; a partner is a member the graph already holds — live
+	// and wired, by the old version or earlier in this batch — so the
+	// edge to a member inserted later in the batch is wired from that
+	// member's side, and a member deleted in this batch is unwired by
+	// its own delete. Partner probes compare column cells by ID — no
+	// tuple materialization. A partner under two dependencies is found
+	// twice; sorting puts the two side by side.
 	var partners []int32
-	var buf [48]byte
-	for fi, f := range g.lhs.fds {
-		k := f.AppendLHSKeyAt(buf[:0], g.inst, t)
-		for _, c := range g.lhs.buckets[fi][string(k)] {
-			if f.ConflictsAt(g.inst, t, int(c)) {
-				partners = append(partners, c)
+	var grp []relation.TupleID
+	for fi := range g.fds.Len() {
+		f := g.fds.FD(fi)
+		grp = f.Partition(g.inst).Group(grp[:0], t)
+		for _, c := range grp {
+			if g.ComponentOf(c) >= 0 && f.ConflictsAt(g.inst, t, c) {
+				partners = append(partners, int32(c))
 			}
 		}
 	}
-	g.lhs.add(g.inst, t)
 	g.compList.Store((*componentListing)(nil))
 	if len(partners) == 0 {
 		g.newComp([]int{t}, rep)
@@ -258,7 +204,6 @@ func (g *Graph) insertVertex(t relation.TupleID, rep *DeltaReport) {
 // patched, incident edges leave the live set, and its component is
 // re-split by a walk bounded by the component size.
 func (g *Graph) deleteVertex(v relation.TupleID, rep *DeltaReport) {
-	g.lhs.remove(g.inst, v)
 	g.compList.Store((*componentListing)(nil))
 	nbrs := append([]int32(nil), g.Neighbors(v)...)
 	for _, u := range nbrs {
@@ -335,25 +280,18 @@ func (g *Graph) compact() {
 
 // insertSorted returns a fresh sorted slice = row ∪ {v}.
 func insertSorted(row []int32, v int32) []int32 {
-	i := sort.Search(len(row), func(k int) bool { return row[k] >= v })
-	if i < len(row) && row[i] == v {
+	i, found := slices.BinarySearch(row, v)
+	if found {
 		return row
 	}
-	out := make([]int32, len(row)+1)
-	copy(out, row[:i])
-	out[i] = v
-	copy(out[i+1:], row[i:])
-	return out
+	return slices.Insert(slices.Clip(row), i, v)
 }
 
 // removeSorted returns a fresh sorted slice = row \ {v}.
 func removeSorted(row []int32, v int32) []int32 {
-	i := sort.Search(len(row), func(k int) bool { return row[k] >= v })
-	if i >= len(row) || row[i] != v {
+	i, found := slices.BinarySearch(row, v)
+	if !found {
 		return row
 	}
-	out := make([]int32, len(row)-1)
-	copy(out, row[:i])
-	copy(out[i:], row[i+1:])
-	return out
+	return slices.Concat(row[:i], row[i+1:])
 }

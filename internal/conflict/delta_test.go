@@ -3,6 +3,7 @@ package conflict
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"prefcqa/internal/fd"
@@ -154,6 +155,73 @@ func TestApplyDeltaInsertThenDeleteSameBatch(t *testing.T) {
 	if ng.Live(id) {
 		t.Fatalf("tuple %d should be dead", id)
 	}
+}
+
+// TestApplyDeltaBatchInOneGroup puts three inserts of one batch in one
+// LHS group, two of them in conflict with a tuple already there, and
+// deletes one of the new tuples and that old partner in the same
+// batch. A partner is only a tuple the graph already holds: reading the
+// whole group instead (the batch's later inserts, its deleted tuples)
+// wires an edge twice and miscounts.
+func TestApplyDeltaBatchInOneGroup(t *testing.T) {
+	schema := relation.MustSchema("R", relation.IntAttr("K"), relation.NameAttr("V"), relation.IntAttr("W"))
+	fds := fd.MustParseSet(schema, "K -> V")
+	inst := relation.NewInstance(schema)
+	e := inst.MustInsert(1, "a", 0)
+	inst.MustInsert(2, "a", 0)
+	g := MustBuild(inst, fds)
+
+	inst = inst.Fork()
+	x := inst.MustInsert(1, "b", 0) // conflicts with e
+	y := inst.MustInsert(1, "c", 0) // conflicts with e and x
+	z := inst.MustInsert(1, "a", 1) // agrees with e; conflicts with x and y
+	inst.Delete(y)
+	inst.Delete(e)
+	ng, rep, err := g.ApplyDelta(inst, Delta{Inserts: []int{x, y, z}, Deletes: []int{y, e}})
+	if err != nil {
+		t.Fatalf("ApplyDelta: %v", err)
+	}
+	checkGraphsEquivalent(t, 0, ng, MustBuild(inst, fds))
+	if rep.AddedEdges != 5 || rep.RemovedEdges != 4 {
+		t.Fatalf("report: %d edges added, %d removed; want 5 and 4", rep.AddedEdges, rep.RemovedEdges)
+	}
+	if want := []Edge{{A: x, B: z}}; fmt.Sprint(ng.Edges()) != fmt.Sprint(want) || ng.NumEdges() != 1 {
+		t.Fatalf("edges %v (NumEdges %d), want %v", ng.Edges(), ng.NumEdges(), want)
+	}
+}
+
+// TestFirstApplyDeltaRetained is the gate on what the first delta
+// applied to a built graph of 100 000 two-tuple clusters keeps: the
+// partner search reads the instance's LHS partition, which the build
+// already made, so the delta keeps its own overlay and nothing per
+// tuple. A partner index of its own per graph chain kept 8.29 MB here.
+func TestFirstApplyDeltaRetained(t *testing.T) {
+	inst, fds := pairsInstance(100000)
+	g := MustBuild(inst, fds)
+	g.NumComponents()
+	inst = inst.Fork()
+	id := inst.MustInsert(7, 2)
+	var ng *Graph
+	var err error
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ng, _, err = g.ApplyDelta(inst, Delta{Inserts: []int{id}})
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := ng.Component(ng.ComponentOf(id)); len(c) != 3 {
+		t.Fatalf("component of the insert = %v, want three tuples", c)
+	}
+	retained := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / (1 << 20)
+	t.Logf("first ApplyDelta at %d tuples retains %.2f MB", inst.NumIDs(), retained)
+	if retained > 1 {
+		t.Fatalf("first ApplyDelta retains %.2f MB, limit 1 MB", retained)
+	}
+	runtime.KeepAlive(g)
+	runtime.KeepAlive(ng)
 }
 
 // TestTouchRetiresComponent checks that Touch retires a component ID

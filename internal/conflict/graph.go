@@ -94,8 +94,6 @@ type Graph struct {
 	vertComp   pmap.Map[int32] // vertex -> current component ID (-1: deleted)
 	nextCompID int32
 	compList   atomic.Pointer[componentListing] // cached live listing
-
-	lhs *lhsIndex // writer-side FD partner index, shared along the version chain
 }
 
 // componentListing is the materialized list of live components in
@@ -127,6 +125,7 @@ func Build(inst *relation.Instance, fds *fd.Set) (*Graph, error) {
 	// Violations are sorted by (T1, T2, FD); consecutive duplicates are
 	// the same pair under a second dependency, which adds no edge.
 	viols := fds.Violations(inst)
+	g.edges = make([]Edge, 0, len(viols))
 	for _, v := range viols {
 		if k := len(g.edges); k > 0 && g.edges[k-1].A == v.T1 && g.edges[k-1].B == v.T2 {
 			continue
@@ -264,10 +263,8 @@ func (g *Graph) Adjacent(a, b relation.TupleID) bool {
 	if a < 0 || a >= g.numVerts {
 		return false
 	}
-	row := g.Neighbors(a)
-	t := int32(b)
-	i := sort.Search(len(row), func(k int) bool { return row[k] >= t })
-	return i < len(row) && row[i] == t
+	_, ok := slices.BinarySearch(g.Neighbors(a), int32(b))
+	return ok
 }
 
 // Neighbors returns n(t): the tuples conflicting with t, as a sorted

@@ -5,7 +5,7 @@ package fd
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"prefcqa/internal/relation"
@@ -43,16 +43,7 @@ func New(schema *relation.Schema, lhs, rhs []int) (FD, error) {
 		return FD{}, err
 	}
 	l := normalize(lhs)
-	inL := make(map[int]bool, len(l))
-	for _, i := range l {
-		inL[i] = true
-	}
-	var r []int
-	for _, i := range normalize(rhs) {
-		if !inL[i] {
-			r = append(r, i)
-		}
-	}
+	r := slices.DeleteFunc(normalize(rhs), func(i int) bool { return slices.Contains(l, i) })
 	if len(r) == 0 {
 		return FD{}, fmt.Errorf("fd: trivial dependency (RHS ⊆ LHS)")
 	}
@@ -73,15 +64,9 @@ func NewByName(schema *relation.Schema, lhs, rhs []string) (FD, error) {
 }
 
 func normalize(idx []int) []int {
-	out := append([]int(nil), idx...)
-	sort.Ints(out)
-	dedup := out[:0]
-	for i, v := range out {
-		if i == 0 || v != out[i-1] {
-			dedup = append(dedup, v)
-		}
-	}
-	return dedup
+	out := slices.Clone(idx)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Parse reads "A, B -> C D" (commas and/or spaces separate attribute
@@ -109,13 +94,9 @@ func splitNames(s string) []string {
 	})
 }
 
-// AppendLHSKeyAt appends the LHS projection key of tuple id of r to b,
-// reading the columns directly, without materializing the tuple — the
-// hash bucket two tuples must share to possibly conflict under f, for
-// the bulk conflict-build and delta paths.
-func (f FD) AppendLHSKeyAt(b []byte, r *relation.Instance, id relation.TupleID) []byte {
-	return r.AppendProjectionKey(b, id, f.lhs)
-}
+// Partition returns the partition of r on f's left-hand side: the
+// groups two tuples must share to conflict under f.
+func (f FD) Partition(r *relation.Instance) relation.Partition { return r.Partition(f.lhs) }
 
 // ConflictsAt is Conflicts over two tuples of r addressed by ID,
 // comparing column cells directly without materializing either tuple.
@@ -136,20 +117,7 @@ func (f FD) ConflictsAt(r *relation.Instance, a, b relation.TupleID) bool {
 // Equal reports whether two FDs have the same sides over the same
 // schema.
 func (f FD) Equal(g FD) bool {
-	if !f.schema.Equal(g.schema) || len(f.lhs) != len(g.lhs) || len(f.rhs) != len(g.rhs) {
-		return false
-	}
-	for i := range f.lhs {
-		if f.lhs[i] != g.lhs[i] {
-			return false
-		}
-	}
-	for i := range f.rhs {
-		if f.rhs[i] != g.rhs[i] {
-			return false
-		}
-	}
-	return true
+	return f.schema.Equal(g.schema) && slices.Equal(f.lhs, g.lhs) && slices.Equal(f.rhs, g.rhs)
 }
 
 // String renders "A,B -> C,D" using attribute names.

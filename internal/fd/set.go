@@ -86,64 +86,20 @@ type Violation struct {
 // Violations lists all conflicting tuple pairs (T1 < T2) in the
 // instance, one entry per violated dependency, sorted by (T1, T2, FD).
 //
-// Per dependency the live tuples are numbered by LHS group — one map
-// probe per tuple, keyed by substrings of one string holding every
-// tuple's LHS key — and a counting sort lays the IDs of each group side
-// by side. A group whose tuples all agree on the RHS costs one pass; any
-// other is sorted by RHS value in place, so its RHS classes are runs,
-// and every pair across two runs is a conflict. Nothing is allocated
-// per group, and no group is scanned pair by pair: a group of s tuples
-// costs O(s) when it holds no conflict, else O(s log s) against its at
-// least s-1 conflicts.
+// Per dependency the live tuples come laid out by LHS group, off the
+// instance's partition on the LHS (built on first use, then kept by the
+// instance). A group whose tuples all agree on the RHS costs one pass;
+// any other is sorted by RHS value in place, so its RHS classes are
+// runs, and every pair across two runs is a conflict. Nothing is
+// allocated per group, and no group is scanned pair by pair: a group of
+// s tuples costs O(s) when it holds no conflict, else O(s log s)
+// against its at least s-1 conflicts.
 func (s *Set) Violations(r *relation.Instance) []Violation {
-	n := r.NumIDs()
-	group := make([]int32, n) // per ID: its LHS group, -1 when dead
-	off := make([]int, n+1)   // per ID: the end of its LHS key in keys
 	ids := make([]relation.TupleID, 0, r.Len())
 	var ends []int32 // per group: the end of its run in ids
-	var keys []byte
-	lhsGroup := make(map[string]int32)
 	var out []Violation
 	for fi, f := range s.fds {
-		keys, ids = keys[:0], ids[:0]
-		for id := 0; id < n; id++ {
-			group[id] = -1
-			if r.Live(id) {
-				group[id] = 0
-				keys = r.AppendProjectionKey(keys, id, f.lhs)
-			}
-			off[id+1] = len(keys)
-		}
-		all := string(keys)
-		clear(lhsGroup)
-		ends = ends[:0]
-		for id := 0; id < n; id++ {
-			if group[id] < 0 {
-				continue
-			}
-			k := all[off[id]:off[id+1]]
-			g, ok := lhsGroup[k]
-			if !ok {
-				g = int32(len(ends))
-				lhsGroup[k] = g
-				ends = append(ends, 0)
-			}
-			group[id] = g
-			ends[g]++
-		}
-		// Counting sort: ends[g] becomes the start of group g's run, and
-		// the end once its IDs are placed, ascending.
-		sum := int32(0)
-		for g, c := range ends {
-			ends[g], sum = sum, sum+c
-		}
-		ids = ids[:sum]
-		for id := 0; id < n; id++ {
-			if g := group[id]; g >= 0 {
-				ids[ends[g]] = id
-				ends[g]++
-			}
-		}
+		ids, ends = f.Partition(r).Groups(ids[:0], ends[:0])
 		lo := int32(0)
 		for _, hi := range ends {
 			out = appendGroupViolations(out, r, f.rhs, fi, ids[lo:hi])
@@ -151,13 +107,7 @@ func (s *Set) Violations(r *relation.Instance) []Violation {
 		}
 	}
 	slices.SortFunc(out, func(a, b Violation) int {
-		if a.T1 != b.T1 {
-			return cmp.Compare(a.T1, b.T1)
-		}
-		if a.T2 != b.T2 {
-			return cmp.Compare(a.T2, b.T2)
-		}
-		return cmp.Compare(a.FD, b.FD)
+		return cmp.Or(cmp.Compare(a.T1, b.T1), cmp.Compare(a.T2, b.T2), cmp.Compare(a.FD, b.FD))
 	})
 	return out
 }

@@ -21,7 +21,7 @@ func referenceViolations(s *Set, r *relation.Instance) []Violation {
 	for fi, f := range s.fds {
 		groups := make(map[string][]relation.TupleID)
 		r.RangeIDs(func(id relation.TupleID) bool {
-			buf = r.AppendProjectionKey(buf[:0], id, f.lhs)
+			buf = appendProjectionKey(buf[:0], r, id, f.lhs)
 			groups[string(buf)] = append(groups[string(buf)], id)
 			return true
 		})
@@ -32,7 +32,7 @@ func referenceViolations(s *Set, r *relation.Instance) []Violation {
 			byRHS := make(map[string][]relation.TupleID)
 			var order []string
 			for _, id := range ids {
-				buf = r.AppendProjectionKey(buf[:0], id, f.rhs)
+				buf = appendProjectionKey(buf[:0], r, id, f.rhs)
 				k := string(buf)
 				if _, seen := byRHS[k]; !seen {
 					order = append(order, k)
@@ -61,6 +61,15 @@ func referenceViolations(s *Set, r *relation.Instance) []Violation {
 		return a.FD < b.FD
 	})
 	return out
+}
+
+// appendProjectionKey appends the key of tuple id of r projected onto
+// attrs: equal projections, and only they, have equal keys.
+func appendProjectionKey(b []byte, r *relation.Instance, id relation.TupleID, attrs []int) []byte {
+	for _, a := range attrs {
+		b = r.ValueAt(id, a).AppendKey(b)
+	}
+	return b
 }
 
 // randomViolationCase builds an instance of 3 to 5 int and name

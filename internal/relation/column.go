@@ -122,17 +122,6 @@ func (r *Instance) ValueAt(id TupleID, attr int) Value {
 	return r.cols[attr].value(id)
 }
 
-// AppendProjectionKey appends the canonical key of tuple id projected
-// onto the given attribute positions — Tuple.Project(attrs).Key()
-// without materializing either tuple. It is the hash-bucket primitive
-// of FD violation detection and the conflict partner index.
-func (r *Instance) AppendProjectionKey(b []byte, id TupleID, attrs []int) []byte {
-	for _, a := range attrs {
-		b = r.cols[a].value(id).appendKey(b)
-	}
-	return b
-}
-
 // compareIDs orders two tuples of r by value (the Tuple.Order
 // ordering), reading columns directly.
 func (r *Instance) compareIDs(a, b TupleID) int {

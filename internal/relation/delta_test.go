@@ -81,7 +81,7 @@ func TestReinsertAfterDeleteGetsFreshID(t *testing.T) {
 // one and two generations apart first, then at depth: versions pinned
 // along a 10 000-mutation stream of chained forks (inserts, deletes,
 // re-inserts of deleted tuples; long enough to reach a second
-// tombstone chunk) share the key index and the tombstone chunks with
+// tombstone chunk) share the partitions and the tombstone chunks with
 // every version forked after them, and each must still resolve every
 // tuple of the domain exactly as it did when it was the head.
 func TestForkIsolation(t *testing.T) {
@@ -175,7 +175,7 @@ func TestForkIsolation(t *testing.T) {
 				if found != ok || (ok && got != want) {
 					t.Fatalf("pin %d: Lookup(%d, %d) = %d, %v; want %d, %v", i, x, y, got, found, want, ok)
 				}
-				if ok && cur.idx.keys[tup.Key()] != want {
+				if ok && cur.Partition([]int{0, 1}).Group(nil, want)[0] != want {
 					viaOlder++
 				}
 			}
@@ -188,9 +188,9 @@ func TestForkIsolation(t *testing.T) {
 
 func TestForkOverlayFold(t *testing.T) {
 	// Push inserts through a long chain of forks (long enough to have
-	// folded the per-version key overlay there once was; the key index
-	// is now one per chain), then verify lookups across the whole key
-	// space.
+	// folded the per-version key overlay there once was; the tuple-key
+	// partition is now one per chain), then verify lookups across the
+	// whole key space.
 	inst := NewInstance(pairSchema(t))
 	for i := 0; i < 10; i++ {
 		inst.MustInsert(int64(i), 0)

@@ -1,47 +1,42 @@
 package relation
 
 import (
+	"slices"
 	"sort"
 	"sync"
 )
 
 // The chain index.
 //
-// A chainIndex is the index of one instance version chain: the tuple
-// key index (whole-tuple key → tuple ID, behind Lookup and the set
-// semantics of Insert) and, for every attribute position, a map from
-// value to the ascending list of tuple IDs carrying that value.
-// The structure exploits the storage model of the chain — tuple IDs are
-// dense, assigned in insertion order, never reused, and the cell
-// data for an ID is immutable — so one shared, append-only index
-// serves every version of the chain:
+// A chainIndex is the index of one instance version chain: its
+// partitions (partition.go), the tuple-key index behind Lookup and the
+// set semantics of Insert among them, and, for every attribute
+// position, a map from value to the ascending list of tuple IDs
+// carrying that value. The structure exploits the storage model of
+// the chain — tuple IDs are dense, assigned in insertion order, never
+// reused, and the cell data for an ID is immutable — so one shared,
+// append-only index serves every version of the chain:
 //
-//   - A version with NumIDs() = n sees exactly the postings entries
-//     with id < n, filtered by its own tombstone set. Older snapshots
-//     therefore read the same postings as the mutable head and stay
+//   - A version with NumIDs() = n sees exactly the entries with
+//     id < n, filtered by its own tombstone set. Older snapshots
+//     therefore read the same index as the mutable head and stay
 //     consistent by construction; Delete needs no index maintenance
-//     at all. The key index is read the same way: a key maps to the
-//     IDs it was inserted under, newest first (a tuple re-inserted
-//     after a delete gets a fresh ID), and a version takes the first
-//     one below its own bound — if that one is dead for it, so is
-//     every older one, since the newer was only assigned after the
-//     older had been deleted.
-//   - Insert appends the new ID to the postings of each already-built
-//     attribute (IDs arrive in ascending order, keeping postings
-//     sorted); attributes nobody has probed yet cost nothing.
-//   - Fork shares the index pointer with the child. Forking the same
-//     frozen parent twice is NOT supported by the storage chain
-//     itself (sibling forks append into one shared column arena and
-//     clobber each other); the index defends itself anyway — a
-//     non-monotone insert ID reveals the sibling and the younger
-//     chain detaches onto a fresh index (see noteInsert) — so it
-//     never compounds the storage hazard with stale postings.
+//     at all.
+//   - Insert files the new ID in every partition and appends it to the
+//     postings of each already-built attribute (IDs arrive in
+//     ascending order, keeping postings sorted); attributes nobody has
+//     probed yet cost nothing.
+//   - Fork shares the index pointer with the child. A fork of a parent
+//     that was already forked is a sibling: its first insert would
+//     claim an ID the index holds, so it detaches first (see detach)
+//     onto columns and an index of its own.
 //
 // Postings for one attribute are built lazily, on the first probe of
 // that attribute, by a single pass over the probing version's column;
-// after that the index is maintained incrementally forever. All
-// access goes through idx.mu because the facade mutates the head
-// version while readers probe published snapshots concurrently.
+// a partition on its first use, over every ID of the chain. After that
+// both are maintained incrementally forever. All access goes through
+// idx.mu because the facade mutates the head version while readers
+// probe published snapshots concurrently.
 
 // attrPostings is the index of a single attribute position: a map
 // from value to the ascending tuple IDs carrying it, typed by the
@@ -89,33 +84,29 @@ func (ap *attrPostings) rangeValues(yield func(Value, []TupleID)) {
 type chainIndex struct {
 	mu    sync.RWMutex
 	attrs []attrPostings
-	// keys maps a tuple key to the newest ID inserted under it, live
-	// or not; older links a re-inserted tuple's ID to the one its key
-	// carried before (nil until the first re-insert).
-	keys  map[string]TupleID
-	older map[TupleID]TupleID
+	// cols holds the column headers as of the newest insert: every
+	// partition reads its cells from them, whichever version probes.
+	cols []column
+	// parts holds the partitions built so far. parts[0], on every
+	// attribute, is the tuple-key index and is kept from the start;
+	// each holds every ID up to lastID.
+	parts []*partition
 	// lastID is the highest tuple ID ever inserted through this
 	// index. On a linear version chain insert IDs strictly increase;
-	// a repeated or smaller ID means a sibling fork shares the index
-	// and must detach before anything is recorded.
+	// an instance about to insert an ID at or below it is a sibling
+	// fork and must detach first (see Instance.detach).
 	lastID TupleID
 }
 
-func newChainIndex(arity int) *chainIndex {
-	return &chainIndex{attrs: make([]attrPostings, arity), keys: make(map[string]TupleID), lastID: -1}
-}
-
-// lookupKey returns the newest ID below n inserted under tuple key k:
-// the one a version with NumIDs() = n resolves k to, once it has
-// checked it against its own tombstones.
-func (ix *chainIndex) lookupKey(k string, n int) (TupleID, bool) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	id, ok := ix.keys[k]
-	for ok && id >= n {
-		id, ok = ix.older[id]
+func newChainIndex(s *Schema) *chainIndex {
+	all := make([]int, s.Arity())
+	for a := range all {
+		all[a] = a
 	}
-	return id, ok
+	return &chainIndex{
+		attrs: make([]attrPostings, len(all)), cols: newColumns(s), lastID: -1,
+		parts: []*partition{{attrs: all, table: make([]int32, 8)}},
+	}
 }
 
 // extendLocked indexes column cells [ap.upto, n) into attribute attr.
@@ -144,33 +135,21 @@ func (ix *chainIndex) extendLocked(attr int, col *column, n int) {
 	ap.built = true
 }
 
-// noteInsert records tuple id, appended to the columns under tuple
-// key k, in the key index and the built attributes. diverged=true
-// signals that a sibling fork of the same parent already claimed this
-// (or a later) ID: nothing was recorded and the caller must detach
-// onto a fresh index. The check runs before anything is touched, so a
-// divergent insert never poisons the keys and postings the first chain
-// keeps using.
-func (ix *chainIndex) noteInsert(id TupleID, k string, cols []column) (diverged bool) {
+// noteInsert records tuple id, just appended to cols, in the
+// partitions and the built attributes.
+func (ix *chainIndex) noteInsert(id TupleID, cols []column) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if id <= ix.lastID {
-		return true
-	}
 	ix.lastID = id
-	if prev, ok := ix.keys[k]; ok {
-		if ix.older == nil {
-			ix.older = make(map[TupleID]TupleID)
-		}
-		ix.older[id] = prev
+	copy(ix.cols, cols)
+	for _, p := range ix.parts {
+		p.add(ix.cols, id)
 	}
-	ix.keys[k] = id
 	for attr := range ix.attrs {
 		if ix.attrs[attr].built {
 			ix.extendLocked(attr, &cols[attr], id+1)
 		}
 	}
-	return false
 }
 
 // ensure returns the posting IDs of (attr, v) covering at least IDs
@@ -238,23 +217,10 @@ func (r *Instance) PostingIDs(attr int, v Value) []TupleID {
 // tombstoned and newer-version IDs. It is the planner's selectivity
 // estimate — cheap, monotone, and exact on an unmutated instance.
 func (r *Instance) IndexEstimate(attr int, v Value) int {
-	n := r.n
-	ids := r.index().ensure(attr, v, &r.cols[attr], n)
 	// Count only the prefix visible to this version; the tail belongs
 	// to newer forks.
-	if k := len(ids); k > 0 && ids[k-1] >= n {
-		lo, hi := 0, k
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if ids[mid] < n {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return lo
-	}
-	return len(ids)
+	n, _ := slices.BinarySearch(r.index().ensure(attr, v, &r.cols[attr], r.n), r.n)
+	return n
 }
 
 // DistinctEstimate returns the number of distinct values of attribute
@@ -328,15 +294,18 @@ func (r *Instance) SortedDistinctValues(attr int) []Value {
 	return ap.sorted
 }
 
-// noteInsert is the Insert hook: keep the key index and the built
-// attribute indexes in step, detaching onto a private index — its key
-// index refilled from this chain's own columns, its postings rebuilt
-// on the next probe — if a sibling fork already claimed the ID.
-func (r *Instance) noteInsert(id TupleID, k string) {
-	if r.idx.noteInsert(id, k, r.cols) {
-		r.idx = newChainIndex(r.schema.Arity())
-		for old := 0; old <= id; old++ {
-			r.idx.noteInsert(old, r.Tuple(old).Key(), r.cols)
-		}
+// detach moves r onto columns and an index of its own, before r
+// appends an ID that a sibling fork of its parent already claimed:
+// clipping the columns makes the next append copy them rather than
+// overwrite the sibling's cells, and the fresh index is refilled from
+// r's own rows.
+func (r *Instance) detach() {
+	for a := range r.cols {
+		c := &r.cols[a]
+		c.ints, c.strs = slices.Clip(c.ints), slices.Clip(c.strs)
+	}
+	r.idx = newChainIndex(r.schema)
+	for id := 0; id < r.n; id++ {
+		r.idx.noteInsert(id, r.cols)
 	}
 }

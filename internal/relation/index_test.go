@@ -209,6 +209,17 @@ func TestIndexConcurrentReadersAndWriter(t *testing.T) {
 				if est := snap.IndexEstimate(0, k); est < len(ids) {
 					panic(fmt.Sprintf("estimate %d < live %d", est, len(ids)))
 				}
+				// The partitions are read the same way: the live runs of
+				// the partition on K (built by whichever reader comes
+				// first) cover the live tuples, and Lookup resolves each.
+				if live, _ := snap.Partition([]int{0}).Groups(nil, nil); len(live) != snap.Len() {
+					panic(fmt.Sprintf("partition runs hold %d IDs, %d live", len(live), snap.Len()))
+				}
+				for _, id := range ids {
+					if got, ok := snap.Lookup(snap.Tuple(id)); !ok || got != id {
+						panic(fmt.Sprintf("Lookup of tuple %d = %d, %v", id, got, ok))
+					}
+				}
 			}
 		}(frozen, int64(gen))
 		for i := 0; i < 30; i++ {

@@ -18,8 +18,10 @@ type Tuple []Value
 // equal tuple later assigns a fresh ID.
 type TupleID = int
 
-// Key returns a canonical string encoding of the tuple, used for
-// set-semantics deduplication.
+// Key returns a canonical string encoding of the tuple: equal tuples,
+// and only they, have equal keys. The instance itself keys nothing (its
+// set semantics rest on the tuple-key partition, partition.go); Key is
+// for callers that dedupe tuples in a map of their own.
 func (t Tuple) Key() string {
 	var buf [64]byte // a short tuple's key is built on the stack
 	b := buf[:0]
@@ -46,8 +48,8 @@ func (t Tuple) String() string {
 //
 // An Instance carries a monotone version counter (Version) that every
 // successful mutation bumps, and supports cheap structural-sharing
-// snapshots via Fork: the fork shares the tuple storage, the key
-// index and the tombstones with its parent, and the parent is frozen
+// snapshots via Fork: the fork shares the tuple storage, the index
+// and the tombstones with its parent, and the parent is frozen
 // — all later mutations must go through the fork. This is the storage
 // half of the engine's snapshot-isolated mutation model: published
 // instance versions are immutable, and a writer advances the database
@@ -68,13 +70,13 @@ type Instance struct {
 	live    int        // number of live tuples
 	version uint64
 	frozen  bool // set by Fork: mutations must go through the fork
-	// idx is the chain's shared index (see index.go): the tuple-key
-	// index behind Lookup and Insert's set semantics, and the
-	// per-attribute value → tuple-ID postings, built lazily on first
-	// probe. Both are append-only and maintained through Insert
-	// without rebuilds. Forks share the pointer; snapshot consistency
-	// comes from filtering by the reading version's ID bound and
-	// tombstones.
+	// idx is the chain's shared index (see index.go): the partitions,
+	// the tuple-key partition behind Lookup and Insert's set semantics
+	// among them, and the per-attribute value → tuple-ID postings,
+	// built lazily on first probe. Both are append-only and maintained
+	// through Insert without rebuilds. Forks share the pointer;
+	// snapshot consistency comes from filtering by the reading
+	// version's ID bound and tombstones.
 	idx *chainIndex
 }
 
@@ -86,7 +88,7 @@ func NewInstance(schema *Schema) *Instance {
 	return &Instance{
 		schema: schema,
 		cols:   newColumns(schema),
-		idx:    newChainIndex(schema.Arity()),
+		idx:    newChainIndex(schema),
 	}
 }
 
@@ -124,7 +126,8 @@ func (r *Instance) DeadIDs() *bitset.Set {
 }
 
 // Fork returns a mutable child version sharing storage with r, and
-// freezes r: every later mutation must target the fork. Forking is
+// freezes r: every later mutation must target the fork (or a sibling
+// fork, which detaches on its first insert, see detach). Forking is
 // O(arity): the columns, the indexes and the tombstones are shared,
 // not copied, which is what makes point mutations under snapshot
 // isolation cheap. Readers of r observe exactly the state at fork
@@ -141,7 +144,7 @@ func (r *Instance) Fork() *Instance {
 		dead:    r.dead,
 		live:    r.live,
 		version: r.version,
-		idx:     r.idx, // shared: keys and postings are valid for every version of the chain
+		idx:     r.idx, // shared: partitions and postings are valid for every version of the chain
 	}
 }
 
@@ -179,27 +182,24 @@ func (r *Instance) Insert(t Tuple) (TupleID, bool, error) {
 	if err := r.typeCheck(t); err != nil {
 		return -1, false, err
 	}
-	k := t.Key()
-	if id, ok := r.LookupKey(k); ok {
+	if id, ok := r.Lookup(t); ok {
 		return id, false, nil
 	}
-	return r.InsertFresh(t, k), true, nil
-}
-
-// InsertFresh adds a tuple the caller has type-checked (TypeCheck),
-// keyed (k is t.Key()) and probed (LookupKey finds no live tuple under
-// k), and returns its ID: a bulk insert keys and probes each row once.
-func (r *Instance) InsertFresh(t Tuple, k string) TupleID {
-	r.mutable()
 	id := TupleID(r.n)
+	r.idx.mu.RLock()
+	sibling := id <= r.idx.lastID
+	r.idx.mu.RUnlock()
+	if sibling {
+		r.detach()
+	}
 	for a := range r.cols {
 		r.cols[a].push(t[a])
 	}
 	r.n++
-	r.noteInsert(id, k)
+	r.idx.noteInsert(id, r.cols)
 	r.live++
 	r.version++
-	return id
+	return id, true, nil
 }
 
 // Delete tombstones the tuple with the given ID and reports whether
@@ -264,15 +264,23 @@ func (r *Instance) Tuple(id TupleID) Tuple {
 }
 
 // Lookup returns the ID of an equal live tuple, if present. It is a
-// hash lookup on the key index — O(1) in the instance size — and the
-// membership primitive every query.Model and the cqa ground path
-// build on.
-func (r *Instance) Lookup(t Tuple) (TupleID, bool) { return r.LookupKey(t.Key()) }
-
-// LookupKey is Lookup of the tuple whose key (Tuple.Key) is k.
-func (r *Instance) LookupKey(k string) (TupleID, bool) {
-	id, ok := r.idx.lookupKey(k, r.n)
-	if !ok || !r.Live(id) {
+// probe of the tuple-key partition — O(1) in the instance size, and
+// allocation-free — and the membership primitive every query.Model
+// and the cqa ground path build on. The newest ID of the tuple below
+// the version's bound is the only one that can be live: a tuple is
+// only inserted again once its older ID is dead.
+func (r *Instance) Lookup(t Tuple) (TupleID, bool) {
+	if len(t) != len(r.cols) {
+		return 0, false
+	}
+	ix := r.idx
+	ix.mu.RLock()
+	id := TupleID(-1)
+	if _, g := ix.parts[0].find(t, ix.cols, 0); g >= 0 {
+		id = ix.parts[0].below(g, r.n)
+	}
+	ix.mu.RUnlock()
+	if id < 0 || r.dead.has(id) {
 		return 0, false
 	}
 	return id, true
@@ -291,14 +299,7 @@ func (r *Instance) Contains(t Tuple) bool {
 // ids or individual cells should use RangeIDs/Col instead and skip
 // the per-row materialization.
 func (r *Instance) Range(yield func(id TupleID, t Tuple) bool) {
-	for id := 0; id < r.n; id++ {
-		if r.dead.has(id) {
-			continue
-		}
-		if !yield(id, r.Tuple(id)) {
-			return
-		}
-	}
+	r.RangeIDs(func(id TupleID) bool { return yield(id, r.Tuple(id)) })
 }
 
 // RangeIDs iterates live tuple IDs in ascending order without

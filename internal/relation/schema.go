@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -95,18 +96,7 @@ func (s *Schema) Indexes(names []string) ([]int, error) {
 // Equal reports whether two schemas have the same name and the same
 // attributes in the same order.
 func (s *Schema) Equal(t *Schema) bool {
-	if s == t {
-		return true
-	}
-	if s == nil || t == nil || s.name != t.name || len(s.attrs) != len(t.attrs) {
-		return false
-	}
-	for i := range s.attrs {
-		if s.attrs[i] != t.attrs[i] {
-			return false
-		}
-	}
-	return true
+	return s == t || s != nil && t != nil && s.name == t.name && slices.Equal(s.attrs, t.attrs)
 }
 
 // String renders e.g. "Mgr(Name:name, Dept:name, Salary:int)".

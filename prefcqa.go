@@ -492,28 +492,25 @@ func (r *Relation) insertRows(rows []Tuple) ([]TupleID, uint64, error) {
 			return nil, 0, fmt.Errorf("row %d: %w", i, err)
 		}
 	}
-	// Partition the batch: rows already present resolve immediately,
-	// the rest dedupe against each other so the log carries exactly the
-	// rows that will apply fresh. Each row is keyed once, for both
-	// probes and for the apply.
+	// Split the batch: rows already present resolve immediately, the
+	// rest dedupe against each other so the log carries exactly the
+	// rows that will apply fresh.
 	ids := make([]TupleID, len(rows))
 	var fresh []Tuple                        // the rows that will apply, in apply order
-	var freshKeys []string                   // their tuple keys
 	byKey := make(map[string]int, len(rows)) // batch-local tuple key → position in fresh
 	ref := make([]int, len(rows))            // per row: position in fresh, or -1 when resolved
 	for i, tup := range rows {
-		k := tup.Key()
-		if id, ok := r.inst.LookupKey(k); ok {
+		if id, ok := r.inst.Lookup(tup); ok {
 			ids[i] = id
 			ref[i] = -1
 			continue
 		}
+		k := tup.Key()
 		p, ok := byKey[k]
 		if !ok {
 			p = len(fresh)
 			byKey[k] = p
 			fresh = append(fresh, tup)
-			freshKeys = append(freshKeys, k)
 		}
 		ref[i] = p
 	}
@@ -530,7 +527,7 @@ func (r *Relation) insertRows(rows []Tuple) ([]TupleID, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	freshIDs, err := r.applyInserts(fresh, freshKeys)
+	freshIDs, err := r.applyInserts(fresh)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -550,24 +547,16 @@ func (r *Relation) insertRows(rows []Tuple) ([]TupleID, uint64, error) {
 // fresh, a delete that is not live is an error — because a record
 // reaches the log exactly when it applies: the public paths filter
 // before they log, and a record that replays any other way means the
-// log does not match the state it claims to rebuild. keys holds the
-// rows' tuple keys when the caller has type-checked, keyed and probed
-// them (the public path), nil when the rows come from a record. Caller
-// holds r.mu.
-func (r *Relation) applyInserts(rows []Tuple, keys []string) ([]TupleID, error) {
+// log does not match the state it claims to rebuild. Caller holds
+// r.mu.
+func (r *Relation) applyInserts(rows []Tuple) ([]TupleID, error) {
 	r.beginMutate()
 	r.dirty.Store(true)
 	ids := make([]TupleID, len(rows))
 	for i, tup := range rows {
-		var id TupleID
-		var err error
-		if keys != nil {
-			id = r.inst.InsertFresh(tup, keys[i])
-		} else {
-			var fresh bool
-			if id, fresh, err = r.inst.Insert(tup); err == nil && !fresh {
-				err = fmt.Errorf("duplicate of tuple %d", id)
-			}
+		id, fresh, err := r.inst.Insert(tup)
+		if err == nil && !fresh {
+			err = fmt.Errorf("duplicate of tuple %d", id)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("row %d: %w", i, err)

@@ -244,12 +244,48 @@ func BenchmarkScaleCountGlobal100k(b *testing.B) {
 
 // builtRetainedLimit bounds what a relation of 100 000 two-tuple
 // clusters with 90 000 preferences retains once built and read: the
-// columns, the tuple-key index, the preference history, the postings
-// of the probed column, the conflict graph, its component index and
-// the priority. With one heap object per vertex, component and posted
-// value, the same relation retained 51.52 MB; the flat layouts must
-// keep it under three quarters of that.
-const builtRetainedLimit = 0.75 * 51.52 * (1 << 20)
+// columns, the tuple-key partition and the partition on K, the
+// preference history, the postings of the probed column, the conflict
+// graph, its component index and the priority. With a tuple-key index
+// of one key string per tuple, the same relation retained 34.34 MB
+// (51.52 MB with one heap object per vertex, component and posted
+// value).
+const builtRetainedLimit = 0.93 * 34.34 * (1 << 20)
+
+// firstBuildAllocLimit bounds what the first Snapshot of that relation
+// allocates, before any read: the conflict graph, its components and
+// the priority. With a violation scan that keyed every tuple's LHS into
+// a string map it allocated 54.3 MB, 33.5 MB of it in the scan.
+const firstBuildAllocLimit = 0.6 * 54.3 * (1 << 20)
+
+// loadClusters creates R(K, V) under K -> V in db, loads it with
+// clusters two-tuple clusters, and prefers the first tuple of each of
+// the first prefs clusters.
+func loadClusters(t *testing.T, db *DB, clusters, prefs int) {
+	t.Helper()
+	r, err := db.CreateRelation("R", IntAttr("K"), IntAttr("V"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddFD("K -> V"); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]Tuple, 0, 2*clusters)
+	for k := 0; k < clusters; k++ {
+		rows = append(rows, Tuple{Int(int64(k)), Int(0)}, Tuple{Int(int64(k)), Int(1)})
+	}
+	ids, err := r.InsertRows(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := make([][2]TupleID, prefs)
+	for k := range pairs {
+		pairs[k] = [2]TupleID{ids[2*k], ids[2*k+1]}
+	}
+	if err := r.PreferPairs(pairs); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // TestBuiltRelationRetained measures the heap a built relation holds
 // at the serving benchmark's point_read size, after one quantified and
@@ -262,28 +298,7 @@ func TestBuiltRelationRetained(t *testing.T) {
 	var db *DB
 	retained := retainedAfter(func() {
 		db = New()
-		r, err := db.CreateRelation("R", IntAttr("K"), IntAttr("V"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.AddFD("K -> V"); err != nil {
-			t.Fatal(err)
-		}
-		rows := make([]Tuple, 0, 2*clusters)
-		for k := 0; k < clusters; k++ {
-			rows = append(rows, Tuple{Int(int64(k)), Int(0)}, Tuple{Int(int64(k)), Int(1)})
-		}
-		ids, err := r.InsertRows(rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pairs := make([][2]TupleID, prefs)
-		for k := range pairs {
-			pairs[k] = [2]TupleID{ids[2*k], ids[2*k+1]}
-		}
-		if err := r.PreferPairs(pairs); err != nil {
-			t.Fatal(err)
-		}
+		loadClusters(t, db, clusters, prefs)
 		snap, err := db.Snapshot()
 		if err != nil {
 			t.Fatal(err)
@@ -300,4 +315,25 @@ func TestBuiltRelationRetained(t *testing.T) {
 		t.Fatalf("built relation retains %.2f MB, limit %.2f MB", float64(retained)/(1<<20), builtRetainedLimit/(1<<20))
 	}
 	runtime.KeepAlive(db)
+}
+
+// TestFirstBuildAllocations measures what the first Snapshot after
+// the bulk load of TestBuiltRelationRetained allocates.
+func TestFirstBuildAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads 100 000 clusters")
+	}
+	db := New()
+	loadClusters(t, db, 100_000, 90_000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := db.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	alloc := float64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("first Snapshot allocates %.1f MB in %d objects", alloc/(1<<20), after.Mallocs-before.Mallocs)
+	if alloc > firstBuildAllocLimit {
+		t.Fatalf("first Snapshot allocates %.1f MB, limit %.1f MB", alloc/(1<<20), firstBuildAllocLimit/(1<<20))
+	}
 }
