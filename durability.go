@@ -334,7 +334,7 @@ func (r *Relation) replayPrefs(pairs [][2]TupleID, requireLive bool) error {
 		if requireLive && (!r.inst.Live(p[0]) || !r.inst.Live(p[1])) {
 			return fmt.Errorf("preference (%d, %d) on non-live tuples", p[0], p[1])
 		}
-		if r.prefSeen[p] {
+		if r.preferred(p) {
 			return fmt.Errorf("duplicate preference (%d, %d)", p[0], p[1])
 		}
 		r.preferLocked(p[0], p[1])

@@ -72,7 +72,7 @@ func (g *Graph) fork(inst *relation.Instance) *Graph {
 	g.ensureComps()
 	ng := &Graph{
 		inst: inst, fds: g.fds,
-		off: g.off, nbrs: g.nbrs, edges: g.edges,
+		off: g.off, nbrs: g.nbrs,
 		numVerts: inst.NumIDs(), m: g.m, era: g.era,
 		deadBase: g.deadBase,
 		rows:     g.rows,
@@ -262,13 +262,20 @@ func (g *Graph) Touch(v relation.TupleID) (int32, int32) {
 }
 
 // compact folds the overlay into a fresh immutable base: new CSR
-// arrays and edge list from the live adjacency, freshly numbered
-// components, and a new Era. O(n + m); amortized over the mutations
-// that grew the overlay.
+// arrays copied from the live rows, freshly numbered components, and a
+// new Era. O(n + m); amortized over the mutations that grew the
+// overlay.
 func (g *Graph) compact() {
-	g.edges = g.Edges()
-	g.m = len(g.edges)
-	g.rebuildCSR()
+	n := g.numVerts
+	off := make([]int32, n+1)
+	for v := range n {
+		off[v+1] = off[v] + int32(len(g.Neighbors(v)))
+	}
+	nbrs := make([]int32, off[n])
+	for v := range n {
+		copy(nbrs[off[v]:], g.Neighbors(v))
+	}
+	g.off, g.nbrs = off, nbrs
 	g.rows = pmap.Map[[]int32]{}
 	g.deadBase = g.inst.DeadIDs()
 	g.compOver = pmap.Map[[]int]{}

@@ -387,3 +387,68 @@ func TestCompactionPreservesState(t *testing.T) {
 	}
 	checkGraphsEquivalent(t, 400, g, MustBuild(inst, fds))
 }
+
+// violationEdges is the reference for Graph.Edges: the pairs of
+// fd.Set.Violations, each labelled with the first dependency it
+// violates.
+func violationEdges(inst *relation.Instance, fds *fd.Set) []Edge {
+	var out []Edge
+	for _, v := range fds.Violations(inst) {
+		if k := len(out); k > 0 && out[k-1].A == v.T1 && out[k-1].B == v.T2 {
+			continue // the pair under a later dependency
+		}
+		out = append(out, Edge{A: v.T1, B: v.T2, FD: v.FD})
+	}
+	return out
+}
+
+// TestEdgesMatchViolations holds Edges, read off the CSR rows and the
+// overlay, to the violation list over random instances under one to
+// three dependencies that overlap, through delta histories that cross
+// compactions.
+func TestEdgesMatchViolations(t *testing.T) {
+	schema := relation.MustSchema("R", relation.IntAttr("A"), relation.IntAttr("B"), relation.IntAttr("C"))
+	specs := []string{"A -> B", "A -> C", "A,B -> C", "C -> A", "B -> A,C"}
+	compactions := 0
+	for seed := int64(0); seed < 16; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var picked []string
+		for _, i := range rng.Perm(len(specs))[:1+rng.Intn(3)] {
+			picked = append(picked, specs[i])
+		}
+		fds := fd.MustParseSet(schema, picked...)
+		inst := relation.NewInstance(schema)
+		for i := 0; i < 10; i++ {
+			inst.MustInsert(rng.Intn(3), rng.Intn(3), rng.Intn(3))
+		}
+		g := MustBuild(inst, fds)
+		for step := 0; step < 150; step++ {
+			if got, want := g.Edges(), violationEdges(inst, fds); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("seed %d step %d (%v): Edges = %v, want %v", seed, step, picked, got, want)
+			}
+			inst = inst.Fork()
+			var d Delta
+			if rng.Intn(2) == 0 && inst.Len() > 3 {
+				live := inst.AllIDs().Slice()
+				v := live[rng.Intn(len(live))]
+				inst.Delete(v)
+				d.Deletes = append(d.Deletes, v)
+			} else if id, fresh, _ := inst.Insert(relation.Tuple{
+				relation.Int(int64(rng.Intn(3))), relation.Int(int64(rng.Intn(3))), relation.Int(int64(rng.Intn(3))),
+			}); fresh {
+				d.Inserts = append(d.Inserts, id)
+			}
+			ng, rep, err := g.ApplyDelta(inst, d)
+			if err != nil {
+				t.Fatalf("seed %d step %d: ApplyDelta: %v", seed, step, err)
+			}
+			if rep.Compacted {
+				compactions++
+			}
+			g = ng
+		}
+	}
+	if compactions == 0 {
+		t.Fatal("no delta history crossed a compaction")
+	}
+}

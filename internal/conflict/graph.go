@@ -56,14 +56,11 @@ type Graph struct {
 	fds  *fd.Set
 
 	// Immutable base CSR: the neighbors of vertex v are
-	// nbrs[off[v]:off[v+1]], sorted ascending. Rebuilt on compaction.
+	// nbrs[off[v]:off[v+1]], sorted ascending; every conflict is held
+	// here twice, once in each endpoint's row, and nowhere else. Rebuilt
+	// on compaction.
 	off  []int32
 	nbrs []int32
-
-	// Immutable base edge list, sorted by (A, B) with A < B. Entries
-	// whose endpoint has been deleted since the base was built are
-	// filtered on read.
-	edges []Edge
 
 	numVerts int    // vertex universe size (live + dead + post-base inserts)
 	m        int    // live conflict count
@@ -76,8 +73,7 @@ type Graph struct {
 
 	// Delta overlay (empty on a statically built graph): full
 	// replacement adjacency rows for the vertices whose neighborhood
-	// changed since the base. The conflicts absent from the base are
-	// read off these rows (Edges); nothing else records them.
+	// changed since the base. A row here shadows the vertex's base row.
 	rows pmap.Map[[]int32]
 
 	// Component bookkeeping. The base arrays are computed lazily once
@@ -111,10 +107,11 @@ type Edge struct {
 }
 
 // Build computes the conflict graph of the instance. Conflicting pairs
-// are discovered per dependency by hashing on the LHS projection, and
-// streamed straight into CSR form, so both time and memory are linear
-// in |r| plus the number of conflicts. Tombstoned tuples become
-// isolated vertices outside every component.
+// are discovered per dependency off the partition on its LHS
+// (fd.Set.Violations) and streamed straight into CSR form, a degree
+// pass and then a fill pass, so both time and memory are linear in |r|
+// plus the number of conflicts. Tombstoned tuples become isolated
+// vertices outside every component.
 func Build(inst *relation.Instance, fds *fd.Set) (*Graph, error) {
 	if !inst.Schema().Equal(fds.Schema()) {
 		return nil, fmt.Errorf("conflict: instance schema %s does not match dependency schema %s",
@@ -122,46 +119,39 @@ func Build(inst *relation.Instance, fds *fd.Set) (*Graph, error) {
 	}
 	n := inst.NumIDs()
 	g := &Graph{inst: inst, fds: fds, numVerts: n, era: eraCounter.Add(1), deadBase: inst.DeadIDs()}
-	// Violations are sorted by (T1, T2, FD); consecutive duplicates are
-	// the same pair under a second dependency, which adds no edge.
+	// Violations are sorted by (T1, T2, FD); a pair equal to the one
+	// before it is the same conflict under a second dependency, which
+	// adds no edge.
 	viols := fds.Violations(inst)
-	g.edges = make([]Edge, 0, len(viols))
-	for _, v := range viols {
-		if k := len(g.edges); k > 0 && g.edges[k-1].A == v.T1 && g.edges[k-1].B == v.T2 {
-			continue
+	repeat := func(i int) bool { return i > 0 && viols[i-1].T1 == viols[i].T1 && viols[i-1].T2 == viols[i].T2 }
+	// The degrees count into index v+2, so that after the prefix sum
+	// off[v+1] is the start of row v and serves as its fill cursor; once
+	// filled it is the row's end, and off[:n+1] is the CSR index.
+	off := make([]int32, n+2)
+	for i, v := range viols {
+		if !repeat(i) {
+			off[v.T1+2]++
+			off[v.T2+2]++
+			g.m++
 		}
-		g.edges = append(g.edges, Edge{A: v.T1, B: v.T2, FD: v.FD})
 	}
-	g.m = len(g.edges)
-	g.rebuildCSR()
+	for v := 2; v < n+2; v++ {
+		off[v] += off[v-1]
+	}
+	// Each row receives first its smaller neighbors (ascending) and then
+	// its larger ones (ascending): rows come out sorted with no extra
+	// sort.
+	g.nbrs = make([]int32, 2*g.m)
+	for i, v := range viols {
+		if !repeat(i) {
+			g.nbrs[off[v.T1+1]] = int32(v.T2)
+			off[v.T1+1]++
+			g.nbrs[off[v.T2+1]] = int32(v.T1)
+			off[v.T2+1]++
+		}
+	}
+	g.off = off[:n+1]
 	return g, nil
-}
-
-// rebuildCSR recomputes the base CSR arrays from g.edges (sorted by
-// (A, B)) over the current vertex universe.
-func (g *Graph) rebuildCSR() {
-	n := g.numVerts
-	// Counting pass: degree per vertex, then prefix sums into offsets.
-	g.off = make([]int32, n+1)
-	for _, e := range g.edges {
-		g.off[e.A+1]++
-		g.off[e.B+1]++
-	}
-	for v := 0; v < n; v++ {
-		g.off[v+1] += g.off[v]
-	}
-	// Fill pass. Edges are sorted by (A, B) with A < B, so each row
-	// receives first its smaller neighbors (ascending) and then its
-	// larger ones (ascending): rows come out sorted with no extra sort.
-	g.nbrs = make([]int32, g.off[n])
-	cursor := make([]int32, n)
-	copy(cursor, g.off[:n])
-	for _, e := range g.edges {
-		g.nbrs[cursor[e.A]] = int32(e.B)
-		cursor[e.A]++
-		g.nbrs[cursor[e.B]] = int32(e.A)
-		cursor[e.B]++
-	}
 }
 
 // MustBuild is Build that panics on error, for fixtures.
@@ -211,38 +201,19 @@ func (g *Graph) LiveSet() *bitset.Set {
 	return s
 }
 
-// Edges returns the live conflicts (A < B, sorted by (A, B)): the base
-// list without the pairs that lost an endpoint, merged with the pairs
-// wired in since the base was built. Such a pair has the inserted
-// tuple — an ID beyond the base — as its larger endpoint and both
-// endpoints' rows in the overlay, so one ascending walk of the overlay
-// rows yields them in order; their label is recomputed here, the only
-// place that wants it. O(m + overlay).
+// Edges returns the live conflicts (A < B, sorted by (A, B)), read off
+// the rows: every live vertex's row holds exactly its live neighbors,
+// and a dead vertex's row is empty. Each edge is labelled with the
+// first dependency its tuples violate. O(n + m).
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, 0, g.m)
-	if g.rows.Len() == 0 {
-		return append(out, g.edges...)
-	}
-	base, baseN := g.edges, len(g.off)-1
-	// flush emits the live base edges ordered before (a, b).
-	flush := func(a, b int) {
-		for len(base) > 0 && (base[0].A < a || base[0].A == a && base[0].B < b) {
-			if g.Live(base[0].A) && g.Live(base[0].B) {
-				out = append(out, base[0])
-			}
-			base = base[1:]
-		}
-	}
-	g.rows.Range(func(a int, row []int32) bool {
-		for _, b := range row {
-			if b := int(b); b > a && b >= baseN {
-				flush(a, b)
+	for a := range g.numVerts {
+		for _, b := range g.Neighbors(a) {
+			if b := int(b); b > a {
 				out = append(out, Edge{A: a, B: b, FD: g.witness(a, b)})
 			}
 		}
-		return true
-	})
-	flush(g.numVerts, 0)
+	}
 	return out
 }
 

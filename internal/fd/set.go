@@ -90,41 +90,69 @@ type Violation struct {
 // instance's partition on the LHS (built on first use, then kept by the
 // instance). A group whose tuples all agree on the RHS costs one pass;
 // any other is sorted by RHS value in place, so its RHS classes are
-// runs, and every pair across two runs is a conflict. Nothing is
-// allocated per group, and no group is scanned pair by pair: a group of
-// s tuples costs O(s) when it holds no conflict, else O(s log s)
-// against its at least s-1 conflicts.
+// runs, and every pair across two runs is a conflict. A count pass over
+// the runs sizes the list before a fill pass writes it, so the list is
+// allocated once. Nothing is allocated per group, and no group is
+// scanned pair by pair: a group of s tuples costs O(s) when it holds no
+// conflict, else O(s log s) against its at least s-1 conflicts.
 func (s *Set) Violations(r *relation.Instance) []Violation {
-	ids := make([]relation.TupleID, 0, r.Len())
-	var ends []int32 // per group: the end of its run in ids
-	var out []Violation
+	ids := make([]relation.TupleID, 0, len(s.fds)*r.Len()) // every dependency's groups, one after another
+	var ends []int32                                       // per group: the end of its run in ids
+	cuts := make([]int, len(s.fds)+1)
 	for fi, f := range s.fds {
-		ids, ends = f.Partition(r).Groups(ids[:0], ends[:0])
-		lo := int32(0)
-		for _, hi := range ends {
-			out = appendGroupViolations(out, r, f.rhs, fi, ids[lo:hi])
-			lo = hi
-		}
+		ids, ends = f.Partition(r).Groups(ids, ends)
+		cuts[fi+1] = len(ends)
 	}
+	count := 0
+	s.forGroups(ids, ends, cuts, func(fi int, grp []relation.TupleID) {
+		count += sortGroup(r, s.fds[fi].rhs, grp)
+	})
+	out := make([]Violation, 0, count)
+	s.forGroups(ids, ends, cuts, func(fi int, grp []relation.TupleID) {
+		out = appendGroupViolations(out, r, s.fds[fi].rhs, fi, grp)
+	})
 	slices.SortFunc(out, func(a, b Violation) int {
 		return cmp.Or(cmp.Compare(a.T1, b.T1), cmp.Compare(a.T2, b.T2), cmp.Compare(a.FD, b.FD))
 	})
 	return out
 }
 
-// appendGroupViolations appends the conflicts of dependency fi inside
-// one LHS group, which is not empty: every pair of its tuples that
-// differ on rhs. It may reorder grp.
-func appendGroupViolations(out []Violation, r *relation.Instance, rhs []int, fi int, grp []relation.TupleID) []Violation {
+// forGroups calls visit with every group of ids: those of dependency fi
+// end at ends[cuts[fi]:cuts[fi+1]].
+func (s *Set) forGroups(ids []relation.TupleID, ends []int32, cuts []int, visit func(fi int, grp []relation.TupleID)) {
+	lo := int32(0)
+	for fi := range s.fds {
+		for _, hi := range ends[cuts[fi]:cuts[fi+1]] {
+			visit(fi, ids[lo:hi])
+			lo = hi
+		}
+	}
+}
+
+// sortGroup returns the number of conflicts of a dependency with
+// right-hand side rhs inside one LHS group, which is not empty: the
+// pairs of its tuples that differ on rhs. A group that holds one is
+// left sorted by its cells at rhs, so its RHS classes are runs.
+func sortGroup(r *relation.Instance, rhs []int, grp []relation.TupleID) int {
 	if !slices.ContainsFunc(grp[1:], func(id relation.TupleID) bool { return compareRHS(r, rhs, grp[0], id) != 0 }) {
-		return out
+		return 0
 	}
 	slices.SortFunc(grp, func(a, b relation.TupleID) int { return compareRHS(r, rhs, a, b) })
+	n := 0
 	for i := 0; i < len(grp); {
-		j := i + 1
-		for j < len(grp) && compareRHS(r, rhs, grp[i], grp[j]) == 0 {
-			j++
-		}
+		j := runEnd(r, rhs, grp, i)
+		n += (j - i) * (len(grp) - j)
+		i = j
+	}
+	return n
+}
+
+// appendGroupViolations appends the conflicts of dependency fi inside
+// one LHS group that sortGroup has seen: every pair across two of its
+// runs of equal cells at rhs. A group of one run holds none.
+func appendGroupViolations(out []Violation, r *relation.Instance, rhs []int, fi int, grp []relation.TupleID) []Violation {
+	for i := 0; i < len(grp); {
+		j := runEnd(r, rhs, grp, i)
 		for _, a := range grp[i:j] {
 			for _, b := range grp[j:] {
 				out = append(out, Violation{T1: min(a, b), T2: max(a, b), FD: fi})
@@ -133,6 +161,16 @@ func appendGroupViolations(out []Violation, r *relation.Instance, rhs []int, fi 
 		i = j
 	}
 	return out
+}
+
+// runEnd returns the end of the run of grp's tuples from i on that
+// agree with grp[i] at rhs.
+func runEnd(r *relation.Instance, rhs []int, grp []relation.TupleID, i int) int {
+	j := i + 1
+	for j < len(grp) && compareRHS(r, rhs, grp[i], grp[j]) == 0 {
+		j++
+	}
+	return j
 }
 
 // compareRHS orders tuples a and b of r by their cells at rhs.

@@ -167,12 +167,14 @@ func (s *Support) touchAtom(a Atom, m Model) bool {
 			seed, best = i, est
 		}
 	}
-	// Walk the seed's posting and check the remaining constant positions
-	// column-wise per candidate. The postings span the version chain, so
-	// each candidate is filtered through Live (version prefix +
-	// tombstones).
+	// Read the seed's posting onto the end of rt.ids and keep, in place,
+	// the live candidates that match the remaining constant positions
+	// column-wise.
+	k := len(rt.ids)
+	rt.ids = inst.Posting(rt.ids, seed, a.Args[seed].(Const).Value)
+	kept := rt.ids[:k]
 candidates:
-	for _, id := range inst.PostingIDs(seed, a.Args[seed].(Const).Value) {
+	for _, id := range rt.ids[k:] {
 		if !inst.Live(id) {
 			continue
 		}
@@ -181,7 +183,8 @@ candidates:
 				continue candidates
 			}
 		}
-		rt.ids = append(rt.ids, id)
+		kept = append(kept, id)
 	}
+	rt.ids = kept
 	return true
 }

@@ -11,8 +11,9 @@ import (
 //
 //   - Candidates are tuple IDs, never tuples. Operators read cells
 //     straight from the instance's typed columns (relation.Col) and
-//     probe the secondary index's raw postings (PostingIDs), filtering
-//     visibility (version prefix, tombstones, repair subset) per ID.
+//     probe the partition on one attribute for a value's posting
+//     (Instance.Posting, ascending, into a buffer the run owns),
+//     filtering visibility (tombstones, repair subset) per ID.
 //   - Bindings live in a flat []relation.Value indexed by the
 //     quantifier's variable positions — no map operations on the hot
 //     path, no per-row allocation.
@@ -22,11 +23,11 @@ import (
 //     (negations, disjunctions, nested quantifiers) fall back to the
 //     tree-walking evaluator, and only for rows that survived
 //     everything else.
-//   - The run state (vecRun: the flat binding array, key buffer and
-//     bitset.Words mask arena, plus the plan, environment and stats
-//     record of the run in progress) is pooled and reused across
-//     evaluations, so a steady-state Eval allocates only the small
-//     compile-time plan structures.
+//   - The run state (vecRun: the flat binding array, key buffer,
+//     bitset.Words mask arena and posting buffers, plus the plan,
+//     environment and stats record of the run in progress) is pooled
+//     and reused across evaluations, so a steady-state Eval allocates
+//     only the small compile-time plan structures.
 //
 // A compiled block (compileBlock, plan.go) runs behind one seam: the
 // executor interface. An executor owns its join strategy and nothing
@@ -307,6 +308,7 @@ type vecRun struct {
 	vals  []relation.Value
 	key   []byte
 	arena []uint64
+	posts [][]relation.TupleID // per atom: the buffer scan reads its posting into
 
 	v    *vecPlan
 	env  map[string]relation.Value
@@ -361,6 +363,9 @@ func (ev *evaluator) runVec(v *vecPlan, exec *PlanExec, env map[string]relation.
 	}
 	r.vals = r.vals[:len(v.vars)]
 	clear(r.vals)
+	for len(r.posts) < len(v.atoms) {
+		r.posts = append(r.posts, nil)
+	}
 	res, err := v.exec.run(r)
 	r.v, r.env, r.exec = nil, nil, nil
 	vecRunPool.Put(r)
@@ -375,6 +380,8 @@ func (ev *evaluator) runVec(v *vecPlan, exec *PlanExec, env map[string]relation.
 // counted, ticked for cancellation, and checked against the probes the
 // posting does not already guarantee. visit gets each survivor and
 // stops the scan by returning true or an error, which scan returns.
+// The posting is read into the run's buffer for ai: a scan of atom ai
+// never runs inside another scan of ai.
 func (r *vecRun) scan(ai int, probes []vecProbe, visit func(id relation.TupleID) (bool, error)) (bool, error) {
 	a, ev, vals := &r.v.atoms[ai], r.v.ev, r.vals
 	var stat *BatchStat // nil: no stats collection
@@ -383,20 +390,28 @@ func (r *vecRun) scan(ai int, probes []vecProbe, visit func(id relation.TupleID)
 		stat.Batches++
 	}
 	probeIdx, last := -1, a.n
-	var posting []relation.TupleID
-	for k := range probes {
-		ids := a.inst.PostingIDs(probes[k].pos, probes[k].value(vals))
-		if probeIdx < 0 || len(ids) < len(posting) {
-			probeIdx, posting, last = k, ids, len(ids)
+	switch len(probes) {
+	case 0:
+	case 1:
+		probeIdx = 0
+	default:
+		best := 0
+		for k := range probes {
+			if n := a.inst.IndexEstimate(probes[k].pos, probes[k].value(vals)); probeIdx < 0 || n < best {
+				probeIdx, best = k, n
+			}
 		}
+	}
+	var posting []relation.TupleID
+	if probeIdx >= 0 {
+		posting = a.inst.Posting(r.posts[ai][:0], probes[probeIdx].pos, probes[probeIdx].value(vals))
+		r.posts[ai], last = posting, len(posting)
 	}
 candidates:
 	for i := 0; i < last; i++ {
 		id := i
 		if probeIdx >= 0 {
-			if id = posting[i]; id >= a.n {
-				break // appended by a newer version of the chain
-			}
+			id = posting[i]
 		}
 		if !a.visibleID(id) {
 			continue

@@ -171,7 +171,7 @@ func (w *wcojPlan) run(r *vecRun) (bool, error) {
 	}
 
 	// Per-level scratch, reused across sibling values of the level:
-	// posting holders, the intersection order, narrowed-candidate
+	// posting buffers, the intersection order, narrowed-candidate
 	// output buffers, saved candidate lists, and the seed value buffer.
 	type levelScratch struct {
 		post   [][]relation.TupleID
@@ -249,7 +249,7 @@ func (w *wcojPlan) run(r *vecRun) (bool, error) {
 				if stats != nil {
 					stats[k].Probes++
 				}
-				ls.post[i] = v.atoms[lv.atoms[i]].inst.PostingIDs(lv.pos[i], val)
+				ls.post[i] = v.atoms[lv.atoms[i]].inst.Posting(ls.post[i][:0], lv.pos[i], val)
 				if len(ls.post[i]) == 0 {
 					ok = false
 					break

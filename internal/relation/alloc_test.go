@@ -33,6 +33,30 @@ func TestLookupAllocations(t *testing.T) {
 	}
 }
 
+// TestProbeAllocations is the gate on a value probe: Posting into a
+// buffer that has room, IndexEstimate and DistinctEstimate read the
+// partition on the attribute and allocate nothing.
+func TestProbeAllocations(t *testing.T) {
+	inst := relation.NewInstance(relation.MustSchema("R", relation.IntAttr("K"), relation.NameAttr("V")))
+	for i := 0; i < 1000; i++ {
+		inst.MustInsert(i/10, "v"+strconv.Itoa(i%7)) // 10 rows per K, 7 names
+	}
+	buf := make([]relation.TupleID, 0, 16)
+	k, v := relation.Int(17), relation.Name("v3")
+	wantK, wantV := len(inst.Posting(nil, 0, k)), len(inst.Posting(nil, 1, v))
+	allocs := testing.AllocsPerRun(100, func() {
+		if got := inst.Posting(buf[:0], 0, k); len(got) != wantK {
+			t.Fatalf("Posting(K=17) holds %d IDs, want %d", len(got), wantK)
+		}
+		if inst.IndexEstimate(1, v) != wantV || inst.DistinctEstimate(1) != 7 {
+			t.Fatalf("IndexEstimate(V=v3) = %d, DistinctEstimate(V) = %d; want %d, 7", inst.IndexEstimate(1, v), inst.DistinctEstimate(1), wantV)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a value probe allocates %.0f objects, want 0", allocs)
+	}
+}
+
 // TestInsertAllocations is the gate on the insert path at the serving
 // benchmark's size: 200 000 inserts of 100 000 two-tuple clusters make
 // fewer than 1 000 heap objects, since the columns and the partition

@@ -3,18 +3,19 @@ package relation
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
 
 // indexScanIDs reads the (attr, v) posting the way a version must: in
-// ascending ID order, stopping at IDs a newer version of the chain
-// inserted and skipping tombstones.
+// ascending ID order, skipping tombstones. A posting holds no ID a
+// newer version of the chain inserted.
 func indexScanIDs(r *Instance, attr int, v Value) []TupleID {
 	var out []TupleID
 	for _, id := range r.PostingIDs(attr, v) {
 		if id >= r.NumIDs() {
-			break
+			panic(fmt.Sprintf("posting of %s holds %d of %d IDs", v, id, r.NumIDs()))
 		}
 		if !r.Live(id) {
 			continue
@@ -203,16 +204,34 @@ func TestIndexConcurrentReadersAndWriter(t *testing.T) {
 		go func(snap *Instance, seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
+			var members []TupleID
 			for i := 0; i < 50; i++ {
+				// A value probe reads the partition on K (built by
+				// whichever reader or writer comes first) through the
+				// version's bound: ascending members that carry the
+				// value, as many as Size counts, and the live ones are
+				// what a scan finds.
 				k := Int(int64(rng.Intn(11)))
-				ids := indexScanIDs(snap, 0, k)
-				if est := snap.IndexEstimate(0, k); est < len(ids) {
-					panic(fmt.Sprintf("estimate %d < live %d", est, len(ids)))
+				part := snap.Partition([]int{0})
+				members = part.Members(members[:0], []Value{k})
+				if !slices.IsSorted(members) || part.Size([]Value{k}) != len(members) || snap.IndexEstimate(0, k) != len(members) {
+					panic(fmt.Sprintf("K=%s: members %v, Size %d", k, members, part.Size([]Value{k})))
 				}
-				// The partitions are read the same way: the live runs of
-				// the partition on K (built by whichever reader comes
-				// first) cover the live tuples, and Lookup resolves each.
-				if live, _ := snap.Partition([]int{0}).Groups(nil, nil); len(live) != snap.Len() {
+				var ids []TupleID
+				for _, id := range members {
+					if id >= snap.NumIDs() || !snap.ValueAt(id, 0).Equal(k) {
+						panic(fmt.Sprintf("K=%s: member %d of %d IDs carries %s", k, id, snap.NumIDs(), snap.ValueAt(id, 0)))
+					}
+					if snap.Live(id) {
+						ids = append(ids, id)
+					}
+				}
+				if want := naiveScanIDs(snap, 0, k); !sameIDs(ids, want) {
+					panic(fmt.Sprintf("K=%s: live members %v, scan %v", k, ids, want))
+				}
+				// The live runs of the same partition cover the live
+				// tuples, and Lookup resolves each.
+				if live, _ := part.Groups(nil, nil); len(live) != snap.Len() {
 					panic(fmt.Sprintf("partition runs hold %d IDs, %d live", len(live), snap.Len()))
 				}
 				for _, id := range ids {

@@ -18,19 +18,6 @@ type Tuple []Value
 // equal tuple later assigns a fresh ID.
 type TupleID = int
 
-// Key returns a canonical string encoding of the tuple: equal tuples,
-// and only they, have equal keys. The instance itself keys nothing (its
-// set semantics rest on the tuple-key partition, partition.go); Key is
-// for callers that dedupe tuples in a map of their own.
-func (t Tuple) Key() string {
-	var buf [64]byte // a short tuple's key is built on the stack
-	b := buf[:0]
-	for _, v := range t {
-		b = v.appendKey(b)
-	}
-	return string(b)
-}
-
 // String renders "(v1, v2, ...)".
 func (t Tuple) String() string {
 	parts := make([]string, len(t))
@@ -70,10 +57,10 @@ type Instance struct {
 	live    int        // number of live tuples
 	version uint64
 	frozen  bool // set by Fork: mutations must go through the fork
-	// idx is the chain's shared index (see index.go): the partitions,
-	// the tuple-key partition behind Lookup and Insert's set semantics
-	// among them, and the per-attribute value → tuple-ID postings,
-	// built lazily on first probe. Both are append-only and maintained
+	// idx is the chain's shared index (see index.go): the partitions —
+	// the tuple-key partition behind Lookup and Insert's set semantics,
+	// and the partitions on FD left-hand sides and probed attributes,
+	// built lazily on first use. They are append-only and maintained
 	// through Insert without rebuilds. Forks share the pointer;
 	// snapshot consistency comes from filtering by the reading
 	// version's ID bound and tombstones.
@@ -144,7 +131,7 @@ func (r *Instance) Fork() *Instance {
 		dead:    r.dead,
 		live:    r.live,
 		version: r.version,
-		idx:     r.idx, // shared: partitions and postings are valid for every version of the chain
+		idx:     r.idx, // shared: the partitions are valid for every version of the chain
 	}
 }
 
@@ -287,8 +274,8 @@ func (r *Instance) Lookup(t Tuple) (TupleID, bool) {
 }
 
 // Contains reports whether an equal live tuple is present, in O(1)
-// via Lookup. For equality lookups on a single attribute use
-// PostingIDs (the secondary indexes of index.go).
+// via Lookup. For equality lookups on a single attribute use Posting
+// (index.go).
 func (r *Instance) Contains(t Tuple) bool {
 	_, ok := r.Lookup(t)
 	return ok

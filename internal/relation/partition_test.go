@@ -105,12 +105,69 @@ func (m *chainModel) check(t *testing.T, lists [][]int, probes []relation.Tuple)
 		if !slices.Equal(gotIDs, wantIDs) || !slices.Equal(gotEnds, wantEnds) {
 			t.Fatalf("attrs %v: Groups = %v %v, want %v %v", attrs, gotIDs, gotEnds, wantIDs, wantEnds)
 		}
+		m.checkProbes(t, attrs, groups, probes)
 	}
 	for _, tup := range append(probes, m.rows...) {
 		want := m.live(tup)
 		if id, ok := m.inst.Lookup(tup); ok != (want >= 0) || ok && id != want {
 			t.Fatalf("Lookup%v = %d, %v; want %d", tup, id, ok, want)
 		}
+	}
+}
+
+// checkProbes holds the value probes of the partition on attrs — the
+// ascending members of a key and their count, and on one attribute the
+// distinct values — to groups, the map from projection keys to the
+// version's IDs, oldest first.
+func (m *chainModel) checkProbes(t *testing.T, attrs []int, groups map[string][]relation.TupleID, probes []relation.Tuple) {
+	t.Helper()
+	part := m.inst.Partition(attrs)
+	buf := []relation.TupleID{-1} // Members appends after what dst holds
+	for _, tup := range append(probes, m.rows...) {
+		key := make([]relation.Value, len(attrs))
+		for i, a := range attrs {
+			key[i] = tup[a]
+		}
+		want := groups[relation.Tuple(key).Key()]
+		if got := part.Members(buf[:1], key); got[0] != -1 || !slices.Equal(got[1:], want) {
+			t.Fatalf("attrs %v: Members(%v) = %v, want %v", attrs, key, got[1:], want)
+		}
+		if got := part.Size(key); got != len(want) {
+			t.Fatalf("attrs %v: Size(%v) = %d, want %d", attrs, key, got, len(want))
+		}
+	}
+	if len(attrs) != 1 {
+		return
+	}
+	a := attrs[0]
+	var all, live []relation.Value
+	for _, ids := range groups {
+		v := m.rows[ids[0]][a]
+		all = append(all, v)
+		if slices.ContainsFunc(ids, func(id relation.TupleID) bool { return !m.dead[id] }) {
+			live = append(live, v)
+		}
+	}
+	order := func(x, y relation.Value) int { return x.Order(y) }
+	slices.SortFunc(live, order)
+	got := m.inst.DistinctValuesLive(a, nil)
+	slices.SortFunc(got, order)
+	if !slices.EqualFunc(got, live, relation.Value.Equal) {
+		t.Fatalf("attr %d: DistinctValuesLive = %v, want %v", a, got, live)
+	}
+	// The chain-wide ones bound the version's values from above: newer
+	// versions and sibling chains may add to them.
+	sorted := m.inst.SortedDistinctValues(a)
+	if !slices.IsSortedFunc(sorted, order) || len(slices.CompactFunc(slices.Clone(sorted), relation.Value.Equal)) != len(sorted) {
+		t.Fatalf("attr %d: SortedDistinctValues = %v, not strictly ascending", a, sorted)
+	}
+	for _, v := range all {
+		if _, ok := slices.BinarySearchFunc(sorted, v, order); !ok {
+			t.Fatalf("attr %d: SortedDistinctValues = %v misses %v", a, sorted, v)
+		}
+	}
+	if est := m.inst.DistinctEstimate(a); est != len(sorted) {
+		t.Fatalf("attr %d: DistinctEstimate = %d, %d sorted distinct values", a, est, len(sorted))
 	}
 }
 
@@ -190,7 +247,8 @@ func TestPartitionMatchesKeyMap(t *testing.T) {
 
 // FuzzPartition runs a byte program of inserts, deletes, forks and
 // sibling forks with every probe colliding, and checks every version it
-// pinned against the key map.
+// pinned against the key map; an insert of opcode 1 also draws a tuple
+// that every version is probed for, by Lookup and by value.
 func FuzzPartition(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 4, 5, 3, 0, 0, 0, 1, 2, 2, 0, 0, 0, 1, 2, 3, 1, 1, 0, 7, 8})
 	f.Add([]byte{0, 0, 0, 0, 3, 0, 2, 0, 0, 3, 0, 0, 0, 0, 0, 3, 0, 1, 0, 9, 9, 1, 4, 4})
@@ -201,12 +259,18 @@ func FuzzPartition(f *testing.F) {
 		head := newChainModel(s)
 		pins := []*chainModel{}
 		all := []*chainModel{}
+		var probes []relation.Tuple
 		for i := 0; i+2 < len(prog) && i < 300; i += 3 {
 			op, x, y := prog[i]%4, int(prog[i+1]), int(prog[i+2])
 			draw := func() int { x, y = y, x/3+y; return x }
 			switch {
-			case op < 2:
+			case op == 0:
 				head.insert(t, partitionTuple(s, draw))
+			case op == 1:
+				// An insert, and a value probe every pinned version
+				// answers at the end.
+				head.insert(t, partitionTuple(s, draw))
+				probes = append(probes, partitionTuple(s, draw))
 			case op == 2 && len(head.rows) > 0:
 				head.delete(t, x%len(head.rows))
 			case op == 3 && y%2 == 0 || len(pins) == 0:
@@ -219,7 +283,7 @@ func FuzzPartition(f *testing.F) {
 			}
 		}
 		for _, m := range slices.Concat(pins, all, []*chainModel{head}) {
-			m.check(t, lists, nil)
+			m.check(t, lists, probes)
 		}
 	})
 }

@@ -326,3 +326,43 @@ func TestIsPreferredRepairRejectsDeletedTuples(t *testing.T) {
 		t.Fatalf("{live survivor} rejected: %v, %v", ok, err)
 	}
 }
+
+// TestPreferBatchReportsFirstFailure writes a preference batch after
+// the first read whose first failing pair sits in its middle, a later
+// pair failing too, once small enough to be folded in pair by pair and
+// once large enough to take the rebuild. Both report the first failing
+// pair, with the text Priority.Add gives it, on every read after.
+func TestPreferBatchReportsFirstFailure(t *testing.T) {
+	const clusters = 1000
+	for _, size := range []int{20, clusters} {
+		db := New()
+		loadClusters(t, db, clusters, 0)
+		r := db.rels["R"]
+		// Orient clusters 3 and 5 first; the batch reverses both.
+		if err := r.PreferPairs([][2]TupleID{{6, 7}, {10, 11}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		var batch [][2]TupleID
+		for k := 10; len(batch) < size; k++ {
+			batch = append(batch, [2]TupleID{2 * (k % clusters), 2*(k%clusters) + 1})
+			switch len(batch) {
+			case size / 2:
+				batch = append(batch, [2]TupleID{7, 6})
+			case size/2 + 3:
+				batch = append(batch, [2]TupleID{11, 10})
+			}
+		}
+		if err := r.PreferPairs(batch); err != nil {
+			t.Fatal(err)
+		}
+		const want = "prefcqa: relation R: priority: conflict {7,6} already oriented 6 ≻ 7"
+		for read := 0; read < 2; read++ {
+			if _, err := db.Snapshot(); err == nil || err.Error() != want {
+				t.Fatalf("batch of %d pairs, read %d: %v, want %q", len(batch), read, err, want)
+			}
+		}
+	}
+}

@@ -32,8 +32,10 @@
 package prefcqa
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -295,7 +297,7 @@ type Relation struct {
 	inst         *relation.Instance
 	fds          *fd.Set
 	prefs        [][2]TupleID
-	prefSeen     map[[2]TupleID]bool
+	prefSeen     map[prefKey]struct{}
 	prefsPruneAt int  // next len(prefs) at which dead pairs are pruned
 	forked       bool // inst is a private fork ahead of the published version
 	pend         pendingDelta
@@ -337,7 +339,7 @@ func (db *DB) freshRelation(inst *relation.Instance) (*Relation, error) {
 		db:   db,
 		name: name,
 		inst: inst, fds: fds,
-		prefSeen:    make(map[[2]TupleID]bool),
+		prefSeen:    make(map[prefKey]struct{}),
 		incremental: db.incremental,
 		counts:      core.NewCountCache(),
 	}, nil
@@ -494,28 +496,39 @@ func (r *Relation) insertRows(rows []Tuple) ([]TupleID, uint64, error) {
 	}
 	// Split the batch: rows already present resolve immediately, the
 	// rest dedupe against each other so the log carries exactly the
-	// rows that will apply fresh.
+	// rows that will apply fresh. Sorting the missing rows by value,
+	// ties by position, puts every repeat right behind the first row
+	// equal to it.
 	ids := make([]TupleID, len(rows))
-	var fresh []Tuple                        // the rows that will apply, in apply order
-	byKey := make(map[string]int, len(rows)) // batch-local tuple key → position in fresh
-	ref := make([]int, len(rows))            // per row: position in fresh, or -1 when resolved
+	ref := make([]int, len(rows)) // per row: -1 when resolved, else the first row equal to it, then its position in fresh
+	miss := make([]int, 0, len(rows))
 	for i, tup := range rows {
 		if id, ok := r.inst.Lookup(tup); ok {
-			ids[i] = id
-			ref[i] = -1
-			continue
+			ids[i], ref[i] = id, -1
+		} else {
+			miss = append(miss, i)
 		}
-		k := tup.Key()
-		p, ok := byKey[k]
-		if !ok {
-			p = len(fresh)
-			byKey[k] = p
-			fresh = append(fresh, tup)
-		}
-		ref[i] = p
 	}
-	if len(fresh) == 0 {
+	if len(miss) == 0 {
 		return ids, 0, nil
+	}
+	order := func(a, b int) int { return slices.CompareFunc(rows[a], rows[b], relation.Value.Order) }
+	slices.SortFunc(miss, func(a, b int) int { return cmp.Or(order(a, b), cmp.Compare(a, b)) })
+	for k, i := range miss {
+		ref[i] = i
+		if k > 0 && order(miss[k-1], i) == 0 {
+			ref[i] = ref[miss[k-1]]
+		}
+	}
+	fresh := make([]Tuple, 0, len(miss)) // the rows that will apply, in apply order
+	for i, first := range ref {
+		switch {
+		case first == i:
+			ref[i] = len(fresh)
+			fresh = append(fresh, rows[i])
+		case first >= 0:
+			ref[i] = ref[first] // first < i: already a position in fresh
+		}
 	}
 	seq, err := r.db.logAppend(func() wal.Record {
 		enc := make([][]string, len(fresh))
@@ -732,7 +745,7 @@ func (r *Relation) preferPairs(pairs [][2]TupleID, mustLive bool) (uint64, error
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	fresh := make([][2]TupleID, 0, len(pairs))
-	batchSeen := make(map[[2]TupleID]bool, len(pairs))
+	batchSeen := make(map[prefKey]struct{}, len(pairs))
 	for _, p := range pairs {
 		if !r.inst.Live(p[0]) || !r.inst.Live(p[1]) {
 			if mustLive {
@@ -740,8 +753,8 @@ func (r *Relation) preferPairs(pairs [][2]TupleID, mustLive bool) (uint64, error
 			}
 			continue
 		}
-		if !r.prefSeen[p] && !batchSeen[p] {
-			batchSeen[p] = true
+		if _, dup := batchSeen[keyOf(p)]; !dup && !r.preferred(p) {
+			batchSeen[keyOf(p)] = struct{}{}
 			fresh = append(fresh, p)
 		}
 	}
@@ -760,13 +773,26 @@ func (r *Relation) preferPairs(pairs [][2]TupleID, mustLive bool) (uint64, error
 	return seq, nil
 }
 
+// prefKey is a preference pair as a key of prefSeen: tuple IDs fit in
+// int32, as the partitions and the CSR rows already assume.
+type prefKey [2]int32
+
+func keyOf(p [2]TupleID) prefKey { return prefKey{int32(p[0]), int32(p[1])} }
+
+// preferred reports whether the pair is in the preference history.
+// Caller holds r.mu.
+func (r *Relation) preferred(p [2]TupleID) bool {
+	_, ok := r.prefSeen[keyOf(p)]
+	return ok
+}
+
 // preferLocked records x ≻ y, deduplicating. Caller holds r.mu.
 func (r *Relation) preferLocked(x, y TupleID) {
 	pair := [2]TupleID{x, y}
-	if r.prefSeen[pair] {
+	if r.preferred(pair) {
 		return
 	}
-	r.prefSeen[pair] = true
+	r.prefSeen[keyOf(pair)] = struct{}{}
 	r.prefs = append(r.prefs, pair)
 	if r.cur.Load() != nil {
 		r.pend.prefs = append(r.pend.prefs, pair)
@@ -837,9 +863,11 @@ func (r *Relation) build() (*cqa.Relation, error) {
 
 // incrementalTooBig decides when a pending batch is too large for
 // delta application: beyond a quarter of the instance a rebuild's
-// better constants win.
+// better constants win. A preference pair counts like a tuple: the
+// delta adds it through one overlay Add, the rebuild lays it out with
+// all the others in one FromRelation.
 func (r *Relation) incrementalTooBig(st *cqa.Relation) bool {
-	return len(r.pend.inserts)+len(r.pend.deletes) > 64+st.Inst.Len()/4
+	return len(r.pend.inserts)+len(r.pend.deletes)+len(r.pend.prefs) > 64+st.Inst.Len()/4
 }
 
 // materializeLocked applies the pending mutation batch to the latest
@@ -933,7 +961,7 @@ func (r *Relation) publishLocked(st *cqa.Relation) {
 			if r.inst.Live(p[0]) && r.inst.Live(p[1]) {
 				kept = append(kept, p)
 			} else {
-				delete(r.prefSeen, p)
+				delete(r.prefSeen, keyOf(p))
 			}
 		}
 		r.prefs = kept

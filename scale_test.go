@@ -159,22 +159,36 @@ func BenchmarkScalePriorityFromRanks100k(b *testing.B) {
 	}
 }
 
-// BenchmarkScalePriorityBulkAdd measures incremental Add (with its
-// component-bounded cycle check) across every conflict edge — the
-// path that was quadratic when the reachability search allocated an
-// instance-sized visited set per insertion.
+// BenchmarkScalePriorityBulkAdd measures a preference batch over every
+// conflict of the scale scenario's shape — scaleClusters two-tuple
+// clusters in R(K, V) under K -> V — written with PreferPairs after the
+// first read, and the read that folds it in: the shipped path of a bulk
+// add, which lays the pairs out in one FromRelation. Folded in by one
+// overlay Add per pair (with its component-bounded cycle check) it took
+// 370–460 ms and 335 MB per op, against 23–25 ms and 17 MB laid out
+// (-benchtime 5x -count 3, 2-CPU machine).
 func BenchmarkScalePriorityBulkAdd(b *testing.B) {
-	sc := scaleScenario()
-	g := sc.Graph()
-	edges := g.Edges()
+	pairs := make([][2]TupleID, scaleClusters)
+	for k := range pairs {
+		pairs[k] = [2]TupleID{2 * k, 2*k + 1}
+	}
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := priority.New(g)
-		for _, e := range edges {
-			p.MustAdd(e.A, e.B)
+		b.StopTimer()
+		db := New()
+		loadClusters(b, db, scaleClusters, 0)
+		if _, err := db.Snapshot(); err != nil {
+			b.Fatal(err)
 		}
-		if !p.IsTotal() {
+		b.StartTimer()
+		if err := db.rels["R"].PreferPairs(pairs); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := db.Snapshot(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if !db.rels["R"].cur.Load().Pri.IsTotal() {
 			b.Fatal("some conflict is not oriented")
 		}
 	}
@@ -244,24 +258,26 @@ func BenchmarkScaleCountGlobal100k(b *testing.B) {
 
 // builtRetainedLimit bounds what a relation of 100 000 two-tuple
 // clusters with 90 000 preferences retains once built and read: the
-// columns, the tuple-key partition and the partition on K, the
-// preference history, the postings of the probed column, the conflict
-// graph, its component index and the priority. With a tuple-key index
-// of one key string per tuple, the same relation retained 34.34 MB
-// (51.52 MB with one heap object per vertex, component and posted
-// value).
-const builtRetainedLimit = 0.93 * 34.34 * (1 << 20)
+// columns, the tuple-key partition and the partition on K (which the
+// point reads probe), the preference history, the conflict graph, its
+// component index and the priority. With attribute postings beside the
+// partition on K, a conflict edge list beside the CSR rows and a
+// preference history keyed by [2]int pairs, the same relation retained
+// 30.59 MB (34.34 MB with a key string per tuple, 51.52 MB with one
+// heap object per vertex, component and posted value).
+const builtRetainedLimit = 0.75 * 30.59 * (1 << 20)
 
 // firstBuildAllocLimit bounds what the first Snapshot of that relation
-// allocates, before any read: the conflict graph, its components and
-// the priority. With a violation scan that keyed every tuple's LHS into
-// a string map it allocated 54.3 MB, 33.5 MB of it in the scan.
-const firstBuildAllocLimit = 0.6 * 54.3 * (1 << 20)
+// allocates, before any read: the violation list, the conflict graph,
+// its components and the priority; it reads 17.4 MB. A violation list
+// grown by append and copied into an edge list made it 29.7 MB, and a
+// violation scan that keyed every tuple's LHS into a string map 54.3 MB.
+const firstBuildAllocLimit = 1.1 * 17.4 * (1 << 20)
 
 // loadClusters creates R(K, V) under K -> V in db, loads it with
 // clusters two-tuple clusters, and prefers the first tuple of each of
 // the first prefs clusters.
-func loadClusters(t *testing.T, db *DB, clusters, prefs int) {
+func loadClusters(t testing.TB, db *DB, clusters, prefs int) {
 	t.Helper()
 	r, err := db.CreateRelation("R", IntAttr("K"), IntAttr("V"))
 	if err != nil {
@@ -289,7 +305,7 @@ func loadClusters(t *testing.T, db *DB, clusters, prefs int) {
 
 // TestBuiltRelationRetained measures the heap a built relation holds
 // at the serving benchmark's point_read size, after one quantified and
-// one open point read (which build the probed column's postings).
+// one open point read.
 func TestBuiltRelationRetained(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads 100 000 clusters")
@@ -335,5 +351,135 @@ func TestFirstBuildAllocations(t *testing.T) {
 	t.Logf("first Snapshot allocates %.1f MB in %d objects", alloc/(1<<20), after.Mallocs-before.Mallocs)
 	if alloc > firstBuildAllocLimit {
 		t.Fatalf("first Snapshot allocates %.1f MB, limit %.1f MB", alloc/(1<<20), firstBuildAllocLimit/(1<<20))
+	}
+}
+
+// TestFirstProbeAllocations is the gate on the first quantified point
+// read on K after the first Snapshot of TestBuiltRelationRetained's
+// relation: the violation scan built the partition on K, and a probe
+// for a value reads that partition, so the read builds no index. With
+// attribute postings kept apart from the partitions, it built a map of
+// K's 100 000 values.
+func TestFirstProbeAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads 100 000 clusters")
+	}
+	db := New()
+	loadClusters(t, db, 100_000, 90_000)
+	snap, err := db.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The component index is laid out on the first read too, whatever
+	// it probes: lay it out first, so that the gate sees the probe.
+	g, err := db.rels["R"].Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.NumComponents()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a, err := snap.Query(Global, "EXISTS v . R(17, v) AND v < 1")
+	runtime.ReadMemStats(&after)
+	if err != nil || a != True {
+		t.Fatalf("quantified point read = %v, %v, want true", a, err)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("first quantified point read allocates %d B in %d objects", alloc, after.Mallocs-before.Mallocs)
+	if alloc >= 64<<10 {
+		t.Fatalf("first quantified point read allocates %d B, want under 64 KB", alloc)
+	}
+}
+
+// TestInsertRowsAllocations is the gate on the facade's bulk load: an
+// in-memory InsertRows of 200 000 fresh rows makes fewer than 1 000
+// heap objects, since the batch dedupes by sorting row positions and
+// the instance keeps nothing per row. A key string per row made at
+// least 200 000.
+func TestInsertRowsAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads 200 000 rows")
+	}
+	r, err := New().CreateRelation("R", IntAttr("K"), IntAttr("V"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddFD("K -> V"); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]Tuple, 0, 200_000)
+	for k := 0; k < 100_000; k++ {
+		rows = append(rows, Tuple{Int(int64(k)), Int(0)}, Tuple{Int(int64(k)), Int(1)})
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ids, err := r.InsertRows(rows)
+	runtime.ReadMemStats(&after)
+	if err != nil || len(ids) != len(rows) || ids[len(ids)-1] != len(rows)-1 {
+		t.Fatalf("InsertRows: %d IDs, %v", len(ids), err)
+	}
+	objects := after.Mallocs - before.Mallocs
+	t.Logf("InsertRows of %d fresh rows: %d objects, %.1f MB", len(rows), objects, float64(after.TotalAlloc-before.TotalAlloc)/(1<<20))
+	if objects >= 1000 {
+		t.Fatalf("InsertRows of %d fresh rows makes %d objects, want fewer than 1 000", len(rows), objects)
+	}
+}
+
+// TestPreferByRankAfterReadAllocations is the gate on a preference
+// batch written after the first read: PreferByRank over 32 768
+// two-tuple clusters, then one read, allocates at most twice what the
+// same pairs and the read cost when they are recorded before the first
+// read, which builds the state from scratch. Folded in by one overlay
+// Add per pair, the batch and its read allocated 237 MB.
+func TestPreferByRankAfterReadAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads 32 768 clusters")
+	}
+	const clusters = 32_768
+	rank := func(id TupleID) int { return id % 2 }
+	measure := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	read := func(db *DB, want Answer) {
+		snap, err := db.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, err := snap.Query(Global, "R(17, 0)"); err != nil || a != want {
+			t.Fatalf("point read = %v, %v, want %v", a, err, want)
+		}
+	}
+
+	// The reference: the same pairs recorded before the first read,
+	// which builds the state from scratch.
+	ref := New()
+	loadClusters(t, ref, clusters, 0)
+	pairs := make([][2]TupleID, clusters)
+	for k := range pairs {
+		pairs[k] = [2]TupleID{2 * k, 2*k + 1}
+	}
+	rebuild := measure(func() {
+		if err := ref.rels["R"].PreferPairs(pairs); err != nil {
+			t.Fatal(err)
+		}
+		read(ref, True)
+	})
+
+	db := New()
+	loadClusters(t, db, clusters, 0)
+	read(db, Undetermined)
+	batch := measure(func() {
+		if err := db.rels["R"].PreferByRank(rank); err != nil {
+			t.Fatal(err)
+		}
+		read(db, True)
+	})
+	t.Logf("PreferByRank + read after the first read: %.1f MB; the pairs + the first read: %.1f MB", float64(batch)/(1<<20), float64(rebuild)/(1<<20))
+	if batch > 2*rebuild {
+		t.Fatalf("PreferByRank + read allocates %.1f MB, want at most twice the %.1f MB of the pairs and a rebuild", float64(batch)/(1<<20), float64(rebuild)/(1<<20))
 	}
 }
