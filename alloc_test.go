@@ -129,9 +129,9 @@ func TestWarmRequestAllocations(t *testing.T) {
 		// size, by design and unchanged). What is gated is everything it
 		// does before that: the walk over the version's resolved
 		// components up to the first repair.
-		sr := snap.rels["R"]
+		built := builtOf(snap, "R")
 		firstYield = bytesPerOp(5, func() {
-			res, err := sr.rel.Resolved(ctx, snap.engine, Global)
+			res, err := built.Resolved(ctx, snap.db.engine, Global)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -73,8 +73,8 @@ func Open(dir string, opts ...Option) (*DB, error) {
 			return nil, fmt.Errorf("prefcqa: recovering %s: record %d: %w", dir, rec.Seq, err)
 		}
 	}
-	db.ver.Store(log.Seq())
 	db.log = log
+	db.publishLocked(log.Seq())
 	return db, nil
 }
 
@@ -82,17 +82,13 @@ func Open(dir string, opts ...Option) (*DB, error) {
 // (created with Open rather than New).
 func (db *DB) Durable() bool { return db.log != nil }
 
-// WriteVersion returns the database's current write-version: a
-// monotone counter bumped exactly once per applied mutation batch. On
-// a durable DB it equals the sequence of the last logged record, so
-// it survives restart — a reader holding a version from before a
-// crash can still demand at-least-that-new data after recovery.
-func (db *DB) WriteVersion() uint64 {
-	if db.log != nil {
-		return db.log.Seq()
-	}
-	return db.ver.Load()
-}
+// WriteVersion returns the write-version of the database's current
+// version: a monotone counter bumped exactly once per applied mutation
+// batch, when the batch is published. On a durable DB it is the
+// sequence of the batch's log record, so it survives restart — a
+// reader holding a version from before a crash can still demand
+// at-least-that-new data after recovery.
+func (db *DB) WriteVersion() uint64 { return db.cur.Load().wv }
 
 // Close flushes and closes the write-ahead log after waiting for
 // in-flight mutations to finish. Reads remain possible; further
@@ -101,37 +97,37 @@ func (db *DB) Close() error {
 	if db.log == nil {
 		return nil
 	}
-	db.snapMu.Lock()
-	defer db.snapMu.Unlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	return db.log.Close()
 }
 
 // Checkpoint writes a compacted snapshot of the whole database to the
-// log directory and truncates the log. It runs under the snapshot
-// gate, so it waits for in-flight mutations and captures one
-// consistent cut; recovery afterwards loads the checkpoint instead of
-// replaying history. Mutations trigger checkpoints automatically once
+// log directory and truncates the log. It holds the writer mutex, so
+// it waits for in-flight mutations and captures one consistent cut
+// (readers go on meanwhile); recovery afterwards loads the checkpoint
+// instead of replaying history. Mutations trigger checkpoints automatically once
 // the log outgrows WithCheckpointBytes; call Checkpoint directly to
 // force one (e.g. before a backup).
 func (db *DB) Checkpoint() error {
 	if db.log == nil {
 		return fmt.Errorf("prefcqa: Checkpoint on a non-durable database")
 	}
-	db.snapMu.Lock()
-	defer db.snapMu.Unlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	return db.log.WriteCheckpoint(db.captureCheckpointLocked())
 }
 
 // checkpointRelation captures one relation's writer-side state.
-// Caller holds db.snapMu and r.mu.
-func checkpointRelation(name string, r *Relation) wal.CheckpointRelation {
+// Caller holds r.mu.
+func checkpointRelation(r *Relation) wal.CheckpointRelation {
 	cr := wal.CheckpointRelation{
-		Name:  name,
-		Attrs: r.inst.Schema().WireAttrs(),
+		Name:  r.name,
+		Attrs: r.schema.WireAttrs(),
 		Prefs: append([][2]TupleID(nil), r.prefs...),
 	}
-	cr.Rows, cr.Dead = encodeUniverse(r.inst)
-	for _, f := range r.fds.All() {
+	cr.Rows, cr.Dead = encodeUniverse(r.head.Inst)
+	for _, f := range r.head.FDs.All() {
 		cr.FDs = append(cr.FDs, f.String())
 	}
 	return cr
@@ -155,16 +151,13 @@ func encodeUniverse(inst *relation.Instance) (rows [][]string, dead []int) {
 
 // logAppend assigns the mutation its write-version: on a durable DB
 // it appends the record (built lazily — mk runs only when a log is
-// attached) and returns its sequence; in memory it just bumps the
-// version counter. Callers hold the relation lock (and the snapshot
-// gate), so log order matches apply order. Call commit with the
-// returned sequence after releasing the locks.
+// attached) and returns its sequence; in memory it is the next
+// version's number. Callers hold the writer mutex and publish the
+// version at this write-version, so log order is publication order.
+// Call commit with the returned sequence after releasing the mutex.
 func (db *DB) logAppend(mk func() wal.Record) (uint64, error) {
-	if db.readOnly.Load() {
-		return 0, ErrReadOnly
-	}
 	if db.log == nil {
-		return db.ver.Add(1), nil
+		return db.cur.Load().wv + 1, nil
 	}
 	return db.log.Append(mk())
 }
@@ -172,8 +165,8 @@ func (db *DB) logAppend(mk func() wal.Record) (uint64, error) {
 // commit applies the durability barrier for a mutation logged at seq
 // (0 = nothing was logged) and, when the log has outgrown its
 // checkpoint threshold, compacts it. Must be called after the
-// mutation's locks are released: the barrier may block on an fsync
-// and the checkpoint needs the snapshot gate.
+// mutation's writer mutex is released: the barrier may block on an
+// fsync and the checkpoint needs the mutex.
 func (db *DB) commit(seq uint64) error {
 	if db.log == nil || seq == 0 {
 		return nil
@@ -204,7 +197,7 @@ func (db *DB) loadCheckpoint(c *wal.Checkpoint) error {
 			return fmt.Errorf("relation %s: %w", cr.Name, err)
 		}
 		for _, spec := range cr.FDs {
-			if _, err := r.applyFD(spec, false); err != nil {
+			if err := r.replayFD(spec); err != nil {
 				return fmt.Errorf("relation %s: %w", cr.Name, err)
 			}
 		}
@@ -218,53 +211,49 @@ func (db *DB) loadCheckpoint(c *wal.Checkpoint) error {
 	return nil
 }
 
-// applyRecord replays one log record. Strict where the public API is
+// applyRecord replays one log record and publishes the version it
+// makes, at the record's sequence. Strict where the public API is
 // lenient: the log only holds records for mutations that actually
 // applied, so a duplicate insert, a dead delete or a duplicate
 // preference during replay means the log does not match the state it
 // claims to rebuild — fail loudly rather than serve silently wrong
-// answers.
+// answers. Caller holds db.mu (or owns db, while Open loads it).
 func (db *DB) applyRecord(rec wal.Record) error {
+	var err error
 	switch rec.Op {
 	case wal.OpCreate:
-		_, err := db.replayCreate(rec.Rel, rec.Attrs, rec.Rows, rec.IDs)
-		return err
-	case wal.OpFD:
-		r, err := db.replayRel(rec.Rel)
-		if err != nil {
-			return err
+		_, err = db.replayCreate(rec.Rel, rec.Attrs, rec.Rows, rec.IDs)
+	case wal.OpFD, wal.OpInsert, wal.OpDelete, wal.OpPrefer:
+		var r *Relation
+		if r, err = db.replayRel(rec.Rel); err != nil {
+			break
 		}
-		_, err = r.applyFD(rec.FD, false)
-		return err
-	case wal.OpInsert:
-		r, err := db.replayRel(rec.Rel)
-		if err != nil {
-			return err
+		switch rec.Op {
+		case wal.OpFD:
+			err = r.replayFD(rec.FD)
+		case wal.OpInsert:
+			err = r.replayInserts(rec.Rows)
+		case wal.OpDelete:
+			err = r.replayDeletes(rec.IDs)
+		default:
+			err = r.replayPrefs(rec.Pairs, true)
 		}
-		return r.replayInserts(rec.Rows)
-	case wal.OpDelete:
-		r, err := db.replayRel(rec.Rel)
-		if err != nil {
-			return err
-		}
-		return r.replayDeletes(rec.IDs)
-	case wal.OpPrefer:
-		r, err := db.replayRel(rec.Rel)
-		if err != nil {
-			return err
-		}
-		return r.replayPrefs(rec.Pairs, true)
 	default:
-		return fmt.Errorf("unknown op %q", rec.Op)
+		err = fmt.Errorf("unknown op %q", rec.Op)
 	}
+	if err != nil {
+		return err
+	}
+	db.publishLocked(rec.Seq)
+	return nil
 }
 
 func (db *DB) replayRel(name string) (*Relation, error) {
-	r, ok := db.rels[name]
+	i, ok := db.cat.index[name]
 	if !ok {
 		return nil, fmt.Errorf("unknown relation %q", name)
 	}
-	return r, nil
+	return db.cat.rels[i], nil
 }
 
 // replayCreate registers a relation and reloads its tuple universe:
@@ -308,36 +297,47 @@ func (db *DB) replayCreate(name string, wattrs []relation.WireAttr, rows [][]str
 	return r, nil
 }
 
-// replayInserts and replayDeletes: lock, decode, apply. The strictness
-// a replay needs is applyInserts' and applyDeletes' own.
+// replayInserts, replayDeletes, replayFD and replayPrefs stage a
+// record's change and apply it; the strictness a replay needs is that
+// of the staging. Callers hold db.mu (or own db, while Open loads it).
 func (r *Relation) replayInserts(rows [][]string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	tuples, err := relation.DecodeRows(r.inst.Schema(), rows)
+	tuples, err := relation.DecodeRows(r.schema, rows)
 	if err != nil {
 		return err
 	}
-	_, err = r.applyInserts(tuples)
-	return err
+	c, err := r.inserting(tuples)
+	if err != nil {
+		return err
+	}
+	return r.apply(c)
 }
 
 func (r *Relation) replayDeletes(ids []int) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.applyDeletes(ids)
+	c, err := r.deleting(ids)
+	if err != nil {
+		return err
+	}
+	return r.apply(c)
+}
+
+func (r *Relation) replayFD(spec string) error {
+	c, _, err := r.addingFD(spec)
+	if err != nil {
+		return err
+	}
+	return r.apply(c)
 }
 
 func (r *Relation) replayPrefs(pairs [][2]TupleID, requireLive bool) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	inst := r.head.Inst
 	for _, p := range pairs {
-		if requireLive && (!r.inst.Live(p[0]) || !r.inst.Live(p[1])) {
+		if requireLive && (!inst.Live(p[0]) || !inst.Live(p[1])) {
 			return fmt.Errorf("preference (%d, %d) on non-live tuples", p[0], p[1])
 		}
 		if r.preferred(p) {
 			return fmt.Errorf("duplicate preference (%d, %d)", p[0], p[1])
 		}
-		r.preferLocked(p[0], p[1])
+		r.prefSeen[keyOf(p)] = struct{}{} // catches a repeat within the record; install records it anyway
 	}
-	return nil
+	return r.apply(change{inst: inst, fds: r.head.FDs, prefs: pairs})
 }

@@ -95,7 +95,7 @@ func mirrorDB(t *testing.T, src *DB) *DB {
 			}
 		}
 		sr.mu.Lock()
-		fds := sr.fds.All()
+		fds := sr.head.FDs.All()
 		prefs := append([][2]TupleID(nil), sr.prefs...)
 		sr.mu.Unlock()
 		for _, f := range fds {

@@ -56,11 +56,7 @@ func (r TupleReport) Status() string {
 // ExplainTuple builds a TupleReport for one tuple of a relation under
 // the given family.
 func (db *DB) ExplainTuple(f Family, rel string, id TupleID) (TupleReport, error) {
-	r, err := db.relation(rel)
-	if err != nil {
-		return TupleReport{}, err
-	}
-	built, err := r.build()
+	built, err := db.built(rel)
 	if err != nil {
 		return TupleReport{}, err
 	}

@@ -7,3 +7,11 @@ var (
 	WithParallelism = withParallelism
 	WithCache       = withCache
 )
+
+// HoldWriter takes the database's writer mutex, as a mutation holds it
+// from validation to publication, and returns its release: the reads
+// of readers_test.go must not wait for it.
+func HoldWriter(db *DB) (release func()) {
+	db.mu.Lock()
+	return db.mu.Unlock
+}

@@ -265,3 +265,82 @@ func TestDeleteRequestIsOneRecord(t *testing.T) {
 		t.Fatalf("after the batch: %v, %v", a, err)
 	}
 }
+
+// TestRefusedWritesAnswer409: ROADMAP item 11's two reproducers over
+// the wire, each after one read has built the relation. The write that
+// would leave no priority — a preference reversing a recorded one, a
+// dependency that turns recorded preferences into a cycle — answers
+// 409, moves no version, and the read after answers 200, also after a
+// restart that replays the log.
+func TestRefusedWritesAnswer409(t *testing.T) {
+	opts := durableOpts(t)
+	ctx := context.Background()
+	srv, c := boot(t, opts)
+	for _, db := range []string{"reverse", "cycle"} {
+		if err := c.CreateDB(ctx, db); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.CreateRelation(ctx, db, "R", client.IntAttr("K"), client.IntAttr("V"), client.IntAttr("W")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.AddFD(ctx, db, "R", "K -> V"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := c.Insert(ctx, "reverse", "R", row(t, 1, 0, 0), row(t, 1, 1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Insert(ctx, "cycle", "R", row(t, 1, 0, 5), row(t, 2, 0, 5), row(t, 3, 0, 5)); err != nil {
+		t.Fatal(err)
+	}
+	for _, db := range []string{"reverse", "cycle"} {
+		if _, err := c.CountRepairs(ctx, db, prefcqa.Rep, "R"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Prefer(ctx, "reverse", "R", [2]int{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range [][2]int{{0, 1}, {2, 0}, {1, 2}} {
+		if _, err := c.Prefer(ctx, "cycle", "R", p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	versions := map[string]uint64{}
+	for db, write := range map[string]func() error{
+		"reverse": func() error { _, err := c.Prefer(ctx, "reverse", "R", [2]int{1, 0}); return err },
+		"cycle":   func() error { _, err := c.AddFD(ctx, "cycle", "R", "W -> K"); return err },
+	} {
+		before, err := c.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustStatus(t, write(), http.StatusConflict)
+		after, err := c.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wv := after.DBs[db].WriteVersion; wv != before.DBs[db].WriteVersion {
+			t.Fatalf("%s: the refused write moved the write-version %d → %d", db, before.DBs[db].WriteVersion, wv)
+		}
+		versions[db] = after.DBs[db].WriteVersion
+	}
+	reads := func(c *client.Client) {
+		t.Helper()
+		for db, q := range map[string]string{"reverse": "R(1, 0, 0)", "cycle": "R(1, 0, 5)"} {
+			if a, err := c.Query(ctx, db, prefcqa.Global, q, client.MinVersion(versions[db])); err != nil || a != prefcqa.True {
+				t.Fatalf("%s: %s = %v, %v; want true", db, q, a, err)
+			}
+		}
+	}
+	reads(c)
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	srv2 := New(opts)
+	if _, err := srv2.RecoverDBs(); err != nil {
+		t.Fatal(err)
+	}
+	_, c2 := boot2(t, srv2)
+	reads(c2)
+}

@@ -80,27 +80,19 @@ func (s *Server) handleRelation(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	// Schema changes take the tenant write lock: prefcqa.DB does not
-	// synchronize relation creation with concurrent use.
-	t.mu.Lock()
-	_, err = t.db.AddInstance(relation.NewInstance(schema))
-	t.mu.Unlock()
-	if err != nil {
+	if _, err := t.db.AddInstance(relation.NewInstance(schema)); err != nil {
 		return &httpError{code: http.StatusConflict, err: err}
 	}
 	return writeReply(w, client.VersionResponse{Version: t.version()})
 }
 
-// withRelation resolves a tenant and relation and runs fn holding the
-// tenant read lock (guarding against concurrent relation creation;
-// tuple-level mutation is synchronized by the facade itself).
+// withRelation resolves a tenant and relation and runs fn on them;
+// the facade synchronizes the mutation fn makes.
 func (s *Server) withRelation(db, rel string, fn func(t *tenant, r *prefcqa.Relation) error) (*tenant, error) {
 	t, err := s.tenant(db)
 	if err != nil {
 		return nil, err
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	r, ok := t.db.Relation(rel)
 	if !ok {
 		return nil, &httpError{code: http.StatusNotFound, err: fmt.Errorf("unknown relation %q in database %q", rel, db)}
@@ -130,9 +122,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) error {
 	var ids []int
 	t, err := s.withRelation(req.DB, req.Relation, func(t *tenant, rel *prefcqa.Relation) error {
 		// Decode every row before inserting any, so a malformed batch is
-		// rejected whole: no partial, unversioned mutation can hide
-		// behind the cached snapshot and surface as a phantom after an
-		// unrelated later write.
+		// rejected whole: no partial mutation is ever applied.
 		tuples, err := relation.DecodeRows(rel.Schema(), req.Rows)
 		if err != nil {
 			return err
@@ -176,8 +166,9 @@ func (s *Server) handlePrefer(w http.ResponseWriter, r *http.Request) error {
 	}
 	t, err := s.withRelation(req.DB, req.Relation, func(t *tenant, rel *prefcqa.Relation) error {
 		// One batch call, like handleInsert's: every pair is validated
-		// under the relation lock before any is logged or applied, so a
-		// request naming a dead tuple ID is rejected whole, and an
+		// under the writer mutex before any is logged or applied, so a
+		// request naming a dead tuple ID, or one whose pairs contradict
+		// the priority (a PriorityError, 409), is rejected whole, and an
 		// accepted one is one log record, one durability barrier and one
 		// write-version step.
 		return rel.PreferPairs(req.Pairs)
@@ -192,7 +183,7 @@ func (s *Server) handlePrefer(w http.ResponseWriter, r *http.Request) error {
 // options. On a follower, a min_version ahead of the replicated
 // watermark waits (bounded by ctx) for replication to catch up —
 // read-your-writes holds through any replica.
-func (s *Server) pinned(ctx context.Context, db string, opts client.ReadOptions) (*pinnedSnap, error) {
+func (s *Server) pinned(ctx context.Context, db string, opts client.ReadOptions) (*prefcqa.Snapshot, error) {
 	t, err := s.tenant(db)
 	if err != nil && opts.MinVersion > 0 && s.isFollower() {
 		// min_version asserts the database exists; on a follower the
@@ -219,15 +210,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 	}
 	ctx, cancel := s.readCtx(r, req.ReadOptions)
 	defer cancel()
-	p, err := s.pinned(ctx, req.DB, req.ReadOptions)
+	snap, err := s.pinned(ctx, req.DB, req.ReadOptions)
 	if err != nil {
 		return err
 	}
-	ans, err := p.snap.QueryContext(ctx, fam, req.Query)
+	ans, err := snap.QueryContext(ctx, fam, req.Query)
 	if err != nil {
 		return err
 	}
-	return writeReply(w, client.QueryResponse{Answer: ans.String(), Version: p.wv, Versions: p.versions})
+	return writeReply(w, client.QueryResponse{Answer: ans.String(), Version: snap.WriteVersion(), Versions: snap.Versions()})
 }
 
 func (s *Server) handleQueryOpen(w http.ResponseWriter, r *http.Request) error {
@@ -241,15 +232,15 @@ func (s *Server) handleQueryOpen(w http.ResponseWriter, r *http.Request) error {
 	}
 	ctx, cancel := s.readCtx(r, req.ReadOptions)
 	defer cancel()
-	p, err := s.pinned(ctx, req.DB, req.ReadOptions)
+	snap, err := s.pinned(ctx, req.DB, req.ReadOptions)
 	if err != nil {
 		return err
 	}
-	bindings, err := p.snap.QueryOpenContext(ctx, fam, req.Query)
+	bindings, err := snap.QueryOpenContext(ctx, fam, req.Query)
 	if err != nil {
 		return err
 	}
-	resp := client.QueryOpenResponse{Bindings: make([]map[string]string, 0, len(bindings)), Version: p.wv}
+	resp := client.QueryOpenResponse{Bindings: make([]map[string]string, 0, len(bindings)), Version: snap.WriteVersion()}
 	for _, b := range bindings {
 		m := make(map[string]string, len(b))
 		for name, v := range b {
@@ -271,18 +262,18 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) error {
 	}
 	ctx, cancel := s.readCtx(r, req.ReadOptions)
 	defer cancel()
-	p, err := s.pinned(ctx, req.DB, req.ReadOptions)
+	snap, err := s.pinned(ctx, req.DB, req.ReadOptions)
 	if err != nil {
 		return err
 	}
-	n, err := p.snap.CountRepairsContext(ctx, fam, req.Relation)
+	n, err := snap.CountRepairsContext(ctx, fam, req.Relation)
 	if err != nil {
-		if _, ok := p.snap.Instance(req.Relation); !ok {
+		if _, ok := snap.Instance(req.Relation); !ok {
 			return &httpError{code: http.StatusNotFound, err: err}
 		}
 		return err
 	}
-	return writeReply(w, client.CountResponse{Count: n, Version: p.wv})
+	return writeReply(w, client.CountResponse{Count: n, Version: snap.WriteVersion()})
 }
 
 // handleRepairs streams the preferred repairs as NDJSON: one
@@ -300,11 +291,10 @@ func (s *Server) handleRepairs(w http.ResponseWriter, r *http.Request) error {
 	}
 	ctx, cancel := s.readCtx(r, req.ReadOptions)
 	defer cancel()
-	p, err := s.pinned(ctx, req.DB, req.ReadOptions)
+	snap, err := s.pinned(ctx, req.DB, req.ReadOptions)
 	if err != nil {
 		return err
 	}
-	snap := p.snap
 	if _, ok := snap.Instance(req.Relation); !ok {
 		return &httpError{code: http.StatusNotFound, err: fmt.Errorf("unknown relation %q in database %q", req.Relation, req.DB)}
 	}
@@ -358,16 +348,16 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) error {
 	}
 	ctx, cancel := s.readCtx(r, req.ReadOptions)
 	defer cancel()
-	p, err := s.pinned(ctx, req.DB, req.ReadOptions)
+	snap, err := s.pinned(ctx, req.DB, req.ReadOptions)
 	if err != nil {
 		return err
 	}
-	rep, err := p.snap.ExplainPlanContext(ctx, req.Query)
+	rep, err := snap.ExplainPlanContext(ctx, req.Query)
 	if err != nil {
 		return err
 	}
 	return writeJSON(w, client.ExplainResponse{
-		Query: rep.Query, Holds: rep.Holds, Plans: rep.Plans, Version: p.wv,
+		Query: rep.Query, Holds: rep.Holds, Plans: rep.Plans, Version: snap.WriteVersion(),
 	})
 }
 
@@ -409,26 +399,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 			}
 		}
 		ds.Replication = s.replicationStats(t)
-		// Relation detail comes from the already-cached snapshot only:
-		// stats is an observability endpoint and must never trigger a
-		// fresh materialization (a monitoring poll against a
-		// write-active database would otherwise force the heaviest
-		// computation in the server on every scrape). A database with
-		// no cached snapshot yet — or whose build currently fails —
-		// reports its write-version without detail.
-		if p := t.snap.Load(); p != nil {
-			snap := p.snap
-			for name, ver := range p.versions {
-				inst, _ := snap.Instance(name)
-				conflicts, _ := snap.Conflicts(name)
-				components, _ := snap.Components(name)
-				ds.Relations[name] = client.RelationStats{
-					Version:    ver,
-					Tuples:     inst.Len(),
-					Conflicts:  conflicts,
-					Components: components,
-				}
-			}
+		// Relation detail comes from the database's current version,
+		// for the relations a read has built: stats is an observability
+		// endpoint and must never trigger a build (a monitoring poll
+		// would otherwise force the heaviest computation in the server).
+		for name, rs := range t.db.RelationStats() {
+			ds.Relations[name] = client.RelationStats(rs)
 		}
 		resp.DBs[t.name] = ds
 	}

@@ -12,16 +12,17 @@
 //
 // # Consistency model
 //
-// Every read pins one prefcqa.Snapshot: a point-in-time cut across
-// the database's relations, immune to concurrent mutation. Writes
-// return a monotone per-database write-version; a read carrying
-// min_version is served from a snapshot at least that new. Reads
-// default to "at least as new as the last completed write", so a
+// Every read pins one prefcqa.Snapshot: the database's current
+// version, a point-in-time cut across its relations, immune to
+// concurrent mutation. Writes return a monotone per-database
+// write-version; a read carrying min_version is served from a snapshot
+// at least that new. A write publishes its version before it returns,
+// so every read is at least as new as the last completed write, and a
 // client that writes then reads on one connection — or hands its
 // write version to another client — always observes its write
-// (read-your-writes). Snapshots are cached and reused between writes:
-// a read burst against a quiet database takes one snapshot, not one
-// per request.
+// (read-your-writes). Pinning is one atomic load in the facade: a
+// read burst against a quiet database shares one version, and the
+// facade's writer builds each version, not the reader.
 package server
 
 import (
@@ -162,34 +163,21 @@ type Server struct {
 // tenant is one named database plus its serving state.
 type tenant struct {
 	name string
-	// mu serializes registry-level schema changes (relation creation)
-	// against every other use of db: prefcqa.DB does not synchronize
-	// CreateRelation with concurrent queries. Reads and tuple-level
-	// writes take the read side (the facade synchronizes those
-	// itself), CreateRelation the write side.
+	// mu is the lock Replica hands a replication follower, which takes
+	// it around every record it applies. Nothing else needs it:
+	// prefcqa.DB synchronizes relation creation, reads and writes
+	// itself, and no read or write handler takes it.
 	mu sync.RWMutex
 	db *prefcqa.DB
-	// snap caches the latest pinned snapshot with the write-version
-	// it is known to cover, so read bursts between writes share one
-	// snapshot instead of re-materializing per request.
-	snap atomic.Pointer[pinnedSnap]
 }
 
 // version is the database's write-version: the facade bumps it once
-// per applied mutation record, handlers return it to the client, and
+// per published mutation record, handlers return it to the client, and
 // snapshotAtLeast accepts it back as min_version. On a durable
 // database it is the write-ahead log sequence, so it survives restart
 // and a version handed out before a crash remains satisfiable after
 // recovery.
 func (t *tenant) version() uint64 { return t.db.WriteVersion() }
-
-type pinnedSnap struct {
-	wv   uint64
-	snap *prefcqa.Snapshot
-	// versions is snap.Versions(), made once when the pin is published
-	// and shared read-only by the /v1/query replies and /v1/stats.
-	versions map[string]uint64
-}
 
 // New returns a Server with an empty database registry.
 func New(opts Options) *Server {
@@ -362,49 +350,29 @@ func (s *Server) tenant(name string) (*tenant, error) {
 	return t, nil
 }
 
-// snapshotAtLeast returns a pinned snapshot covering at least
-// write-version min (and never older than the last completed write),
-// labelled with its version. The cached pin is reused when new enough;
-// otherwise a fresh cut is taken and published. The label is read
-// before the cut, so it is a lower bound on what the snapshot contains.
+// snapshotAtLeast returns the database's current version, which must
+// cover write-version min.
 //
-// A min above the database's current write-version cannot be
-// honored and is rejected (412): every version this database ever
-// returned is covered by now (writes complete before their version
-// is handed out), so an unsatisfiable min is a client mixing up
-// versions across databases or servers — serving older data with a
-// 200 would silently void the read-your-writes contract.
-func (t *tenant) snapshotAtLeast(min uint64) (*pinnedSnap, error) {
-	cur := t.version()
-	if min > cur {
+// A min above the version's write-version cannot be honored and is
+// rejected (412): every version this database ever returned is
+// published by now (a write publishes before its version is handed
+// out), so an unsatisfiable min is a client mixing up versions across
+// databases or servers — serving older data with a 200 would silently
+// void the read-your-writes contract. A relation whose preferences do
+// not form a priority fails the snapshot with a prefcqa.PriorityError,
+// which writeHandlerError answers with 409.
+func (t *tenant) snapshotAtLeast(min uint64) (*prefcqa.Snapshot, error) {
+	snap, err := t.db.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	if wv := snap.WriteVersion(); min > wv {
 		return nil, &httpError{
 			code: http.StatusPreconditionFailed,
-			err:  fmt.Errorf("min_version %d is beyond database %q's write-version %d (version from another database?)", min, t.name, cur),
+			err:  fmt.Errorf("min_version %d is beyond database %q's write-version %d (version from another database?)", min, t.name, wv),
 		}
 	}
-	min = cur
-	if p := t.snap.Load(); p != nil && p.wv >= min {
-		return p, nil
-	}
-	wv := t.version()
-	t.mu.RLock()
-	snap, err := t.db.Snapshot()
-	t.mu.RUnlock()
-	if err != nil {
-		// A failing build (e.g. contradictory preferences) is the
-		// client's doing: surface as a conflict, not a server error.
-		return nil, &httpError{code: http.StatusConflict, err: err}
-	}
-	p := &pinnedSnap{wv: wv, snap: snap, versions: snap.Versions()}
-	for {
-		old := t.snap.Load()
-		if old != nil && old.wv >= p.wv {
-			return p, nil // someone published a newer cut
-		}
-		if t.snap.CompareAndSwap(old, p) {
-			return p, nil
-		}
-	}
+	return snap, nil
 }
 
 // httpError carries a status code with an error.
@@ -476,9 +444,15 @@ func (s *Server) readCtx(r *http.Request, opts client.ReadOptions) (context.Cont
 // writeHandlerError maps a handler error to a status code.
 func (s *Server) writeHandlerError(w http.ResponseWriter, err error) {
 	var he *httpError
+	var pe *prefcqa.PriorityError
 	switch {
 	case errors.As(err, &he):
 		writeError(w, he.code, he.err)
+	case errors.As(err, &pe):
+		// Preferences that leave no priority are the client's doing: a
+		// refused write, or a relation whose recorded history cannot be
+		// built.
+		writeError(w, http.StatusConflict, err)
 	case errors.Is(err, prefcqa.ErrReadOnly):
 		// A write reached a follower. 421 plus the primary's URL lets a
 		// follower-aware client re-route instead of failing.

@@ -179,6 +179,33 @@ func TestEndToEnd(t *testing.T) {
 	if st.Server.Served == 0 || st.Server.MaxInflight != 64 {
 		t.Fatalf("server stats = %+v", st.Server)
 	}
+	// A relation no read has built reports no detail, and scraping the
+	// stats does not build it: the second scrape finds it unbuilt too.
+	// The next read builds it.
+	if _, err := c.CreateRelation(ctx, "mgmt", "Fresh", client.IntAttr("A")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Insert(ctx, "mgmt", "Fresh", row(t, 1), row(t, 2)); err != nil {
+		t.Fatal(err)
+	}
+	for scrape := 0; scrape < 2; scrape++ {
+		st, err := c.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs, ok := st.DBs["mgmt"].Relations["Fresh"]; ok {
+			t.Fatalf("scrape %d: unbuilt relation reports detail %+v", scrape, rs)
+		}
+	}
+	if _, err := c.CountRepairs(ctx, "mgmt", prefcqa.Rep, "Fresh"); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = c.Stats(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if rs := st.DBs["mgmt"].Relations["Fresh"]; rs.Tuples != 2 {
+		t.Fatalf("relation stats after a read = %+v, want 2 tuples", rs)
+	}
 }
 
 // TestErrorMapping: protocol errors carry meaningful status codes.
@@ -204,7 +231,8 @@ func TestErrorMapping(t *testing.T) {
 	mustStatus(t, err, http.StatusBadRequest)
 	_, err = c.Query(ctx, "d", prefcqa.Rep, "R(unclosed")
 	mustStatus(t, err, http.StatusBadRequest)
-	// Contradictory preferences surface as 409 on the next read.
+	// Contradictory preferences on a relation a read has built are
+	// refused at the write with 409; the read after is served.
 	ids, _, err := c.Insert(ctx, "d", "R", row(t, 1, 10), row(t, 1, 20))
 	if err != nil {
 		t.Fatal(err)
@@ -212,11 +240,11 @@ func TestErrorMapping(t *testing.T) {
 	if _, err := c.AddFD(ctx, "d", "R", "A -> B"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Prefer(ctx, "d", "R", [2]int{ids[0], ids[1]}, [2]int{ids[1], ids[0]}); err != nil {
+	_, err = c.Prefer(ctx, "d", "R", [2]int{ids[0], ids[1]}, [2]int{ids[1], ids[0]})
+	mustStatus(t, err, http.StatusConflict)
+	if _, err := c.Query(ctx, "d", prefcqa.Global, "R(1, 10)"); err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Query(ctx, "d", prefcqa.Global, "R(1, 10)")
-	mustStatus(t, err, http.StatusConflict)
 	// Unknown tuple IDs in a preference are a 400.
 	_, err = c.Prefer(ctx, "d", "R", [2]int{404, 405})
 	mustStatus(t, err, http.StatusBadRequest)
@@ -383,8 +411,8 @@ func itoa(i int) string {
 	return itoa(i/10) + itoa(i%10)
 }
 
-// TestSnapshotCacheReuse: reads between writes share one snapshot
-// (the cached pin), and a write invalidates it.
+// TestSnapshotCacheReuse: reads between writes share one version (the
+// database's published one), and a write replaces it.
 func TestSnapshotCacheReuse(t *testing.T) {
 	srv, c := boot(t, Options{})
 	ctx := context.Background()
@@ -397,30 +425,29 @@ func TestSnapshotCacheReuse(t *testing.T) {
 	if _, _, err := c.Insert(ctx, "d", "R", row(t, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CountRepairs(ctx, "d", prefcqa.Rep, "R"); err != nil {
-		t.Fatal(err)
-	}
 	srv.mu.RLock()
 	tn := srv.tenants["d"]
 	srv.mu.RUnlock()
-	p1 := tn.snap.Load()
-	if p1 == nil {
-		t.Fatal("no cached snapshot after a read")
+	pinned := func() *prefcqa.Snapshot {
+		t.Helper()
+		if _, err := c.CountRepairs(ctx, "d", prefcqa.Rep, "R"); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := tn.snapshotAtLeast(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
 	}
-	if _, err := c.CountRepairs(ctx, "d", prefcqa.Rep, "R"); err != nil {
-		t.Fatal(err)
-	}
-	if p2 := tn.snap.Load(); p2 != p1 {
-		t.Fatal("second read did not reuse the cached snapshot")
+	p1 := pinned()
+	if p2 := pinned(); p2 != p1 {
+		t.Fatal("second read did not reuse the published version")
 	}
 	if _, _, err := c.Insert(ctx, "d", "R", row(t, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CountRepairs(ctx, "d", prefcqa.Rep, "R"); err != nil {
-		t.Fatal(err)
-	}
-	if p3 := tn.snap.Load(); p3 == p1 {
-		t.Fatal("read after a write served the stale snapshot")
+	if p3 := pinned(); p3 == p1 {
+		t.Fatal("read after a write served the stale version")
 	}
 }
 

@@ -1,6 +1,7 @@
 package prefcqa
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -330,14 +331,16 @@ func TestIsPreferredRepairRejectsDeletedTuples(t *testing.T) {
 // TestPreferBatchReportsFirstFailure writes a preference batch after
 // the first read whose first failing pair sits in its middle, a later
 // pair failing too, once small enough to be folded in pair by pair and
-// once large enough to take the rebuild. Both report the first failing
-// pair, with the text Priority.Add gives it, on every read after.
+// once large enough to take the rebuild. Both refuse the batch whole
+// at the write, with the text Priority.Add gives the first failing
+// pair, and leave the database as it was: the write-version does not
+// move and every read after succeeds.
 func TestPreferBatchReportsFirstFailure(t *testing.T) {
 	const clusters = 1000
 	for _, size := range []int{20, clusters} {
 		db := New()
 		loadClusters(t, db, clusters, 0)
-		r := db.rels["R"]
+		r := relOf(db, "R")
 		// Orient clusters 3 and 5 first; the batch reverses both.
 		if err := r.PreferPairs([][2]TupleID{{6, 7}, {10, 11}}); err != nil {
 			t.Fatal(err)
@@ -355,13 +358,19 @@ func TestPreferBatchReportsFirstFailure(t *testing.T) {
 				batch = append(batch, [2]TupleID{11, 10})
 			}
 		}
-		if err := r.PreferPairs(batch); err != nil {
-			t.Fatal(err)
-		}
+		wv := db.WriteVersion()
 		const want = "prefcqa: relation R: priority: conflict {7,6} already oriented 6 ≻ 7"
+		err := r.PreferPairs(batch)
+		var perr *PriorityError
+		if err == nil || err.Error() != want || !errors.As(err, &perr) {
+			t.Fatalf("batch of %d pairs: %v, want the PriorityError %q", len(batch), err, want)
+		}
+		if got := db.WriteVersion(); got != wv {
+			t.Fatalf("batch of %d pairs: refused, but the write-version moved %d → %d", len(batch), wv, got)
+		}
 		for read := 0; read < 2; read++ {
-			if _, err := db.Snapshot(); err == nil || err.Error() != want {
-				t.Fatalf("batch of %d pairs, read %d: %v, want %q", len(batch), read, err, want)
+			if a, err := db.Query(Global, "R(10, 0)"); err != nil || a != Undetermined {
+				t.Fatalf("batch of %d pairs, read %d: R(10, 0) = %v, %v; want undetermined (the batch applied nothing)", len(batch), read, a, err)
 			}
 		}
 	}

@@ -33,8 +33,10 @@ package prefcqa
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -181,35 +183,40 @@ func WriteCSV(dst io.Writer, inst *Instance) error { return relation.WriteCSV(ds
 // so a read sees one atomic cut across all relations; take the
 // Snapshot yourself to issue several reads against the same cut.
 //
-// Mutations (Insert, Delete, Prefer) are maintained incrementally:
-// instead of rebuilding the conflict graph, priority and component
-// index, the next read applies the pending batch as a delta — cost
-// proportional to the touched components, not the instance — and
-// publishes a fresh immutable version with an atomic swap. Tuple
-// mutations and queries on existing relations are therefore safe to
-// run concurrently; readers always see a consistent published
-// version, and Snapshot pins one for repeated reads. Creating
-// relations (CreateRelation, AddInstance) takes the snapshot gate's
-// write side, and every lookup of a relation by name its read side, so
-// relations may be created while others are in use.
+// The database is published as one immutable version behind an
+// atomic pointer, and Snapshot loads it: a read never builds and never
+// waits for a writer. The writer builds each version. A mutation
+// (Insert, Delete, Prefer, AddFD) derives its relation's next built
+// state — the delta of the conflict graph, priority and component
+// index, at a cost proportional to the touched components, or a
+// rebuild for a new dependency or a batch beyond a quarter of the
+// instance — then logs the mutation and publishes the version. One
+// writer mutex serializes the mutations of all relations, held from
+// validation to publication, so versions are published in log order;
+// a mutation whose derivation fails is refused and never logged (see
+// PriorityError). A relation that no read has built yet (a new one,
+// and every relation after Open) stays unbuilt under writes, so a bulk
+// load builds once: the first Snapshot builds it, under the writer
+// mutex, and from then on every write keeps it built.
 type DB struct {
-	rels   map[string]*Relation
-	order  []string
-	engine *core.Engine
-	snapMu sync.RWMutex // see Relation.snap
+	// mu is the writer mutex. Every mutation, relation creation,
+	// replicated record and checkpoint capture holds it, and so does
+	// the first Snapshot of an unbuilt relation; it guards cat and the
+	// writer state of every Relation. Readers never take it.
+	mu  sync.Mutex
+	cat *catalog                 // the registry as the writer sees it
+	cur atomic.Pointer[Snapshot] // the published version
 
-	// schemaEpoch counts relation creations; like rels and order it is
-	// guarded by snapMu. queries keeps the analysed query texts of the
-	// current epoch (cqa.QueryCache) for every snapshot's reads.
-	schemaEpoch uint64
-	queries     cqa.QueryCache
+	engine *core.Engine
+	// queries keeps the analysed query texts of the current schema
+	// epoch (cqa.QueryCache) for every snapshot's reads.
+	queries cqa.QueryCache
 
 	// log is the write-ahead log of a durable DB (see Open); nil on an
-	// in-memory DB. ver is the in-memory write-version counter; on a
-	// durable DB the log's record sequence is the write-version. See
-	// WriteVersion.
+	// in-memory DB, where the published version's counter is the
+	// write-version. On a durable DB the log's record sequence is the
+	// write-version. See WriteVersion.
 	log      *wal.Log
-	ver      atomic.Uint64
 	walOpts  wal.Options
 	ckptBusy atomic.Bool // gates automatic checkpoints to one at a time
 
@@ -227,6 +234,15 @@ type DB struct {
 	// stats aggregates open-query path and spine-executor counters
 	// across direct queries and snapshots; see QueryStats.
 	stats *cqa.EvalStats
+}
+
+// catalog is the relation registry of the versions between two
+// relation creations, which share it. Relations are never dropped, so
+// its length is the schema epoch the analysed-query cache keys on.
+type catalog struct {
+	order []string       // relation names in creation order
+	index map[string]int // name → position in order
+	rels  []*Relation
 }
 
 // Option configures a DB at construction time.
@@ -255,10 +271,10 @@ func withCache(on bool) Option {
 
 // withIncremental enables or disables delta maintenance of the
 // conflict graph, priority and component index across mutations
-// (default on). When disabled, every mutation invalidates the built
-// state and the next read rebuilds it from scratch — the path an
-// oversized batch takes anyway, and the reference the mutation tests
-// and benchmarks compare against.
+// (default on). When disabled, every mutation of a built relation
+// rebuilds its state from scratch — the path an oversized batch takes
+// anyway, and the reference the mutation tests and benchmarks compare
+// against.
 func withIncremental(on bool) Option {
 	return func(db *DB) { db.incremental = on }
 }
@@ -267,67 +283,89 @@ func withIncremental(on bool) Option {
 // engine uses a GOMAXPROCS-sized worker pool with memoization on, and
 // mutations are maintained incrementally.
 func New(opts ...Option) *DB {
-	db := &DB{rels: make(map[string]*Relation), parallelism: 0, cache: true, incremental: true, stats: &cqa.EvalStats{}}
+	db := &DB{
+		cat:         &catalog{index: map[string]int{}},
+		parallelism: 0, cache: true, incremental: true,
+		stats: &cqa.EvalStats{},
+	}
 	db.epoch.Store(1)
 	for _, opt := range opts {
 		opt(db)
 	}
 	db.engine = core.NewEngine(core.WithWorkers(db.parallelism), core.WithMemo(db.cache))
+	db.publishLocked(0)
 	return db
+}
+
+// publishLocked makes the writer's state the database's current
+// version, at write-version wv: the catalog and every relation's head.
+// O(relations). Caller holds db.mu (or owns db, before it is shared).
+func (db *DB) publishLocked(wv uint64) *Snapshot {
+	s := &Snapshot{db: db, cat: db.cat, heads: make([]*cqa.Relation, len(db.cat.rels)), wv: wv, built: true}
+	for i, r := range db.cat.rels {
+		s.heads[i] = r.head
+		s.built = s.built && r.head.Pri != nil
+	}
+	db.cur.Store(s)
+	return s
+}
+
+// lockWriter takes the writer mutex for a public mutation, refusing
+// one on a read-only replica before anything is staged.
+func (db *DB) lockWriter() error {
+	db.mu.Lock()
+	if db.readOnly.Load() {
+		db.mu.Unlock()
+		return ErrReadOnly
+	}
+	return nil
 }
 
 // Relation is one relation of the database together with its
 // dependencies and preferences.
 //
-// The built evaluation state (conflict graph, priority, component
-// index) is versioned: reads load the latest published version from
-// an atomic pointer, mutations accumulate a pending delta that the
-// next read applies and publishes. Published versions are immutable,
-// so readers never block writers and a Snapshot stays consistent
-// indefinitely.
+// Its built evaluation state (conflict graph, priority, component
+// index) is versioned: each mutation stages the next version on a
+// fork of the current one and, once it is logged, installs it as the
+// relation's head; the database then publishes it. Published versions
+// are immutable, so readers never block writers and a Snapshot stays
+// consistent indefinitely.
 type Relation struct {
-	// snap is the owning DB's snapshot gate: mutators hold its read
-	// side, DB.Snapshot the write side, making a snapshot a true
-	// point-in-time cut across all relations. Acquired before mu.
-	snap *sync.RWMutex
-	db   *DB
-	name string
+	db     *DB
+	name   string
+	schema *Schema
+	counts *core.CountCache // per-component repair counts, era-keyed
 
-	mu           sync.Mutex // guards all writer state below
-	inst         *relation.Instance
-	fds          *fd.Set
+	// mu is the DB's writer mutex; it guards the writer state below.
+	mu *sync.Mutex
+	// head is the relation's latest version: what the database's next
+	// published version holds for it. Its Pri is nil while no read has
+	// built the relation.
+	head *cqa.Relation
+	// prefs is the preference history, for rebuilds and checkpoints;
+	// prefSeen dedupes it.
 	prefs        [][2]TupleID
 	prefSeen     map[prefKey]struct{}
-	prefsPruneAt int  // next len(prefs) at which dead pairs are pruned
-	forked       bool // inst is a private fork ahead of the published version
-	pend         pendingDelta
-	incremental  bool
-
-	cur    atomic.Pointer[cqa.Relation] // latest published built state
-	dirty  atomic.Bool                  // pending mutations since the last publish
-	counts *core.CountCache             // per-component repair counts, era-keyed
+	prefsPruneAt int // next len(prefs) at which dead pairs are pruned
 }
 
-// pendingDelta is the batch of mutations since the last publish.
-// A tuple inserted and deleted within one batch appears in both
-// lists, inserts first — the graph delta wires it in and back out.
-type pendingDelta struct {
-	inserts []TupleID
-	deletes []TupleID
-	prefs   [][2]TupleID
-	rebuild bool // fall back to a full rebuild (AddFD, failed delta)
-}
-
-func (p *pendingDelta) dirty() bool {
-	return p.rebuild || len(p.inserts)+len(p.deletes)+len(p.prefs) > 0
+// change is one mutation of a relation, staged before it is logged:
+// the instance it leaves (a fork of the head's when it inserts or
+// deletes), the dependency set, the tuples it inserted and deleted and
+// its fresh preference pairs.
+type change struct {
+	inst  *relation.Instance
+	fds   *fd.Set
+	delta conflict.Delta
+	prefs [][2]TupleID
 }
 
 // freshRelation is the one constructor of a Relation: the instance's
-// schema name must be unused, and the relation starts with an empty
-// dependency set. register makes it visible. Caller holds db.snapMu.
+// schema name must be unused, and the relation starts unbuilt, with an
+// empty dependency set. register makes it visible. Caller holds db.mu.
 func (db *DB) freshRelation(inst *relation.Instance) (*Relation, error) {
 	name := inst.Schema().Name()
-	if _, dup := db.rels[name]; dup {
+	if _, dup := db.cat.index[name]; dup {
 		return nil, fmt.Errorf("prefcqa: relation %q already exists", name)
 	}
 	fds, err := fd.NewSet(inst.Schema())
@@ -335,20 +373,27 @@ func (db *DB) freshRelation(inst *relation.Instance) (*Relation, error) {
 		return nil, err
 	}
 	return &Relation{
-		snap: &db.snapMu,
-		db:   db,
-		name: name,
-		inst: inst, fds: fds,
-		prefSeen:    make(map[prefKey]struct{}),
-		incremental: db.incremental,
-		counts:      core.NewCountCache(),
+		db:       db,
+		name:     name,
+		schema:   inst.Schema(),
+		counts:   core.NewCountCache(),
+		mu:       &db.mu,
+		head:     &cqa.Relation{Inst: inst, FDs: fds},
+		prefSeen: make(map[prefKey]struct{}),
 	}, nil
 }
 
+// register adds r to the writer's catalog; the next publish makes it
+// visible. Caller holds db.mu.
 func (db *DB) register(r *Relation) {
-	db.rels[r.name] = r
-	db.order = append(db.order, r.name)
-	db.schemaEpoch++
+	old := db.cat
+	cat := &catalog{
+		order: append(slices.Clip(old.order), r.name),
+		index: maps.Clone(old.index),
+		rels:  append(slices.Clip(old.rels), r),
+	}
+	cat.index[r.name] = len(cat.rels) - 1
+	db.cat = cat
 }
 
 // CreateRelation adds an empty relation with the given schema.
@@ -361,9 +406,11 @@ func (db *DB) CreateRelation(name string, attrs ...Attribute) (*Relation, error)
 }
 
 // AddInstance registers an existing instance (with no dependencies
-// yet) under its schema name. On a durable DB the instance's whole
-// tuple universe — including tombstones, which anchor the ID
-// assignment — is logged as one creation record.
+// yet) under its schema name. The database takes the instance over:
+// its first write to the relation freezes it, and later changes go
+// through the Relation. On a durable DB the instance's whole tuple
+// universe — including tombstones, which anchor the ID assignment — is
+// logged as one creation record.
 func (db *DB) AddInstance(inst *Instance) (*Relation, error) {
 	r, seq, err := db.addInstance(inst)
 	if err != nil {
@@ -373,8 +420,10 @@ func (db *DB) AddInstance(inst *Instance) (*Relation, error) {
 }
 
 func (db *DB) addInstance(inst *Instance) (*Relation, uint64, error) {
-	db.snapMu.Lock()
-	defer db.snapMu.Unlock()
+	if err := db.lockWriter(); err != nil {
+		return nil, 0, err
+	}
+	defer db.mu.Unlock()
 	r, err := db.freshRelation(inst)
 	if err != nil {
 		return nil, 0, err
@@ -388,69 +437,40 @@ func (db *DB) addInstance(inst *Instance) (*Relation, uint64, error) {
 		return nil, 0, err
 	}
 	db.register(r)
+	db.publishLocked(seq)
 	return r, seq, nil
 }
 
 // Relation returns a previously created relation.
 func (db *DB) Relation(name string) (*Relation, bool) {
-	r, err := db.relation(name)
-	return r, err == nil
-}
-
-// relation looks a relation up under the read side of the snapshot
-// gate, which register writes the registry under. The caller must not
-// hold snapMu: a second RLock queued behind a waiting Lock deadlocks.
-func (db *DB) relation(name string) (*Relation, error) {
-	db.snapMu.RLock()
-	r, ok := db.rels[name]
-	db.snapMu.RUnlock()
+	cat := db.cur.Load().cat
+	i, ok := cat.index[name]
 	if !ok {
-		return nil, fmt.Errorf("prefcqa: unknown relation %q", name)
+		return nil, false
 	}
-	return r, nil
+	return cat.rels[i], true
 }
 
 // Relations lists the relation names in creation order.
 func (db *DB) Relations() []string {
-	db.snapMu.RLock()
-	defer db.snapMu.RUnlock()
-	out := make([]string, len(db.order))
-	copy(out, db.order)
-	return out
+	return slices.Clone(db.cur.Load().cat.order)
 }
 
 // Schema returns the relation's schema.
-func (r *Relation) Schema() *Schema {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.inst.Schema()
+func (r *Relation) Schema() *Schema { return r.schema }
+
+// published returns the relation at the database's current version,
+// built or not.
+func (r *Relation) published() *cqa.Relation {
+	s := r.db.cur.Load()
+	return s.heads[s.cat.index[r.name]]
 }
 
 // Instance returns the relation's current (possibly inconsistent)
-// instance: the latest published version, after folding in any
-// pending mutations. The result is an immutable version, safe to
-// read while writers continue mutating the relation. If the built
-// state cannot be constructed (e.g. contradictory preferences), the
-// writer's working instance is returned instead; that fallback is
-// only safe without concurrent mutation.
-func (r *Relation) Instance() *Instance {
-	if built, err := r.build(); err == nil {
-		return built.Inst
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.inst
-}
-
-// beginMutate forks the instance away from the published version on
-// the first mutation of a batch, so readers of the published version
-// keep a consistent view. Caller holds r.mu.
-func (r *Relation) beginMutate() {
-	if r.cur.Load() != nil && !r.forked {
-		r.inst = r.inst.Fork()
-		r.forked = true
-	}
-}
+// instance: its version in the database's current published version.
+// The result is immutable, safe to read while writers continue
+// mutating the relation, and reading it builds nothing.
+func (r *Relation) Instance() *Instance { return r.published().Inst }
 
 // Insert adds a row from native Go values (string → name, integer
 // types → int) and returns its tuple ID: InsertRows of one row, so a
@@ -470,10 +490,10 @@ func (r *Relation) Insert(vals ...any) (TupleID, error) {
 
 // InsertRows inserts a batch of rows as one mutation: one lock
 // acquisition, one write-version step and — on a durable DB — one log
-// record, written before anything is applied, and one durability
-// barrier, so a large batch costs one fsync instead of one per row. It
-// returns one tuple ID per input row; duplicates (against the relation
-// or within the batch) resolve to the first occurrence's ID.
+// record and one durability barrier, so a large batch costs one fsync
+// instead of one per row. It returns one tuple ID per input row;
+// duplicates (against the relation or within the batch) resolve to
+// the first occurrence's ID.
 func (r *Relation) InsertRows(rows []Tuple) ([]TupleID, error) {
 	ids, seq, err := r.insertRows(rows)
 	if err != nil {
@@ -482,15 +502,16 @@ func (r *Relation) InsertRows(rows []Tuple) ([]TupleID, error) {
 	return ids, r.db.commit(seq)
 }
 
-// insertRows validates, logs and applies a batch under the locks — in
-// that order, so a logged row is always an applied row.
+// insertRows validates a batch, stages the rows that will apply fresh
+// and writes them (writeLocked) under the writer mutex.
 func (r *Relation) insertRows(rows []Tuple) ([]TupleID, uint64, error) {
-	r.snap.RLock()
-	defer r.snap.RUnlock()
-	r.mu.Lock()
+	if err := r.db.lockWriter(); err != nil {
+		return nil, 0, err
+	}
 	defer r.mu.Unlock()
+	inst := r.head.Inst
 	for i, tup := range rows {
-		if err := r.inst.TypeCheck(tup); err != nil {
+		if err := inst.TypeCheck(tup); err != nil {
 			return nil, 0, fmt.Errorf("row %d: %w", i, err)
 		}
 	}
@@ -503,7 +524,7 @@ func (r *Relation) insertRows(rows []Tuple) ([]TupleID, uint64, error) {
 	ref := make([]int, len(rows)) // per row: -1 when resolved, else the first row equal to it, then its position in fresh
 	miss := make([]int, 0, len(rows))
 	for i, tup := range rows {
-		if id, ok := r.inst.Lookup(tup); ok {
+		if id, ok := inst.Lookup(tup); ok {
 			ids[i], ref[i] = id, -1
 		} else {
 			miss = append(miss, i)
@@ -530,7 +551,11 @@ func (r *Relation) insertRows(rows []Tuple) ([]TupleID, uint64, error) {
 			ref[i] = ref[first] // first < i: already a position in fresh
 		}
 	}
-	seq, err := r.db.logAppend(func() wal.Record {
+	c, err := r.inserting(fresh)
+	if err != nil {
+		return nil, 0, err
+	}
+	seq, err := r.writeLocked(c, func() wal.Record {
 		enc := make([][]string, len(fresh))
 		for p, tup := range fresh {
 			enc[p] = relation.EncodeRow(tup)
@@ -540,62 +565,199 @@ func (r *Relation) insertRows(rows []Tuple) ([]TupleID, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	freshIDs, err := r.applyInserts(fresh)
-	if err != nil {
-		return nil, 0, err
-	}
 	for i := range rows {
 		if ref[i] >= 0 {
-			ids[i] = freshIDs[ref[i]]
+			ids[i] = c.delta.Inserts[ref[i]]
 		}
 	}
 	return ids, seq, nil
 }
 
-// applyInserts and applyDeletes are the only place a tuple enters or
-// leaves a Relation, for the public mutations, crash recovery and a
-// follower's replicated records alike: fork away from the published
-// version (readers keep theirs), change the instance, track the change
-// for the next read's delta. They are strict — an insert that is not
-// fresh, a delete that is not live is an error — because a record
+// inserting and deleting stage the only ways a tuple enters or leaves
+// a Relation, for the public mutations, crash recovery and a
+// follower's replicated records alike, on a fork of the head's
+// instance (readers keep theirs). They are strict — an insert that is
+// not fresh, a delete that is not live is an error — because a record
 // reaches the log exactly when it applies: the public paths filter
-// before they log, and a record that replays any other way means the
+// before they stage, and a record that replays any other way means the
 // log does not match the state it claims to rebuild. Caller holds
 // r.mu.
-func (r *Relation) applyInserts(rows []Tuple) ([]TupleID, error) {
-	r.beginMutate()
-	r.dirty.Store(true)
-	ids := make([]TupleID, len(rows))
+func (r *Relation) inserting(rows []Tuple) (change, error) {
+	c := change{inst: r.head.Inst.Fork(), fds: r.head.FDs}
+	c.delta.Inserts = make([]TupleID, len(rows))
 	for i, tup := range rows {
-		id, fresh, err := r.inst.Insert(tup)
+		id, fresh, err := c.inst.Insert(tup)
 		if err == nil && !fresh {
 			err = fmt.Errorf("duplicate of tuple %d", id)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("row %d: %w", i, err)
+			return change{}, fmt.Errorf("row %d: %w", i, err)
 		}
-		ids[i] = id
-		if r.cur.Load() != nil {
-			r.pend.inserts = append(r.pend.inserts, id)
-		}
+		c.delta.Inserts[i] = id
 	}
-	return ids, nil
+	return c, nil
 }
 
-func (r *Relation) applyDeletes(ids []TupleID) error {
-	r.beginMutate()
-	r.dirty.Store(true)
+func (r *Relation) deleting(ids []TupleID) (change, error) {
+	c := change{inst: r.head.Inst.Fork(), fds: r.head.FDs, delta: conflict.Delta{Deletes: ids}}
 	for _, id := range ids {
-		if !r.inst.Live(id) {
-			return fmt.Errorf("delete of non-live tuple %d", id)
-		}
-		r.inst.Delete(id)
-		if r.cur.Load() != nil {
-			r.pend.deletes = append(r.pend.deletes, id)
+		if !c.inst.Delete(id) {
+			return change{}, fmt.Errorf("delete of non-live tuple %d", id)
 		}
 	}
+	return c, nil
+}
+
+// writeLocked derives the relation's next version from a staged
+// change, logs the mutation and publishes the version, in that order:
+// a change whose derivation fails is refused and never logged, and
+// the write-version moves only with a published version. Caller holds
+// r.mu.
+func (r *Relation) writeLocked(c change, mk func() wal.Record) (uint64, error) {
+	next, err := r.derive(c)
+	if err != nil {
+		return 0, err
+	}
+	seq, err := r.db.logAppend(mk)
+	if err != nil {
+		return 0, err
+	}
+	r.install(next, c.prefs)
+	r.db.publishLocked(seq)
+	return seq, nil
+}
+
+// apply derives and installs a change that is in the log already —
+// crash recovery and a follower's replicated records. A logged change
+// whose preferences leave no priority (logged before such writes were
+// refused, or while no read had built the relation) still applies: the
+// relation falls back to unbuilt, and every read reports the
+// PriorityError, as on the node that logged it. Caller holds r.mu.
+func (r *Relation) apply(c change) error {
+	next, err := r.derive(c)
+	var perr *PriorityError
+	if errors.As(err, &perr) {
+		next, err = &cqa.Relation{Inst: c.inst, FDs: c.fds}, nil
+	}
+	if err != nil {
+		return err
+	}
+	r.install(next, c.prefs)
 	return nil
 }
+
+// derive returns the relation's version after a staged change. An
+// unbuilt relation stays unbuilt. A built one derives incrementally —
+// the graph delta, the priority rebased onto it, the fresh pairs
+// added — unless the change is a new dependency set or a batch beyond
+// a quarter of the instance, where a rebuild's better constants win; a
+// preference pair counts like a tuple, since the delta adds it through
+// one overlay Add and the rebuild lays it out with all the others in
+// one FromRelation. An error means the change leaves no priority
+// (PriorityError). Caller holds r.mu.
+func (r *Relation) derive(c change) (*cqa.Relation, error) {
+	st := r.head
+	if st.Pri == nil {
+		return &cqa.Relation{Inst: c.inst, FDs: c.fds}, nil
+	}
+	if c.fds != st.FDs || !r.db.incremental || len(c.delta.Inserts)+len(c.delta.Deletes)+len(c.prefs) > 64+st.Inst.Len()/4 {
+		return r.build(c.inst, c.fds, append(r.prefs, c.prefs...))
+	}
+	g2, _, err := st.Pri.Graph().ApplyDelta(c.inst, c.delta)
+	if err != nil {
+		// Assertion failure in the delta plumbing: recover via rebuild.
+		return r.build(c.inst, c.fds, append(r.prefs, c.prefs...))
+	}
+	p2 := st.Pri.Rebase(g2)
+	for _, v := range c.delta.Deletes {
+		p2.DropVertex(v)
+	}
+	// Orientation changes do not alter component membership, but they
+	// dirty the per-component caches: retire each touched component ID
+	// once, after all pairs are applied.
+	var touched map[int]TupleID
+	for _, pr := range c.prefs {
+		if !g2.Adjacent(pr[0], pr[1]) {
+			continue // non-conflicting (or deleted) pair: ignored, as in FromRelation
+		}
+		if p2.Dominates(pr[0], pr[1]) {
+			continue
+		}
+		if err := p2.Add(pr[0], pr[1]); err != nil {
+			return nil, &PriorityError{Relation: r.name, Err: err}
+		}
+		cid := g2.ComponentOf(pr[0])
+		if _, ok := touched[cid]; !ok {
+			if touched == nil {
+				touched = make(map[int]TupleID)
+			}
+			touched[cid] = pr[0]
+		}
+	}
+	for _, v := range touched {
+		g2.Touch(v)
+	}
+	return &cqa.Relation{Inst: c.inst, FDs: c.fds, Pri: p2}, nil
+}
+
+// build lays out the built state of inst from scratch: the conflict
+// graph of fds and the priority of the preference history prefs.
+func (r *Relation) build(inst *relation.Instance, fds *fd.Set, prefs [][2]TupleID) (*cqa.Relation, error) {
+	rel, err := cqa.NewRelation(inst, fds)
+	if err != nil {
+		return nil, fmt.Errorf("prefcqa: relation %s: %w", r.name, err)
+	}
+	pri, err := priority.FromRelation(rel.Pri.Graph(), prefs)
+	if err != nil {
+		return nil, &PriorityError{Relation: r.name, Err: err}
+	}
+	rel.Pri = pri
+	return rel, nil
+}
+
+// install makes next the relation's head and records the change's
+// fresh preference pairs. It also prunes the history once it doubles
+// since the last prune: pairs touching tombstoned tuples can never
+// matter again (IDs are never reused), so dropping them keeps r.prefs
+// — and the cost of any future rebuild — proportional to the live
+// instance instead of the total mutation history. Caller holds r.mu.
+func (r *Relation) install(next *cqa.Relation, prefs [][2]TupleID) {
+	r.head = next
+	for _, p := range prefs {
+		r.prefSeen[keyOf(p)] = struct{}{}
+	}
+	r.prefs = append(r.prefs, prefs...)
+	if len(r.prefs) > 64 && len(r.prefs) >= r.prefsPruneAt {
+		kept := r.prefs[:0]
+		for _, p := range r.prefs {
+			if next.Inst.Live(p[0]) && next.Inst.Live(p[1]) {
+				kept = append(kept, p)
+			} else {
+				delete(r.prefSeen, keyOf(p))
+			}
+		}
+		r.prefs = kept
+		r.prefsPruneAt = 2 * len(kept)
+	}
+}
+
+// PriorityError reports preferences that do not form a priority of
+// the relation — an acyclic orientation of its conflicts (Definition 2
+// of the paper): a conflict oriented both ways, or a cycle. On a
+// relation a read has built, the Prefer batch or AddFD that would
+// cause it is refused whole, and nothing is logged. On a relation no
+// read has built yet, the first read that builds it reports it, and so
+// does every read after.
+type PriorityError struct {
+	Relation string
+	Err      error // the priority's own report
+}
+
+func (e *PriorityError) Error() string {
+	return fmt.Sprintf("prefcqa: relation %s: %v", e.Relation, e.Err)
+}
+
+func (e *PriorityError) Unwrap() error { return e.Err }
 
 // MustInsert is Insert that panics on error, for fixtures.
 func (r *Relation) MustInsert(vals ...any) TupleID {
@@ -632,15 +794,15 @@ func (r *Relation) DeleteIDs(ids []TupleID) (int, error) {
 }
 
 func (r *Relation) deleteIDs(ids []TupleID) (int, uint64, error) {
-	r.snap.RLock()
-	defer r.snap.RUnlock()
-	r.mu.Lock()
+	if err := r.db.lockWriter(); err != nil {
+		return 0, 0, err
+	}
 	defer r.mu.Unlock()
 	// Only live IDs, once each, reach the log.
 	live := make([]TupleID, 0, len(ids))
 	seen := make(map[TupleID]bool, len(ids))
 	for _, id := range ids {
-		if r.inst.Live(id) && !seen[id] {
+		if r.head.Inst.Live(id) && !seen[id] {
 			seen[id] = true
 			live = append(live, id)
 		}
@@ -648,72 +810,69 @@ func (r *Relation) deleteIDs(ids []TupleID) (int, uint64, error) {
 	if len(live) == 0 {
 		return 0, 0, nil
 	}
-	seq, err := r.db.logAppend(func() wal.Record {
-		return wal.Record{Op: wal.OpDelete, Rel: r.name, IDs: live}
-	})
+	c, err := r.deleting(live)
 	if err != nil {
 		return 0, 0, err
 	}
-	return len(live), seq, r.applyDeletes(live)
+	seq, err := r.writeLocked(c, func() wal.Record {
+		return wal.Record{Op: wal.OpDelete, Rel: r.name, IDs: live}
+	})
+	return len(live), seq, err
 }
 
 // AddFD declares a functional dependency, e.g. "Dept -> Name, Salary".
 // Unlike tuple-level mutations, adding a dependency rebuilds the
-// conflict graph from scratch on the next read.
+// conflict graph from scratch, once a read has built the relation. A
+// dependency under which the recorded preferences would orient a
+// conflict both ways or make a cycle is refused (PriorityError).
 func (r *Relation) AddFD(spec string) error {
-	r.snap.RLock()
-	seq, err := r.applyFD(spec, true)
-	r.snap.RUnlock()
+	seq, err := r.addFD(spec)
 	if err != nil {
 		return err
 	}
 	return r.db.commit(seq)
 }
 
-// applyFD parses spec, extends the dependency set by it and installs
-// the result, logging in between when live — replay (recovery, a
-// follower) applies a record that is in the log already.
-func (r *Relation) applyFD(spec string, live bool) (seq uint64, err error) {
-	r.mu.Lock()
+func (r *Relation) addFD(spec string) (uint64, error) {
+	if err := r.db.lockWriter(); err != nil {
+		return 0, err
+	}
 	defer r.mu.Unlock()
-	f, err := fd.Parse(r.inst.Schema(), spec)
+	c, f, err := r.addingFD(spec)
 	if err != nil {
 		return 0, err
 	}
-	// Replace rather than mutate the dependency set: the published
-	// version keeps referencing the old one.
-	nfds, err := fd.NewSet(r.inst.Schema(), append(r.fds.All(), f)...)
+	// Log the normalized rendering, not the raw spec: FD.String
+	// round-trips through fd.Parse on replay.
+	return r.writeLocked(c, func() wal.Record {
+		return wal.Record{Op: wal.OpFD, Rel: r.name, FD: f.String()}
+	})
+}
+
+// addingFD parses spec and stages the dependency set extended by it.
+// The set is replaced rather than mutated: the published version keeps
+// referencing the old one. Caller holds r.mu.
+func (r *Relation) addingFD(spec string) (change, fd.FD, error) {
+	f, err := fd.Parse(r.schema, spec)
 	if err != nil {
-		return 0, err
+		return change{}, f, err
 	}
-	if live {
-		// Log the normalized rendering, not the raw spec: FD.String
-		// round-trips through fd.Parse on replay.
-		seq, err = r.db.logAppend(func() wal.Record {
-			return wal.Record{Op: wal.OpFD, Rel: r.name, FD: f.String()}
-		})
-		if err != nil {
-			return 0, err
-		}
+	nfds, err := fd.NewSet(r.schema, append(r.head.FDs.All(), f)...)
+	if err != nil {
+		return change{}, f, err
 	}
-	r.fds = nfds
-	r.pend.rebuild = true
-	r.dirty.Store(true)
-	return seq, nil
+	return change{inst: r.head.Inst, fds: nfds}, f, nil
 }
 
 // FDs renders the declared dependencies.
-func (r *Relation) FDs() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.fds.String()
-}
+func (r *Relation) FDs() string { return r.published().FDs.String() }
 
 // Prefer records that tuple x should win its conflict against tuple
 // y (x ≻ y). Following Definition 2, pairs of non-conflicting tuples
-// are accepted and ignored; contradictory or cyclic preferences are
-// reported when the priority is built. Duplicate pairs are recorded
-// once.
+// are accepted and ignored. Duplicate pairs are recorded once. A pair
+// that contradicts the recorded preferences (the reverse orientation,
+// or a cycle) is refused once a read has built the relation; see
+// PriorityError.
 func (r *Relation) Prefer(x, y TupleID) error {
 	return r.PreferPairs([][2]TupleID{{x, y}})
 }
@@ -722,8 +881,9 @@ func (r *Relation) Prefer(x, y TupleID) error {
 // x ≻ y, as in Prefer) as one mutation: one lock acquisition, one
 // write-version step and — on a durable DB — one log record and one
 // durability barrier. Every pair is validated before any is logged or
-// applied, so a batch naming a tuple ID that is not live is rejected
-// whole and changes nothing.
+// applied, so a batch naming a tuple ID that is not live, or one that
+// would leave no priority on a built relation, is rejected whole and
+// changes nothing.
 func (r *Relation) PreferPairs(pairs [][2]TupleID) error {
 	seq, err := r.preferPairs(pairs, true)
 	if err != nil {
@@ -732,22 +892,23 @@ func (r *Relation) PreferPairs(pairs [][2]TupleID) error {
 	return r.db.commit(seq)
 }
 
-// preferPairs validates, logs and applies a batch of preference
-// pairs under the locks. With mustLive set, a pair touching a
-// non-live tuple is an error (the Prefer contract); otherwise such
-// pairs are skipped (PreferByRank derives pairs from a built state a
-// concurrent writer may since have deleted from). Only pairs that are
-// both live and fresh reach the log — a logged pair is exactly an
-// applied pair, which is what makes strict replay possible.
+// preferPairs validates a batch of preference pairs and writes the
+// fresh ones (writeLocked) under the writer mutex. With mustLive set, a
+// pair touching a non-live tuple is an error (the Prefer contract);
+// otherwise such pairs are skipped (PreferByRank derives pairs from a
+// version a concurrent writer may since have deleted from). Only pairs
+// that are both live and fresh reach the log — a logged pair is
+// exactly an applied pair, which is what makes strict replay possible.
 func (r *Relation) preferPairs(pairs [][2]TupleID, mustLive bool) (uint64, error) {
-	r.snap.RLock()
-	defer r.snap.RUnlock()
-	r.mu.Lock()
+	if err := r.db.lockWriter(); err != nil {
+		return 0, err
+	}
 	defer r.mu.Unlock()
+	inst := r.head.Inst
 	fresh := make([][2]TupleID, 0, len(pairs))
 	batchSeen := make(map[prefKey]struct{}, len(pairs))
 	for _, p := range pairs {
-		if !r.inst.Live(p[0]) || !r.inst.Live(p[1]) {
+		if !inst.Live(p[0]) || !inst.Live(p[1]) {
 			if mustLive {
 				return 0, fmt.Errorf("prefcqa: preference on unknown tuple IDs (%d, %d)", p[0], p[1])
 			}
@@ -761,16 +922,9 @@ func (r *Relation) preferPairs(pairs [][2]TupleID, mustLive bool) (uint64, error
 	if len(fresh) == 0 {
 		return 0, nil
 	}
-	seq, err := r.db.logAppend(func() wal.Record {
+	return r.writeLocked(change{inst: inst, fds: r.head.FDs, prefs: fresh}, func() wal.Record {
 		return wal.Record{Op: wal.OpPrefer, Rel: r.name, Pairs: fresh}
 	})
-	if err != nil {
-		return 0, err
-	}
-	for _, p := range fresh {
-		r.preferLocked(p[0], p[1])
-	}
-	return seq, nil
 }
 
 // prefKey is a preference pair as a key of prefSeen: tuple IDs fit in
@@ -786,43 +940,26 @@ func (r *Relation) preferred(p [2]TupleID) bool {
 	return ok
 }
 
-// preferLocked records x ≻ y, deduplicating. Caller holds r.mu.
-func (r *Relation) preferLocked(x, y TupleID) {
-	pair := [2]TupleID{x, y}
-	if r.preferred(pair) {
-		return
-	}
-	r.prefSeen[keyOf(pair)] = struct{}{}
-	r.prefs = append(r.prefs, pair)
-	if r.cur.Load() != nil {
-		r.pend.prefs = append(r.pend.prefs, pair)
-	}
-	r.dirty.Store(true)
-}
-
 // PreferByRank derives preferences from a rank function (smaller rank
 // = more trusted, e.g. source reliability or recency): every conflict
 // between tuples of different ranks is oriented toward the smaller
 // rank. Rank-derived preferences are recorded alongside any explicit
 // Prefer pairs (duplicates are dropped, so PreferByRank is
-// idempotent); a contradiction between the two surfaces as an error
-// on the next query or repair operation.
+// idempotent); a batch that contradicts them is refused whole
+// (PriorityError).
 //
-// The rank callback runs without the relation lock held, so it may
-// read the relation (Instance, ExplainTuple, ...). Conflicts are
-// taken from the state observed on entry; pairs whose tuples are
-// deleted by a concurrent writer before the pairs are recorded are
-// skipped (a preference on a tombstoned tuple can never matter again
-// — IDs are not reused).
+// The conflicts are those of the database's current version, built
+// first if no read has built it. The rank callback runs without any
+// lock held, so it may read the relation (Instance, ExplainTuple, ...).
+// Pairs whose tuples are deleted by a concurrent writer before the
+// pairs are recorded are skipped (a preference on a tombstoned tuple
+// can never matter again — IDs are not reused).
 func (r *Relation) PreferByRank(rank func(TupleID) int) error {
-	r.mu.Lock()
-	built, err := r.materializeLocked()
+	built, err := r.db.built(r.name)
 	if err != nil {
-		r.mu.Unlock()
 		return err
 	}
 	edges := built.Pri.Graph().Edges()
-	r.mu.Unlock()
 	pairs := make([][2]TupleID, 0, len(edges))
 	for _, e := range edges {
 		ra, rb := rank(e.A), rank(e.B)
@@ -840,138 +977,20 @@ func (r *Relation) PreferByRank(rank func(TupleID) int) error {
 	return r.db.commit(seq)
 }
 
-// build returns the up-to-date built state, applying any pending
-// delta (or rebuilding, when required) and publishing the result.
-// With nothing pending the fast path is two atomic loads and no lock,
-// so readers of a clean relation never contend with each other or
-// with a writer mid-batch — they simply observe the latest published
-// version.
-func (r *Relation) build() (*cqa.Relation, error) {
-	// Order matters: publishLocked stores cur before clearing dirty,
-	// so observing dirty == false guarantees the subsequent cur load
-	// sees (at least) the version that batch produced — a goroutine
-	// always reads its own completed writes.
-	if !r.dirty.Load() {
-		if st := r.cur.Load(); st != nil {
-			return st, nil
-		}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.materializeLocked()
-}
-
-// incrementalTooBig decides when a pending batch is too large for
-// delta application: beyond a quarter of the instance a rebuild's
-// better constants win. A preference pair counts like a tuple: the
-// delta adds it through one overlay Add, the rebuild lays it out with
-// all the others in one FromRelation.
-func (r *Relation) incrementalTooBig(st *cqa.Relation) bool {
-	return len(r.pend.inserts)+len(r.pend.deletes)+len(r.pend.prefs) > 64+st.Inst.Len()/4
-}
-
-// materializeLocked applies the pending mutation batch to the latest
-// published version — delta maintenance when possible, full rebuild
-// when demanded (first build, AddFD, oversized batch) — and publishes
-// the new version. Caller holds r.mu. On error the pending batch is
-// retained and the published version stays; subsequent reads retry
-// and report the same error, mirroring the former rebuild-on-read
-// semantics.
-func (r *Relation) materializeLocked() (*cqa.Relation, error) {
-	st := r.cur.Load()
-	if st != nil && !r.pend.dirty() {
-		return st, nil
-	}
-	if st == nil || r.pend.rebuild || !r.incremental || r.incrementalTooBig(st) {
-		return r.rebuildLocked()
-	}
-	g2, _, err := st.Pri.Graph().ApplyDelta(r.inst, conflict.Delta{Inserts: r.pend.inserts, Deletes: r.pend.deletes})
-	if err != nil {
-		// Assertion failure in the delta plumbing: recover via rebuild.
-		return r.rebuildLocked()
-	}
-	p2 := st.Pri.Rebase(g2)
-	for _, v := range r.pend.deletes {
-		p2.DropVertex(v)
-	}
-	// Orientation changes do not alter component membership, but they
-	// dirty the per-component caches: retire each touched component ID
-	// once, after all pairs are applied.
-	var touched map[int]TupleID
-	for _, pr := range r.pend.prefs {
-		if !g2.Adjacent(pr[0], pr[1]) {
-			continue // non-conflicting (or deleted) pair: ignored, as in FromRelation
-		}
-		if p2.Dominates(pr[0], pr[1]) {
-			continue
-		}
-		if err := p2.Add(pr[0], pr[1]); err != nil {
-			// The failed batch has already mutated the writer-side
-			// partner index; route the (equally failing) retries
-			// through the rebuild path, which starts a fresh one.
-			r.pend.rebuild = true
-			return nil, err
-		}
-		cid := g2.ComponentOf(pr[0])
-		if _, ok := touched[cid]; !ok {
-			if touched == nil {
-				touched = make(map[int]TupleID)
-			}
-			touched[cid] = pr[0]
-		}
-	}
-	for _, v := range touched {
-		g2.Touch(v)
-	}
-	newSt := &cqa.Relation{Inst: r.inst, FDs: st.FDs, Pri: p2}
-	r.publishLocked(newSt)
-	return newSt, nil
-}
-
-// rebuildLocked reconstructs the built state from scratch on the
-// current instance and publishes it.
-func (r *Relation) rebuildLocked() (*cqa.Relation, error) {
-	rel, err := cqa.NewRelation(r.inst, r.fds)
+// built returns a relation's built state at the database's current
+// version (see Snapshot).
+func (db *DB) built(name string) (*cqa.Relation, error) {
+	s, err := db.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	pri, err := priority.FromRelation(rel.Pri.Graph(), r.prefs)
-	if err != nil {
-		return nil, err
-	}
-	rel.Pri = pri
-	r.publishLocked(rel)
-	return rel, nil
+	return s.rel(name)
 }
 
-// publishLocked swaps in the new version and clears the batch. It
-// also prunes the recorded preference history once it doubles since
-// the last prune: pairs touching tombstoned tuples can never matter
-// again (IDs are never reused), so dropping them keeps r.prefs — and
-// the cost of any future full rebuild — proportional to the live
-// instance instead of the total mutation history.
-func (r *Relation) publishLocked(st *cqa.Relation) {
-	r.cur.Store(st)
-	r.pend = pendingDelta{}
-	r.forked = false
-	r.dirty.Store(false)
-	if len(r.prefs) > 64 && len(r.prefs) >= r.prefsPruneAt {
-		kept := r.prefs[:0]
-		for _, p := range r.prefs {
-			if r.inst.Live(p[0]) && r.inst.Live(p[1]) {
-				kept = append(kept, p)
-			} else {
-				delete(r.prefSeen, keyOf(p))
-			}
-		}
-		r.prefs = kept
-		r.prefsPruneAt = 2 * len(kept)
-	}
-}
-
-// Graph returns the relation's conflict graph (built on demand).
+// Graph returns the relation's conflict graph at the database's
+// current version.
 func (r *Relation) Graph() (*conflict.Graph, error) {
-	built, err := r.build()
+	built, err := r.db.built(r.name)
 	if err != nil {
 		return nil, err
 	}
@@ -991,6 +1010,36 @@ func (r *Relation) Conflicts() (int, error) {
 func (r *Relation) Consistent() (bool, error) {
 	n, err := r.Conflicts()
 	return n == 0, err
+}
+
+// RelationStats describes a relation at one version: its instance
+// version, live tuples, conflicts and conflict-graph components.
+type RelationStats struct {
+	Version    uint64
+	Tuples     int
+	Conflicts  int
+	Components int
+}
+
+// RelationStats describes every relation of the database's current
+// version that a read has built, keyed by name. It builds nothing and
+// takes no lock: a relation no read has built yet is left out.
+func (db *DB) RelationStats() map[string]RelationStats {
+	s := db.cur.Load()
+	out := make(map[string]RelationStats, len(s.heads))
+	for i, rel := range s.heads {
+		if rel.Pri == nil {
+			continue
+		}
+		g := rel.Pri.Graph()
+		out[s.cat.order[i]] = RelationStats{
+			Version:    rel.Inst.Version(),
+			Tuples:     rel.Inst.Len(),
+			Conflicts:  g.NumEdges(),
+			Components: g.NumComponents(),
+		}
+	}
+	return out
 }
 
 // EngineStats returns the evaluation engine's cumulative choice-set
@@ -1078,11 +1127,7 @@ func (db *DB) CountRepairs(f Family, rel string) (int64, error) {
 // relation is a preferred repair of the family (the repair-checking
 // problem of §4.1).
 func (db *DB) IsPreferredRepair(f Family, rel string, ids []TupleID) (bool, error) {
-	r, err := db.relation(rel)
-	if err != nil {
-		return false, err
-	}
-	built, err := r.build()
+	built, err := db.built(rel)
 	if err != nil {
 		return false, err
 	}
@@ -1107,11 +1152,7 @@ func (db *DB) Clean(rel string) (*Instance, error) {
 // disjunctive information is lost. Provided for comparison with
 // Clean and with preferred consistent query answering.
 func (db *DB) CleanNaive(rel string) (*Instance, error) {
-	r, err := db.relation(rel)
-	if err != nil {
-		return nil, err
-	}
-	built, err := r.build()
+	built, err := db.built(rel)
 	if err != nil {
 		return nil, err
 	}
@@ -1121,11 +1162,7 @@ func (db *DB) CleanNaive(rel string) (*Instance, error) {
 // CheckAxioms probes properties P1-P4 for the family on the
 // relation's current priority.
 func (db *DB) CheckAxioms(f Family, rel string) (AxiomReport, error) {
-	r, err := db.relation(rel)
-	if err != nil {
-		return AxiomReport{}, err
-	}
-	built, err := r.build()
+	built, err := db.built(rel)
 	if err != nil {
 		return AxiomReport{}, err
 	}
@@ -1135,13 +1172,9 @@ func (db *DB) CheckAxioms(f Family, rel string) (AxiomReport, error) {
 // ConflictGraphDOT renders the relation's conflict graph in Graphviz
 // format.
 func (db *DB) ConflictGraphDOT(rel string) (string, error) {
-	r, err := db.relation(rel)
+	built, err := db.built(rel)
 	if err != nil {
 		return "", err
 	}
-	g, err := r.Graph()
-	if err != nil {
-		return "", err
-	}
-	return g.DOT(), nil
+	return built.Pri.Graph().DOT(), nil
 }

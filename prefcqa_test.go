@@ -1,6 +1,7 @@
 package prefcqa
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -300,12 +301,31 @@ func TestFacadeErrors(t *testing.T) {
 	}
 }
 
+// TestContradictoryPreferences: once a read has built the relation,
+// the contradicting Prefer is refused at the write and reads go on.
+// While no read has built it, the contradiction is recorded and the
+// first read reports it.
 func TestContradictoryPreferences(t *testing.T) {
 	db, mgr, ids := paperDB(t)
+	if _, err := db.Query(Rep, q1); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Prefer(ids["mary"], ids["john"]); err != nil {
+		t.Fatal(err)
+	}
+	var perr *PriorityError
+	if err := mgr.Prefer(ids["john"], ids["mary"]); !errors.As(err, &perr) {
+		t.Fatalf("contradicting Prefer: %v, want a PriorityError", err)
+	}
+	if _, err := db.Query(Rep, q1); err != nil {
+		t.Fatalf("read after the refused Prefer: %v", err)
+	}
+
+	db, mgr, ids = paperDB(t)
 	mgr.Prefer(ids["mary"], ids["john"]) //nolint:errcheck
 	mgr.Prefer(ids["john"], ids["mary"]) //nolint:errcheck
-	if _, err := db.Query(Rep, q1); err == nil {
-		t.Fatal("contradictory preferences should surface as an error")
+	if _, err := db.Query(Rep, q1); !errors.As(err, &perr) {
+		t.Fatalf("first read of an unbuilt relation with contradictory preferences: %v, want a PriorityError", err)
 	}
 }
 

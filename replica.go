@@ -58,23 +58,20 @@ func (db *DB) WALPosition() (seq, ckptSeq, epoch uint64) {
 // CaptureCheckpoint builds a checkpoint image of the whole database at
 // its current write-version without touching the log — the bootstrap
 // image a replication primary serves to a new follower. It holds the
-// snapshot gate, so the image is one consistent cut and its Seq covers
+// writer mutex, so the image is one consistent cut and its Seq covers
 // exactly the applied history.
 func (db *DB) CaptureCheckpoint() (*wal.Checkpoint, error) {
-	db.snapMu.Lock()
-	defer db.snapMu.Unlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	return db.captureCheckpointLocked(), nil
 }
 
 // captureCheckpointLocked captures every relation's writer-side state.
-// Caller holds db.snapMu.
+// Caller holds db.mu.
 func (db *DB) captureCheckpointLocked() *wal.Checkpoint {
 	c := &wal.Checkpoint{Seq: db.WriteVersion(), Epoch: db.Epoch()}
-	for _, name := range db.order {
-		r := db.rels[name]
-		r.mu.Lock()
-		c.Relations = append(c.Relations, checkpointRelation(name, r))
-		r.mu.Unlock()
+	for _, r := range db.cat.rels {
+		c.Relations = append(c.Relations, checkpointRelation(r))
 	}
 	return c
 }
@@ -86,10 +83,10 @@ func (db *DB) captureCheckpointLocked() *wal.Checkpoint {
 // must be empty — a follower that has diverged must be wiped and
 // re-seeded, never merged.
 func (db *DB) ReplBootstrap(c *wal.Checkpoint) error {
-	db.snapMu.Lock()
-	defer db.snapMu.Unlock()
-	if len(db.rels) != 0 || db.WriteVersion() != 0 {
-		return fmt.Errorf("prefcqa: bootstrap requires an empty database (version %d, %d relations)", db.WriteVersion(), len(db.rels))
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if len(db.cat.rels) != 0 || db.WriteVersion() != 0 {
+		return fmt.Errorf("prefcqa: bootstrap requires an empty database (version %d, %d relations)", db.WriteVersion(), len(db.cat.rels))
 	}
 	epoch := c.Epoch
 	if epoch == 0 {
@@ -110,12 +107,10 @@ func (db *DB) ReplBootstrap(c *wal.Checkpoint) error {
 	if err := db.loadCheckpoint(c); err != nil {
 		return fmt.Errorf("prefcqa: bootstrap checkpoint at seq %d: %w", c.Seq, err)
 	}
-	if db.log == nil {
-		db.ver.Store(c.Seq)
-		if epoch > db.epoch.Load() {
-			db.epoch.Store(epoch)
-		}
+	if db.log == nil && epoch > db.epoch.Load() {
+		db.epoch.Store(epoch)
 	}
+	db.publishLocked(c.Seq)
 	return nil
 }
 
@@ -128,20 +123,12 @@ func (db *DB) ReplBootstrap(c *wal.Checkpoint) error {
 // logged means the replica diverged, which is a loud error, never a
 // silent skip.
 //
-// Calls must be serialized (the replication follower applies from one
-// goroutine); concurrent readers are safe — applies run under the
-// snapshot gate's read side and fork published versions exactly like
-// local mutations do.
+// Concurrent readers are safe: an apply holds the writer mutex, stages
+// on forks of the published versions exactly like a local mutation,
+// and publishes the next version at the record's sequence.
 func (db *DB) ReplApply(rec wal.Record) error {
-	// Relation creation changes the registry itself, which Snapshot and
-	// CreateRelation guard with the gate's write side.
-	if rec.Op == wal.OpCreate {
-		db.snapMu.Lock()
-		defer db.snapMu.Unlock()
-	} else {
-		db.snapMu.RLock()
-		defer db.snapMu.RUnlock()
-	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	if want := db.WriteVersion() + 1; rec.Seq != want {
 		return fmt.Errorf("prefcqa: replicated record has seq %d, want %d", rec.Seq, want)
 	}
@@ -161,7 +148,6 @@ func (db *DB) ReplApply(rec wal.Record) error {
 		return fmt.Errorf("prefcqa: replicated record %d does not replay: %w", rec.Seq, err)
 	}
 	if db.log == nil {
-		db.ver.Store(rec.Seq)
 		db.epoch.Store(epoch)
 	}
 	return nil
@@ -209,19 +195,19 @@ func (db *DB) ReplWaitAppend(ctx context.Context, after uint64) error {
 // is not in the history this follower continues. The window is the
 // replication lag.
 func (db *DB) Promote() (uint64, error) {
-	db.snapMu.Lock()
+	db.mu.Lock()
 	var epoch uint64
 	if db.log != nil {
 		epoch = db.log.Epoch() + 1
 		if err := db.log.AdvanceEpoch(epoch); err != nil {
-			db.snapMu.Unlock()
+			db.mu.Unlock()
 			return 0, err
 		}
 	} else {
 		epoch = db.epoch.Add(1)
 	}
 	db.readOnly.Store(false)
-	db.snapMu.Unlock()
+	db.mu.Unlock()
 	if db.log != nil && db.WriteVersion() > 0 {
 		if err := db.Checkpoint(); err != nil {
 			return epoch, fmt.Errorf("prefcqa: promoted to epoch %d but the fence is not durable: %w", epoch, err)

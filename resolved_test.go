@@ -16,10 +16,10 @@ import (
 // enumerates on the snapshot's pinned priority — computed from
 // scratch, without the version's resolved structure.
 func sequentialRepairs(s *Snapshot, f Family, rel string) []string {
-	sr := s.rels[rel]
+	built := builtOf(s, rel)
 	var out []string
-	for _, set := range core.Sequential().All(f, sr.rel.Pri) {
-		out = append(out, sr.rel.Inst.Subset(set).String())
+	for _, set := range core.Sequential().All(f, built.Pri) {
+		out = append(out, built.Inst.Subset(set).String())
 	}
 	return out
 }

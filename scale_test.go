@@ -21,6 +21,7 @@ import (
 	"prefcqa/internal/bitset"
 	"prefcqa/internal/conflict"
 	"prefcqa/internal/core"
+	"prefcqa/internal/cqa"
 	"prefcqa/internal/priority"
 	"prefcqa/internal/relation"
 	"prefcqa/internal/repair"
@@ -181,14 +182,15 @@ func BenchmarkScalePriorityBulkAdd(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if err := db.rels["R"].PreferPairs(pairs); err != nil {
+		if err := relOf(db, "R").PreferPairs(pairs); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := db.Snapshot(); err != nil {
+		snap, err := db.Snapshot()
+		if err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		if !db.rels["R"].cur.Load().Pri.IsTotal() {
+		if !builtOf(snap, "R").Pri.IsTotal() {
 			b.Fatal("some conflict is not oriented")
 		}
 	}
@@ -303,6 +305,18 @@ func loadClusters(t testing.TB, db *DB, clusters, prefs int) {
 	}
 }
 
+// relOf returns a relation of db by name, nil when there is none.
+func relOf(db *DB, name string) *Relation {
+	r, _ := db.Relation(name)
+	return r
+}
+
+// builtOf returns a relation's version in the snapshot.
+func builtOf(s *Snapshot, name string) *cqa.Relation {
+	built, _ := s.rel(name)
+	return built
+}
+
 // TestBuiltRelationRetained measures the heap a built relation holds
 // at the serving benchmark's point_read size, after one quantified and
 // one open point read.
@@ -372,7 +386,7 @@ func TestFirstProbeAllocations(t *testing.T) {
 	}
 	// The component index is laid out on the first read too, whatever
 	// it probes: lay it out first, so that the gate sees the probe.
-	g, err := db.rels["R"].Graph()
+	g, err := relOf(db, "R").Graph()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +477,7 @@ func TestPreferByRankAfterReadAllocations(t *testing.T) {
 		pairs[k] = [2]TupleID{2 * k, 2*k + 1}
 	}
 	rebuild := measure(func() {
-		if err := ref.rels["R"].PreferPairs(pairs); err != nil {
+		if err := relOf(ref, "R").PreferPairs(pairs); err != nil {
 			t.Fatal(err)
 		}
 		read(ref, True)
@@ -473,7 +487,7 @@ func TestPreferByRankAfterReadAllocations(t *testing.T) {
 	loadClusters(t, db, clusters, 0)
 	read(db, Undetermined)
 	batch := measure(func() {
-		if err := db.rels["R"].PreferByRank(rank); err != nil {
+		if err := relOf(db, "R").PreferByRank(rank); err != nil {
 			t.Fatal(err)
 		}
 		read(db, True)

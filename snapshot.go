@@ -3,34 +3,35 @@ package prefcqa
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"prefcqa/internal/bitset"
 	"prefcqa/internal/clean"
-	"prefcqa/internal/core"
 	"prefcqa/internal/cqa"
 	"prefcqa/internal/query"
 	"prefcqa/internal/repair"
 )
 
-// Snapshot is an immutable point-in-time view of a DB: every relation
-// is pinned at one published version (instance, conflict graph,
-// priority, component index). Queries against a snapshot are
-// unaffected by concurrent mutation of the DB — writers publish new
+// Snapshot is an immutable version of a DB: every relation at one
+// version (instance, conflict graph, priority, component index), and
+// the write-version that names it. The DB publishes one per mutation,
+// and DB.Snapshot returns the current one. Queries against a snapshot
+// are unaffected by later mutation of the DB — writers publish new
 // versions, the snapshot keeps the old ones — so a reader can issue
 // any number of consistent reads while the database churns.
 //
 // A snapshot shares the DB's evaluation engine and per-relation count
 // caches; cache entries are keyed by immutable (era, component ID)
 // identities, so sharing them across versions is safe. What a read
-// derives from every component of a pinned version (its resolved
-// components) is kept on that version and shared by all snapshots
-// pinning it. The evaluation input over the pinned versions is
-// assembled on the snapshot's first read and reused by every later one,
-// and query texts are analysed through the DB's cache of analysed
-// queries (cqa.QueryCache), under the schema epoch the snapshot pinned:
-// a repeated text is parsed, validated and analysed once per set of
-// relations, not once per read.
+// derives from every component of a relation version (its resolved
+// components) is kept on that version and shared by every snapshot
+// holding it. The evaluation input over the versions is assembled on
+// the snapshot's first read and reused by every later one, and query
+// texts are analysed through the DB's cache of analysed queries
+// (cqa.QueryCache), under the snapshot's schema epoch: a repeated text
+// is parsed, validated and analysed once per set of relations, not
+// once per read.
 //
 // The Context-suffixed variants accept a cancellation context that is
 // plumbed down into the evaluation engine and checked per chunk of
@@ -38,91 +39,102 @@ import (
 // layer uses them to enforce per-request deadlines. The plain variants
 // never cancel.
 type Snapshot struct {
-	engine  *core.Engine
-	order   []string
-	rels    map[string]snapRel
-	stats   *cqa.EvalStats  // shared with the owning DB; see DB.QueryStats
-	queries *cqa.QueryCache // the owning DB's
-	epoch   uint64          // the DB's schema epoch at the pin
+	db    *DB
+	cat   *catalog
+	heads []*cqa.Relation // per relation of cat; Pri is nil while unbuilt
+	wv    uint64          // the write-version
+	built bool            // every relation is built: DB.Snapshot returns only such versions
 
 	inOnce sync.Once
-	in     cqa.Input // the evaluation input over the pinned versions, without a context
+	in     cqa.Input // the evaluation input over the versions, without a context
 	inErr  error
+
+	verOnce  sync.Once
+	versions map[string]uint64
 }
 
-type snapRel struct {
-	rel    *cqa.Relation
-	counts *core.CountCache
-}
-
-// Snapshot materializes any pending mutations and returns an
-// immutable view of every relation's current version. The cut is
-// atomic across relations: mutators hold the DB's snapshot gate in
-// read mode, so while the versions are pinned no relation can move,
-// and the snapshot equals the database's real state at one instant —
-// never relation A from one moment and relation B from another.
-// (Individual mutation calls are the atomic unit: a snapshot may
-// still land between two calls of a logical multi-call update.)
-// O(pending delta); with nothing pending it is a handful of atomic
-// loads per relation.
+// Snapshot returns the database's current version: one atomic load,
+// with no lock and no allocation, once every relation is built. The
+// cut is atomic across relations, since the writer publishes whole
+// versions: the snapshot equals the database's real state at one
+// instant — never relation A from one moment and relation B from
+// another. (Individual mutation calls are the atomic unit: a snapshot
+// may still land between two calls of a logical multi-call update.)
+//
+// A relation that no read has built yet is built here, once, under
+// the writer mutex; if its recorded preferences do not form a
+// priority, the error (a PriorityError) is returned and the relation
+// stays unbuilt.
 func (db *DB) Snapshot() (*Snapshot, error) {
-	// The gate also guards db.order and db.rels: relation creation
-	// (including a follower's replayed creates) appends under it.
-	db.snapMu.Lock()
-	defer db.snapMu.Unlock()
-	s := &Snapshot{
-		engine:  db.engine,
-		order:   append([]string(nil), db.order...),
-		rels:    make(map[string]snapRel, len(db.order)),
-		stats:   db.stats,
-		queries: &db.queries,
-		epoch:   db.schemaEpoch,
+	if s := db.cur.Load(); s.built {
+		return s, nil
 	}
-	for _, name := range db.order {
-		r := db.rels[name]
-		built, err := r.build()
-		if err != nil {
-			return nil, fmt.Errorf("prefcqa: relation %s: %w", name, err)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	s := db.cur.Load()
+	if s.built {
+		return s, nil
+	}
+	for _, r := range db.cat.rels {
+		if r.head.Pri == nil {
+			head, err := r.build(r.head.Inst, r.head.FDs, r.prefs)
+			if err != nil {
+				return nil, err
+			}
+			r.head = head
 		}
-		s.rels[name] = snapRel{rel: built, counts: r.counts}
 	}
-	return s, nil
+	return db.publishLocked(s.wv), nil
 }
+
+// WriteVersion returns the database's write-version at this snapshot:
+// every mutation that returned before the snapshot was taken is in
+// it.
+func (s *Snapshot) WriteVersion() uint64 { return s.wv }
 
 // Relations lists the snapshot's relation names in creation order.
 func (s *Snapshot) Relations() []string {
-	return append([]string(nil), s.order...)
+	return slices.Clone(s.cat.order)
 }
 
-// Versions returns the pinned instance version of every relation —
-// useful to confirm which state a long-running reader is looking at.
+// Versions returns the instance version of every relation — useful to
+// confirm which state a long-running reader is looking at. The map is
+// made once per snapshot and shared by every caller: it must not be
+// modified.
 func (s *Snapshot) Versions() map[string]uint64 {
-	out := make(map[string]uint64, len(s.rels))
-	for name, sr := range s.rels {
-		out[name] = sr.rel.Inst.Version()
-	}
-	return out
+	s.verOnce.Do(func() {
+		s.versions = make(map[string]uint64, len(s.heads))
+		for i, name := range s.cat.order {
+			s.versions[name] = s.heads[i].Inst.Version()
+		}
+	})
+	return s.versions
 }
 
 // Instance returns the pinned instance of a relation.
 func (s *Snapshot) Instance(rel string) (*Instance, bool) {
-	sr, ok := s.rels[rel]
+	i, ok := s.cat.index[rel]
 	if !ok {
 		return nil, false
 	}
-	return sr.rel.Inst, true
+	return s.heads[i].Inst, true
+}
+
+// rel returns a relation's version in the snapshot.
+func (s *Snapshot) rel(name string) (*cqa.Relation, error) {
+	i, ok := s.cat.index[name]
+	if !ok {
+		return nil, fmt.Errorf("prefcqa: unknown relation %q", name)
+	}
+	return s.heads[i], nil
 }
 
 // input returns the CQA input over the pinned versions, cancelled by
 // ctx; the input itself is assembled once per snapshot.
 func (s *Snapshot) input(ctx context.Context) (cqa.Input, error) {
 	s.inOnce.Do(func() {
-		rels := make([]*cqa.Relation, 0, len(s.order))
-		for _, name := range s.order {
-			rels = append(rels, s.rels[name].rel)
-		}
-		in, err := cqa.NewInput(rels...)
-		s.in, s.inErr = in.WithEngine(s.engine).WithStats(s.stats), err
+		in, err := cqa.NewInput(s.heads...)
+		s.in, s.inErr = in.WithEngine(s.db.engine).WithStats(s.db.stats), err
 	})
 	if s.inErr != nil {
 		return cqa.Input{}, s.inErr
@@ -137,7 +149,7 @@ func (s *Snapshot) analyzed(ctx context.Context, src string) (cqa.Input, *query.
 	if err != nil {
 		return cqa.Input{}, nil, err
 	}
-	a, err := s.queries.Analyzed(in, s.epoch, src)
+	a, err := s.db.queries.Analyzed(in, uint64(len(s.cat.order)), src)
 	return in, a, err
 }
 
@@ -205,11 +217,11 @@ func (s *Snapshot) CountRepairs(f Family, rel string) (int64, error) {
 // relation's count cache keeps the total of the version counted last,
 // so repeated counts of an unchanged version return it.
 func (s *Snapshot) CountRepairsContext(ctx context.Context, f Family, rel string) (int64, error) {
-	sr, ok := s.rels[rel]
+	i, ok := s.cat.index[rel]
 	if !ok {
 		return 0, fmt.Errorf("prefcqa: unknown relation %q", rel)
 	}
-	return s.engine.CountCachedCtx(ctx, f, sr.rel.Pri, sr.counts)
+	return s.db.engine.CountCachedCtx(ctx, f, s.heads[i].Pri, s.cat.rels[i].counts)
 }
 
 // Repairs materializes the family's preferred repairs of one relation
@@ -236,16 +248,16 @@ func (s *Snapshot) Repairs(f Family, rel string) ([]*Instance, error) {
 // on the version's first use, see cqa.Relation.Resolved). This is the
 // backing of the serving layer's NDJSON repair streaming.
 func (s *Snapshot) EnumerateRepairs(ctx context.Context, f Family, rel string, yield func(*Instance) bool) error {
-	sr, ok := s.rels[rel]
-	if !ok {
-		return fmt.Errorf("prefcqa: unknown relation %q", rel)
+	built, err := s.rel(rel)
+	if err != nil {
+		return err
 	}
-	res, err := sr.rel.Resolved(ctx, s.engine, f)
+	res, err := built.Resolved(ctx, s.db.engine, f)
 	if err != nil {
 		return err
 	}
 	err = res.Enumerate(ctx, func(set *bitset.Set) bool {
-		return yield(sr.rel.Inst.Subset(set))
+		return yield(built.Inst.Subset(set))
 	})
 	if err == repair.ErrStopped {
 		return nil // the consumer stopped; not a failure
@@ -255,30 +267,30 @@ func (s *Snapshot) EnumerateRepairs(ctx context.Context, f Family, rel string, y
 
 // Clean runs Algorithm 1 on the pinned version of the relation.
 func (s *Snapshot) Clean(rel string) (*Instance, error) {
-	sr, ok := s.rels[rel]
-	if !ok {
-		return nil, fmt.Errorf("prefcqa: unknown relation %q", rel)
+	built, err := s.rel(rel)
+	if err != nil {
+		return nil, err
 	}
-	return sr.rel.Inst.Subset(clean.Deterministic(sr.rel.Pri)), nil
+	return built.Inst.Subset(clean.Deterministic(built.Pri)), nil
 }
 
 // Conflicts returns the number of conflicting tuple pairs of a
 // relation at the pinned version.
 func (s *Snapshot) Conflicts(rel string) (int, error) {
-	sr, ok := s.rels[rel]
-	if !ok {
-		return 0, fmt.Errorf("prefcqa: unknown relation %q", rel)
+	built, err := s.rel(rel)
+	if err != nil {
+		return 0, err
 	}
-	return sr.rel.Pri.Graph().NumEdges(), nil
+	return built.Pri.Graph().NumEdges(), nil
 }
 
 // Components returns the number of connected components of a
 // relation's conflict graph at the pinned version — the unit of
 // parallel evaluation.
 func (s *Snapshot) Components(rel string) (int, error) {
-	sr, ok := s.rels[rel]
-	if !ok {
-		return 0, fmt.Errorf("prefcqa: unknown relation %q", rel)
+	built, err := s.rel(rel)
+	if err != nil {
+		return 0, err
 	}
-	return sr.rel.Pri.Graph().NumComponents(), nil
+	return built.Pri.Graph().NumComponents(), nil
 }

@@ -292,7 +292,7 @@ func TestSnapshotPinsSurviveUpdateCycle(t *testing.T) {
 	}
 	check := func(p *pin) error {
 		if p.repairs == nil {
-			built := p.snap.rels["R"].rel
+			built := builtOf(p.snap, "R")
 			ref, err := cqa.NewRelation(built.Inst, built.FDs)
 			if err != nil {
 				return err
@@ -379,7 +379,7 @@ func TestSnapshotPinsSurviveUpdateCycle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eras[snap.rels["R"].rel.Pri.Graph().Era()] = true
+			eras[builtOf(snap, "R").Pri.Graph().Era()] = true
 			feed <- &pin{snap: snap, prefs: u.prefs[:len(u.prefs):len(u.prefs)]}
 		}
 	}
