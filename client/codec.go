@@ -27,7 +27,7 @@ func AppendJSON(dst []byte, v any) ([]byte, error) {
 	case CountRequest:
 		dst = appendRequest(dst, v.DB, v.Family, `,"relation":`, v.Relation, v.ReadOptions)
 	case QueryResponse:
-		dst = appendString(append(dst, `{"answer":`...), v.Answer)
+		dst = relation.AppendJSONString(append(dst, `{"answer":`...), v.Answer)
 		dst = strconv.AppendUint(append(dst, `,"version":`...), v.Version, 10)
 		if len(v.Versions) > 0 {
 			dst = appendMap(append(dst, `,"versions":`...), v.Versions, func(dst []byte, n uint64) []byte {
@@ -36,7 +36,7 @@ func AppendJSON(dst []byte, v any) ([]byte, error) {
 		}
 	case QueryOpenResponse:
 		dst = appendList(append(dst, `{"bindings":`...), v.Bindings, func(dst []byte, b map[string]string) []byte {
-			return appendMap(dst, b, appendString)
+			return appendMap(dst, b, relation.AppendJSONString)
 		})
 		dst = strconv.AppendUint(append(dst, `,"version":`...), v.Version, 10)
 	case CountResponse:
@@ -44,12 +44,12 @@ func AppendJSON(dst []byte, v any) ([]byte, error) {
 		dst = strconv.AppendUint(append(dst, `,"version":`...), v.Version, 10)
 	case InsertRequest:
 		dst = appendList(appendTarget(dst, v.DB, v.Relation, "rows"), v.Rows, func(dst []byte, row []string) []byte {
-			return appendList(dst, row, appendString)
+			return appendList(dst, row, relation.AppendJSONString)
 		})
 	case insertTuples:
 		dst = appendTarget(dst, v.db, v.relation, "rows")
 		dst = appendList(dst, nonNil(v.rows), func(dst []byte, row prefcqa.Tuple) []byte {
-			return appendList(dst, nonNil(row), appendCell)
+			return appendList(dst, nonNil(row), relation.AppendJSONCell)
 		})
 	case DeleteRequest:
 		dst = appendList(appendTarget(dst, v.DB, v.Relation, "ids"), v.IDs, appendInt)
@@ -86,8 +86,8 @@ type insertTuples struct {
 // appendTarget opens a write request: its database, its relation and
 // the key of the member that follows.
 func appendTarget(dst []byte, db, rel, key string) []byte {
-	dst = appendString(append(dst, `{"db":`...), db)
-	dst = appendString(append(dst, `,"relation":`...), rel)
+	dst = relation.AppendJSONString(append(dst, `{"db":`...), db)
+	dst = relation.AppendJSONString(append(dst, `,"relation":`...), rel)
 	return append(append(append(dst, `,"`...), key...), `":`...)
 }
 
@@ -118,19 +118,10 @@ func nonNil[E any](list []E) []E {
 
 func appendInt(dst []byte, n int) []byte { return strconv.AppendInt(dst, int64(n), 10) }
 
-// appendCell appends the JSON string of a value's wire cell
-// (prefcqa.EncodeValue); an integer's digits need no escaping.
-func appendCell(dst []byte, v prefcqa.Value) []byte {
-	if v.Kind() == relation.KindInt {
-		return append(strconv.AppendInt(append(dst, '"'), v.AsInt(), 10), '"')
-	}
-	return appendString(dst, prefcqa.EncodeValue(v))
-}
-
 func appendRequest(dst []byte, db, family, textKey, text string, o ReadOptions) []byte {
-	dst = appendString(append(dst, `{"db":`...), db)
-	dst = appendString(append(dst, `,"family":`...), family)
-	dst = appendString(append(dst, textKey...), text)
+	dst = relation.AppendJSONString(append(dst, `{"db":`...), db)
+	dst = relation.AppendJSONString(append(dst, `,"family":`...), family)
+	dst = relation.AppendJSONString(append(dst, textKey...), text)
 	if o.MinVersion != 0 {
 		dst = strconv.AppendUint(append(dst, `,"min_version":`...), o.MinVersion, 10)
 	}
@@ -157,38 +148,9 @@ func appendMap[V any](dst []byte, m map[string]V, appendValue func([]byte, V) []
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendValue(append(appendString(dst, k), ':'), m[k])
+		dst = appendValue(append(relation.AppendJSONString(dst, k), ':'), m[k])
 	}
 	return append(dst, '}')
-}
-
-// appendString appends s as encoding/json writes a string with HTML
-// escaping on: " \ \b \f \n \r \t as short escapes; other controls,
-// < > &, U+2028, U+2029 and each byte of invalid UTF-8 (as U+FFFD) as
-// \uXXXX escapes.
-func appendString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		r, size := rune(s[i]), 1
-		if r >= utf8.RuneSelf {
-			r, size = utf8.DecodeRuneInString(s[i:])
-		}
-		if r >= 0x20 && !strings.ContainsRune("\"\\<>&\xe2\x80\xa8\xe2\x80\xa9", r) && (r != utf8.RuneError || size > 1) {
-			i += size
-			continue
-		}
-		dst = append(dst, s[start:i]...)
-		if j := strings.IndexRune("\"\\\b\f\n\r\t", r); j >= 0 {
-			dst = append(dst, '\\', "\"\\bfnrt"[j])
-		} else {
-			const hex = "0123456789abcdef"
-			dst = append(dst, '\\', 'u', hex[r>>12], hex[r>>8&0xF], hex[r>>4&0xF], hex[r&0xF])
-		}
-		i += size
-		start = i
-	}
-	return append(append(dst, s[start:]...), '"')
 }
 
 // DecodeJSON decodes b into v as a json.Decoder reading b would: the

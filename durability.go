@@ -68,7 +68,7 @@ func Open(dir string, opts ...Option) (*DB, error) {
 		}
 	}
 	for _, rec := range tail {
-		if err := db.applyRecord(rec); err != nil {
+		if err := db.replayRecord(rec); err != nil {
 			log.Close()
 			return nil, fmt.Errorf("prefcqa: recovering %s: record %d: %w", dir, rec.Seq, err)
 		}
@@ -90,52 +90,59 @@ func (db *DB) Durable() bool { return db.log != nil }
 // at-least-that-new data after recovery.
 func (db *DB) WriteVersion() uint64 { return db.cur.Load().wv }
 
-// Close flushes and closes the write-ahead log after waiting for
-// in-flight mutations to finish. Reads remain possible; further
-// mutations fail. On a non-durable DB it is a no-op.
+// Close flushes and closes the write-ahead log after waiting for a
+// checkpoint in progress and for in-flight mutations to finish. Reads
+// remain possible; further mutations fail. On a non-durable DB it is a
+// no-op.
 func (db *DB) Close() error {
 	if db.log == nil {
 		return nil
 	}
+	db.ckptBusy.Lock()
+	defer db.ckptBusy.Unlock()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.log.Close()
 }
 
 // Checkpoint writes a compacted snapshot of the whole database to the
-// log directory and truncates the log. It holds the writer mutex, so
-// it waits for in-flight mutations and captures one consistent cut
-// (readers go on meanwhile); recovery afterwards loads the checkpoint
-// instead of replaying history. Mutations trigger checkpoints automatically once
-// the log outgrows WithCheckpointBytes; call Checkpoint directly to
-// force one (e.g. before a backup).
+// log directory and truncates the log, and returns once the snapshot
+// is durable; recovery afterwards loads it instead of replaying
+// history. It waits for a checkpoint already in progress, then cuts
+// its own (see checkpoint): the writer mutex is held only to pin the
+// current version, so writers wait for that, not for the disk, and
+// readers never wait. Mutations trigger checkpoints automatically, in
+// the background, once the log outgrows WithCheckpointBytes; call
+// Checkpoint directly to force one (e.g. before a backup).
 func (db *DB) Checkpoint() error {
 	if db.log == nil {
 		return fmt.Errorf("prefcqa: Checkpoint on a non-durable database")
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.log.WriteCheckpoint(db.captureCheckpointLocked())
+	db.ckptBusy.Lock()
+	defer db.ckptBusy.Unlock()
+	return db.checkpoint()
 }
 
-// checkpointRelation captures one relation's writer-side state.
-// Caller holds r.mu.
-func checkpointRelation(r *Relation) wal.CheckpointRelation {
-	cr := wal.CheckpointRelation{
-		Name:  r.name,
-		Attrs: r.schema.WireAttrs(),
-		Prefs: append([][2]TupleID(nil), r.prefs...),
+// checkpoint cuts one consistent checkpoint and writes it. Under the
+// writer mutex it pins the current version (O(relations), plus a copy
+// of each preference history) and has the log rotate to a fresh
+// segment at the cut; then, with no lock held, the log encodes the
+// pinned versions straight into the checkpoint file, fsyncs it and
+// installs it. Caller holds ckptBusy, so one checkpoint runs at a time.
+func (db *DB) checkpoint() error {
+	db.mu.Lock()
+	install, err := db.log.Cut(db.pinCheckpointLocked())
+	db.mu.Unlock()
+	if err != nil || install == nil {
+		return err
 	}
-	cr.Rows, cr.Dead = encodeUniverse(r.head.Inst)
-	for _, f := range r.head.FDs.All() {
-		cr.FDs = append(cr.FDs, f.String())
-	}
-	return cr
+	return install()
 }
 
 // encodeUniverse renders every tuple of the instance in ID order,
 // tombstoned ones included, plus the tombstoned IDs — what a creation
-// record and a checkpoint store: the TupleID universe must survive
+// record stores (a checkpoint stores the same, written by the log's
+// encoder from the instance itself): the TupleID universe must survive
 // bit-for-bit, because later records and recorded preferences address
 // tuples by ID. replayCreate is the inverse.
 func encodeUniverse(inst *relation.Instance) (rows [][]string, dead []int) {
@@ -164,9 +171,10 @@ func (db *DB) logAppend(mk func() wal.Record) (uint64, error) {
 
 // commit applies the durability barrier for a mutation logged at seq
 // (0 = nothing was logged) and, when the log has outgrown its
-// checkpoint threshold, compacts it. Must be called after the
-// mutation's writer mutex is released: the barrier may block on an
-// fsync and the checkpoint needs the mutex.
+// checkpoint threshold and no checkpoint is in progress, starts one on
+// a background goroutine. Must be called after the mutation's writer
+// mutex is released: the barrier may block on an fsync and the
+// checkpoint's cut needs the mutex.
 func (db *DB) commit(seq uint64) error {
 	if db.log == nil || seq == 0 {
 		return nil
@@ -174,11 +182,15 @@ func (db *DB) commit(seq uint64) error {
 	if err := db.log.Sync(seq); err != nil {
 		return err
 	}
-	if db.log.NeedCheckpoint() && db.ckptBusy.CompareAndSwap(false, true) {
-		defer db.ckptBusy.Store(false)
-		// Best effort: a failed automatic checkpoint surfaces on the
-		// next mutation through the log's sticky error.
-		db.Checkpoint() //nolint:errcheck
+	if db.log.NeedCheckpoint() && db.ckptBusy.TryLock() {
+		go func() {
+			// The goroutine's last action: Close, taking ckptBusy,
+			// waits for the whole checkpoint.
+			defer db.ckptBusy.Unlock()
+			// Best effort: a failed automatic checkpoint surfaces on the
+			// next mutation through the log's sticky error.
+			db.checkpoint() //nolint:errcheck
+		}()
 	}
 	return nil
 }
@@ -212,13 +224,25 @@ func (db *DB) loadCheckpoint(c *wal.Checkpoint) error {
 }
 
 // applyRecord replays one log record and publishes the version it
-// makes, at the record's sequence. Strict where the public API is
-// lenient: the log only holds records for mutations that actually
-// applied, so a duplicate insert, a dead delete or a duplicate
-// preference during replay means the log does not match the state it
-// claims to rebuild — fail loudly rather than serve silently wrong
-// answers. Caller holds db.mu (or owns db, while Open loads it).
+// makes, at the record's sequence: a follower's replicated record,
+// which readers see as it applies. Caller holds db.mu.
 func (db *DB) applyRecord(rec wal.Record) error {
+	if err := db.replayRecord(rec); err != nil {
+		return err
+	}
+	db.publishLocked(rec.Seq)
+	return nil
+}
+
+// replayRecord replays one log record into the writer's state without
+// publishing it: Open publishes once, after the whole tail. Strict
+// where the public API is lenient: the log only holds records for
+// mutations that actually applied, so a duplicate insert, a dead
+// delete or a duplicate preference during replay means the log does
+// not match the state it claims to rebuild — fail loudly rather than
+// serve silently wrong answers. Caller holds db.mu (or owns db, while
+// Open loads it).
+func (db *DB) replayRecord(rec wal.Record) error {
 	var err error
 	switch rec.Op {
 	case wal.OpCreate:
@@ -241,11 +265,7 @@ func (db *DB) applyRecord(rec wal.Record) error {
 	default:
 		err = fmt.Errorf("unknown op %q", rec.Op)
 	}
-	if err != nil {
-		return err
-	}
-	db.publishLocked(rec.Seq)
-	return nil
+	return err
 }
 
 func (db *DB) replayRel(name string) (*Relation, error) {

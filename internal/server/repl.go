@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -13,6 +14,7 @@ import (
 
 	"prefcqa"
 	"prefcqa/client"
+	"prefcqa/internal/relation"
 	"prefcqa/internal/replication"
 	"prefcqa/internal/wal"
 )
@@ -157,8 +159,9 @@ func (s *Server) handleReplDBs(w http.ResponseWriter, r *http.Request) error {
 }
 
 // handleReplSnapshot serves the bootstrap image: a checkpoint of the
-// whole database at its current write-version, captured without
-// touching the primary's own log.
+// whole database at its current write-version, pinned without touching
+// the primary's own log and streamed into the ReplSnapshotResponse
+// envelope, its payload written by the log's checkpoint encoder.
 func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) error {
 	t, err := s.tenant(r.URL.Query().Get("db"))
 	if err != nil {
@@ -170,15 +173,19 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) erro
 			err:  fmt.Errorf("database %q is not durable; replication requires a write-ahead log", t.name),
 		}
 	}
-	ckpt, err := t.db.CaptureCheckpoint()
-	if err != nil {
+	ckpt := t.db.PinCheckpoint()
+	head := relation.AppendJSONString([]byte(`{"db":`), t.name)
+	head = strconv.AppendUint(append(head, `,"seq":`...), ckpt.Seq, 10)
+	head = strconv.AppendUint(append(head, `,"epoch":`...), ckpt.Epoch, 10)
+	w.Header().Set("Content-Type", "application/json")
+	if _, err := w.Write(append(head, `,"checkpoint":`...)); err != nil {
 		return err
 	}
-	raw, err := json.Marshal(ckpt)
-	if err != nil {
+	if err := wal.WritePayload(w, ckpt); err != nil {
 		return err
 	}
-	return writeJSON(w, client.ReplSnapshotResponse{DB: t.name, Seq: ckpt.Seq, Epoch: ckpt.Epoch, Checkpoint: raw})
+	_, err = io.WriteString(w, "}\n")
+	return err
 }
 
 // handleReplStream serves one long-polled stream window as NDJSON:

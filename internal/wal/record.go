@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"prefcqa/internal/relation"
 )
@@ -81,6 +82,12 @@ type Record struct {
 // the TupleID universe — which tail records address — survives), the
 // tombstoned IDs, the declared dependencies (parser syntax) and the
 // recorded preference pairs.
+//
+// A decoded checkpoint carries the tuples as Rows and Dead. A captured
+// one carries Inst instead: the relation's pinned instance version,
+// from which the encoder (WritePayload) writes the same rows and dead
+// IDs cell by cell, so a capture never renders the universe as
+// strings.
 type CheckpointRelation struct {
 	Name  string              `json:"name"`
 	Attrs []relation.WireAttr `json:"attrs"`
@@ -88,6 +95,9 @@ type CheckpointRelation struct {
 	Dead  []int               `json:"dead,omitempty"`
 	FDs   []string            `json:"fds,omitempty"`
 	Prefs [][2]int            `json:"prefs,omitempty"`
+	// Inst, when set, stands for Rows and Dead. Published instance
+	// versions are immutable, so it is read with no lock held.
+	Inst *relation.Instance `json:"-"`
 }
 
 // Checkpoint is a compacted snapshot of the whole database at
@@ -127,12 +137,17 @@ func appendFrame(dst, payload []byte) []byte {
 // data reports torn=true; a frame whose full length is present but
 // whose CRC does not match reports torn=true only when the frame ends
 // exactly at the end of data (a partially persisted final append) and
-// a loud error otherwise.
+// a loud error otherwise. Zeros to the end of data are torn too: the
+// blocks of an append that a crash left unwritten, never a frame, whose
+// payload is never empty.
 func readFrame(data []byte) (payload []byte, size int, torn bool, err error) {
 	if len(data) < frameHeaderLen {
 		return nil, 0, true, nil
 	}
 	n := int(binary.LittleEndian.Uint32(data[0:4]))
+	if n == 0 && !slices.ContainsFunc(data, func(b byte) bool { return b != 0 }) {
+		return nil, 0, true, nil
+	}
 	if n > maxFrameLen {
 		if frameHeaderLen+n <= len(data) {
 			return nil, 0, false, fmt.Errorf("wal: frame length %d exceeds limit", n)

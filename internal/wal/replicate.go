@@ -68,10 +68,17 @@ func (l *Log) AppendExact(rec Record) error {
 // InstallCheckpoint seeds a pristine (never-written) log with a
 // checkpoint image received from a primary: the follower's bootstrap.
 // After it returns the log behaves exactly as if it had logged and
-// checkpointed records 1..c.Seq itself.
+// checkpointed records 1..c.Seq itself. Nothing appends to a log that
+// is being seeded, so it writes the checkpoint under the lock, and it
+// makes the checkpoint durable before it rotates past it: a crash or
+// a failed write at any point leaves the empty segment, beside a
+// temporary file or the checkpoint, which Open recovers.
 func (l *Log) InstallCheckpoint(c *Checkpoint) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	for l.pending { // an epoch-only checkpoint of the empty log
+		l.cond.Wait()
+	}
 	l.waitFlushLocked()
 	if l.err != nil {
 		return l.err
@@ -88,9 +95,17 @@ func (l *Log) InstallCheckpoint(c *Checkpoint) error {
 	if c.Epoch == 0 {
 		c.Epoch = 1
 	}
-	if err := l.installCheckpointLocked(c); err != nil {
+	if err := l.writeCheckpointTmp(c); err != nil {
+		l.fail(err)
+		return l.err
+	}
+	if err := l.renameCheckpointLocked(c); err != nil {
 		return err
 	}
+	if err := l.rotateLocked(c.Seq + 1); err != nil {
+		return err
+	}
+	l.dropSubsumedLocked(c)
 	l.seq.Store(c.Seq)
 	if c.Epoch > l.epoch.Load() {
 		l.epoch.Store(c.Epoch)
@@ -103,10 +118,12 @@ func (l *Log) InstallCheckpoint(c *Checkpoint) error {
 // sequence order, while the log stays live: the offset index resolves
 // the range under the lock, then one positioned read of exactly those
 // bytes runs outside it, so the cost is that of the records returned,
-// not of the segment. It returns ErrCompacted when fromSeq is already
-// subsumed by a checkpoint — the reader must restart from a checkpoint
-// image — and an empty slice when fromSeq is beyond the head (nothing
-// to read yet).
+// not of the segment. A pending checkpoint does not move the horizon:
+// its pre-cut segment is served (a batch stops at its end) until the
+// checkpoint is installed. It returns ErrCompacted when fromSeq is
+// already subsumed by a checkpoint — the reader must restart from a
+// checkpoint image — and an empty slice when fromSeq is beyond the
+// head (nothing to read yet).
 func (l *Log) ReadFrom(fromSeq uint64, max int) ([]Record, error) {
 	if fromSeq == 0 {
 		return nil, fmt.Errorf("wal: sequences start at 1")
@@ -142,25 +159,31 @@ func (l *Log) readIndexed(f *os.File, start, end int64, fromSeq uint64) ([]Recor
 }
 
 // locate resolves the records from fromSeq on — as many as exist, at
-// most max — to their byte range in the active segment. A nil file
+// most max, within one segment — to their byte range in the active
+// segment or in a pending checkpoint's pre-cut segment. A nil file
 // with a nil error means fromSeq is beyond the head.
 func (l *Log) locate(fromSeq uint64, max int) (f *os.File, start, end int64, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	head := l.seq.Load()
+	f, segStart, ends, last := l.f, l.segStart, l.ends, l.seq.Load()
+	if l.prevF != nil && fromSeq < segStart {
+		f, segStart, ends, last = l.prevF, l.prevStart, l.prevEnds, segStart-1
+	}
 	switch {
 	case l.err != nil:
 		return nil, 0, 0, l.err
-	case fromSeq <= l.ckptSeq:
+	case fromSeq <= l.ckptSeq || fromSeq < segStart:
+		// Below the segment too: the rest of a checkpoint whose install
+		// a crash interrupted, which Open replayed but does not index.
 		return nil, 0, 0, ErrCompacted
-	case fromSeq > head:
+	case fromSeq > last:
 		return nil, 0, 0, nil
 	}
-	i, n := int(fromSeq-l.segStart), min(max, int(head-fromSeq)+1)
-	if fromSeq < l.segStart || i+n > len(l.ends) {
+	i, n := int(fromSeq-segStart), min(max, int(last-fromSeq)+1)
+	if i+n > len(ends) {
 		return nil, 0, 0, fmt.Errorf("wal: offset index does not cover seq %d", fromSeq)
 	}
-	return l.f, segEnd(l.ends[:i]), l.ends[i+n-1], nil
+	return f, segEnd(ends[:i]), ends[i+n-1], nil
 }
 
 // WaitAppend blocks until the log's head sequence exceeds after, the

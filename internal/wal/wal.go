@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -88,12 +87,15 @@ func (o Options) withDefaults() Options {
 }
 
 // Log is an append-only write-ahead log bound to one directory. The
-// directory holds at most one checkpoint file plus the log segments
-// written since; Append adds records to the active segment,
-// WriteCheckpoint atomically replaces everything with a fresh
-// checkpoint and an empty segment. Every record above the checkpoint
+// directory holds the newest checkpoint file plus the log segments
+// written since; Append adds records to the active segment. A
+// checkpoint is cut (Cut) by rotating to a fresh segment that starts
+// right after it, written with no lock held, and installed by
+// replacing every file it subsumes. Every record above the cut
 // therefore sits in the active segment, record seq at index
-// seq-segStart of the in-memory offset index ReadFrom reads through.
+// seq-segStart of the in-memory offset index ReadFrom reads through;
+// the records between the previous checkpoint and a pending cut sit in
+// the pre-cut segment, which keeps its own index until the install.
 //
 // Append is safe for concurrent use; callers serialize per-relation
 // ordering themselves (the facade appends under its relation lock).
@@ -118,14 +120,34 @@ type Log struct {
 	err            error // sticky I/O failure
 	closed         bool
 
+	// The pre-cut segment of a pending checkpoint (see Cut): the old
+	// active segment and its offset index, open from the rotation until
+	// the install. prevSynced records that the flusher has fsynced it
+	// and the directory entry of the segment after it.
+	prevF      *os.File
+	prevStart  uint64
+	prevEnds   []int64
+	prevSynced bool
+	pending    bool // a checkpoint is cut and not yet installed
+
 	flushCh chan struct{} // wakes the flusher (SyncAlways)
 	quit    chan struct{}
 	done    chan struct{}
 }
 
-// syncFile fsyncs a segment. Tests replace it to hold an fsync in
-// flight or to fail one.
+// syncFile fsyncs a file or a directory: every disk wait of the log
+// (segments, the checkpoint file, the directory) goes through it.
+// Tests replace it to hold an fsync in flight or to fail one.
 var syncFile = (*os.File).Sync
+
+// SetSyncFile replaces the log's fsync for the tests of the packages
+// above it, which hold a checkpoint in flight through it, and returns
+// the function that restores the previous one.
+func SetSyncFile(fn func(*os.File) error) (restore func()) {
+	prev := syncFile
+	syncFile = fn
+	return func() { syncFile = prev }
+}
 
 func segName(start uint64) string { return fmt.Sprintf("wal-%016x.log", start) }
 func ckptName(seq uint64) string  { return fmt.Sprintf("checkpoint-%016x.ckpt", seq) }
@@ -187,26 +209,35 @@ func Open(dir string, opts Options) (*Log, *Checkpoint, []Record, error) {
 		base = newest
 	}
 
+	// A cut makes its segment before it writes the checkpoint, so a
+	// crash can leave segments past the last record, empty or holding
+	// only a torn frame: the trailing ones. The segment holding the
+	// last record is the final one; only it and the trailing ones may
+	// end torn.
 	var tail []Record
-	var ends []int64 // record end offsets of the final (active) segment
+	var size int64 // bytes of every segment: what the next checkpoint compacts
+	var final struct {
+		start, last uint64
+		ends        []int64 // record end offsets
+		torn        bool
+	}
+	var trailing []uint64
 	prev := uint64(0)
-	for i, start := range segStarts {
-		name := filepath.Join(dir, segName(start))
-		data, err := os.ReadFile(name)
+	tornSeg := "" // a segment ending torn: corruption if a record follows
+	for _, start := range segStarts {
+		data, err := os.ReadFile(filepath.Join(dir, segName(start)))
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		var recs []Record
-		var torn bool
-		recs, ends, torn, err = decodeSegment(data)
+		recs, ends, torn, err := decodeSegment(data)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("%s: %w", segName(start), err)
 		}
-		validLen := int(segEnd(ends))
-		if torn && i != len(segStarts)-1 {
-			return nil, nil, nil, fmt.Errorf("wal: %s: torn record in a non-final segment", segName(start))
-		}
+		size += segEnd(ends)
 		if len(recs) > 0 {
+			if tornSeg != "" {
+				return nil, nil, nil, fmt.Errorf("wal: %s: torn record in a non-final segment", tornSeg)
+			}
 			if recs[0].Seq != start {
 				return nil, nil, nil, fmt.Errorf("wal: %s: first record has seq %d", segName(start), recs[0].Seq)
 			}
@@ -214,15 +245,17 @@ func Open(dir string, opts Options) (*Log, *Checkpoint, []Record, error) {
 				return nil, nil, nil, fmt.Errorf("wal: %s: seq %d does not follow %d", segName(start), recs[0].Seq, prev)
 			}
 			prev = recs[len(recs)-1].Seq
+			final.start, final.last, final.ends, final.torn = start, prev, ends, torn
+			trailing = trailing[:0]
+		} else {
+			trailing = append(trailing, start)
+		}
+		if torn {
+			tornSeg = segName(start)
 		}
 		for _, r := range recs {
 			if r.Seq > base {
 				tail = append(tail, r)
-			}
-		}
-		if torn && validLen < len(data) {
-			if err := os.Truncate(name, int64(validLen)); err != nil {
-				return nil, nil, nil, err
 			}
 		}
 	}
@@ -232,6 +265,37 @@ func Open(dir string, opts Options) (*Log, *Checkpoint, []Record, error) {
 	last := base
 	if len(tail) > 0 {
 		last = tail[len(tail)-1].Seq
+	}
+	// The next record lands where its sequence says: in the trailing
+	// segment the cut at the head made, else in the final segment if
+	// it ends at the head, else in a fresh one. The other trailing
+	// segments are dropped (a crash lost the records below their cut)
+	// and every torn end is truncated.
+	var active uint64 // 0: make a fresh segment
+	var ends []int64
+	if final.start != 0 && final.last == last {
+		active, ends = final.start, final.ends
+	}
+	for _, s := range trailing {
+		if s == last+1 {
+			active, ends = s, nil
+		}
+	}
+	if final.torn {
+		if err := os.Truncate(filepath.Join(dir, segName(final.start)), segEnd(final.ends)); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	for _, s := range trailing {
+		name := filepath.Join(dir, segName(s))
+		if s == active {
+			err = os.Truncate(name, 0)
+		} else {
+			err = os.Remove(name)
+		}
+		if err != nil {
+			return nil, nil, nil, err
+		}
 	}
 	// Recover the replication epoch: the newest of the checkpoint's and
 	// the tail records' epochs (pre-epoch logs carry 0, normalized to
@@ -250,7 +314,7 @@ func Open(dir string, opts Options) (*Log, *Checkpoint, []Record, error) {
 	l := &Log{
 		dir:       dir,
 		opts:      opts,
-		segStart:  base + 1,
+		segStart:  last + 1,
 		ckptSeq:   base,
 		syncedSeq: last,
 		appendCh:  make(chan struct{}),
@@ -259,31 +323,27 @@ func Open(dir string, opts Options) (*Log, *Checkpoint, []Record, error) {
 		done:      make(chan struct{}),
 	}
 	l.cond = sync.NewCond(&l.mu)
+	l.bytesSinceCkpt = size
 	l.seq.Store(last)
 	l.epoch.Store(epoch)
 	if ckpt != nil {
 		l.ckptEpoch = ckpt.Epoch
 	}
-	if len(segStarts) > 0 {
-		l.segStart, l.ends = segStarts[len(segStarts)-1], ends
+	if active != 0 {
+		l.segStart, l.ends = active, ends
 		f, err := os.OpenFile(filepath.Join(dir, segName(l.segStart)), os.O_RDWR|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		l.f = f
-		fi, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, nil, nil, err
-		}
-		l.bytesSinceCkpt = fi.Size()
 	} else {
 		f, err := os.OpenFile(filepath.Join(dir, segName(l.segStart)), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		l.f = f
-		if err := syncDir(dir); err != nil {
+		// Before the log serves, so not through the syncFile seam.
+		if err := syncDir(dir, (*os.File).Sync); err != nil {
 			f.Close()
 			return nil, nil, nil, err
 		}
@@ -309,7 +369,7 @@ func (l *Log) NeedCheckpoint() bool {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.bytesSinceCkpt > l.opts.CheckpointBytes
+	return !l.closed && l.err == nil && l.bytesSinceCkpt > l.opts.CheckpointBytes
 }
 
 // fail records a sticky I/O error and wakes every waiter. Caller
@@ -429,14 +489,16 @@ func (l *Log) flusher() {
 	}
 }
 
-// flushOnce fsyncs the active segment up to the current sequence. It
-// captures the target and the file under the lock, fsyncs without it,
-// so appends, tail reads and the next committers never wait for the
-// disk, and takes the lock again only to publish the result. While
-// syncing is set, rotation waits rather than close the file.
+// flushOnce fsyncs the active segment up to the current sequence,
+// after the pre-cut segment of a pending checkpoint if it has not
+// synced that yet (syncSegments). It captures the target and the files
+// under the lock, fsyncs without it, so appends, tail reads and the
+// next committers never wait for the disk, and takes the lock again
+// only to publish the result. While syncing is set, nothing closes a
+// file it syncs.
 func (l *Log) flushOnce() {
 	l.mu.Lock()
-	target, f := l.seq.Load(), l.f
+	target, f, prev := l.seq.Load(), l.f, l.unsyncedPrevLocked()
 	if l.err != nil || l.closed || l.syncedSeq >= target {
 		l.mu.Unlock()
 		return
@@ -444,7 +506,7 @@ func (l *Log) flushOnce() {
 	l.syncing = true
 	l.mu.Unlock()
 
-	err := syncFile(f)
+	err := l.syncSegments(prev, f)
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -453,108 +515,46 @@ func (l *Log) flushOnce() {
 		l.fail(err)
 		return
 	}
+	if prev != nil && prev == l.prevF {
+		l.prevSynced = true
+	}
 	// A clean Close may have synced further meanwhile.
 	l.syncedSeq = max(l.syncedSeq, target)
 	l.cond.Broadcast()
 }
 
-// waitFlushLocked waits until no fsync is in flight, so the active
-// segment may be closed. Caller holds l.mu; the wait releases it, so
+// unsyncedPrevLocked returns the pre-cut segment while it still needs
+// its fsync, else nil. Caller holds l.mu.
+func (l *Log) unsyncedPrevLocked() *os.File {
+	if l.prevSynced {
+		return nil
+	}
+	return l.prevF
+}
+
+// syncSegments fsyncs the active segment f. A pre-cut segment prev, if
+// given, goes first, and then the directory, which holds the entry of
+// the segment that follows it: no record above a checkpoint cut is
+// made durable before every record below it.
+func (l *Log) syncSegments(prev, f *os.File) error {
+	if prev != nil {
+		if err := syncFile(prev); err != nil {
+			return err
+		}
+		if err := syncDir(l.dir, syncFile); err != nil {
+			return err
+		}
+	}
+	return syncFile(f)
+}
+
+// waitFlushLocked waits until no fsync is in flight, so a segment it
+// syncs may be closed. Caller holds l.mu; the wait releases it, so
 // the caller checks the log's state after it.
 func (l *Log) waitFlushLocked() {
 	for l.syncing {
 		l.cond.Wait()
 	}
-}
-
-// WriteCheckpoint durably installs a checkpoint covering the whole
-// logged history (c.Seq must equal the last assigned sequence; the
-// facade guarantees quiescence by holding its snapshot gate) and
-// truncates the log: a fresh empty segment becomes active and every
-// older segment and checkpoint file is removed. Once the checkpoint
-// file is durable it subsumes all logged records, so waiting
-// committers are released by it.
-func (l *Log) WriteCheckpoint(c *Checkpoint) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.waitFlushLocked()
-	if l.err != nil {
-		return l.err
-	}
-	if l.closed {
-		return fmt.Errorf("wal: log is closed")
-	}
-	if c.Seq != l.seq.Load() {
-		return fmt.Errorf("wal: checkpoint at seq %d, log is at %d", c.Seq, l.seq.Load())
-	}
-	if c.Epoch == 0 {
-		c.Epoch = l.epoch.Load()
-	}
-	if c.Seq == l.ckptSeq && l.bytesSinceCkpt == 0 && c.Epoch == l.ckptEpoch {
-		return nil // nothing logged (and no epoch change) since the last checkpoint
-	}
-	if err := l.installCheckpointLocked(c); err != nil {
-		return err
-	}
-	l.syncedSeq = c.Seq
-	l.cond.Broadcast()
-	return nil
-}
-
-// installCheckpointLocked durably writes the checkpoint file, rotates
-// to a fresh empty segment at c.Seq+1 and removes every file the
-// checkpoint subsumes. Caller holds l.mu, has waited out any fsync in
-// flight (waitFlushLocked) and has then validated c.Seq.
-func (l *Log) installCheckpointLocked(c *Checkpoint) error {
-	frame, err := encodeCheckpointFile(c)
-	if err != nil {
-		return err
-	}
-	tmp := filepath.Join(l.dir, "checkpoint.tmp")
-	if err := writeFileSync(tmp, frame); err != nil {
-		l.fail(err)
-		return l.err
-	}
-	if err := os.Rename(tmp, filepath.Join(l.dir, ckptName(c.Seq))); err != nil {
-		l.fail(err)
-		return l.err
-	}
-	if err := syncDir(l.dir); err != nil {
-		l.fail(err)
-		return l.err
-	}
-	// The checkpoint is durable: rotate to a fresh segment and drop
-	// everything it subsumes. When the active segment already starts
-	// right after the checkpoint (an epoch-only re-checkpoint at the
-	// same seq, e.g. promotion right after bootstrap), it is kept:
-	// every record it could hold is > c.Seq by construction.
-	newStart := c.Seq + 1
-	if l.segStart != newStart {
-		nf, err := os.OpenFile(filepath.Join(l.dir, segName(newStart)), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-		if err != nil {
-			l.fail(err)
-			return l.err
-		}
-		old := l.f
-		l.f, l.segStart, l.ends = nf, newStart, l.ends[:0]
-		old.Close()
-	}
-	entries, err := os.ReadDir(l.dir)
-	if err == nil {
-		for _, e := range entries {
-			if s, ok := parseSeqName(e.Name(), "wal-", ".log"); ok && s != newStart {
-				os.Remove(filepath.Join(l.dir, e.Name()))
-			}
-			if s, ok := parseSeqName(e.Name(), "checkpoint-", ".ckpt"); ok && s != c.Seq {
-				os.Remove(filepath.Join(l.dir, e.Name()))
-			}
-		}
-	}
-	syncDir(l.dir) //nolint:errcheck // removals are cleanup, not correctness
-	l.ckptSeq = c.Seq
-	l.ckptEpoch = c.Epoch
-	l.bytesSinceCkpt = 0
-	return nil
 }
 
 // Close flushes and fsyncs the active segment (a clean shutdown is
@@ -570,7 +570,7 @@ func (l *Log) Close() error {
 		return err
 	}
 	if l.err == nil && l.syncedSeq < l.seq.Load() {
-		if err := syncFile(l.f); err != nil {
+		if err := l.syncSegments(l.unsyncedPrevLocked(), l.f); err != nil {
 			l.fail(err)
 		} else {
 			l.syncedSeq = l.seq.Load()
@@ -585,6 +585,9 @@ func (l *Log) Close() error {
 	<-l.done
 	l.mu.Lock()
 	cerr := l.f.Close()
+	if l.prevF != nil {
+		l.prevF.Close()
+	}
 	l.mu.Unlock()
 	if err != nil {
 		return err
@@ -592,35 +595,13 @@ func (l *Log) Close() error {
 	return cerr
 }
 
-func encodeCheckpointFile(c *Checkpoint) ([]byte, error) {
-	payload, err := json.Marshal(c)
-	if err != nil {
-		return nil, err
-	}
-	return appendFrame(nil, payload), nil
-}
-
-func writeFileSync(name string, data []byte) error {
-	f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func syncDir(dir string) error {
+// syncDir fsyncs a directory with fsync, so the entries created,
+// renamed or removed in it are durable.
+func syncDir(dir string, fsync func(*os.File) error) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
 	defer d.Close()
-	return d.Sync()
+	return fsync(d)
 }

@@ -200,9 +200,10 @@ func WriteCSV(dst io.Writer, inst *Instance) error { return relation.WriteCSV(ds
 // mutex, and from then on every write keeps it built.
 type DB struct {
 	// mu is the writer mutex. Every mutation, relation creation,
-	// replicated record and checkpoint capture holds it, and so does
-	// the first Snapshot of an unbuilt relation; it guards cat and the
-	// writer state of every Relation. Readers never take it.
+	// replicated record and checkpoint cut (not the checkpoint's
+	// write) holds it, and so does the first Snapshot of an unbuilt
+	// relation; it guards cat and the writer state of every Relation.
+	// Readers never take it.
 	mu  sync.Mutex
 	cat *catalog                 // the registry as the writer sees it
 	cur atomic.Pointer[Snapshot] // the published version
@@ -216,9 +217,13 @@ type DB struct {
 	// in-memory DB, where the published version's counter is the
 	// write-version. On a durable DB the log's record sequence is the
 	// write-version. See WriteVersion.
-	log      *wal.Log
-	walOpts  wal.Options
-	ckptBusy atomic.Bool // gates automatic checkpoints to one at a time
+	log     *wal.Log
+	walOpts wal.Options
+	// ckptBusy is held for the whole of a checkpoint, so one runs at a
+	// time: an automatic one starts only when it can take it (TryLock),
+	// Checkpoint and Close wait for it. The goroutine of an automatic
+	// checkpoint releases it last, so Close waits that out too.
+	ckptBusy sync.Mutex
 
 	// readOnly marks a replication follower: public mutations are
 	// refused (ErrReadOnly) while ReplApply keeps feeding the replicated

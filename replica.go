@@ -1,9 +1,12 @@
 package prefcqa
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 
 	"prefcqa/internal/wal"
 )
@@ -55,23 +58,51 @@ func (db *DB) WALPosition() (seq, ckptSeq, epoch uint64) {
 	return db.log.Position()
 }
 
-// CaptureCheckpoint builds a checkpoint image of the whole database at
+// PinCheckpoint returns the checkpoint image of the whole database at
 // its current write-version without touching the log — the bootstrap
-// image a replication primary serves to a new follower. It holds the
-// writer mutex, so the image is one consistent cut and its Seq covers
-// exactly the applied history.
-func (db *DB) CaptureCheckpoint() (*wal.Checkpoint, error) {
+// image a replication primary serves to a new follower — as pinned
+// versions: each relation's instance (CheckpointRelation.Inst), its
+// dependencies and a copy of its preference history. It holds the
+// writer mutex only to pin them, so the image is one consistent cut
+// and its Seq covers exactly the applied history; wal.WritePayload
+// encodes it with no lock held.
+func (db *DB) PinCheckpoint() *wal.Checkpoint {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.captureCheckpointLocked(), nil
+	return db.pinCheckpointLocked()
 }
 
-// captureCheckpointLocked captures every relation's writer-side state.
-// Caller holds db.mu.
-func (db *DB) captureCheckpointLocked() *wal.Checkpoint {
+// CaptureCheckpoint is PinCheckpoint decoded: the image with every
+// relation's rows and dead IDs spelled out, as a follower receives it.
+func (db *DB) CaptureCheckpoint() (*wal.Checkpoint, error) {
+	var buf bytes.Buffer
+	if err := wal.WritePayload(&buf, db.PinCheckpoint()); err != nil {
+		return nil, err
+	}
+	c := new(wal.Checkpoint)
+	if err := json.Unmarshal(buf.Bytes(), c); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// pinCheckpointLocked pins every relation's head: the instance and
+// dependency set the current version publishes, which no writer
+// changes again, and a copy of the preference history, which install
+// prunes in place. Caller holds db.mu.
+func (db *DB) pinCheckpointLocked() *wal.Checkpoint {
 	c := &wal.Checkpoint{Seq: db.WriteVersion(), Epoch: db.Epoch()}
 	for _, r := range db.cat.rels {
-		c.Relations = append(c.Relations, checkpointRelation(r))
+		cr := wal.CheckpointRelation{
+			Name:  r.name,
+			Attrs: r.schema.WireAttrs(),
+			Inst:  r.head.Inst,
+			Prefs: slices.Clone(r.prefs),
+		}
+		for _, f := range r.head.FDs.All() {
+			cr.FDs = append(cr.FDs, f.String())
+		}
+		c.Relations = append(c.Relations, cr)
 	}
 	return c
 }
