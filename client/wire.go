@@ -245,10 +245,10 @@ type DBStats struct {
 	WriteVersion uint64 `json:"write_version"`
 	CacheHits    int64  `json:"cache_hits"`
 	CacheMisses  int64  `json:"cache_misses"`
-	// Open-query path counters: direct spine enumeration vs
-	// active-domain substitution, and which vectorized executor ran
-	// the direct spines (worst-case-optimal generic join, Yannakakis
-	// reduction, or greedy nested loop).
+	// Open-query path counters: candidates from the spine and pins
+	// alone vs a free variable ranged over the active domain, and which
+	// vectorized executor ran the former's spines (worst-case-optimal
+	// generic join, Yannakakis reduction, or greedy nested loop).
 	OpenDirect   int64 `json:"open_direct"`
 	OpenFallback int64 `json:"open_fallback"`
 	WcojSpines   int64 `json:"wcoj_spines"`

@@ -1,7 +1,8 @@
 package cqa
 
 import (
-	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"prefcqa/internal/core"
@@ -280,24 +281,31 @@ func TestFreeAnswersGuards(t *testing.T) {
 	if _, err := FreeAnswers(core.Rep, in, query.MustParse("Mgr('Mary','IT',20,1)")); err == nil {
 		t.Fatal("closed query should be rejected by FreeAnswers")
 	}
-	// Eight free variables exceed the substitution bound, but the
-	// positive conjunctive spine gives the direct-enumeration path,
-	// which is not subject to MaxOpenVariables.
+	// Eight free variables, all bound by the spine: none ranges, so
+	// MaxOpenVariables does not apply.
 	wide := query.MustParse("Mgr(a, b, c, d) AND Mgr(e, f, g, h)")
 	if _, err := FreeAnswers(core.Rep, in, wide); err != nil {
-		t.Fatalf("wide query should take the direct path, got %v", err)
+		t.Fatalf("wide covered query: %v", err)
 	}
-	// A free variable occurring only under negation has no positive
-	// spine: direct enumeration bows out and the substitution fallback
-	// enforces the bound with a structured error naming the limit and
-	// the fallback reason.
+	// Free variables occurring only under negation range over the
+	// active domain: eight of them exceed the bound, and the error
+	// names the count and the limit.
 	_, err := FreeAnswers(core.Rep, in, query.MustParse("NOT Mgr(a, b, c, d) AND NOT Mgr(e, f, g, h)"))
-	var limitErr *OpenLimitError
-	if !errors.As(err, &limitErr) {
-		t.Fatalf("spineless wide query: got %v, want *OpenLimitError", err)
+	if err == nil || !strings.Contains(err.Error(), "ranges 8 free variables") ||
+		!strings.Contains(err.Error(), fmt.Sprintf("limit %d", query.MaxOpenVariables)) {
+		t.Fatalf("spineless wide query: got %v, want a refusal naming 8 and the limit %d", err, query.MaxOpenVariables)
 	}
-	if limitErr.Variables != 8 || limitErr.Limit != MaxOpenVariables || limitErr.Reason == "" {
-		t.Fatalf("OpenLimitError = %+v", limitErr)
+	// Five free variables, four bound by the spine and x ranged: one
+	// ranged variable is within the bound. Under Rep the conflict-free
+	// Emp('Ann', 45) and Dept('IT', 35) are the only certain spine
+	// match, and x is either of its names.
+	five := query.MustParse("Emp(n, s) AND Dept(d, b) AND (x = n OR x = d)")
+	ans, err := FreeAnswers(core.Rep, openDiffInput(t), five)
+	if err != nil {
+		t.Fatalf("five-variable query with one ranged: %v", err)
+	}
+	if got, want := fmt.Sprint(ans), "[{b=35, d='IT', n='Ann', s=45, x='Ann'} {b=35, d='IT', n='Ann', s=45, x='IT'}]"; got != want {
+		t.Fatalf("five-variable query: %s, want %s", got, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package cqa
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"prefcqa/internal/core"
@@ -49,16 +50,20 @@ func openDiffInput(t testing.TB) Input {
 	return in
 }
 
-// openSpineless is the corpus entry the direct path declines: t occurs
-// only in a comparison, so no positive spine covers it and
-// substitution answers.
-const openSpineless = "EXISTS s . Emp(n, s) AND s = t"
+// openSpineless and openPartly are the corpus entries that range a
+// free variable over the active domain: x occurs in no positive atom
+// and no equality pins it, beside no covered variable at all and beside
+// a covered n.
+const (
+	openSpineless = "NOT Emp(x, 35)"
+	openPartly    = "EXISTS s . Emp(n, s) AND NOT Emp(x, s)"
+)
 
-// openDiffCorpus is the open-query mix the differential test pins:
+// openDiffCorpus is the open-query mix the differential tests pin:
 // single and multi free variables, joins across relations, residual
 // comparisons, negation residuals (dropped during candidate
-// generation, restored by verification), spineless shapes that force
-// the substitution fallback, and kind-constrained variables.
+// generation, restored by verification), kind-constrained variables,
+// and one entry per route of a free variable the spine does not bind.
 var openDiffCorpus = []string{
 	"EXISTS s . Emp(n, s)",
 	"Emp(n, s)",
@@ -68,22 +73,96 @@ var openDiffCorpus = []string{
 	"Emp(n, s) AND Dept(d, b) AND s < b",
 	"EXISTS s . Emp(n, s) AND NOT Dept(n, 35)",
 	"EXISTS s, b . Emp(n, s) AND Dept(d, b) AND NOT Emp('Ann', b)",
-	openSpineless,
-	// x constrained to both kinds at once: domain pruning must still
-	// agree with the unpruned fallback semantics.
+	// x constrained to both kinds at once.
 	"EXISTS s . Emp(x, s) AND Dept(x, 35)",
 	"Emp(n, 35)",
 	// The inner quantifier has no positive atom, so the closed checks
 	// behind candidate verification cannot be support-pruned: this
 	// entry keeps the full-enumeration path alive in the corpus.
 	"Emp(n, s) AND (EXISTS u . u = s)",
+	// Ranged: beside a covered variable, and with no positive atom.
+	openPartly,
+	openSpineless,
+	// Pinned to a constant: with a spine, with a spine that binds no
+	// variable, and with no spine.
+	"EXISTS s . Emp(n, s) AND d = 'R&D' AND NOT Dept(d, 90)",
+	"Emp('Ann', 45) AND x = 35",
+	"x = 35 AND NOT Emp('John', x)",
+	// Pinned to a spine variable: an existential one, a free one.
+	"EXISTS s . Emp(n, s) AND s = t",
+	"Emp(n, s) AND x = n AND NOT Dept(x, 35)",
+	// u, of the existential prefix, occurs in no atom: it generates
+	// nothing.
+	"EXISTS s, u . Emp(n, s) AND NOT Dept(u, s)",
 }
 
-// TestFreeAnswersDirectMatchesSubstitution pins the direct
-// open-enumeration path bit-for-bit against the substitution baseline
-// across all five repair families, and asserts via the stats counters
-// which path answered each query: direct enumeration with no fallback
-// for every entry but openSpineless.
+// substAnswers is the substitution reference FreeAnswers is pinned to:
+// one closed certain-answer check per combination of active-domain
+// values — the live values of every relation plus the query's
+// constants, ascending — for the free variables in sorted order, with
+// no pruning of any kind.
+func substAnswers(f core.Family, in Input, q query.Expr) ([]Binding, error) {
+	seen := map[relation.Value]bool{}
+	var dom []relation.Value
+	add := func(v relation.Value) {
+		if !seen[v] {
+			seen[v] = true
+			dom = append(dom, v)
+		}
+	}
+	for _, r := range in.Rels {
+		r.Inst.Range(func(_ relation.TupleID, t relation.Tuple) bool {
+			for _, v := range t {
+				add(v)
+			}
+			return true
+		})
+	}
+	for _, v := range query.Constants(q) {
+		add(v)
+	}
+	slices.SortFunc(dom, relation.Value.Order)
+	vars := query.FreeVars(q)
+	var answers []Binding
+	env := make(map[string]relation.Value, len(vars))
+	var rec func(i int) error
+	rec = func(i int) error {
+		if i == len(vars) {
+			var err error
+			answers, err = appendIfCertain(answers, f, in, q, env)
+			return err
+		}
+		for _, v := range dom {
+			env[vars[i]] = v
+			if err := rec(i + 1); err != nil {
+				return err
+			}
+		}
+		delete(env, vars[i])
+		return nil
+	}
+	return answers, rec(0)
+}
+
+// sameAnswers reports the first difference between two answer lists,
+// order included; "" when they are equal.
+func sameAnswers(got, want []Binding) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%v vs reference %v", got, want)
+	}
+	for i := range got {
+		if got[i].String() != want[i].String() {
+			return fmt.Sprintf("answer %d: %v vs reference %v", i, got[i], want[i])
+		}
+	}
+	return ""
+}
+
+// TestFreeAnswersDirectMatchesSubstitution pins FreeAnswers
+// bit-for-bit against the substitution reference across all five
+// repair families, and asserts via the stats counters which entries
+// ranged a variable over the active domain: openSpineless and
+// openPartly, and no other.
 func TestFreeAnswersDirectMatchesSubstitution(t *testing.T) {
 	in := openDiffInput(t)
 	stats := &EvalStats{}
@@ -93,29 +172,24 @@ func TestFreeAnswersDirectMatchesSubstitution(t *testing.T) {
 			q := query.MustParse(src)
 			tag := fmt.Sprintf("%v %q", f, src)
 			before := stats.Snapshot()
-			direct, err := FreeAnswers(f, in, q)
+			got, err := FreeAnswers(f, in, q)
 			if err != nil {
 				t.Fatalf("%s: FreeAnswers: %v", tag, err)
 			}
 			after := stats.Snapshot()
 			wantDirect, wantFallback := int64(1), int64(0)
-			if src == openSpineless {
+			if src == openSpineless || src == openPartly {
 				wantDirect, wantFallback = 0, 1
 			}
 			if dd, df := after.OpenDirect-before.OpenDirect, after.OpenFallback-before.OpenFallback; dd != wantDirect || df != wantFallback {
 				t.Fatalf("%s: OpenDirect +%d OpenFallback +%d, want +%d +%d", tag, dd, df, wantDirect, wantFallback)
 			}
-			subst, err := freeAnswersSubst(f, in, q, query.FreeVars(q), "forced")
+			want, err := substAnswers(f, in, q)
 			if err != nil {
-				t.Fatalf("%s: freeAnswersSubst: %v", tag, err)
+				t.Fatalf("%s: substAnswers: %v", tag, err)
 			}
-			if len(direct) != len(subst) {
-				t.Fatalf("%s: direct %v vs subst %v", tag, direct, subst)
-			}
-			for i := range direct {
-				if direct[i].String() != subst[i].String() {
-					t.Fatalf("%s: answer %d: direct %v vs subst %v", tag, i, direct[i], subst[i])
-				}
+			if d := sameAnswers(got, want); d != "" {
+				t.Fatalf("%s: %s", tag, d)
 			}
 		}
 	}
@@ -131,33 +205,36 @@ func TestFreeAnswersDirectMatchesSubstitution(t *testing.T) {
 	}
 }
 
-// TestFreeAnswersKindPruning pins the kind-aware substitution domains:
-// a variable the query binds only at int positions must not try
-// names, and the pruned domains must not change the answer set.
-func TestFreeAnswersKindPruning(t *testing.T) {
-	in := openDiffInput(t)
-	q := query.MustParse("Emp(n, s) AND s > 30")
-	doms := in.varDomains(q, query.FreeVars(q)) // vars sorted: n, s
-	for _, v := range doms[0] {
-		if v.Kind() != relation.KindName {
-			t.Fatalf("n should only try names, domain has %v", v)
+// FuzzOpenEquivalence parses arbitrary query text and, for every
+// accepted open formula over openDiffInput's schemas with at most two
+// free variables, requires FreeAnswers and the substitution reference
+// (substAnswers) to return the same answers in the same order for
+// every family. Run with `go test -fuzz=FuzzOpenEquivalence
+// ./internal/cqa` to explore.
+func FuzzOpenEquivalence(f *testing.F) {
+	for _, s := range openDiffCorpus {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		q, err := query.Parse(src)
+		if err != nil {
+			return
 		}
-	}
-	for _, v := range doms[1] {
-		if v.Kind() != relation.KindInt {
-			t.Fatalf("s should only try ints, domain has %v", v)
+		in := openDiffInput(t)
+		if n := len(query.FreeVars(q)); n == 0 || n > 2 || query.Validate(q, in.schemas()) != nil {
+			return
 		}
-	}
-	// A variable whose kind the query leaves open keeps both pools.
-	qOpen := query.MustParse("EXISTS s . Emp(n, s) AND NOT Dept(n, 35) AND x = x")
-	domsOpen := in.varDomains(qOpen, []string{"x"})
-	kinds := map[relation.Kind]bool{}
-	for _, v := range domsOpen[0] {
-		kinds[v.Kind()] = true
-	}
-	if !kinds[relation.KindInt] || !kinds[relation.KindName] {
-		t.Fatalf("x should try both kinds, domain %v", domsOpen[0])
-	}
+		for _, fam := range core.Families {
+			got, errG := FreeAnswers(fam, in, q)
+			want, errW := substAnswers(fam, in, q)
+			if (errG == nil) != (errW == nil) {
+				t.Fatalf("%v: error mismatch FreeAnswers=%v reference=%v for %s", fam, errG, errW, q)
+			}
+			if d := sameAnswers(got, want); errW == nil && d != "" {
+				t.Fatalf("%v: %s for %s", fam, d, q)
+			}
+		}
+	})
 }
 
 // The certain answers of EXISTS v . R(x, v) AND v > n-6 under G-Rep on
@@ -165,10 +242,12 @@ func TestFreeAnswersKindPruning(t *testing.T) {
 // plus 100 twins (same Val, other Name) under Val -> Name, each
 // conflict oriented toward the original. Every candidate the spine
 // does not kill costs one closed certain-answer check. "direct" is
-// FreeAnswers, which must take the spine enumeration with no
-// fallback: one columnar pass leaves 5 names alive and only those are
-// verified. "subst" closed-evaluates all 200 names of x's kind-pruned
-// domain.
+// that query: one columnar pass leaves 5 names alive and only those
+// are verified. "ranged" is the partly covered shape EXISTS s . R(n, s)
+// AND s = t AND s > n-10: t occurs in no atom, and the equality pins it
+// to s, so it ranges nothing and the spine leaves 9 candidates; a
+// substitution evaluator ranges both n and t over the active domain
+// (about 2 200 values each).
 //
 // "ground" is the serving benchmark's open_range class: C(x, 0) AND
 // x >= 0 AND x < n on C(K, V) under K -> V, n clusters (k, 0) / (k, 1),
@@ -177,6 +256,8 @@ func TestFreeAnswersKindPruning(t *testing.T) {
 // closed check — analyse, resolve one component, prepare, evaluate — for
 // n/10 answers: the per-candidate cost of the closed pipeline is all
 // this case measures.
+//
+// Every case must take the spine with no ranged variable (OpenDirect).
 func BenchmarkOpenAnswers(b *testing.B) {
 	const n = 2000
 	schema := relation.MustSchema("R", relation.NameAttr("Name"), relation.IntAttr("Val"))
@@ -222,30 +303,23 @@ func BenchmarkOpenAnswers(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	spineQ := query.MustParse(fmt.Sprintf("EXISTS v . R(x, v) AND v > %d", n-6))
 	for _, c := range []struct {
 		mode string
 		base Input
 		q    query.Expr
 		want int
 	}{
-		// The 5 matching tuples are conflict-free, so both modes must
-		// find exactly them.
-		{"direct", spine, spineQ, 5},
-		{"subst", spine, spineQ, 5},
+		// The matching tuples are conflict-free, so the spine's
+		// candidates are all answers.
+		{"direct", spine, query.MustParse(fmt.Sprintf("EXISTS v . R(x, v) AND v > %d", n-6)), 5},
+		{"ranged", spine, query.MustParse(fmt.Sprintf("EXISTS s . R(n, s) AND s = t AND s > %d", n-10)), 9},
 		{"ground", clusters, query.MustParse(fmt.Sprintf("C(x, 0) AND x >= 0 AND x < %d", n)), n / 10},
 	} {
 		b.Run(c.mode, func(b *testing.B) {
 			stats := &EvalStats{}
 			in := c.base.WithStats(stats)
 			answers := func() int {
-				var ans []Binding
-				var err error
-				if c.mode == "subst" {
-					ans, err = freeAnswersSubst(core.Global, in, c.q, query.FreeVars(c.q), "forced")
-				} else {
-					ans, err = FreeAnswers(core.Global, in, c.q)
-				}
+				ans, err := FreeAnswers(core.Global, in, c.q)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -255,7 +329,7 @@ func BenchmarkOpenAnswers(b *testing.B) {
 			if got := answers(); got != c.want {
 				b.Fatalf("warmup: %d answers, want %d", got, c.want)
 			}
-			if snap := stats.Snapshot(); c.mode != "subst" && (snap.OpenDirect == 0 || snap.OpenFallback != 0) {
+			if snap := stats.Snapshot(); snap.OpenDirect == 0 || snap.OpenFallback != 0 {
 				b.Fatalf("direct open enumeration did not fire: %+v", snap)
 			}
 			b.ReportAllocs()

@@ -29,11 +29,12 @@ type EvalStats struct {
 
 // EvalStatsSnapshot is a point-in-time copy of the counters.
 type EvalStatsSnapshot struct {
-	// OpenDirect / OpenFallback count FreeAnswers calls answered by
-	// direct spine enumeration vs active-domain substitution.
+	// OpenDirect / OpenFallback count FreeAnswers calls whose
+	// candidates came from the spine and pins alone vs those that
+	// ranged some free variable over the active domain.
 	OpenDirect   int64
 	OpenFallback int64
-	// Spine executor choices observed by direct open enumerations.
+	// Spine executor choices observed by OpenDirect enumerations.
 	SpineWcoj       int64
 	SpineYannakakis int64
 	SpineGreedy     int64
@@ -104,9 +105,9 @@ func (s *EvalStats) noteQueryCache(hit bool) {
 	}
 }
 
-// noteOpen records one FreeAnswers call: direct says which path
-// answered it, executor (meaningful only when direct) is the
-// vectorized executor that ran the spine.
+// noteOpen records one FreeAnswers call: direct says no free variable
+// ranged over the active domain, executor (counted only when direct) is
+// the vectorized executor that ran the spine.
 func (s *EvalStats) noteOpen(executor string, direct bool) {
 	if s == nil {
 		return

@@ -35,9 +35,9 @@ type Analyzed struct {
 	// conjuncts; only then is the verdict a function of the visible
 	// tuples the atoms reach (AnalyzeSupport).
 	domainFree bool
-	// open is the block of an open query's existential closure
-	// (EnumerateOpen); nil when the query is closed.
-	open *block
+	// open is how EnumerateOpen generates an open query's candidates;
+	// nil when the query is closed.
+	open *openQuery
 }
 
 // Analyze analyses e once. Analysing an already analysed formula reuses
@@ -46,7 +46,7 @@ func Analyze(e Expr) *Analyzed {
 	e, df, _ := annotate(e)
 	a := &Analyzed{Expr: e, Free: FreeVars(e), Pol: polarity(e, Positive), domainFree: df}
 	if len(a.Free) > 0 {
-		a.open = openBlock(e, a.Free)
+		a.open = analyzeOpen(e, a.Free)
 	}
 	return a
 }
@@ -256,27 +256,4 @@ func (b *block) peelPlan() {
 	}
 	rest.covered = coveredBy(rest.atoms, rest.vars)
 	b.rest = &rest
-}
-
-// openBlock is the block EnumerateOpen compiles for the open query e
-// with the sorted free variables free: its existential closure, with
-// the top-level existential prefixes peeled into it, so EXISTS b .
-// R(x, b) compiles as one spine over {x, b} rather than a nested
-// quantifier residual.
-func openBlock(e Expr, free []string) *block {
-	vars := slices.Clone(free)
-	for {
-		q, ok := e.(Quant)
-		if !ok || q.All {
-			break
-		}
-		for _, v := range q.Vars {
-			if !slices.Contains(vars, v) {
-				vars = append(vars, v)
-			}
-		}
-		e = q.Body
-	}
-	b := analyzeBlock(Quant{Vars: vars, Body: e})
-	return &b
 }

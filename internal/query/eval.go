@@ -28,26 +28,6 @@ type Model = DBModel
 // Relations lists the relation names in the model.
 func (m DBModel) Relations() []string { return m.DB.Names() }
 
-// Tuples iterates the visible tuples of rel; stop early by returning
-// false.
-func (m DBModel) Tuples(rel string, yield func(relation.Tuple) bool) {
-	inst, ok := m.DB.Relation(rel)
-	if !ok {
-		return
-	}
-	sub := m.Subsets[rel]
-	if sub == nil {
-		inst.Range(func(_ relation.TupleID, t relation.Tuple) bool { return yield(t) })
-		return
-	}
-	sub.Range(func(id int) bool {
-		if id < inst.NumIDs() {
-			return yield(inst.Tuple(id))
-		}
-		return true
-	})
-}
-
 // Backing returns the instance holding rel's storage (columns and
 // postings) and the visible ID subset (nil = every live tuple).
 // ok=false means the relation is absent.
@@ -135,24 +115,46 @@ func (ev *evaluator) run() (bool, error) {
 	return ev.eval(ev.root, map[string]relation.Value{})
 }
 
-// activeDomain collects the distinct values of all visible tuples
-// plus the formula's constants.
+// activeDomain collects the distinct values of all visible tuples,
+// read off the columns, plus the formula's constants, deduplicated per
+// kind on the native value.
 func activeDomain(m Model, e Expr) []relation.Value {
-	seen := map[relation.Value]struct{}{}
+	ints := map[int64]struct{}{}
+	names := map[string]struct{}{}
 	var out []relation.Value
 	add := func(v relation.Value) {
-		if _, dup := seen[v]; !dup {
-			seen[v] = struct{}{}
-			out = append(out, v)
+		if v.Kind() == relation.KindInt {
+			if _, dup := ints[v.AsInt()]; dup {
+				return
+			}
+			ints[v.AsInt()] = struct{}{}
+		} else {
+			if _, dup := names[v.AsName()]; dup {
+				return
+			}
+			names[v.AsName()] = struct{}{}
 		}
+		out = append(out, v)
 	}
 	for _, rel := range m.Relations() {
-		m.Tuples(rel, func(t relation.Tuple) bool {
-			for _, v := range t {
-				add(v)
+		inst, visible, _ := m.Backing(rel)
+		cols := make([]relation.Col, inst.Schema().Arity())
+		for a := range cols {
+			cols[a] = inst.Col(a)
+		}
+		row := func(id relation.TupleID) bool {
+			if id < inst.NumIDs() {
+				for _, c := range cols {
+					add(c.Value(id))
+				}
 			}
 			return true
-		})
+		}
+		if visible == nil {
+			inst.RangeIDs(row)
+		} else {
+			visible.Range(row)
+		}
 	}
 	for _, v := range Constants(e) {
 		add(v)

@@ -118,28 +118,6 @@ func (r *Instance) DistinctEstimate(attr int) int {
 	return len(pt.p.last)
 }
 
-// DistinctValuesLive appends the distinct values occurring in
-// attribute attr of a live tuple of r to dst and returns it — exact
-// even when the instance carries tombstones, by skipping the members
-// of a group that are dead or belong to newer chain versions. The cost
-// is O(distinct values + members inspected): each group is walked
-// only until its first live member. Order is unspecified; callers
-// sort.
-func (r *Instance) DistinctValuesLive(attr int, dst []Value) []Value {
-	pt := r.Partition([]int{attr})
-	pt.ix.mu.RLock()
-	defer pt.ix.mu.RUnlock()
-	for g := range pt.p.last {
-		for m := pt.p.below(int32(g), r.n); m >= 0; m = TupleID(pt.p.prev[m]) {
-			if !r.dead.has(m) {
-				dst = append(dst, pt.p.value(pt.ix.cols, g))
-				break
-			}
-		}
-	}
-	return dst
-}
-
 // SortedDistinctValues returns the distinct values of attribute attr
 // across the whole version chain — live or tombstoned, this version or
 // newer — in ascending Value.Order. It is the sorted per-attribute

@@ -257,37 +257,6 @@ func TestIndexConcurrentReadersAndWriter(t *testing.T) {
 	}
 }
 
-func TestDistinctValues(t *testing.T) {
-	s := MustSchema("R", IntAttr("K"), NameAttr("V"))
-	inst := NewInstance(s)
-	ids := make([]TupleID, 0)
-	for i := 0; i < 40; i++ {
-		ids = append(ids, inst.MustInsert(i%6, fmt.Sprintf("v%d", i%4)))
-	}
-	got := inst.DistinctValuesLive(0, nil)
-	if len(got) != 6 {
-		t.Fatalf("DistinctValues(K) = %v, want 6 values", got)
-	}
-	got = inst.DistinctValuesLive(1, nil)
-	if len(got) != 4 {
-		t.Fatalf("DistinctValues(V) = %v, want 4 values", got)
-	}
-	// A value with another live occurrence survives a delete; values
-	// first occurring in a newer fork do not leak into the snapshot.
-	inst.Delete(ids[0])
-	if got := inst.DistinctValuesLive(0, nil); len(got) != 6 {
-		t.Fatalf("after delete: DistinctValues(K) = %v, want 6", got)
-	}
-	child := inst.Fork()
-	child.MustInsert(99, "fresh")
-	if got := inst.DistinctValuesLive(0, nil); len(got) != 6 {
-		t.Fatalf("parent sees fork's value: %v", got)
-	}
-	if got := child.DistinctValuesLive(0, nil); len(got) != 7 {
-		t.Fatalf("child DistinctValues(K) = %v, want 7", got)
-	}
-}
-
 func BenchmarkIndexScanVsRange(b *testing.B) {
 	s := MustSchema("R", IntAttr("K"), IntAttr("V"))
 	inst := NewInstance(s)

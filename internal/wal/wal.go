@@ -253,10 +253,14 @@ func Open(dir string, opts Options) (*Log, *Checkpoint, []Record, error) {
 		if torn {
 			tornSeg = segName(start)
 		}
-		for _, r := range recs {
-			if r.Seq > base {
-				tail = append(tail, r)
-			}
+		// A segment's records are consecutive, so those past the
+		// checkpoint are a suffix of it. The first segment holding some
+		// starts the tail as it is; only later ones are copied onto it.
+		past := recs[sort.Search(len(recs), func(i int) bool { return recs[i].Seq > base }):]
+		if len(tail) == 0 {
+			tail = past
+		} else {
+			tail = append(tail, past...)
 		}
 	}
 	if len(tail) > 0 && tail[0].Seq != base+1 {

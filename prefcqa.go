@@ -1054,9 +1054,10 @@ func (db *DB) EngineStats() (hits, misses int64) {
 }
 
 // QueryStats returns the cumulative query path counters: how many
-// open queries were answered by direct spine enumeration vs
-// active-domain substitution, which vectorized executor (generic
-// join, Yannakakis, greedy) ran the direct spines, how many closed
+// open queries took their candidates from the spine and pins alone vs
+// ranged a free variable over the active domain, which vectorized
+// executor (generic join, Yannakakis, greedy) ran the former's spines,
+// how many closed
 // verifications took the component-pruned repair walk vs the full
 // whole-database enumeration, how many of the pruned ones were
 // decided on a bound of the preferred repairs without a walk, and how

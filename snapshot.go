@@ -196,8 +196,10 @@ func (s *Snapshot) QueryOpen(f Family, src string) ([]Binding, error) {
 	return s.QueryOpenContext(context.Background(), f, src)
 }
 
-// QueryOpenContext is QueryOpen with cancellation, checked per
-// candidate substitution of the free variables.
+// QueryOpenContext is QueryOpen with cancellation, checked as the
+// candidate bindings are enumerated (spine rows and ranged
+// active-domain values) and during each candidate's certain-answer
+// check.
 func (s *Snapshot) QueryOpenContext(ctx context.Context, f Family, src string) ([]Binding, error) {
 	in, a, err := s.analyzed(ctx, src)
 	if err != nil {
